@@ -3,8 +3,8 @@
 // scalars out of global memory), plus the process-wide kernel cache. GMM
 // objective and gradient with the kernel compiler enabled vs the
 // environment-walking interpreter, and a repeated-map workload (an iterative
-// solver shape: the same small map launched hundreds of times) with the
-// kernel cache enabled vs recompiling per launch.
+// solver shape: the same small map launched hundreds of times) that every
+// launch after the first serves from the kernel cache.
 
 #include "common.hpp"
 
@@ -23,8 +23,8 @@ namespace {
 
 // loop k times: xs = map (\x -> long unrolled arithmetic chain) xs over a
 // small array; return sum xs. Execution per launch is tiny while the lambda
-// body is large, so per-launch kernel compilation dominates when the cache is
-// off — the shape every iterative driver (k-means Newton, GMM fit, LSTM
+// body is large, so per-launch kernel compilation would dominate without the
+// cache — the shape every iterative solver (k-means Newton, GMM fit, LSTM
 // training) hammers: the same lambda relaunched every optimizer step.
 Prog repeated_map_prog(int64_t iters, int unroll) {
   ProgBuilder pb("repeated_map");
@@ -68,8 +68,6 @@ int main(int argc, char** argv) {
 
   rt::Interp fast({.parallel = true, .use_kernels = true, .grain = 2048});
   rt::Interp slow({.parallel = true, .use_kernels = false, .grain = 2048});
-  rt::Interp nocache(
-      {.parallel = true, .use_kernels = true, .use_kernel_cache = false, .grain = 2048});
   rt::Interp scalar_lanes(
       {.parallel = true, .use_kernels = true, .kernel_lanes = 1, .grain = 2048});
   rt::Interp novexec({.parallel = true, .use_kernels = true, .grain = 2048, .use_vexec = false});
@@ -84,7 +82,6 @@ int main(int argc, char** argv) {
   reg("grad/kernels", [&] { benchmark::DoNotOptimize(fast.run(grad_p, gargs)); });
   reg("grad/interp", [&] { benchmark::DoNotOptimize(slow.run(grad_p, gargs)); });
   reg("repeat/cache", [&] { benchmark::DoNotOptimize(fast.run(rep_p, rep_args)); });
-  reg("repeat/nocache", [&] { benchmark::DoNotOptimize(nocache.run(rep_p, rep_args)); });
   // Lane-width ablation: the same kernels at W=1 (scalar machine) vs the
   // default batched width.
   reg("obj/kernels-w1", [&] { benchmark::DoNotOptimize(scalar_lanes.run(obj_p, args)); });
@@ -103,9 +100,8 @@ int main(int argc, char** argv) {
   t.add_row({"GMM gradient (vjp, kernels vs interp)", support::Table::fmt(col.ms("grad/kernels")),
              support::Table::fmt(col.ms("grad/interp")),
              bench::ratio(col.ms("grad/interp"), col.ms("grad/kernels"))});
-  t.add_row({"repeated map x256 (cache vs recompile)", support::Table::fmt(col.ms("repeat/cache")),
-             support::Table::fmt(col.ms("repeat/nocache")),
-             bench::ratio(col.ms("repeat/nocache"), col.ms("repeat/cache"))});
+  t.add_row({"repeated map x256 (cached kernels)", support::Table::fmt(col.ms("repeat/cache")),
+             "-", "-"});
   t.add_row({"GMM objective (W=8 vs W=1 lanes)", support::Table::fmt(col.ms("obj/kernels")),
              support::Table::fmt(col.ms("obj/kernels-w1")),
              bench::ratio(col.ms("obj/kernels-w1"), col.ms("obj/kernels"))});

@@ -12,6 +12,12 @@
 // Workload 2 is a log-sum-exp reduction — an associative multi-instruction
 // fold body that is *not* one of the four recognized binops, so before this
 // PR it always ran per-element apply() through the general interpreter.
+//
+// Workload 3 asks whether the hand-rolled combinable-binop reduce tier still
+// earns its place: a plain sum(xs) (hand tier) against the same fold with an
+// identity map fused in by opt::fuse_maps — the pre-lambda disqualifies the
+// hand loop, so that row takes the reduction-kernel/vexec tier under the
+// default options.
 
 #include "common.hpp"
 
@@ -60,6 +66,23 @@ Prog lse_prog() {
   return pb.finish({Atom(r)});
 }
 
+// sum(xs), or sum(map (\x -> x) xs) when `id_map` is set (fused into a
+// redomap by the caller).
+Prog sum_prog(bool id_map) {
+  ProgBuilder pb("sum");
+  Var xs = pb.param("xs", arr_f64(1));
+  Builder& b = pb.body();
+  if (id_map) {
+    xs = b.map1(b.lam({f64()},
+                      [](Builder&, const std::vector<Var>& p) {
+                        return std::vector<Atom>{Atom(p[0])};
+                      }),
+                {xs});
+  }
+  Var s = b.reduce1(b.add_op(), cf64(0.0), {xs});
+  return pb.finish({Atom(s)});
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -74,6 +97,17 @@ int main(int argc, char** argv) {
   ir::typecheck(pf);
   Prog lse = lse_prog();
   ir::typecheck(lse);
+  Prog sum_hand = sum_prog(/*id_map=*/false);
+  ir::typecheck(sum_hand);
+  Prog sum_kernel = sum_prog(/*id_map=*/true);
+  ir::typecheck(sum_kernel);
+  opt::FuseStats sum_fuse;
+  sum_kernel = opt::fuse_maps(sum_kernel, &sum_fuse);
+  ir::typecheck(sum_kernel);
+  if (sum_fuse.fused_redomaps != 1) {
+    std::cerr << "sum/kernel: the identity map did not fuse into the reduce\n";
+    return 1;
+  }
 
   std::vector<rt::Value> args = {
       rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(n), -1.0, 1.0), {n})};
@@ -82,6 +116,7 @@ int main(int argc, char** argv) {
   rt::Interp gen8({.parallel = true, .use_kernels = false, .kernel_lanes = 8});
   rt::Interp ker1({.parallel = true, .use_kernels = true, .kernel_lanes = 1});
   rt::Interp ker8({.parallel = true, .use_kernels = true, .kernel_lanes = 8});
+  rt::Interp dflt;  // the sum rows: default options, tier picked by program shape
 
   auto reg = [&](const char* name, std::function<void()> fn) {
     benchmark::RegisterBenchmark(name, [fn](benchmark::State& st) {
@@ -99,6 +134,8 @@ int main(int argc, char** argv) {
   reg("lse/general", [&] { benchmark::DoNotOptimize(gen8.run(lse, args)); });
   reg("lse/kernel-w1", [&] { benchmark::DoNotOptimize(ker1.run(lse, args)); });
   reg("lse/kernel-w8", [&] { benchmark::DoNotOptimize(ker8.run(lse, args)); });
+  reg("sum/hand", [&] { benchmark::DoNotOptimize(dflt.run(sum_hand, args)); });
+  reg("sum/kernel", [&] { benchmark::DoNotOptimize(dflt.run(sum_kernel, args)); });
 
   auto col = bench::run_benchmarks(argc, argv);
 
@@ -118,6 +155,8 @@ int main(int argc, char** argv) {
   row("log-sum-exp reduce, general", "lse/general", "per-element apply()");
   row("log-sum-exp reduce, kernel W=1", "lse/kernel-w1", "");
   row("log-sum-exp reduce, kernel W=8", "lse/kernel-w8", "lane partials");
+  row("sum, hand-rolled binop tier", "sum/hand", "plain reduce(+)");
+  row("sum, kernel tier", "sum/kernel", "identity map fused in");
   std::cout << "\nAblation D: kernel-compiled reductions + redomap fusion ("
             << fstats.fuse.fused_redomaps << " map fused into the reduce)\n";
   t.print();

@@ -108,42 +108,16 @@ inline void collect_body(const Body& b, TypeMap& tm);
 
 inline void collect_exp(const Exp& e, TypeMap& tm) {
   for_each_nested(e, [&](const NestedScope& s) { collect_body(*s.body, tm); });
-  std::visit(Overload{
-                 [&](const OpLoop& o) {
-                   for (const auto& p : o.params) tm.bind(p.var, p.type);
-                   if (o.idx.valid()) tm.bind(o.idx, i64());
-                   if (o.while_cond)
-                     for (const auto& p : o.while_cond->params) tm.bind(p.var, p.type);
-                 },
-                 [&](const OpMap& o) {
-                   if (o.f)
-                     for (const auto& p : o.f->params) tm.bind(p.var, p.type);
-                 },
-                 [&](const OpReduce& o) {
-                   if (o.op)
-                     for (const auto& p : o.op->params) tm.bind(p.var, p.type);
-                   if (o.pre)
-                     for (const auto& p : o.pre->params) tm.bind(p.var, p.type);
-                 },
-                 [&](const OpScan& o) {
-                   if (o.op)
-                     for (const auto& p : o.op->params) tm.bind(p.var, p.type);
-                   if (o.pre)
-                     for (const auto& p : o.pre->params) tm.bind(p.var, p.type);
-                 },
-                 [&](const OpHist& o) {
-                   if (o.op)
-                     for (const auto& p : o.op->params) tm.bind(p.var, p.type);
-                   if (o.pre)
-                     for (const auto& p : o.pre->params) tm.bind(p.var, p.type);
-                 },
-                 [&](const OpWithAcc& o) {
-                   if (o.f)
-                     for (const auto& p : o.f->params) tm.bind(p.var, p.type);
-                 },
-                 [&](const auto&) {},
-             },
-             e);
+  // Scope bindings: loop params and index carry their types on the OpLoop,
+  // lambda params on the lambda.
+  if (const auto* o = std::get_if<OpLoop>(&e)) {
+    for (const auto& p : o->params) tm.bind(p.var, p.type);
+    if (o->idx.valid()) tm.bind(o->idx, i64());
+  }
+  for_each_nested(e, [&](const NestedScope& s) {
+    if (s.lam != nullptr)
+      for (const auto& p : s.lam->params) tm.bind(p.var, p.type);
+  });
 }
 
 inline void collect_body(const Body& b, TypeMap& tm) {

@@ -187,14 +187,15 @@ struct OpMap {
   std::vector<Var> args;
   // Annotation written by opt::fuse_maps: number of producer maps folded into
   // this one (0 for unfused maps). Not part of the structural signature; the
-  // runtime adds it to InterpStats::fused_maps per launch. Every pass that
-  // rebuilds OpMap must carry it: ir/visit.hpp (Cloner), opt/simplify.cpp,
-  // opt/accopt.cpp, opt/loopopt.cpp, opt/fuse.cpp.
+  // runtime adds it to InterpStats::fused_maps per launch. The rewrite
+  // passes descend through ir::map_nested, which copies it along; only the
+  // op-specific rebuilders must carry it by hand (see "Adding a field or
+  // scope to an op" in src/opt/README.md).
   uint32_t fused = 0;
-  // Flattening annotation (see FlatForm above). Carried by the same pass
-  // list as `fused`, except opt/fuse.cpp drops it to None when it rebuilds
-  // the lambda of a fused consumer (the body shape changed; opt/flatten.cpp
-  // runs after fusion in the pipeline and re-derives it).
+  // Flattening annotation (see FlatForm above). Carried like `fused`,
+  // except opt/fuse.cpp drops it to None when it rebuilds the lambda of a
+  // fused consumer (the body shape changed; opt/flatten.cpp runs after
+  // fusion in the pipeline and re-derives it).
   FlatForm flat = FlatForm::None;
 };
 // reduce/scan op ne xs1..xsk, optionally in *redomap* form: when `pre` is
@@ -207,8 +208,8 @@ struct OpMap {
 // without pre, args.size() == k.
 // `fused` mirrors OpMap::fused: number of producer maps folded in, not part
 // of the structural signature; the runtime adds it to
-// InterpStats::fused_reduces / fused_scans per launch. Every pass that
-// rebuilds these ops must carry both fields (same list as OpMap::fused).
+// InterpStats::fused_reduces / fused_scans per launch. Both fields are
+// carried like OpMap::fused.
 struct OpReduce {
   LambdaPtr op;
   std::vector<Atom> neutral;
@@ -231,8 +232,7 @@ struct OpScan {
 // a hist consumer so the mapped intermediate never exists. `fused` mirrors
 // OpMap::fused: number of producer maps folded in, not part of the
 // structural signature; the runtime adds it to InterpStats::fused_hists per
-// launch. Every pass that rebuilds OpHist must carry both fields (same list
-// as OpMap::fused).
+// launch. Both fields are carried like OpMap::fused.
 struct OpHist {
   LambdaPtr op;
   Atom neutral;

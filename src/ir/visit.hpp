@@ -1,13 +1,22 @@
 #pragma once
 
-// Generic traversal and cloning utilities over the IR. Every pass is built on
-// these three primitives:
+// Generic traversal and cloning utilities over the IR:
 //   for_each_atom    — visit the atoms an Exp uses directly (no nested bodies)
-//   for_each_nested  — visit nested bodies / lambdas of an Exp
-//   clone            — deep-copy with variable substitution and optional
+//   visit_scopes     — THE enumeration of the nested scopes each op carries
+//                      (if arms, loop body + while condition, SOAC lambdas);
+//                      hands out the BodyPtr/LambdaPtr slots themselves
+//   for_each_nested  — read-only walk of those scopes (built on visit_scopes)
+//   map_nested       — copy an op, rebuilding each nested body through a
+//                      callback (built on visit_scopes); every non-scope
+//                      field, annotations included, rides along unchanged
+//   Cloner           — deep-copy with variable substitution and optional
 //                      alpha-renaming of bindings (used to inline lambdas)
+// Only visit_scopes knows which scopes an op has; the rewrite passes in
+// src/opt descend through map_nested, so adding a scope (or an annotation)
+// to an op touches this file, not every pass (see src/opt/README.md).
 
 #include <functional>
+#include <type_traits>
 #include <unordered_map>
 
 #include "ir/ast.hpp"
@@ -53,42 +62,85 @@ void for_each_atom(const Exp& e, FnAtom&& fn) {
       e);
 }
 
-// Visits nested scopes: fn_body(body, params_bound_in_that_body).
-// The bound-variable list lets free-variable analysis subtract bindings.
-struct NestedScope {
-  const Body* body;
-  std::vector<Var> bound;  // params (and loop index) in scope for this body
-};
-
-template <class Fn>
-void for_each_nested(const Exp& e, Fn&& fn) {
-  auto lam = [&](const LambdaPtr& l) {
-    if (!l) return;
-    NestedScope s{&l->body, {}};
-    for (auto& p : l->params) s.bound.push_back(p.var);
-    fn(s);
+// Enumerates the nested scopes of `e` (an Exp or const Exp) in field order:
+//   OpIf                  on_body(tb, {}), on_body(fb, {})
+//   OpLoop                on_body(body, params ++ [idx]), then on_lambda(while_cond)
+//   OpMap / OpWithAcc     on_lambda(f)
+//   OpReduce/Scan/Hist    on_lambda(op), then on_lambda(pre)
+// on_body receives the BodyPtr slot plus the variables the op binds in that
+// body; on_lambda receives the LambdaPtr slot (its params are its bindings).
+// Absent lambdas (no while_cond, no pre) are skipped. The slots are
+// references into `e`, so a caller holding a mutable Exp may replace them.
+template <class E, class OnBody, class OnLambda>
+void visit_scopes(E& e, OnBody&& on_body, OnLambda&& on_lambda) {
+  static_assert(std::is_same_v<std::remove_const_t<E>, Exp>);
+  auto lam = [&](auto& l) {
+    if (l) on_lambda(l);
   };
   std::visit(
-      Overload{
-          [&](const OpIf& o) {
-            fn(NestedScope{o.tb.get(), {}});
-            fn(NestedScope{o.fb.get(), {}});
-          },
-          [&](const OpLoop& o) {
-            NestedScope s{o.body.get(), {}};
-            for (auto& p : o.params) s.bound.push_back(p.var);
-            if (o.idx.valid()) s.bound.push_back(o.idx);
-            fn(s);
-            if (o.while_cond) lam(o.while_cond);
-          },
-          [&](const OpMap& o) { lam(o.f); },
-          [&](const OpReduce& o) { lam(o.op); lam(o.pre); },
-          [&](const OpScan& o) { lam(o.op); lam(o.pre); },
-          [&](const OpHist& o) { lam(o.op); lam(o.pre); },
-          [&](const OpWithAcc& o) { lam(o.f); },
-          [&](const auto&) {},
+      [&](auto& o) {
+        using T = std::remove_cvref_t<decltype(o)>;
+        if constexpr (std::is_same_v<T, OpIf>) {
+          on_body(o.tb, std::vector<Var>{});
+          on_body(o.fb, std::vector<Var>{});
+        } else if constexpr (std::is_same_v<T, OpLoop>) {
+          std::vector<Var> bound;
+          for (const auto& p : o.params) bound.push_back(p.var);
+          if (o.idx.valid()) bound.push_back(o.idx);
+          on_body(o.body, std::move(bound));
+          lam(o.while_cond);
+        } else if constexpr (std::is_same_v<T, OpMap> || std::is_same_v<T, OpWithAcc>) {
+          lam(o.f);
+        } else if constexpr (std::is_same_v<T, OpReduce> || std::is_same_v<T, OpScan> ||
+                             std::is_same_v<T, OpHist>) {
+          lam(o.op);
+          lam(o.pre);
+        }
       },
       e);
+}
+
+// One nested scope of an op: its body, the variables bound on entry (lambda
+// params, or loop params and index), and the owning lambda — null for if
+// arms and loop bodies. The bound list lets free-variable analysis subtract
+// bindings.
+struct NestedScope {
+  const Body* body;
+  std::vector<Var> bound;
+  const Lambda* lam = nullptr;
+};
+
+inline NestedScope lambda_scope(const Lambda& l) {
+  NestedScope s{&l.body, {}, &l};
+  s.bound.reserve(l.params.size());
+  for (const auto& p : l.params) s.bound.push_back(p.var);
+  return s;
+}
+
+// Visits the nested scopes of `e` in visit_scopes order.
+template <class Fn>
+void for_each_nested(const Exp& e, Fn&& fn) {
+  visit_scopes(
+      e,
+      [&](const BodyPtr& b, std::vector<Var> bound) {
+        fn(NestedScope{b.get(), std::move(bound), nullptr});
+      },
+      [&](const LambdaPtr& l) { fn(lambda_scope(*l)); });
+}
+
+// Copies `e`, replacing each nested body by `fn(scope)` (a Body), in
+// visit_scopes order; lambdas keep their params and rets. The copy carries
+// every other field (OpMap::fused/flat, OpLoop::stripmine, ...) as is.
+template <class Fn>
+Exp map_nested(const Exp& e, Fn&& fn) {
+  Exp out = e;
+  visit_scopes(
+      out,
+      [&](BodyPtr& b, std::vector<Var> bound) {
+        b = make_body(fn(NestedScope{b.get(), std::move(bound), nullptr}));
+      },
+      [&](LambdaPtr& l) { l = make_lambda(Lambda{l->params, fn(lambda_scope(*l)), l->rets}); });
+  return out;
 }
 
 // ---------------------------------------------------------------- clone ----

@@ -29,49 +29,13 @@ public:
     Builder b(mod_, tm_);
     for (const auto& st : in.stms) {
       Stm ns = st;
-      ns.e = sub_exp(st.e);
+      ns.e = map_nested(st.e, [&](const NestedScope& s) { return body(*s.body); });
       if (!try_withacc(b, ns)) b.push(std::move(ns));
     }
     return Body{b.take_stms(), in.result};
   }
 
 private:
-  LambdaPtr sub_lambda(const LambdaPtr& l) {
-    if (!l) return nullptr;
-    Lambda nl = *l;
-    nl.body = body(l->body);
-    return make_lambda(std::move(nl));
-  }
-
-  Exp sub_exp(const Exp& e) {
-    return std::visit(
-        Overload{
-            [&](const OpIf& o) -> Exp {
-              return OpIf{o.c, make_body(body(*o.tb)), make_body(body(*o.fb))};
-            },
-            [&](const OpLoop& o) -> Exp {
-              OpLoop n = o;
-              n.body = make_body(body(*o.body));
-              n.while_cond = sub_lambda(o.while_cond);
-              return n;
-            },
-            [&](const OpMap& o) -> Exp { return OpMap{sub_lambda(o.f), o.args, o.fused, o.flat}; },
-            [&](const OpReduce& o) -> Exp {
-              return OpReduce{sub_lambda(o.op), o.neutral, o.args, sub_lambda(o.pre), o.fused};
-            },
-            [&](const OpScan& o) -> Exp {
-              return OpScan{sub_lambda(o.op), o.neutral, o.args, sub_lambda(o.pre), o.fused};
-            },
-            [&](const OpHist& o) -> Exp {
-              return OpHist{sub_lambda(o.op), o.neutral, o.dest, o.inds, o.vals,
-                            sub_lambda(o.pre), o.fused};
-            },
-            [&](const OpWithAcc& o) -> Exp { return OpWithAcc{o.arrs, sub_lambda(o.f)}; },
-            [&](const auto& o) -> Exp { return o; },
-        },
-        e);
-  }
-
   // Attempts to rewrite `withacc (A..) (\accs -> let outs = map f (..accs..)
   // in (..))` by peeling accumulators whose updates follow Rule R or Rule H.
   bool try_withacc(Builder& b, const Stm& st) {

@@ -26,56 +26,21 @@ public:
   }
 
 private:
-  LambdaPtr sub_lambda(const LambdaPtr& l) {
-    if (!l) return nullptr;
-    Lambda nl = *l;
-    nl.body = body(l->body);
-    return make_lambda(std::move(nl));
-  }
-
   // Rewrites nested scopes first (deeper nests annotate at their own level),
   // then matches this map. A rank-3 nest map(λslab. map(λrow. map(g, row)))
   // thus annotates the middle map @flat; the outer stays general (its inner
   // lambda is row-level, not scalar) but each of its rows now runs one
   // collapsed launch instead of m inner launches.
   Exp exp(const Exp& e) {
-    return std::visit(
-        Overload{
-            [&](const OpIf& o) -> Exp {
-              return OpIf{o.c, make_body(body(*o.tb)), make_body(body(*o.fb))};
-            },
-            [&](const OpLoop& o) -> Exp {
-              OpLoop n = o;
-              n.body = make_body(body(*o.body));
-              n.while_cond = sub_lambda(o.while_cond);
-              return n;
-            },
-            [&](const OpMap& o) -> Exp {
-              OpMap n{sub_lambda(o.f), o.args, o.fused, o.flat};
-              const FlatForm form = flatten_form(n);
-              if (form != n.flat) {
-                // Annotate fresh matches; also clears a stale annotation
-                // whose structure no longer qualifies (idempotent re-runs).
-                n.flat = form;
-              }
-              if (n.flat == FlatForm::Inner) ++stats_->flattened_maps;
-              if (n.flat == FlatForm::SegRed) ++stats_->flattened_redomaps;
-              return n;
-            },
-            [&](const OpReduce& o) -> Exp {
-              return OpReduce{sub_lambda(o.op), o.neutral, o.args, sub_lambda(o.pre), o.fused};
-            },
-            [&](const OpScan& o) -> Exp {
-              return OpScan{sub_lambda(o.op), o.neutral, o.args, sub_lambda(o.pre), o.fused};
-            },
-            [&](const OpHist& o) -> Exp {
-              return OpHist{sub_lambda(o.op), o.neutral, o.dest, o.inds, o.vals,
-                            sub_lambda(o.pre), o.fused};
-            },
-            [&](const OpWithAcc& o) -> Exp { return OpWithAcc{o.arrs, sub_lambda(o.f)}; },
-            [&](const auto& x) -> Exp { return x; },
-        },
-        e);
+    Exp out = map_nested(e, [&](const NestedScope& s) { return body(*s.body); });
+    if (auto* m = std::get_if<OpMap>(&out)) {
+      // Annotates fresh matches; also clears a stale annotation whose
+      // structure no longer qualifies (idempotent re-runs).
+      m->flat = flatten_form(*m);
+      if (m->flat == FlatForm::Inner) ++stats_->flattened_maps;
+      if (m->flat == FlatForm::SegRed) ++stats_->flattened_redomaps;
+    }
+    return out;
   }
 
   FlattenStats* stats_;

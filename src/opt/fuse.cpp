@@ -25,7 +25,7 @@ public:
     // chains collapse transitively.
     for (const auto& st : in.stms) {
       Stm ns = st;
-      ns.e = rewrite_nested(st.e);
+      ns.e = map_nested(st.e, [&](const NestedScope& s) { return body(*s.body); });
       cur.stms.push_back(std::move(ns));
     }
     redirect_lengths(cur);
@@ -73,42 +73,6 @@ public:
   }
 
 private:
-  LambdaPtr sub_lambda(const LambdaPtr& l) {
-    if (!l) return nullptr;
-    Lambda nl = *l;
-    nl.body = body(l->body);
-    return make_lambda(std::move(nl));
-  }
-
-  Exp rewrite_nested(const Exp& e) {
-    return std::visit(
-        Overload{
-            [&](const OpIf& o) -> Exp {
-              return OpIf{o.c, make_body(body(*o.tb)), make_body(body(*o.fb))};
-            },
-            [&](const OpLoop& o) -> Exp {
-              OpLoop n = o;
-              n.body = make_body(body(*o.body));
-              n.while_cond = sub_lambda(o.while_cond);
-              return n;
-            },
-            [&](const OpMap& o) -> Exp { return OpMap{sub_lambda(o.f), o.args, o.fused, o.flat}; },
-            [&](const OpReduce& o) -> Exp {
-              return OpReduce{sub_lambda(o.op), o.neutral, o.args, sub_lambda(o.pre), o.fused};
-            },
-            [&](const OpScan& o) -> Exp {
-              return OpScan{sub_lambda(o.op), o.neutral, o.args, sub_lambda(o.pre), o.fused};
-            },
-            [&](const OpHist& o) -> Exp {
-              return OpHist{sub_lambda(o.op), o.neutral, o.dest, o.inds, o.vals,
-                            sub_lambda(o.pre), o.fused};
-            },
-            [&](const OpWithAcc& o) -> Exp { return OpWithAcc{o.arrs, sub_lambda(o.f)}; },
-            [&](const auto& o) -> Exp { return o; },
-        },
-        e);
-  }
-
   // A lambda is a fusable producer when it threads no accumulators: its
   // computation is purely per-element, so it can be replayed inside the
   // consumer at the same iteration index.

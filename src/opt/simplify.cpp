@@ -35,7 +35,8 @@ public:
       if (!needed && has_acc_effects(st.e)) needed = true;
       if (!needed) continue;
       Stm ns = st;
-      ns.e = prune_exp(st.e);
+      // Nested scopes are pruned against their own result liveness.
+      ns.e = map_nested(st.e, [&](const NestedScope& s) { return body(*s.body, {}); });
       // Bindings kill liveness; uses (incl. free vars of nests) generate it.
       for (Var v : ns.vars) live.erase(v.id);
       for_each_atom(ns.e, [&](const Atom& a) {
@@ -50,44 +51,6 @@ public:
     out.result = in.result;
     out.stms.assign(kept.rbegin(), kept.rend());
     return out;
-  }
-
-private:
-  // Prunes nested scopes with their own result liveness.
-  Exp prune_exp(const Exp& e) {
-    auto prune_lambda = [&](const LambdaPtr& l) -> LambdaPtr {
-      if (!l) return nullptr;
-      Lambda nl = *l;
-      nl.body = body(l->body, {});
-      return make_lambda(std::move(nl));
-    };
-    return std::visit(
-        Overload{
-            [&](const OpIf& o) -> Exp {
-              return OpIf{o.c, make_body(body(*o.tb, {})), make_body(body(*o.fb, {}))};
-            },
-            [&](const OpLoop& o) -> Exp {
-              OpLoop n = o;
-              n.body = make_body(body(*o.body, {}));
-              n.while_cond = prune_lambda(o.while_cond);
-              return n;
-            },
-            [&](const OpMap& o) -> Exp { return OpMap{prune_lambda(o.f), o.args, o.fused, o.flat}; },
-            [&](const OpReduce& o) -> Exp {
-              return OpReduce{prune_lambda(o.op), o.neutral, o.args, prune_lambda(o.pre),
-                              o.fused};
-            },
-            [&](const OpScan& o) -> Exp {
-              return OpScan{prune_lambda(o.op), o.neutral, o.args, prune_lambda(o.pre), o.fused};
-            },
-            [&](const OpHist& o) -> Exp {
-              return OpHist{prune_lambda(o.op), o.neutral, o.dest, o.inds, o.vals,
-                            prune_lambda(o.pre), o.fused};
-            },
-            [&](const OpWithAcc& o) -> Exp { return OpWithAcc{o.arrs, prune_lambda(o.f)}; },
-            [&](const auto& o) -> Exp { return o; },
-        },
-        e);
   }
 };
 
@@ -163,53 +126,13 @@ private:
     Cloner c(dummy, /*refresh=*/false);
     Subst s2 = s;
     Exp ne = c.exp(e, s2);
-    // Recurse into nested scopes with a copy of the environment.
-    return std::visit(
-        Overload{
-            [&](const OpIf& o) -> Exp {
-              return OpIf{o.c, make_body(body(*o.tb, env)), make_body(body(*o.fb, env))};
-            },
-            [&](const OpLoop& o) -> Exp {
-              OpLoop n = o;
-              Env inner = env;
-              for (const auto& p : o.params) kill_alias(inner, p.var);
-              if (o.idx.valid()) kill_alias(inner, o.idx);
-              n.body = make_body(body(*o.body, inner));
-              if (o.while_cond) {
-                Lambda wl = *o.while_cond;
-                Env wenv = env;
-                for (const auto& p : wl.params) kill_alias(wenv, p.var);
-                wl.body = body(wl.body, wenv);
-                n.while_cond = make_lambda(std::move(wl));
-              }
-              return n;
-            },
-            [&](const OpMap& o) -> Exp { return OpMap{sub_lambda(o.f, env), o.args, o.fused, o.flat}; },
-            [&](const OpReduce& o) -> Exp {
-              return OpReduce{sub_lambda(o.op, env), o.neutral, o.args, sub_lambda(o.pre, env),
-                              o.fused};
-            },
-            [&](const OpScan& o) -> Exp {
-              return OpScan{sub_lambda(o.op, env), o.neutral, o.args, sub_lambda(o.pre, env),
-                            o.fused};
-            },
-            [&](const OpHist& o) -> Exp {
-              return OpHist{sub_lambda(o.op, env), o.neutral, o.dest, o.inds, o.vals,
-                            sub_lambda(o.pre, env), o.fused};
-            },
-            [&](const OpWithAcc& o) -> Exp { return OpWithAcc{o.arrs, sub_lambda(o.f, env)}; },
-            [&](const auto& o) -> Exp { return o; },
-        },
-        ne);
-  }
-
-  LambdaPtr sub_lambda(const LambdaPtr& l, const Env& env) {
-    if (!l) return nullptr;
-    Lambda nl = *l;
-    Env inner = env;
-    for (const auto& p : nl.params) kill_alias(inner, p.var);
-    nl.body = body(nl.body, inner);
-    return make_lambda(std::move(nl));
+    // Recurse into nested scopes with a copy of the environment; the scope's
+    // own bindings shadow outer aliases.
+    return map_nested(ne, [&](const NestedScope& scope) {
+      Env inner = env;
+      for (Var v : scope.bound) kill_alias(inner, v);
+      return body(*scope.body, inner);
+    });
   }
 
   static bool is_c(const Atom& a, double v) {

@@ -524,7 +524,7 @@ public:
       inputs.push_back(a);
     }
     if (n < 0) return std::nullopt;
-    auto L = bind_map_launch(s.kernel, nullptr, o, inputs, env);
+    auto L = bind_map_launch(s.kernel, o, inputs, env);
     if (!L) return std::nullopt;
     if (o.fused > 0) stats_->fused_maps.fetch_add(o.fused, std::memory_order_relaxed);
     stats_->kernel_maps.fetch_add(1, std::memory_order_relaxed);
@@ -1282,36 +1282,25 @@ public:
                                          const Env& env) const {
     // Input ranks are validated in bind_map_launch against the kernel's
     // row-param table: rank-1 element inputs, rank-2 row-stream arguments.
-    // The kernel is owned by the process-wide cache (immortal entries) or,
-    // with caching disabled, by the launch itself — either way it outlives
-    // every use, including launches from nested maps.
-    const Kernel* k = nullptr;
-    std::shared_ptr<const Kernel> owned;
-    if (opts_.use_kernel_cache) {
-      bool hit = false;
-      k = KernelCache::global().get(o.f, &hit);
-      (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
-          .fetch_add(1, std::memory_order_relaxed);
-      if (!k) return std::nullopt;
-    } else {
-      auto kopt = compile_kernel(*o.f);
-      if (!kopt) return std::nullopt;
-      owned = std::make_shared<const Kernel>(std::move(*kopt));
-      k = owned.get();
-    }
-    return bind_map_launch(k, std::move(owned), o, inputs, env);
+    // The kernel is owned by the process-wide cache (immortal entries), so
+    // it outlives every use, including launches from nested maps.
+    bool hit = false;
+    const Kernel* k = KernelCache::global().get(o.f, &hit);
+    (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (!k) return std::nullopt;
+    return bind_map_launch(k, o, inputs, env);
   }
 
   // Binds a map kernel's free variables and accumulators against the
   // environment; nullopt when any binding has the wrong shape. Shared by the
   // per-launch path (try_kernel) and the plan executor, whose MapLaunch steps
   // carry a pre-resolved kernel and only re-bind arguments per execution.
-  std::optional<KernelLaunch> bind_map_launch(const Kernel* k, std::shared_ptr<const Kernel> owned,
-                                              const OpMap& o, const std::vector<ArrayVal>& inputs,
+  std::optional<KernelLaunch> bind_map_launch(const Kernel* k, const OpMap& o,
+                                              const std::vector<ArrayVal>& inputs,
                                               const Env& env) const {
     KernelLaunch L;
     L.k = k;
-    L.owned = std::move(owned);
     // Partition the non-acc arguments: rank-1 element inputs take LoadElem
     // slots in order; rank-2 row arguments bind into the free-array slots
     // reserved by their row-stream params. Any other rank falls back.
@@ -1359,12 +1348,12 @@ public:
   }
 
   // Attaches the vectorized-tier schedule to a bound launch (after lanes are
-  // set — entries are keyed per (kernel, lane width)). Only for immortal
-  // kernels: the vexec cache keys by kernel address, so a launch-owned
-  // kernel (use_kernel_cache off) must stay on the register machine. A null
-  // lookup (unsupported width, failed lowering) is the same no-op.
+  // set — entries are keyed per (kernel, lane width)). Every launched kernel
+  // is immortal (cache- or plan-owned), which the vexec cache relies on: it
+  // keys by kernel address. A null lookup (unsupported width, failed
+  // lowering) is a no-op.
   void attach_vexec(KernelLaunch& L) const {
-    if (!opts_.use_vexec || L.owned != nullptr) return;
+    if (!opts_.use_vexec) return;
     const vexec::Entry* e = vexec::lookup(*L.k, L.lanes);
     if (e == nullptr) return;
     L.vx = e;
@@ -1550,27 +1539,16 @@ public:
     const int64_t m = *mo;
     // Compile/bind the inner scalar lambda exactly like a rank-1 map launch
     // (same cache, so a previously-launched inner map reuses its kernel).
-    const Kernel* k = nullptr;
-    std::shared_ptr<const Kernel> owned;
-    if (opts_.use_kernel_cache) {
-      bool hit = false;
-      k = KernelCache::global().get(im->f, &hit);
-      (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
-          .fetch_add(1, std::memory_order_relaxed);
-    } else {
-      auto kopt = compile_kernel(*im->f);
-      if (kopt) {
-        owned = std::make_shared<const Kernel>(std::move(*kopt));
-        k = owned.get();
-      }
-    }
+    bool hit = false;
+    const Kernel* k = KernelCache::global().get(im->f, &hit);
+    (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
+        .fetch_add(1, std::memory_order_relaxed);
     if (k == nullptr || !k->accs.empty() || !k->row_param_slots.empty() ||
         flat.size() != k->num_inputs) {
       return std::nullopt;
     }
     KernelLaunch L;
     L.k = k;
-    L.owned = std::move(owned);
     L.inputs = std::move(flat);
     for (ir::Var v : k->free_scalars) {
       const Value& val = env.lookup(v);
@@ -1686,9 +1664,8 @@ public:
 
     // Kernel tier.
     if (!opts_.use_kernels) return std::nullopt;
-    std::shared_ptr<const Kernel> owned;
-    const Kernel* k = reduce_kernel_for(red->op, red->pre, /*scan=*/false, owned);
-    auto L = bind_reduce_launch(k, flat, neutral, std::move(owned), env);
+    const Kernel* k = reduce_kernel_for(red->op, red->pre, /*scan=*/false);
+    auto L = bind_reduce_launch(k, flat, neutral, env);
     if (!L) return std::nullopt;
     for (size_t j = 0; j < k->reds.size(); ++j) {
       L->outputs.push_back(alloc_launch_buf(red->op->rets[j].elem, {n}, /*uninit=*/true));
@@ -1729,12 +1706,10 @@ public:
   std::optional<KernelLaunch> bind_reduce_launch(const Kernel* k,
                                                  const std::vector<ArrayVal>& inputs,
                                                  const std::vector<Value>& neutral,
-                                                 std::shared_ptr<const Kernel> owned,
                                                  const Env& env) const {
     if (k == nullptr || inputs.size() != k->num_inputs) return std::nullopt;
     KernelLaunch L;
     L.k = k;
-    L.owned = std::move(owned);
     L.inputs = inputs;
     for (ir::Var v : k->free_scalars) {
       const Value& val = env.lookup(v);
@@ -1759,20 +1734,13 @@ public:
   }
 
   // Looks up / compiles the reduction kernel for (op, pre, scan) through the
-  // process-wide cache (or privately when caching is off).
-  const Kernel* reduce_kernel_for(const LambdaPtr& op, const LambdaPtr& pre, bool scan,
-                                  std::shared_ptr<const Kernel>& owned) const {
-    if (opts_.use_kernel_cache) {
-      bool hit = false;
-      const Kernel* k = KernelCache::global().get_reduce(op, pre, scan, &hit);
-      (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
-          .fetch_add(1, std::memory_order_relaxed);
-      return k;
-    }
-    auto kopt = compile_reduce_kernel(*op, pre.get(), scan);
-    if (!kopt) return nullptr;
-    owned = std::make_shared<const Kernel>(std::move(*kopt));
-    return owned.get();
+  // process-wide cache.
+  const Kernel* reduce_kernel_for(const LambdaPtr& op, const LambdaPtr& pre, bool scan) const {
+    bool hit = false;
+    const Kernel* k = KernelCache::global().get_reduce(op, pre, scan, &hit);
+    (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
+        .fetch_add(1, std::memory_order_relaxed);
+    return k;
   }
 
   // Converts a kernel partial back to a typed scalar Value.
@@ -1820,9 +1788,8 @@ public:
     bool rank1 = true;
     for (const auto& a : arrs) rank1 = rank1 && a.rank() == 1;
     if (opts_.use_kernels && !hand_fast && rank1) {
-      std::shared_ptr<const Kernel> owned;
-      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false, owned);
-      if (auto L = bind_reduce_launch(k, arrs, neutral, std::move(owned), env)) {
+      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false);
+      if (auto L = bind_reduce_launch(k, arrs, neutral, env)) {
         stats_->kernel_reduces.fetch_add(1, std::memory_order_relaxed);
         const size_t nred = k->reds.size();
         std::vector<double> partials = L->red_neutral;
@@ -2010,9 +1977,8 @@ public:
     bool rank1 = true;
     for (const auto& a : arrs) rank1 = rank1 && a.rank() == 1;
     if (opts_.use_kernels && rank1) {
-      std::shared_ptr<const Kernel> owned;
-      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/true, owned);
-      if (auto L = bind_reduce_launch(k, arrs, neutral, std::move(owned), env)) {
+      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/true);
+      if (auto L = bind_reduce_launch(k, arrs, neutral, env)) {
         stats_->kernel_scans.fetch_add(1, std::memory_order_relaxed);
         for (ScalarType t : k->out_elems) {
           L->outputs.push_back(alloc_launch_buf(t, {n}, /*uninit=*/true));
@@ -2243,10 +2209,9 @@ public:
     // Tier 2: compiled combine kernel (scalar f64 bins, []i64 inds).
     if (opts_.use_kernels && dest.rank() == 1 && dest.elem == ScalarType::F64 &&
         vals.rank() == 1 && inds.elem == ScalarType::I64) {
-      std::shared_ptr<const Kernel> owned;
-      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false, owned);
+      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false);
       std::vector<Value> neutral{eval_atom(o.neutral, env)};
-      if (auto L = bind_reduce_launch(k, {vals}, neutral, std::move(owned), env)) {
+      if (auto L = bind_reduce_launch(k, {vals}, neutral, env)) {
         stats_->kernel_hists.fetch_add(1, std::memory_order_relaxed);
         double* d = dest.buf->f64() + dest.offset;
         const int64_t* ip = inds.buf->i64() + inds.offset;

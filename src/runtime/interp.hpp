@@ -42,7 +42,6 @@ bool default_use_plans();
 struct InterpOptions {
   bool parallel = true;         // use the thread pool for SOACs
   bool use_kernels = true;      // enable the kernel-compiled map fast path
-  bool use_kernel_cache = true; // reuse compiled kernels across launches
   bool privatize_accs = true;   // per-worker accumulator buffers + merge
   // Compiled execution plans (runtime/plan.hpp): route the top-level body
   // and plannable OpLoop bodies through cached straight-line step schedules
@@ -69,8 +68,8 @@ struct InterpOptions {
   // Vectorized execution tier (runtime/vexec.hpp): lower cached kernels to
   // pre-decoded SIMD schedules and dispatch launches through them. Bit-exact
   // vs the register machine by contract; the register machine remains the
-  // fallback for kernels that do not lower. Only applies to cache- or
-  // plan-owned kernels (use_kernel_cache launches or plan steps).
+  // fallback for kernels that do not lower. Applies to every kernel launch
+  // (all kernels are cache- or plan-owned).
   bool use_vexec = default_use_vexec();
   // Pin the portable (auto-vectorized, no AVX2) vexec handler build even
   // when the CPU supports AVX2 — conformance coverage for non-SIMD hosts.

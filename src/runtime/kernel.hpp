@@ -177,12 +177,11 @@ std::optional<Kernel> compile_reduce_kernel(const ir::Lambda& op, const ir::Lamb
                                             bool scan);
 
 // Bound kernel ready to run: free variables resolved against an environment.
-// `k` points either into the process-wide kernel cache (immortal entries,
-// runtime/kernel_cache.hpp) or at `owned` when caching is disabled — either
-// way the kernel cannot outlive the launch.
+// `k` points into the process-wide kernel cache (runtime/kernel_cache.hpp)
+// or into a compiled plan; both keep their kernels alive for the process, so
+// the kernel always outlives the launch.
 struct KernelLaunch {
   const Kernel* k = nullptr;
-  std::shared_ptr<const Kernel> owned;  // set when the launch owns its kernel
   std::vector<double> free_scalar_vals;
   std::vector<ArrayVal> free_array_vals;
   std::vector<ArrayVal> acc_array_vals;
@@ -217,9 +216,8 @@ struct KernelLaunch {
   // both set, run/run_reduce/run_segred_chunk/run_scan_chunk/run_hist_chunk
   // dispatch to the pre-decoded SIMD schedule instead of the register
   // machine — bit-exact by contract, so binding it is purely a speed choice.
-  // Only attached for cache- or plan-owned kernels (`owned == nullptr`):
-  // vexec entries are keyed by kernel address and must never outlive `k`.
-  // `vexec_spans` feeds InterpStats::vexec_launches, one tick per
+  // Vexec entries are keyed by kernel address, which is sound because `k` is
+  // immortal. `vexec_spans` feeds InterpStats::vexec_launches, one tick per
   // dispatched span.
   const vexec::Entry* vx = nullptr;
   const vexec::Ops* vops = nullptr;

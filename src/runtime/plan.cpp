@@ -171,35 +171,13 @@ std::unique_ptr<const Plan> compile_body_plan(const Body& body, uint64_t* nplans
 // Collects every lambda reachable from `b` (SOAC lambdas, redomap
 // pre-lambdas, while conditions), recursing through nested bodies and the
 // collected lambdas' own bodies. Pointer identity dedups shared subtrees.
-void collect_lambdas(const Body& b, std::vector<const Lambda*>& out);
-
-void collect_lambdas_exp(const Exp& e, std::vector<const Lambda*>& out) {
-  auto lam = [&](const LambdaPtr& l) {
-    if (!l) return;
-    out.push_back(l.get());
-    collect_lambdas(l->body, out);
-  };
-  std::visit(Overload{
-                 [&](const OpIf& o) {
-                   collect_lambdas(*o.tb, out);
-                   collect_lambdas(*o.fb, out);
-                 },
-                 [&](const OpLoop& o) {
-                   collect_lambdas(*o.body, out);
-                   lam(o.while_cond);
-                 },
-                 [&](const OpMap& o) { lam(o.f); },
-                 [&](const OpReduce& o) { lam(o.op); lam(o.pre); },
-                 [&](const OpScan& o) { lam(o.op); lam(o.pre); },
-                 [&](const OpHist& o) { lam(o.op); lam(o.pre); },
-                 [&](const OpWithAcc& o) { lam(o.f); },
-                 [&](const auto&) {},
-             },
-             e);
-}
-
 void collect_lambdas(const Body& b, std::vector<const Lambda*>& out) {
-  for (const Stm& st : b.stms) collect_lambdas_exp(st.e, out);
+  for (const Stm& st : b.stms) {
+    for_each_nested(st.e, [&](const NestedScope& s) {
+      if (s.lam != nullptr) out.push_back(s.lam);
+      collect_lambdas(*s.body, out);
+    });
+  }
 }
 
 } // namespace

@@ -83,35 +83,31 @@ TEST(KernelCache, StructurallyIdenticalProgsShareResolution) {
 // to clear the thread-local vector keeping the outer launch's kernel alive.
 // Outer map is general-path (rank-1 rows), inner maps are kernel-compiled.
 TEST(KernelCache, NestedMapsKeepKernelsAlive) {
-  for (bool use_cache : {true, false}) {
-    ProgBuilder pb("nested");
-    Var c = pb.param("c", f64());
-    Var m = pb.param("m", arr_f64(2));
-    Builder& b = pb.body();
-    Var rows = b.map1(b.lam({arr_f64(1)},
-                            [&](Builder& outer, const std::vector<Var>& rp) {
-                              Var sq = outer.map1(
-                                  outer.lam({f64()},
-                                            [&](Builder& inner, const std::vector<Var>& ip) {
-                                              Var t = inner.mul(inner.mul(ip[0], ip[0]), c);
-                                              return std::vector<Atom>{Atom(t)};
-                                            }),
-                                  {rp[0]});
-                              Var s = outer.reduce1(outer.add_op(), cf64(0.0), {sq});
-                              return std::vector<Atom>{Atom(s)};
-                            }),
-                      {m});
-    Prog p = pb.finish({Atom(rows)});
-    typecheck(p);
+  ProgBuilder pb("nested");
+  Var c = pb.param("c", f64());
+  Var m = pb.param("m", arr_f64(2));
+  Builder& b = pb.body();
+  Var rows = b.map1(b.lam({arr_f64(1)},
+                          [&](Builder& outer, const std::vector<Var>& rp) {
+                            Var sq = outer.map1(
+                                outer.lam({f64()},
+                                          [&](Builder& inner, const std::vector<Var>& ip) {
+                                            Var t = inner.mul(inner.mul(ip[0], ip[0]), c);
+                                            return std::vector<Atom>{Atom(t)};
+                                          }),
+                                {rp[0]});
+                            Var s = outer.reduce1(outer.add_op(), cf64(0.0), {sq});
+                            return std::vector<Atom>{Atom(s)};
+                          }),
+                    {m});
+  Prog p = pb.finish({Atom(rows)});
+  typecheck(p);
 
-    ArrayVal mat = make_f64_array({1, 2, 3, 4, 5, 6}, {2, 3});
-    InterpOptions opts;
-    opts.use_kernel_cache = use_cache;
-    auto r = run_prog(p, {2.0, mat}, opts);
-    const ArrayVal& out = as_array(r[0]);
-    EXPECT_DOUBLE_EQ(out.get_f64(0), (1.0 + 4.0 + 9.0) * 2.0);
-    EXPECT_DOUBLE_EQ(out.get_f64(1), (16.0 + 25.0 + 36.0) * 2.0);
-  }
+  ArrayVal mat = make_f64_array({1, 2, 3, 4, 5, 6}, {2, 3});
+  auto r = run_prog(p, {2.0, mat});
+  const ArrayVal& out = as_array(r[0]);
+  EXPECT_DOUBLE_EQ(out.get_f64(0), (1.0 + 4.0 + 9.0) * 2.0);
+  EXPECT_DOUBLE_EQ(out.get_f64(1), (16.0 + 25.0 + 36.0) * 2.0);
 }
 
 // f(xs, is) = sum_j xs[is_j]^2; its vjp accumulates 2*xs[i]*seed into the
