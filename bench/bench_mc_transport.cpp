@@ -6,7 +6,8 @@
 // carries the interpreter counters — launch counts, pool traffic and the
 // execution-plan counters — for a workload dominated by one large map with
 // inner loops and indirect indexing, the shape the plan layer must not
-// pessimize.
+// pessimize. Every npad program is the serving artifact: AD first, then the
+// standard opt::optimize pipeline.
 
 #include "common.hpp"
 
@@ -15,6 +16,7 @@
 #include "apps/mc_transport.hpp"
 #include "core/ad.hpp"
 #include "ir/typecheck.hpp"
+#include "opt/pipeline.hpp"
 #include "runtime/interp.hpp"
 
 using namespace npad;
@@ -27,7 +29,9 @@ int main(int argc, char** argv) {
   auto xs = apps::xs_gen(rng, 8, 128, 512 * S);
   ir::Prog xs_p = apps::xs_ir_objective();
   ir::typecheck(xs_p);
-  ir::Prog xs_g = ad::vjp(xs_p);
+  ir::Prog xs_g = opt::optimize(ad::vjp(xs_p));
+  xs_p = opt::optimize(xs_p);
+  ir::typecheck(xs_p);
   ir::typecheck(xs_g);
   auto xs_args = apps::xs_ir_args(xs);
   auto xs_gargs = xs_args;
@@ -36,7 +40,9 @@ int main(int argc, char** argv) {
   auto rs = apps::rs_gen(rng, 8, 24, 512 * S);
   ir::Prog rs_p = apps::rs_ir_objective();
   ir::typecheck(rs_p);
-  ir::Prog rs_g = ad::vjp(rs_p);
+  ir::Prog rs_g = opt::optimize(ad::vjp(rs_p));
+  rs_p = opt::optimize(rs_p);
+  ir::typecheck(rs_p);
   ir::typecheck(rs_g);
   auto rs_args = apps::rs_ir_args(rs);
   auto rs_gargs = rs_args;

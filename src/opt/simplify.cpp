@@ -1,5 +1,6 @@
 #include "opt/simplify.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
@@ -26,31 +27,122 @@ public:
     std::vector<Stm> kept;
     for (size_t i = in.stms.size(); i-- > 0;) {
       const Stm& st = in.stms[i];
-      bool needed = false;
-      for (Var v : st.vars) needed = needed || live.count(v.id) > 0;
-      // Accumulator updates mutate shared buffers in place: a statement
-      // whose nested bodies upd_acc a free accumulator is observable even
-      // when it binds nothing (vjp adjoint sweeps emit zero-result maps of
-      // exactly this shape), so it can never be dropped.
-      if (!needed && has_acc_effects(st.e)) needed = true;
-      if (!needed) continue;
+      if (!needed(st, live)) continue;
       Stm ns = st;
+      if (const auto* lp = std::get_if<OpLoop>(&st.e)) ns = drop_dead_carries(st, *lp, live);
       // Nested scopes are pruned against their own result liveness.
-      ns.e = map_nested(st.e, [&](const NestedScope& s) { return body(*s.body, {}); });
-      // Bindings kill liveness; uses (incl. free vars of nests) generate it.
-      for (Var v : ns.vars) live.erase(v.id);
-      for_each_atom(ns.e, [&](const Atom& a) {
-        if (a.is_var()) live.insert(a.var().id);
-      });
-      for_each_nested(ns.e, [&](const NestedScope& s) {
-        for (Var v : free_vars(*s.body, s.bound)) live.insert(v.id);
-      });
+      ns.e = map_nested(ns.e, [&](const NestedScope& s) { return body(*s.body, {}); });
+      use(ns, live);
       kept.push_back(std::move(ns));
     }
     Body out;
     out.result = in.result;
     out.stms.assign(kept.rbegin(), kept.rend());
     return out;
+  }
+
+private:
+  static bool needed(const Stm& st, const std::unordered_set<uint32_t>& live) {
+    for (Var v : st.vars) {
+      if (live.count(v.id) > 0) return true;
+    }
+    // Accumulator updates mutate shared buffers in place: a statement
+    // whose nested bodies upd_acc a free accumulator is observable even
+    // when it binds nothing (vjp adjoint sweeps emit zero-result maps of
+    // exactly this shape), so it can never be dropped.
+    return has_acc_effects(st.e);
+  }
+
+  // Liveness before a needed statement: bindings kill, uses (incl. free
+  // vars of nests) generate.
+  static void use(const Stm& st, std::unordered_set<uint32_t>& live) {
+    for (Var v : st.vars) live.erase(v.id);
+    for_each_atom(st.e, [&](const Atom& a) {
+      if (a.is_var()) live.insert(a.var().id);
+    });
+    for_each_nested(st.e, [&](const NestedScope& s) {
+      for (Var v : free_vars(*s.body, s.bound)) live.insert(v.id);
+    });
+  }
+
+  // Adds every variable `e` reads, nested scopes included. A re-binding in
+  // a nested scope does not hide later uses of its id: an over-approximation
+  // that can only keep more, and much cheaper than free_vars.
+  static void reads_of(const Exp& e, std::unordered_set<uint32_t>& out) {
+    auto read = [&](const Atom& a) {
+      if (a.is_var()) out.insert(a.var().id);
+    };
+    for_each_atom(e, read);
+    for_each_nested(e, [&](const NestedScope& s) {
+      for (const auto& st : s.body->stms) reads_of(st.e, out);
+      for (const auto& a : s.body->result) read(a);
+    });
+  }
+
+  // Dead loop-carried state. A carried param stays when its result is live
+  // after the loop, it is an accumulator, or the while condition reads it;
+  // then, to a fixpoint, when the body still reads it while computing the
+  // kept results and its accumulator effects (nested scopes count whole).
+  // Everything else — checkpoint arrays the reverse sweep never reads,
+  // pass-through params, chains of dead carries — goes with its init and
+  // result slot. A loop that would keep no param at all is left whole.
+  static Stm drop_dead_carries(const Stm& st, const OpLoop& o,
+                               const std::unordered_set<uint32_t>& live) {
+    const size_t n = o.params.size();
+    std::unordered_set<uint32_t> cond_reads;
+    if (o.while_cond) {
+      for (Var v : free_vars(o.while_cond->body)) cond_reads.insert(v.id);
+    }
+    std::vector<bool> keep(n);
+    for (size_t j = 0; j < n; ++j) {
+      keep[j] = live.count(st.vars[j].id) > 0 || o.params[j].type.is_acc ||
+                (o.while_cond && cond_reads.count(o.while_cond->params[j].var.id) > 0);
+    }
+    for (bool grew = std::find(keep.begin(), keep.end(), false) != keep.end(); grew;) {
+      grew = false;
+      std::unordered_set<uint32_t> reads;
+      for (size_t j = 0; j < n; ++j) {
+        const Atom& r = o.body->result[j];
+        if (keep[j] && r.is_var()) reads.insert(r.var().id);
+      }
+      for (size_t i = o.body->stms.size(); i-- > 0;) {
+        const Stm& bs = o.body->stms[i];
+        if (!needed(bs, reads)) continue;
+        for (Var v : bs.vars) reads.erase(v.id);
+        reads_of(bs.e, reads);
+      }
+      for (size_t j = 0; j < n; ++j) {
+        if (!keep[j] && reads.count(o.params[j].var.id) > 0) {
+          keep[j] = true;
+          grew = true;
+        }
+      }
+    }
+    const auto kept = static_cast<size_t>(std::count(keep.begin(), keep.end(), true));
+    if (kept == n || kept == 0) return st;
+    OpLoop nl = o;
+    nl.params.clear();
+    nl.init.clear();
+    Body nb = *o.body;
+    nb.result.clear();
+    Stm ns = st;
+    ns.vars.clear();
+    ns.types.clear();
+    Lambda cond = o.while_cond ? *o.while_cond : Lambda{};
+    cond.params.clear();
+    for (size_t j = 0; j < n; ++j) {
+      if (!keep[j]) continue;
+      nl.params.push_back(o.params[j]);
+      nl.init.push_back(o.init[j]);
+      nb.result.push_back(o.body->result[j]);
+      ns.vars.push_back(st.vars[j]);
+      ns.types.push_back(st.types[j]);
+      if (o.while_cond) cond.params.push_back(o.while_cond->params[j]);
+    }
+    nl.body = make_body(std::move(nb));
+    if (o.while_cond) nl.while_cond = make_lambda(std::move(cond));
+    ns.e = std::move(nl);
+    return ns;
   }
 };
 

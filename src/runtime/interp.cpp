@@ -1347,6 +1347,12 @@ public:
     return L;
   }
 
+  // Lane width of a launch: the configured width, or one lane for a kernel
+  // whose sequential loops run per-lane trip counts (Kernel::uniform_trips).
+  int launch_lanes(const Kernel& k) const {
+    return k.uniform_trips ? std::max(1, opts_.kernel_lanes) : 1;
+  }
+
   // Attaches the vectorized-tier schedule to a bound launch (after lanes are
   // set — entries are keyed per (kernel, lane width)). Every launched kernel
   // is immortal (cache- or plan-owned), which the vexec cache relies on: it
@@ -1371,7 +1377,7 @@ public:
     for (ScalarType t : k.out_elems) {
       L.outputs.push_back(alloc_launch_buf(t, {n}, /*uninit=*/true));
     }
-    L.lanes = std::max(1, opts_.kernel_lanes);
+    L.lanes = launch_lanes(k);
     L.batched_spans = &stats_->batched_launches;
     attach_vexec(L);
 
@@ -1565,7 +1571,7 @@ public:
     for (ScalarType t : k->out_elems) {
       L.outputs.push_back(alloc_launch_buf(t, {total}, /*uninit=*/true));
     }
-    L.lanes = std::max(1, opts_.kernel_lanes);
+    L.lanes = launch_lanes(*k);
     L.batched_spans = &stats_->batched_launches;
     attach_vexec(L);
     const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
@@ -1701,8 +1707,9 @@ public:
   //     pre-lambda is applied per element before the fold).
 
   // Binds a reduction/scan kernel's free variables against the environment;
-  // nullopt when a free variable has the wrong shape. Reduction kernels are
-  // acc-free by construction (runtime/kernel.cpp).
+  // nullopt when a free variable has the wrong shape. Only a reduce's
+  // pre-lambda may update (free) accumulators (runtime/kernel.cpp); their
+  // updates are atomic unless the caller clears acc_atomic.
   std::optional<KernelLaunch> bind_reduce_launch(const Kernel* k,
                                                  const std::vector<ArrayVal>& inputs,
                                                  const std::vector<Value>& neutral,
@@ -1722,12 +1729,17 @@ public:
       L.free_array_vals.push_back(as_array(val));
     }
     if (!stream_guards_ok(*k, L.free_array_vals)) return std::nullopt;
+    for (const auto& ab : k->accs) {
+      const Value& val = env.lookup(ab.var);
+      if (!is_acc(val) || as_acc(val).arr.elem != ScalarType::F64) return std::nullopt;
+      L.acc_array_vals.push_back(as_acc(val).arr);
+    }
     L.red_neutral.reserve(neutral.size());
     for (const auto& v : neutral) {
       if (is_array(v) || is_acc(v)) return std::nullopt;
       L.red_neutral.push_back(as_f64(v));
     }
-    L.lanes = std::max(1, opts_.kernel_lanes);
+    L.lanes = launch_lanes(*k);
     L.batched_spans = &stats_->batched_launches;
     attach_vexec(L);
     return L;
@@ -1791,6 +1803,17 @@ public:
       const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false);
       if (auto L = bind_reduce_launch(k, arrs, neutral, env)) {
         stats_->kernel_reduces.fetch_add(1, std::memory_order_relaxed);
+        // Accumulator updates from the pre-lambda: the map kernels' rule —
+        // plain adds when the whole launch runs on this thread outside any
+        // parallel region, atomic otherwise.
+        const bool direct = chunks <= 1 && opts_.privatize_accs &&
+                            !support::ThreadPool::in_parallel_region();
+        if (direct) L->acc_atomic.assign(k->accs.size(), 0);
+        for (int32_t c : k->acc_upd_counts) {
+          (direct ? stats_->privatized_updates : stats_->atomic_updates)
+              .fetch_add(static_cast<uint64_t>(c) * static_cast<uint64_t>(n),
+                         std::memory_order_relaxed);
+        }
         const size_t nred = k->reds.size();
         std::vector<double> partials = L->red_neutral;
         if (chunks <= 1) {

@@ -42,7 +42,10 @@ public:
   // elem/acc registers are always fresh single-purpose registers so the
   // fold subprogram can be re-entered standalone with seeded values.
   std::optional<Kernel> build_reduce(const Lambda* pre, bool scan) {
-    allow_accs_ = false;
+    // Only the pre-lambda of a plain reduce may update accumulators (the
+    // vjp's psum redomaps): the fold body is re-entered standalone for lane,
+    // chunk and bin combines, and a scan's phases re-run elements.
+    allow_accs_ = !scan;
     const Lambda& op = f_;
     if (op.params.size() % 2 != 0) return std::nullopt;
     const size_t k = op.params.size() / 2;
@@ -105,34 +108,14 @@ public:
       reg_[op.params[j].var.id] = acc_regs[j];
       reg_[op.params[k + j].var.id] = elem_regs[j];
     }
+    allow_accs_ = false;
     k_.fold_begin = k_.instrs.size();
     for (const auto& st : op.body.stms) {
       if (!stm(st)) return std::nullopt;
     }
-    // Writeback acc_j <- result_j, through temporaries when k > 1 so a fold
-    // returning a permutation of its accumulators cannot clobber a
-    // not-yet-moved one.
     std::vector<int32_t> res_regs(k);
     for (size_t j = 0; j < k; ++j) res_regs[j] = use(op.body.result[j]);
-    if (k > 1) {
-      for (size_t j = 0; j < k; ++j) {
-        const int t = new_reg();
-        KInstr mv;
-        mv.op = KOp::Mov;
-        mv.dst = t;
-        mv.a = res_regs[j];
-        k_.instrs.push_back(mv);
-        res_regs[j] = t;
-      }
-    }
-    for (size_t j = 0; j < k; ++j) {
-      if (res_regs[j] == acc_regs[j]) continue;
-      KInstr mv;
-      mv.op = KOp::Mov;
-      mv.dst = acc_regs[j];
-      mv.a = res_regs[j];
-      k_.instrs.push_back(mv);
-    }
+    writeback(acc_regs, std::move(res_regs));
     k_.fold_end = k_.instrs.size();
     if (failed_) return std::nullopt;
     if (scan) {
@@ -149,9 +132,7 @@ public:
     for (size_t j = 0; j < k; ++j) {
       k_.reds.push_back(Kernel::RedSlot{acc_regs[j], elem_regs[j]});
     }
-    k_.num_regs = next_reg_;
-    k_.acc_upd_counts.assign(k_.accs.size(), 0);
-    return std::move(k_);
+    return finish();
   }
 
   std::optional<Kernel> build() {
@@ -223,6 +204,11 @@ public:
       k_.ret_acc_slot.push_back(-1);
     }
     if (failed_) return std::nullopt;
+    return finish();
+  }
+
+private:
+  Kernel finish() {
     k_.num_regs = next_reg_;
     k_.acc_upd_counts.assign(k_.accs.size(), 0);
     for (const auto& in : k_.instrs) {
@@ -231,7 +217,6 @@ public:
     return std::move(k_);
   }
 
-private:
   // Virtual SOAC domain: an in-lambda `iota n` (val_reg < 0) or scalar
   // `replicate n v` that is never materialized — it only names the iteration
   // space (len_reg, launch-uniform) and per-iteration value of an inline
@@ -297,6 +282,21 @@ private:
   int add_acc(Var v, int32_t param_index) {
     k_.accs.push_back(Kernel::AccBinding{v, param_index});
     return static_cast<int>(k_.accs.size()) - 1;
+  }
+
+  // Accumulator slot of `v`, registering a free accumulator on first sight;
+  // -1 where accumulators are not allowed or `v` is bound to something else.
+  int32_t acc_slot_of(Var v) {
+    if (!allow_accs_) return -1;
+    auto it = acc_slot_.find(v.id);
+    if (it != acc_slot_.end()) return it->second;
+    if (reg_.count(v.id) || arr_slot_.count(v.id) || dom_.count(v.id) || stream_.count(v.id) ||
+        vmap_.count(v.id)) {
+      return -1;
+    }
+    const int32_t slot = add_acc(v, -1);
+    acc_slot_[v.id] = slot;
+    return slot;
   }
 
   // Returns the register holding atom `a`, materializing constants and
@@ -563,6 +563,9 @@ private:
     if (const auto* vm = std::get_if<OpMap>(&st.e); vm != nullptr) {
       return vmap_register(*vm, st) && !failed_;
     }
+    if (const auto* lp = std::get_if<OpLoop>(&st.e); lp != nullptr) {
+      return inline_for(*lp, st) && !failed_;
+    }
     if (st.vars.size() != 1) {
       // Multi-result reduce (jvp (primal, tangent) pairs, argmin tuples):
       // one inline fold with parallel accumulators.
@@ -718,20 +721,8 @@ private:
             },
             [&](const OpReduce& o) { return inline_fold(o, st); },
             [&](const OpUpdAcc& o) {
-              if (!allow_accs_) return false;  // reduction kernels are acc-free
-              auto it = acc_slot_.find(o.acc.id);
-              int32_t slot;
-              if (it != acc_slot_.end()) {
-                slot = it->second;
-              } else {
-                if (reg_.count(o.acc.id) || arr_slot_.count(o.acc.id) ||
-                    dom_.count(o.acc.id) || stream_.count(o.acc.id) ||
-                    vmap_.count(o.acc.id)) {
-                  return false;
-                }
-                slot = add_acc(o.acc, -1);
-                acc_slot_[o.acc.id] = slot;
-              }
+              const int32_t slot = acc_slot_of(o.acc);
+              if (slot < 0) return false;
               // Array-valued update from a virtual map: inline UpdAcc loop.
               if (o.v.is_var()) {
                 auto vit = vmap_.find(o.v.var().id);
@@ -831,28 +822,7 @@ private:
     std::vector<int32_t> res(k);
     for (size_t j = 0; j < k; ++j) res[j] = use(op.body.result[j]);
     if (failed_) return false;
-    // Writeback acc_j <- result_j, through temporaries when k > 1 so a fold
-    // returning a permutation of its accumulators cannot clobber a
-    // not-yet-moved one (same scheme as build_reduce).
-    if (k > 1) {
-      for (size_t j = 0; j < k; ++j) {
-        const int t = new_reg();
-        KInstr mv;
-        mv.op = KOp::Mov;
-        mv.dst = t;
-        mv.a = res[j];
-        k_.instrs.push_back(mv);
-        res[j] = t;
-      }
-    }
-    for (size_t j = 0; j < k; ++j) {
-      if (res[j] == accs[j]) continue;
-      KInstr mv;
-      mv.op = KOp::Mov;
-      mv.dst = accs[j];
-      mv.a = res[j];
-      k_.instrs.push_back(mv);
-    }
+    writeback(accs, std::move(res));
     il.body_end = static_cast<uint32_t>(k_.instrs.size());
     il.acc_reg = accs[0];
     il.neutral_reg = ne[0];
@@ -863,6 +833,118 @@ private:
     k_.loops[static_cast<size_t>(lslot)] = il;
     for (size_t j = 0; j < k; ++j) {
       reg_[st.vars[j].id] = accs[j];  // assign: vmap re-inlining rebinds ids
+    }
+    return true;
+  }
+
+  // Writeback dst_j <- src_j at the end of a fold step or loop trip, through
+  // temporaries when more than one value is carried so a body returning a
+  // permutation of its carries cannot clobber a not-yet-moved one.
+  void writeback(const std::vector<int32_t>& dst, std::vector<int32_t> src) {
+    if (dst.size() > 1) {
+      for (int32_t& r : src) {
+        KInstr mv;
+        mv.op = KOp::Mov;
+        mv.dst = new_reg();
+        mv.a = r;
+        k_.instrs.push_back(mv);
+        r = mv.dst;
+      }
+    }
+    for (size_t j = 0; j < dst.size(); ++j) {
+      if (src[j] == dst[j]) continue;
+      KInstr mv;
+      mv.op = KOp::Mov;
+      mv.dst = dst[j];
+      mv.a = src[j];
+      k_.instrs.push_back(mv);
+    }
+  }
+
+  // Sequential for-loop -> InlineLoop (counted form). Scalar carries get
+  // fresh registers seeded from `init` on loop entry (the fold form's
+  // acc/neutral pairs) and written back at the end of every trip; acc-typed
+  // carries alias their init's accumulator slot. Array-valued carries have
+  // no register and reject the lambda (opt's DCE drops the dead checkpoint
+  // arrays the vjp threads through loops). The trip is `count` as it is: a
+  // zero or negative count runs no trip, like the general path, and a count
+  // that is not launch-invariant makes lanes disagree on it, so the kernel
+  // is marked !uniform_trips and runs one lane per launch.
+  bool inline_for(const OpLoop& o, const Stm& st) {
+    const size_t n = o.params.size();
+    if (o.while_cond || n == 0 || o.init.size() != n || o.body->result.size() != n) return false;
+    // Resolve every init before binding a param: a param may shadow an id
+    // an init reads.
+    std::vector<int32_t> seeds, slots(n, -1);
+    for (size_t j = 0; j < n; ++j) {
+      const Type& t = o.params[j].type;
+      if (t.is_acc) {
+        if (!o.init[j].is_var()) return false;
+        slots[j] = acc_slot_of(o.init[j].var());
+        if (slots[j] < 0) return false;
+      } else if (t.rank == 0) {
+        seeds.push_back(use(o.init[j]));
+      } else {
+        return false;
+      }
+    }
+    const int32_t trip = use(o.count);
+    if (failed_) return false;
+    if (!inv(trip)) k_.uniform_trips = false;
+    std::vector<int32_t> carries;
+    for (size_t j = 0; j < n; ++j) {
+      const uint32_t id = o.params[j].var.id;
+      if (slots[j] >= 0) {
+        acc_slot_[id] = slots[j];
+      } else {
+        carries.push_back(new_reg());
+        reg_[id] = carries.back();
+      }
+    }
+    const int32_t ivar = new_reg();
+    if (o.idx.valid()) reg_[o.idx.id] = ivar;
+    const auto lslot = static_cast<int32_t>(k_.loops.size());
+    k_.loops.emplace_back();
+    KInstr mk;
+    mk.op = KOp::InlineLoop;
+    mk.slot = lslot;
+    k_.instrs.push_back(mk);
+    Kernel::InlineLoop il;
+    il.trip_reg = trip;
+    il.ivar_reg = ivar;
+    il.counted = true;
+    il.body_begin = static_cast<uint32_t>(k_.instrs.size());
+    for (const auto& s : o.body->stms) {
+      if (!stm(s)) return false;
+    }
+    std::vector<int32_t> res;
+    for (size_t j = 0; j < n; ++j) {
+      const Atom& r = o.body->result[j];
+      if (slots[j] < 0) {
+        res.push_back(use(r));
+        continue;
+      }
+      // An acc carry must come back as the same accumulator.
+      if (!r.is_var()) return false;
+      auto it = acc_slot_.find(r.var().id);
+      if (it == acc_slot_.end() || it->second != slots[j]) return false;
+    }
+    if (failed_) return false;
+    writeback(carries, std::move(res));
+    il.body_end = static_cast<uint32_t>(k_.instrs.size());
+    if (!carries.empty()) {
+      il.acc_reg = carries[0];
+      il.neutral_reg = seeds[0];
+      il.more_accs.assign(carries.begin() + 1, carries.end());
+      il.more_neutrals.assign(seeds.begin() + 1, seeds.end());
+    }
+    k_.loops[static_cast<size_t>(lslot)] = il;
+    for (size_t j = 0, c = 0; j < n; ++j) {
+      if (slots[j] >= 0) {
+        acc_slot_[st.vars[j].id] = slots[j];
+      } else {
+        reg_[st.vars[j].id] = carries[c++];
+      }
     }
     return true;
   }
@@ -1132,9 +1214,10 @@ void exec_span(const KernelLaunch& L, double* r, int64_t lo, int64_t hi, size_t 
           }
           break;
         case KOp::InlineLoop: {
-          // Inline SOAC block: run [body_begin, body_end) trip times with the
-          // inner index broadcast, then resume past the body. The trip
-          // register is launch-invariant, so lane 0's value is every lane's.
+          // Inline block: run [body_begin, body_end) trip times with the
+          // inner index broadcast, then resume past the body. Lane 0's trip
+          // is every lane's: it is launch-invariant, or the kernel is not
+          // uniform_trips and runs one lane.
           // Bodies have no LoadElem/StoreOut, so the recursive span's
           // iteration range is irrelevant — one batch of the same W lanes.
           const Kernel::InlineLoop& il = k.loops[static_cast<size_t>(in.slot)];

@@ -9,8 +9,18 @@
 //
 // A lambda is kernel-compilable when its parameters and results are scalars
 // (or threaded accumulators) and its body consists only of scalar operations,
-// full indexing into free arrays, and upd_acc side effects. Everything else
-// falls back to the general interpreter.
+// full indexing into free arrays, upd_acc side effects, the inline SOACs
+// below, and sequential for-loops whose carries are scalars or accumulators.
+// Everything else (while-loops, array-valued loop state, …) falls back to
+// the general interpreter.
+//
+// Sequential loops: a for-loop compiles to an InlineLoop block in counted
+// form — carried registers seeded from `init`, written back every trip,
+// trip count from `count`. A count that may differ between lanes (a CSR
+// segment length read from the data) marks the kernel !uniform_trips, and
+// its launches run one lane at a time; an invariant count keeps W-lane
+// lockstep. This is what runs an irregular nest (sparse k-means, XSBench's
+// binary search) as one kernel instead of one lambda application per trip.
 //
 // Reduction kernels (compile_reduce_kernel) additionally hold *reduction
 // registers*: per fold result, an accumulator register (a per-lane partial
@@ -102,25 +112,36 @@ struct Kernel {
     int32_t elem_reg = -1;
   };
 
-  // Inline SOAC block: instructions [body_begin, body_end) — placed directly
+  // Inline block: instructions [body_begin, body_end) — placed directly
   // after the InlineLoop marker that owns this entry — run trip_reg times
-  // with ivar_reg broadcast to the inner index. trip_reg is launch-uniform
-  // by construction (extents built only from invariant registers). The fold
-  // form (acc_reg >= 0) seeds acc_reg from neutral_reg and folds in element
-  // order — the same order as the general interpreter's sequential reduce,
-  // so kernelizing a lambda this way never changes float grouping. The map
-  // form (acc_reg < 0) is a pure side-effect loop (upd_acc bodies). Bodies
-  // contain no LoadElem/StoreOut; nested InlineLoop markers are allowed.
-  // Multi-result folds (the jvp programs' (primal, tangent) reduce pairs)
-  // carry results 1..k-1 in more_accs/more_neutrals, seeded on loop entry
-  // exactly like acc_reg.
+  // (none when it is zero or negative) with ivar_reg broadcast to the trip
+  // index. Every lane runs the trip count lane 0 holds: inline SOACs take
+  // their extent from invariant registers only, and a kernel with a
+  // sequential loop whose count varies per lane is marked !uniform_trips
+  // and always launched with one lane. The fold form (acc_reg >= 0) seeds
+  // acc_reg from neutral_reg on entry; the body writes it back every trip.
+  // For an inline SOAC that is the fold in element order — the same order
+  // as the general interpreter's sequential reduce, so kernelizing a lambda
+  // this way never changes float grouping. For a sequential for-loop
+  // (counted) the registers are the loop's scalar carries and the seeds are
+  // its `init` values; acc-typed carries alias their accumulator slots and
+  // need no register. The map form (acc_reg < 0) is a pure side-effect loop
+  // (upd_acc bodies). Bodies contain no LoadElem/StoreOut; nested
+  // InlineLoop markers are allowed. Multi-result folds (the jvp programs'
+  // (primal, tangent) reduce pairs) and multi-carry loops keep values
+  // 1..k-1 in more_accs/more_neutrals, seeded on entry exactly like acc_reg.
   struct InlineLoop {
     uint32_t body_begin = 0, body_end = 0;
     int32_t trip_reg = -1;
     int32_t ivar_reg = -1;
-    int32_t acc_reg = -1;     // fold result register, -1 for map form
-    int32_t neutral_reg = -1; // fold seed, -1 for map form
-    std::vector<int32_t> more_accs, more_neutrals;  // parallel; results 1..
+    int32_t acc_reg = -1;     // fold result / first carry, -1 for map form
+    int32_t neutral_reg = -1; // its seed, -1 for map form
+    std::vector<int32_t> more_accs, more_neutrals;  // parallel; values 1..
+    // A sequential for-loop: trip_reg is the loop's count, not a stream
+    // length, so no index in the body is known to stay in bounds (the vexec
+    // tier's fused loop forms, which skip the trailing bounds check, never
+    // apply).
+    bool counted = false;
   };
 
   // Stream guards: shape facts a stream-consuming inline SOAC assumed at
@@ -151,7 +172,10 @@ struct Kernel {
   size_t num_inputs = 0;                 // element-wise inputs (non-acc args)
   std::vector<RedSlot> reds;             // reduction registers (fold results)
   size_t fold_begin = 0, fold_end = 0;   // fold-body subprogram bounds
-  std::vector<InlineLoop> loops;         // inline SOAC blocks (marker order)
+  std::vector<InlineLoop> loops;         // inline blocks (marker order)
+  // False when a sequential loop's trip count is not launch-invariant:
+  // lanes would disagree on it, so every launch runs with lanes = 1.
+  bool uniform_trips = true;
   std::vector<StreamRankGuard> stream_rank_guards;
   std::vector<StreamLenGuard> stream_len_guards;
   // Row-stream parameters (map kernels): one entry per non-acc argument
@@ -170,9 +194,11 @@ std::optional<Kernel> compile_kernel(const ir::Lambda& f);
 // Attempts to compile the fold operator `op` (2k scalar params → k scalar
 // results; no accumulators) plus the optional redomap pre-lambda `pre`
 // (scalar params matching the launch inputs, k scalar results feeding the
-// fold) into a reduction kernel. With `scan` set, the program additionally
-// stores each iteration's updated accumulator to the outputs — the
-// sequential blocked-scan phase-1 program.
+// fold) into a reduction kernel. The pre-lambda of a reduce may upd_acc free
+// accumulators (the vjp's psum redomaps): they bind like a map kernel's free
+// accumulators. With `scan` set, the program additionally stores each
+// iteration's updated accumulator to the outputs — the sequential
+// blocked-scan phase-1 program — and accumulators are rejected.
 std::optional<Kernel> compile_reduce_kernel(const ir::Lambda& op, const ir::Lambda* pre,
                                             bool scan);
 

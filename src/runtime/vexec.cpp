@@ -177,8 +177,9 @@ bool stream_access(const Kernel& k, const Kernel::InlineLoop& il, const KInstr& 
 // fields (register space). Returns the marker op to emit: DotLoop /
 // Axpy2Loop when fused, Loop otherwise.
 VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u, VLoop& vl) {
-  // Multi-accumulator folds never match the single-acc fused forms.
-  if (!il.more_accs.empty()) return VOp::Loop;
+  // Multi-accumulator folds never match the single-acc fused forms, and a
+  // counted loop's trip bounds none of its streams.
+  if (!il.more_accs.empty() || il.counted) return VOp::Loop;
   // Collect the significant body instructions (ConstF/LoadLen leave the
   // stream via the prologue and are transparent to the patterns).
   std::vector<const KInstr*> sig;

@@ -31,12 +31,15 @@
 #include <vector>
 
 #include "apps/gmm.hpp"
+#include "apps/kmeans.hpp"
 #include "apps/lstm.hpp"
+#include "apps/mc_transport.hpp"
 #include "core/ad.hpp"
 #include "ir/builder.hpp"
 #include "ir/typecheck.hpp"
 #include "opt/flatten.hpp"
 #include "opt/fuse.hpp"
+#include "opt/pipeline.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/interp.hpp"
 #include "support/error.hpp"
@@ -625,6 +628,34 @@ TEST(FaultSweep, LstmObjective) {
   Prog p = npad::apps::lstm_ir_objective();
   typecheck(p);
   sweep_case("lstm_objective", prog_runner(std::move(p), npad::apps::lstm_ir_args(L)));
+}
+
+// The optimized vjp (the program serving runs) of a scalar objective, with
+// the seed appended to the primal's arguments.
+Runner optimized_gradient_runner(const Prog& primal, std::vector<Value> args) {
+  typecheck(primal);
+  Prog g = npad::opt::optimize(npad::ad::vjp(primal));
+  args.emplace_back(1.0);
+  return prog_runner(std::move(g), std::move(args));
+}
+
+TEST(FaultSweep, KmeansSparseGradient) {
+  // CSR segment loops inside kernels: the forward redomap's pre-lambda and
+  // the adjoint's accumulator-updating psum redomaps.
+  npad::support::Rng rng(28);
+  auto data = npad::apps::kmeans_sparse_gen(rng, 64, 16, 4, 4);
+  sweep_case("kmeans_sparse_gradient",
+             optimized_gradient_runner(npad::apps::kmeans_sparse_ir_cost(),
+                                       npad::apps::kmeans_sparse_ir_args(data)));
+}
+
+TEST(FaultSweep, XsbenchGradient) {
+  // The per-lookup binary search runs as a counted loop inside the reverse
+  // map's kernel.
+  npad::support::Rng rng(29);
+  auto data = npad::apps::xs_gen(rng, 4, 32, 64);
+  sweep_case("xsbench_gradient", optimized_gradient_runner(npad::apps::xs_ir_objective(),
+                                                           npad::apps::xs_ir_args(data)));
 }
 
 // Must run after every sweep above (gtest preserves in-file declaration

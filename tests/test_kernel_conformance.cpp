@@ -1312,4 +1312,300 @@ INSTANTIATE_TEST_SUITE_P(
                       VexCase{VexKind::ScalarBlock, 4096}, VexCase{VexKind::InlineLoop, 0},
                       VexCase{VexKind::InlineLoop, 3}, VexCase{VexKind::InlineLoop, 4096}));
 
+// ---------------------------------------- sequential loops inside kernels
+//
+// A for-loop in a kernelized lambda runs as a counted InlineLoop: carries
+// in registers, trip from the loop's count. Grid: trip kind × where the loop
+// sits × vexec on/off, parallelism off, against the general interpreter —
+// bit-exact for plain results, to tolerance for accumulators (lanes reorder
+// their updates).
+
+enum class LoopTrip { Uniform, Csr, Zero, Negative };
+enum class LoopSite { Scalar, Permute, AccCarry, InFold, RedomapPre };
+
+struct LoopCase {
+  LoopTrip trip;
+  LoopSite site;
+  bool vexec;
+};
+
+// Row i's trip count: the free scalar t (Uniform, Zero: launch-invariant),
+// its CSR segment length (lane-varying), or minus that (lane-varying, <= 0).
+Var row_trip(Builder& c, Var rowptr, Var t, Var i, Var lo, LoopTrip kind) {
+  if (kind == LoopTrip::Uniform || kind == LoopTrip::Zero) return t;
+  Var hi = c.index(rowptr, {Atom(c.add(i, ci64(1)))});
+  return kind == LoopTrip::Csr ? c.sub(hi, lo) : c.sub(lo, hi);
+}
+
+// vals[(lo + e) mod nnz]: in bounds whatever the trip.
+Var seg_val(Builder& c, Var vals, Var lo, Var e) {
+  Var at = c.mod(Atom(c.add(lo, e)), Atom(c.length(vals)));
+  return c.index(vals, {Atom(at)});
+}
+
+Prog counted_loop_prog(LoopTrip kind, LoopSite site) {
+  ProgBuilder pb("cl");
+  Var rowptr = pb.param("rowptr", arr(ScalarType::I64, 1));
+  Var vals = pb.param("vals", arr_f64(1));
+  Var t = pb.param("t", i64());
+  Var dest = pb.param("dest", arr_f64(1));
+  Builder& b = pb.body();
+  Var is = b.iota(Atom(b.sub(Atom(b.length(rowptr)), ci64(1))));
+  // x' = 0.9 x + v over the row's segment, from `x0`.
+  auto damped = [&](Builder& c, Var i, Atom x0) {
+    Var lo = c.index(rowptr, {Atom(i)});
+    Var trip = row_trip(c, rowptr, t, i, lo, kind);
+    return c.loop_for({x0}, Atom(trip), [&](Builder& cc, Var e, const std::vector<Var>& ps) {
+      Var v = seg_val(cc, vals, lo, e);
+      return std::vector<Atom>{Atom(cc.add(Atom(cc.mul(ps[0], cf64(0.9))), Atom(v)))};
+    })[0];
+  };
+  // Updates acc[(lo + e) mod m] += v*x + 1 through a carried accumulator.
+  auto scatter_loop = [&](Builder& c, Var i, Var acc) {
+    Var lo = c.index(rowptr, {Atom(i)});
+    Var trip = row_trip(c, rowptr, t, i, lo, kind);
+    return c.loop_for(
+        {Atom(acc), cf64(0.0)}, Atom(trip), [&](Builder& cc, Var e, const std::vector<Var>& ps) {
+          Var v = seg_val(cc, vals, lo, e);
+          Var at = cc.mod(Atom(cc.add(lo, e)), Atom(cc.length(dest)));
+          Var a = cc.upd_acc(ps[0], {Atom(at)}, Atom(cc.add(Atom(cc.mul(v, ps[1])), cf64(1.0))));
+          return std::vector<Atom>{Atom(a), Atom(cc.add(ps[1], cf64(0.25)))};
+        });
+  };
+  std::vector<Atom> outs;
+  switch (site) {
+    case LoopSite::Scalar:
+      outs.emplace_back(b.map1(b.lam({i64()},
+                                     [&](Builder& c, const std::vector<Var>& p) {
+                                       return std::vector<Atom>{Atom(damped(c, p[0], cf64(0.5)))};
+                                     }),
+                               {is}));
+      break;
+    case LoopSite::Permute:
+      // (a, b, c) <- (b, c + v*a, a): the write-back must not clobber.
+      for (Var r : b.map(b.lam({i64()},
+                               [&](Builder& c, const std::vector<Var>& p) {
+                                 Var lo = c.index(rowptr, {Atom(p[0])});
+                                 Var trip = row_trip(c, rowptr, t, p[0], lo, kind);
+                                 auto abc = c.loop_for(
+                                     {cf64(1.0), cf64(2.0), Atom(c.to_f64(Atom(p[0])))}, Atom(trip),
+                                     [&](Builder& cc, Var e, const std::vector<Var>& ps) {
+                                       Var v = seg_val(cc, vals, lo, e);
+                                       Var nb = cc.add(Atom(ps[2]), Atom(cc.mul(v, ps[0])));
+                                       return std::vector<Atom>{Atom(ps[1]), Atom(nb), Atom(ps[0])};
+                                     });
+                                 return std::vector<Atom>{Atom(abc[0]), Atom(abc[1]), Atom(abc[2])};
+                               }),
+                         {is})) {
+        outs.emplace_back(r);
+      }
+      break;
+    case LoopSite::AccCarry: {
+      auto res = b.withacc({dest}, [&](Builder& c, const std::vector<Var>& accs) {
+        auto r = c.map(c.lam({i64(), acc_of(arr_f64(1))},
+                             [&](Builder& cc, const std::vector<Var>& p) {
+                               auto ax = scatter_loop(cc, p[0], p[1]);
+                               return std::vector<Atom>{Atom(ax[0]), Atom(ax[1])};
+                             }),
+                       {is, accs[0]});
+        return std::vector<Atom>{Atom(r[0]), Atom(r[1])};
+      });
+      outs = {Atom(res[0]), Atom(res[1])};
+      break;
+    }
+    case LoopSite::InFold:
+      // Σ_j loop(j) over a virtual iota: the loop runs inside an inline fold.
+      outs.emplace_back(b.map1(
+          b.lam({i64()},
+                [&](Builder& c, const std::vector<Var>& p) {
+                  Var js = c.iota(ci64(3));
+                  Var ys = c.map1(c.lam({i64()},
+                                        [&](Builder& cc, const std::vector<Var>& q) {
+                                          Atom x0(cc.to_f64(Atom(q[0])));
+                                          return std::vector<Atom>{Atom(damped(cc, p[0], x0))};
+                                        }),
+                                  {js});
+                  return std::vector<Atom>{Atom(c.reduce1(c.add_op(), cf64(0.0), {ys}))};
+                }),
+          {is}));
+      break;
+    case LoopSite::RedomapPre: {
+      // The vjp's psum shape: a redomap whose pre-lambda threads a free
+      // accumulator through the loop. max folds exactly in any grouping.
+      auto res = b.withacc({dest}, [&](Builder& c, const std::vector<Var>& accs) {
+        Var xs = c.map1(c.lam({i64()},
+                              [&](Builder& cc, const std::vector<Var>& p) {
+                                return std::vector<Atom>{Atom(scatter_loop(cc, p[0], accs[0])[1])};
+                              }),
+                        {is});
+        Var mx = c.reduce1(c.max_op(), cf64(-1e300), {xs});
+        return std::vector<Atom>{Atom(accs[0]), Atom(mx)};
+      });
+      outs = {Atom(res[0]), Atom(res[1])};
+      break;
+    }
+  }
+  Prog p = pb.finish(outs);
+  typecheck(p);
+  if (site == LoopSite::RedomapPre) {
+    opt::FuseStats fs;
+    p = opt::fuse_maps(p, &fs);
+    typecheck(p);
+    EXPECT_EQ(fs.fused_redomaps, 1u);
+  }
+  return p;
+}
+
+// 37 CSR rows of 0..5 entries (37 is not a multiple of the lane width).
+std::vector<Value> counted_loop_args(LoopTrip kind, uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<int64_t> rowptr{0};
+  for (int r = 0; r < 37; ++r) rowptr.push_back(rowptr.back() + rng.uniform_int(6));
+  const auto nnz = rowptr.back();
+  const int64_t t = kind == LoopTrip::Uniform ? 5 : kind == LoopTrip::Zero ? 0 : 3;
+  return {rt::make_i64_array(rowptr, {38}),
+          rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(nnz), -1.0, 1.0), {nnz}), t,
+          rt::make_f64_array(std::vector<double>(7, 0.0), {7})};
+}
+
+class CountedLoopConformance : public ::testing::TestWithParam<LoopCase> {};
+
+TEST_P(CountedLoopConformance, KernelMatchesGeneral) {
+  const auto [kind, site, vexec] = GetParam();
+  const Prog p = counted_loop_prog(kind, site);
+  const auto args = counted_loop_args(kind, 41 + static_cast<uint64_t>(site));
+  rt::Interp slow({.parallel = false, .use_kernels = false});
+  const auto ref = slow.run(p, args);
+  rt::InterpOptions o{.parallel = false, .use_kernels = true, .kernel_lanes = 8};
+  o.use_vexec = vexec;
+  rt::Interp fast(o);
+  const auto got = fast.run(p, args);
+  ASSERT_EQ(got.size(), ref.size());
+  // Accumulator results (output 0 of the acc sites) take their updates in
+  // lane order; everything else must be bit-identical.
+  const bool acc_out = site == LoopSite::AccCarry || site == LoopSite::RedomapPre;
+  for (size_t r = 0; r < got.size(); ++r) {
+    const auto g = flatten_outputs({got[r]}), w = flatten_outputs({ref[r]});
+    ASSERT_EQ(g.size(), w.size()) << "output " << r;
+    for (size_t i = 0; i < g.size(); ++i) {
+      if (acc_out && r == 0) {
+        EXPECT_NEAR(g[i], w[i], 1e-12 * std::max(1.0, std::fabs(w[i]))) << "output 0 at " << i;
+      } else {
+        EXPECT_EQ(g[i], w[i]) << "output " << r << " at " << i;
+      }
+    }
+  }
+  const auto& st = fast.stats();
+  if (site == LoopSite::RedomapPre) {
+    EXPECT_EQ(st.kernel_reduces.load(), 1u);
+    EXPECT_GT(st.privatized_updates.load(), 0u);  // counted, plain adds
+  } else {
+    EXPECT_EQ(st.kernel_maps.load(), 1u);
+  }
+  EXPECT_EQ(st.general_maps.load(), 0u);
+  EXPECT_EQ(st.general_reduces.load(), 0u);
+  // One-lane rule: only a launch-invariant trip keeps W-lane batches.
+  if (!vexec) {
+    const bool uniform = kind == LoopTrip::Uniform || kind == LoopTrip::Zero;
+    EXPECT_EQ(st.batched_launches.load() > 0, uniform);
+  }
+}
+
+std::vector<LoopCase> counted_loop_grid() {
+  std::vector<LoopCase> g;
+  for (LoopTrip k : {LoopTrip::Uniform, LoopTrip::Csr, LoopTrip::Zero, LoopTrip::Negative}) {
+    for (LoopSite s : {LoopSite::Scalar, LoopSite::Permute, LoopSite::AccCarry, LoopSite::InFold,
+                       LoopSite::RedomapPre}) {
+      for (bool v : {true, false}) g.push_back({k, s, v});
+    }
+  }
+  return g;
+}
+
+std::string counted_loop_name(const ::testing::TestParamInfo<LoopCase>& info) {
+  static const char* const trips[] = {"Uniform", "Csr", "Zero", "Negative"};
+  static const char* const sites[] = {"Scalar", "Permute", "AccCarry", "InFold", "RedomapPre"};
+  return std::string(trips[static_cast<int>(info.param.trip)]) +
+         sites[static_cast<int>(info.param.site)] + (info.param.vexec ? "Vexec" : "Regs");
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, CountedLoopConformance, ::testing::ValuesIn(counted_loop_grid()),
+                         counted_loop_name);
+
+TEST(CountedLoopConformance, DotShapedLoopKeepsBoundsChecks) {
+  // x + A[i, e] * B[i, e] is the vexec tier's fused dot-product shape, whose
+  // handler checks only the leading index: sound for an inline fold, whose
+  // trip is the row length, but not for a for-loop, whose trip is anything.
+  ProgBuilder pb("dot");
+  Var A = pb.param("A", arr_f64(2));
+  Var B = pb.param("B", arr_f64(2));
+  Var t = pb.param("t", i64());
+  Builder& b = pb.body();
+  Var out = b.map1(
+      b.lam({i64()},
+            [&](Builder& c, const std::vector<Var>& p) {
+              auto x = c.loop_for({cf64(0.0)}, Atom(t),
+                                  [&](Builder& cc, Var e, const std::vector<Var>& ps) {
+                                    Var a = cc.index(A, {Atom(p[0]), Atom(e)});
+                                    Var bb = cc.index(B, {Atom(p[0]), Atom(e)});
+                                    return std::vector<Atom>{Atom(cc.add(ps[0], cc.mul(a, bb)))};
+                                  });
+              return std::vector<Atom>{Atom(x[0])};
+            }),
+      {b.iota(Atom(b.length(A)))});
+  Prog p = pb.finish({Atom(out)});
+  typecheck(p);
+  support::Rng rng(43);
+  auto args = [&](int64_t trip) {
+    return std::vector<Value>{rt::make_f64_array(rng.uniform_vec(40, -1.0, 1.0), {10, 4}),
+                              rt::make_f64_array(rng.uniform_vec(40, -1.0, 1.0), {10, 4}), trip};
+  };
+  rt::Interp slow({.parallel = false, .use_kernels = false});
+  rt::Interp fast({.parallel = false, .use_kernels = true, .kernel_lanes = 8});
+  const auto ok = args(4);
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(fast.run(p, ok)[0])),
+            rt::to_f64_vec(rt::as_array(slow.run(p, ok)[0])));
+  const auto past_end = args(5);
+  EXPECT_THROW(slow.run(p, past_end), ShapeError);
+  EXPECT_THROW(fast.run(p, past_end), ShapeError);
+  EXPECT_EQ(fast.stats().general_maps.load(), 0u);
+}
+
+TEST(CountedLoopConformance, OutOfBoundsGatherRaisesShapeError) {
+  // The last row's segment reads one past the end of vals.
+  ProgBuilder pb("oob");
+  Var rowptr = pb.param("rowptr", arr(ScalarType::I64, 1));
+  Var vals = pb.param("vals", arr_f64(1));
+  Builder& b = pb.body();
+  Var is = b.iota(Atom(b.sub(Atom(b.length(rowptr)), ci64(1))));
+  Var out = b.map1(
+      b.lam({i64()},
+            [&](Builder& c, const std::vector<Var>& p) {
+              Var lo = c.index(rowptr, {Atom(p[0])});
+              Var hi = c.index(rowptr, {Atom(c.add(p[0], ci64(1)))});
+              auto x = c.loop_for({cf64(0.0)}, Atom(c.sub(hi, lo)),
+                                  [&](Builder& cc, Var e, const std::vector<Var>& ps) {
+                                    Var at = cc.add(Atom(cc.add(lo, e)), ci64(1));
+                                    Var v = cc.index(vals, {Atom(at)});
+                                    return std::vector<Atom>{Atom(cc.add(ps[0], v))};
+                                  });
+              return std::vector<Atom>{Atom(x[0])};
+            }),
+      {is});
+  Prog p = pb.finish({Atom(out)});
+  typecheck(p);
+  const std::vector<Value> args = {rt::make_i64_array({0, 2, 3, 6}, {4}),
+                                   rt::make_f64_array({1, 2, 3, 4, 5, 6}, {6})};
+  rt::Interp slow({.parallel = false, .use_kernels = false});
+  EXPECT_THROW(slow.run(p, args), ShapeError);
+  for (bool vexec : {true, false}) {
+    rt::InterpOptions o{.parallel = false, .use_kernels = true};
+    o.use_vexec = vexec;
+    rt::Interp fast(o);
+    EXPECT_THROW(fast.run(p, args), ShapeError) << "vexec=" << vexec;
+    EXPECT_EQ(fast.stats().kernel_maps.load(), 1u) << "vexec=" << vexec;
+    EXPECT_EQ(fast.stats().general_maps.load(), 0u) << "vexec=" << vexec;
+  }
+}
+
 } // namespace

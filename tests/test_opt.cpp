@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <unordered_set>
+
+#include "apps/kmeans.hpp"
+#include "apps/lstm.hpp"
+#include "apps/mc_transport.hpp"
 #include "core/ad.hpp"
 #include "core/gradcheck.hpp"
 #include "ir/builder.hpp"
@@ -921,6 +927,207 @@ TEST(Simplify, DceKeepsZeroResultAccEffectStatements) {
   std::vector<Value> args = {make_f64_array({0, 0, 0}, {3})};
   EXPECT_EQ(rt::to_f64_vec(rt::as_array(rt::run_prog(q, args)[0])),
             (std::vector<double>{1, 1, 1}));
+}
+
+// ------------------------------------------------ dead loop-carried state --
+
+// Every statement of a body, nested scopes included, in program order.
+void each_stm(const Body& b, const std::function<void(const Stm&)>& fn) {
+  for (const auto& st : b.stms) {
+    fn(st);
+    for_each_nested(st.e, [&](const NestedScope& s) { each_stm(*s.body, fn); });
+  }
+}
+
+const OpLoop& only_loop(const Prog& p) {
+  const OpLoop* found = nullptr;
+  each_stm(p.fn.body, [&](const Stm& st) {
+    if (const auto* lp = std::get_if<OpLoop>(&st.e)) {
+      EXPECT_EQ(found, nullptr) << "more than one loop";
+      found = lp;
+    }
+  });
+  EXPECT_NE(found, nullptr);
+  return *found;
+}
+
+size_t count_scratch(const Prog& p) {
+  size_t n = 0;
+  each_stm(p.fn.body, [&](const Stm& st) { n += std::holds_alternative<OpScratch>(st.e); });
+  return n;
+}
+
+// Runs DCE on `p` and checks the result typechecks and computes the same
+// first result at `args`.
+Prog dce_same_result(const Prog& p, const std::vector<Value>& args) {
+  typecheck(p);
+  Prog q = opt::dead_code_elim(p);
+  typecheck(q);
+  EXPECT_EQ(rt::as_f64(rt::run_prog(q, args)[0]), rt::as_f64(rt::run_prog(p, args)[0]));
+  return q;
+}
+
+TEST(DeadCarries, UnreadCheckpointIsDropped) {
+  // The vjp's checkpoint shape: a scratch array written every trip and
+  // never read after the loop.
+  ProgBuilder pb("f");
+  Var x0 = pb.param("x0", f64());
+  Builder& b = pb.body();
+  Var chk = b.scratch(ci64(6), x0);
+  auto outs = b.loop_for({Atom(x0), Atom(chk)}, ci64(6),
+                         [](Builder& c, Var i, const std::vector<Var>& ps) {
+                           Var saved = c.update(ps[1], {Atom(i)}, Atom(ps[0]));
+                           Var x = c.add(Atom(c.mul(ps[0], cf64(1.1))), cf64(0.5));
+                           return std::vector<Atom>{Atom(x), Atom(saved)};
+                         });
+  Prog q = dce_same_result(pb.finish({Atom(outs[0])}), {0.25});
+  EXPECT_EQ(only_loop(q).params.size(), 1u);
+  EXPECT_EQ(count_scratch(q), 0u);
+}
+
+TEST(DeadCarries, PassThroughIsDropped) {
+  ProgBuilder pb("f");
+  Var x0 = pb.param("x0", f64());
+  Var y0 = pb.param("y0", f64());
+  Builder& b = pb.body();
+  auto outs = b.loop_for({Atom(x0), Atom(y0)}, ci64(4),
+                         [](Builder& c, Var, const std::vector<Var>& ps) {
+                           return std::vector<Atom>{Atom(c.mul(ps[0], ps[0])), Atom(ps[1])};
+                         });
+  Prog q = dce_same_result(pb.finish({Atom(outs[0])}), {1.01, 7.0});
+  const OpLoop& lp = only_loop(q);
+  ASSERT_EQ(lp.params.size(), 1u);
+  ASSERT_TRUE(lp.init[0].is_var());
+  EXPECT_TRUE(lp.init[0].var() == x0);  // the live carry survives
+}
+
+TEST(DeadCarries, ChainOfDeadCarriesIsDropped) {
+  // a feeds only b, b feeds only itself, and neither result is used: the
+  // fixpoint must see that b is dead before it can drop a.
+  ProgBuilder pb("f");
+  Var x0 = pb.param("x0", f64());
+  Builder& b = pb.body();
+  auto outs = b.loop_for({Atom(x0), cf64(1.0), cf64(2.0)}, ci64(5),
+                         [](Builder& c, Var, const std::vector<Var>& ps) {
+                           Var x = c.sin(ps[0]);
+                           Var a = c.add(ps[1], cf64(1.0));
+                           Var bb = c.add(Atom(c.mul(ps[2], ps[1])), ps[2]);
+                           return std::vector<Atom>{Atom(x), Atom(a), Atom(bb)};
+                         });
+  Prog q = dce_same_result(pb.finish({Atom(outs[0])}), {0.3});
+  EXPECT_EQ(only_loop(q).params.size(), 1u);
+}
+
+TEST(DeadCarries, AccumulatorCarryIsKept) {
+  // The loop's results are all dead, but its accumulator carry is where its
+  // effects go, and the scalar carry feeds those effects.
+  ProgBuilder pb("f");
+  Var d = pb.param("d", arr_f64(1));
+  Builder& b = pb.body();
+  auto res = b.withacc({d}, [&](Builder& c, const std::vector<Var>& accs) {
+    c.loop_for({Atom(accs[0]), cf64(1.0)}, ci64(3),
+               [](Builder& cc, Var i, const std::vector<Var>& ps) {
+                 Var a = cc.upd_acc(ps[0], {Atom(i)}, Atom(ps[1]));
+                 return std::vector<Atom>{Atom(a), Atom(cc.mul(ps[1], cf64(2.0)))};
+               });
+    return std::vector<Atom>{Atom(accs[0])};
+  });
+  Prog p = pb.finish({Atom(res[0])});
+  typecheck(p);
+  Prog q = opt::dead_code_elim(p);
+  typecheck(q);
+  EXPECT_EQ(only_loop(q).params.size(), 2u);
+  std::vector<Value> args = {make_f64_array({0, 0, 0}, {3})};
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(rt::run_prog(q, args)[0])),
+            (std::vector<double>{1, 2, 4}));
+}
+
+TEST(DeadCarries, WhileConditionReadKeepsCarry) {
+  // n's result is dead and it feeds no other carry, but the condition reads
+  // it; d is read by nothing and goes, from the condition's params too.
+  ProgBuilder pb("f");
+  Var x0 = pb.param("x0", f64());
+  Builder& b = pb.body();
+  auto outs = b.loop_while(
+      {Atom(x0), ci64(0), cf64(0.0)},
+      [](Builder& c, const std::vector<Var>& ps) {
+        return std::vector<Atom>{Atom(c.lt(ps[1], ci64(4)))};
+      },
+      [](Builder& c, Var, const std::vector<Var>& ps) {
+        return std::vector<Atom>{Atom(c.mul(ps[0], cf64(1.5))), Atom(c.add(ps[1], ci64(1))),
+                                 Atom(c.add(ps[2], ps[0]))};
+      });
+  Prog q = dce_same_result(pb.finish({Atom(outs[0])}), {2.0});
+  const OpLoop& lp = only_loop(q);
+  EXPECT_EQ(lp.params.size(), 2u);
+  ASSERT_TRUE(lp.while_cond);
+  EXPECT_EQ(lp.while_cond->params.size(), 2u);
+  EXPECT_DOUBLE_EQ(rt::as_f64(rt::run_prog(q, {2.0})[0]), 2.0 * 1.5 * 1.5 * 1.5 * 1.5);
+}
+
+// The optimized vjp (the program serving runs) against central differences
+// of the primal; the vjp's first result is the primal value, then one
+// gradient per f64 parameter.
+void expect_optimized_vjp_gradients(const Prog& primal, const std::vector<Value>& args,
+                                    const Prog& g) {
+  std::vector<Value> gargs = args;
+  gargs.emplace_back(1.0);
+  const auto out = rt::run_prog(g, gargs);
+  const auto num = ad::numeric_gradients(primal, args);
+  std::vector<std::vector<double>> rev;
+  for (size_t i = 1; i < out.size(); ++i) rev.push_back(rt::to_f64_vec(rt::as_array(out[i])));
+  const auto r = ad::compare_gradients(num, rev, 1e-4);
+  EXPECT_TRUE(r.ok) << r.max_rel_err;
+}
+
+Prog optimized_vjp(const Prog& primal) {
+  typecheck(primal);
+  Prog g = opt::optimize(ad::vjp(primal));
+  typecheck(g);
+  return g;
+}
+
+TEST(DeadCarries, SparseKmeansAndXsbenchVjpKeepNoCheckpoint) {
+  support::Rng rng(31);
+  const Prog km = apps::kmeans_sparse_ir_cost();
+  const Prog gkm = optimized_vjp(km);
+  EXPECT_EQ(count_scratch(gkm), 0u);
+  expect_optimized_vjp_gradients(km, apps::kmeans_sparse_ir_args(apps::kmeans_sparse_gen(rng, 20, 8, 3, 3)),
+                                 gkm);
+  const Prog xs = apps::xs_ir_objective();
+  const Prog gxs = optimized_vjp(xs);
+  EXPECT_EQ(count_scratch(gxs), 0u);
+  expect_optimized_vjp_gradients(xs, apps::xs_ir_args(apps::xs_gen(rng, 3, 16, 5)), gxs);
+}
+
+TEST(DeadCarries, LstmVjpKeepsOnlyTheCheckpointsItReads) {
+  const Prog lstm = apps::lstm_ir_objective();
+  const Prog g = optimized_vjp(lstm);
+  // The forward loop checkpoints two hidden-state arrays and the running
+  // loss; the reverse sweep reads the first two only.
+  EXPECT_EQ(count_scratch(g), 2u);
+  std::unordered_set<uint32_t> checkpoints, indexed;
+  each_stm(g.fn.body, [&](const Stm& st) {
+    if (std::holds_alternative<OpScratch>(st.e)) checkpoints.insert(st.vars[0].id);
+    if (const auto* ix = std::get_if<OpIndex>(&st.e)) indexed.insert(ix->arr.id);
+  });
+  // Each checkpoint flows through its loop's carry into the loop result
+  // the reverse sweep indexes.
+  size_t read = 0;
+  each_stm(g.fn.body, [&](const Stm& st) {
+    const auto* lp = std::get_if<OpLoop>(&st.e);
+    if (lp == nullptr) return;
+    for (size_t j = 0; j < lp->init.size(); ++j) {
+      if (lp->init[j].is_var() && checkpoints.count(lp->init[j].var().id) &&
+          indexed.count(st.vars[j].id)) {
+        ++read;
+      }
+    }
+  });
+  EXPECT_EQ(read, 2u);
+  support::Rng rng(32);
+  const auto L = apps::lstm_gen(rng, 2, 3, 4, 3);
+  expect_optimized_vjp_gradients(lstm, apps::lstm_ir_args(L), g);
 }
 
 TEST(AccOpt, MixedWithaccPeelsNothingCleanly) {

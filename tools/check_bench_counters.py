@@ -48,11 +48,26 @@ import sys
 # spans per measured iteration (per-(shape, K) launches of the log-sum-exp
 # rows); inline SOAC kernelization brings it to ~430/iter. Ceiling 5000
 # keeps >3x of the win locked in.
+#
+# table4_kmeans_sparse: the optimized sparse k-means gradient ran its
+# adjoint "psum" redomap — a CSR segment loop updating accumulators — on the
+# general reduce path, once per point: ~2,700 general_reduces per iteration.
+# Sequential loops and accumulator-updating pre-lambdas now compile into
+# kernels: measured 0/iter. Ceiling 100 fails CI long before a regression
+# back to one general reduce per point.
+#
+# mc_transport: XSBench's binary-search loop kept the optimized gradient's
+# per-lookup lambda off the kernel tier, so the general path applied its
+# planned body lookup by lookup: ~1,500 plan_lambda_bodies per iteration.
+# With the loop inside the kernel: measured ~0.23/iter; ceiling 10 keeps
+# >40x headroom over that and >100x of the win locked in.
 CEILINGS = [
     ("BENCH_table6_lstm.json", "batched_launches", ["npad_"], 2000, 680),
     ("BENCH_table3_kmeans.json", "batched_launches", ["ad_"], 10000, 770),
     ("BENCH_table3_kmeans.json", "general_maps", ["ad_"], 50, 1),
     ("BENCH_table5_gmm.json", "batched_launches", ["npad_"], 5000, 430),
+    ("BENCH_table4_kmeans_sparse.json", "general_reduces", ["/ad"], 100, 0),
+    ("BENCH_mc_transport.json", "plan_lambda_bodies", ["npad_"], 10, 0.23),
 ]
 
 # Counter-over-counter ceilings: (json file, numerator counters (summed),
