@@ -109,7 +109,8 @@ int main(int argc, char** argv) {
   auto gmm = apps::gmm_gen(rng, 128 * S, 8, 5);
   ir::Prog gmm_p = apps::gmm_ir_objective();
   ir::typecheck(gmm_p);
-  ir::Prog gmm_g = ad::vjp(gmm_p);
+  ir::Prog gmm_g = bench::serving_artifact(ad::vjp(gmm_p));
+  gmm_p = bench::serving_artifact(gmm_p);
   auto gmm_args = apps::gmm_ir_args(gmm);
   auto gmm_gargs = gmm_args;
   gmm_gargs.emplace_back(1.0);
@@ -117,7 +118,9 @@ int main(int argc, char** argv) {
   // ---- D-LSTM ----
   auto lstm = apps::lstm_gen(rng, 4, 8 * S, 10, 10);
   ir::Prog lstm_p = apps::lstm_ir_objective();
-  ir::Prog lstm_g = ad::vjp(lstm_p);
+  ir::typecheck(lstm_p);
+  ir::Prog lstm_g = bench::serving_artifact(ad::vjp(lstm_p));
+  lstm_p = bench::serving_artifact(lstm_p);
   auto lstm_args = apps::lstm_ir_args(lstm);
   auto lstm_gargs = lstm_args;
   lstm_gargs.emplace_back(1.0);
@@ -125,7 +128,9 @@ int main(int argc, char** argv) {
   // ---- BA ----
   auto ba = apps::ba_gen(rng, 8, 32, 64 * S);
   ir::Prog ba_p = apps::ba_ir_residuals();
-  ir::Prog ba_j = ad::jvp(ba_p);
+  ir::typecheck(ba_p);
+  ir::Prog ba_j = bench::serving_artifact(ad::jvp(ba_p));
+  ba_p = bench::serving_artifact(ba_p);
   auto ba_args = apps::ba_ir_args(ba);
   auto ba_jvp_all_columns = [&] {
     // 15 seed-vector columns: 11 camera, 3 point, 1 weight.
@@ -154,8 +159,12 @@ int main(int argc, char** argv) {
   auto hand = apps::hand_gen(rng, 8, 32 * S);
   ir::Prog hand_s = apps::hand_ir_residuals(false);
   ir::Prog hand_c = apps::hand_ir_residuals(true);
-  ir::Prog hand_s_j = ad::jvp(hand_s);
-  ir::Prog hand_c_j = ad::jvp(hand_c);
+  ir::typecheck(hand_s);
+  ir::typecheck(hand_c);
+  ir::Prog hand_s_j = bench::serving_artifact(ad::jvp(hand_s));
+  ir::Prog hand_c_j = bench::serving_artifact(ad::jvp(hand_c));
+  hand_s = bench::serving_artifact(hand_s);
+  hand_c = bench::serving_artifact(hand_c);
   auto hand_jvp_columns = [&](bool complicated) {
     const int64_t ncols = 3 * hand.nbones + (complicated ? 2 : 0);
     for (int64_t col = 0; col < ncols; ++col) {

@@ -22,14 +22,17 @@ int main(int argc, char** argv) {
   auto xs = apps::xs_gen(rng, 8, 128, 256 * S);
   ir::Prog xs_p = apps::xs_ir_objective();
   ir::typecheck(xs_p);
-  ir::Prog xs_g = ad::vjp(xs_p);
+  ir::Prog xs_g = bench::serving_artifact(ad::vjp(xs_p));
+  xs_p = bench::serving_artifact(xs_p);
   auto xs_args = apps::xs_ir_args(xs);
   auto xs_gargs = xs_args;
   xs_gargs.emplace_back(1.0);
 
   auto rs = apps::rs_gen(rng, 8, 24, 256 * S);
   ir::Prog rs_p = apps::rs_ir_objective();
-  ir::Prog rs_g = ad::vjp(rs_p);
+  ir::typecheck(rs_p);
+  ir::Prog rs_g = bench::serving_artifact(ad::vjp(rs_p));
+  rs_p = bench::serving_artifact(rs_p);
   auto rs_args = apps::rs_ir_args(rs);
   auto rs_gargs = rs_args;
   rs_gargs.emplace_back(1.0);

@@ -23,10 +23,21 @@
 #include <utility>
 #include <vector>
 
+#include "ir/typecheck.hpp"
+#include "opt/pipeline.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "support/table.hpp"
 
 namespace npad::bench {
+
+// The program serving runs (serve/registry.cpp's recipe): opt::optimize, then
+// typecheck. Differentiate before optimizing — the AD passes reject fused
+// and flattened forms.
+inline ir::Prog serving_artifact(const ir::Prog& p) {
+  ir::Prog q = opt::optimize(p);
+  ir::typecheck(q);
+  return q;
+}
 
 struct Measurement {
   double mean_ms = 0.0;

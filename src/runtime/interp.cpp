@@ -1334,6 +1334,10 @@ public:
     }
     if (!stream_guards_ok(*k, L.free_array_vals)) return std::nullopt;
     for (const auto& ab : k->accs) {
+      if (ab.row_len_reg >= 0) {  // row-bound: allocated by run_kernel, which knows n
+        L.acc_array_vals.emplace_back();
+        continue;
+      }
       Value val;
       if (ab.param_index >= 0) {
         val = env.lookup(o.args[static_cast<size_t>(ab.param_index)]);
@@ -1369,6 +1373,18 @@ public:
                                         std::memory_order_relaxed);
   }
 
+  // Work-sized chunking: `grain` is calibrated in elements of light kernels
+  // (at most kLightWork executed instructions each). A heavier kernel —
+  // inline loops multiply their bodies by their trips — splits into
+  // proportionally smaller chunks, so a 256-point reverse body fans out
+  // where a 256-element elementwise map does not.
+  static constexpr double kLightWork = 256.0;
+  int64_t work_grain(double instrs) const {
+    if (instrs <= kLightWork) return opts_.grain;
+    return std::max<int64_t>(
+        1, static_cast<int64_t>(static_cast<double>(opts_.grain) * kLightWork / instrs));
+  }
+
   std::vector<Value> run_kernel(KernelLaunch& L, const Lambda& f, const OpMap& o, int64_t n,
                                 const Env& env) const {
     const Kernel& k = *L.k;
@@ -1377,32 +1393,73 @@ public:
     for (ScalarType t : k.out_elems) {
       L.outputs.push_back(alloc_launch_buf(t, {n}, /*uninit=*/true));
     }
+    const size_t naccs = k.accs.size();
+    std::vector<uint8_t> row(naccs, 0);
+    bool need_pre = !k.loops.empty();
+    for (size_t s = 0; s < naccs; ++s) {
+      row[s] = k.accs[s].row_len_reg >= 0 ? 1 : 0;
+      need_pre = need_pre || row[s] != 0;
+    }
+    // Preamble values, for loop trips and row lengths (consumed before the
+    // launch runs, so one scratch file per thread serves every launch).
+    thread_local std::vector<double> pre;
+    if (need_pre) preamble_regs(L, pre);
+    for (size_t s = 0; s < naccs; ++s) {
+      if (row[s] == 0) continue;
+      // Row-bound accumulator: each iteration owns row i of a zero-filled
+      // [n][len] result (an empty launch has the general path's [0][0]).
+      const auto len_reg = static_cast<size_t>(k.accs[s].row_len_reg);
+      const auto len = n > 0 ? static_cast<int64_t>(pre[len_reg]) : 0;
+      L.acc_array_vals[s] = alloc_launch_buf(ScalarType::F64, {n, len}, /*uninit=*/false);
+    }
     L.lanes = launch_lanes(k);
     L.batched_spans = &stats_->batched_launches;
     attach_vexec(L);
 
+    const KernelWork work = kernel_work(k, need_pre ? pre.data() : nullptr);
+    const int64_t grain = work_grain(work.instrs);
     const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
     const bool nested = support::ThreadPool::in_parallel_region();
-    const bool fanout = opts_.parallel && threads > 1 && n > opts_.grain && !nested;
-    const size_t naccs = k.accs.size();
+    const bool fanout = opts_.parallel && threads > 1 && n > grain && !nested;
     auto updates_of = [&](size_t s) {
-      return static_cast<uint64_t>(k.acc_upd_counts[s]) * static_cast<uint64_t>(n);
+      return static_cast<uint64_t>(std::llround(work.updates[s] * static_cast<double>(n)));
     };
-
-    if (!fanout) {
-      // The whole launch runs on the calling thread. Outside any parallel
-      // region no other worker can race on the accumulators, so updates can
-      // be plain adds straight into the destination.
-      if (naccs > 0) {
-        const bool direct = !nested && opts_.privatize_accs;
-        if (direct) L.acc_atomic.assign(naccs, 0);
-        for (size_t s = 0; s < naccs; ++s) {
-          (direct ? stats_->privatized_updates : stats_->atomic_updates)
-              .fetch_add(updates_of(s), std::memory_order_relaxed);
+    // Per slot: atomic unless privatized, row-bound, or the whole launch runs
+    // on this thread outside any parallel region (plain adds straight into
+    // the destination — no other worker can race on it).
+    const bool direct = !fanout && !nested && opts_.privatize_accs;
+    std::vector<uint8_t> priv(naccs, 0);
+    bool any_priv = false;
+    const int64_t chunks = fanout ? std::min<int64_t>(threads, (n + grain - 1) / grain) : 1;
+    if (fanout && opts_.privatize_accs) {
+      // Shared accumulators privatize by update count: a launch issuing
+      // privatize_min_iters updates into one is worth per-chunk copies, however
+      // few its iterations.
+      int64_t budget = opts_.privatize_budget;
+      for (size_t s = 0; s < naccs; ++s) {
+        if (row[s] != 0 || updates_of(s) < static_cast<uint64_t>(opts_.privatize_min_iters)) {
+          continue;
+        }
+        const int64_t cost = L.acc_array_vals[s].elems() * chunks;
+        if (cost <= budget) {
+          budget -= cost;
+          priv[s] = 1;
+          any_priv = true;
         }
       }
+    }
+    L.acc_atomic.assign(naccs, 1);
+    for (size_t s = 0; s < naccs; ++s) {
+      if (direct || row[s] != 0) L.acc_atomic[s] = 0;
+      if (work.updates[s] == 0) continue;
+      (direct || row[s] != 0 || priv[s] != 0 ? stats_->privatized_updates
+                                             : stats_->atomic_updates)
+          .fetch_add(updates_of(s), std::memory_order_relaxed);
+    }
+
+    if (!fanout) {
       if (opts_.parallel) {
-        support::parallel_for(n, opts_.grain, [&](int64_t lo, int64_t hi) {
+        support::parallel_for(n, grain, [&](int64_t lo, int64_t hi) {
           NPAD_FAULT_SITE("map.kernel_chunk", FaultKind::Chunk);
           L.run(lo, hi);
         });
@@ -1410,60 +1467,36 @@ public:
         NPAD_FAULT_SITE("map.kernel_chunk", FaultKind::Chunk);
         L.run(0, n);
       }
+    } else if (!any_priv) {
+      support::parallel_for(n, grain, [&](int64_t lo, int64_t hi) {
+        NPAD_FAULT_SITE("map.kernel_chunk", FaultKind::Chunk);
+        L.run(lo, hi);
+      });
     } else {
-      const int64_t chunks = std::min<int64_t>(threads, (n + opts_.grain - 1) / opts_.grain);
-      std::vector<uint8_t> priv(naccs, 0);
-      bool any_priv = false;
-      if (opts_.privatize_accs && n >= opts_.privatize_min_iters) {
-        int64_t budget = opts_.privatize_budget;
-        for (size_t s = 0; s < naccs; ++s) {
-          if (k.acc_upd_counts[s] == 0) continue;
-          const int64_t cost = L.acc_array_vals[s].elems() * chunks;
-          if (cost <= budget) {
-            budget -= cost;
-            priv[s] = 1;
-            any_priv = true;
-          }
-        }
-      }
+      stats_->privatized_launches.fetch_add(1, std::memory_order_relaxed);
+      std::vector<KernelLaunch> launches(static_cast<size_t>(chunks), L);
+      std::vector<std::vector<ArrayVal>> priv_bufs(naccs);
       for (size_t s = 0; s < naccs; ++s) {
-        if (k.acc_upd_counts[s] == 0) continue;
-        (priv[s] ? stats_->privatized_updates : stats_->atomic_updates)
-            .fetch_add(updates_of(s), std::memory_order_relaxed);
+        if (!priv[s]) continue;
+        priv_bufs[s].reserve(static_cast<size_t>(chunks));
+        for (int64_t c = 0; c < chunks; ++c) {
+          ArrayVal buf = alloc_launch_buf(ScalarType::F64, L.acc_array_vals[s].shape,
+                                          /*uninit=*/false);
+          auto& Lc = launches[static_cast<size_t>(c)];
+          Lc.acc_array_vals[s] = buf;
+          Lc.acc_atomic[s] = 0;
+          priv_bufs[s].push_back(std::move(buf));
+        }
       }
-      if (!any_priv) {
-        support::parallel_for(n, opts_.grain, [&](int64_t lo, int64_t hi) {
-          NPAD_FAULT_SITE("map.kernel_chunk", FaultKind::Chunk);
-          L.run(lo, hi);
-        });
-      } else {
-        stats_->privatized_launches.fetch_add(1, std::memory_order_relaxed);
-        std::vector<uint8_t> atomic_flags(naccs);
-        for (size_t s = 0; s < naccs; ++s) atomic_flags[s] = priv[s] ? 0 : 1;
-        std::vector<KernelLaunch> launches(static_cast<size_t>(chunks), L);
-        std::vector<std::vector<ArrayVal>> priv_bufs(naccs);
-        for (size_t s = 0; s < naccs; ++s) {
-          if (!priv[s]) continue;
-          priv_bufs[s].reserve(static_cast<size_t>(chunks));
-          for (int64_t c = 0; c < chunks; ++c) {
-            ArrayVal buf = alloc_launch_buf(ScalarType::F64, L.acc_array_vals[s].shape,
-                                            /*uninit=*/false);
-            launches[static_cast<size_t>(c)].acc_array_vals[s] = buf;
-            priv_bufs[s].push_back(std::move(buf));
-          }
+      const int64_t per = (n + chunks - 1) / chunks;
+      support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
+        for (int64_t c = clo; c < chi; ++c) {
+          NPAD_FAULT_SITE("map.kernel_priv_chunk", FaultKind::Chunk);
+          launches[static_cast<size_t>(c)].run(c * per, std::min(n, (c + 1) * per));
         }
-        const int64_t per = (n + chunks - 1) / chunks;
-        support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-          for (int64_t c = clo; c < chi; ++c) {
-            NPAD_FAULT_SITE("map.kernel_priv_chunk", FaultKind::Chunk);
-            auto& Lc = launches[static_cast<size_t>(c)];
-            Lc.acc_atomic = atomic_flags;
-            Lc.run(c * per, std::min(n, (c + 1) * per));
-          }
-        });
-        for (size_t s = 0; s < naccs; ++s) {
-          if (priv[s]) merge_private(priv_bufs[s], L.acc_array_vals[s], opts_.grain);
-        }
+      });
+      for (size_t s = 0; s < naccs; ++s) {
+        if (priv[s]) merge_private(priv_bufs[s], L.acc_array_vals[s], opts_.grain);
       }
     }
 
@@ -1471,15 +1504,17 @@ public:
     size_t oi = 0;
     for (size_t r = 0; r < f.rets.size(); ++r) {
       const int32_t slot = k.ret_acc_slot[r];
-      if (slot >= 0) {
-        const auto& ab = k.accs[static_cast<size_t>(slot)];
-        if (ab.param_index >= 0) {
-          outs.push_back(env.lookup(o.args[static_cast<size_t>(ab.param_index)]));
-        } else {
-          outs.push_back(env.lookup(ab.var));
-        }
-      } else {
+      if (slot < 0) {
         outs.push_back(L.outputs[oi++]);
+        continue;
+      }
+      const auto& ab = k.accs[static_cast<size_t>(slot)];
+      if (ab.row_len_reg >= 0) {
+        outs.push_back(L.acc_array_vals[static_cast<size_t>(slot)]);
+      } else if (ab.param_index >= 0) {
+        outs.push_back(env.lookup(o.args[static_cast<size_t>(ab.param_index)]));
+      } else {
+        outs.push_back(env.lookup(ab.var));
       }
     }
     return outs;
@@ -1783,11 +1818,13 @@ public:
     if (o.fused > 0) stats_->fused_reduces.fetch_add(o.fused, std::memory_order_relaxed);
 
     const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
-    const bool fanout = opts_.parallel && n >= 2 * opts_.grain && threads > 1 &&
-                        !support::ThreadPool::in_parallel_region();
-    const int64_t chunks =
-        fanout ? std::min<int64_t>(threads, (n + opts_.grain - 1) / opts_.grain) : 1;
-    const int64_t per = (n + chunks - 1) / chunks;
+    // Chunk count for a launch whose elements weigh `grain` (work_grain).
+    auto chunks_for = [&](int64_t grain) -> int64_t {
+      const bool fanout = opts_.parallel && n >= 2 * grain && threads > 1 &&
+                          !support::ThreadPool::in_parallel_region();
+      return fanout ? std::min<int64_t>(threads, (n + grain - 1) / grain) : 1;
+    };
+    int64_t chunks = chunks_for(opts_.grain);
 
     // Tier 1: the hand-rolled combinable-binop loop already runs at memory
     // speed; do not route it through the register machine.
@@ -1803,15 +1840,20 @@ public:
       const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false);
       if (auto L = bind_reduce_launch(k, arrs, neutral, env)) {
         stats_->kernel_reduces.fetch_add(1, std::memory_order_relaxed);
+        thread_local std::vector<double> pre;
+        if (!k->loops.empty()) preamble_regs(*L, pre);
+        const KernelWork work = kernel_work(*k, k->loops.empty() ? nullptr : pre.data());
+        chunks = chunks_for(work_grain(work.instrs));
+        const int64_t per = (n + chunks - 1) / chunks;
         // Accumulator updates from the pre-lambda: the map kernels' rule —
         // plain adds when the whole launch runs on this thread outside any
         // parallel region, atomic otherwise.
         const bool direct = chunks <= 1 && opts_.privatize_accs &&
                             !support::ThreadPool::in_parallel_region();
         if (direct) L->acc_atomic.assign(k->accs.size(), 0);
-        for (int32_t c : k->acc_upd_counts) {
+        for (double u : work.updates) {
           (direct ? stats_->privatized_updates : stats_->atomic_updates)
-              .fetch_add(static_cast<uint64_t>(c) * static_cast<uint64_t>(n),
+              .fetch_add(static_cast<uint64_t>(std::llround(u * static_cast<double>(n))),
                          std::memory_order_relaxed);
         }
         const size_t nred = k->reds.size();
@@ -1887,6 +1929,7 @@ public:
     };
 
     if (chunks <= 1) return fold_range(0, n, std::move(neutral));
+    const int64_t per = (n + chunks - 1) / chunks;
     std::vector<std::vector<Value>> partial(static_cast<size_t>(chunks));
     support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
       for (int64_t c = clo; c < chi; ++c) {

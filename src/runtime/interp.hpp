@@ -54,13 +54,18 @@ struct InterpOptions {
   // over an SoA register file (amortized dispatch, contiguous element
   // loads/stores), with a scalar tail loop. 1 = scalar execution.
   int kernel_lanes = 8;
-  int64_t grain = 2048;         // minimum elements per parallel chunk
+  // Minimum elements per parallel chunk, for light elements: kernel launches
+  // scale it down by their measured per-element work (runtime/README.md,
+  // Scheduling).
+  int64_t grain = 2048;
   // Privatization threshold: an accumulator is privatized only while the
   // total private footprint of the launch (sum over privatized accumulators
   // of elems x chunks) stays within this many f64 elements.
   int64_t privatize_budget = int64_t{1} << 22;
-  // Minimum map extent before privatization is considered; smaller launches
-  // keep atomic updates (contention is bounded by the extent anyway).
+  // Privatization floor: a kernel launch privatizes a shared accumulator only
+  // when it issues at least this many updates into it; the general map path,
+  // which cannot count its lambda's updates, requires this many iterations.
+  // Below it updates stay atomic (contention is bounded anyway).
   int64_t privatize_min_iters = 4096;
   // Resource governance: maximum nesting depth of lambda/loop-body frames
   // before evaluation aborts with npad::ResourceError (<= 0 disables).

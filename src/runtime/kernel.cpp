@@ -1,6 +1,7 @@
 #include "runtime/kernel.hpp"
 
 #include <cmath>
+#include <limits>
 #include <type_traits>
 #include <unordered_map>
 
@@ -73,9 +74,7 @@ public:
         in.slot = static_cast<int32_t>(k_.num_inputs++);
         k_.instrs.push_back(in);
       }
-      for (const auto& st : pre->body.stms) {
-        if (!stm(st)) return std::nullopt;
-      }
+      if (!body(pre->body.stms)) return std::nullopt;
       // Pin each pre result into a fresh register: the fold subprogram
       // seeds element registers directly, which must never alias a
       // constant or another iteration-invariant register.
@@ -110,9 +109,8 @@ public:
     }
     allow_accs_ = false;
     k_.fold_begin = k_.instrs.size();
-    for (const auto& st : op.body.stms) {
-      if (!stm(st)) return std::nullopt;
-    }
+    vm_inlines_.clear();  // the fold subprogram is re-entered standalone
+    if (!body(op.body.stms)) return std::nullopt;
     std::vector<int32_t> res_regs(k);
     for (size_t j = 0; j < k; ++j) res_regs[j] = use(op.body.result[j]);
     writeback(acc_regs, std::move(res_regs));
@@ -139,7 +137,6 @@ public:
     // Parameters: scalars become element inputs; accumulators become slots;
     // rank-1 params become row streams over a rank-2 argument.
     int32_t param_index = 0;
-    int32_t idx_reg = -1;
     bool any_rows = false;
     for (const auto& p : f_.params) {
       if (p.type.is_acc) {
@@ -162,21 +159,15 @@ public:
         // launch enforces rank 2 and eval_map has already checked that its
         // outer extent matches the launch extent.
         ++param_index;
-        if (idx_reg < 0) {
-          idx_reg = new_reg();
-          KInstr in;
-          in.op = KOp::LoadIdx;
-          in.dst = idx_reg;
-          k_.instrs.push_back(in);
-        }
         const auto slot = static_cast<int32_t>(k_.free_arrays.size());
         k_.free_arrays.push_back(Var{});  // placeholder, bound from the argument
-        Stream s;
-        s.slot = slot;
-        s.nlead = 1;
-        s.lead[0] = idx_reg;
-        s.len_reg = load_len(slot, 1);
-        stream_.emplace(p.var.id, s);
+        ArgSrc s;
+        s.k = ArgSrc::K::StreamA;
+        s.stream.slot = slot;
+        s.stream.nlead = 1;
+        s.stream.lead[0] = row_idx();
+        s.stream.len_reg = load_len(slot, 1);
+        virt_[p.var.id] = s;
         k_.row_param_slots.push_back(slot);
         any_rows = true;
       } else {
@@ -184,13 +175,15 @@ public:
       }
     }
     if (!any_rows) k_.row_param_slots.clear();
-    for (const auto& st : f_.body.stms) {
-      if (!stm(st)) return std::nullopt;
-    }
+    if (!body(f_.body.stms)) return std::nullopt;
     for (size_t ri = 0; ri < f_.body.result.size(); ++ri) {
       const Atom& a = f_.body.result[ri];
       if (a.is_var() && acc_slot_.count(a.var().id)) {  // threaded acc result
         k_.ret_acc_slot.push_back(acc_slot_[a.var().id]);
+        continue;
+      }
+      if (a.is_var() && row_res_.count(a.var().id)) {  // row-bound accumulator
+        k_.ret_acc_slot.push_back(row_res_[a.var().id]);
         continue;
       }
       Type t = f_.rets[ri];
@@ -210,10 +203,6 @@ public:
 private:
   Kernel finish() {
     k_.num_regs = next_reg_;
-    k_.acc_upd_counts.assign(k_.accs.size(), 0);
-    for (const auto& in : k_.instrs) {
-      if (in.op == KOp::UpdAcc) ++k_.acc_upd_counts[static_cast<size_t>(in.slot)];
-    }
     return std::move(k_);
   }
 
@@ -224,6 +213,7 @@ private:
   struct Dom {
     int32_t len_reg = -1;
     int32_t val_reg = -1;  // replicate payload; -1 = iota (value is the index)
+    bool zeros = false;    // `zeros_like v`: val_reg holds the constant 0
   };
 
   // Stream: a rank-1 view of a free array consumed element-by-element by an
@@ -252,15 +242,27 @@ private:
     int32_t ret = 0;  // which lambda result this var names
   };
 
-  // Inline-SOAC argument source: exactly one member is meaningful. Dom and
-  // Stream are held by value — compiling a nested body may grow dom_/stream_
-  // and invalidate pointers into them.
+  // Virtual rank-1 array — an inline-SOAC argument source, or any rank-1
+  // binding the kernel never materializes: exactly one member is meaningful.
+  // Held by value — compiling a nested body may grow virt_ and invalidate
+  // pointers into it. OneHotA (`a with [j] <- x` over a dom, vmap or one-hot
+  // `a`) indexes onehots_.
   struct ArgSrc {
-    enum class K : uint8_t { DomA, StreamA, VmapA };
+    enum class K : uint8_t { DomA, StreamA, VmapA, OneHotA };
     K k = K::DomA;
     Dom dom;
     Stream stream;
     VmapRef vm;
+    int32_t onehot = -1;
+  };
+
+  // One-hot update `base with [j] <- x`: element i is select(i == j, x,
+  // base[i]) — the general path's updated copy, element for element. Its
+  // trip is the base's; j was bounds-checked where the update was bound.
+  struct OneHot {
+    ArgSrc base;
+    int32_t j_reg = -1;
+    int32_t x_reg = -1;
   };
 
   struct VmapInfo {
@@ -284,16 +286,84 @@ private:
     return static_cast<int>(k_.accs.size()) - 1;
   }
 
+  // True when `id` already names a register, array slot, accumulator,
+  // virtual array or row-bound result.
+  bool bound(uint32_t id) const {
+    return reg_.count(id) || arr_slot_.count(id) || acc_slot_.count(id) || virt_.count(id) ||
+           row_res_.count(id);
+  }
+
+  // Register holding the iteration index, emitted on first use. Callers are
+  // top-level statements only (row params, row-bound withacc): inside an
+  // inline loop body the index would read the loop's span, not the row.
+  int32_t row_idx() {
+    if (row_idx_ < 0) {
+      row_idx_ = new_reg();
+      KInstr in;
+      in.op = KOp::LoadIdx;
+      in.dst = row_idx_;
+      k_.instrs.push_back(in);
+    }
+    return row_idx_;
+  }
+
+  // Appends `op a b c` to a fresh register, invariant when every operand is.
+  int32_t emit(KOp op, int32_t a, int32_t b = -1, int32_t c = -1) {
+    KInstr in;
+    in.op = op;
+    in.dst = new_reg(inv(a) && (b < 0 || inv(b)) && (c < 0 || inv(c)));
+    in.a = a;
+    in.b = b;
+    in.c = c;
+    k_.instrs.push_back(in);
+    return in.dst;
+  }
+
+  int32_t const_reg(double v) {
+    KInstr in;
+    in.op = KOp::ConstF;
+    in.dst = new_reg(true);
+    in.imm = v;
+    k_.instrs.push_back(in);
+    return in.dst;
+  }
+
+  // Virtual-array index check: the general path raises ShapeError for an
+  // out-of-range `a[j]` or `a with [j]`, and so must the kernel.
+  void check_idx(int32_t j, int32_t len) {
+    KInstr in;
+    in.op = KOp::CheckIdx;
+    in.a = j;
+    in.b = len;
+    k_.instrs.push_back(in);
+  }
+
+  // UpdAcc of `val` into acc slot `slot` at `idx`; a row-bound slot (a
+  // rank-1 accumulator, so exactly one index) gets the iteration index as its
+  // leading index. False when the index does not fit.
+  bool emit_updacc(int32_t slot, int32_t val, const std::vector<int32_t>& idx) {
+    KInstr in;
+    in.op = KOp::UpdAcc;
+    in.slot = slot;
+    in.a = val;
+    if (k_.accs[static_cast<size_t>(slot)].row_len_reg >= 0) {
+      if (idx.size() != 1) return false;
+      in.idx[in.nidx++] = row_idx_;
+    }
+    const auto nidx = static_cast<size_t>(in.nidx) + idx.size();
+    if (nidx == 0 || nidx > 4) return false;
+    for (int32_t r : idx) in.idx[in.nidx++] = r;
+    k_.instrs.push_back(in);
+    return true;
+  }
+
   // Accumulator slot of `v`, registering a free accumulator on first sight;
   // -1 where accumulators are not allowed or `v` is bound to something else.
   int32_t acc_slot_of(Var v) {
     if (!allow_accs_) return -1;
     auto it = acc_slot_.find(v.id);
     if (it != acc_slot_.end()) return it->second;
-    if (reg_.count(v.id) || arr_slot_.count(v.id) || dom_.count(v.id) || stream_.count(v.id) ||
-        vmap_.count(v.id)) {
-      return -1;
-    }
+    if (bound(v.id)) return -1;
     const int32_t slot = add_acc(v, -1);
     acc_slot_[v.id] = slot;
     return slot;
@@ -304,18 +374,12 @@ private:
   int32_t use(const Atom& a) {
     if (a.is_const()) {
       const ConstVal& c = a.cval();
-      const int r = new_reg(true);
-      KInstr in;
-      in.op = KOp::ConstF;
-      in.dst = r;
-      in.imm = c.t == ScalarType::F64 ? c.f : static_cast<double>(c.i);
-      k_.instrs.push_back(in);
-      return r;
+      return const_reg(c.t == ScalarType::F64 ? c.f : static_cast<double>(c.i));
     }
     auto it = reg_.find(a.var().id);
     if (it != reg_.end()) return it->second;
-    if (dom_.count(a.var().id) || stream_.count(a.var().id) || vmap_.count(a.var().id)) {
-      failed_ = true;  // virtual domains, streams and vmaps have no scalar register
+    if (bound(a.var().id)) {
+      failed_ = true;  // virtual arrays, accumulators and row results have no register
       return 0;
     }
     // Free scalar variable: reserve a register filled at launch time.
@@ -330,10 +394,7 @@ private:
   int32_t array_slot(Var v) {
     auto it = arr_slot_.find(v.id);
     if (it != arr_slot_.end()) return it->second;
-    if (reg_.count(v.id) || acc_slot_.count(v.id) || dom_.count(v.id) ||
-        stream_.count(v.id) || vmap_.count(v.id)) {
-      return -1;
-    }
+    if (bound(v.id)) return -1;
     const auto slot = static_cast<int32_t>(k_.free_arrays.size());
     k_.free_arrays.push_back(v);
     arr_slot_[v.id] = slot;
@@ -388,15 +449,8 @@ private:
     if (args.empty()) return -1;
     for (Var a : args) {
       ArgSrc s;
-      if (auto it = dom_.find(a.id); it != dom_.end()) {
-        s.k = ArgSrc::K::DomA;
-        s.dom = it->second;
-      } else if (auto sit = stream_.find(a.id); sit != stream_.end()) {
-        s.k = ArgSrc::K::StreamA;
-        s.stream = sit->second;
-      } else if (auto vit = vmap_.find(a.id); vit != vmap_.end()) {
-        s.k = ArgSrc::K::VmapA;
-        s.vm = vit->second;
+      if (auto it = virt_.find(a.id); it != virt_.end()) {
+        s = it->second;
       } else {
         // Whole free array consumed as a stream. The builder cannot see its
         // rank, so rank 1 is assumed here and enforced when it is bound.
@@ -413,9 +467,7 @@ private:
     int32_t trip = -1;
     bool exact = false;  // trip pinned by an iota extent or a vmap trip
     for (const ArgSrc& s : srcs) {
-      int32_t t = -1;
-      if (s.k == ArgSrc::K::DomA && s.dom.val_reg < 0) t = s.dom.len_reg;
-      if (s.k == ArgSrc::K::VmapA) t = vmap_infos_[static_cast<size_t>(s.vm.info)].trip;
+      const int32_t t = pin_of(s);
       if (t < 0) continue;
       if (trip >= 0 && trip != t) return -1;
       trip = t;
@@ -433,20 +485,37 @@ private:
       if (trip < 0) return -1;  // replicates alone do not pin the space
     }
     for (const ArgSrc& s : srcs) {
-      switch (s.k) {
-        case ArgSrc::K::DomA:
-          if (s.dom.len_reg != trip) return -1;
-          break;
-        case ArgSrc::K::StreamA:
-          if (s.stream.len_reg == trip) break;
-          if (exact) return -1;
-          add_len_guard(trip_stream->stream, s.stream);
-          break;
-        case ArgSrc::K::VmapA:
-          break;  // unified above
+      if (s.k != ArgSrc::K::StreamA) {
+        if (trip_of(s) != trip) return -1;  // vmaps and pinning one-hots: unified above
+      } else if (s.stream.len_reg != trip) {
+        if (exact) return -1;
+        add_len_guard(trip_stream->stream, s.stream);
       }
     }
     return trip;
+  }
+
+  // Length register of a virtual array (launch-invariant for every kind).
+  int32_t trip_of(const ArgSrc& s) const {
+    switch (s.k) {
+      case ArgSrc::K::DomA: return s.dom.len_reg;
+      case ArgSrc::K::StreamA: return s.stream.len_reg;
+      case ArgSrc::K::VmapA: return vmap_infos_[static_cast<size_t>(s.vm.info)].trip;
+      case ArgSrc::K::OneHotA: return trip_of(onehots_[static_cast<size_t>(s.onehot)].base);
+    }
+    return -1;
+  }
+
+  // The trip an argument pins exactly — an iota extent, a vmap trip, a
+  // one-hot over either — or -1 (replicates, zeros and streams do not pin).
+  int32_t pin_of(const ArgSrc& s) const {
+    switch (s.k) {
+      case ArgSrc::K::DomA: return s.dom.val_reg < 0 ? s.dom.len_reg : -1;
+      case ArgSrc::K::StreamA: return -1;
+      case ArgSrc::K::VmapA: return trip_of(s);
+      case ArgSrc::K::OneHotA: return pin_of(onehots_[static_cast<size_t>(s.onehot)].base);
+    }
+    return -1;
   }
 
   // Element read for an inline-loop iteration: domains alias ivar or the
@@ -455,6 +524,11 @@ private:
   int32_t soac_elem(const ArgSrc& s, int32_t ivar) {
     if (s.k == ArgSrc::K::DomA) return s.dom.val_reg < 0 ? ivar : s.dom.val_reg;
     if (s.k == ArgSrc::K::VmapA) return vmap_elem(s.vm, ivar);
+    if (s.k == ArgSrc::K::OneHotA) {
+      const OneHot oh = onehots_[static_cast<size_t>(s.onehot)];  // by value: may grow
+      const int32_t base = soac_elem(oh.base, ivar);
+      return emit(KOp::Select, emit(KOp::Eq, ivar, oh.j_reg), oh.x_reg, base);
+    }
     KInstr in;
     in.op = KOp::Gather;
     in.slot = s.stream.slot;
@@ -466,26 +540,31 @@ private:
     return in.dst;
   }
 
-  // Inlines a vmap's body for one element: binds the lambda params to the
+  // Inlines a vmap's body for element `at`: binds the lambda params to the
   // sources' element reads and compiles the body in place (statements land
   // inside whatever loop body is currently open). Re-inlining the same
-  // lambda at a second consumer rebinds its vars — reg_/dom_/stream_/vmap_
-  // entries are assigned, not emplaced, so each inline sees fresh registers.
-  int32_t vmap_elem(VmapRef vm, int32_t ivar) {
+  // lambda at a second consumer rebinds its vars — reg_/virt_ entries are
+  // assigned, not emplaced, so each inline sees fresh registers. An inlining
+  // at the same element earlier in the open block (or an enclosing one) is
+  // reused instead: every result of the vmap is already in registers.
+  int32_t vmap_elem(VmapRef vm, int32_t at) {
+    for (const VmapInline& c : vm_inlines_) {
+      if (c.info == vm.info && c.at == at) return c.res[static_cast<size_t>(vm.ret)];
+    }
     // By value: compiling the body can grow vmap_infos_ and move the entry.
     const VmapInfo vi = vmap_infos_[static_cast<size_t>(vm.info)];
     const Lambda& f = *vi.op->f;
     for (size_t j = 0; j < f.params.size(); ++j) {
-      reg_[f.params[j].var.id] = soac_elem(vi.srcs[j], ivar);
+      reg_[f.params[j].var.id] = soac_elem(vi.srcs[j], at);
     }
-    if (failed_) return 0;
-    for (const auto& s : f.body.stms) {
-      if (!stm(s)) {
-        failed_ = true;
-        return 0;
-      }
+    if (failed_ || !body(f.body.stms)) {
+      failed_ = true;
+      return 0;
     }
-    return use(f.body.result[static_cast<size_t>(vm.ret)]);
+    VmapInline c{vm.info, at, {}};
+    for (const Atom& r : f.body.result) c.res.push_back(use(r));
+    vm_inlines_.push_back(c);
+    return c.res[static_cast<size_t>(vm.ret)];
   }
 
   // Registers a value-producing map over doms/streams/vmaps as a virtual
@@ -510,61 +589,125 @@ private:
     const auto idx = static_cast<int32_t>(vmap_infos_.size());
     vmap_infos_.push_back(std::move(vi));
     for (size_t r = 0; r < st.vars.size(); ++r) {
-      vmap_[st.vars[r].id] = VmapRef{idx, static_cast<int32_t>(r)};
+      ArgSrc a;
+      a.k = ArgSrc::K::VmapA;
+      a.vm = VmapRef{idx, static_cast<int32_t>(r)};
+      virt_[st.vars[r].id] = a;
     }
     return true;
   }
 
-  // Array-valued `upd_acc acc [leads…] += vmap` -> inline loop of scalar
-  // UpdAccs at [leads…, i], re-inlining the vmap body per element. Matches
-  // the general path's elementwise add of the map result into the acc row.
-  bool acc_vmap_loop(const OpUpdAcc& o, VmapRef vm, int32_t slot, Var dst) {
-    if (o.idx.size() + 1 > 4) return false;
-    int32_t lead[3];
-    for (size_t i = 0; i < o.idx.size(); ++i) lead[i] = use(o.idx[i]);
+  // Array-valued `upd_acc acc [leads…] += v` with a virtual rank-1 `v` ->
+  // inline loop of scalar UpdAccs at [leads…, i], reading v's element i (a
+  // vmap re-inlines its body per element). Matches the general path's
+  // elementwise add of the array into the acc row. `ups` is one such
+  // statement, or a run of them over results of one vmap (see body()): they
+  // share the loop and the vmap inlining, and each element still receives
+  // its adds in statement order, since every loop adds to [leads…, i] once.
+  bool acc_virt_loop(const std::vector<const Stm*>& ups) {
+    struct Upd {
+      int32_t slot;
+      std::vector<int32_t> idx;
+      ArgSrc v;
+    };
+    std::vector<Upd> us;
+    for (const Stm* st : ups) {
+      const auto& o = std::get<OpUpdAcc>(st->e);
+      Upd u{acc_slot_of(o.acc), {}, virt_.at(o.v.var().id)};
+      if (u.slot < 0) return false;
+      for (const Atom& a : o.idx) u.idx.push_back(use(a));
+      acc_slot_[st->vars[0].id] = u.slot;  // threaded result aliases the slot
+      us.push_back(std::move(u));
+    }
     if (failed_) return false;
-    const int32_t trip = vmap_infos_[static_cast<size_t>(vm.info)].trip;
-    const int32_t ivar = new_reg();
-    const auto lslot = static_cast<int32_t>(k_.loops.size());
+    OpenLoop lp = open_loop(trip_of(us[0].v));
+    for (Upd& u : us) {
+      const int32_t e = soac_elem(u.v, lp.il.ivar_reg);
+      u.idx.push_back(lp.il.ivar_reg);
+      if (failed_ || !emit_updacc(u.slot, e, u.idx)) return false;
+    }
+    close_loop(lp);
+    return true;
+  }
+
+  // The vmap whose result `st` adds into an accumulator, or -1.
+  int32_t vmap_upd_info(const Stm& st) const {
+    const auto* u = std::get_if<OpUpdAcc>(&st.e);
+    if (u == nullptr || !u->v.is_var() || st.vars.size() != 1) return -1;
+    auto it = virt_.find(u->v.var().id);
+    if (it == virt_.end() || it->second.k != ArgSrc::K::VmapA) return -1;
+    return it->second.vm.info;
+  }
+
+  // Compiles a body's statements in order; a run of consecutive upd_accs
+  // from results of one vmap compiles as one shared loop (acc_virt_loop).
+  bool body(const std::vector<Stm>& stms) {
+    for (size_t i = 0; i < stms.size();) {
+      std::vector<const Stm*> run;
+      const int32_t info = vmap_upd_info(stms[i]);
+      for (size_t j = i; info >= 0 && j < stms.size() && vmap_upd_info(stms[j]) == info; ++j) {
+        run.push_back(&stms[j]);
+      }
+      if (run.size() >= 2) {
+        if (!acc_virt_loop(run)) return false;
+        i += run.size();
+        continue;
+      }
+      if (!stm(stms[i])) return false;
+      ++i;
+    }
+    return true;
+  }
+
+  // An inline block under construction: its reserved loops[] slot (taken at
+  // open, so nested markers keep slot order), its descriptor, and the vmap
+  // inlinings visible before it opened.
+  struct OpenLoop {
+    int32_t slot = -1;
+    Kernel::InlineLoop il;
+    size_t inlines = 0;
+  };
+
+  // Emits the marker of an inline block over `trip` with a fresh index
+  // register; the caller compiles the body and then calls close_loop.
+  OpenLoop open_loop(int32_t trip) {
+    OpenLoop lp;
+    lp.slot = static_cast<int32_t>(k_.loops.size());
     k_.loops.emplace_back();
     KInstr mk;
     mk.op = KOp::InlineLoop;
-    mk.slot = lslot;
+    mk.slot = lp.slot;
     k_.instrs.push_back(mk);
-    Kernel::InlineLoop il;
-    il.trip_reg = trip;
-    il.ivar_reg = ivar;
-    il.body_begin = static_cast<uint32_t>(k_.instrs.size());
-    const int32_t v = vmap_elem(vm, ivar);
-    if (failed_) return false;
-    KInstr in;
-    in.op = KOp::UpdAcc;
-    in.slot = slot;
-    in.a = v;
-    in.nidx = static_cast<int32_t>(o.idx.size()) + 1;
-    for (size_t i = 0; i < o.idx.size(); ++i) in.idx[i] = lead[i];
-    in.idx[o.idx.size()] = ivar;
-    k_.instrs.push_back(in);
-    il.body_end = static_cast<uint32_t>(k_.instrs.size());
-    k_.loops[static_cast<size_t>(lslot)] = il;
-    acc_slot_[dst.id] = slot;
-    return true;
+    lp.il.trip_reg = trip;
+    lp.il.ivar_reg = new_reg();
+    lp.il.body_begin = static_cast<uint32_t>(k_.instrs.size());
+    lp.inlines = vm_inlines_.size();
+    return lp;
+  }
+
+  // Ends the block: vmap inlinings made inside it are not visible after it
+  // (a zero-trip loop never computes them).
+  void close_loop(OpenLoop& lp) {
+    lp.il.body_end = static_cast<uint32_t>(k_.instrs.size());
+    k_.loops[static_cast<size_t>(lp.slot)] = lp.il;
+    vm_inlines_.resize(lp.inlines);
   }
 
   bool stm(const Stm& st) {
-    if (st.vars.empty()) {
-      // Result-less statements: only the side-effecting inline-map form
-      // (unit-result upd_acc map over virtual iota/replicate domains).
-      const auto* m = std::get_if<OpMap>(&st.e);
-      if (m == nullptr) return false;
-      return inline_map(*m) && !failed_;
+    // Maps with accumulator params or no results run in place as inline
+    // side-effect loops; value-producing maps become virtual maps
+    // (consumers inline the body).
+    if (const auto* m = std::get_if<OpMap>(&st.e); m != nullptr) {
+      bool threads_accs = st.vars.empty();
+      for (const auto& p : m->f->params) threads_accs = threads_accs || p.type.is_acc;
+      return (threads_accs ? inline_map(*m, st) : vmap_register(*m, st)) && !failed_;
     }
-    // Value-producing maps become virtual maps (consumers inline the body).
-    if (const auto* vm = std::get_if<OpMap>(&st.e); vm != nullptr) {
-      return vmap_register(*vm, st) && !failed_;
-    }
+    if (st.vars.empty()) return false;
     if (const auto* lp = std::get_if<OpLoop>(&st.e); lp != nullptr) {
       return inline_for(*lp, st) && !failed_;
+    }
+    if (const auto* wa = std::get_if<OpWithAcc>(&st.e); wa != nullptr) {
+      return row_withacc(*wa, st) && !failed_;
     }
     if (st.vars.size() != 1) {
       // Multi-result reduce (jvp (primal, tangent) pairs, argmin tuples):
@@ -577,16 +720,7 @@ private:
     const Var dst = st.vars[0];
     const Type dt = st.types[0];
     auto simple = [&](KOp op, int32_t a, int32_t b = -1, int32_t c = -1) {
-      const bool iv = inv(a) && (b < 0 || inv(b)) && (c < 0 || inv(c));
-      const int r = new_reg(iv);
-      KInstr in;
-      in.op = op;
-      in.dst = r;
-      in.a = a;
-      in.b = b;
-      in.c = c;
-      k_.instrs.push_back(in);
-      reg_[dst.id] = r;
+      reg_[dst.id] = emit(op, a, b, c);
       return true;
     };
     const bool ok = std::visit(
@@ -636,20 +770,16 @@ private:
             [&](const OpSelect& o) { return simple(KOp::Select, use(o.c), use(o.t), use(o.f)); },
             [&](const OpIndex& o) {
               if (o.idx.empty() || o.idx.size() > 4) return false;
-              auto sit = stream_.find(o.arr.id);
-              if (sit != stream_.end()) {
-                // Scalar read through a stream view: compose [leads…, idx].
+              if (auto vit = virt_.find(o.arr.id); vit != virt_.end()) {
+                // Scalar read of a virtual array's element j: a stream's
+                // Gather [leads…, j] bounds-checks itself; doms, vmaps (re-
+                // inlined at j) and one-hots check j against their trip.
                 if (dt.rank != 0 || o.idx.size() != 1) return false;
-                const Stream& s = sit->second;
-                KInstr in;
-                in.op = KOp::Gather;
-                in.slot = s.slot;
-                in.nidx = s.nlead + 1;
-                for (int32_t d = 0; d < s.nlead; ++d) in.idx[d] = s.lead[d];
-                in.idx[s.nlead] = use(o.idx[0]);
-                in.dst = new_reg();
-                k_.instrs.push_back(in);
-                reg_[dst.id] = in.dst;
+                const ArgSrc v = vit->second;
+                const int32_t j = use(o.idx[0]);
+                if (failed_) return false;
+                if (v.k != ArgSrc::K::StreamA) check_idx(j, trip_of(v));
+                reg_[dst.id] = soac_elem(v, j);
                 return true;
               }
               if (dt.rank == 1 && !dt.is_acc && o.idx.size() <= 3) {
@@ -665,7 +795,10 @@ private:
                 for (size_t i = 0; i < o.idx.size(); ++i) s.lead[i] = use(o.idx[i]);
                 s.len_reg = load_len(slot, s.nlead);
                 if (failed_) return false;
-                stream_[dst.id] = s;  // assign: vmap re-inlining rebinds ids
+                ArgSrc a;
+                a.k = ArgSrc::K::StreamA;
+                a.stream = s;
+                virt_[dst.id] = a;  // assign: vmap re-inlining rebinds ids
                 return true;
               }
               if (dt.rank != 0) return false;
@@ -686,7 +819,7 @@ private:
               if (dt.rank != 1 || dt.is_acc) return false;
               const int32_t n = use(o.n);
               if (failed_ || !inv(n)) return false;
-              dom_[dst.id] = Dom{n, -1};  // assign: vmap re-inlining rebinds ids
+              virt_[dst.id] = dom_src(Dom{n, -1});  // assign: vmap re-inlining rebinds ids
               return true;
             },
             [&](const OpReplicate& o) {
@@ -694,24 +827,51 @@ private:
               const int32_t n = use(o.n);
               const int32_t v = use(o.v);
               if (failed_ || !inv(n)) return false;
-              dom_[dst.id] = Dom{n, v};  // assign: vmap re-inlining rebinds ids
+              virt_[dst.id] = dom_src(Dom{n, v});  // assign: vmap re-inlining rebinds ids
+              return true;
+            },
+            [&](const OpZerosLike& o) {
+              // A scalar zero is a constant; `zeros_like v` of a rank-1 v is
+              // a constant-zero domain with v's (invariant) length.
+              if (dt.is_acc || dt.rank > 1) return false;
+              if (dt.rank == 0) {
+                reg_[dst.id] = const_reg(0.0);
+                return true;
+              }
+              int32_t len = -1;
+              if (auto vit = virt_.find(o.v.id); vit != virt_.end()) {
+                len = trip_of(vit->second);
+              } else {
+                const int32_t slot = array_slot(o.v);
+                if (slot < 0) return false;
+                len = load_len(slot, 0);
+              }
+              virt_[dst.id] = dom_src(Dom{len, const_reg(0.0), /*zeros=*/true});
+              return true;
+            },
+            [&](const OpUpdate& o) {
+              // `a with [j] <- x` over a virtual dom/vmap/one-hot: a one-hot
+              // virtual array, j checked here like the general path's update.
+              if (dt.rank != 1 || dt.is_acc || o.idx.size() != 1) return false;
+              auto vit = virt_.find(o.arr.id);
+              if (vit == virt_.end() || vit->second.k == ArgSrc::K::StreamA) return false;
+              OneHot oh;
+              oh.base = vit->second;
+              oh.j_reg = use(o.idx[0]);
+              oh.x_reg = use(o.v);
+              if (failed_) return false;
+              check_idx(oh.j_reg, trip_of(oh.base));
+              ArgSrc a;
+              a.k = ArgSrc::K::OneHotA;
+              a.onehot = static_cast<int32_t>(onehots_.size());
+              onehots_.push_back(oh);
+              virt_[dst.id] = a;
               return true;
             },
             [&](const OpLength& o) {
               if (dt.rank != 0) return false;
-              auto dit = dom_.find(o.arr.id);
-              if (dit != dom_.end()) {
-                reg_[dst.id] = dit->second.len_reg;  // alias the domain extent
-                return true;
-              }
-              auto sit = stream_.find(o.arr.id);
-              if (sit != stream_.end()) {
-                reg_[dst.id] = sit->second.len_reg;  // alias the stream length
-                return true;
-              }
-              auto vit = vmap_.find(o.arr.id);
-              if (vit != vmap_.end()) {
-                reg_[dst.id] = vmap_infos_[static_cast<size_t>(vit->second.info)].trip;
+              if (auto vit = virt_.find(o.arr.id); vit != virt_.end()) {
+                reg_[dst.id] = trip_of(vit->second);  // alias the virtual array's length
                 return true;
               }
               const int32_t slot = array_slot(o.arr);
@@ -721,21 +881,14 @@ private:
             },
             [&](const OpReduce& o) { return inline_fold(o, st); },
             [&](const OpUpdAcc& o) {
+              // Array-valued update from a virtual array: inline UpdAcc loop.
+              if (o.v.is_var() && virt_.count(o.v.var().id)) return acc_virt_loop({&st});
               const int32_t slot = acc_slot_of(o.acc);
               if (slot < 0) return false;
-              // Array-valued update from a virtual map: inline UpdAcc loop.
-              if (o.v.is_var()) {
-                auto vit = vmap_.find(o.v.var().id);
-                if (vit != vmap_.end()) return acc_vmap_loop(o, vit->second, slot, dst);
-              }
-              if (o.idx.empty() || o.idx.size() > 4) return false;
-              KInstr in;
-              in.op = KOp::UpdAcc;
-              in.slot = slot;
-              in.a = use(o.v);
-              in.nidx = static_cast<int32_t>(o.idx.size());
-              for (size_t i = 0; i < o.idx.size(); ++i) in.idx[i] = use(o.idx[i]);
-              k_.instrs.push_back(in);
+              const int32_t v = use(o.v);
+              std::vector<int32_t> idx;
+              for (const Atom& a : o.idx) idx.push_back(use(a));
+              if (failed_ || !emit_updacc(slot, v, idx)) return false;
               acc_slot_[dst.id] = slot;  // threaded result aliases the slot
               return true;
             },
@@ -787,25 +940,14 @@ private:
     std::vector<int32_t> ne(k);
     for (size_t j = 0; j < k; ++j) ne[j] = use(o.neutral[j]);
     if (failed_) return false;
-    const int32_t ivar = new_reg();
-    const auto lslot = static_cast<int32_t>(k_.loops.size());
-    k_.loops.emplace_back();  // reserve now: nested markers keep slot order
-    KInstr mk;
-    mk.op = KOp::InlineLoop;
-    mk.slot = lslot;
-    k_.instrs.push_back(mk);
-    Kernel::InlineLoop il;
-    il.trip_reg = trip;
-    il.ivar_reg = ivar;
-    il.body_begin = static_cast<uint32_t>(k_.instrs.size());
+    OpenLoop lp = open_loop(trip);
+    const int32_t ivar = lp.il.ivar_reg;
     std::vector<int32_t> elems(k);
     if (o.pre != nullptr) {
       for (size_t j = 0; j < o.args.size(); ++j) {
         reg_[o.pre->params[j].var.id] = soac_elem(srcs[j], ivar);
       }
-      for (const auto& s : o.pre->body.stms) {
-        if (!stm(s)) return false;
-      }
+      if (!body(o.pre->body.stms)) return false;
       for (size_t j = 0; j < k; ++j) elems[j] = use(o.pre->body.result[j]);
     } else {
       for (size_t j = 0; j < k; ++j) elems[j] = soac_elem(srcs[j], ivar);
@@ -816,21 +958,18 @@ private:
       reg_[op.params[j].var.id] = accs[j];
       reg_[op.params[k + j].var.id] = elems[j];
     }
-    for (const auto& s : op.body.stms) {
-      if (!stm(s)) return false;
-    }
+    if (!body(op.body.stms)) return false;
     std::vector<int32_t> res(k);
     for (size_t j = 0; j < k; ++j) res[j] = use(op.body.result[j]);
     if (failed_) return false;
     writeback(accs, std::move(res));
-    il.body_end = static_cast<uint32_t>(k_.instrs.size());
-    il.acc_reg = accs[0];
-    il.neutral_reg = ne[0];
+    lp.il.acc_reg = accs[0];
+    lp.il.neutral_reg = ne[0];
     for (size_t j = 1; j < k; ++j) {
-      il.more_accs.push_back(accs[j]);
-      il.more_neutrals.push_back(ne[j]);
+      lp.il.more_accs.push_back(accs[j]);
+      lp.il.more_neutrals.push_back(ne[j]);
     }
-    k_.loops[static_cast<size_t>(lslot)] = il;
+    close_loop(lp);
     for (size_t j = 0; j < k; ++j) {
       reg_[st.vars[j].id] = accs[j];  // assign: vmap re-inlining rebinds ids
     }
@@ -901,44 +1040,28 @@ private:
         reg_[id] = carries.back();
       }
     }
-    const int32_t ivar = new_reg();
-    if (o.idx.valid()) reg_[o.idx.id] = ivar;
-    const auto lslot = static_cast<int32_t>(k_.loops.size());
-    k_.loops.emplace_back();
-    KInstr mk;
-    mk.op = KOp::InlineLoop;
-    mk.slot = lslot;
-    k_.instrs.push_back(mk);
-    Kernel::InlineLoop il;
-    il.trip_reg = trip;
-    il.ivar_reg = ivar;
-    il.counted = true;
-    il.body_begin = static_cast<uint32_t>(k_.instrs.size());
-    for (const auto& s : o.body->stms) {
-      if (!stm(s)) return false;
-    }
+    OpenLoop lp = open_loop(trip);
+    lp.il.counted = true;
+    if (o.idx.valid()) reg_[o.idx.id] = lp.il.ivar_reg;
+    if (!body(o.body->stms)) return false;
     std::vector<int32_t> res;
     for (size_t j = 0; j < n; ++j) {
       const Atom& r = o.body->result[j];
       if (slots[j] < 0) {
         res.push_back(use(r));
-        continue;
+      } else if (!same_acc(r, slots[j])) {
+        return false;  // an acc carry must come back as the same accumulator
       }
-      // An acc carry must come back as the same accumulator.
-      if (!r.is_var()) return false;
-      auto it = acc_slot_.find(r.var().id);
-      if (it == acc_slot_.end() || it->second != slots[j]) return false;
     }
     if (failed_) return false;
     writeback(carries, std::move(res));
-    il.body_end = static_cast<uint32_t>(k_.instrs.size());
     if (!carries.empty()) {
-      il.acc_reg = carries[0];
-      il.neutral_reg = seeds[0];
-      il.more_accs.assign(carries.begin() + 1, carries.end());
-      il.more_neutrals.assign(seeds.begin() + 1, seeds.end());
+      lp.il.acc_reg = carries[0];
+      lp.il.neutral_reg = seeds[0];
+      lp.il.more_accs.assign(carries.begin() + 1, carries.end());
+      lp.il.more_neutrals.assign(seeds.begin() + 1, seeds.end());
     }
-    k_.loops[static_cast<size_t>(lslot)] = il;
+    close_loop(lp);
     for (size_t j = 0, c = 0; j < n; ++j) {
       if (slots[j] >= 0) {
         acc_slot_[st.vars[j].id] = slots[j];
@@ -949,40 +1072,125 @@ private:
     return true;
   }
 
-  // Unit-result map over virtual domains or streams whose body is scalar
-  // glue plus upd_acc side effects -> inline side-effect loop (the reverse
-  // sweep's scatter-style accumulation pattern).
-  bool inline_map(const OpMap& o) {
+  // Map over virtual arrays whose body is scalar glue plus accumulator
+  // updates -> inline side-effect loop (the reverse sweep's scatter-style
+  // accumulation pattern). Acc-typed params alias the slot of their
+  // argument; the map's results must be those accumulators again, in
+  // parameter order — what the general path returns for any extent,
+  // including an empty one.
+  bool inline_map(const OpMap& o, const Stm& st) {
     if (!allow_accs_) return false;
     const Lambda& f = *o.f;
-    if (!f.rets.empty() || !f.body.result.empty()) return false;
-    if (f.params.size() != o.args.size()) return false;
-    for (const auto& p : f.params) {
-      if (p.type.rank != 0 || p.type.is_acc) return false;
+    if (f.params.size() != o.args.size() || f.rets.size() != st.vars.size() ||
+        f.body.result.size() != f.rets.size()) {
+      return false;
     }
-    std::vector<ArgSrc> srcs;
-    const int32_t trip = soac_trip(o.args, srcs);
-    if (trip < 0) return false;
-    const int32_t ivar = new_reg();
-    const auto lslot = static_cast<int32_t>(k_.loops.size());
-    k_.loops.emplace_back();
-    KInstr mk;
-    mk.op = KOp::InlineLoop;
-    mk.slot = lslot;
-    k_.instrs.push_back(mk);
-    Kernel::InlineLoop il;
-    il.trip_reg = trip;
-    il.ivar_reg = ivar;
-    il.body_begin = static_cast<uint32_t>(k_.instrs.size());
+    std::vector<Var> elems;
+    std::vector<int32_t> slots;  // per acc param, in order
     for (size_t j = 0; j < f.params.size(); ++j) {
-      reg_[f.params[j].var.id] = soac_elem(srcs[j], ivar);
+      const Type& t = f.params[j].type;
+      if (t.is_acc) {
+        slots.push_back(acc_slot_of(o.args[j]));
+        if (slots.back() < 0) return false;
+      } else if (t.rank == 0) {
+        elems.push_back(o.args[j]);
+      } else {
+        return false;
+      }
     }
-    for (const auto& s : f.body.stms) {
-      if (!stm(s)) return false;
+    if (f.rets.size() > slots.size()) return false;
+    std::vector<ArgSrc> srcs;
+    const int32_t trip = soac_trip(elems, srcs);
+    if (trip < 0) return false;
+    OpenLoop lp = open_loop(trip);
+    for (size_t j = 0, e = 0, a = 0; j < f.params.size(); ++j) {
+      const uint32_t id = f.params[j].var.id;
+      if (f.params[j].type.is_acc) {
+        acc_slot_[id] = slots[a++];
+      } else {
+        reg_[id] = soac_elem(srcs[e++], lp.il.ivar_reg);
+      }
     }
-    il.body_end = static_cast<uint32_t>(k_.instrs.size());
-    k_.loops[static_cast<size_t>(lslot)] = il;
+    if (!body(f.body.stms)) return false;
+    for (size_t r = 0; r < f.rets.size(); ++r) {
+      if (!same_acc(f.body.result[r], slots[r])) return false;
+      acc_slot_[st.vars[r].id] = slots[r];
+    }
+    close_loop(lp);
     return !failed_;
+  }
+
+  // True when `r` names accumulator slot `slot`.
+  bool same_acc(const Atom& r, int32_t slot) const {
+    if (!r.is_var()) return false;
+    auto it = acc_slot_.find(r.var().id);
+    return it != acc_slot_.end() && it->second == slot;
+  }
+
+  // Row-bound local accumulators: `withacc (zeros_like a…) (λacc… → accs)`
+  // whose results are all returned directly (once each) as rank-1 f64
+  // results of the kernel lambda — the per-point adjoint row of a reverse
+  // map. Each accumulator binds to a zero-filled [n][len] launch result, len
+  // the zeros' length, which must be a preamble register (a free scalar, a
+  // constant or a LoadLen) so the launch can size it before running.
+  bool row_withacc(const OpWithAcc& o, const Stm& st) {
+    if (!allow_accs_) return false;
+    const Lambda& f = *o.f;
+    const size_t m = o.arrs.size();
+    if (m == 0 || f.params.size() != m || f.rets.size() != m || f.body.result.size() != m ||
+        st.vars.size() != m) {
+      return false;
+    }
+    std::vector<int32_t> lens(m);
+    for (size_t j = 0; j < m; ++j) {
+      if (!f.params[j].type.is_acc || st.types[j].rank != 1 ||
+          st.types[j].elem != ScalarType::F64) {
+        return false;
+      }
+      size_t uses = 0;
+      for (size_t ri = 0; ri < f_.body.result.size(); ++ri) {
+        const Atom& a = f_.body.result[ri];
+        if (a.is_var() && a.var() == st.vars[j]) ++uses;
+      }
+      auto vit = virt_.find(o.arrs[j].id);
+      if (uses != 1 || vit == virt_.end() || vit->second.k != ArgSrc::K::DomA ||
+          !vit->second.dom.zeros || !preamble(vit->second.dom.len_reg)) {
+        return false;
+      }
+      lens[j] = vit->second.dom.len_reg;
+    }
+    row_idx();
+    std::vector<int32_t> slots(m);
+    for (size_t j = 0; j < m; ++j) {
+      slots[j] = add_acc(Var{}, -1);
+      k_.accs[static_cast<size_t>(slots[j])].row_len_reg = lens[j];
+      acc_slot_[f.params[j].var.id] = slots[j];
+    }
+    if (!body(f.body.stms)) return false;
+    for (size_t j = 0; j < m; ++j) {
+      if (!same_acc(f.body.result[j], slots[j])) return false;
+      row_res_[st.vars[j].id] = slots[j];
+    }
+    return true;
+  }
+
+  // A register the launch fills before the first instruction: a free
+  // scalar, or the destination of a ConstF/LoadLen.
+  bool preamble(int32_t r) const {
+    for (int32_t f : k_.free_scalar_regs) {
+      if (f == r) return true;
+    }
+    for (const auto& in : k_.instrs) {
+      if (in.dst == r && (in.op == KOp::ConstF || in.op == KOp::LoadLen)) return true;
+    }
+    return false;
+  }
+
+  static ArgSrc dom_src(Dom d) {
+    ArgSrc a;
+    a.k = ArgSrc::K::DomA;
+    a.dom = d;
+    return a;
   }
 
   const Lambda& f_;
@@ -994,10 +1202,18 @@ private:
   std::unordered_map<uint32_t, int32_t> reg_;
   std::unordered_map<uint32_t, int32_t> arr_slot_;
   std::unordered_map<uint32_t, int32_t> acc_slot_;
-  std::unordered_map<uint32_t, Dom> dom_;
-  std::unordered_map<uint32_t, Stream> stream_;
-  std::unordered_map<uint32_t, VmapRef> vmap_;
+  std::unordered_map<uint32_t, ArgSrc> virt_;     // virtual rank-1 arrays
+  std::unordered_map<uint32_t, int32_t> row_res_; // withacc result -> row-bound acc slot
   std::vector<VmapInfo> vmap_infos_;
+  std::vector<OneHot> onehots_;
+  // Vmap inlinings visible at the current point: (vmap, element register) ->
+  // result registers. Scoped to the open blocks (open_loop/close_loop).
+  struct VmapInline {
+    int32_t info, at;
+    std::vector<int32_t> res;
+  };
+  std::vector<VmapInline> vm_inlines_;
+  int32_t row_idx_ = -1;  // LoadIdx register, -1 until a top-level use
   std::unordered_map<int64_t, int32_t> len_reg_;  // (slot * 8 + dim) -> register
 };
 
@@ -1207,6 +1423,12 @@ void exec_span(const KernelLaunch& L, double* r, int64_t lo, int64_t hi, size_t 
           break;
         }
         case KOp::LoadLen: break;  // broadcast in the preamble (launch-invariant)
+        case KOp::CheckIdx:
+          for (int l = 0; l < W; ++l) {
+            const auto i = static_cast<int64_t>(a[l]), ext = static_cast<int64_t>(b[l]);
+            if (i < 0 || i >= ext) throw_kernel_oob(i, 0, ext);
+          }
+          break;
         case KOp::LoadIdx:
           // Current iteration index per lane — same lane layout as LoadElem.
           for (int l = 0; l < W; ++l) {
@@ -1505,6 +1727,33 @@ void KernelLaunch::fold_bins(double* acc, const double* other, int64_t count) co
               std::integral_constant<int, 1>{});
     acc[j] = r1[acc_reg];
   }
+}
+
+void preamble_regs(const KernelLaunch& L, std::vector<double>& pre) {
+  pre.assign(static_cast<size_t>(L.k->num_regs), std::numeric_limits<double>::quiet_NaN());
+  init_invariant(L, pre.data(), 1);
+}
+
+KernelWork kernel_work(const Kernel& k, const double* pre) {
+  KernelWork w;
+  w.updates.assign(k.accs.size(), 0.0);
+  // [ib, ie) at `mult` executions per element; a loop body recurses with its
+  // trip folded in and is then skipped.
+  auto walk = [&](auto&& self, size_t ib, size_t ie, double mult) -> void {
+    for (size_t ii = ib; ii < ie; ++ii) {
+      const KInstr& in = k.instrs[ii];
+      if (in.op == KOp::ConstF || in.op == KOp::LoadLen) continue;
+      w.instrs += mult;
+      if (in.op == KOp::UpdAcc) w.updates[static_cast<size_t>(in.slot)] += mult;
+      if (in.op != KOp::InlineLoop) continue;
+      const Kernel::InlineLoop& il = k.loops[static_cast<size_t>(in.slot)];
+      const double t = pre[static_cast<size_t>(il.trip_reg)];
+      self(self, il.body_begin, il.body_end, mult * (std::isnan(t) ? 1.0 : std::max(t, 0.0)));
+      ii = static_cast<size_t>(il.body_end) - 1;
+    }
+  };
+  walk(walk, 0, k.instrs.size(), 1.0);
+  return w;
 }
 
 void run_scalar_kernel(const Kernel& k, const double* frees, double* regs, double* out) {

@@ -7,12 +7,41 @@
 // live in (virtual) registers rather than being fetched from a tape in
 // global memory, and accumulator updates lower to atomic adds.
 //
-// A lambda is kernel-compilable when its parameters and results are scalars
-// (or threaded accumulators) and its body consists only of scalar operations,
-// full indexing into free arrays, upd_acc side effects, the inline SOACs
-// below, and sequential for-loops whose carries are scalars or accumulators.
+// A lambda is kernel-compilable when its parameters are scalars, rows of a
+// rank-2 argument or threaded accumulators, its results are scalars,
+// threaded accumulators or row-bound accumulator rows (below), and its body
+// consists only of scalar operations, full indexing into free arrays,
+// upd_acc side effects, virtual arrays and the inline SOACs below, and
+// sequential for-loops whose carries are scalars or accumulators.
 // Everything else (while-loops, array-valued loop state, …) falls back to
 // the general interpreter.
+//
+// Virtual arrays: a rank-1 binding the kernel never materializes — an
+// `iota`/`replicate` domain, a stream (row view of a free array), a value
+// map (vmap, re-inlined per element at each consumer), `zeros_like v` (a
+// constant-zero domain of v's invariant length) and a one-hot update
+// `a with [j] <- x` of a domain, vmap or one-hot, whose element i is
+// select(i == j, x, a[i]) — the argmin/argmax adjoint the vjp emits. A
+// scalar read `a[j]` reads element j (re-inlining a vmap at j). Every index
+// into a domain, vmap or one-hot is checked by a CheckIdx instruction and
+// raises the general path's ShapeError when out of range (streams check in
+// their Gather). A vmap inlined at an element stays in registers for the
+// rest of the block, so a second consumer of any of its results at the same
+// element reuses it, and consecutive array-valued upd_accs from one vmap's
+// results share one loop.
+//
+// Accumulator-threading inline maps: an inline map may take accumulators as
+// arguments (acc params alias their argument's slot) and return them, in
+// parameter order — the reverse sweep's inner map over (iota k, weights,
+// accs).
+//
+// Row-bound accumulators: `withacc (zeros_like a…) (λacc… → …)` whose
+// arrays are returned directly as rank-1 lambda results — a per-point
+// adjoint row — binds each accumulator to a zero-filled [n][len] launch
+// result (len a preamble register); its UpdAccs take the iteration index
+// as their leading index and are plain adds, since each iteration owns its
+// row. Together these forms run a per-point reverse body (k-means, GMM) as
+// one kernel launch instead of one lambda application per point.
 //
 // Sequential loops: a for-loop compiles to an InlineLoop block in counted
 // form — carried registers seeded from `init`, written back every trip,
@@ -77,8 +106,9 @@ enum class KOp : uint8_t {
   UpdAcc,     // acc_array[slot][flatten(idx regs)] += reg a (atomic)
   StoreOut,   // output[slot] element at current iteration = reg a
   LoadLen,    // dst = extent of free_array[slot] along dim max(b, 0) (launch-invariant)
-  LoadIdx,    // dst = current iteration index (per lane; row-stream params)
+  LoadIdx,    // dst = current iteration index (per lane; row streams, row accumulators)
   InlineLoop, // run Kernel::loops[slot] body, then skip past it
+  CheckIdx,   // raise ShapeError unless 0 <= reg a < reg b (virtual-array index)
 };
 
 struct KInstr {
@@ -92,10 +122,17 @@ struct KInstr {
 
 struct Kernel {
   // Accumulator bindings: param_index >= 0 means the acc comes from that map
-  // argument position; -1 means a free accumulator variable in scope.
+  // argument position; -1 means a free accumulator variable in scope — or,
+  // with row_len_reg >= 0, a row-bound local accumulator: an in-lambda
+  // `withacc (zeros_like …)` whose array is returned as a rank-1 lambda
+  // result. It binds to a zero-filled [n][len] launch result (len = the
+  // preamble register row_len_reg), its UpdAccs carry the iteration index
+  // (LoadIdx) as their leading index, and they are always plain adds: every
+  // iteration owns its row.
   struct AccBinding {
     ir::Var var;
     int32_t param_index = -1;
+    int32_t row_len_reg = -1;
   };
 
   // Reduction register pair (reduce/scan kernels; empty for map kernels).
@@ -166,8 +203,9 @@ struct Kernel {
   // from the launch's rank-2 map arguments instead.
   std::vector<ir::Var> free_arrays;
   std::vector<AccBinding> accs;          // accumulator targets
-  std::vector<int32_t> acc_upd_counts;   // UpdAcc instructions per acc slot
-  std::vector<int32_t> ret_acc_slot;     // per lambda result: acc slot or -1
+  // Per lambda result: acc slot (threaded accumulator, or the [n][len] array
+  // of a row-bound one) or -1 (a scalar StoreOut output).
+  std::vector<int32_t> ret_acc_slot;
   std::vector<ScalarType> out_elems;     // one per scalar output
   size_t num_inputs = 0;                 // element-wise inputs (non-acc args)
   std::vector<RedSlot> reds;             // reduction registers (fold results)
@@ -301,6 +339,24 @@ struct KernelLaunch {
   // subhistogram merge, one fold-subprogram entry per bin.
   void fold_bins(double* acc, const double* other, int64_t count) const;
 };
+
+// Fills `pre` with the register file of a bound launch's preamble registers
+// — free scalars and ConstF/LoadLen destinations, the values every lane
+// shares before the first instruction runs. Every other register holds NaN.
+void preamble_regs(const KernelLaunch& L, std::vector<double>& pre);
+
+// Per-element work of a bound launch, for scheduling and update accounting:
+// one walk over the program in which the instructions of an inline loop count
+// trip times — its preamble trip value, or once when the trip is data-
+// dependent or computed. `instrs` counts executed instructions (prologue
+// ConstF/LoadLen excluded); `updates[s]` counts UpdAccs into acc slot s.
+// `pre` (preamble_regs) is read only for loop trips: null is fine for a
+// kernel without inline loops.
+struct KernelWork {
+  double instrs = 0;
+  std::vector<double> updates;
+};
+KernelWork kernel_work(const Kernel& k, const double* pre);
 
 // Runs a zero-input scalar-block kernel (compiled from a run of scalar
 // bindings by the plan compiler: no LoadElem/Gather/UpdAcc, every result a

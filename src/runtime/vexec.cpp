@@ -75,6 +75,10 @@ Usage analyze(const Kernel& k) {
         // `b` holds the shape dimension, not a register operand.
         ++u.writes[static_cast<size_t>(in.dst)];
         break;
+      case KOp::CheckIdx:
+        rd(in.a);
+        rd(in.b);
+        break;
       default:
         ++u.writes[static_cast<size_t>(in.dst)];
         rd(in.a);
@@ -129,6 +133,7 @@ VOp map_op(KOp op) {
     case KOp::Gather: return VOp::Gather;
     case KOp::UpdAcc: return VOp::UpdAcc;
     case KOp::StoreOut: return VOp::StoreOut;
+    case KOp::CheckIdx: return VOp::CheckIdx;
     default: return VOp::Mov;  // unreachable
   }
 }

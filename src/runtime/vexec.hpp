@@ -48,7 +48,7 @@ enum class VOp : uint8_t {
   Eq, Ne, Lt, Le, Gt, Ge, And, Or,
   Neg, Exp, Log, Sqrt, Sin, Cos, Tanh, Abs, Sign, LGamma, Digamma, Not, Trunc,
   Select,
-  LoadElem, LoadIdx, Gather, UpdAcc, StoreOut,
+  LoadElem, LoadIdx, Gather, UpdAcc, StoreOut, CheckIdx,
   // superinstructions (fused adjacent pairs; flags bit 0 = swapped operand
   // order of the second op, preserving IEEE NaN-propagation order)
   MulAdd,     // d = (a*b) + c     [flag: d = c + (a*b)]

@@ -649,6 +649,45 @@ TEST(FaultSweep, KmeansSparseGradient) {
                                        npad::apps::kmeans_sparse_ir_args(data)));
 }
 
+TEST(FaultSweep, GmmOptimizedGradient) {
+  // The serving artifact of GMM: the per-point reverse body — log-sum-exp
+  // recomputation, the argmax one-hot over a value map and the row-bound
+  // adjoint row — runs as one kernel launch.
+  npad::support::Rng rng(30);
+  auto g = npad::apps::gmm_gen(rng, 64, 4, 5);
+  sweep_case("gmm_gradient_optimized", optimized_gradient_runner(npad::apps::gmm_ir_objective(),
+                                                                 npad::apps::gmm_ir_args(g)));
+}
+
+std::vector<Value> kmeans_args(const npad::apps::KmeansData& km) {
+  return {make_f64_array(km.centroids, {km.k, km.d}), make_f64_array(km.points, {km.n, km.d})};
+}
+
+TEST(FaultSweep, KmeansGradient) {
+  // Dense k-means: the argmin one-hot, the accumulator-threading inner map
+  // and the point's adjoint row, all inside the reverse map's kernel.
+  npad::support::Rng rng(31);
+  auto km = npad::apps::kmeans_gen(rng, 64, 4, 3);
+  sweep_case("kmeans_gradient",
+             optimized_gradient_runner(npad::apps::kmeans_ir_cost(), kmeans_args(km)));
+}
+
+TEST(FaultSweep, KmeansHvp) {
+  // jvp(vjp(cost)): the same kernel with (primal, tangent) one-hot pairs and
+  // two row-bound accumulators.
+  npad::support::Rng rng(32);
+  auto km = npad::apps::kmeans_gen(rng, 64, 4, 3);
+  Prog p = npad::apps::kmeans_ir_cost();
+  typecheck(p);
+  Prog hvp = npad::opt::optimize(npad::ad::jvp(npad::ad::vjp(p)));
+  std::vector<Value> args = kmeans_args(km);
+  args.emplace_back(1.0);  // seed
+  args.push_back(rand_f64(rng, {km.k, km.d}));  // centroid tangent
+  args.push_back(rand_f64(rng, {km.n, km.d}));  // point tangent
+  args.emplace_back(0.0);                       // seed tangent
+  sweep_case("kmeans_hvp", prog_runner(std::move(hvp), std::move(args)));
+}
+
 TEST(FaultSweep, XsbenchGradient) {
   // The per-lookup binary search runs as a counted loop inside the reverse
   // map's kernel.

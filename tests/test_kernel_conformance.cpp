@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -1498,7 +1499,8 @@ TEST_P(CountedLoopConformance, KernelMatchesGeneral) {
   const auto& st = fast.stats();
   if (site == LoopSite::RedomapPre) {
     EXPECT_EQ(st.kernel_reduces.load(), 1u);
-    EXPECT_GT(st.privatized_updates.load(), 0u);  // counted, plain adds
+    // Counted as plain adds, trip by trip: a zero trip issues none.
+    EXPECT_EQ(st.privatized_updates.load() > 0, kind != LoopTrip::Zero);
   } else {
     EXPECT_EQ(st.kernel_maps.load(), 1u);
   }
@@ -1606,6 +1608,306 @@ TEST(CountedLoopConformance, OutOfBoundsGatherRaisesShapeError) {
     EXPECT_EQ(fast.stats().kernel_maps.load(), 1u) << "vexec=" << vexec;
     EXPECT_EQ(fast.stats().general_maps.load(), 0u) << "vexec=" << vexec;
   }
+}
+
+// ------------------------------------------------ per-point reverse bodies --
+//
+// The shapes the vjp emits for a per-point reverse map (k-means, GMM):
+// a distance vmap over the k centroids, an argmin over it, a one-hot adjoint
+// `base with [argm] <- base[argm] + y`, an inner map over (iota k, weights)
+// threading accumulators, and a `withacc (zeros_like p)` row returned as the
+// point's result. Every form must compile the outer map into one kernel.
+
+enum class VirtForm { OneHotZeros, OneHotVmap, ScalarRead, Thread1, Thread2, Row1, Row2 };
+enum class VexecMode { Avx2, Portable, Off };
+using VirtCase = std::tuple<VirtForm, VexecMode>;
+
+struct VirtShape {
+  bool one_hot = true;    // inner-map weights: the one-hot (else the distances)
+  bool vmap_base = false; // one-hot over a value map (GMM) instead of zeros
+  int shared = 0;         // accumulators threaded through the outer and inner maps
+  int rows = 0;           // row-bound withacc accumulators
+};
+
+VirtShape virt_shape(VirtForm f) {
+  switch (f) {
+    case VirtForm::OneHotZeros: return {true, false, 1, 0};
+    case VirtForm::OneHotVmap: return {true, true, 1, 0};
+    case VirtForm::ScalarRead: return {true, true, 0, 0};
+    case VirtForm::Thread1: return {false, false, 1, 0};
+    case VirtForm::Thread2: return {false, false, 2, 0};
+    case VirtForm::Row1: return {true, false, 0, 1};
+    case VirtForm::Row2: return {true, false, 0, 2};
+  }
+  return {};
+}
+
+// Per point p (row of P) with weight y: dist_j = Σ (p - C[j])², argm = argmin.
+// Results: the point's scalar (dist[argm] + one-hot and base reads), then
+// shared accumulators, then rows. Args: C [k][d], P [n][d], ys [n], D [k][d].
+Prog virt_prog(VirtForm form) {
+  const VirtShape sh = virt_shape(form);
+  ProgBuilder pb("virt");
+  Var C = pb.param("C", arr_f64(2));
+  Var P = pb.param("P", arr_f64(2));
+  Var ys = pb.param("ys", arr_f64(1));
+  Var D = pb.param("D", arr_f64(2));
+  Builder& b = pb.body();
+  auto point = [&](Builder& c, Var p, Var y, const std::vector<Var>& shared) {
+    Var ks = c.iota(Atom(c.length(C)));
+    Var dist = c.map1(c.lam({i64()},
+                            [&](Builder& cc, const std::vector<Var>& q) {
+                              Var cj = cc.index(C, {Atom(q[0])});
+                              Var sq = cc.map1(cc.lam({f64(), f64()},
+                                                      [](Builder& c3, const std::vector<Var>& e) {
+                                                        Var t = c3.sub(e[0], e[1]);
+                                                        return std::vector<Atom>{Atom(c3.mul(t, t))};
+                                                      }),
+                                               {p, cj});
+                              return std::vector<Atom>{
+                                  Atom(cc.reduce1(cc.add_op(), cf64(0.0), {sq}))};
+                            }),
+                      {ks});
+    LambdaPtr argmin = c.lam({f64(), i64(), f64(), i64()}, [](Builder& cc,
+                                                              const std::vector<Var>& q) {
+      Var take = cc.logical_or(Atom(cc.eq(q[1], ci64(-1))), Atom(cc.lt(q[2], q[0])));
+      return std::vector<Atom>{Atom(cc.select(Atom(take), Atom(q[2]), Atom(q[0]))),
+                               Atom(cc.select(Atom(take), Atom(q[3]), Atom(q[1])))};
+    });
+    Var argm = c.reduce(std::move(argmin), {cf64(1e300), ci64(-1)},
+                        {dist, c.iota(Atom(c.length(dist)))})[1];
+    Var base = sh.vmap_base
+                   ? c.map1(c.lam({f64()},
+                                  [&](Builder& cc, const std::vector<Var>& q) {
+                                    return std::vector<Atom>{
+                                        Atom(cc.add(Atom(cc.mul(q[0], cf64(0.5))), y))};
+                                  }),
+                            {dist})
+                   : c.zeros_like(dist);
+    Var old = c.index(base, {Atom(argm)});
+    Var hot = c.update(base, {Atom(argm)}, Atom(c.add(old, y)));
+    Var scalar = c.add(Atom(c.index(dist, {Atom(argm)})),
+                       Atom(c.add(old, Atom(c.index(hot, {Atom(argm)})))));
+    std::vector<Atom> res{Atom(scalar)};
+    if (form == VirtForm::ScalarRead) return res;
+    // Inner reverse map over (iota k, weights): contribution w * (p - C[j])
+    // into shared accumulator row j (and its negation into the second), and
+    // into the point's rows.
+    auto inner = [&](Builder& ic, const std::vector<Var>& accs) {
+      std::vector<Type> ts{i64(), f64()};
+      for (Var a : accs) ts.push_back(ic.types().at(a));
+      auto r = ic.map(ic.lam(ts,
+                             [&](Builder& cc, const std::vector<Var>& q) {
+                               Var cj = cc.index(C, {Atom(q[0])});
+                               auto contrib = cc.map(
+                                   cc.lam({f64(), f64()},
+                                          [&](Builder& c3, const std::vector<Var>& e) {
+                                            Var t = c3.mul(q[1], Atom(c3.sub(e[0], e[1])));
+                                            return std::vector<Atom>{Atom(t), Atom(c3.neg(t))};
+                                          }),
+                                   {p, cj});
+                               std::vector<Atom> out;
+                               for (size_t a = 2; a < q.size(); ++a) {
+                                 const bool row = sh.rows > 0;
+                                 std::vector<Atom> at;
+                                 if (!row) at.emplace_back(q[0]);
+                                 out.emplace_back(cc.upd_acc(q[a], at, Atom(contrib[(a - 2) % 2])));
+                               }
+                               return out;
+                             }),
+                      [&] {
+                        std::vector<Var> args{ks, sh.one_hot ? hot : dist};
+                        args.insert(args.end(), accs.begin(), accs.end());
+                        return args;
+                      }());
+      return std::vector<Atom>(r.begin(), r.end());
+    };
+    if (sh.shared > 0) {
+      inner(c, shared);
+      for (Var a : shared) res.emplace_back(a);
+    }
+    if (sh.rows > 0) {
+      std::vector<Var> zs;
+      for (int r = 0; r < sh.rows; ++r) zs.push_back(c.zeros_like(p));
+      for (Var row : c.withacc(zs, [&](Builder& wc, const std::vector<Var>& accs) {
+             return inner(wc, accs);
+           })) {
+        res.emplace_back(row);
+      }
+    }
+    return res;
+  };
+  std::vector<Atom> outs;
+  if (sh.shared > 0) {
+    std::vector<Var> inits(static_cast<size_t>(sh.shared), D);
+    for (Var v : b.withacc(inits, [&](Builder& wc, const std::vector<Var>& accs) {
+           std::vector<Type> ts{arr_f64(1), f64()};
+           for (Var a : accs) ts.push_back(wc.types().at(a));
+           auto r = wc.map(wc.lam(ts,
+                                  [&](Builder& cc, const std::vector<Var>& q) {
+                                    std::vector<Var> sh_accs(q.begin() + 2, q.end());
+                                    std::vector<Atom> rs = point(cc, q[0], q[1], sh_accs);
+                                    // Accumulator results first, in parameter order.
+                                    std::rotate(rs.begin(), rs.begin() + 1, rs.end());
+                                    return rs;
+                                  }),
+                           [&] {
+                             std::vector<Var> args{P, ys};
+                             args.insert(args.end(), accs.begin(), accs.end());
+                             return args;
+                           }());
+           return std::vector<Atom>(r.begin(), r.end());
+         })) {
+      outs.emplace_back(v);
+    }
+  } else {
+    for (Var v : b.map(b.lam({arr_f64(1), f64()},
+                             [&](Builder& cc, const std::vector<Var>& q) {
+                               return point(cc, q[0], q[1], {});
+                             }),
+                       {P, ys})) {
+      outs.emplace_back(v);
+    }
+  }
+  Prog prog = pb.finish(outs);
+  typecheck(prog);
+  return prog;
+}
+
+std::vector<Value> virt_args(int64_t n, int64_t k, int64_t d, uint64_t seed) {
+  support::Rng rng(seed);
+  return {rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(k * d), -1.0, 1.0), {k, d}),
+          rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(n * d), -1.0, 1.0), {n, d}),
+          rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(n), 0.5, 1.5), {n}),
+          rt::make_f64_array(std::vector<double>(static_cast<size_t>(k * d), 0.0), {k, d})};
+}
+
+rt::InterpOptions virt_opts(VexecMode m, bool parallel) {
+  rt::InterpOptions o{.parallel = parallel, .use_kernels = true, .kernel_lanes = 8};
+  o.use_vexec = m != VexecMode::Off;
+  o.vexec_portable = m == VexecMode::Portable;
+  return o;
+}
+
+class VirtualArrayConformance : public ::testing::TestWithParam<VirtCase> {};
+
+TEST_P(VirtualArrayConformance, OneKernelBitExact) {
+  const auto [form, mode] = GetParam();
+  const Prog p = virt_prog(form);
+  // 37 points (not a lane multiple), 5 centroids, 7 coordinates.
+  const auto args = virt_args(37, 5, 7, 50 + static_cast<uint64_t>(form));
+  rt::Interp slow({.parallel = false, .use_kernels = false});
+  const auto ref = slow.run(p, args);
+  rt::Interp fast(virt_opts(mode, /*parallel=*/false));
+  const auto got = fast.run(p, args);
+  ASSERT_EQ(got.size(), ref.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    const auto& g = rt::as_array(got[r]);
+    const auto& w = rt::as_array(ref[r]);
+    EXPECT_EQ(g.shape, w.shape) << "output " << r;
+    EXPECT_EQ(rt::to_f64_vec(g), rt::to_f64_vec(w)) << "output " << r;
+  }
+  EXPECT_EQ(fast.stats().kernel_maps.load(), 1u);
+  EXPECT_EQ(fast.stats().general_maps.load(), 0u);
+}
+
+std::string virt_name(const ::testing::TestParamInfo<VirtCase>& info) {
+  static const char* forms[] = {"OneHotZeros", "OneHotVmap", "ScalarRead", "Thread1",
+                                "Thread2",     "Row1",       "Row2"};
+  static const char* modes[] = {"Avx2", "Portable", "Off"};
+  return std::string(forms[static_cast<int>(std::get<0>(info.param))]) +
+         modes[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, VirtualArrayConformance,
+    ::testing::Combine(::testing::Values(VirtForm::OneHotZeros, VirtForm::OneHotVmap,
+                                         VirtForm::ScalarRead, VirtForm::Thread1,
+                                         VirtForm::Thread2, VirtForm::Row1, VirtForm::Row2),
+                       ::testing::Values(VexecMode::Avx2, VexecMode::Portable, VexecMode::Off)),
+    virt_name);
+
+TEST(VirtualArrayConformance, EmptyCentroidsRaiseShapeError) {
+  // k = 0: argmin yields -1 and `base[argm]` is out of range in every tier.
+  for (VirtForm form : {VirtForm::OneHotZeros, VirtForm::OneHotVmap, VirtForm::Row1}) {
+    const Prog p = virt_prog(form);
+    const auto args = virt_args(9, 0, 3, 60);
+    rt::Interp slow({.parallel = false, .use_kernels = false});
+    EXPECT_THROW(slow.run(p, args), ShapeError);
+    for (VexecMode m : {VexecMode::Avx2, VexecMode::Portable, VexecMode::Off}) {
+      rt::Interp fast(virt_opts(m, /*parallel=*/false));
+      EXPECT_THROW(fast.run(p, args), ShapeError);
+      EXPECT_EQ(fast.stats().kernel_maps.load(), 1u);
+      EXPECT_EQ(fast.stats().general_maps.load(), 0u);
+    }
+  }
+}
+
+TEST(VirtualArrayConformance, OutOfRangeIndexRaisesShapeError) {
+  // Data-chosen index j = is[i] into a virtual iota-derived vmap: read it
+  // (`a[j]`) or one-hot update it (`a with [j]`), then fold the result.
+  for (bool update : {false, true}) {
+    ProgBuilder pb("oob");
+    Var is = pb.param("is", arr(ScalarType::I64, 1));
+    Var n = pb.param("n", i64());
+    Builder& b = pb.body();
+    Var out = b.map1(
+        b.lam({i64()},
+              [&](Builder& c, const std::vector<Var>& q) {
+                Var vs = c.map1(c.lam({i64()},
+                                      [](Builder& cc, const std::vector<Var>& e) {
+                                        return std::vector<Atom>{Atom(cc.to_f64(Atom(e[0])))};
+                                      }),
+                                {c.iota(Atom(n))});
+                if (!update) return std::vector<Atom>{Atom(c.index(vs, {Atom(q[0])}))};
+                Var hot = c.update(vs, {Atom(q[0])}, cf64(-1.0));
+                return std::vector<Atom>{Atom(c.reduce1(c.add_op(), cf64(0.0), {hot}))};
+              }),
+        {is});
+    Prog p = pb.finish({Atom(out)});
+    typecheck(p);
+    const std::vector<Value> ok = {rt::make_i64_array({0, 3, 1, 2}, {4}), int64_t{4}};
+    const std::vector<Value> bad = {rt::make_i64_array({0, 3, 4, 2}, {4}), int64_t{4}};
+    const std::vector<Value> neg = {rt::make_i64_array({0, -1, 1, 2}, {4}), int64_t{4}};
+    rt::Interp slow({.parallel = false, .use_kernels = false});
+    for (VexecMode m : {VexecMode::Avx2, VexecMode::Portable, VexecMode::Off}) {
+      rt::Interp fast(virt_opts(m, /*parallel=*/false));
+      EXPECT_EQ(rt::to_f64_vec(rt::as_array(fast.run(p, ok)[0])),
+                rt::to_f64_vec(rt::as_array(slow.run(p, ok)[0])));
+      for (const auto& args : {bad, neg}) {
+        EXPECT_THROW(slow.run(p, args), ShapeError) << "update=" << update;
+        EXPECT_THROW(fast.run(p, args), ShapeError) << "update=" << update;
+      }
+      EXPECT_EQ(fast.stats().kernel_maps.load(), 3u);
+      EXPECT_EQ(fast.stats().general_maps.load(), 0u);
+    }
+  }
+}
+
+TEST(VirtualArrayConformance, HeavyMapFansOutByWork) {
+  // 256 points whose reverse body loops over 16 centroids × 25 coordinates:
+  // far below the element grain, but heavy enough per element that the
+  // launch splits into chunks — observable as a privatized launch of the
+  // shared accumulator, which only a fanned-out launch privatizes.
+  const Prog p = virt_prog(VirtForm::OneHotZeros);
+  const auto args = virt_args(256, 16, 25, 70);
+  rt::Interp slow({.parallel = false, .use_kernels = false});
+  const auto ref = slow.run(p, args);
+  rt::Interp fast(virt_opts(VexecMode::Avx2, /*parallel=*/true));
+  const auto got = fast.run(p, args);
+  ASSERT_EQ(got.size(), ref.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    const auto g = rt::to_f64_vec(rt::as_array(got[r]));
+    const auto w = rt::to_f64_vec(rt::as_array(ref[r]));
+    ASSERT_EQ(g.size(), w.size());
+    for (size_t i = 0; i < g.size(); ++i) {
+      EXPECT_NEAR(g[i], w[i], 1e-12 * std::max(1.0, std::fabs(w[i]))) << r << " at " << i;
+    }
+  }
+  EXPECT_EQ(fast.stats().kernel_maps.load(), 1u);
+  EXPECT_EQ(fast.stats().privatized_launches.load(), 1u);
+  // Every update is counted: k rows of d per point into the shared accumulator.
+  EXPECT_EQ(fast.stats().privatized_updates.load(), 256u * 16u * 25u);
 }
 
 } // namespace

@@ -39,15 +39,23 @@ import sys
 # lambdas whole (the hvp's (primal, tangent) reduce pairs included), so the
 # per-point SOAC nests run as single kernel launches: measured ~770/iter.
 # Ceiling 10000 locks in >12x of the win while leaving headroom for
-# slow-machine iteration-count effects. general_maps tracks the per-point
-# lambdas the kernel tier deliberately leaves general (the argmin-driven
-# scatter body): measured ~1/iter; ceiling 50 fails CI if whole-lambda
-# kernelization silently regresses to per-point general maps.
+# slow-machine iteration-count effects. general_maps tracked the per-point
+# reverse body the kernel tier used to leave general (the argmin-driven
+# scatter body, ~1/iter, ceiling 50). One-hot virtual arrays, accumulator-
+# threading inline maps and row-bound accumulators now compile it into the
+# reverse map's kernel: measured 0/iter. Ceiling 0.5 fails CI as soon as
+# that body falls back to one general map per gradient evaluation.
 #
 # table5_gmm: the GMM objective+gradient pair used to issue ~14.1k batched
 # spans per measured iteration (per-(shape, K) launches of the log-sum-exp
 # rows); inline SOAC kernelization brings it to ~430/iter. Ceiling 5000
-# keeps >3x of the win locked in.
+# keeps >3x of the win locked in. The per-point reverse body (the argmax
+# one-hot over a value map, the adjoint row) used to run on the general
+# path, one planned lambda body per point: ~213 plan_lambda_bodies and ~0.77
+# general_maps per iteration. As one kernel: measured ~8.5 and ~0.39/iter
+# (the remaining general maps return per-row value maps). Ceilings 100 and
+# 4 keep >10x headroom; the plan_lambda_bodies ceiling is the one a
+# regression to per-point application trips.
 #
 # table4_kmeans_sparse: the optimized sparse k-means gradient ran its
 # adjoint "psum" redomap — a CSR segment loop updating accumulators — on the
@@ -64,8 +72,10 @@ import sys
 CEILINGS = [
     ("BENCH_table6_lstm.json", "batched_launches", ["npad_"], 2000, 680),
     ("BENCH_table3_kmeans.json", "batched_launches", ["ad_"], 10000, 770),
-    ("BENCH_table3_kmeans.json", "general_maps", ["ad_"], 50, 1),
+    ("BENCH_table3_kmeans.json", "general_maps", ["ad_"], 0.5, 0),
     ("BENCH_table5_gmm.json", "batched_launches", ["npad_"], 5000, 430),
+    ("BENCH_table5_gmm.json", "general_maps", ["npad_"], 4, 0.39),
+    ("BENCH_table5_gmm.json", "plan_lambda_bodies", ["npad_"], 100, 8.5),
     ("BENCH_table4_kmeans_sparse.json", "general_reduces", ["/ad"], 100, 0),
     ("BENCH_mc_transport.json", "plan_lambda_bodies", ["npad_"], 10, 0.23),
 ]
