@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   const int64_t S = bench::scale_factor();
   support::Rng rng(11);
   rt::Interp interp;
-  // All AD happens before optimization (jvp-of-vjp refuses fused/flattened
-  // forms); then each measured program runs the standard pipeline.
+  // All AD happens before optimization (jvp-of-vjp refuses fused forms);
+  // then each measured program runs the standard pipeline.
   ir::Prog cost_p = apps::kmeans_ir_cost();
   ir::typecheck(cost_p);
   ir::Prog grad_p = ad::vjp(cost_p);

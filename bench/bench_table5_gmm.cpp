@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
   const int64_t S = bench::scale_factor();
   support::Rng rng(17);
   rt::Interp interp;
-  // Differentiate first, then run the standard pipeline (fusion +
-  // flattening): GMM's per-component row sums and the prior's
-  // sum-of-squares rows become flattened segmented reductions.
+  // Differentiate first, then run the standard pipeline: GMM's
+  // per-component row sums and the prior's sum-of-squares rows run as
+  // whole-lambda kernel launches over the rows.
   ir::Prog obj_p = apps::gmm_ir_objective();
   ir::typecheck(obj_p);
   ir::Prog grad_p = ad::vjp(obj_p);

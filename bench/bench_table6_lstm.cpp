@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   const int64_t S = bench::scale_factor();
   support::Rng rng(19);
   rt::Interp interp;
-  // Differentiate first, then the standard pipeline (fusion + flattening)
-  // over both programs — the per-gate row maps are nested-parallel.
+  // Differentiate first, then the standard pipeline over both programs —
+  // the per-gate row maps are nested-parallel.
   ir::Prog obj_p = apps::lstm_ir_objective();
   ir::typecheck(obj_p);
   ir::Prog grad_p = ad::vjp(obj_p);

@@ -32,7 +32,7 @@ namespace npad::bench {
 
 // The program serving runs (serve/registry.cpp's recipe): opt::optimize, then
 // typecheck. Differentiate before optimizing — the AD passes reject fused
-// and flattened forms.
+// forms.
 inline ir::Prog serving_artifact(const ir::Prog& p) {
   ir::Prog q = opt::optimize(p);
   ir::typecheck(q);

@@ -284,7 +284,6 @@ private:
   }
 
   void map(Builder& b, const Stm& st, const OpMap& o) {
-    if (o.flat != FlatForm::None) throw ADError("jvp: differentiate before flattening");
     std::vector<Var> nargs = o.args;
     Lambda nf;
     nf.params = o.f->params;

@@ -562,7 +562,6 @@ public:
   // ----------------------------------------------------------------- map --
 
   void rev_map(Builder& b, AdjMap& adj, const Stm& st, const OpMap& o) {
-    if (o.flat != FlatForm::None) throw ADError("vjp: differentiate before flattening");
     const Lambda& f = *o.f;
     for (const auto& p : f.params) {
       if (p.type.is_acc) throw ADError("vjp: map over accumulators cannot be re-differentiated");

@@ -310,11 +310,6 @@ private:
             },
             [&](const OpMap& o) {
               lambda(*o.f);
-              // The flattening annotation selects the runtime execution
-              // strategy (and, under parallelism, float grouping), so it
-              // distinguishes signatures — like OpLoop::stripmine, unlike
-              // the stats-only `fused`.
-              t(0x18u, static_cast<uint64_t>(o.flat));
               t(0x16u, o.args.size());
               for (Var v : o.args) use(v);
             },

@@ -161,23 +161,6 @@ struct OpLoop {
 };
 
 // --- SOACs ---
-// Flattening annotation (opt/flatten.cpp): marks a map as a perfectly nested
-// *regular* form the runtime may execute collapsed instead of launching the
-// inner SOAC once per row:
-//   Inner  — map(λrow. map(g, row…)) with scalar-body g: one kernel launch
-//            over the fused n·m extent (rank-2 inputs viewed rank-1, outputs
-//            written rank-2 in place);
-//   SegRed — map(λrow. reduce/redomap(op, ne, row…)): one segmented
-//            reduction, parallel over segments, one store per segment.
-// The annotation is *semantic for execution strategy* (it changes which
-// driver runs and, under parallelism, float grouping — like
-// OpLoop::stripmine it participates in the structural signature, unlike the
-// stats-only `fused`). ir/patterns.hpp::flatten_form is the single matcher:
-// opt/flatten.cpp annotates forms it accepts, ir/typecheck.cpp rejects
-// annotations that do not match their map's structure, and the runtime falls
-// back to the general nested path when shapes or kernels do not cooperate.
-enum class FlatForm : uint8_t { None = 0, Inner = 1, SegRed = 2 };
-
 // map f xs1..xsk: accumulator-typed args are threaded whole (not indexed) and
 // accumulator-typed lambda results collapse back to a single accumulator —
 // the paper's "implicit conversion between accumulators and arrays of
@@ -192,11 +175,6 @@ struct OpMap {
   // op-specific rebuilders must carry it by hand (see "Adding a field or
   // scope to an op" in src/opt/README.md).
   uint32_t fused = 0;
-  // Flattening annotation (see FlatForm above). Carried like `fused`,
-  // except opt/fuse.cpp drops it to None when it rebuilds the lambda of a
-  // fused consumer (the body shape changed; opt/flatten.cpp runs after
-  // fusion in the pipeline and re-derives it).
-  FlatForm flat = FlatForm::None;
 };
 // reduce/scan op ne xs1..xsk, optionally in *redomap* form: when `pre` is
 // set the element-wise pre-lambda maps the elements of `args` (its params

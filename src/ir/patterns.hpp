@@ -2,8 +2,7 @@
 
 // Syntactic pattern recognizers used by the runtime fast paths and by the
 // specialized vjp rules of Section 5.1 (plus, multiplication, min/max) and
-// the vectorized-operator scan rule of Section 5.2, plus the perfectly
-// nested regular-SOAC matcher behind the flattening pass (opt/flatten.cpp).
+// the vectorized-operator scan rule of Section 5.2.
 
 #include <optional>
 
@@ -47,9 +46,8 @@ inline std::optional<BinOp> recognize_vectorized_binop(const Lambda& l) {
 
 namespace detail {
 
-// True when the lambda's body (at any nesting depth) performs accumulator
-// side effects. A collapsed launch replays the lambda outside its original
-// per-row activation, so any accumulator traffic disqualifies flattening.
+// True when the body (at any nesting depth) performs accumulator side
+// effects.
 inline bool body_has_acc_effects(const Body& b);
 inline bool exp_has_acc_effects(const Exp& e) {
   if (std::holds_alternative<OpUpdAcc>(e) || std::holds_alternative<OpWithAcc>(e)) return true;
@@ -64,41 +62,10 @@ inline bool body_has_acc_effects(const Body& b) {
   return false;
 }
 
-inline bool lambda_acc_free(const Lambda& l) {
-  for (const auto& p : l.params) {
-    if (p.type.is_acc) return false;
-  }
-  for (const auto& t : l.rets) {
-    if (t.is_acc) return false;
-  }
-  return !body_has_acc_effects(l.body);
-}
-
-// Is `v` one of the outer lambda's params, and is that param a plain rank-1
-// array (a row of a rank-2 launch argument)?
-inline bool is_rank1_param(const Lambda& f, Var v) {
-  for (const auto& p : f.params) {
-    if (p.var == v) return p.type.rank == 1 && !p.type.is_acc;
-  }
-  return false;
-}
-
-// None of `vars` may be an outer param: the collapsed launch never enters
-// the outer lambda's activation, so the row params are unavailable to
-// anything but the inner SOAC's argument list.
-inline bool none_are_params(const Lambda& f, const std::vector<Var>& vars) {
-  for (Var v : vars) {
-    for (const auto& p : f.params) {
-      if (p.var == v) return false;
-    }
-  }
-  return true;
-}
-
 } // namespace detail
 
-// All params and results scalar (rank-0, non-acc): the shape the kernel
-// compiler accepts and the fusion/flattening passes gate on.
+// All params and results scalar (rank-0, non-acc): the shape the fusion
+// pass gates reduce/scan/hist producers on.
 inline bool lambda_scalar(const Lambda& l) {
   for (const auto& p : l.params) {
     if (p.type.rank != 0 || p.type.is_acc) return false;
@@ -114,66 +81,6 @@ inline bool lambda_scalar(const Lambda& l) {
 // statement live even when it binds nothing (the vjp adjoint sweeps emit
 // zero-result maps whose lambdas upd_acc free accumulators).
 inline bool has_acc_effects(const Exp& e) { return detail::exp_has_acc_effects(e); }
-
-// Recognizes the perfectly nested regular forms opt/flatten.cpp collapses
-// (see FlatForm in ir/ast.hpp). The outer lambda must be a *perfect* nest:
-// exactly one statement — the inner SOAC — whose bound variables are
-// returned verbatim and in order. The inner SOAC's array arguments must be
-// exactly (a selection of) the outer row params; everything else it touches
-// — free variables of its lambdas, reduce neutral atoms — must come from
-// the scope *enclosing* the outer map, because the collapsed launch
-// evaluates them there. Accumulators disqualify throughout.
-inline FlatForm flatten_form(const OpMap& o) {
-  if (!o.f) return FlatForm::None;
-  const Lambda& f = *o.f;
-  if (!detail::lambda_acc_free(f)) return FlatForm::None;
-  // Perfect nest: one statement, whose bindings are the results in order.
-  if (f.body.stms.size() != 1) return FlatForm::None;
-  const Stm& st = f.body.stms[0];
-  if (f.body.result.size() != st.vars.size()) return FlatForm::None;
-  for (size_t i = 0; i < st.vars.size(); ++i) {
-    if (!f.body.result[i].is_var() || !(f.body.result[i].var() == st.vars[i])) {
-      return FlatForm::None;
-    }
-  }
-
-  if (const auto* im = std::get_if<OpMap>(&st.e)) {
-    // map(λrow. map(g, row…)) with scalar-body g over rank-1 rows.
-    if (!im->f || !lambda_scalar(*im->f)) return FlatForm::None;
-    if (im->args.empty()) return FlatForm::None;
-    for (Var q : im->args) {
-      if (!detail::is_rank1_param(f, q)) return FlatForm::None;
-    }
-    if (!detail::none_are_params(f, free_vars(*im->f))) return FlatForm::None;
-    if (detail::body_has_acc_effects(im->f->body)) return FlatForm::None;
-    return FlatForm::Inner;
-  }
-
-  if (const auto* red = std::get_if<OpReduce>(&st.e)) {
-    // map(λrow. reduce/redomap(op, ne, row…)) with a scalar fold.
-    if (!red->op || !lambda_scalar(*red->op)) return FlatForm::None;
-    if (red->args.empty()) return FlatForm::None;
-    for (Var q : red->args) {
-      if (!detail::is_rank1_param(f, q)) return FlatForm::None;
-    }
-    if (!detail::none_are_params(f, free_vars(*red->op))) return FlatForm::None;
-    if (detail::body_has_acc_effects(red->op->body)) return FlatForm::None;
-    if (red->pre) {
-      if (!lambda_scalar(*red->pre)) return FlatForm::None;
-      if (!detail::none_are_params(f, free_vars(*red->pre))) return FlatForm::None;
-      if (detail::body_has_acc_effects(red->pre->body)) return FlatForm::None;
-    }
-    // Neutral atoms are evaluated in the enclosing scope at launch time.
-    std::vector<Var> ne_vars;
-    for (const auto& a : red->neutral) {
-      if (a.is_var()) ne_vars.push_back(a.var());
-    }
-    if (!detail::none_are_params(f, ne_vars)) return FlatForm::None;
-    return FlatForm::SegRed;
-  }
-
-  return FlatForm::None;
-}
 
 inline bool is_commutative(BinOp op) {
   switch (op) {

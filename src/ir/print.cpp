@@ -197,8 +197,6 @@ public:
               lambda(*o.f, d);
               os_ << " ";
               vars(o.args);
-              if (o.flat == FlatForm::Inner) os_ << " @flat";
-              if (o.flat == FlatForm::SegRed) os_ << " @segred";
             },
             [&](const OpReduce& o) {
               os_ << (o.pre ? "redomap " : "reduce ");

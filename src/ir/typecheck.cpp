@@ -3,7 +3,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "ir/patterns.hpp"
 #include "ir/print.hpp"
 #include "ir/visit.hpp"
 
@@ -197,11 +196,6 @@ public:
                 inner[o.f->params[i].var.id] = pt;
               }
               expect(has_arr, "map needs at least one array argument");
-              // A flattening annotation must match the structure it claims:
-              // a stale @flat/@segred after a pass reshaped the lambda would
-              // otherwise silently fall back (or worse, mis-execute).
-              expect(o.flat == FlatForm::None || flatten_form(o) == o.flat,
-                     "flat annotation does not match map structure");
               auto bt = body_types(inner, o.f->body);
               std::vector<Type> rets;
               for (auto& t : bt) rets.push_back(t.is_acc ? t : lift(t));

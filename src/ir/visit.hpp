@@ -283,7 +283,7 @@ public:
               n.body = make_body(c2.body(*o.body, inner));
               return n;
             },
-            [&](const OpMap& o) -> Exp { return OpMap{L(o.f), VS(o.args), o.fused, o.flat}; },
+            [&](const OpMap& o) -> Exp { return OpMap{L(o.f), VS(o.args), o.fused}; },
             [&](const OpReduce& o) -> Exp {
               return OpReduce{L(o.op), AS(o.neutral), VS(o.args), L(o.pre), o.fused};
             },

@@ -174,9 +174,8 @@ private:
         // Reduce/scan/hist consumers only take *scalar* producers into their
         // element-wise pre-lambda: a row-level producer (rank>=1 params or
         // results) would make the pre non-scalar, which cannot
-        // kernel-compile (runtime/kernel.cpp) AND destroys the perfectly
-        // nested map(λrow. reduce…) shape opt/flatten.cpp turns into a
-        // segmented launch — strictly worse than leaving the nest alone.
+        // kernel-compile (runtime/kernel.cpp) — strictly worse than leaving
+        // the nest alone.
         if (cmap == nullptr && !lambda_scalar(*prod->f)) continue;
         // OpHist has a single vals slot, so only single-input producers can
         // fold into its pre-lambda.

@@ -23,9 +23,7 @@
 //
 // Reduce/scan/hist consumers additionally require a *scalar* producer
 // (rank-0 params and results): a row-level producer would make the
-// pre-lambda non-scalar, which cannot kernel-compile and destroys the
-// perfectly nested map(λrow. reduce…) shape opt/flatten.cpp collapses into
-// a segmented launch.
+// pre-lambda non-scalar, which cannot kernel-compile.
 //
 // A producer is fusable when it binds a single result, its lambda threads no
 // accumulators, and every use of the result is an argument position of the

@@ -10,9 +10,6 @@ ir::Prog optimize(const ir::Prog& p, const OptOptions& opts, PipelineStats* stat
   if (opts.accopt) cur = optimize_accumulators(cur, stats != nullptr ? &stats->accopt : nullptr);
   if (opts.fuse_maps) cur = fuse_maps(cur, stats != nullptr ? &stats->fuse : nullptr);
   if (opts.simplify) cur = simplify(cur);
-  if (opts.flatten_nested) {
-    cur = flatten_nested(cur, stats != nullptr ? &stats->flatten : nullptr);
-  }
   return cur;
 }
 

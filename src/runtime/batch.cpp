@@ -8,7 +8,6 @@
 #include "ir/analysis.hpp"
 #include "ir/typecheck.hpp"
 #include "ir/visit.hpp"
-#include "opt/flatten.hpp"
 #include "runtime/interp.hpp"
 #include "support/error.hpp"
 
@@ -83,11 +82,6 @@ ir::Prog make_batched_prog(const ir::Prog& p) {
   bf.body.stms.push_back(std::move(st));
 
   out.fn = std::move(bf);
-  ir::typecheck(out);
-  // Re-derive flattening over the new outer map: a program whose whole body
-  // is one SOAC becomes a single collapsed/segmented launch over the stacked
-  // axis instead of one inner launch per request.
-  out = opt::flatten_nested(out);
   ir::typecheck(out);
   return out;
 }

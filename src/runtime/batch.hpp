@@ -3,9 +3,9 @@
 // Cross-request batching support (serving): lifts a program into its batched
 // form — every parameter raised one rank, the original body becomes the
 // lambda of a single outer map over the stacked request axis — so N
-// same-program requests execute as ONE flattened launch instead of N
-// interpreter entries. This is exactly the regular-nest shape the flattener
-// and kernel tiers were built for; the serving batcher (src/serve) stacks
+// same-program requests execute as ONE launch instead of N interpreter
+// entries. This is the regular-nest shape the whole-lambda kernel runs as
+// one launch when the body kernelizes; the serving batcher (src/serve) stacks
 // request arguments with `stack_args`, runs the cached batched program, and
 // splits results back per request with `unstack_results`.
 //

@@ -414,7 +414,6 @@ public:
         case PlanStep::Kind::Scalars: run_scalar_step(b, s, env); break;
         case PlanStep::Kind::MapLaunch: run_map_step(b, s, env); break;
         case PlanStep::Kind::Loop: run_loop_step(b, s, env); break;
-        case PlanStep::Kind::If: run_if_step(b, s, env); break;
       }
       // Liveness releases run between steps on the calling thread — every
       // launch of the step has completed, so no in-flight reader exists and
@@ -425,31 +424,6 @@ public:
     out.reserve(b.result.size());
     for (const auto& a : b.result) out.push_back(eval_atom(a, env));
     return out;
-  }
-
-  // If step: the planned mirror of eval_exp's OpIf — the condition evaluates
-  // as a plan step and the taken arm runs its own nested plan in the
-  // enclosing frame (if-arm bodies are not activations; their bindings have
-  // slots in this frame). Error frames replicate the general path exactly:
-  // arm statements add their own exec_stm frames, and this step adds the
-  // same "in if binding" frame exec_stm would.
-  void run_if_step(const Body& b, const PlanStep& s, Env& env) const {
-    const Stm& st = b.stms[s.stm];
-    const auto& o = std::get<OpIf>(st.e);
-    try {
-      NPAD_FAULT_SITE("plan.if_arm", FaultKind::Chunk);
-      const bool c = as_bool(eval_atom(o.c, env));
-      stats_->plan_if_arms.fetch_add(1, std::memory_order_relaxed);
-      std::vector<Value> vals = c ? eval_body_planned(*o.tb, *s.if_true, env)
-                                  : eval_body_planned(*o.fb, *s.if_false, env);
-      assert(vals.size() == st.vars.size());
-      for (size_t i = 0; i < vals.size(); ++i) env.bind(st.vars[i], std::move(vals[i]));
-    } catch (npad::Error& err) {
-      std::string frame = "in if";
-      if (!st.vars.empty()) frame += " binding " + env.name_of(st.vars[0]);
-      err.add_context(std::move(frame));
-      throw;
-    }
   }
 
   // Scalars step: one extent-1 kernel execution replaces the folded run of
@@ -1055,20 +1029,6 @@ public:
     }
     if (n < 0) throw TypeError("map without array argument");
 
-    // Flattened nested execution (opt/flatten.cpp annotations): run the
-    // whole nest as ONE launch instead of one inner launch per row. Empty
-    // outer extents fall through so result shapes match the general path's
-    // shape discovery; any other mismatch (non-rank-2 input, irregular
-    // inner extent, non-kernelizable inner lambda, unbindable fold) also
-    // falls through to the general nested path.
-    if (o.flat != ir::FlatForm::None && acc_args.empty() && n > 0) {
-      if (o.flat == ir::FlatForm::Inner && opts_.use_kernels) {
-        if (auto r = run_flat_map(o, inputs, n, env)) return *r;
-      } else if (o.flat == ir::FlatForm::SegRed) {
-        if (auto r = run_segred(o, inputs, n, env)) return *r;
-      }
-    }
-
     if (opts_.use_kernels) {
       if (auto kopt = try_kernel(o, inputs, env)) {
         stats_->kernel_maps.fetch_add(1, std::memory_order_relaxed);
@@ -1256,11 +1216,13 @@ public:
 
   // Stream guards (runtime/kernel.hpp): a kernel whose inline SOACs consume
   // stream arguments assumed shape facts the builder could not verify — the
-  // rank of a bare free array, length agreement between the streams of one
-  // fold. A binding that violates them must not launch: the general path
+  // rank of a bare free array, length agreement between the arguments of one
+  // inline SOAC (array extents, free scalars). A binding that violates them
+  // must not launch: the general path
   // both raises the exact shape error for genuinely mismatched rows and
   // handles shape-polymorphic reuse of the lambda correctly.
-  static bool stream_guards_ok(const Kernel& k, const std::vector<ArrayVal>& arrs) {
+  static bool stream_guards_ok(const Kernel& k, const KernelLaunch& L) {
+    const std::vector<ArrayVal>& arrs = L.free_array_vals;
     for (const auto& g : k.stream_rank_guards) {
       if (static_cast<int32_t>(arrs[static_cast<size_t>(g.slot)].shape.size()) != g.rank) {
         return false;
@@ -1274,6 +1236,14 @@ public:
         return false;
       }
       if (a[static_cast<size_t>(g.dim_a)] != b[static_cast<size_t>(g.dim_b)]) return false;
+    }
+    for (const auto& g : k.stream_scalar_guards) {
+      const auto& a = arrs[static_cast<size_t>(g.slot)].shape;
+      if (static_cast<size_t>(g.dim) >= a.size() ||
+          static_cast<double>(a[static_cast<size_t>(g.dim)]) !=
+              L.free_scalar_vals[static_cast<size_t>(g.scalar)]) {
+        return false;
+      }
     }
     return true;
   }
@@ -1332,7 +1302,7 @@ public:
       if (!is_array(val)) return std::nullopt;
       L.free_array_vals[i] = as_array(val);
     }
-    if (!stream_guards_ok(*k, L.free_array_vals)) return std::nullopt;
+    if (!stream_guards_ok(*k, L)) return std::nullopt;
     for (const auto& ab : k->accs) {
       if (ab.row_len_reg >= 0) {  // row-bound: allocated by run_kernel, which knows n
         L.acc_array_vals.emplace_back();
@@ -1406,11 +1376,12 @@ public:
     if (need_pre) preamble_regs(L, pre);
     for (size_t s = 0; s < naccs; ++s) {
       if (row[s] == 0) continue;
-      // Row-bound accumulator: each iteration owns row i of a zero-filled
-      // [n][len] result (an empty launch has the general path's [0][0]).
+      // Row-bound accumulator or row result: each iteration owns row i of an
+      // [n][len] result (an empty launch has the general path's [0][0]),
+      // zero-filled for an accumulator, fully stored for a row result.
       const auto len_reg = static_cast<size_t>(k.accs[s].row_len_reg);
       const auto len = n > 0 ? static_cast<int64_t>(pre[len_reg]) : 0;
-      L.acc_array_vals[s] = alloc_launch_buf(ScalarType::F64, {n, len}, /*uninit=*/false);
+      L.acc_array_vals[s] = alloc_launch_buf(ScalarType::F64, {n, len}, k.accs[s].store);
     }
     L.lanes = launch_lanes(k);
     L.batched_spans = &stats_->batched_launches;
@@ -1520,215 +1491,6 @@ public:
     return outs;
   }
 
-  // ---------------------------------------------------- flattened nests ---
-  //
-  // Execution of the opt/flatten.cpp annotations (ir/ast.hpp FlatForm). The
-  // flattener guarantees the *structure* (perfect nest, scalar inner lambda,
-  // args = outer row params, free variables from the enclosing scope only);
-  // the runtime still re-checks everything value-dependent — input ranks,
-  // inner-extent regularity, kernel compilability, free-variable binding —
-  // and returns nullopt to fall back to the general nested path.
-
-  // Shared by both flat drivers: validates that every launch input is
-  // rank-2 with a common inner extent, then routes each inner-SOAC argument
-  // (an outer row param) to the rank-1 flat view of the corresponding
-  // launch input. Returns the common inner extent m, or nullopt to fall
-  // back to the general nested path.
-  static std::optional<int64_t> flatten_inputs(const Lambda& f,
-                                               const std::vector<Var>& inner_args,
-                                               const std::vector<ArrayVal>& inputs,
-                                               int64_t n, std::vector<ArrayVal>& flat) {
-    int64_t m = -1;
-    for (const auto& a : inputs) {
-      if (a.rank() != 2) return std::nullopt;
-      if (m < 0) m = a.shape[1];
-      if (a.shape[1] != m) return std::nullopt;
-    }
-    if (m < 0) return std::nullopt;
-    flat.reserve(inner_args.size());
-    for (Var q : inner_args) {
-      size_t pi = f.params.size();
-      for (size_t i = 0; i < f.params.size(); ++i) {
-        if (f.params[i].var == q) {
-          pi = i;
-          break;
-        }
-      }
-      if (pi >= inputs.size()) return std::nullopt;
-      ArrayVal v = inputs[pi];
-      v.shape = {n * m};
-      flat.push_back(std::move(v));
-    }
-    return m;
-  }
-
-  // FlatForm::Inner: map(λrow. map(g, row…)) over rank-2 inputs runs as one
-  // compiled-kernel launch over the fused n·m extent. Rank-2 inputs are
-  // dense row-major views, so the rank-1 reinterpretation is free; outputs
-  // are allocated flat and reshaped to rank-2 in place. Map kernels are
-  // element-wise pure, so batch boundaries straddling rows cannot change
-  // results: parallel-off output is bit-identical to per-row launches.
-  std::optional<std::vector<Value>> run_flat_map(const OpMap& o,
-                                                 const std::vector<ArrayVal>& inputs,
-                                                 int64_t n, const Env& env) const {
-    const Lambda& f = *o.f;
-    const auto* im = std::get_if<OpMap>(&f.body.stms[0].e);
-    if (im == nullptr) return std::nullopt;
-    std::vector<ArrayVal> flat;
-    const std::optional<int64_t> mo = flatten_inputs(f, im->args, inputs, n, flat);
-    if (!mo) return std::nullopt;
-    const int64_t m = *mo;
-    // Compile/bind the inner scalar lambda exactly like a rank-1 map launch
-    // (same cache, so a previously-launched inner map reuses its kernel).
-    bool hit = false;
-    const Kernel* k = KernelCache::global().get(im->f, &hit);
-    (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (k == nullptr || !k->accs.empty() || !k->row_param_slots.empty() ||
-        flat.size() != k->num_inputs) {
-      return std::nullopt;
-    }
-    KernelLaunch L;
-    L.k = k;
-    L.inputs = std::move(flat);
-    for (ir::Var v : k->free_scalars) {
-      const Value& val = env.lookup(v);
-      if (is_array(val) || is_acc(val)) return std::nullopt;
-      L.free_scalar_vals.push_back(as_f64(val));
-    }
-    for (ir::Var v : k->free_arrays) {
-      const Value& val = env.lookup(v);
-      if (!is_array(val)) return std::nullopt;
-      L.free_array_vals.push_back(as_array(val));
-    }
-    if (!stream_guards_ok(*k, L.free_array_vals)) return std::nullopt;
-    const int64_t total = n * m;
-    for (ScalarType t : k->out_elems) {
-      L.outputs.push_back(alloc_launch_buf(t, {total}, /*uninit=*/true));
-    }
-    L.lanes = launch_lanes(*k);
-    L.batched_spans = &stats_->batched_launches;
-    attach_vexec(L);
-    const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
-    const bool fanout = opts_.parallel && threads > 1 && total > opts_.grain &&
-                        !support::ThreadPool::in_parallel_region();
-    if (fanout) {
-      support::parallel_for(total, opts_.grain, [&](int64_t lo, int64_t hi) {
-        NPAD_FAULT_SITE("map.flat_chunk", FaultKind::Chunk);
-        L.run(lo, hi);
-      });
-    } else {
-      NPAD_FAULT_SITE("map.flat_chunk", FaultKind::Chunk);
-      L.run(0, total);
-    }
-    stats_->flattened_maps.fetch_add(1, std::memory_order_relaxed);
-    if (im->fused > 0) stats_->fused_maps.fetch_add(im->fused, std::memory_order_relaxed);
-    std::vector<Value> outs;
-    outs.reserve(f.rets.size());
-    for (size_t r = 0; r < f.rets.size(); ++r) {
-      ArrayVal a = L.outputs[r];
-      a.shape = {n, m};
-      outs.push_back(std::move(a));
-    }
-    return outs;
-  }
-
-  // FlatForm::SegRed: map(λrow. reduce/redomap(op, ne, row…)) runs as a
-  // segmented reduction, parallel over segments. A combinable single-input
-  // f64 fold takes a hand-rolled segmented loop that mirrors eval_reduce's
-  // tier 1 exactly (so parallel-off results are bit-identical to per-row
-  // hand folds); every other kernelizable fold reuses the compiled reduce
-  // artifact (KernelCache::get_reduce — the same cache entry the per-row
-  // path would use) through KernelLaunch::run_segred_chunk, whose
-  // per-segment folding replicates run_reduce's lane blocking for the same
-  // bit-exactness guarantee.
-  std::optional<std::vector<Value>> run_segred(const OpMap& o,
-                                               const std::vector<ArrayVal>& inputs,
-                                               int64_t n, const Env& env) const {
-    const Lambda& f = *o.f;
-    const auto* red = std::get_if<OpReduce>(&f.body.stms[0].e);
-    if (red == nullptr) return std::nullopt;
-    std::vector<ArrayVal> flat;
-    const std::optional<int64_t> mo = flatten_inputs(f, red->args, inputs, n, flat);
-    if (!mo) return std::nullopt;
-    const int64_t m = *mo;
-
-    const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
-    const int64_t total = n * m;
-    const bool fanout = opts_.parallel && threads > 1 && total > opts_.grain &&
-                        !support::ThreadPool::in_parallel_region();
-    // Segmented parallelism is across segments only. A tall-skinny nest —
-    // fewer segments than workers, each wide enough to chunk — would cap
-    // the launch at n workers, losing the intra-row parallelism the
-    // per-row kernel reduces of the general path fan out with; let the
-    // general path keep it. (Parallel-off execution never gets here, so
-    // the bit-exactness contract is unaffected.)
-    if (fanout && n < threads && m >= 2 * opts_.grain) return std::nullopt;
-    std::vector<Value> neutral;
-    neutral.reserve(red->neutral.size());
-    for (const auto& a : red->neutral) neutral.push_back(eval_atom(a, env));
-
-    // grain is calibrated in elements; segments carry m elements each.
-    const int64_t seg_grain = std::max<int64_t>(1, opts_.grain / std::max<int64_t>(1, m));
-
-    // Hand tier: the same recognizer and combine loop as eval_reduce tier 1,
-    // one segment at a time.
-    const std::optional<BinOp> bop =
-        red->pre ? std::optional<BinOp>{} : recognize_binop(*red->op);
-    if (bop && combinable_f64(*bop) && flat.size() == 1 &&
-        flat[0].elem == ScalarType::F64 && neutral.size() == 1 && !is_array(neutral[0]) &&
-        !is_acc(neutral[0])) {
-      const BinOp cb = *bop;
-      const double ne = as_f64(neutral[0]);
-      ArrayVal out = alloc_launch_buf(ScalarType::F64, {n}, /*uninit=*/true);
-      const double* in = flat[0].buf->f64() + flat[0].offset;
-      double* op = out.buf->f64();
-      const int64_t seg = m;
-      auto body = [&](int64_t slo, int64_t shi) {
-        NPAD_FAULT_SITE("segred.hand_chunk", FaultKind::Chunk);
-        for (int64_t s = slo; s < shi; ++s) {
-          double acc = ne;
-          const double* p = in + s * seg;
-          for (int64_t i = 0; i < seg; ++i) acc = combine_f64(cb, acc, p[i]);
-          op[s] = acc;
-        }
-      };
-      if (fanout) {
-        support::parallel_for(n, seg_grain, body);
-      } else {
-        body(0, n);
-      }
-      stats_->segred_launches.fetch_add(1, std::memory_order_relaxed);
-      stats_->segred_segments.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-      return std::vector<Value>{out};
-    }
-
-    // Kernel tier.
-    if (!opts_.use_kernels) return std::nullopt;
-    const Kernel* k = reduce_kernel_for(red->op, red->pre, /*scan=*/false);
-    auto L = bind_reduce_launch(k, flat, neutral, env);
-    if (!L) return std::nullopt;
-    for (size_t j = 0; j < k->reds.size(); ++j) {
-      L->outputs.push_back(alloc_launch_buf(red->op->rets[j].elem, {n}, /*uninit=*/true));
-    }
-    if (fanout) {
-      support::parallel_for(n, seg_grain, [&](int64_t lo, int64_t hi) {
-        NPAD_FAULT_SITE("segred.kernel_chunk", FaultKind::Chunk);
-        L->run_segred_chunk(lo, hi, m);
-      });
-    } else {
-      NPAD_FAULT_SITE("segred.kernel_chunk", FaultKind::Chunk);
-      L->run_segred_chunk(0, n, m);
-    }
-    stats_->segred_launches.fetch_add(1, std::memory_order_relaxed);
-    stats_->segred_segments.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-    if (red->fused > 0) stats_->fused_reduces.fetch_add(red->fused, std::memory_order_relaxed);
-    std::vector<Value> outs;
-    outs.reserve(L->outputs.size());
-    for (auto& a : L->outputs) outs.push_back(a);
-    return outs;
-  }
-
   // -------------------------------------------------------------- reduce ---
   //
   // Three tiers, fastest first:
@@ -1763,7 +1525,7 @@ public:
       if (!is_array(val)) return std::nullopt;
       L.free_array_vals.push_back(as_array(val));
     }
-    if (!stream_guards_ok(*k, L.free_array_vals)) return std::nullopt;
+    if (!stream_guards_ok(*k, L)) return std::nullopt;
     for (const auto& ab : k->accs) {
       const Value& val = env.lookup(ab.var);
       if (!is_acc(val) || as_acc(val).arr.elem != ScalarType::F64) return std::nullopt;

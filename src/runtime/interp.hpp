@@ -3,9 +3,9 @@
 // Parallel interpreter for npad IR: the execution substrate standing in for
 // the paper's GPU backend. SOACs execute on the global thread pool; scalar
 // map lambdas take the kernel-compiled fast path (runtime/kernel.hpp), with
-// compiled kernels cached process-wide (runtime/kernel_cache.hpp); regular
-// nested SOACs annotated by opt/flatten.cpp run as single collapsed or
-// segmented launches instead of one inner launch per row; variable
+// compiled kernels cached process-wide (runtime/kernel_cache.hpp); a regular
+// nest — a map whose lambda folds, maps or loops over rows — runs as one
+// whole-lambda kernel launch instead of one inner launch per row; variable
 // environments are slot-resolved flat frames (runtime/resolve.hpp); and
 // accumulator updates are privatized into per-worker buffers when profitable,
 // falling back to atomic adds. See src/runtime/README.md.
@@ -101,9 +101,6 @@ struct InterpStats {
   std::atomic<uint64_t> hand_scans{0};           // scans run through the hand binop loop
   std::atomic<uint64_t> general_scans{0};        // scans run through the interpreter
   std::atomic<uint64_t> fused_scans{0};          // producer maps folded into scan launches
-  std::atomic<uint64_t> flattened_maps{0};       // nested maps run as one collapsed launch
-  std::atomic<uint64_t> segred_launches{0};      // map-of-reduce nests run segmented
-  std::atomic<uint64_t> segred_segments{0};      // total segments folded by segred launches
   std::atomic<uint64_t> kernel_hists{0};         // hists run through compiled kernels
   std::atomic<uint64_t> general_hists{0};        // hists run through the interpreter
   std::atomic<uint64_t> fused_hists{0};          // producer maps folded into hist launches
@@ -114,7 +111,6 @@ struct InterpStats {
   std::atomic<uint64_t> plan_scalar_blocks{0};   // kernelized scalar-glue block executions
   std::atomic<uint64_t> plan_hoisted_buffers{0}; // launch buffers reused via loop hoisting
   std::atomic<uint64_t> plan_lambda_bodies{0};   // apply() calls routed through lambda-body plans
-  std::atomic<uint64_t> plan_if_arms{0};         // OpIf arms executed as nested plan steps
   std::atomic<uint64_t> arena_reuses{0};         // launch buffers recycled by arenas outside hoisted loops
   std::atomic<uint64_t> vexec_launches{0};       // spans dispatched through the vexec tier
   std::atomic<uint64_t> vexec_superinstrs{0};    // fused superinstrs in programs bound to launches
@@ -143,9 +139,8 @@ struct InterpStats {
         {"hand_scans", hand_scans.load()},
         {"general_scans", general_scans.load()},
         {"fused_scans", fused_scans.load()},
-        {"flattened_maps", flattened_maps.load()},
-        {"segred_launches", segred_launches.load()},
-        {"segred_segments", segred_segments.load()},
+        {"flattened_maps", 0},   // always 0; npadbench still reads it
+        {"segred_launches", 0},  // always 0; npadbench still reads it
         {"kernel_hists", kernel_hists.load()},
         {"general_hists", general_hists.load()},
         {"fused_hists", fused_hists.load()},
@@ -156,7 +151,7 @@ struct InterpStats {
         {"plan_scalar_blocks", plan_scalar_blocks.load()},
         {"plan_hoisted_buffers", plan_hoisted_buffers.load()},
         {"plan_lambda_bodies", plan_lambda_bodies.load()},
-        {"plan_if_arms", plan_if_arms.load()},
+        {"plan_if_arms", 0},  // always 0; npadbench still reads it
         {"arena_reuses", arena_reuses.load()},
         {"vexec_launches", vexec_launches.load()},
         {"vexec_superinstrs", vexec_superinstrs.load()},

@@ -176,6 +176,7 @@ public:
     }
     if (!any_rows) k_.row_param_slots.clear();
     if (!body(f_.body.stms)) return std::nullopt;
+    std::vector<std::pair<int32_t, ArgSrc>> row_outs;  // (slot, virtual array)
     for (size_t ri = 0; ri < f_.body.result.size(); ++ri) {
       const Atom& a = f_.body.result[ri];
       if (a.is_var() && acc_slot_.count(a.var().id)) {  // threaded acc result
@@ -187,6 +188,17 @@ public:
         continue;
       }
       Type t = f_.rets[ri];
+      if (t.rank == 1 && !t.is_acc && t.elem == ScalarType::F64 && a.is_var()) {
+        // Row result: a virtual array of preamble length, stored row-wise.
+        auto vit = virt_.find(a.var().id);
+        if (vit == virt_.end() || !preamble(trip_of(vit->second))) return std::nullopt;
+        const int32_t slot = add_acc(Var{}, -1);
+        k_.accs[static_cast<size_t>(slot)].row_len_reg = trip_of(vit->second);
+        k_.accs[static_cast<size_t>(slot)].store = true;
+        row_outs.emplace_back(slot, vit->second);
+        k_.ret_acc_slot.push_back(slot);
+        continue;
+      }
       if (t.rank != 0) return std::nullopt;
       KInstr out;
       out.op = KOp::StoreOut;
@@ -196,7 +208,7 @@ public:
       k_.out_elems.push_back(t.elem);
       k_.ret_acc_slot.push_back(-1);
     }
-    if (failed_) return std::nullopt;
+    if (!store_rows(row_outs) || failed_) return std::nullopt;
     return finish();
   }
 
@@ -424,26 +436,54 @@ private:
     k_.stream_rank_guards.push_back(Kernel::StreamRankGuard{slot, rank});
   }
 
-  void add_len_guard(const Stream& a, const Stream& b) {
-    if (a.slot == b.slot && a.nlead == b.nlead) return;  // statically equal
-    for (const auto& g : k_.stream_len_guards) {
-      if (g.slot_a == a.slot && g.dim_a == a.nlead && g.slot_b == b.slot &&
-          g.dim_b == b.nlead) {
-        return;
+  // True when lengths `a` and `b` agree: the same register, or two shape
+  // registers — a free-array extent (LoadLen) and another extent or a free
+  // scalar — tied by a bind-time guard. A binding that violates the guard
+  // falls back to the general path, which raises the exact shape error.
+  bool tie(int32_t a, int32_t b) {
+    if (a == b) return true;
+    const auto ea = extent_of(a), eb = extent_of(b);
+    if (ea.first < 0 && eb.first < 0) return false;
+    if (ea.first >= 0 && eb.first >= 0) {
+      const Kernel::StreamLenGuard g{ea.first, ea.second, eb.first, eb.second};
+      for (const auto& o : k_.stream_len_guards) {
+        if (o.slot_a == g.slot_a && o.dim_a == g.dim_a && o.slot_b == g.slot_b &&
+            o.dim_b == g.dim_b) {
+          return true;
+        }
       }
+      k_.stream_len_guards.push_back(g);
+      return true;
     }
-    k_.stream_len_guards.push_back(Kernel::StreamLenGuard{a.slot, a.nlead, b.slot, b.nlead});
+    const auto& e = ea.first >= 0 ? ea : eb;
+    const int32_t r = ea.first >= 0 ? b : a;
+    for (size_t i = 0; i < k_.free_scalar_regs.size(); ++i) {
+      if (k_.free_scalar_regs[i] != r) continue;
+      const Kernel::StreamScalarGuard g{e.first, e.second, static_cast<int32_t>(i)};
+      for (const auto& o : k_.stream_scalar_guards) {
+        if (o.slot == g.slot && o.dim == g.dim && o.scalar == g.scalar) return true;
+      }
+      k_.stream_scalar_guards.push_back(g);
+      return true;
+    }
+    return false;
+  }
+
+  // (slot, dim) of the LoadLen that writes register `r`, or (-1, 0).
+  std::pair<int32_t, int32_t> extent_of(int32_t r) const {
+    for (const auto& [key, reg] : len_reg_) {
+      if (reg == r) return {static_cast<int32_t>(key / 8), static_cast<int32_t>(key % 8)};
+    }
+    return {-1, 0};
   }
 
   // Resolves an inline SOAC's arguments to domains (virtual iota/replicate),
   // streams (rank-1 views and whole free rank-1 arrays) and virtual maps,
-  // and unifies their extents into one trip register. Iota extents and vmap
-  // trips pin the trip exactly (register equality — OpLength aliasing makes
-  // `length`-derived extents share registers); without one, the first
-  // stream's length defines the trip and bind-time guards tie the other
-  // streams to it. A stream whose length register differs from an exactly
-  // pinned trip is rejected: the equality cannot be checked until arrays
-  // are bound, and there is no guard form tying a register to a shape.
+  // and unifies their extents into one trip register: the first argument
+  // that pins the trip exactly (an iota extent, a vmap trip, a one-hot over
+  // either), else the first stream's length. Every argument's length must
+  // tie to it (`tie`: register equality — OpLength aliasing makes
+  // `length`-derived extents share registers — or a bind-time guard).
   // Returns the trip register, or -1 when the arguments fit no form.
   int32_t soac_trip(const std::vector<Var>& args, std::vector<ArgSrc>& srcs) {
     if (args.empty()) return -1;
@@ -465,32 +505,15 @@ private:
       srcs.push_back(std::move(s));
     }
     int32_t trip = -1;
-    bool exact = false;  // trip pinned by an iota extent or a vmap trip
     for (const ArgSrc& s : srcs) {
-      const int32_t t = pin_of(s);
-      if (t < 0) continue;
-      if (trip >= 0 && trip != t) return -1;
-      trip = t;
-      exact = true;
-    }
-    const ArgSrc* trip_stream = nullptr;
-    if (trip < 0) {
-      for (const ArgSrc& s : srcs) {
-        if (s.k == ArgSrc::K::StreamA) {
-          trip_stream = &s;
-          trip = s.stream.len_reg;
-          break;
-        }
-      }
-      if (trip < 0) return -1;  // replicates alone do not pin the space
+      if (trip < 0) trip = pin_of(s);
     }
     for (const ArgSrc& s : srcs) {
-      if (s.k != ArgSrc::K::StreamA) {
-        if (trip_of(s) != trip) return -1;  // vmaps and pinning one-hots: unified above
-      } else if (s.stream.len_reg != trip) {
-        if (exact) return -1;
-        add_len_guard(trip_stream->stream, s.stream);
-      }
+      if (trip < 0 && s.k == ArgSrc::K::StreamA) trip = s.stream.len_reg;
+    }
+    if (trip < 0) return -1;  // replicates alone do not pin the space
+    for (const ArgSrc& s : srcs) {
+      if (!tie(trip_of(s), trip)) return -1;
     }
     return trip;
   }
@@ -1174,6 +1197,34 @@ private:
     return true;
   }
 
+  // Fills the row results: one inline loop per distinct length, storing
+  // element j of each virtual array at [row, j] (vmap results of one loop
+  // share their inlining).
+  bool store_rows(const std::vector<std::pair<int32_t, ArgSrc>>& outs) {
+    std::vector<bool> done(outs.size(), false);
+    for (size_t i = 0; i < outs.size(); ++i) {
+      if (done[i]) continue;
+      const int32_t trip = trip_of(outs[i].second);
+      const int32_t row = row_idx();
+      OpenLoop lp = open_loop(trip);
+      for (size_t j = i; j < outs.size(); ++j) {
+        if (done[j] || trip_of(outs[j].second) != trip) continue;
+        done[j] = true;
+        KInstr in;
+        in.op = KOp::StoreIdx;
+        in.slot = outs[j].first;
+        in.a = soac_elem(outs[j].second, lp.il.ivar_reg);
+        in.nidx = 2;
+        in.idx[0] = row;
+        in.idx[1] = lp.il.ivar_reg;
+        if (failed_) return false;
+        k_.instrs.push_back(in);
+      }
+      close_loop(lp);
+    }
+    return true;
+  }
+
   // A register the launch fills before the first instruction: a free
   // scalar, or the destination of a ConstF/LoadLen.
   bool preamble(int32_t r) const {
@@ -1397,6 +1448,13 @@ void exec_span(const KernelLaunch& L, double* r, int64_t lo, int64_t hi, size_t 
           }
           break;
         }
+        case KOp::StoreIdx: {
+          auto& arr = const_cast<ArrayVal&>(L.acc_array_vals[static_cast<size_t>(in.slot)]);
+          for (int l = 0; l < W; ++l) {
+            arr.set_f64(flat_index_lane(arr, r, W, l, in.idx, in.nidx), a[l]);
+          }
+          break;
+        }
         case KOp::StoreOut: {
           if (L.scalar_out != nullptr) {  // extent-1 scalar-block mode
             L.scalar_out[in.slot] = a[0];
@@ -1503,55 +1561,8 @@ void combine_on(const KernelLaunch& L, double* r1, double* acc, const double* ot
   for (size_t j = 0; j < k.reds.size(); ++j) acc[j] = r1[k.reds[j].acc_reg];
 }
 
-// Folds elements [lo, hi) into `partials` on *prepared* register files: r1
-// is the scalar file (invariants broadcast), rw the L.lanes-wide file or
-// nullptr for scalar-only execution. The body of run_reduce, factored so
-// the segmented driver (run_segred_chunk) can fold one segment per call
-// without re-allocating files or re-broadcasting invariants. Register state
-// may be stale from a previous span: every non-invariant register is
-// written before use within an iteration (LoadElem / pre-lambda Movs feed
-// the fold), and the accumulator registers are re-seeded here.
-void reduce_span(const KernelLaunch& L, double* r1, double* rw, double* lane_scratch,
-                 int64_t lo, int64_t hi, double* partials) {
-  const Kernel& kk = *L.k;
-  const size_t nred = kk.reds.size();
-  const size_t iend = kk.instrs.size();
-  int64_t cur = lo;
-  const int W = L.lanes;
-  if (rw != nullptr && W > 1 && hi - lo >= W) {
-    // Every lane starts at the neutral element and folds one contiguous
-    // block of blk elements (lane_stride mode of exec_span); the caller's
-    // carry-in plus the lane partials are then combined in block order
-    // through the fold subprogram, so element order is preserved and the
-    // fold only needs to be associative. Block boundaries still reorder
-    // float-add *grouping* relative to a single sequential fold
-    // (runtime/README.md caveat).
-    for (size_t j = 0; j < nred; ++j) {
-      for (int l = 0; l < W; ++l) rw[kk.reds[j].acc_reg * W + l] = L.red_neutral[j];
-    }
-    const int64_t blk = (hi - cur) / W;
-    switch (W) {
-      case 4: exec_span(L, rw, cur, cur + blk, 0, iend, std::integral_constant<int, 4>{}, blk); break;
-      case 8: exec_span(L, rw, cur, cur + blk, 0, iend, std::integral_constant<int, 8>{}, blk); break;
-      case 16: exec_span(L, rw, cur, cur + blk, 0, iend, std::integral_constant<int, 16>{}, blk); break;
-      default: exec_span(L, rw, cur, cur + blk, 0, iend, W, blk); break;
-    }
-    cur += blk * W;
-    for (int l = 0; l < W; ++l) {
-      for (size_t j = 0; j < nred; ++j) lane_scratch[j] = rw[kk.reds[j].acc_reg * W + l];
-      combine_on(L, r1, partials, lane_scratch);
-    }
-  }
-  if (cur < hi) {
-    // Scalar tail: continue the running partial through the full program.
-    for (size_t j = 0; j < nred; ++j) r1[kk.reds[j].acc_reg] = partials[j];
-    exec_span(L, r1, cur, hi, 0, iend, std::integral_constant<int, 1>{});
-    for (size_t j = 0; j < nred; ++j) partials[j] = r1[kk.reds[j].acc_reg];
-  }
-}
-
 // Shared entry gate for every vexec dispatch (one textual fault site serves
-// all five drivers — site names must be unique per location). True when the
+// all four drivers — site names must be unique per location). True when the
 // launch carries a vexec attachment and the dispatch should proceed.
 bool vexec_gate(const KernelLaunch& L) {
   if (L.vx == nullptr || L.vops == nullptr) return false;
@@ -1592,51 +1603,45 @@ void KernelLaunch::run_reduce(int64_t lo, int64_t hi, double* partials) const {
     return;
   }
   const Kernel& kk = *k;
+  const size_t nred = kk.reds.size();
+  const size_t iend = kk.instrs.size();
   // Scalar register file reused for the lane combines and the tail loop.
   std::vector<double> r1(static_cast<size_t>(kk.num_regs), 0.0);
   init_invariant(*this, r1.data(), 1);
-  std::vector<double> rw;
-  if (lanes > 1 && hi - lo >= lanes) {
+  const int W = lanes;
+  if (W > 1 && hi - lo >= W) {
     if (batched_spans != nullptr) batched_spans->fetch_add(1, std::memory_order_relaxed);
-    rw.assign(static_cast<size_t>(kk.num_regs) * static_cast<size_t>(lanes), 0.0);
-    init_invariant(*this, rw.data(), lanes);
-  }
-  std::vector<double> lane(kk.reds.size());
-  reduce_span(*this, r1.data(), rw.empty() ? nullptr : rw.data(), lane.data(), lo, hi,
-              partials);
-}
-
-void KernelLaunch::run_segred_chunk(int64_t seg_lo, int64_t seg_hi, int64_t seg_len) const {
-  if (vexec_gate(*this)) {
-    vops->run_segred_chunk(*vx, *this, seg_lo, seg_hi, seg_len);
-    return;
-  }
-  const Kernel& kk = *k;
-  const size_t nred = kk.reds.size();
-  // One register-file setup for the whole chunk of segments — this is the
-  // flattening win over per-row launches: no allocation, no invariant
-  // broadcast, no environment frame per segment.
-  std::vector<double> r1(static_cast<size_t>(kk.num_regs), 0.0);
-  init_invariant(*this, r1.data(), 1);
-  std::vector<double> rw;
-  if (lanes > 1 && seg_len >= lanes) {
-    if (batched_spans != nullptr) batched_spans->fetch_add(1, std::memory_order_relaxed);
-    rw.assign(static_cast<size_t>(kk.num_regs) * static_cast<size_t>(lanes), 0.0);
-    init_invariant(*this, rw.data(), lanes);
-  }
-  std::vector<double> partials(nred), lane(nred);
-  for (int64_t s = seg_lo; s < seg_hi; ++s) {
-    for (size_t j = 0; j < nred; ++j) partials[j] = red_neutral[j];
-    reduce_span(*this, r1.data(), rw.empty() ? nullptr : rw.data(), lane.data(),
-                s * seg_len, (s + 1) * seg_len, partials.data());
+    std::vector<double> rw(static_cast<size_t>(kk.num_regs) * static_cast<size_t>(W), 0.0);
+    init_invariant(*this, rw.data(), W);
+    // Every lane starts at the neutral element and folds one contiguous
+    // block of blk elements (lane_stride mode of exec_span); the caller's
+    // carry-in plus the lane partials are then combined in block order
+    // through the fold subprogram, so element order is preserved and the
+    // fold only needs to be associative. Block boundaries still reorder
+    // float-add *grouping* relative to a single sequential fold
+    // (runtime/README.md caveat).
     for (size_t j = 0; j < nred; ++j) {
-      auto& o = const_cast<ArrayVal&>(outputs[j]);
-      switch (o.elem) {
-        case ScalarType::F64: o.set_f64(s, partials[j]); break;
-        case ScalarType::I64: o.set_i64(s, static_cast<int64_t>(partials[j])); break;
-        case ScalarType::Bool: o.set_b8(s, partials[j] != 0.0); break;
-      }
+      for (int l = 0; l < W; ++l) rw[kk.reds[j].acc_reg * W + l] = red_neutral[j];
     }
+    const int64_t blk = (hi - lo) / W;
+    switch (W) {
+      case 4: exec_span(*this, rw.data(), lo, lo + blk, 0, iend, std::integral_constant<int, 4>{}, blk); break;
+      case 8: exec_span(*this, rw.data(), lo, lo + blk, 0, iend, std::integral_constant<int, 8>{}, blk); break;
+      case 16: exec_span(*this, rw.data(), lo, lo + blk, 0, iend, std::integral_constant<int, 16>{}, blk); break;
+      default: exec_span(*this, rw.data(), lo, lo + blk, 0, iend, W, blk); break;
+    }
+    lo += blk * W;
+    std::vector<double> lane(nred);
+    for (int l = 0; l < W; ++l) {
+      for (size_t j = 0; j < nred; ++j) lane[j] = rw[kk.reds[j].acc_reg * W + l];
+      combine_on(*this, r1.data(), partials, lane.data());
+    }
+  }
+  if (lo < hi) {
+    // Scalar tail: continue the running partial through the full program.
+    for (size_t j = 0; j < nred; ++j) r1[kk.reds[j].acc_reg] = partials[j];
+    exec_span(*this, r1.data(), lo, hi, 0, iend, std::integral_constant<int, 1>{});
+    for (size_t j = 0; j < nred; ++j) partials[j] = r1[kk.reds[j].acc_reg];
   }
 }
 

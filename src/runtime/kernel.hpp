@@ -43,6 +43,13 @@
 // row. Together these forms run a per-point reverse body (k-means, GMM) as
 // one kernel launch instead of one lambda application per point.
 //
+// Row results: a rank-1 f64 lambda result that is a virtual array — a vmap
+// over row streams or domains, `zeros_like`, a one-hot array — binds the
+// same way to an [n][len] launch result (len a preamble register), filled by
+// an inline loop whose StoreIdx writes element j of row i. Row results of
+// one extent share the loop. This runs map-of-map (`map(λrow. map(g,
+// row…))`) as one launch: each lane computes a whole row.
+//
 // Sequential loops: a for-loop compiles to an InlineLoop block in counted
 // form — carried registers seeded from `init`, written back every trip,
 // trip count from `count`. A count that may differ between lanes (a CSR
@@ -65,21 +72,23 @@
 // sequential per-iteration subprogram run in lockstep across the outer
 // lanes, with no per-row launch, no environment frame and no materialized
 // iota/replicate array. This is what turns a dot-product row lambda (8
-// fused redomaps + glue) into ONE kernel launch per row.
+// fused redomaps + glue) into ONE kernel launch per row. The vexec tier runs
+// the two commonest fold bodies as fused loops: a dot product over two
+// streams and a one-stream fold (`Gather, Add, Mov` — map-of-sum).
 //
 // Stream arguments: inline SOACs also accept *real* rank-1 arrays as
 // arguments — a row view `index(A, leads…)` of a free array, or a whole
 // free rank-1 array — consumed element-by-element inside the inline loop
 // via full-indexing Gathers ([leads…, ivar]). The trip count is the first
 // stream's length (a LoadLen of the base array's dim `nlead`, launch-
-// invariant). Shape facts the builder cannot see statically — the rank of
-// a bare free array, length agreement between the streams of one fold —
-// are recorded as stream guards on the Kernel and validated when the free
-// arrays are bound: a violating binding makes the launch fall back to the
-// general interpreter, which raises the exact shape error (or handles the
-// shapes generically). Mixing virtual domains and streams in one SOAC is
-// rejected — an iota extent cannot be checked against a stream length at
-// bind time.
+// invariant) unless an iota or vmap argument pins it. Shape facts the
+// builder cannot see statically — the rank of a bare free array, length
+// agreement between the arguments of one SOAC (two array extents, or an
+// extent and a free scalar such as an iota's) — are recorded as stream
+// guards on the Kernel and validated when the launch is bound: a violating
+// binding makes the launch fall back to the general interpreter, which
+// raises the exact shape error (or handles the shapes generically).
+// Lengths no guard can tie (computed extents) reject the lambda.
 
 #include <atomic>
 #include <optional>
@@ -104,6 +113,7 @@ enum class KOp : uint8_t {
   LoadElem,   // dst = input[slot] element at current iteration
   Gather,     // dst = free_array[slot][flatten(idx regs)]
   UpdAcc,     // acc_array[slot][flatten(idx regs)] += reg a (atomic)
+  StoreIdx,   // acc_array[slot][flatten(idx regs)] = reg a (row results)
   StoreOut,   // output[slot] element at current iteration = reg a
   LoadLen,    // dst = extent of free_array[slot] along dim max(b, 0) (launch-invariant)
   LoadIdx,    // dst = current iteration index (per lane; row streams, row accumulators)
@@ -128,11 +138,14 @@ struct Kernel {
   // result. It binds to a zero-filled [n][len] launch result (len = the
   // preamble register row_len_reg), its UpdAccs carry the iteration index
   // (LoadIdx) as their leading index, and they are always plain adds: every
-  // iteration owns its row.
+  // iteration owns its row. With `store` set the slot is a row result rather
+  // than an accumulator: StoreIdx overwrites each element of its row once,
+  // so its [n][len] buffer needs no zero-fill.
   struct AccBinding {
     ir::Var var;
     int32_t param_index = -1;
     int32_t row_len_reg = -1;
+    bool store = false;
   };
 
   // Reduction register pair (reduce/scan kernels; empty for map kernels).
@@ -183,8 +196,9 @@ struct Kernel {
 
   // Stream guards: shape facts a stream-consuming inline SOAC assumed at
   // compile time but that only the bound arrays can confirm. Checked against
-  // free_array_vals at every bind (interp's stream_guards_ok); any failure
-  // falls the launch back to the general path.
+  // free_array_vals and free_scalar_vals at every bind (interp's
+  // stream_guards_ok); any failure falls the launch back to the general
+  // path.
   struct StreamRankGuard {
     int32_t slot = -1;   // free-array slot
     int32_t rank = 0;    // required rank of the bound array
@@ -192,6 +206,10 @@ struct Kernel {
   struct StreamLenGuard {
     int32_t slot_a = -1, dim_a = 0;  // shape[dim_a] of free_array[slot_a]
     int32_t slot_b = -1, dim_b = 0;  // must equal shape[dim_b] of free_array[slot_b]
+  };
+  struct StreamScalarGuard {
+    int32_t slot = -1, dim = 0;  // shape[dim] of free_array[slot]
+    int32_t scalar = -1;         // must equal free scalar number `scalar`
   };
 
   std::vector<KInstr> instrs;
@@ -204,7 +222,8 @@ struct Kernel {
   std::vector<ir::Var> free_arrays;
   std::vector<AccBinding> accs;          // accumulator targets
   // Per lambda result: acc slot (threaded accumulator, or the [n][len] array
-  // of a row-bound one) or -1 (a scalar StoreOut output).
+  // of a row-bound accumulator or row result) or -1 (a scalar StoreOut
+  // output).
   std::vector<int32_t> ret_acc_slot;
   std::vector<ScalarType> out_elems;     // one per scalar output
   size_t num_inputs = 0;                 // element-wise inputs (non-acc args)
@@ -216,6 +235,7 @@ struct Kernel {
   bool uniform_trips = true;
   std::vector<StreamRankGuard> stream_rank_guards;
   std::vector<StreamLenGuard> stream_len_guards;
+  std::vector<StreamScalarGuard> stream_scalar_guards;
   // Row-stream parameters (map kernels): one entry per non-acc argument
   // position. -1 = element input (rank-1, LoadElem slot in order); >= 0 =
   // the free-array slot the rank-2 argument binds into, with the param
@@ -277,7 +297,7 @@ struct KernelLaunch {
   double* scalar_out = nullptr;
 
   // Vectorized execution tier (runtime/vexec.hpp): when `vx` and `vops` are
-  // both set, run/run_reduce/run_segred_chunk/run_scan_chunk/run_hist_chunk
+  // both set, run/run_reduce/run_scan_chunk/run_hist_chunk
   // dispatch to the pre-decoded SIMD schedule instead of the register
   // machine — bit-exact by contract, so binding it is purely a speed choice.
   // Vexec entries are keyed by kernel address, which is sound because `k` is
@@ -298,18 +318,6 @@ struct KernelLaunch {
   // (associative folds suffice) but float-add grouping changes relative to
   // a sequential fold (see runtime/README.md).
   void run_reduce(int64_t lo, int64_t hi, double* partials) const;
-
-  // Segmented reduction driver (flattened map-of-reduce, FlatForm::SegRed):
-  // inputs are the rank-1 *flattened* views of the nest's rank-2 arguments
-  // (segment s occupies elements [s*seg_len, (s+1)*seg_len)); for each
-  // segment in [seg_lo, seg_hi) the fold runs into the accumulator
-  // registers seeded with the neutral element and stores one result per
-  // fold slot into outputs[j][s]. Register files and invariant broadcasts
-  // are prepared once per chunk — no per-segment (per-row) launch setup.
-  // Each segment folds exactly like run_reduce over the same extent with
-  // the same lane width (lane-blocked when seg_len >= lanes, scalar tail),
-  // so parallel-off results are bit-identical to per-row kernel reduces.
-  void run_segred_chunk(int64_t seg_lo, int64_t seg_hi, int64_t seg_len) const;
 
   // Scan kernels: sequentially scans [lo, hi), writing each updated
   // accumulator to the outputs; `carry` is the running accumulator in/out.

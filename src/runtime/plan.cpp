@@ -110,7 +110,7 @@ std::unique_ptr<const Plan> compile_body_plan(const Body& body, uint64_t* nplans
       for (const auto& p : m->f->params) {
         if (!p.type.is_acc && p.type.rank != 0) scalar_params = false;
       }
-      if (m->flat == FlatForm::None && scalar_params) {
+      if (scalar_params) {
         if (const Kernel* k = KernelCache::global().get(m->f)) {
           PlanStep s;
           s.kind = PlanStep::Kind::MapLaunch;
@@ -133,24 +133,6 @@ std::unique_ptr<const Plan> compile_body_plan(const Body& body, uint64_t* nplans
         s.stm = static_cast<uint32_t>(i);
         s.loop_body = compile_body_plan(*lp->body, nplans);
         s.hoist_buffers = true;
-        attach_releases(lv, i, i + 1, s);
-        plan->steps.push_back(std::move(s));
-        ++i;
-        continue;
-      }
-    }
-    // OpIf arms get nested plans run in the enclosing frame when at least
-    // one arm carries structure worth planning; trivial scalar ifs stay on
-    // the general evaluator (same results, less indirection).
-    if (const auto* br = std::get_if<OpIf>(&stms[i].e)) {
-      auto tb = compile_body_plan(*br->tb, nplans);
-      auto fb = compile_body_plan(*br->fb, nplans);
-      if (plan_earns_keep(*tb) || plan_earns_keep(*fb)) {
-        PlanStep s;
-        s.kind = PlanStep::Kind::If;
-        s.stm = static_cast<uint32_t>(i);
-        s.if_true = std::move(tb);
-        s.if_false = std::move(fb);
         attach_releases(lv, i, i + 1, s);
         plan->steps.push_back(std::move(s));
         ++i;

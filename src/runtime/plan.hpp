@@ -18,14 +18,10 @@
 //             loop-buffer ring so launch scratch is acquired once and
 //             recycled across iterations (double-buffered across the carry)
 //             instead of round-tripping the global pool;
-//   If        an OpIf whose arms carry plannable structure: the condition is
-//             evaluated as a plan step and each arm gets its own nested plan
-//             running in the enclosing frame (if-arms are not activations),
-//             so planned regions no longer shatter at every branch;
 //   General   everything else — the step evaluates that one statement
 //             through the ordinary interpreter (eval_exp), preserving exact
 //             semantics for anything non-plannable (while loops,
-//             data-dependent extents, reduces/scans/hists, ...).
+//             data-dependent extents, reduces/scans/hists, ifs, ...).
 //
 // Beyond the top-level body, plans are also compiled for every lambda body
 // the evaluator enters through EvalCtx::apply() (general-path map elements,
@@ -73,7 +69,7 @@ namespace npad::rt {
 struct Plan;
 
 struct PlanStep {
-  enum class Kind : uint8_t { General, Scalars, MapLaunch, Loop, If };
+  enum class Kind : uint8_t { General, Scalars, MapLaunch, Loop };
 
   Kind kind = Kind::General;
   uint32_t stm = 0;    // index into the planned body's stms
@@ -94,9 +90,6 @@ struct PlanStep {
   std::unique_ptr<const Plan> loop_body;
   bool hoist_buffers = false;
 
-  // If: per-arm nested plans, run in the enclosing frame.
-  std::unique_ptr<const Plan> if_true, if_false;
-
   // Liveness release list (ir/liveness.hpp): vars bound by the planned body
   // whose last use falls in this step's statement range; the evaluator
   // clears their slots after the step completes.
@@ -115,9 +108,9 @@ struct ProgPlans {
   std::unordered_map<const ir::Lambda*, std::unique_ptr<const Plan>> lambdas;
 };
 
-// Lowers `body` into a plan (recursing into plannable loop bodies and OpIf
-// arms). `nplans`, when set, is incremented once per plan object compiled
-// (including nested loop-body and if-arm plans) — the
+// Lowers `body` into a plan (recursing into plannable loop bodies).
+// `nplans`, when set, is incremented once per plan object compiled
+// (including nested loop-body plans) — the
 // InterpStats::plans_compiled feed.
 std::unique_ptr<const Plan> compile_plan(const ir::Body& body, uint64_t* nplans = nullptr);
 

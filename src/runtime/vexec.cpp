@@ -64,6 +64,7 @@ Usage analyze(const Kernel& k) {
         rd(in.a);
         break;
       case KOp::UpdAcc:
+      case KOp::StoreIdx:
         rd(in.a);
         for (int32_t d = 0; d < in.nidx; ++d) rd(in.idx[d]);
         break;
@@ -132,6 +133,7 @@ VOp map_op(KOp op) {
     case KOp::LoadIdx: return VOp::LoadIdx;
     case KOp::Gather: return VOp::Gather;
     case KOp::UpdAcc: return VOp::UpdAcc;
+    case KOp::StoreIdx: return VOp::StoreIdx;
     case KOp::StoreOut: return VOp::StoreOut;
     case KOp::CheckIdx: return VOp::CheckIdx;
     default: return VOp::Mov;  // unreachable
@@ -157,7 +159,10 @@ bool body_writes(const Kernel& k, const Kernel::InlineLoop& il, int32_t reg) {
   if (reg == il.ivar_reg) return true;
   for (uint32_t i = il.body_begin; i < il.body_end; ++i) {
     const KInstr& in = k.instrs[i];
-    if (in.op == KOp::StoreOut || in.op == KOp::UpdAcc || in.op == KOp::InlineLoop) continue;
+    if (in.op == KOp::StoreOut || in.op == KOp::UpdAcc || in.op == KOp::StoreIdx ||
+        in.op == KOp::InlineLoop) {
+      continue;
+    }
     if (in.dst == reg) return true;
   }
   return false;
@@ -178,9 +183,9 @@ bool stream_access(const Kernel& k, const Kernel::InlineLoop& il, const KInstr& 
   return true;
 }
 
-// Recognizes the two dominant InlineLoop shapes and fills the fused VLoop
-// fields (register space). Returns the marker op to emit: DotLoop /
-// Axpy2Loop when fused, Loop otherwise.
+// Recognizes the dominant InlineLoop shapes and fills the fused VLoop
+// fields (register space). Returns the marker op to emit: DotLoop (dot
+// product or one-stream fold) / Axpy2Loop when fused, Loop otherwise.
 VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u, VLoop& vl) {
   // Multi-accumulator folds never match the single-acc fused forms, and a
   // counted loop's trip bounds none of its streams.
@@ -211,6 +216,20 @@ VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u,
       vl.a_slot = sig[0]->slot;
       vl.b_slot = sig[1]->slot;
       vl.dot_flags = static_cast<uint8_t>((mul_bw ? 1 : 0) | (add_pa ? 2 : 0));
+      return VOp::DotLoop;
+    }
+  }
+
+  // One-stream fold: Gather, Add(with acc), Mov(-> acc) — map-of-sum.
+  if (sig.size() == 3 && il.acc_reg >= 0 && il.neutral_reg >= 0 &&
+      sig[0]->op == KOp::Gather && sig[1]->op == KOp::Add && sig[2]->op == KOp::Mov) {
+    const int32_t t1 = sig[0]->dst, t2 = sig[1]->dst;
+    const bool add_ea = sig[1]->a == t1 && sig[1]->b == il.acc_reg;
+    const bool add_ae = sig[1]->a == il.acc_reg && sig[1]->b == t1;
+    if (u.ok_temp(t1) && u.ok_temp(t2) && (add_ea || add_ae) && sig[2]->dst == il.acc_reg &&
+        sig[2]->a == t2 && stream_access(k, il, *sig[0], vl.a_idx, vl.a_nidx)) {
+      vl.a_slot = sig[0]->slot;
+      vl.dot_flags = static_cast<uint8_t>(add_ea ? 2 : 0);
       return VOp::DotLoop;
     }
   }
@@ -346,7 +365,8 @@ void subst_read(VInstr& in, int32_t from, int32_t to) {
 
 bool produces_value(const VInstr& in) {
   switch (in.op) {
-    case VOp::StoreOut: case VOp::UpdAcc: case VOp::MulStore: case VOp::AddStore:
+    case VOp::StoreOut: case VOp::UpdAcc: case VOp::StoreIdx: case VOp::MulStore:
+    case VOp::AddStore:
     case VOp::Loop: case VOp::DotLoop: case VOp::Axpy2Loop:
       return false;
     default:

@@ -19,10 +19,11 @@
 //     coalesced away. Every fused handler keeps each intermediate's own
 //     IEEE rounding — fusion amortizes dispatch, it NEVER contracts to a
 //     hardware FMA (the engine TUs build with -ffp-contract=off).
-//  3. Whole-loop micro-kernels: the two dominant InlineLoop shapes — the
-//     dot-product fold (gather·gather → mul → fold-add) and the backward
-//     dual-scatter (two gathers, two scaled products, two UpdAcc streams)
-//     — run as single handlers over precomputed per-lane streams, instead
+//  3. Whole-loop micro-kernels: the dominant InlineLoop shapes — the
+//     dot-product fold (gather·gather → mul → fold-add), its one-stream
+//     variant (gather → fold-add) and the backward dual-scatter (two
+//     gathers, two scaled products, two UpdAcc streams) — run as single
+//     handlers over precomputed per-lane streams, instead
 //     of per-trip dispatch through a recursive span. Any other loop body
 //     runs through a generic in-place trip loop.
 //
@@ -48,7 +49,7 @@ enum class VOp : uint8_t {
   Eq, Ne, Lt, Le, Gt, Ge, And, Or,
   Neg, Exp, Log, Sqrt, Sin, Cos, Tanh, Abs, Sign, LGamma, Digamma, Not, Trunc,
   Select,
-  LoadElem, LoadIdx, Gather, UpdAcc, StoreOut, CheckIdx,
+  LoadElem, LoadIdx, Gather, UpdAcc, StoreIdx, StoreOut, CheckIdx,
   // superinstructions (fused adjacent pairs; flags bit 0 = swapped operand
   // order of the second op, preserving IEEE NaN-propagation order)
   MulAdd,     // d = (a*b) + c     [flag: d = c + (a*b)]
@@ -62,7 +63,7 @@ enum class VOp : uint8_t {
   AddStore,   // output[slot] element = a + b
   // inline SOAC blocks (slot = VProgram::loops index)
   Loop,       // generic: run [body_begin, body_end) trip times
-  DotLoop,    // fused dot-product fold (falls back to the body on non-f64)
+  DotLoop,    // fused dot-product or one-stream fold (falls back to the body on non-f64)
   Axpy2Loop,  // fused dual-scatter map loop (same fallback)
 };
 
@@ -81,13 +82,14 @@ struct VLoop {
   int32_t trip = -1, ivar = -1, acc = -1, neutral = -1;
   // Multi-result folds: accumulators 1..k-1, seeded on entry like acc.
   std::vector<int32_t> accs2, neutrals2;
-  // DotLoop: acc folds A[baseA(l)+t] * B[baseB(l)+t] over t in [0, trip).
+  // DotLoop: acc folds A[baseA(l)+t] * B[baseB(l)+t] over t in [0, trip),
+  // or A[baseA(l)+t] alone for a one-stream fold (b_slot < 0).
   // a_/b_idx hold the leading (loop-invariant) gather index offsets; the
   // trailing index is the loop variable, stride 1 by full-indexing.
   int32_t a_slot = -1, b_slot = -1;
   int32_t a_idx[3] = {-1, -1, -1}, b_idx[3] = {-1, -1, -1};
   int32_t a_nidx = 0, b_nidx = 0;
-  uint8_t dot_flags = 0;  // bit0: product computed as B*A; bit1: fold is prod+acc
+  uint8_t dot_flags = 0;  // bit0: product computed as B*A; bit1: fold is elem+acc
   // Axpy2Loop: p1 = mul1, p2 = mul2 (each an invariant scalar times one of
   // the gathered streams), then acc[u1_slot][u1_idx...,t] += {p1|p2} and
   // acc[u2_slot][...] += the other, in instruction-major lane order.
@@ -137,8 +139,6 @@ struct Ops {
   void (*run)(const Entry&, const KernelLaunch&, int64_t lo, int64_t hi);
   void (*run_reduce)(const Entry&, const KernelLaunch&, int64_t lo, int64_t hi,
                      double* partials);
-  void (*run_segred_chunk)(const Entry&, const KernelLaunch&, int64_t seg_lo, int64_t seg_hi,
-                           int64_t seg_len);
   void (*run_scan_chunk)(const Entry&, const KernelLaunch&, int64_t lo, int64_t hi,
                          double* carry);
   int64_t (*run_hist_chunk)(const Entry&, const KernelLaunch&, int64_t lo, int64_t hi,

@@ -92,7 +92,7 @@ int64_t sz(const SizeMap& size, const SizeMap& defaults, const char* key) {
 }
 
 // AD prep mirrors the paper-table benches: differentiate the *pre-fusion*
-// primal (the AD passes reject fused/flattened forms), then optimize both.
+// primal (the AD passes reject fused forms), then optimize both.
 std::pair<ir::Prog, ir::Prog> build_vjp(ir::Prog primal) {
   ir::typecheck(primal);
   ir::Prog grad = ad::vjp(primal);

@@ -6,7 +6,7 @@
 // launch surfaces as a typed `npad::Error`, all resources unwind, and an
 // immediate retry reproduces the fault-free result bit-exact — is only worth
 // stating if something *proves* it. This injector instruments every
-// interesting failure point (pool allocations, worker chunks, segmented and
+// interesting failure point (pool allocations, worker chunks, reduction and
 // histogram merges, general-interpreter frames) with a named *site*; a test
 // driver then sweeps: count the crossings of every site under a workload,
 // arm each (site, occurrence) pair in turn, and assert the typed error, the

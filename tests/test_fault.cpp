@@ -37,7 +37,6 @@
 #include "core/ad.hpp"
 #include "ir/builder.hpp"
 #include "ir/typecheck.hpp"
-#include "opt/flatten.hpp"
 #include "opt/fuse.hpp"
 #include "opt/pipeline.hpp"
 #include "runtime/buffer_pool.hpp"
@@ -230,15 +229,10 @@ Prog map_of_dot_prog() {
   return pb.finish({Atom(out)});
 }
 
-Prog flatten_prep(Prog p, bool fuse_first) {
+Prog fuse_prep(Prog p) {
   typecheck(p);
-  if (fuse_first) {
-    npad::opt::FuseStats fs;
-    p = npad::opt::fuse_maps(p, &fs);
-    typecheck(p);
-  }
-  npad::opt::FlattenStats st;
-  Prog q = npad::opt::flatten_nested(p, &st);
+  npad::opt::FuseStats fs;
+  Prog q = npad::opt::fuse_maps(p, &fs);
   typecheck(q);
   return q;
 }
@@ -267,29 +261,31 @@ TEST(FaultSweep, KernelMap) {
 }
 
 TEST(FaultSweep, GeneralMapOfSum) {
-  // Array-typed lambda params keep the outer map on the general path.
+  // Kernels off: the outer map takes the general path, one apply() per row.
   npad::support::Rng rng(12);
   Prog p = map_of_sum_prog();
-  sweep_case("general_map_of_sum", prog_runner(std::move(p), {rand_f64(rng, {4096, 8})}));
+  InterpOptions opts;
+  opts.use_kernels = false;
+  sweep_case("general_map_of_sum",
+             prog_runner(std::move(p), {rand_f64(rng, {4096, 8})}, opts));
 }
 
-TEST(FaultSweep, FlattenedMapOfMap) {
+// Regular nests run as one whole-lambda kernel launch over the rows
+// (map.kernel_chunk): a row result, a one-stream fold and a fused dot.
+TEST(FaultSweep, KernelMapOfMap) {
   npad::support::Rng rng(13);
-  Prog q = flatten_prep(map_of_map_prog(), false);
-  sweep_case("flattened_map_of_map", prog_runner(std::move(q), {rand_f64(rng, {512, 64})}));
+  sweep_case("kernel_map_of_map", prog_runner(map_of_map_prog(), {rand_f64(rng, {512, 64})}));
 }
 
-TEST(FaultSweep, SegmentedHandReduction) {
+TEST(FaultSweep, KernelMapOfSum) {
   npad::support::Rng rng(14);
-  Prog q = flatten_prep(map_of_sum_prog(), false);
-  sweep_case("segred_hand", prog_runner(std::move(q), {rand_f64(rng, {4096, 8})}));
+  sweep_case("kernel_map_of_sum", prog_runner(map_of_sum_prog(), {rand_f64(rng, {4096, 8})}));
 }
 
-TEST(FaultSweep, SegmentedKernelReduction) {
+TEST(FaultSweep, KernelMapOfDot) {
   npad::support::Rng rng(15);
-  Prog q = flatten_prep(map_of_dot_prog(), true);
   ArrayVal a = rand_f64(rng, {4096, 8}), b = rand_f64(rng, {4096, 8});
-  sweep_case("segred_kernel", prog_runner(std::move(q), {a, b}));
+  sweep_case("kernel_map_of_dot", prog_runner(fuse_prep(map_of_dot_prog()), {a, b}));
 }
 
 TEST(FaultSweep, HandReduce) {
@@ -519,7 +515,7 @@ TEST(FaultSweep, PlannedLoop) {
 
 TEST(FaultSweep, PlannedBranchesAndLambdas) {
   // The plan layer's branch/lambda/arena control flow: a planned for-loop
-  // whose body is an OpIf with kernelizable arms (plan.if_arm inside
+  // whose body is an OpIf with kernelizable arms (general steps inside
   // plan.loop_iter), a general-path outer map whose lambda body carries its
   // own tabled plan (plan.apply_body), and launch arenas recycling
   // sole-owner intermediates (plan.arena_acquire). Plans pinned on so these
@@ -553,7 +549,7 @@ TEST(FaultSweep, PlannedBranchesAndLambdas) {
             });
         return std::vector<Atom>{Atom(picked[0])};
       });
-  // Top-level OpIf with kernelizable arms: compiles to an If plan step.
+  // Top-level OpIf with kernelizable arms: a General plan step.
   Var cnd = b.gt(x, cf64(0.0));
   std::vector<Var> branched = b.if_(
       Atom(cnd),
@@ -709,14 +705,13 @@ TEST(FaultSweep, AtLeastTwentyDistinctSitesExercised) {
   EXPECT_TRUE(sites.count("threadpool.chunk")) << all;
   EXPECT_TRUE(sites.count("loop.iter")) << all;
   // The execution-plan layer: cache acquisition, step execution, the
-  // per-iteration site inside planned loops, planned lambda bodies and OpIf
-  // arms, and arena buffer handout. The PlannedLoop / PlannedBranchesAndLambdas
-  // sweeps pin use_plans on, so these hold on the NPAD_USE_PLANS=0 CI leg too.
+  // per-iteration site inside planned loops, planned lambda bodies, and arena
+  // buffer handout. The PlannedLoop / PlannedBranchesAndLambdas sweeps pin
+  // use_plans on, so these hold on the NPAD_USE_PLANS=0 CI leg too.
   EXPECT_TRUE(sites.count("plan.compile")) << all;
   EXPECT_TRUE(sites.count("plan.step")) << all;
   EXPECT_TRUE(sites.count("plan.loop_iter")) << all;
   EXPECT_TRUE(sites.count("plan.apply_body")) << all;
-  EXPECT_TRUE(sites.count("plan.if_arm")) << all;
   EXPECT_TRUE(sites.count("plan.arena_acquire")) << all;
   // The vectorized execution tier: when vexec is on (the default; the
   // NPAD_VEXEC=0 CI leg disables it), the sweeps above dispatch through the

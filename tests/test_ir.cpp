@@ -264,7 +264,7 @@ std::vector<ScopeCase> scope_cases(Builder& b) {
       {"while", wl, {{wl.body.get(), {x}}, expected_lambda_scope(wl.while_cond)}});
 
   LambdaPtr f = square();
-  cases.push_back({"map", OpMap{f, {xs}, /*fused=*/3, FlatForm::Inner},
+  cases.push_back({"map", OpMap{f, {xs}, /*fused=*/3},
                    {expected_lambda_scope(f)}});
 
   for (bool with_pre : {false, true}) {
@@ -338,7 +338,6 @@ TEST(Ir, MapNestedKeepsNonScopeFields) {
     if (const auto* o = std::get_if<OpMap>(&c.e)) {
       const auto& n = std::get<OpMap>(out);
       EXPECT_EQ(n.fused, o->fused);
-      EXPECT_EQ(n.flat, o->flat);
       EXPECT_EQ(n.args, o->args);
       EXPECT_EQ(n.f->params.size(), o->f->params.size());
       EXPECT_EQ(n.f->rets, o->f->rets);

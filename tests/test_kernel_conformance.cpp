@@ -8,10 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "ir/builder.hpp"
 #include "ir/typecheck.hpp"
-#include "opt/flatten.hpp"
 #include "opt/fuse.hpp"
 #include "runtime/interp.hpp"
 #include "support/rng.hpp"
@@ -853,18 +853,16 @@ TEST(RedomapConformance, GeneralFallbackHandlesRedomap) {
   for (size_t i = 0; i < sgot.size(); ++i) EXPECT_NEAR(sgot[i], sref[i], 1e-12) << i;
 }
 
-// ------------------------------------------------- flattened nested nests
+// --------------------------------------------------------- regular nests
 //
-// The flattening annotations (opt/flatten.cpp) must execute bit-identically
-// to the general nested path under the same interpreter options with
-// parallel off: the collapsed map kernel is element-wise pure (batch
-// boundaries straddling rows cannot change anything), the hand segmented
-// reduce mirrors eval_reduce's tier-1 loop per segment, and
-// run_segred_chunk replicates run_reduce's lane blocking per segment. The
-// grid covers {collapsed, segmented-hand, segmented-kernel(LSE),
-// segmented-fused-dot} x {W=1,8} x {empty outer, empty inner row, odd,
-// larger} shapes; segments are independent, so even parallel execution of
-// a flattened nest is bit-exact and one grid point asserts that too.
+// A map over the rows of rank-2 arrays whose lambda maps, folds or returns
+// whole rows runs as ONE whole-lambda kernel launch: inline folds over row
+// streams (vexec's fused dot and one-stream loops), and row results — a
+// rank-1 virtual result stored row by row into an [n][len] launch output.
+// With parallelism off every output is bit-identical (compared as bits, so
+// signed zeros count) to the general interpreter with kernels off, on the
+// AVX2, portable and register-machine tiers, at W = 1 and 8, over empty
+// outer, empty inner row, odd and larger shapes.
 
 // map(λrow. map(g, row)) — rank-2 in, rank-2 out, affine+tanh scalar body.
 Prog nested_map_prog() {
@@ -888,7 +886,7 @@ Prog nested_map_prog() {
   return p;
 }
 
-// map(λrow. reduce(+, 0, row)) — the hand-tier segmented reduction.
+// map(λrow. reduce(+, 0, row)) — a one-stream inline fold.
 Prog nested_sum_prog() {
   ProgBuilder pb("ns");
   Var xss = pb.param("xss", arr_f64(2));
@@ -904,7 +902,7 @@ Prog nested_sum_prog() {
   return p;
 }
 
-// map(λrow. reduce(lse, -inf, row)) — a multi-statement kernel-tier fold.
+// map(λrow. reduce(lse, -inf, row)) — a multi-statement inline fold.
 Prog nested_lse_prog() {
   ProgBuilder pb("nl");
   Var xss = pb.param("xss", arr_f64(2));
@@ -950,184 +948,263 @@ Prog nested_dot_prog() {
   return p;
 }
 
-enum class FlatKind { Collapsed, SegHand, SegLse, SegDot };
+// Row results next to a scalar: (Σ row, map(g, row)) — one vmap over the
+// row stream — and, with `two`, (Σ row, map(λj. j·s, iota m), replicate m s)
+// — an iota vmap and a replicate of a per-row scalar.
+Prog row_results_prog(bool two) {
+  ProgBuilder pb(two ? "rr2" : "rr1");
+  Var xss = pb.param("xss", arr_f64(2));
+  Builder& b = pb.body();
+  std::vector<Var> outs = b.map(
+      b.lam({arr_f64(1)},
+            [two](Builder& c, const std::vector<Var>& row) {
+              Var s = c.reduce1(c.add_op(), cf64(0.0), {row[0]});
+              if (!two) {
+                Var g = c.map1(c.lam({f64()},
+                                     [s](Builder& cc, const std::vector<Var>& p) {
+                                       Var t = cc.mul(p[0], s);
+                                       return std::vector<Atom>{Atom(cc.sub(t, cf64(0.25)))};
+                                     }),
+                               {row[0]});
+                return std::vector<Atom>{Atom(s), Atom(g)};
+              }
+              Var m = c.length(row[0]);
+              Var js = c.map1(c.lam({i64()},
+                                    [s](Builder& cc, const std::vector<Var>& q) {
+                                      Var j = cc.to_f64(q[0]);
+                                      return std::vector<Atom>{Atom(cc.mul(j, s))};
+                                    }),
+                              {c.iota(Atom(m))});
+              Var rep = c.replicate(Atom(m), Atom(s));
+              return std::vector<Atom>{Atom(s), Atom(js), Atom(rep)};
+            }),
+      {xss});
+  std::vector<Atom> res(outs.begin(), outs.end());
+  Prog p = pb.finish(res);
+  typecheck(p);
+  return p;
+}
 
-struct FlatCase {
-  FlatKind kind;
-  int lanes;
-  int64_t n, m;
-  bool parallel;
-};
+enum class Nest { MapOfMap, MapOfSum, MapOfLse, MapOfDot, Row1, Row2 };
+enum class VexecMode { Avx2, Portable, Off };
 
-class FlattenConformance : public ::testing::TestWithParam<FlatCase> {};
-
-TEST_P(FlattenConformance, FlatMatchesGeneralNested) {
-  const auto [kind, lanes, n, m, parallel] = GetParam();
-  support::Rng rng(static_cast<uint64_t>(n * 31 + m * 7 + lanes));
-  Prog p = kind == FlatKind::Collapsed ? nested_map_prog()
-           : kind == FlatKind::SegHand ? nested_sum_prog()
-           : kind == FlatKind::SegLse  ? nested_lse_prog()
-                                       : nested_dot_prog();
-  if (kind == FlatKind::SegDot) {
-    opt::FuseStats fs;
-    p = opt::fuse_maps(p, &fs);
-    typecheck(p);
-    ASSERT_EQ(fs.fused_redomaps, 1);
+Prog nest_prog(Nest k) {
+  switch (k) {
+    case Nest::MapOfMap: return nested_map_prog();
+    case Nest::MapOfSum: return nested_sum_prog();
+    case Nest::MapOfLse: return nested_lse_prog();
+    case Nest::MapOfDot: {
+      opt::FuseStats fs;
+      Prog p = opt::fuse_maps(nested_dot_prog(), &fs);
+      typecheck(p);
+      return p;
+    }
+    case Nest::Row1: return row_results_prog(false);
+    case Nest::Row2: return row_results_prog(true);
   }
-  opt::FlattenStats st;
-  Prog q = opt::flatten_nested(p, &st);
-  typecheck(q);
-  if (kind == FlatKind::Collapsed) {
-    ASSERT_EQ(st.flattened_maps, 1);
-  } else {
-    ASSERT_EQ(st.flattened_redomaps, 1);
-  }
+  return nested_map_prog();
+}
 
-  std::vector<Value> args;
+std::vector<Value> nest_args(Nest k, int64_t n, int64_t m, uint64_t seed) {
+  support::Rng rng(seed);
   const auto elems = static_cast<size_t>(n * m);
+  std::vector<Value> args;
   args.push_back(rt::make_f64_array(rng.uniform_vec(elems, -1.0, 1.0), {n, m}));
-  if (kind == FlatKind::SegDot) {
+  if (k == Nest::MapOfDot) {
     args.push_back(rt::make_f64_array(rng.uniform_vec(elems, -1.0, 1.0), {n, m}));
   }
+  return args;
+}
 
-  // Reference: the general nested path (unannotated program), parallel off,
-  // same kernel options — the bit-exactness contract's baseline.
-  rt::Interp ref_in({.parallel = false, .use_kernels = true, .kernel_lanes = lanes});
-  auto ref = rt::to_f64_vec(rt::as_array(ref_in.run(p, args)[0]));
-  EXPECT_EQ(ref_in.stats().flattened_maps.load(), 0u);
-  EXPECT_EQ(ref_in.stats().segred_launches.load(), 0u);
-
-  rt::Interp flat_in({.parallel = parallel, .use_kernels = true, .kernel_lanes = lanes,
-                      .grain = 8});
-  auto out = flat_in.run(q, args)[0];
-  auto got = rt::to_f64_vec(rt::as_array(out));
-  ASSERT_EQ(got.size(), ref.size());
-  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], ref[i]) << i;  // bit-identical
-
-  // Strategy counters: the flat drivers run whenever the outer extent is
-  // nonzero (an empty outer falls back so result shapes keep matching the
-  // general path's shape discovery).
-  const auto& s = flat_in.stats();
-  if (kind == FlatKind::Collapsed) {
-    EXPECT_EQ(s.flattened_maps.load(), n > 0 ? 1u : 0u);
-    if (n > 0) {
-      ASSERT_EQ(rt::as_array(out).shape, (std::vector<int64_t>{n, m}));
-    }
-  } else {
-    EXPECT_EQ(s.segred_launches.load(), n > 0 ? 1u : 0u);
-    EXPECT_EQ(s.segred_segments.load(), n > 0 ? static_cast<uint64_t>(n) : 0u);
-    // Flattened segments never route through the per-row reduce tiers.
-    if (n > 0) {
-      EXPECT_EQ(s.hand_reduces.load(), 0u);
-      EXPECT_EQ(s.kernel_reduces.load(), 0u);
-      EXPECT_EQ(s.general_reduces.load(), 0u);
-    }
+// Bit patterns of every element, so -0.0 and +0.0 differ.
+std::vector<uint64_t> output_bits(const Value& v) {
+  std::vector<uint64_t> out;
+  for (double d : rt::to_f64_vec(rt::as_array(v))) {
+    uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof u);
+    out.push_back(u);
   }
+  return out;
+}
+
+struct NestShape {
+  int64_t n, m;
+};
+using NestCase = std::tuple<Nest, int, NestShape, VexecMode>;
+
+class NestConformance : public ::testing::TestWithParam<NestCase> {};
+
+TEST_P(NestConformance, OneKernelBitExact) {
+  const auto [kind, lanes, shape, mode] = GetParam();
+  const Prog p = nest_prog(kind);
+  const auto args = nest_args(kind, shape.n, shape.m,
+                              static_cast<uint64_t>(shape.n * 31 + shape.m * 7 + lanes));
+  rt::Interp slow({.parallel = false, .use_kernels = false});
+  const auto ref = slow.run(p, args);
+  rt::InterpOptions o{.parallel = false, .use_kernels = true, .kernel_lanes = lanes};
+  o.use_vexec = mode != VexecMode::Off;
+  o.vexec_portable = mode == VexecMode::Portable;
+  rt::Interp fast(o);
+  const auto got = fast.run(p, args);
+  ASSERT_EQ(got.size(), ref.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(rt::as_array(got[r]).shape, rt::as_array(ref[r]).shape) << "output " << r;
+    EXPECT_EQ(output_bits(got[r]), output_bits(ref[r])) << "output " << r;
+  }
+  EXPECT_EQ(fast.stats().kernel_maps.load(), 1u);
+  EXPECT_EQ(fast.stats().general_maps.load(), 0u);
+}
+
+std::string nest_name(const ::testing::TestParamInfo<NestCase>& info) {
+  static const char* kinds[] = {"MapOfMap", "MapOfSum", "MapOfLse", "MapOfDot", "Row1", "Row2"};
+  static const char* modes[] = {"Avx2", "Portable", "Off"};
+  const NestShape sh = std::get<2>(info.param);
+  return std::string(kinds[static_cast<int>(std::get<0>(info.param))]) + "W" +
+         std::to_string(std::get<1>(info.param)) + "_" + std::to_string(sh.n) + "x" +
+         std::to_string(sh.m) + modes[static_cast<int>(std::get<3>(info.param))];
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Grid, FlattenConformance,
-    ::testing::Values(
-        // {collapsed, segmented-hand, segmented-kernel, segmented-fused}
-        //   x {W=1, 8} x {empty outer, empty inner row, odd, larger}.
-        FlatCase{FlatKind::Collapsed, 1, 7, 13, false},
-        FlatCase{FlatKind::Collapsed, 8, 7, 13, false},
-        FlatCase{FlatKind::Collapsed, 8, 64, 8, false},
-        FlatCase{FlatKind::Collapsed, 8, 0, 5, false},
-        FlatCase{FlatKind::Collapsed, 8, 4, 0, false},
-        FlatCase{FlatKind::Collapsed, 8, 37, 11, true},
-        FlatCase{FlatKind::SegHand, 1, 7, 13, false},
-        FlatCase{FlatKind::SegHand, 8, 7, 13, false},
-        FlatCase{FlatKind::SegHand, 8, 64, 8, false},
-        FlatCase{FlatKind::SegHand, 8, 0, 5, false},
-        FlatCase{FlatKind::SegHand, 8, 4, 0, false},
-        FlatCase{FlatKind::SegHand, 8, 37, 11, true},
-        FlatCase{FlatKind::SegLse, 1, 7, 13, false},
-        FlatCase{FlatKind::SegLse, 8, 7, 13, false},
-        FlatCase{FlatKind::SegLse, 8, 64, 8, false},
-        FlatCase{FlatKind::SegLse, 8, 0, 5, false},
-        FlatCase{FlatKind::SegLse, 8, 4, 0, false},
-        FlatCase{FlatKind::SegLse, 8, 37, 11, true},
-        FlatCase{FlatKind::SegDot, 1, 7, 13, false},
-        FlatCase{FlatKind::SegDot, 8, 7, 13, false},
-        FlatCase{FlatKind::SegDot, 8, 64, 8, false},
-        FlatCase{FlatKind::SegDot, 8, 0, 5, false},
-        FlatCase{FlatKind::SegDot, 8, 4, 0, false},
-        FlatCase{FlatKind::SegDot, 8, 37, 11, true}));
+    Grid, NestConformance,
+    ::testing::Combine(::testing::Values(Nest::MapOfMap, Nest::MapOfSum, Nest::MapOfLse,
+                                         Nest::MapOfDot, Nest::Row1, Nest::Row2),
+                       ::testing::Values(1, 8),
+                       // empty outer, empty inner row, odd, larger
+                       ::testing::Values(NestShape{0, 5}, NestShape{4, 0}, NestShape{7, 13},
+                                         NestShape{300, 37}),
+                       ::testing::Values(VexecMode::Avx2, VexecMode::Portable, VexecMode::Off)),
+    nest_name);
 
-TEST(FlattenConformance, NonKernelizableInnerFallsBack) {
-  // An `if` inside the inner lambda is scalar-typed (so the annotation is
-  // structurally valid) but not kernel-compilable: the runtime must fall
-  // back to the general nested path and still agree exactly.
-  ProgBuilder pb("nf");
-  Var xss = pb.param("xss", arr_f64(2));
-  Builder& b = pb.body();
-  Var out = b.map1(
-      b.lam({arr_f64(1)},
-            [](Builder& c, const std::vector<Var>& row) {
-              return std::vector<Atom>{Atom(c.map1(
-                  c.lam({f64()},
-                        [](Builder& cc, const std::vector<Var>& p) {
-                          Var cond = cc.gt(p[0], cf64(0.0));
-                          Var r = cc.if1(
-                              Atom(cond),
-                              [&](Builder& tb) {
-                                return std::vector<Atom>{Atom(tb.mul(p[0], cf64(2.0)))};
-                              },
-                              [&](Builder& fb) {
-                                return std::vector<Atom>{Atom(fb.neg(p[0]))};
-                              });
-                          return std::vector<Atom>{Atom(r)};
-                        }),
-                  {row[0]}))};
-            }),
-      {xss});
-  Prog p = pb.finish({Atom(out)});
-  typecheck(p);
-  opt::FlattenStats st;
-  Prog q = opt::flatten_nested(p, &st);
-  typecheck(q);
-  ASSERT_EQ(st.flattened_maps, 1);  // annotated: the *structure* qualifies
-  support::Rng rng(77);
-  std::vector<Value> args = {rt::make_f64_array(rng.uniform_vec(5 * 9, -1.0, 1.0), {5, 9})};
-  rt::Interp ref_in({.parallel = false, .use_kernels = true});
-  auto ref = rt::to_f64_vec(rt::as_array(ref_in.run(p, args)[0]));
-  rt::Interp flat_in({.parallel = false, .use_kernels = true});
-  auto got = rt::to_f64_vec(rt::as_array(flat_in.run(q, args)[0]));
+// Runs `p` with kernels off and on (parallelism off): either both succeed
+// with bit-identical outputs, or both raise the same error type and message
+// — a kernel that cannot honor the shapes falls back to the general path.
+void expect_general_outcome(const Prog& p, const std::vector<Value>& args) {
+  auto outcome = [&](bool kernels, std::vector<Value>& out) -> std::string {
+    try {
+      out = rt::Interp({.parallel = false, .use_kernels = kernels}).run(p, args);
+      return "";
+    } catch (const ShapeError& e) {
+      return std::string("ShapeError: ") + e.what();
+    } catch (const TypeError& e) {
+      return std::string("TypeError: ") + e.what();
+    }
+  };
+  std::vector<Value> ref, got;
+  const std::string want = outcome(false, ref);
+  EXPECT_EQ(outcome(true, got), want);
   ASSERT_EQ(got.size(), ref.size());
-  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], ref[i]) << i;
-  EXPECT_EQ(flat_in.stats().flattened_maps.load(), 0u);  // fell back
-  EXPECT_GE(flat_in.stats().general_maps.load(), 1u);
+  for (size_t r = 0; r < got.size(); ++r) EXPECT_EQ(output_bits(got[r]), output_bits(ref[r]));
 }
 
-TEST(FlattenConformance, RowViewInputStaysFlat) {
-  // A rank-2 row view of a rank-3 array (nonzero buffer offset) is still a
-  // dense view: the collapsed launch must accept it and agree bit-exactly.
-  Prog p = nested_sum_prog();
-  opt::FlattenStats st;
-  Prog q = opt::flatten_nested(p, &st);
-  ASSERT_EQ(st.flattened_redomaps, 1);
-  support::Rng rng(78);
-  rt::ArrayVal cube = rt::make_f64_array(rng.uniform_vec(3 * 6 * 5, -1.0, 1.0), {3, 6, 5});
-  std::vector<Value> args = {rt::row_view(cube, 2)};  // shape {6,5}, offset 60
-  rt::Interp ref_in({.parallel = false, .use_kernels = true});
-  auto ref = rt::to_f64_vec(rt::as_array(ref_in.run(p, args)[0]));
-  rt::Interp flat_in({.parallel = false, .use_kernels = true});
-  auto got = rt::to_f64_vec(rt::as_array(flat_in.run(q, args)[0]));
-  ASSERT_EQ(got.size(), ref.size());
-  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], ref[i]) << i;
-  EXPECT_EQ(flat_in.stats().segred_launches.load(), 1u);
+TEST(NestConformance, RaggedRowStreamsRaiseGeneralShapeError) {
+  // map(λra rb. map2(+, ra, rb)): rows of unequal length fail the kernel's
+  // stream guard, and the general path's inner map raises.
+  ProgBuilder pb("rag");
+  Var as = pb.param("as", arr_f64(2));
+  Var bs = pb.param("bs", arr_f64(2));
+  Builder& b = pb.body();
+  Var out = b.map1(b.lam({arr_f64(1), arr_f64(1)},
+                         [](Builder& c, const std::vector<Var>& rows) {
+                           return std::vector<Atom>{Atom(c.map1(
+                               c.lam({f64(), f64()},
+                                     [](Builder& cc, const std::vector<Var>& q) {
+                                       return std::vector<Atom>{Atom(cc.add(q[0], q[1]))};
+                                     }),
+                               {rows[0], rows[1]}))};
+                         }),
+                   {as, bs});
+  Prog p = pb.finish({Atom(out)});
+  typecheck(p);
+  support::Rng rng(81);
+  const std::vector<Value> ragged = {rt::make_f64_array(rng.uniform_vec(5 * 3, -1, 1), {5, 3}),
+                                     rt::make_f64_array(rng.uniform_vec(5 * 4, -1, 1), {5, 4})};
+  EXPECT_THROW(rt::Interp({.parallel = false, .use_kernels = false}).run(p, ragged), ShapeError);
+  expect_general_outcome(p, ragged);
+  // Equal rows take the kernel.
+  const std::vector<Value> even = {rt::make_f64_array(rng.uniform_vec(5 * 4, -1, 1), {5, 4}),
+                                   rt::make_f64_array(rng.uniform_vec(5 * 4, -1, 1), {5, 4})};
+  rt::Interp fast({.parallel = false, .use_kernels = true});
+  fast.run(p, even);
+  EXPECT_EQ(fast.stats().kernel_maps.load(), 1u);
+  expect_general_outcome(p, even);
+}
+
+TEST(NestConformance, TiedExtentsGuardAtBind) {
+  // Inner maps whose arguments' lengths agree only at run time: a row
+  // stream of B next to `replicate (length ra)` (two array extents), and
+  // `iota k` next to a row (an extent and a free scalar). Guards tie them
+  // when the launch binds: agreeing shapes run one kernel, disagreeing ones
+  // fall back to the general path, which raises its ShapeError.
+  ProgBuilder pb("tie");
+  Var as = pb.param("as", arr_f64(2));
+  Var bs = pb.param("bs", arr_f64(2));
+  Var k = pb.param("k", i64());
+  Builder& b = pb.body();
+  std::vector<Var> outs = b.map(
+      b.lam({arr_f64(1), arr_f64(1)},
+            [k](Builder& c, const std::vector<Var>& rows) {
+              Var rep = c.replicate(Atom(c.length(rows[0])), cf64(2.0));
+              Var scaled = c.map1(c.lam({f64(), f64()},
+                                        [](Builder& cc, const std::vector<Var>& q) {
+                                          return std::vector<Atom>{Atom(cc.mul(q[0], q[1]))};
+                                        }),
+                                  {rows[1], rep});
+              Var ramp = c.map1(c.lam({i64(), f64()},
+                                      [](Builder& cc, const std::vector<Var>& q) {
+                                        Var j = cc.to_f64(q[0]);
+                                        return std::vector<Atom>{Atom(cc.add(j, q[1]))};
+                                      }),
+                                {c.iota(Atom(k)), rows[0]});
+              return std::vector<Atom>{Atom(scaled), Atom(ramp)};
+            }),
+      {as, bs});
+  Prog p = pb.finish({Atom(outs[0]), Atom(outs[1])});
+  typecheck(p);
+  support::Rng rng(83);
+  auto args = [&](int64_t ma, int64_t mb, int64_t kv) {
+    return std::vector<Value>{rt::make_f64_array(rng.uniform_vec(6 * ma, -1, 1), {6, ma}),
+                              rt::make_f64_array(rng.uniform_vec(6 * mb, -1, 1), {6, mb}),
+                              Value(kv)};
+  };
+  const auto even = args(5, 5, 5);
+  rt::Interp fast({.parallel = false, .use_kernels = true});
+  fast.run(p, even);
+  EXPECT_EQ(fast.stats().kernel_maps.load(), 1u);
+  EXPECT_EQ(fast.stats().general_maps.load(), 0u);
+  expect_general_outcome(p, even);
+  for (const auto& bad : {args(5, 4, 5), args(5, 5, 4)}) {
+    EXPECT_THROW(rt::Interp({.parallel = false, .use_kernels = false}).run(p, bad), ShapeError);
+    expect_general_outcome(p, bad);
+  }
+}
+
+TEST(NestConformance, RankMismatchedInputFallsBack) {
+  // A rank-3 argument where the lambda takes rank-1 rows: the kernel's
+  // rank-2 binding refuses it, and the general path handles it.
+  const Prog p = nested_map_prog();
+  support::Rng rng(82);
+  rt::Interp fast({.parallel = false, .use_kernels = true});
+  const std::vector<Value> cube = {rt::make_f64_array(rng.uniform_vec(3 * 4 * 5, -1, 1), {3, 4, 5})};
+  expect_general_outcome(p, cube);
+  try {
+    fast.run(p, cube);
+  } catch (const npad::Error&) {
+  }
+  EXPECT_EQ(fast.stats().kernel_maps.load(), 0u);
+  // A rank-2 row view of a rank-3 array (nonzero buffer offset) binds.
+  rt::ArrayVal big = rt::make_f64_array(rng.uniform_vec(3 * 6 * 5, -1.0, 1.0), {3, 6, 5});
+  expect_general_outcome(p, {rt::row_view(big, 2)});
 }
 
 // ------------------------------------------------- vexec conformance grid --
 
 // The vectorized execution tier (runtime/vexec.hpp) must be bit-exact
 // against the scalar register machine on every launch shape it can take
-// over: {vexec on, off} x {map, fused redomap, segred, hist, scalar block,
+// over: {vexec on, off} x {map, fused redomap, row nest, hist, scalar block,
 // inline loop} x {empty, tail-only, large}, plus a forced-portable row
 // (AVX2 hosts exercising the auto-vectorized handler build).
 
-enum class VexKind { Map, Redomap, Segred, Hist, ScalarBlock, InlineLoop };
+enum class VexKind { Map, Redomap, Nest, Hist, ScalarBlock, InlineLoop };
 
 struct VexCase {
   VexKind kind;
@@ -1223,15 +1300,7 @@ TEST_P(VexecConformance, BitExactAgainstRegisterMachine) {
         typecheck(r);
         return r;
       }
-      case VexKind::Segred: {
-        // LSE fold: a multi-statement op keeps the segmented launch off the
-        // hand tier and on run_segred_chunk, the entry vexec takes over.
-        Prog r = nested_lse_prog();
-        opt::FlattenStats st;
-        r = opt::flatten_nested(r, &st);
-        typecheck(r);
-        return r;
-      }
+      case VexKind::Nest: return nested_lse_prog();  // an inline LSE fold per row
       case VexKind::Hist: {
         Prog r = hist_prog(HistOp::SlowAdd, /*with_map=*/true);
         opt::FuseStats fs;
@@ -1251,7 +1320,7 @@ TEST_P(VexecConformance, BitExactAgainstRegisterMachine) {
     case VexKind::Redomap:
       args.push_back(rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(n), -1.0, 1.0), {n}));
       break;
-    case VexKind::Segred:
+    case VexKind::Nest:
       args.push_back(
           rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(n * 7), -1.0, 1.0), {n, 7}));
       break;
@@ -1306,8 +1375,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(VexCase{VexKind::Map, 0}, VexCase{VexKind::Map, 3},
                       VexCase{VexKind::Map, 4096}, VexCase{VexKind::Redomap, 0},
                       VexCase{VexKind::Redomap, 3}, VexCase{VexKind::Redomap, 4096},
-                      VexCase{VexKind::Segred, 0}, VexCase{VexKind::Segred, 3},
-                      VexCase{VexKind::Segred, 4096}, VexCase{VexKind::Hist, 0},
+                      VexCase{VexKind::Nest, 0}, VexCase{VexKind::Nest, 3},
+                      VexCase{VexKind::Nest, 4096}, VexCase{VexKind::Hist, 0},
                       VexCase{VexKind::Hist, 3}, VexCase{VexKind::Hist, 4096},
                       VexCase{VexKind::ScalarBlock, 0}, VexCase{VexKind::ScalarBlock, 3},
                       VexCase{VexKind::ScalarBlock, 4096}, VexCase{VexKind::InlineLoop, 0},
@@ -1619,7 +1688,6 @@ TEST(CountedLoopConformance, OutOfBoundsGatherRaisesShapeError) {
 // point's result. Every form must compile the outer map into one kernel.
 
 enum class VirtForm { OneHotZeros, OneHotVmap, ScalarRead, Thread1, Thread2, Row1, Row2 };
-enum class VexecMode { Avx2, Portable, Off };
 using VirtCase = std::tuple<VirtForm, VexecMode>;
 
 struct VirtShape {

@@ -1167,232 +1167,4 @@ TEST(AccOpt, MixedWithaccPeelsNothingCleanly) {
   }
 }
 
-// ------------------------------------------------------------- flattening
-
-// First top-level map statement of the program.
-const OpMap* first_map(const Prog& p) {
-  for (const auto& st : p.fn.body.stms) {
-    if (const auto* m = std::get_if<OpMap>(&st.e)) return m;
-  }
-  return nullptr;
-}
-
-TEST(Flatten, AnnotatesMapOfMap) {
-  ProgBuilder pb("f");
-  Var xss = pb.param("xss", arr_f64(2));
-  Builder& b = pb.body();
-  Var out = b.map1(b.lam({arr_f64(1)},
-                         [](Builder& c, const std::vector<Var>& row) {
-                           return std::vector<Atom>{Atom(c.map1(
-                               c.lam({f64()},
-                                     [](Builder& cc, const std::vector<Var>& p) {
-                                       return std::vector<Atom>{Atom(cc.mul(p[0], p[0]))};
-                                     }),
-                               {row[0]}))};
-                         }),
-                   {xss});
-  Prog p = pb.finish({Atom(out)});
-  typecheck(p);
-  opt::FlattenStats st;
-  Prog q = opt::flatten_nested(p, &st);
-  typecheck(q);
-  EXPECT_EQ(st.flattened_maps, 1);
-  ASSERT_NE(first_map(q), nullptr);
-  EXPECT_EQ(first_map(q)->flat, FlatForm::Inner);
-  // Idempotent: a second run re-derives the same annotation.
-  Prog q2 = opt::flatten_nested(q);
-  typecheck(q2);
-  EXPECT_EQ(first_map(q2)->flat, FlatForm::Inner);
-}
-
-TEST(Flatten, AnnotatesMapOfReduce) {
-  ProgBuilder pb("f");
-  Var xss = pb.param("xss", arr_f64(2));
-  Builder& b = pb.body();
-  Var out = b.map1(b.lam({arr_f64(1)},
-                         [](Builder& c, const std::vector<Var>& row) {
-                           return std::vector<Atom>{
-                               Atom(c.reduce1(c.max_op(), cf64(-1e300), {row[0]}))};
-                         }),
-                   {xss});
-  Prog p = pb.finish({Atom(out)});
-  typecheck(p);
-  opt::FlattenStats st;
-  Prog q = opt::flatten_nested(p, &st);
-  typecheck(q);
-  EXPECT_EQ(st.flattened_redomaps, 1);
-  EXPECT_EQ(first_map(q)->flat, FlatForm::SegRed);
-}
-
-TEST(Flatten, PipelineFusesThenFlattensMapOfRedomap) {
-  // map(λrow. reduce(+, map(h, row))) — fusion must first collapse the
-  // lambda body to one redomap statement, after which the flattener (last
-  // in the pipeline) annotates the nest @segred.
-  ProgBuilder pb("f");
-  Var xss = pb.param("xss", arr_f64(2));
-  Builder& b = pb.body();
-  Var out = b.map1(
-      b.lam({arr_f64(1)},
-            [](Builder& c, const std::vector<Var>& row) {
-              Var sq = c.map1(c.lam({f64()},
-                                    [](Builder& cc, const std::vector<Var>& p) {
-                                      return std::vector<Atom>{Atom(cc.mul(p[0], p[0]))};
-                                    }),
-                              {row[0]});
-              return std::vector<Atom>{Atom(c.reduce1(c.add_op(), cf64(0.0), {sq}))};
-            }),
-      {xss});
-  Prog p = pb.finish({Atom(out)});
-  typecheck(p);
-  opt::PipelineStats st;
-  Prog q = opt::optimize(p, {}, &st);
-  typecheck(q);
-  EXPECT_EQ(st.fuse.fused_redomaps, 1);
-  EXPECT_EQ(st.flatten.flattened_redomaps, 1);
-  ASSERT_NE(first_map(q), nullptr);
-  EXPECT_EQ(first_map(q)->flat, FlatForm::SegRed);
-  const auto* red = std::get_if<OpReduce>(&first_map(q)->f->body.stms[0].e);
-  ASSERT_NE(red, nullptr);
-  EXPECT_NE(red->pre, nullptr);  // the redomap form survived into the nest
-}
-
-TEST(Flatten, MultiStatementBodyNotAnnotated) {
-  ProgBuilder pb("f");
-  Var xss = pb.param("xss", arr_f64(2));
-  Builder& b = pb.body();
-  Var out = b.map1(b.lam({arr_f64(1)},
-                         [](Builder& c, const std::vector<Var>& row) {
-                           Var s = c.reduce1(c.add_op(), cf64(0.0), {row[0]});
-                           return std::vector<Atom>{Atom(c.mul(s, cf64(2.0)))};
-                         }),
-                   {xss});
-  Prog p = pb.finish({Atom(out)});
-  typecheck(p);
-  opt::FlattenStats st;
-  Prog q = opt::flatten_nested(p, &st);
-  EXPECT_EQ(st.flattened_maps + st.flattened_redomaps, 0);
-  EXPECT_EQ(first_map(q)->flat, FlatForm::None);
-}
-
-TEST(Flatten, InnerOverFreeArrayNotAnnotated) {
-  // The inner map runs over a free rank-1 array, not the row param: the
-  // nest is irregular (same inner input every row) and must stay general.
-  ProgBuilder pb("f");
-  Var xss = pb.param("xss", arr_f64(2));
-  Var ys = pb.param("ys", arr_f64(1));
-  Builder& b = pb.body();
-  Var out = b.map1(b.lam({arr_f64(1)},
-                         [&](Builder& c, const std::vector<Var>& row) {
-                           (void)row;
-                           return std::vector<Atom>{Atom(c.map1(
-                               c.lam({f64()},
-                                     [](Builder& cc, const std::vector<Var>& p) {
-                                       return std::vector<Atom>{Atom(cc.neg(p[0]))};
-                                     }),
-                               {ys}))};
-                         }),
-                   {xss});
-  Prog p = pb.finish({Atom(out)});
-  typecheck(p);
-  opt::FlattenStats st;
-  Prog q = opt::flatten_nested(p, &st);
-  EXPECT_EQ(st.flattened_maps + st.flattened_redomaps, 0);
-  EXPECT_EQ(first_map(q)->flat, FlatForm::None);
-}
-
-TEST(Flatten, RowFreeInInnerLambdaNotAnnotated) {
-  // g gathers from the row besides its element argument: the collapsed
-  // launch has no row binding, so the nest must stay general.
-  ProgBuilder pb("f");
-  Var xss = pb.param("xss", arr_f64(2));
-  Builder& b = pb.body();
-  Var out = b.map1(b.lam({arr_f64(1)},
-                         [](Builder& c, const std::vector<Var>& row) {
-                           Var r0 = row[0];
-                           return std::vector<Atom>{Atom(c.map1(
-                               c.lam({f64()},
-                                     [r0](Builder& cc, const std::vector<Var>& p) {
-                                       Var head = cc.index(r0, {ci64(0)});
-                                       return std::vector<Atom>{Atom(cc.add(p[0], head))};
-                                     }),
-                               {r0}))};
-                         }),
-                   {xss});
-  Prog p = pb.finish({Atom(out)});
-  typecheck(p);
-  opt::FlattenStats st;
-  Prog q = opt::flatten_nested(p, &st);
-  EXPECT_EQ(st.flattened_maps + st.flattened_redomaps, 0);
-  EXPECT_EQ(first_map(q)->flat, FlatForm::None);
-}
-
-TEST(Flatten, ReduceNeutralReadingRowNotAnnotated) {
-  // The reduce's neutral element depends on the row: the collapsed launch
-  // evaluates neutrals once in the enclosing scope, so this stays general.
-  // (With the neutral bound by a preceding statement the multi-statement
-  // gate already rejects; this exercises the neutral-atom check directly.)
-  ProgBuilder pb("f");
-  Var xss = pb.param("xss", arr_f64(2));
-  Builder& b = pb.body();
-  Var out = b.map1(b.lam({arr_f64(1)},
-                         [](Builder& c, const std::vector<Var>& row) {
-                           Var ne = c.index(row[0], {ci64(0)});
-                           return std::vector<Atom>{
-                               Atom(c.reduce1(c.max_op(), Atom(ne), {row[0]}))};
-                         }),
-                   {xss});
-  Prog p = pb.finish({Atom(out)});
-  typecheck(p);
-  opt::FlattenStats st;
-  Prog q = opt::flatten_nested(p, &st);
-  EXPECT_EQ(st.flattened_maps + st.flattened_redomaps, 0);
-  EXPECT_EQ(first_map(q)->flat, FlatForm::None);
-
-  // Direct single-statement variant: neutral IS the row param (ill-typed,
-  // so no typecheck — the matcher must still refuse on its own).
-  OpMap direct = *first_map(q);
-  auto* red = std::get_if<OpReduce>(&direct.f->body.stms[0].e);
-  (void)red;
-  Lambda lam2;
-  lam2.params = direct.f->params;
-  Var rowv = lam2.params[0].var;
-  Var res = pb.module().fresh("r");
-  Module& mod = pb.module();
-  LambdaPtr maxop = [&] {
-    Var a = mod.fresh("a"), bb = mod.fresh("b"), r = mod.fresh("m");
-    Lambda l;
-    l.params = {Param{a, f64()}, Param{bb, f64()}};
-    l.body.stms.push_back(stm1(r, f64(), OpBin{BinOp::Max, Atom(a), Atom(bb)}));
-    l.body.result = {Atom(r)};
-    l.rets = {f64()};
-    return make_lambda(std::move(l));
-  }();
-  lam2.body.stms.push_back(
-      stm1(res, f64(), OpReduce{maxop, {Atom(rowv)}, {rowv}, nullptr, 0}));
-  lam2.body.result = {Atom(res)};
-  lam2.rets = {f64()};
-  OpMap bad{make_lambda(std::move(lam2)), direct.args, 0, FlatForm::None};
-  EXPECT_EQ(flatten_form(bad), FlatForm::None);
-}
-
-TEST(Flatten, StaleAnnotationRejectedByTypecheck) {
-  // Manually corrupting the annotation must be caught loudly, not silently
-  // mis-executed or ignored.
-  ProgBuilder pb("f");
-  Var xss = pb.param("xss", arr_f64(2));
-  Builder& b = pb.body();
-  Var out = b.map1(b.lam({arr_f64(1)},
-                         [](Builder& c, const std::vector<Var>& row) {
-                           return std::vector<Atom>{
-                               Atom(c.reduce1(c.add_op(), cf64(0.0), {row[0]}))};
-                         }),
-                   {xss});
-  Prog p = pb.finish({Atom(out)});
-  typecheck(p);
-  for (auto& st : p.fn.body.stms) {
-    if (auto* m = std::get_if<OpMap>(&st.e)) m->flat = FlatForm::Inner;  // wrong form
-  }
-  EXPECT_THROW(typecheck(p), TypeError);
-}
-
 } // namespace

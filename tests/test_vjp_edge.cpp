@@ -557,27 +557,11 @@ TEST(FusedHist, FusedVjpKernelMatchesGeneralPath) {
   }
 }
 
-// --------------------------------------------------------------- flattening
+// ----------------------------------------------------- vjp, then optimize
 //
-// vjp-then-flatten pipelines: differentiate first, then run the full
-// pipeline (fusion + flattening, both on by default) over the reverse
-// program, and check the gradients against central differences. The AD
-// passes themselves must refuse already-flattened programs.
-
-size_t count_flat_annotations(const Body& b);
-size_t count_flat_exp(const Exp& e) {
-  size_t n = 0;
-  if (const auto* m = std::get_if<OpMap>(&e)) {
-    if (m->flat != FlatForm::None) ++n;
-  }
-  for_each_nested(e, [&](const NestedScope& s) { n += count_flat_annotations(*s.body); });
-  return n;
-}
-size_t count_flat_annotations(const Body& b) {
-  size_t n = 0;
-  for (const auto& s : b.stms) n += count_flat_exp(s.e);
-  return n;
-}
+// Differentiate first, then run the full pipeline over the reverse program,
+// and check the gradients against central differences. The reverse nests
+// run as whole-lambda kernel launches over the rows.
 
 // Per-row weighted sum-of-squares, then a total over rows — the nested
 // shape of the GMM/kmeans inner loops.
@@ -603,23 +587,18 @@ Prog nested_objective_prog() {
   return p;
 }
 
-TEST(FlattenedPipeline, NestedObjectiveGradients) {
+TEST(OptimizedPipeline, NestedObjectiveGradients) {
   Prog p = nested_objective_prog();
   Prog g = ad::vjp(p);
-  opt::PipelineStats stats;
-  Prog gf = opt::optimize(g, {}, &stats);
+  Prog gf = opt::optimize(g);
   typecheck(gf);
-  // The optimized reverse program carries at least one flattening
-  // annotation (forward sweep nests re-emitted by vjp), so the gradcheck
-  // below actually exercises the flat drivers.
-  EXPECT_GE(count_flat_annotations(gf.fn.body), 1u);
   support::Rng rng(61);
   std::vector<Value> args = {make_f64_array(rng.uniform_vec(6 * 9, -1.0, 1.0), {6, 9})};
   std::vector<Value> gargs = args;
   gargs.emplace_back(1.0);
-  rt::Interp flat_in({.parallel = false, .use_kernels = true, .kernel_lanes = 8});
-  auto res = flat_in.run(gf, gargs);
-  EXPECT_GE(flat_in.stats().flattened_maps.load() + flat_in.stats().segred_launches.load(), 1u);
+  rt::Interp in({.parallel = false, .use_kernels = true, .kernel_lanes = 8});
+  auto res = in.run(gf, gargs);
+  EXPECT_GE(in.stats().kernel_maps.load(), 1u);
   auto num = ad::numeric_gradients(p, args);
   ASSERT_EQ(num.size(), 1u);
   auto got = rt::to_f64_vec(rt::as_array(res[res.size() - 1]));
@@ -630,9 +609,9 @@ TEST(FlattenedPipeline, NestedObjectiveGradients) {
   }
 }
 
-TEST(FlattenedPipeline, TwoInputDotGradients) {
-  // Row-wise dots: both inputs receive gradients through the flattened
-  // segmented redomap.
+TEST(OptimizedPipeline, TwoInputDotGradients) {
+  // Row-wise dots: both inputs receive gradients through the fused
+  // redomap nest.
   ProgBuilder pb("f");
   Var as = pb.param("as", arr_f64(2));
   Var bs = pb.param("bs", arr_f64(2));
@@ -671,39 +650,6 @@ TEST(FlattenedPipeline, TwoInputDotGradients) {
       EXPECT_NEAR(got[i] / denom, num[k][i] / denom, 2e-4) << k << ":" << i;
     }
   }
-}
-
-TEST(FlattenedPipeline, AdRefusesFlattenedPrograms) {
-  // A flattened map-of-map (no redomap involved, so the @flat guard itself
-  // is what fires): differentiate before flattening.
-  ProgBuilder pb("f");
-  Var xss = pb.param("xss", arr_f64(2));
-  Builder& b = pb.body();
-  Var out = b.map1(b.lam({arr_f64(1)},
-                         [](Builder& c, const std::vector<Var>& row) {
-                           return std::vector<Atom>{Atom(c.map1(
-                               c.lam({f64()},
-                                     [](Builder& cc, const std::vector<Var>& p) {
-                                       return std::vector<Atom>{Atom(cc.mul(p[0], p[0]))};
-                                     }),
-                               {row[0]}))};
-                         }),
-                   {xss});
-  Var s = b.reduce1(b.add_op(), cf64(0.0),
-                    {b.map1(b.lam({arr_f64(1)},
-                                  [](Builder& c, const std::vector<Var>& row) {
-                                    return std::vector<Atom>{Atom(
-                                        c.reduce1(c.add_op(), cf64(0.0), {row[0]}))};
-                                  }),
-                            {out})});
-  Prog p = pb.finish({Atom(s)});
-  typecheck(p);
-  opt::FlattenStats st;
-  Prog q = opt::flatten_nested(p, &st);
-  typecheck(q);
-  ASSERT_GE(st.flattened_maps, 1);
-  EXPECT_THROW(ad::vjp(q), ad::ADError);
-  EXPECT_THROW(ad::jvp(q), ad::ADError);
 }
 
 } // namespace
