@@ -188,9 +188,7 @@ struct Kernel {
     int32_t neutral_reg = -1; // its seed, -1 for map form
     std::vector<int32_t> more_accs, more_neutrals;  // parallel; values 1..
     // A sequential for-loop: trip_reg is the loop's count, not a stream
-    // length, so no index in the body is known to stay in bounds (the vexec
-    // tier's fused loop forms, which skip the trailing bounds check, never
-    // apply).
+    // length (the vexec tier's fused loop forms never apply).
     bool counted = false;
   };
 

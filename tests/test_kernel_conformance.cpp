@@ -1075,6 +1075,33 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(VexecMode::Avx2, VexecMode::Portable, VexecMode::Off)),
     nest_name);
 
+TEST(NestConformance, ParallelRowResultsBitExact) {
+  // Rows are independent, so a parallel launch cut into many small chunks,
+  // each storing its own rows of the uninitialized [n][len] outputs, is
+  // still bit-exact: a chunk that skipped or overlapped a row would show.
+  for (Nest kind : {Nest::MapOfMap, Nest::Row1, Nest::Row2}) {
+    for (NestShape shape : {NestShape{37, 11}, NestShape{300, 37}}) {
+      const Prog p = nest_prog(kind);
+      const auto args = nest_args(kind, shape.n, shape.m, static_cast<uint64_t>(shape.n + 5));
+      const auto ref = rt::Interp({.parallel = false, .use_kernels = false}).run(p, args);
+      for (VexecMode mode : {VexecMode::Avx2, VexecMode::Portable, VexecMode::Off}) {
+        rt::InterpOptions o{.parallel = true, .use_kernels = true, .kernel_lanes = 8, .grain = 4};
+        o.use_vexec = mode != VexecMode::Off;
+        o.vexec_portable = mode == VexecMode::Portable;
+        rt::Interp fast(o);
+        const auto got = fast.run(p, args);
+        ASSERT_EQ(got.size(), ref.size());
+        for (size_t r = 0; r < got.size(); ++r) {
+          EXPECT_EQ(rt::as_array(got[r]).shape, rt::as_array(ref[r]).shape) << "output " << r;
+          EXPECT_EQ(output_bits(got[r]), output_bits(ref[r])) << "output " << r;
+        }
+        EXPECT_EQ(fast.stats().kernel_maps.load(), 1u);
+        EXPECT_EQ(fast.stats().general_maps.load(), 0u);
+      }
+    }
+  }
+}
+
 // Runs `p` with kernels off and on (parallelism off): either both succeed
 // with bit-identical outputs, or both raise the same error type and message
 // — a kernel that cannot honor the shapes falls back to the general path.
@@ -1191,9 +1218,15 @@ TEST(NestConformance, RankMismatchedInputFallsBack) {
   } catch (const npad::Error&) {
   }
   EXPECT_EQ(fast.stats().kernel_maps.load(), 0u);
-  // A rank-2 row view of a rank-3 array (nonzero buffer offset) binds.
+  // A rank-2 row view of a rank-3 array (nonzero buffer offset) binds and
+  // runs as one kernel.
   rt::ArrayVal big = rt::make_f64_array(rng.uniform_vec(3 * 6 * 5, -1.0, 1.0), {3, 6, 5});
-  expect_general_outcome(p, {rt::row_view(big, 2)});
+  const std::vector<Value> view = {rt::row_view(big, 2)};
+  expect_general_outcome(p, view);
+  rt::Interp viewed({.parallel = false, .use_kernels = true});
+  viewed.run(p, view);
+  EXPECT_EQ(viewed.stats().kernel_maps.load(), 1u);
+  EXPECT_EQ(viewed.stats().general_maps.load(), 0u);
 }
 
 // ------------------------------------------------- vexec conformance grid --
@@ -1604,9 +1637,8 @@ INSTANTIATE_TEST_SUITE_P(Grid, CountedLoopConformance, ::testing::ValuesIn(count
                          counted_loop_name);
 
 TEST(CountedLoopConformance, DotShapedLoopKeepsBoundsChecks) {
-  // x + A[i, e] * B[i, e] is the vexec tier's fused dot-product shape, whose
-  // handler checks only the leading index: sound for an inline fold, whose
-  // trip is the row length, but not for a for-loop, whose trip is anything.
+  // x + A[i, e] * B[i, e] is the vexec tier's fused dot-product shape, but
+  // in a for-loop, whose trip is anything, every gather stays checked.
   ProgBuilder pb("dot");
   Var A = pb.param("A", arr_f64(2));
   Var B = pb.param("B", arr_f64(2));
@@ -1640,6 +1672,64 @@ TEST(CountedLoopConformance, DotShapedLoopKeepsBoundsChecks) {
   EXPECT_THROW(slow.run(p, past_end), ShapeError);
   EXPECT_THROW(fast.run(p, past_end), ShapeError);
   EXPECT_EQ(fast.stats().general_maps.load(), 0u);
+}
+
+TEST(CountedLoopConformance, FusedFoldOverShortStreamRaisesShapeError) {
+  // map(λi. reduce(+, 0, map(λj. xs[j] (* ys[j]), iota k))) over free xs and
+  // ys: the vexec tier's one-stream fold (and, with `two`, its dot fold).
+  // The trip is k, not a row length, so k past the end of either stream must
+  // raise the general path's ShapeError on every tier, not read past it.
+  for (bool two : {false, true}) {
+    ProgBuilder pb("sfold");
+    Var xs = pb.param("xs", arr_f64(1));
+    Var ys = pb.param("ys", arr_f64(1));
+    Var n = pb.param("n", i64());
+    Var k = pb.param("k", i64());
+    Builder& b = pb.body();
+    Var out = b.map1(
+        b.lam({i64()},
+              [&](Builder& c, const std::vector<Var>&) {
+                Var terms = c.map1(c.lam({i64()},
+                                         [&](Builder& cc, const std::vector<Var>& q) {
+                                           Var x = cc.index(xs, {Atom(q[0])});
+                                           if (!two) return std::vector<Atom>{Atom(x)};
+                                           Var y = cc.index(ys, {Atom(q[0])});
+                                           return std::vector<Atom>{Atom(cc.mul(x, y))};
+                                         }),
+                                   {c.iota(Atom(k))});
+                return std::vector<Atom>{Atom(c.reduce1(c.add_op(), cf64(0.0), {terms}))};
+              }),
+        {b.iota(Atom(n))});
+    opt::FuseStats fs;
+    Prog p = opt::fuse_maps(pb.finish({Atom(out)}), &fs);
+    typecheck(p);
+    support::Rng rng(47);
+    auto args = [&](int64_t nx, int64_t ny, int64_t kv) {
+      auto vec = [&](int64_t len) {
+        return rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(len), -1, 1), {len});
+      };
+      return std::vector<Value>{vec(nx), vec(ny), int64_t{11}, Value(kv)};
+    };
+    rt::Interp slow({.parallel = false, .use_kernels = false});
+    const auto ok = args(9, 9, 9);
+    const auto short_x = args(8, 9, 9);
+    const auto short_y = args(9, 8, 9);
+    for (VexecMode m : {VexecMode::Avx2, VexecMode::Portable, VexecMode::Off}) {
+      rt::InterpOptions o{.parallel = false, .use_kernels = true, .kernel_lanes = 8};
+      o.use_vexec = m != VexecMode::Off;
+      o.vexec_portable = m == VexecMode::Portable;
+      rt::Interp fast(o);
+      EXPECT_EQ(output_bits(fast.run(p, ok)[0]), output_bits(slow.run(p, ok)[0]));
+      EXPECT_THROW(slow.run(p, short_x), ShapeError);
+      EXPECT_THROW(fast.run(p, short_x), ShapeError) << "two=" << two;
+      if (two) {
+        EXPECT_THROW(slow.run(p, short_y), ShapeError);
+        EXPECT_THROW(fast.run(p, short_y), ShapeError);
+      }
+      EXPECT_EQ(fast.stats().kernel_maps.load(), two ? 3u : 2u);
+      EXPECT_EQ(fast.stats().general_maps.load(), 0u);
+    }
+  }
 }
 
 TEST(CountedLoopConformance, OutOfBoundsGatherRaisesShapeError) {
