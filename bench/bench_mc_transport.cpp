@@ -3,10 +3,9 @@
 // kernels, next to the plain C++ port and the tape baseline. Unlike
 // bench_table2_enzyme (which prints the paper-comparison table), this binary
 // exists for the cross-PR perf trajectory: its BENCH_mc_transport.json
-// carries the interpreter counters — launch counts, pool traffic and the
-// execution-plan counters — for a workload dominated by one large map with
-// inner loops and indirect indexing, the shape the plan layer must not
-// pessimize. Every npad program is the serving artifact: AD first, then the
+// carries the interpreter counters — launch counts, pool traffic and
+// general-path counts — for a workload dominated by one large map with
+// inner loops and indirect indexing, which must stay one kernel launch. Every npad program is the serving artifact: AD first, then the
 // standard opt::optimize pipeline.
 
 #include "common.hpp"

@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
   std::printf("in-process server on 127.0.0.1:%d (max_batch=%d window_us=%lld)\n",
               server.port(), bo.max_batch, static_cast<long long>(bo.window_us));
 
-  // Warm the program/kernel/plan/batched-prog caches before measuring.
+  // Warm the program/kernel/batched-prog caches before measuring.
   {
     npad::serve::HttpClient warm("127.0.0.1", server.port());
     std::string resp;

@@ -389,222 +389,4 @@ inline uint64_t structural_hash(const std::vector<uint64_t>& sig) {
 inline uint64_t structural_hash(const Lambda& l) { return structural_hash(structural_sig(l)); }
 inline uint64_t structural_hash(const Function& f) { return structural_hash(structural_sig(f)); }
 
-// ------------------------------------------- loop extent invariance ---------
-//
-// Decides whether every launch extent inside a for-loop body is invariant
-// across iterations — the precondition for the execution planner
-// (runtime/plan.hpp) to hoist launch strategy decisions and loop scratch
-// buffers out of the iteration. The analysis is a single forward pass over
-// the top-level statements: values bound *outside* the loop are invariant by
-// definition (the loop re-reads the same bindings every iteration); loop
-// params, the index var and anything derived from them are variant. Two
-// derived facts are tracked for body-local bindings:
-//   - inv_scalar: a rank-0 value provably identical every iteration
-//     (pure function of invariant operands, or the length of an
-//     invariant-extent array) — legal as an extent;
-//   - inv_extent: an array whose *shape* is identical every iteration even
-//     though its contents change (e.g. a map over an invariant domain).
-// Anything unproven is conservatively variant; any launch/constructor whose
-// extent cannot be proven invariant makes the whole loop non-plannable
-// (return false). Nested loops and OpIf arms recurse (each arm must prove
-// its launches invariant on its own; the if's results only inherit
-// invariance facts when the condition is invariant and both arms agree);
-// while-loops are rejected here.
-
-namespace detail {
-
-inline bool loop_extents_invariant_body(const Body& b,
-                                        std::unordered_set<uint32_t>& variant,
-                                        std::unordered_set<uint32_t>& inv_scalar,
-                                        std::unordered_set<uint32_t>& inv_extent);
-
-// Carried arrays are assumed shape-stable (inv_extent) and the assumption is
-// discharged against the body's results: result j must itself be proven
-// shape-invariant relative to iteration entry, which by induction pins every
-// iteration's shape to the init's. Scalar carries stay variant *values* (a
-// scalar carry used as an extent is exactly the data-dependent case that must
-// reject).
-inline bool loop_extents_invariant_nested(const OpLoop& o,
-                                          const std::unordered_set<uint32_t>& variant,
-                                          const std::unordered_set<uint32_t>& inv_scalar,
-                                          const std::unordered_set<uint32_t>& inv_extent) {
-  std::unordered_set<uint32_t> v2 = variant, s2 = inv_scalar, e2 = inv_extent;
-  for (const auto& p : o.params) {
-    v2.insert(p.var.id);
-    if (p.type.rank > 0) e2.insert(p.var.id);
-  }
-  if (o.idx.valid()) v2.insert(o.idx.id);
-  if (!loop_extents_invariant_body(*o.body, v2, s2, e2)) return false;
-  for (size_t j = 0; j < o.body->result.size(); ++j) {
-    if (j < o.params.size() && o.params[j].type.rank == 0) continue;
-    const Atom& a = o.body->result[j];
-    if (!a.is_var()) continue;
-    const uint32_t id = a.var().id;
-    if (v2.count(id) && !e2.count(id)) return false;
-  }
-  return true;
-}
-
-inline bool loop_extents_invariant_body(const Body& b,
-                                        std::unordered_set<uint32_t>& variant,
-                                        std::unordered_set<uint32_t>& inv_scalar,
-                                        std::unordered_set<uint32_t>& inv_extent) {
-  // A body-local binding is "local" iff it appears in `variant`, inv_scalar
-  // or inv_extent; outer vars appear in none and are invariant wholesale.
-  auto atom_inv = [&](const Atom& a) {
-    if (a.is_const()) return true;
-    const uint32_t id = a.var().id;
-    return !variant.count(id) || inv_scalar.count(id);
-  };
-  auto var_shape_inv = [&](Var v) {
-    return !variant.count(v.id) || inv_extent.count(v.id);
-  };
-  auto bind = [&](const Stm& st, bool value_inv, bool shape_inv) {
-    for (Var v : st.vars) {
-      variant.insert(v.id);
-      if (value_inv) inv_scalar.insert(v.id);
-      if (shape_inv) inv_extent.insert(v.id);
-    }
-  };
-
-  for (const auto& st : b.stms) {
-    bool ok = true;
-    std::visit(
-        Overload{
-            [&](const OpAtom& o) {
-              const bool iv = atom_inv(o.a);
-              const bool sh = !o.a.is_var() || var_shape_inv(o.a.var());
-              bind(st, iv, sh);
-            },
-            [&](const OpBin& o) { bind(st, atom_inv(o.a) && atom_inv(o.b), false); },
-            [&](const OpUn& o) { bind(st, atom_inv(o.a), false); },
-            [&](const OpSelect& o) {
-              bind(st, atom_inv(o.c) && atom_inv(o.t) && atom_inv(o.f), false);
-            },
-            [&](const OpLength& o) { bind(st, var_shape_inv(o.arr), false); },
-            [&](const OpIndex& o) {
-              // Full scalar read, or a slice of a shape-invariant array:
-              // the slice's shape is a suffix of the source's.
-              bind(st, false, var_shape_inv(o.arr));
-            },
-            [&](const OpUpdate& o) { bind(st, false, var_shape_inv(o.arr)); },
-            [&](const OpUpdAcc&) { bind(st, false, false); },
-            [&](const OpIota& o) {
-              ok = atom_inv(o.n);
-              bind(st, false, true);
-            },
-            [&](const OpReplicate& o) {
-              ok = atom_inv(o.n) &&
-                   (!o.v.is_var() || var_shape_inv(o.v.var()));
-              bind(st, false, true);
-            },
-            [&](const OpScratch& o) {
-              ok = atom_inv(o.n) && var_shape_inv(o.like);
-              bind(st, false, true);
-            },
-            [&](const OpZerosLike& o) { bind(st, false, var_shape_inv(o.v)); },
-            [&](const OpCopy& o) { bind(st, false, var_shape_inv(o.v)); },
-            [&](const OpReverse& o) { bind(st, false, var_shape_inv(o.arr)); },
-            [&](const OpTranspose& o) { bind(st, false, var_shape_inv(o.arr)); },
-            [&](const OpMap& o) {
-              for (Var v : o.args) ok = ok && var_shape_inv(v);
-              // Outer extent is the (invariant) arg extent; inner extents
-              // come from the lambda's own launches over the same frame.
-              bind(st, false, ok);
-            },
-            [&](const OpReduce& o) {
-              for (Var v : o.args) ok = ok && var_shape_inv(v);
-              bind(st, false, false);
-            },
-            [&](const OpScan& o) {
-              for (Var v : o.args) ok = ok && var_shape_inv(v);
-              bind(st, false, ok);
-            },
-            [&](const OpHist& o) {
-              ok = var_shape_inv(o.dest) && var_shape_inv(o.inds) && var_shape_inv(o.vals);
-              bind(st, false, ok);
-            },
-            [&](const OpScatter& o) {
-              ok = var_shape_inv(o.dest) && var_shape_inv(o.inds) && var_shape_inv(o.vals);
-              bind(st, false, ok);
-            },
-            [&](const OpWithAcc& o) {
-              for (Var v : o.arrs) ok = ok && var_shape_inv(v);
-              // Results mirror the accumulated arrays' shapes.
-              bind(st, false, ok);
-            },
-            [&](const OpLoop& o) {
-              if (o.while_cond != nullptr) {
-                ok = false;
-                return;
-              }
-              ok = atom_inv(o.count) && loop_extents_invariant_nested(o, variant, inv_scalar,
-                                                                      inv_extent);
-              // Shape-stable carried arrays (verified by the recursion) give
-              // shape-invariant results when the inits are shape-invariant.
-              bool sh = ok;
-              for (const auto& i : o.init) {
-                if (i.is_var()) sh = sh && var_shape_inv(i.var());
-              }
-              bind(st, false, sh);
-            },
-            [&](const OpIf& o) {
-              // Either arm may run on any iteration, so every launch inside
-              // each arm must prove invariant extents on its own (against a
-              // copy of the current facts — arm-local bindings stay local).
-              // The facts each arm proves for its results are captured so
-              // the if's own bindings can inherit them below.
-              auto arm = [&](const Body& ab, std::vector<bool>* val_inv,
-                             std::vector<bool>* shp_inv) {
-                std::unordered_set<uint32_t> v2 = variant, s2 = inv_scalar,
-                                             e2 = inv_extent;
-                if (!loop_extents_invariant_body(ab, v2, s2, e2)) return false;
-                for (const Atom& a : ab.result) {
-                  bool vi = true, si = true;
-                  if (a.is_var()) {
-                    const uint32_t id = a.var().id;
-                    vi = !v2.count(id) || s2.count(id);
-                    si = !v2.count(id) || e2.count(id);
-                  }
-                  val_inv->push_back(vi);
-                  shp_inv->push_back(si);
-                }
-                return true;
-              };
-              std::vector<bool> tv, ts, fv, fs;
-              ok = arm(*o.tb, &tv, &ts) && arm(*o.fb, &fv, &fs);
-              if (!ok) return;
-              // A variant condition may take different arms on different
-              // iterations, so results are invariant (in value OR shape)
-              // only when the condition is invariant and both arms prove
-              // the fact; launches inside the arms need no such guard.
-              const bool cinv = atom_inv(o.c);
-              for (size_t j = 0; j < st.vars.size(); ++j) {
-                const Var v = st.vars[j];
-                variant.insert(v.id);
-                if (cinv && j < tv.size() && j < fv.size() && tv[j] && fv[j]) {
-                  inv_scalar.insert(v.id);
-                }
-                if (cinv && j < ts.size() && j < fs.size() && ts[j] && fs[j]) {
-                  inv_extent.insert(v.id);
-                }
-              }
-            },
-        },
-        st.e);
-    if (!ok) return false;
-  }
-  return true;
-}
-
-} // namespace detail
-
-// True when a for-loop's body provably launches with the same extents every
-// iteration (see above). While-loops are not analyzable and return false.
-inline bool loop_extents_invariant(const OpLoop& o) {
-  if (o.while_cond != nullptr) return false;
-  std::unordered_set<uint32_t> variant, inv_scalar, inv_extent;
-  return detail::loop_extents_invariant_nested(o, variant, inv_scalar, inv_extent);
-}
-
 } // namespace npad::ir

@@ -142,8 +142,6 @@ BufferPool::Counters BufferPool::counters() const {
   c.outstanding_buffers = outstanding_buffers_.load(std::memory_order_relaxed);
   c.budget_bytes = budget_bytes_.load(std::memory_order_relaxed);
   c.budget_rejections = budget_rejections_.load(std::memory_order_relaxed);
-  c.arena_parked_buffers = arena_parked_buffers_.load(std::memory_order_relaxed);
-  c.arena_parked_bytes = arena_parked_bytes_.load(std::memory_order_relaxed);
   return c;
 }
 

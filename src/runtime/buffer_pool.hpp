@@ -70,8 +70,8 @@ public:
     uint64_t outstanding_buffers = 0;  // live block count
     uint64_t budget_bytes = 0;         // 0 = unlimited
     uint64_t budget_rejections = 0;    // acquires refused by the budget
-    uint64_t arena_parked_buffers = 0; // live blocks currently parked in launch arenas
-    uint64_t arena_parked_bytes = 0;   // their total capacity
+    uint64_t arena_parked_buffers = 0; // always 0; npadbench still reads it
+    uint64_t arena_parked_bytes = 0;   // always 0; npadbench still reads it
   };
   Counters counters() const;
   // Alias of counters(); the name tests and benches use.
@@ -91,21 +91,6 @@ public:
     budget_bytes_.store(budget, std::memory_order_relaxed);
   }
   size_t budget_bytes() const { return budget_bytes_.load(std::memory_order_relaxed); }
-
-  // Launch-arena accounting (runtime/interp.cpp): arenas park sole-owner
-  // launch buffers in per-thread rings for recycling instead of releasing
-  // them here; these gauges keep the parked share of the live footprint
-  // visible in stats(). Parked buffers are still `outstanding` — they unpark
-  // (and decrement) when the arena is torn down and the rings' references
-  // drop.
-  void note_arena_park(uint64_t n, uint64_t bytes) {
-    arena_parked_buffers_.fetch_add(n, std::memory_order_relaxed);
-    arena_parked_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  void note_arena_unpark(uint64_t n, uint64_t bytes) {
-    arena_parked_buffers_.fetch_sub(n, std::memory_order_relaxed);
-    arena_parked_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
 
   // Frees every retained block (diagnostics/tests).
   void trim();
@@ -134,8 +119,6 @@ private:
   std::atomic<size_t> outstanding_buffers_{0};
   std::atomic<size_t> budget_bytes_{0};
   std::atomic<uint64_t> budget_rejections_{0};
-  std::atomic<uint64_t> arena_parked_buffers_{0};
-  std::atomic<uint64_t> arena_parked_bytes_{0};
 };
 
 } // namespace npad::rt

@@ -7,10 +7,8 @@
 
 #include "ir/patterns.hpp"
 #include "ir/visit.hpp"
-#include "runtime/buffer_pool.hpp"
 #include "runtime/kernel.hpp"
 #include "runtime/kernel_cache.hpp"
-#include "runtime/plan.hpp"
 #include "runtime/resolve.hpp"
 #include "runtime/vexec.hpp"
 #include "support/error.hpp"
@@ -46,16 +44,6 @@ bool default_vexec_portable() {
     return env != nullptr && std::strcmp(env, "portable") == 0;
   }();
   return portable;
-}
-
-bool default_use_plans() {
-  static const bool on = [] {
-    if (const char* env = std::getenv("NPAD_USE_PLANS")) {
-      if (std::strcmp(env, "0") == 0) return false;
-    }
-    return true;
-  }();
-  return on;
 }
 
 namespace {
@@ -175,105 +163,6 @@ void merge_private(std::vector<ArrayVal>& bufs, ArrayVal& dst, int64_t grain) {
   });
 }
 
-// Loop-buffer ring (execution plans, runtime/plan.hpp): the outermost planned
-// loop with loop-invariant body extents installs a per-thread ring of parked
-// launch buffers. alloc_launch_buf hands a parked buffer back out whenever it
-// is the sole owner (use_count 1: every evaluator reference was dropped) and
-// the requested element type and shape match — steady-state iterations then
-// acquire all their scratch from the ring with zero pool traffic. A buffer
-// still referenced by the environment (a carried array, or last iteration's
-// value feeding this one) has use_count > 1 and is never handed out, which is
-// exactly the double-buffering the loop carry needs. The ring's own reference
-// is inert (never read or written through), and the ring dies with the loop —
-// on completion or unwind its buffers release to the global pool, restoring
-// the pre-loop pool footprint (the fault-injection retry contract).
-//
-// The same structure doubles as the plan-scoped *launch arena* (ISSUE 10):
-// planned runs install an `arena` ring around the whole top-level body, and
-// the general map path installs one per parallel chunk, so straight-line and
-// branchy plan regions recycle their non-escaping launch intermediates too —
-// the liveness release lists (runtime/plan.hpp) are what drop the frame
-// references that make use_count()==1 reuse possible mid-body. The `arena`
-// flag only affects stats attribution (arena_reuses vs plan_hoisted_buffers)
-// and the buffer pool's parked-bytes gauge; the reuse discipline is
-// identical.
-struct LoopBufRing {
-  std::vector<ArrayVal> bufs;
-  bool arena = false;
-};
-
-thread_local LoopBufRing* tl_loop_ring = nullptr;
-
-// Dynamic extent of a planned hoisted loop on this thread: ring handouts
-// inside it count as plan_hoisted_buffers (the PR 7 loop-ring contract);
-// handouts outside it came from a plan arena and count as arena_reuses.
-thread_local int tl_hoisted_loop_depth = 0;
-
-struct HoistedLoopScope {
-  bool on;
-  explicit HoistedLoopScope(bool enable) : on(enable) {
-    if (on) ++tl_hoisted_loop_depth;
-  }
-  ~HoistedLoopScope() {
-    if (on) --tl_hoisted_loop_depth;
-  }
-  HoistedLoopScope(const HoistedLoopScope&) = delete;
-  HoistedLoopScope& operator=(const HoistedLoopScope&) = delete;
-};
-
-// Number of inert ring references on `a`'s buffer (0 or 1). The in-place
-// consumption tests (update/hist/scatter/with_acc destinations) budget their
-// use_count threshold for real consumers only; a parked ring reference must
-// not force a defensive copy.
-inline int64_t ring_refs(const ArrayVal& a) {
-  const LoopBufRing* r = tl_loop_ring;
-  if (r == nullptr) return 0;
-  for (const ArrayVal& e : r->bufs) {
-    if (e.buf == a.buf) return 1;
-  }
-  return 0;
-}
-
-// Installs a ring for the dynamic extent of a planned loop or a plan arena.
-// By default only the outermost scope on this thread owns a ring: nested
-// planned loops park their scratch in the enclosing ring (their iteration
-// counts multiply, so hoisting to the outermost scope recycles across the
-// whole nest). `scoped` guards instead shadow any enclosing ring for their
-// extent and restore it afterwards — per-chunk launch arenas use this so a
-// chunk recycles identically whether it lands on a worker (no enclosing
-// ring) or on the caller thread (run/loop ring present); without it, reuse
-// would depend on thread scheduling and pool traffic would be
-// nondeterministic. On destruction — completion or unwind — the parked
-// buffers release to the global pool and the arena gauge is rebalanced, so
-// the pre-scope pool footprint is restored (the fault-injection contract).
-struct HoistRingGuard {
-  LoopBufRing ring;
-  LoopBufRing* prev = nullptr;
-  bool installed = false;
-
-  explicit HoistRingGuard(bool enable, bool arena = false, bool scoped = false) {
-    if (enable && (scoped || tl_loop_ring == nullptr)) {
-      ring.arena = arena;
-      prev = tl_loop_ring;
-      tl_loop_ring = &ring;
-      installed = true;
-    }
-  }
-  ~HoistRingGuard() {
-    if (!installed) return;
-    tl_loop_ring = prev;
-    uint64_t bytes = 0;
-    for (const ArrayVal& e : ring.bufs) {
-      if (e.buf) bytes += e.buf->cap_bytes;
-    }
-    if (!ring.bufs.empty()) {
-      BufferPool::global().note_arena_unpark(ring.bufs.size(), bytes);
-    }
-  }
-  HoistRingGuard(const HoistRingGuard&) = delete;
-  HoistRingGuard& operator=(const HoistRingGuard&) = delete;
-};
-
 // Slot-resolved environment: one flat frame per activation (function entry,
 // lambda application, loop), chained by static links. Variable access is
 // precomputed (level, slot) indexing — no hashing, no per-scope rehash churn
@@ -319,15 +208,9 @@ public:
     return "%" + rp_->mod->name(v) + "_" + std::to_string(v.id);
   }
 
-  // Plan-directed slot release (ir/liveness.hpp via PlanStep::releases):
-  // drops this frame's reference to a binding past its statically-proven
-  // last use, so a sole-owner launch buffer becomes reclaimable by the
-  // per-thread arena while the plan is still running. Only vars bound by
-  // this activation's own statements ever appear in a release list.
-  void release(ir::Var v) {
-    const SlotRef r = rp_->slots[v.id];
-    assert(r.valid() && r.level == level_ && "releasing outside its own activation");
-    slots_[r.slot] = Value{};
+  // Scalar-glue blocks of an activation's own body (runtime/resolve.hpp).
+  const std::vector<ScalarBlock>& scalar_blocks(uint32_t act) const {
+    return rp_->scalar_blocks[act];
   }
 
 private:
@@ -355,33 +238,36 @@ public:
 
   // Statements execute in the caller's frame: nested bodies (if branches) are
   // not activations — their bindings have dedicated slots in the enclosing
-  // frame (binding ids are unique after alpha-renaming).
-  std::vector<Value> eval_body(const Body& b, Env& env) const {
-    for (const auto& st : b.stms) exec_stm(st, env);
+  // frame (binding ids are unique after alpha-renaming). `blocks` are the
+  // body's scalar-glue blocks (runtime/resolve.hpp), run as single kernel
+  // calls when kernels are on.
+  std::vector<Value> eval_body(const Body& b, Env& env,
+                               const std::vector<ScalarBlock>* blocks = nullptr) const {
+    if (blocks == nullptr || blocks->empty() || !opts_.use_kernels) {
+      for (const auto& st : b.stms) exec_stm(st, env);
+    } else {
+      auto next = blocks->begin();
+      for (size_t i = 0; i < b.stms.size();) {
+        if (next != blocks->end() && next->first == i) {
+          run_scalar_block(b, *next, env);
+          i += next->count;
+          ++next;
+        } else {
+          exec_stm(b.stms[i++], env);
+        }
+      }
+    }
     std::vector<Value> out;
     out.reserve(b.result.size());
     for (const auto& a : b.result) out.push_back(eval_atom(a, env));
     return out;
   }
 
-  // Lambda application. When the enclosing resolved program's compiled
-  // schedule tabled a plan for this body (runtime/plan.hpp), the application
-  // routes through the planned evaluator — same frames, same results, plus
-  // scalar-block/map-launch fast steps and liveness releases; everything
-  // else stays on plain eval_body.
   std::vector<Value> apply(const Lambda& f, std::vector<Value> args, const Env& captured) const {
     assert(args.size() == f.params.size());
     EvalDepthGuard depth_guard(opts_.max_eval_depth);
     Env env(captured, f.activation_id);
     for (size_t i = 0; i < args.size(); ++i) env.bind(f.params[i].var, std::move(args[i]));
-    if (lambda_plans_ != nullptr) {
-      auto it = lambda_plans_->find(&f);
-      if (it != lambda_plans_->end()) {
-        NPAD_FAULT_SITE("plan.apply_body", FaultKind::Chunk);
-        stats_->plan_lambda_bodies.fetch_add(1, std::memory_order_relaxed);
-        return eval_body_planned(f.body, *it->second, env);
-      }
-    }
     return eval_body(f.body, env);
   }
 
@@ -401,168 +287,41 @@ public:
     }
   }
 
-  // ------------------------------------------------------ execution plans ---
-  //
-  // Step dispatch for compiled plans (runtime/plan.hpp). Each step either
-  // executes its pre-lowered fast form or falls back to exec_stm for that one
-  // statement, so planned evaluation is a strict refinement of eval_body:
-  // identical bindings, identical results, identical error context frames.
-  std::vector<Value> eval_body_planned(const Body& b, const Plan& plan, Env& env) const {
-    for (const PlanStep& s : plan.steps) {
-      switch (s.kind) {
-        case PlanStep::Kind::General: exec_stm(b.stms[s.stm], env); break;
-        case PlanStep::Kind::Scalars: run_scalar_step(b, s, env); break;
-        case PlanStep::Kind::MapLaunch: run_map_step(b, s, env); break;
-        case PlanStep::Kind::Loop: run_loop_step(b, s, env); break;
+  // One extent-1 kernel call replaces the folded run of scalar bindings: no
+  // eval_exp dispatch, no per-statement Value traffic for the operands. The
+  // values are the scalar evaluator's, bit for bit. Falls back to
+  // per-statement evaluation if a free variable turns out not to be scalar.
+  void run_scalar_block(const Body& b, const ScalarBlock& blk, Env& env) const {
+    const Kernel& k = blk.kernel;
+    thread_local std::vector<double> frees, regs, outs;
+    frees.clear();
+    for (ir::Var v : k.free_scalars) {
+      const Value& val = env.lookup(v);
+      if (is_array(val) || is_acc(val)) {
+        for (uint32_t i = 0; i < blk.count; ++i) exec_stm(b.stms[blk.first + i], env);
+        return;
       }
-      // Liveness releases run between steps on the calling thread — every
-      // launch of the step has completed, so no in-flight reader exists and
-      // the dropped reference can make an arena buffer sole-owner.
-      for (ir::Var v : s.releases) env.release(v);
+      frees.push_back(as_f64(val));
     }
-    std::vector<Value> out;
-    out.reserve(b.result.size());
-    for (const auto& a : b.result) out.push_back(eval_atom(a, env));
-    return out;
-  }
-
-  // Scalars step: one extent-1 kernel execution replaces the folded run of
-  // scalar bindings — no eval_exp dispatch, no per-statement Env traffic, no
-  // Value variant churn for the intermediates. Falls back to per-statement
-  // evaluation if a free variable turns out not to be scalar.
-  void run_scalar_step(const Body& b, const PlanStep& s, Env& env) const {
-    bool ok = true;
     try {
-      NPAD_FAULT_SITE("plan.step", FaultKind::Chunk);
-      const Kernel& k = *s.scalars;
-      thread_local std::vector<double> frees, regs, outs;
-      frees.clear();
-      for (ir::Var v : k.free_scalars) {
-        const Value& val = env.lookup(v);
-        if (is_array(val) || is_acc(val)) {
-          ok = false;
-          break;
-        }
-        frees.push_back(as_f64(val));
-      }
-      if (ok) {
-        outs.assign(s.out_vars.size(), 0.0);
-        // Plan-owned kernels are immortal (the plan cache never evicts), so
-        // the vexec tier applies to scalar blocks too — same pre-decoded
-        // schedule, scalar width.
-        const vexec::Entry* ve = opts_.use_vexec ? vexec::lookup(k, 1) : nullptr;
-        if (ve != nullptr) {
-          stats_->vexec_launches.fetch_add(1, std::memory_order_relaxed);
-          vexec::select_ops(opts_.vexec_portable)->run_scalar(*ve, k, frees.data(),
-                                                              outs.data());
-        } else {
-          regs.assign(static_cast<size_t>(k.num_regs), 0.0);
-          run_scalar_kernel(k, frees.data(), regs.data(), outs.data());
-        }
-        for (size_t j = 0; j < s.out_vars.size(); ++j) {
-          env.bind(s.out_vars[j], partial_value(s.out_types[j], outs[j]));
-        }
-        stats_->plan_scalar_blocks.fetch_add(1, std::memory_order_relaxed);
+      NPAD_FAULT_SITE("scalar.block", FaultKind::Chunk);
+      outs.assign(blk.out_vars.size(), 0.0);
+      const vexec::Entry* ve = opts_.use_vexec ? vexec::lookup(k, 1) : nullptr;
+      if (ve != nullptr) {
+        stats_->vexec_launches.fetch_add(1, std::memory_order_relaxed);
+        vexec::select_ops(opts_.vexec_portable)->run_scalar(*ve, k, frees.data(), outs.data());
+      } else {
+        regs.assign(static_cast<size_t>(k.num_regs), 0.0);
+        run_scalar_kernel(k, frees.data(), regs.data(), outs.data());
       }
     } catch (npad::Error& err) {
-      err.add_context("in scalar block binding " + env.name_of(s.out_vars[0]));
+      err.add_context("in scalar block binding " + env.name_of(blk.out_vars[0]));
       throw;
     }
-    if (!ok) {
-      for (uint32_t i = 0; i < s.count; ++i) exec_stm(b.stms[s.stm + i], env);
+    for (size_t j = 0; j < blk.out_vars.size(); ++j) {
+      env.bind(blk.out_vars[j], partial_value(blk.out_types[j], outs[j]));
     }
-  }
-
-  // MapLaunch step: re-binds arguments against the pre-resolved kernel and
-  // launches — no cache lookup, no compile-or-not dispatch. Any precondition
-  // the plan could not prove statically (rank-1 inputs, equal extents, free
-  // binding shapes) re-checks here; a mismatch hands the whole statement to
-  // the general evaluator, which reproduces the exact error/semantics.
-  std::optional<std::vector<Value>> try_map_step(const OpMap& o, const PlanStep& s,
-                                                 Env& env) const {
-    const Lambda& f = *o.f;
-    std::vector<ArrayVal> inputs;
-    int64_t n = -1;
-    for (size_t i = 0; i < o.args.size(); ++i) {
-      if (f.params[i].type.is_acc) continue;  // bound below via the kernel's acc table
-      const Value& v = env.lookup(o.args[i]);
-      if (!is_array(v)) return std::nullopt;
-      const ArrayVal& a = as_array(v);
-      // Ranks are validated by bind_map_launch (rank-1 elements, rank-2 row
-      // arguments); only the shared outer extent is checked here.
-      if (n < 0) {
-        n = a.outer();
-      } else if (a.outer() != n) {
-        return std::nullopt;  // general path throws the proper ShapeError
-      }
-      inputs.push_back(a);
-    }
-    if (n < 0) return std::nullopt;
-    auto L = bind_map_launch(s.kernel, o, inputs, env);
-    if (!L) return std::nullopt;
-    if (o.fused > 0) stats_->fused_maps.fetch_add(o.fused, std::memory_order_relaxed);
-    stats_->kernel_maps.fetch_add(1, std::memory_order_relaxed);
-    stats_->plan_launches.fetch_add(1, std::memory_order_relaxed);
-    return run_kernel(*L, f, o, n, env);
-  }
-
-  void run_map_step(const Body& b, const PlanStep& s, Env& env) const {
-    const Stm& st = b.stms[s.stm];
-    const auto& o = std::get<OpMap>(st.e);
-    std::optional<std::vector<Value>> r;
-    try {
-      NPAD_FAULT_SITE("plan.step", FaultKind::Chunk);
-      r = try_map_step(o, s, env);
-    } catch (npad::Error& err) {
-      // Same frames the general path accumulates (eval_exp + exec_stm).
-      err.add_context(launch_frame("map", args_extent(o.args, env)));
-      if (!st.vars.empty()) err.add_context("in map binding " + env.name_of(st.vars[0]));
-      throw;
-    }
-    if (!r) {
-      exec_stm(st, env);
-      return;
-    }
-    for (size_t i = 0; i < r->size(); ++i) env.bind(st.vars[i], std::move((*r)[i]));
-  }
-
-  // Loop step: the planned mirror of eval_loop's for-form. The nested body
-  // plan executes every iteration, and the outermost planned loop installs
-  // the loop-buffer ring (extents are provably loop-invariant, so iteration
-  // 2+ scratch acquisitions all hit the ring).
-  void run_loop_step(const Body& b, const PlanStep& s, Env& env) const {
-    const Stm& st = b.stms[s.stm];
-    const auto& o = std::get<OpLoop>(st.e);
-    try {
-      NPAD_FAULT_SITE("plan.step", FaultKind::Chunk);
-      std::vector<Value> state;
-      state.reserve(o.init.size());
-      for (const auto& a : o.init) state.push_back(eval_atom(a, env));
-      const int64_t n = as_i64(eval_atom(o.count, env));
-      if (n > 0) {
-        HoistRingGuard ring(s.hoist_buffers);
-        HoistedLoopScope hoisted(s.hoist_buffers);
-        Env it_env(env, o.activation_id);
-        for (int64_t i = 0; i < n; ++i) {
-          if (o.idx.valid()) it_env.bind(o.idx, i);
-          for (size_t k = 0; k < o.params.size(); ++k)
-            it_env.bind(o.params[k].var, std::move(state[k]));
-          try {
-            NPAD_FAULT_SITE("loop.iter", FaultKind::Chunk);
-            NPAD_FAULT_SITE("plan.loop_iter", FaultKind::Chunk);
-            state = eval_body_planned(*o.body, *s.loop_body, it_env);
-          } catch (npad::Error& err) {
-            err.add_context("in loop iteration " + std::to_string(i) + " of " +
-                            std::to_string(n));
-            throw;
-          }
-        }
-      }
-      for (size_t k = 0; k < st.vars.size(); ++k) env.bind(st.vars[k], std::move(state[k]));
-    } catch (npad::Error& err) {
-      if (!st.vars.empty()) err.add_context("in loop binding " + env.name_of(st.vars[0]));
-      throw;
-    }
+    stats_->scalar_blocks.fetch_add(1, std::memory_order_relaxed);
   }
 
   std::vector<Value> eval_exp(const Exp& e, Env& env) const {
@@ -867,7 +626,7 @@ public:
 
   Value eval_update(const OpUpdate& o, const Env& env) const {
     ArrayVal a = as_array(env.lookup(o.arr));  // +1 ref (env keeps one)
-    ArrayVal dst = (a.whole() && a.buf.use_count() <= 2 + ring_refs(a)) ? a : compact_copy(a);
+    ArrayVal dst = (a.whole() && a.buf.use_count() <= 2) ? a : compact_copy(a);
     int64_t off = 0;
     int64_t rows = dst.elems();
     for (size_t k = 0; k < o.idx.size(); ++k) {
@@ -927,6 +686,7 @@ public:
     for (const auto& a : o.init) state.push_back(eval_atom(a, env));
     // One frame per loop, reused across iterations: params are rebound each
     // round and body bindings simply overwrite last round's slots.
+    const std::vector<ScalarBlock>& blocks = env.scalar_blocks(o.activation_id);
     if (o.while_cond) {
       for (int64_t i = 0;; ++i) {
         std::vector<Value> c = apply(*o.while_cond, state, env);
@@ -936,7 +696,7 @@ public:
           it_env.bind(o.params[k].var, std::move(state[k]));
         try {
           NPAD_FAULT_SITE("loop.iter", FaultKind::Chunk);
-          state = eval_body(*o.body, it_env);
+          state = eval_body(*o.body, it_env, &blocks);
         } catch (npad::Error& err) {
           err.add_context("in while-loop iteration " + std::to_string(i));
           throw;
@@ -953,7 +713,7 @@ public:
         it_env.bind(o.params[k].var, std::move(state[k]));
       try {
         NPAD_FAULT_SITE("loop.iter", FaultKind::Chunk);
-        state = eval_body(*o.body, it_env);
+        state = eval_body(*o.body, it_env, &blocks);
       } catch (npad::Error& err) {
         err.add_context("in loop iteration " + std::to_string(i) + " of " + std::to_string(n));
         throw;
@@ -965,38 +725,7 @@ public:
   // Launch-buffer allocation with pool accounting: buffers for kernel
   // outputs and map results are fully overwritten by the launch, so they take
   // the uninitialized path; privatized accumulators need the zero-fill.
-  // Inside a planned loop or plan arena (tl_loop_ring set) buffers are
-  // recycled from the thread-local ring instead of round-tripping the global
-  // pool; the counter ticked records which mechanism earned the reuse.
   ArrayVal alloc_launch_buf(ScalarType t, std::vector<int64_t> shp, bool uninit) const {
-    if (LoopBufRing* ring = tl_loop_ring) {
-      if (ring->arena) {
-        // Arena acquisitions are their own fault site: the arena is new
-        // control flow whose unwind must restore the pool footprint.
-        NPAD_FAULT_SITE("plan.arena_acquire", FaultKind::Alloc);
-      }
-      for (ArrayVal& e : ring->bufs) {
-        if (e.elem == t && e.shape == shp && e.buf.use_count() == 1) {
-          (tl_hoisted_loop_depth > 0 ? stats_->plan_hoisted_buffers : stats_->arena_reuses)
-              .fetch_add(1, std::memory_order_relaxed);
-          if (!uninit) {
-            std::memset(e.buf->raw, 0, static_cast<size_t>(e.elems()) * scalar_bytes(t));
-          }
-          return e;
-        }
-      }
-      bool hit = false;
-      ArrayVal a = uninit ? ArrayVal::alloc_uninit(t, std::move(shp), &hit)
-                          : ArrayVal::alloc(t, std::move(shp), &hit);
-      (hit ? stats_->pool_hits : stats_->pool_misses).fetch_add(1, std::memory_order_relaxed);
-      // Park a reference for later acquisitions (bounded: a runaway shape
-      // mix must not pin unbounded memory for the ring's whole lifetime).
-      if (ring->bufs.size() < 64) {
-        ring->bufs.push_back(a);
-        BufferPool::global().note_arena_park(1, a.buf ? a.buf->cap_bytes : 0);
-      }
-      return a;
-    }
     bool hit = false;
     ArrayVal a = uninit ? ArrayVal::alloc_uninit(t, std::move(shp), &hit)
                         : ArrayVal::alloc(t, std::move(shp), &hit);
@@ -1156,12 +885,6 @@ public:
       if (priv.empty()) {
         const auto body = [&](int64_t lo, int64_t hi) {
           NPAD_FAULT_SITE("map.general_chunk", FaultKind::Chunk);
-          // Per-chunk launch arena: each element's apply() drops its frame
-          // when it returns, so per-element launch intermediates become
-          // sole-owner and the next element reuses them instead of
-          // round-tripping the pool once per element. On the caller thread
-          // an enclosing ring (run arena or loop ring) already absorbs them.
-          HoistRingGuard arena(opts_.use_plans, /*arena=*/true, /*scoped=*/true);
           for (int64_t i = std::max<int64_t>(lo, 1); i < hi; ++i) {
             std::vector<Value> vals = apply(f, elem_args(i, base_accs), env);
             store_result(i, vals);
@@ -1193,7 +916,6 @@ public:
         support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
           for (int64_t c = clo; c < chi; ++c) {
             NPAD_FAULT_SITE("map.general_priv_chunk", FaultKind::Chunk);
-            HoistRingGuard arena(opts_.use_plans, /*arena=*/true, /*scoped=*/true);
             const int64_t lo = std::max<int64_t>(c * per, 1);
             const int64_t hi = std::min(n, (c + 1) * per);
             for (int64_t i = lo; i < hi; ++i) {
@@ -1248,27 +970,17 @@ public:
     return true;
   }
 
+  // Looks up the map's kernel and binds its inputs, free variables and
+  // accumulators against the environment; nullopt when the lambda does not
+  // compile or any binding has the wrong shape. The kernel is owned by the
+  // process-wide cache (immortal entries), so it outlives every use,
+  // including launches from nested maps.
   std::optional<KernelLaunch> try_kernel(const OpMap& o, const std::vector<ArrayVal>& inputs,
                                          const Env& env) const {
-    // Input ranks are validated in bind_map_launch against the kernel's
-    // row-param table: rank-1 element inputs, rank-2 row-stream arguments.
-    // The kernel is owned by the process-wide cache (immortal entries), so
-    // it outlives every use, including launches from nested maps.
     bool hit = false;
     const Kernel* k = KernelCache::global().get(o.f, &hit);
-    (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
-        .fetch_add(1, std::memory_order_relaxed);
+    if (hit) stats_->kernel_cache_hits.fetch_add(1, std::memory_order_relaxed);
     if (!k) return std::nullopt;
-    return bind_map_launch(k, o, inputs, env);
-  }
-
-  // Binds a map kernel's free variables and accumulators against the
-  // environment; nullopt when any binding has the wrong shape. Shared by the
-  // per-launch path (try_kernel) and the plan executor, whose MapLaunch steps
-  // carry a pre-resolved kernel and only re-bind arguments per execution.
-  std::optional<KernelLaunch> bind_map_launch(const Kernel* k, const OpMap& o,
-                                              const std::vector<ArrayVal>& inputs,
-                                              const Env& env) const {
     KernelLaunch L;
     L.k = k;
     // Partition the non-acc arguments: rank-1 element inputs take LoadElem
@@ -1329,8 +1041,8 @@ public:
 
   // Attaches the vectorized-tier schedule to a bound launch (after lanes are
   // set — entries are keyed per (kernel, lane width)). Every launched kernel
-  // is immortal (cache- or plan-owned), which the vexec cache relies on: it
-  // keys by kernel address. A null lookup (unsupported width, failed
+  // is immortal (owned by the kernel cache or a resolved program), which the
+  // vexec cache relies on: it keys by kernel address. A null lookup (unsupported width, failed
   // lowering) is a no-op.
   void attach_vexec(KernelLaunch& L) const {
     if (!opts_.use_vexec) return;
@@ -1339,8 +1051,6 @@ public:
     L.vx = e;
     L.vops = vexec::select_ops(opts_.vexec_portable);
     L.vexec_spans = &stats_->vexec_launches;
-    stats_->vexec_superinstrs.fetch_add(static_cast<uint64_t>(e->superinstrs),
-                                        std::memory_order_relaxed);
   }
 
   // Work-sized chunking: `grain` is calibrated in elements of light kernels
@@ -1547,8 +1257,7 @@ public:
   const Kernel* reduce_kernel_for(const LambdaPtr& op, const LambdaPtr& pre, bool scan) const {
     bool hit = false;
     const Kernel* k = KernelCache::global().get_reduce(op, pre, scan, &hit);
-    (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
-        .fetch_add(1, std::memory_order_relaxed);
+    if (hit) stats_->kernel_cache_hits.fetch_add(1, std::memory_order_relaxed);
     return k;
   }
 
@@ -1653,10 +1362,7 @@ public:
     }
 
     // Tier 3: general interpreter fold (and tier 1's hand loop per chunk).
-    // The hand tier reports its own counter so bench JSON can tell the
-    // hand / kernel / general tiers apart.
-    (hand_fast ? stats_->hand_reduces : stats_->general_reduces)
-        .fetch_add(1, std::memory_order_relaxed);
+    if (!hand_fast) stats_->general_reduces.fetch_add(1, std::memory_order_relaxed);
     auto elem = [&](size_t j, int64_t i) -> Value {
       const ArrayVal& a = arrs[j];
       if (a.rank() == 1) return scalar_value(a.elem, a, i);
@@ -1750,7 +1456,6 @@ public:
         o.pre ? std::optional<BinOp>{} : recognize_binop(op);
     if (plain_bop && combinable_f64(*plain_bop) && o.args.size() == 1 &&
         arrs[0].rank() == 1 && arrs[0].elem == ScalarType::F64) {
-      stats_->hand_scans.fetch_add(1, std::memory_order_relaxed);
       ArrayVal outv = alloc_launch_buf(ScalarType::F64, {n}, /*uninit=*/true);
       const double* in = arrs[0].buf->f64() + arrs[0].offset;
       double* out = outv.buf->f64();
@@ -1936,7 +1641,7 @@ public:
   Value eval_hist(const OpHist& o, Env& env) const {
     const Lambda& op = *o.op;
     ArrayVal dest0 = as_array(env.lookup(o.dest));
-    ArrayVal dest = (dest0.whole() && dest0.buf.use_count() <= 2 + ring_refs(dest0))
+    ArrayVal dest = (dest0.whole() && dest0.buf.use_count() <= 2)
                         ? dest0
                         : compact_copy(dest0);
     const ArrayVal inds = as_array(env.lookup(o.inds));
@@ -2101,7 +1806,7 @@ public:
   // ------------------------------------------------------------- scatter ---
   Value eval_scatter(const OpScatter& o, Env& env) const {
     ArrayVal dest0 = as_array(env.lookup(o.dest));
-    ArrayVal dest = (dest0.whole() && dest0.buf.use_count() <= 2 + ring_refs(dest0))
+    ArrayVal dest = (dest0.whole() && dest0.buf.use_count() <= 2)
                         ? dest0
                         : compact_copy(dest0);
     const ArrayVal inds = as_array(env.lookup(o.inds));
@@ -2137,7 +1842,7 @@ public:
     for (Var a : o.arrs) {
       ArrayVal arr = as_array(env.lookup(a));
       ArrayVal owned =
-          (arr.whole() && arr.buf.use_count() <= 2 + ring_refs(arr)) ? arr : compact_copy(arr);
+          (arr.whole() && arr.buf.use_count() <= 2) ? arr : compact_copy(arr);
       args.push_back(AccVal{std::move(owned)});
     }
     std::vector<Value> res = apply(f, std::move(args), env);
@@ -2152,18 +1857,9 @@ public:
     return out;
   }
 
-  // Lambda-body plan table of the resolved program being run (nullptr when
-  // plans are off): set once by Interp::run before evaluation starts, read
-  // by apply() on every application. The table is immutable after plan
-  // compilation, so concurrent readers need no synchronization.
-  void set_lambda_plans(const ProgPlans* plans) {
-    lambda_plans_ = plans != nullptr ? &plans->lambdas : nullptr;
-  }
-
 private:
   InterpOptions opts_;
   InterpStats* stats_;
-  const std::unordered_map<const Lambda*, std::unique_ptr<const Plan>>* lambda_plans_ = nullptr;
 };
 
 } // namespace
@@ -2179,23 +1875,7 @@ std::vector<Value> Interp::run(const ir::Prog& p, const std::vector<Value>& args
   EvalCtx ctx(*this);
   Env env(*rp, rp->root_activation);
   for (size_t i = 0; i < args.size(); ++i) env.bind(rp->fn.params[i].var, args[i]);
-  // Compiled execution plans (runtime/plan.hpp): lowered once per resolved
-  // program, cached process-wide. Plans pre-bind map kernels from the kernel
-  // cache, so they are only sound to execute when kernels are enabled.
-  if (opts_.use_plans && opts_.use_kernels) {
-    uint64_t compiled = 0;
-    const ProgPlans* plans = PlanCache::global().get(rp, &compiled);
-    if (compiled > 0) stats_.plans_compiled.fetch_add(compiled, std::memory_order_relaxed);
-    ctx.set_lambda_plans(plans);
-    // The run-level launch arena: liveness releases make straight-line and
-    // branchy plan intermediates sole-owner mid-run, so this ring recycles
-    // them exactly like the loop ring recycles loop scratch. Installed
-    // inside the run (not around it): an unwinding fault tears it down and
-    // restores the pool footprint before the error reaches the caller.
-    HoistRingGuard arena(/*enable=*/true, /*arena=*/true);
-    return ctx.eval_body_planned(rp->fn.body, *plans->top, env);
-  }
-  return ctx.eval_body(rp->fn.body, env);
+  return ctx.eval_body(rp->fn.body, env, &rp->scalar_blocks[rp->root_activation]);
 }
 
 std::vector<Value> run_prog(const ir::Prog& p, const std::vector<Value>& args,

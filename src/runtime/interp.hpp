@@ -6,8 +6,8 @@
 // compiled kernels cached process-wide (runtime/kernel_cache.hpp); a regular
 // nest — a map whose lambda folds, maps or loops over rows — runs as one
 // whole-lambda kernel launch instead of one inner launch per row; variable
-// environments are slot-resolved flat frames (runtime/resolve.hpp); and
-// accumulator updates are privatized into per-worker buffers when profitable,
+// environments are slot-resolved flat frames (runtime/resolve.hpp), and runs
+// of scalar glue execute as single kernel calls; and accumulator updates are privatized into per-worker buffers when profitable,
 // falling back to atomic adds. See src/runtime/README.md.
 
 #include <atomic>
@@ -34,22 +34,10 @@ int default_max_eval_depth();
 bool default_use_vexec();
 bool default_vexec_portable();
 
-// Execution-plan default from the environment: NPAD_USE_PLANS=0 disables
-// compiled execution plans (per-statement eval dispatch everywhere). Unset
-// or any other value: on.
-bool default_use_plans();
-
 struct InterpOptions {
   bool parallel = true;         // use the thread pool for SOACs
-  bool use_kernels = true;      // enable the kernel-compiled map fast path
+  bool use_kernels = true;      // kernel-compiled SOACs and scalar-glue blocks
   bool privatize_accs = true;   // per-worker accumulator buffers + merge
-  // Compiled execution plans (runtime/plan.hpp): route the top-level body
-  // and plannable OpLoop bodies through cached straight-line step schedules
-  // (pre-bound kernels, folded scalar glue, hoisted loop buffers) instead of
-  // per-statement eval dispatch. Requires use_kernels; anything
-  // non-plannable falls back to the general interpreter per statement.
-  // NPAD_USE_PLANS=0 disables the default.
-  bool use_plans = default_use_plans();
   // Kernel lane width W: compiled maps execute in batches of W iterations
   // over an SoA register file (amortized dispatch, contiguous element
   // loads/stores), with a scalar tail loop. 1 = scalar execution.
@@ -74,7 +62,7 @@ struct InterpOptions {
   // pre-decoded SIMD schedules and dispatch launches through them. Bit-exact
   // vs the register machine by contract; the register machine remains the
   // fallback for kernels that do not lower. Applies to every kernel launch
-  // (all kernels are cache- or plan-owned).
+  // and scalar-glue block.
   bool use_vexec = default_use_vexec();
   // Pin the portable (auto-vectorized, no AVX2) vexec handler build even
   // when the CPU supports AVX2 — conformance coverage for non-SIMD hosts.
@@ -85,7 +73,6 @@ struct InterpStats {
   std::atomic<uint64_t> kernel_maps{0};          // maps run through compiled kernels
   std::atomic<uint64_t> general_maps{0};         // maps run through the interpreter
   std::atomic<uint64_t> kernel_cache_hits{0};    // launches that skipped compilation
-  std::atomic<uint64_t> kernel_cache_misses{0};  // launches that compiled (or analyzed)
   std::atomic<uint64_t> privatized_updates{0};   // non-atomic accumulator updates
   std::atomic<uint64_t> atomic_updates{0};       // atomic RMW accumulator updates
   std::atomic<uint64_t> privatized_launches{0};  // launches that privatized >=1 acc
@@ -94,11 +81,9 @@ struct InterpStats {
   std::atomic<uint64_t> fused_maps{0};           // producer maps eliminated by fusion (per launch)
   std::atomic<uint64_t> batched_launches{0};     // kernel spans that ran >=1 full lane batch
   std::atomic<uint64_t> kernel_reduces{0};       // reduces run through compiled kernels
-  std::atomic<uint64_t> hand_reduces{0};         // reduces run through the hand binop loop
   std::atomic<uint64_t> general_reduces{0};      // reduces run through the interpreter
   std::atomic<uint64_t> fused_reduces{0};        // producer maps folded into reduce launches
   std::atomic<uint64_t> kernel_scans{0};         // scans run through compiled kernels
-  std::atomic<uint64_t> hand_scans{0};           // scans run through the hand binop loop
   std::atomic<uint64_t> general_scans{0};        // scans run through the interpreter
   std::atomic<uint64_t> fused_scans{0};          // producer maps folded into scan launches
   std::atomic<uint64_t> kernel_hists{0};         // hists run through compiled kernels
@@ -106,24 +91,18 @@ struct InterpStats {
   std::atomic<uint64_t> fused_hists{0};          // producer maps folded into hist launches
   std::atomic<uint64_t> privatized_hist_updates{0};  // non-atomic hist bin updates
   std::atomic<uint64_t> atomic_hist_updates{0};      // atomic RMW hist bin updates
-  std::atomic<uint64_t> plans_compiled{0};       // execution plans lowered (incl. loop bodies)
-  std::atomic<uint64_t> plan_launches{0};        // SOAC launches issued from plan steps
-  std::atomic<uint64_t> plan_scalar_blocks{0};   // kernelized scalar-glue block executions
-  std::atomic<uint64_t> plan_hoisted_buffers{0}; // launch buffers reused via loop hoisting
-  std::atomic<uint64_t> plan_lambda_bodies{0};   // apply() calls routed through lambda-body plans
-  std::atomic<uint64_t> arena_reuses{0};         // launch buffers recycled by arenas outside hoisted loops
+  std::atomic<uint64_t> scalar_blocks{0};        // scalar-glue block executions
   std::atomic<uint64_t> vexec_launches{0};       // spans dispatched through the vexec tier
-  std::atomic<uint64_t> vexec_superinstrs{0};    // fused superinstrs in programs bound to launches
   std::atomic<uint64_t> batched_prog_runs{0};    // stacked multi-request runs (run_batched, B>1)
   std::atomic<uint64_t> batched_prog_requests{0};// requests entering run_batched (any B)
 
-  // Snapshot for machine-readable reporting (bench JSON).
+  // Snapshot for machine-readable reporting (bench JSON). Each key's readers
+  // are listed in src/runtime/README.md, Observability.
   std::map<std::string, uint64_t> counters() const {
     return {
         {"kernel_maps", kernel_maps.load()},
         {"general_maps", general_maps.load()},
         {"kernel_cache_hits", kernel_cache_hits.load()},
-        {"kernel_cache_misses", kernel_cache_misses.load()},
         {"privatized_updates", privatized_updates.load()},
         {"atomic_updates", atomic_updates.load()},
         {"privatized_launches", privatized_launches.load()},
@@ -132,31 +111,26 @@ struct InterpStats {
         {"fused_maps", fused_maps.load()},
         {"batched_launches", batched_launches.load()},
         {"kernel_reduces", kernel_reduces.load()},
-        {"hand_reduces", hand_reduces.load()},
         {"general_reduces", general_reduces.load()},
         {"fused_reduces", fused_reduces.load()},
         {"kernel_scans", kernel_scans.load()},
-        {"hand_scans", hand_scans.load()},
         {"general_scans", general_scans.load()},
         {"fused_scans", fused_scans.load()},
-        {"flattened_maps", 0},   // always 0; npadbench still reads it
-        {"segred_launches", 0},  // always 0; npadbench still reads it
         {"kernel_hists", kernel_hists.load()},
         {"general_hists", general_hists.load()},
         {"fused_hists", fused_hists.load()},
         {"privatized_hist_updates", privatized_hist_updates.load()},
         {"atomic_hist_updates", atomic_hist_updates.load()},
-        {"plans_compiled", plans_compiled.load()},
-        {"plan_launches", plan_launches.load()},
-        {"plan_scalar_blocks", plan_scalar_blocks.load()},
-        {"plan_hoisted_buffers", plan_hoisted_buffers.load()},
-        {"plan_lambda_bodies", plan_lambda_bodies.load()},
-        {"plan_if_arms", 0},  // always 0; npadbench still reads it
-        {"arena_reuses", arena_reuses.load()},
+        {"scalar_blocks", scalar_blocks.load()},
         {"vexec_launches", vexec_launches.load()},
-        {"vexec_superinstrs", vexec_superinstrs.load()},
         {"batched_prog_runs", batched_prog_runs.load()},
         {"batched_prog_requests", batched_prog_requests.load()},
+        {"flattened_maps", 0},      // always 0; npadbench still reads it
+        {"segred_launches", 0},     // always 0; npadbench still reads it
+        {"plan_launches", 0},       // always 0; npadbench still reads it
+        {"plan_lambda_bodies", 0},  // always 0; npadbench still reads it
+        {"plan_if_arms", 0},        // always 0; npadbench still reads it
+        {"arena_reuses", 0},        // always 0; npadbench still reads it
     };
   }
 };

@@ -1763,7 +1763,7 @@ KernelWork kernel_work(const Kernel& k, const double* pre) {
 
 void run_scalar_kernel(const Kernel& k, const double* frees, double* regs, double* out) {
   // Scalar blocks have no inputs, free arrays or accumulators (by
-  // construction in the plan compiler), so a stack KernelLaunch with empty
+  // construction in slot resolution, runtime/resolve.cpp), so a stack KernelLaunch with empty
   // bindings is sound and the whole call is allocation-free.
   KernelLaunch L;
   L.k = &k;

@@ -260,8 +260,9 @@ std::optional<Kernel> compile_reduce_kernel(const ir::Lambda& op, const ir::Lamb
 
 // Bound kernel ready to run: free variables resolved against an environment.
 // `k` points into the process-wide kernel cache (runtime/kernel_cache.hpp)
-// or into a compiled plan; both keep their kernels alive for the process, so
-// the kernel always outlives the launch.
+// or into a resolved program's scalar-glue block (runtime/resolve.hpp); both
+// keep their kernels alive for the process, so the kernel always outlives
+// the launch.
 struct KernelLaunch {
   const Kernel* k = nullptr;
   std::vector<double> free_scalar_vals;
@@ -289,7 +290,7 @@ struct KernelLaunch {
   // to seed the per-lane partial accumulators.
   std::vector<double> red_neutral;
 
-  // Extent-1 scalar-block mode (execution plans): when set, StoreOut writes
+  // Extent-1 scalar-block mode (scalar-glue blocks): when set, StoreOut writes
   // result j to scalar_out[j] instead of an output array — no output
   // buffers, no iteration space, one lane.
   double* scalar_out = nullptr;
@@ -365,7 +366,7 @@ struct KernelWork {
 KernelWork kernel_work(const Kernel& k, const double* pre);
 
 // Runs a zero-input scalar-block kernel (compiled from a run of scalar
-// bindings by the plan compiler: no LoadElem/Gather/UpdAcc, every result a
+// bindings at slot resolution: no LoadElem/Gather/UpdAcc, every result a
 // scalar) exactly once. `frees` holds the free-scalar values in
 // k.free_scalars order, `regs` is caller-provided scratch of k.num_regs
 // doubles, and result j lands in out[j] as a raw double (convert with the

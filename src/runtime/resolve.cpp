@@ -1,7 +1,9 @@
 #include "runtime/resolve.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <mutex>
+#include <optional>
 
 #include "ir/analysis.hpp"
 #include "ir/visit.hpp"
@@ -11,6 +13,56 @@ namespace npad::rt {
 namespace {
 
 using namespace ir;
+
+// A statement foldable into a scalar-glue block: binds exactly one scalar
+// (non-acc) result through a pure scalar operation. OpIndex is excluded: its
+// bounds check must keep throwing ShapeError with the exact general-path
+// message, and a Gather in a folded block would bypass it.
+bool scalar_glue(const Stm& st) {
+  if (st.vars.size() != 1) return false;
+  const Type& t = st.types[0];
+  if (t.rank != 0 || t.is_acc) return false;
+  return std::holds_alternative<OpAtom>(st.e) || std::holds_alternative<OpBin>(st.e) ||
+         std::holds_alternative<OpUn>(st.e) || std::holds_alternative<OpSelect>(st.e);
+}
+
+// Folds stms [begin, end) of `b` into one extent-1 kernel program. Every
+// binding of the run is a result, since later statements may read any of
+// them. A run the kernel compiler rejects stays unfolded.
+std::optional<ScalarBlock> fold_scalar_run(const Body& b, size_t begin, size_t end) {
+  Lambda glue;
+  glue.body.stms.assign(b.stms.begin() + static_cast<ptrdiff_t>(begin),
+                        b.stms.begin() + static_cast<ptrdiff_t>(end));
+  ScalarBlock blk;
+  for (size_t i = begin; i < end; ++i) {
+    glue.body.result.emplace_back(b.stms[i].vars[0]);
+    glue.rets.push_back(b.stms[i].types[0]);
+    blk.out_vars.push_back(b.stms[i].vars[0]);
+    blk.out_types.push_back(b.stms[i].types[0].elem);
+  }
+  auto k = compile_kernel(glue);
+  if (!k || !k->accs.empty() || k->num_inputs != 0 || !k->free_arrays.empty()) {
+    return std::nullopt;
+  }
+  blk.first = static_cast<uint32_t>(begin);
+  blk.count = static_cast<uint32_t>(end - begin);
+  blk.kernel = std::move(*k);
+  return blk;
+}
+
+std::vector<ScalarBlock> scalar_blocks(const Body& b) {
+  std::vector<ScalarBlock> out;
+  size_t i = 0;
+  while (i < b.stms.size()) {
+    size_t j = i;
+    while (j < b.stms.size() && scalar_glue(b.stms[j])) ++j;
+    if (j - i >= 2) {
+      if (auto blk = fold_scalar_run(b, i, j)) out.push_back(std::move(*blk));
+    }
+    i = std::max(j, i + 1);
+  }
+  return out;
+}
 
 // Walks an alpha-renamed function and assigns every binding a slot in its
 // enclosing activation. Activations are opened at the function root, at each
@@ -27,6 +79,7 @@ public:
     for (const auto& p : rp_.fn.params) bind(p.var);
     body(rp_.fn.body);
     pop_activation();
+    rp_.scalar_blocks[rp_.root_activation] = scalar_blocks(rp_.fn.body);
   }
 
 private:
@@ -38,6 +91,7 @@ private:
   uint32_t push_activation() {
     const auto id = static_cast<uint32_t>(rp_.activations.size());
     rp_.activations.push_back(ActivationInfo{static_cast<uint32_t>(stack_.size()), 0});
+    rp_.scalar_blocks.emplace_back();
     stack_.push_back(Act{id, 0});
     return id;
   }
@@ -81,6 +135,7 @@ private:
                      if (o.idx.valid()) bind(o.idx);
                      body(*o.body);
                      pop_activation();
+                     rp_.scalar_blocks[o.activation_id] = scalar_blocks(*o.body);
                    },
                    [&](const OpMap& o) { lambda(*o.f); },
                    [&](const OpReduce& o) {
@@ -126,8 +181,11 @@ std::shared_ptr<const ResolvedProg> resolve_prog(const ir::Prog& p) {
 }
 
 ProgCache& ProgCache::global() {
-  static ProgCache cache;
-  return cache;
+  // Leaked singleton, same lifetime policy as KernelCache: the scalar-block
+  // kernels of resolved programs key the vexec cache by address and must
+  // stay valid on every thread until exit.
+  static ProgCache* cache = new ProgCache();
+  return *cache;
 }
 
 size_t ProgCache::size() const {

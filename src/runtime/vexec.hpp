@@ -149,7 +149,7 @@ struct Ops {
 
 // Lazily lowers (and caches process-wide, immortal) the vexec entry for `k`
 // at lane width `lanes`. `k` must itself be immortal — owned by the kernel
-// cache or an execution plan, never by the launch. Returns nullptr when the
+// cache or a resolved program's scalar-glue block, never by the launch. Returns nullptr when the
 // width is unsupported (wide programs exist for W in {4, 8, 16} only) or
 // the program does not lower; the caller then stays on the register machine.
 const Entry* lookup(const Kernel& k, int lanes);

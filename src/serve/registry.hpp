@@ -5,7 +5,7 @@
 // (reverse-mode vjp for the scalar objectives, forward-mode jvp for the
 // residual Jacobians, mirroring how the paper-table benches evaluate each
 // workload). Programs are built once per process — the registry shares the
-// immortal ProgCache/KernelCache/PlanCache entries across every serving
+// immortal ProgCache/KernelCache entries across every serving
 // tenant, so a request never pays compilation after first touch.
 
 #include <cstdint>

@@ -484,11 +484,9 @@ TEST(FaultSweep, LoopFor) {
   sweep_case("loop_for", prog_runner(std::move(p), {rand_f64(rng, {4096})}));
 }
 
-TEST(FaultSweep, PlannedLoop) {
-  // A loop the plan compiler accepts in full: scalar-glue run (Scalars step),
-  // kernelizable rank-1 map (MapLaunch step) and an invariant-extent carry
-  // (hoisted loop-buffer ring). Exercises plan.compile / plan.step /
-  // plan.loop_iter, and checks the ring's unwind restores the pool footprint.
+TEST(FaultSweep, LoopWithScalarGlue) {
+  // A loop body with a scalar-glue run (one scalar.block crossing per
+  // iteration) and a kernelizable rank-1 map over the carried array.
   ProgBuilder pb("pl");
   Var x = pb.param("x", f64());
   Var xs = pb.param("xs", arr_f64(1));
@@ -508,18 +506,13 @@ TEST(FaultSweep, PlannedLoop) {
       });
   Prog p = pb.finish({Atom(outs[0])});
   npad::support::Rng rng(28);
-  InterpOptions opts;
-  opts.use_plans = true;  // pinned: swept on the NPAD_USE_PLANS=0 CI leg too
-  sweep_case("planned_loop", prog_runner(std::move(p), {Value(0.5), rand_f64(rng, {4096})}, opts));
+  sweep_case("glue_loop", prog_runner(std::move(p), {Value(0.5), rand_f64(rng, {4096})}));
 }
 
-TEST(FaultSweep, PlannedBranchesAndLambdas) {
-  // The plan layer's branch/lambda/arena control flow: a planned for-loop
-  // whose body is an OpIf with kernelizable arms (general steps inside
-  // plan.loop_iter), a general-path outer map whose lambda body carries its
-  // own tabled plan (plan.apply_body), and launch arenas recycling
-  // sole-owner intermediates (plan.arena_acquire). Plans pinned on so these
-  // sites sweep on every CI leg.
+TEST(FaultSweep, BranchesAndLambdas) {
+  // Branchy control flow: a for-loop whose body is an OpIf with
+  // kernelizable arms, a top-level OpIf, and a general-path outer map whose
+  // lambda body launches an inner map and reduce per row.
   ProgBuilder pb("pb");
   Var x = pb.param("x", f64());
   Var xs = pb.param("xs", arr_f64(1));
@@ -549,7 +542,7 @@ TEST(FaultSweep, PlannedBranchesAndLambdas) {
             });
         return std::vector<Atom>{Atom(picked[0])};
       });
-  // Top-level OpIf with kernelizable arms: a General plan step.
+  // Top-level OpIf with kernelizable arms.
   Var cnd = b.gt(x, cf64(0.0));
   std::vector<Var> branched = b.if_(
       Atom(cnd),
@@ -581,7 +574,7 @@ TEST(FaultSweep, PlannedBranchesAndLambdas) {
               Var s = c.reduce1(c.add_op(), cf64(0.0), {scaled});
               // The OpIf keeps this body off the kernel tier (row streams
               // would otherwise compile the whole lambda), so the map stays
-              // general and every element crosses plan.apply_body.
+              // general and every element is one apply().
               std::vector<Var> clamped = c.if_(
                   Atom(c.gt(s, cf64(1e300))),
                   [&](Builder& tb) { return std::vector<Atom>{Atom(tb.mul(s, cf64(0.5)))}; },
@@ -596,11 +589,9 @@ TEST(FaultSweep, PlannedBranchesAndLambdas) {
   Var z = b.add(y, Atom(b.add(u, w)));
   Prog p = pb.finish({Atom(z)});
   npad::support::Rng rng(29);
-  InterpOptions opts;
-  opts.use_plans = true;
-  sweep_case("planned_branches",
+  sweep_case("branches",
              prog_runner(std::move(p),
-                         {Value(0.8), rand_f64(rng, {512}), rand_f64(rng, {4096, 8})}, opts));
+                         {Value(0.8), rand_f64(rng, {512}), rand_f64(rng, {4096, 8})}));
 }
 
 TEST(FaultSweep, GmmObjectiveAndGradient) {
@@ -704,15 +695,8 @@ TEST(FaultSweep, AtLeastTwentyDistinctSitesExercised) {
   EXPECT_TRUE(sites.count("pool.acquire")) << all;
   EXPECT_TRUE(sites.count("threadpool.chunk")) << all;
   EXPECT_TRUE(sites.count("loop.iter")) << all;
-  // The execution-plan layer: cache acquisition, step execution, the
-  // per-iteration site inside planned loops, planned lambda bodies, and arena
-  // buffer handout. The PlannedLoop / PlannedBranchesAndLambdas sweeps pin
-  // use_plans on, so these hold on the NPAD_USE_PLANS=0 CI leg too.
-  EXPECT_TRUE(sites.count("plan.compile")) << all;
-  EXPECT_TRUE(sites.count("plan.step")) << all;
-  EXPECT_TRUE(sites.count("plan.loop_iter")) << all;
-  EXPECT_TRUE(sites.count("plan.apply_body")) << all;
-  EXPECT_TRUE(sites.count("plan.arena_acquire")) << all;
+  // The evaluator's scalar-glue fold (LoopWithScalarGlue).
+  EXPECT_TRUE(sites.count("scalar.block")) << all;
   // The vectorized execution tier: when vexec is on (the default; the
   // NPAD_VEXEC=0 CI leg disables it), the sweeps above dispatch through the
   // gate in front of the SIMD schedules, so that site must have been crossed

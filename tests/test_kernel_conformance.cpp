@@ -1273,8 +1273,8 @@ Prog inline_loop_prog() {
   return p;
 }
 
-// A scalar-only body: with plans on this lowers to one Scalars step, which
-// the vexec tier executes through its width-1 program (run_scalar).
+// A scalar-only body: slot resolution folds it into one scalar-glue block,
+// which the vexec tier executes through its width-1 program (run_scalar).
 Prog scalar_block_prog() {
   ProgBuilder pb("sb");
   Var x = pb.param("x", f64());
@@ -1376,9 +1376,6 @@ TEST_P(VexecConformance, BitExactAgainstRegisterMachine) {
   }
 
   rt::InterpOptions base{.parallel = false, .use_kernels = true, .kernel_lanes = 8};
-  // Pinned on: the ScalarBlock rows dispatch vexec through plan steps, so
-  // this grid must not depend on the NPAD_USE_PLANS environment default.
-  base.use_plans = true;
   base.use_vexec = false;
   rt::Interp off{base};
   const auto ref = flatten_outputs(off.run(p, args));
@@ -1394,9 +1391,9 @@ TEST_P(VexecConformance, BitExactAgainstRegisterMachine) {
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i], ref[i]) << "portable=" << portable << " at " << i;  // bit-identical
     }
-    // Counter movement: the large rows (and the scalar block, whose plan
-    // step always dispatches) must actually route through the tier; empty
-    // and tail-only rows may legitimately skip it (no launch at all).
+    // Counter movement: the large rows (and the scalar block, which always
+    // dispatches) must actually route through the tier; empty and tail-only
+    // rows may legitimately skip it (no launch at all).
     if (n >= 4096 || kind == VexKind::ScalarBlock) {
       EXPECT_GT(on.stats().vexec_launches.load(), 0u) << "portable=" << portable;
     }

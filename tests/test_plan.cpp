@@ -1,21 +1,20 @@
-// Compiled execution plans (runtime/plan.hpp): conformance and counters.
+// The one evaluator (eval_body / exec_stm): conformance of the kernel tier
+// and the scalar-glue fold against the general path.
 //
-// The contract under test is the one plan.hpp states: plans never change
-// results. For each workload we run the program planned (the default) and
-// plan-disabled (InterpOptions::use_plans = false) and require the outputs to
-// be bit-exact — scalars compared as raw bit patterns, arrays as shape plus
+// Every program runs with kernels on (kernel launches, whole-lambda nests,
+// scalar-glue blocks) and off (InterpOptions::use_kernels = false, the
+// per-statement reference) with parallelism off, and the outputs must be
+// bit-exact: scalars compared as raw bit patterns, arrays as shape plus
 // per-element bits. On top of the conformance sweep:
 //
-//   * counter plumbing: plans_compiled / plan_launches / plan_scalar_blocks /
-//     plan_hoisted_buffers fire on a hand-built program that exercises every
-//     step kind;
+//   * scalar-glue blocks: the counter fires in the top-level body and in
+//     loop bodies, and a run whose free variable turns out to be an array
+//     falls back to per-statement evaluation;
 //   * the LSTM launch-count acceptance: one objective+gradient evaluation at
-//     the bench D0 shape stays far below the pre-plan launch level;
-//   * steady-state pool traffic: once a planned loop's buffer ring is warm,
-//     extra iterations cost (almost) no pool round-trips;
-//   * fallback coverage: while-free loops with data-dependent extents or
-//     OpIf bodies, empty loops, and one-iteration loops all take the general
-//     path (or degenerate planned paths) and still match bit-exact.
+//     the bench D0 shape stays far below the per-row launch level;
+//   * loops with data-dependent extents, OpIf bodies, zero and one
+//     iterations, a general rows map with branches, and both arms of a
+//     top-level if.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +29,6 @@
 #include "ir/typecheck.hpp"
 #include "opt/pipeline.hpp"
 #include "runtime/interp.hpp"
-#include "runtime/plan.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -38,11 +36,10 @@ namespace {
 using namespace npad::ir;
 using namespace npad::rt;
 
-// Plans pinned on regardless of NPAD_USE_PLANS (the CI plan-disabled leg
-// must not turn these tests into no-ops).
-InterpOptions plans_on() {
+InterpOptions kernels(bool on) {
   InterpOptions o;
-  o.use_plans = true;
+  o.parallel = false;
+  o.use_kernels = on;
   return o;
 }
 
@@ -77,40 +74,36 @@ std::vector<uint64_t> fingerprint(const std::vector<Value>& vals) {
   return fp;
 }
 
-// Runs `p` planned and plan-disabled and asserts bit-exact agreement.
-// Returns the planned result for further checks.
-std::vector<Value> expect_plan_conformant(const Prog& p, const std::vector<Value>& args,
-                                          const char* what) {
-  InterpOptions planned;
-  planned.use_plans = true;  // pinned: tests must not depend on NPAD_USE_PLANS
-  InterpOptions general;
-  general.use_plans = false;
-  auto a = run_prog(p, args, planned);
-  auto b = run_prog(p, args, general);
-  EXPECT_EQ(fingerprint(a), fingerprint(b)) << what << ": planned vs plan-disabled diverged";
-  // And planned execution itself is deterministic across runs.
-  EXPECT_EQ(fingerprint(a), fingerprint(run_prog(p, args, planned)))
-      << what << ": planned execution is not deterministic";
+// Runs `p` with kernels on and off and asserts bit-exact agreement. Returns
+// the kernels-on result for further checks.
+std::vector<Value> expect_conformant(const Prog& p, const std::vector<Value>& args,
+                                     const char* what) {
+  auto a = run_prog(p, args, kernels(true));
+  auto b = run_prog(p, args, kernels(false));
+  EXPECT_EQ(fingerprint(a), fingerprint(b)) << what << ": kernels on vs off diverged";
+  // And the default (parallel) configuration is deterministic across runs.
+  EXPECT_EQ(fingerprint(run_prog(p, args)), fingerprint(run_prog(p, args)))
+      << what << ": parallel execution is not deterministic";
   return a;
 }
 
 // ------------------------------------------------- app conformance (fwd+rev)
 
-TEST(PlanConformance, GmmObjectiveAndGradient) {
+TEST(EvalConformance, GmmObjectiveAndGradient) {
   npad::support::Rng rng(31);
   auto g = npad::apps::gmm_gen(rng, 64, 4, 5);
   Prog p = npad::apps::gmm_ir_objective();
   typecheck(p);
   auto args = npad::apps::gmm_ir_args(g);
-  expect_plan_conformant(p, args, "gmm objective");
+  expect_conformant(p, args, "gmm objective");
 
   Prog grad = npad::ad::vjp(p);
   typecheck(grad);
   args.emplace_back(1.0);
-  expect_plan_conformant(grad, args, "gmm gradient");
+  expect_conformant(grad, args, "gmm gradient");
 }
 
-TEST(PlanConformance, LstmObjectiveAndGradientOptimized) {
+TEST(EvalConformance, LstmObjectiveAndGradientOptimized) {
   npad::support::Rng rng(32);
   auto L = npad::apps::lstm_gen(rng, 4, 6, 8, 10);
   // Same preparation as bench_table6_lstm: differentiate, then optimize.
@@ -122,33 +115,33 @@ TEST(PlanConformance, LstmObjectiveAndGradientOptimized) {
   typecheck(obj);
   typecheck(grad);
   auto args = npad::apps::lstm_ir_args(L);
-  expect_plan_conformant(obj, args, "lstm objective");
+  expect_conformant(obj, args, "lstm objective");
   args.emplace_back(1.0);
-  expect_plan_conformant(grad, args, "lstm gradient");
+  expect_conformant(grad, args, "lstm gradient");
 }
 
-TEST(PlanConformance, KmeansCostAndGradient) {
+TEST(EvalConformance, KmeansCostAndGradient) {
   npad::support::Rng rng(33);
   auto d = npad::apps::kmeans_gen(rng, 48, 3, 4);
   Prog p = npad::apps::kmeans_ir_cost();
   typecheck(p);
   std::vector<Value> args = {make_f64_array(d.centroids, {d.k, d.d}),
                              make_f64_array(d.points, {d.n, d.d})};
-  expect_plan_conformant(p, args, "kmeans cost");
+  expect_conformant(p, args, "kmeans cost");
 
   Prog grad = npad::ad::vjp(p);
   typecheck(grad);
   args.emplace_back(1.0);
-  expect_plan_conformant(grad, args, "kmeans gradient");
+  expect_conformant(grad, args, "kmeans gradient");
 }
 
-// --------------------------------------------------------- step counters ---
+// ------------------------------------------------------ scalar-glue blocks ---
 
-// A planned loop whose body exercises every plan step kind: a scalar-glue
-// run (folds into one Scalars block), a kernelizable rank-1 map (MapLaunch
-// with the kernel pre-bound), and a carried array (hoisted launch buffers).
-Prog all_steps_prog(int64_t iters) {
-  ProgBuilder pb("steps");
+// A loop with scalar glue in both bodies: a top-level run and an in-loop run
+// (one scalar-glue block each), plus a kernelizable rank-1 map over the
+// carried array.
+Prog glue_loop_prog(int64_t iters) {
+  ProgBuilder pb("glue");
   Var x = pb.param("x", f64());
   Var xs = pb.param("xs", arr_f64(1));
   Builder& b = pb.body();
@@ -172,36 +165,52 @@ Prog all_steps_prog(int64_t iters) {
   return pb.finish({Atom(outs[0])});
 }
 
-TEST(PlanCounters, EveryStepKindFires) {
-  Prog p = all_steps_prog(10);
+TEST(ScalarBlocks, FireInTopLevelAndLoopBodies) {
+  Prog p = glue_loop_prog(10);
   typecheck(p);
   npad::support::Rng rng(34);
   std::vector<Value> args = {0.7,
                              make_f64_array(rng.uniform_vec(4096, -1.0, 1.0), {4096})};
-  Interp in{plans_on()};
-  auto r = in.run(p, args);
+  Interp on{kernels(true)};
+  auto r = on.run(p, args);
   ASSERT_EQ(r.size(), 1u);
-  const auto& st = in.stats();
-  // Top-level plan + the loop-body plan.
-  EXPECT_GE(st.plans_compiled.load(), 2u);
-  // One MapLaunch per iteration.
-  EXPECT_GE(st.plan_launches.load(), 10u);
-  // One Scalars block per iteration plus the top-level run.
-  EXPECT_GE(st.plan_scalar_blocks.load(), 11u);
-  // Double-buffered carry: after a two-iteration warm-up every iteration's
-  // launch buffer comes from the loop ring, not the pool.
-  EXPECT_GE(st.plan_hoisted_buffers.load(), 7u);
-
-  // The counters describe a real execution: conformance still holds.
-  expect_plan_conformant(p, args, "all-steps program");
+  // One block per iteration plus the top-level run.
+  EXPECT_EQ(on.stats().scalar_blocks.load(), 11u);
+  // The reference path never folds.
+  Interp off{kernels(false)};
+  EXPECT_EQ(fingerprint(off.run(p, args)), fingerprint(r));
+  EXPECT_EQ(off.stats().scalar_blocks.load(), 0u);
 }
 
-// -------------------------------------------------------------- fallbacks --
+// A run whose free variable holds an array at run time (a shape-polymorphic
+// reuse the static types do not describe) cannot bind the block's scalar
+// registers: it evaluates statement by statement, exactly like the
+// reference, and the block does not count.
+TEST(ScalarBlocks, FreeArrayFallsBackPerStatement) {
+  ProgBuilder pb("glue_rebind");
+  Var x = pb.param("x", f64());
+  Builder& b = pb.body();
+  Var a = b.rebind(Atom(x));
+  Var c = b.rebind(Atom(a));
+  Prog p = pb.finish({Atom(c)});
+  typecheck(p);
+  std::vector<Value> args = {make_f64_array({1.5, -2.0, 0.25}, {3})};
+  Interp on{kernels(true)};
+  auto r = on.run(p, args);
+  ASSERT_TRUE(is_array(r[0]));
+  EXPECT_EQ(fingerprint(r), fingerprint(run_prog(p, args, kernels(false))));
+  EXPECT_EQ(on.stats().scalar_blocks.load(), 0u);
+  // The same program with a scalar argument folds.
+  Interp scalar{kernels(true)};
+  EXPECT_EQ(std::get<double>(scalar.run(p, {Value(1.5)})[0]), 1.5);
+  EXPECT_EQ(scalar.stats().scalar_blocks.load(), 1u);
+}
+
+// ----------------------------------------------------- loops and branches --
 
 // Data-dependent extent: the body materializes iota(carry), so the launch
-// extent changes across iterations — loop_extents_invariant must reject it
-// and the loop stays on the general evaluator (no hoisting ring).
-TEST(PlanFallback, DataDependentExtentLoop) {
+// extent changes across iterations.
+TEST(EvalConformance, DataDependentExtentLoop) {
   ProgBuilder pb("dyn");
   Builder& b = pb.body();
   auto outs = b.loop_for(
@@ -214,17 +223,12 @@ TEST(PlanFallback, DataDependentExtentLoop) {
   Prog p = pb.finish({Atom(outs[0])});
   typecheck(p);
 
-  Interp in{plans_on()};
-  auto r = in.run(p, {});
+  auto r = expect_conformant(p, {}, "data-dependent extent loop");
   EXPECT_EQ(std::get<int64_t>(r[0]), 7);  // 1 -> 2 -> 3 -> ... -> 7
-  // The loop was not planned: no buffers were hoisted.
-  EXPECT_EQ(in.stats().plan_hoisted_buffers.load(), 0u);
-  expect_plan_conformant(p, {}, "data-dependent extent loop");
 }
 
-// OpIf in the body keeps the loop on the general path (branch-dependent
-// extents are not provable), but results still agree bit-exact.
-TEST(PlanFallback, OpIfInLoopBody) {
+// An OpIf whose arms launch maps over the carried array.
+TEST(EvalConformance, OpIfInLoopBody) {
   ProgBuilder pb("br");
   Var xs = pb.param("xs", arr_f64(1));
   Builder& b = pb.body();
@@ -258,17 +262,17 @@ TEST(PlanFallback, OpIfInLoopBody) {
   typecheck(p);
   npad::support::Rng rng(35);
   std::vector<Value> args = {make_f64_array(rng.uniform_vec(512, -1.0, 1.0), {512})};
-  expect_plan_conformant(p, args, "OpIf loop body");
+  expect_conformant(p, args, "OpIf loop body");
 }
 
-TEST(PlanFallback, EmptyAndSingleIterationLoops) {
+TEST(EvalConformance, EmptyAndSingleIterationLoops) {
   for (int64_t iters : {int64_t{0}, int64_t{1}}) {
-    Prog p = all_steps_prog(iters);
+    Prog p = glue_loop_prog(iters);
     typecheck(p);
     npad::support::Rng rng(36);
     std::vector<Value> args = {0.3,
                                make_f64_array(rng.uniform_vec(256, -1.0, 1.0), {256})};
-    auto r = expect_plan_conformant(p, args, iters == 0 ? "empty loop" : "one-iteration loop");
+    auto r = expect_conformant(p, args, iters == 0 ? "empty loop" : "one-iteration loop");
     ASSERT_TRUE(is_array(r[0]));
     EXPECT_EQ(as_array(r[0]).shape, (std::vector<int64_t>{256}));
   }
@@ -276,7 +280,7 @@ TEST(PlanFallback, EmptyAndSingleIterationLoops) {
 
 // ------------------------------------------------ LSTM launch acceptance ---
 
-TEST(PlanAcceptance, LstmLaunchCountStaysLow) {
+TEST(EvalAcceptance, LstmLaunchCountStaysLow) {
   npad::support::Rng rng(19);  // same seed/shape as bench_table6_lstm D0
   auto L = npad::apps::lstm_gen(rng, 16, 10, 24, 16);
   Prog obj = npad::apps::lstm_ir_objective();
@@ -288,13 +292,12 @@ TEST(PlanAcceptance, LstmLaunchCountStaysLow) {
   auto gargs = args;
   gargs.emplace_back(1.0);
 
-  Interp in{plans_on()};
+  Interp in;
   in.run(obj, args);
   in.run(grad, gargs);
-  // Before this PR one objective+gradient evaluation at this shape issued
-  // tens of thousands of batched kernel spans (~60k: per-timestep per-gate
-  // row launches); inlined inner SOACs plus planned launches cut that by
-  // ~40x (measured ~1.5k). The ceiling leaves 2x headroom over the measured
+  // One objective+gradient evaluation at this shape used to issue tens of
+  // thousands of batched kernel spans (~60k: per-timestep per-gate row
+  // launches); inlined inner SOACs cut that by ~40x (measured ~1.5k). The ceiling leaves 2x headroom over the measured
   // level — still >10x below the old level — so a regression that undoes the
   // win fails loudly without the test being brittle.
   EXPECT_LE(in.stats().batched_launches.load(), 3000u)
@@ -302,34 +305,11 @@ TEST(PlanAcceptance, LstmLaunchCountStaysLow) {
       << in.stats().batched_launches.load();
 }
 
-// --------------------------------------------------- steady-state pooling --
+// ------------------------------------------------ general maps and OpIf arms --
 
-// Pool round-trips per iteration in the planned steady state are ~0: compare
-// fresh-interpreter runs at n and 4n iterations — the extra 3n iterations
-// must not add pool traffic beyond a small warm-up slack.
-TEST(PlanSteadyState, ExtraIterationsAddNoPoolTraffic) {
-  npad::support::Rng rng(37);
-  std::vector<Value> args = {0.9,
-                             make_f64_array(rng.uniform_vec(4096, -1.0, 1.0), {4096})};
-  auto traffic = [&](int64_t iters) {
-    Prog p = all_steps_prog(iters);
-    typecheck(p);
-    Interp in{plans_on()};
-    in.run(p, args);
-    return in.stats().pool_hits.load() + in.stats().pool_misses.load();
-  };
-  const uint64_t t10 = traffic(10);
-  const uint64_t t40 = traffic(40);
-  EXPECT_LE(t40, t10 + 2) << "planned loop iterations still round-trip the pool: "
-                          << t10 << " @10 iters vs " << t40 << " @40 iters";
-}
-
-// ----------------------------------------- applied lambdas and OpIf arms ---
-
-// A general-path rows map whose lambda body carries its own tabled plan: the
-// inner map + reduce are launches, and the OpIf keeps the body off the
-// kernel tier (row-stream params would otherwise compile the whole lambda),
-// so every row crosses the planned apply() path and a General OpIf step.
+// A general-path rows map: the inner map + reduce are launches, and the OpIf
+// keeps the body off the kernel tier (row-stream params would otherwise
+// compile the whole lambda), so every row is one apply() with an OpIf.
 Prog rows_sum_prog() {
   ProgBuilder pb("rows");
   Var xss = pb.param("xss", arr_f64(2));
@@ -344,7 +324,7 @@ Prog rows_sum_prog() {
                                         }),
                                   {row[0]});
               Var s = c.reduce1(c.add_op(), cf64(0.0), {scaled});
-              // Arms with their own launches, run through General steps.
+              // Arms with their own launches.
               std::vector<Var> picked = c.if_(
                   Atom(c.gt(s, cf64(0.0))),
                   [&](Builder& tb) {
@@ -372,27 +352,22 @@ Prog rows_sum_prog() {
   return pb.finish({Atom(t)});
 }
 
-TEST(PlanCounters, AppliedLambdaBodiesWithBranches) {
+TEST(EvalConformance, GeneralRowsMapWithBranches) {
   Prog p = rows_sum_prog();
   typecheck(p);
   npad::support::Rng rng(40);
   // Mixed-sign rows: both OpIf arms execute across the map, so the
   // conformance check covers both arms.
   std::vector<Value> args = {make_f64_array(rng.uniform_vec(32 * 16, -3.0, 1.0), {32, 16})};
-  Interp in{plans_on()};
-  auto r = in.run(p, args);
-  ASSERT_EQ(r.size(), 1u);
-  const auto& st = in.stats();
-  // Every row applies its lambda through the tabled body plan.
-  EXPECT_GE(st.plan_lambda_bodies.load(), 32u);
-  // The inner map's per-row launch buffers recycle through the launch arena.
-  EXPECT_GT(st.arena_reuses.load(), 0u);
-  expect_plan_conformant(p, args, "general rows map with planned lambda body");
+  Interp in{kernels(true)};
+  in.run(p, args);
+  // Every row runs its lambda on the general path.
+  EXPECT_EQ(in.stats().general_maps.load(), 1u);
+  expect_conformant(p, args, "general rows map with branches");
 }
 
-// Both arms of a top-level OpIf stay bit-exact against the plan-disabled
-// path.
-TEST(PlanConformance, IfBothArmsBitExact) {
+// Both arms of a top-level OpIf stay bit-exact against the reference.
+TEST(EvalConformance, IfBothArmsBitExact) {
   ProgBuilder pb("toplevel_if");
   Var x = pb.param("x", f64());
   Var xs = pb.param("xs", arr_f64(1));
@@ -424,53 +399,8 @@ TEST(PlanConformance, IfBothArmsBitExact) {
   auto xs_val = make_f64_array(rng.uniform_vec(256, -1.0, 1.0), {256});
   for (double x0 : {0.7, -0.7}) {
     std::vector<Value> args = {Value(x0), xs_val};
-    expect_plan_conformant(p, args, x0 > 0 ? "if true arm" : "if false arm");
+    expect_conformant(p, args, x0 > 0 ? "if true arm" : "if false arm");
   }
-}
-
-// Launch arenas absorb per-row buffer churn: once the per-thread ring is
-// warm, extra rows of the general map must not add pool round-trips — the
-// inner map's launch buffers are recycled in place of pool traffic.
-TEST(PlanSteadyState, ArenaAbsorbsPerRowPoolTraffic) {
-  Prog p = rows_sum_prog();
-  typecheck(p);
-  auto traffic = [&](int64_t rows, uint64_t* reuses) {
-    npad::support::Rng rng(41);
-    std::vector<Value> args = {
-        make_f64_array(rng.uniform_vec(rows * 16, -1.0, 1.0), {rows, 16})};
-    Interp in{plans_on()};
-    in.run(p, args);
-    *reuses = in.stats().arena_reuses.load();
-    return in.stats().pool_hits.load() + in.stats().pool_misses.load();
-  };
-  uint64_t reuse_small = 0, reuse_big = 0;
-  const uint64_t t_small = traffic(8, &reuse_small);
-  const uint64_t t_big = traffic(64, &reuse_big);
-  // 56 extra rows: pool traffic stays flat up to per-thread warm-up slack
-  // (each worker's arena primes its own ring)...
-  EXPECT_LE(t_big, t_small + 32)
-      << "per-row buffers still round-trip the pool: " << t_small << " @8 rows vs " << t_big
-      << " @64 rows";
-  // ...because the extra rows were fed from the arena instead.
-  EXPECT_GT(reuse_big, reuse_small);
-}
-
-// Plan cache behavior: repeated runs of the same resolved program compile
-// the plan once (process-wide), like the kernel cache.
-TEST(PlanCache, CompilesOncePerProgram) {
-  Prog p = all_steps_prog(4);
-  typecheck(p);
-  npad::support::Rng rng(38);
-  std::vector<Value> args = {0.5,
-                             make_f64_array(rng.uniform_vec(128, -1.0, 1.0), {128})};
-  Interp first{plans_on()};
-  first.run(p, args);
-  const uint64_t compiled_first = first.stats().plans_compiled.load();
-  EXPECT_GE(compiled_first, 2u);  // top-level + loop body
-  Interp second{plans_on()};
-  second.run(p, args);
-  EXPECT_EQ(second.stats().plans_compiled.load(), 0u)
-      << "second run recompiled a cached plan";
 }
 
 } // namespace

@@ -42,11 +42,7 @@ TEST(KernelCache, HitServesDifferentFreeScalarBindings) {
   typecheck(p);
   ArrayVal xs = make_f64_array({1.0, 2.0, 3.0, 4.0}, {4});
 
-  // Plans pre-bind the kernel pointer at plan-compile time and never consult
-  // the cache per launch; disable them to exercise the per-launch hit path.
-  InterpOptions opts;
-  opts.use_plans = false;
-  Interp in(opts);
+  Interp in;
   auto r1 = in.run(p, {2.0, xs});
   auto r2 = in.run(p, {-3.5, xs});
 

@@ -217,7 +217,7 @@ TEST_F(ServeConcurrent, FaultSweepServingSites) {
   auto& pool = rt::BufferPool::global();
   fi.stop();
 
-  // Warm every cache (batched program, kernels, plans) and pin the baseline.
+  // Warm every cache (batched program, kernels) and pin the baseline.
   const WorkloadResult b1 = run_sweep_workload();
   const WorkloadResult b2 = run_sweep_workload();
   ASSERT_EQ(b1.outs.size(), static_cast<size_t>(kSweepK));

@@ -3,9 +3,11 @@
 
 Every bench binary writes BENCH_<name>.json (bench/common.hpp) with the
 interpreter's cumulative stats counters. This script enforces checked-in
-ceilings on the launch counters that the execution-plan + inlined-SOAC work
-drove down, so a regression that quietly reintroduces per-row or per-gate
-kernel launches fails CI instead of only showing up in the perf trajectory.
+ceilings on the launch and general-path counters that whole-lambda kernels
+(inlined inner SOACs, sequential loops, row results) drove down, so a
+regression that quietly reintroduces per-row or per-gate kernel launches, or
+sends a nest back to one general apply() per element, fails CI instead of
+only showing up in the perf trajectory.
 
 Counters are cumulative over the whole binary run and google-benchmark picks
 iteration counts from wall-clock (--benchmark_min_time), so absolute counter
@@ -27,9 +29,9 @@ import sys
 #  per-iteration ceiling, measured per-iteration rate when the ceiling was
 #  checked in).
 #
-# table6_lstm: before compiled execution plans + inlined inner SOACs, one
-# objective+gradient evaluation issued ~60k batched spans per iteration pair
-# (535k per smoke run); measured now ~680/iter. Ceiling 2000 keeps >10x of
+# table6_lstm: before inlined inner SOACs, one objective+gradient
+# evaluation issued ~60k batched spans per iteration pair (535k per smoke
+# run); measured now ~680/iter. Ceiling 2000 keeps >10x of
 # the win locked in.
 #
 # table3_kmeans: the AD grad/hvp programs used to issue ~120k spans per
@@ -51,11 +53,10 @@ import sys
 # rows); inline SOAC kernelization brings it to ~430/iter. Ceiling 5000
 # keeps >3x of the win locked in. The per-point reverse body (the argmax
 # one-hot over a value map, the adjoint row) used to run on the general
-# path, one planned lambda body per point: ~213 plan_lambda_bodies and ~0.77
-# general_maps per iteration. As one kernel: measured ~8.5 and ~0.39/iter
-# (the remaining general maps return per-row value maps). Ceilings 100 and
-# 4 keep >10x headroom; the plan_lambda_bodies ceiling is the one a
-# regression to per-point application trips.
+# path, one lambda application per point (~213 per iteration), inside
+# ~0.77 general_maps per iteration. As one kernel, with row results for
+# the maps returning per-row value maps: measured 0 general_maps/iter.
+# Ceiling 0.5 fails CI as soon as one general map per evaluation returns.
 #
 # table4_kmeans_sparse: the optimized sparse k-means gradient ran its
 # adjoint "psum" redomap — a CSR segment loop updating accumulators — on the
@@ -73,20 +74,19 @@ import sys
 # one of them falls back to a general map per evaluation.
 #
 # mc_transport: XSBench's binary-search loop kept the optimized gradient's
-# per-lookup lambda off the kernel tier, so the general path applied its
-# planned body lookup by lookup: ~1,500 plan_lambda_bodies per iteration.
-# With the loop inside the kernel: measured ~0.23/iter; ceiling 10 keeps
-# >40x headroom over that and >100x of the win locked in.
+# per-lookup lambda off the kernel tier, so a general map applied its body
+# lookup by lookup: ~1,500 applications per iteration. With the loop inside
+# the kernel: measured 0 general_maps/iter. Ceiling 0.5 fails CI as soon as
+# the lookup map falls back to the general path once per evaluation.
 CEILINGS = [
     ("BENCH_table6_lstm.json", "batched_launches", ["npad_"], 2000, 680),
     ("BENCH_table6_lstm.json", "general_maps", ["npad_"], 0.5, 0),
     ("BENCH_table3_kmeans.json", "batched_launches", ["ad_"], 10000, 770),
     ("BENCH_table3_kmeans.json", "general_maps", ["ad_"], 0.5, 0),
     ("BENCH_table5_gmm.json", "batched_launches", ["npad_"], 5000, 430),
-    ("BENCH_table5_gmm.json", "general_maps", ["npad_"], 4, 0.39),
-    ("BENCH_table5_gmm.json", "plan_lambda_bodies", ["npad_"], 100, 8.5),
+    ("BENCH_table5_gmm.json", "general_maps", ["npad_"], 0.5, 0),
     ("BENCH_table4_kmeans_sparse.json", "general_reduces", ["/ad"], 100, 0),
-    ("BENCH_mc_transport.json", "plan_lambda_bodies", ["npad_"], 10, 0.23),
+    ("BENCH_mc_transport.json", "general_maps", ["npad_"], 0.5, 0),
 ]
 
 # Counter-over-counter ceilings: (json file, numerator counters (summed),
