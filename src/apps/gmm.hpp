@@ -2,7 +2,8 @@
 
 // Gaussian Mixture Model log-likelihood (ADBench GMM; Sections 7.1 and 7.6).
 //
-// Substitution note (DESIGN.md): ADBench parameterizes covariances with a
+// Substitution note (docs/ARCHITECTURE.md § Substitutions and deviations
+// from the paper): ADBench parameterizes covariances with a
 // full inverse Cholesky factor; we use the diagonal parameterization
 // (q = log inverse sigma per dimension) plus the same logsumexp/prior
 // structure. This keeps identical map/reduce/logsumexp shape and the same

@@ -1,7 +1,8 @@
 #pragma once
 
 // Hand tracking (ADBench HAND, Section 7.1), reduced kinematic model
-// (substitution documented in DESIGN.md): a chain of `nbones` Euler-angle
+// (substitution documented in docs/ARCHITECTURE.md § Substitutions and
+// deviations from the paper): a chain of `nbones` Euler-angle
 // rotations is composed sequentially (the kinematic chain); every vertex is
 // attached to one bone (gather) and transformed by that bone's cumulative
 // rotation; residuals are the 3 coordinate differences to target positions.

@@ -5,7 +5,8 @@
 //   g = [i f o c~] = sigma/tanh( x_t Wx^T + h Wh^T + b )
 //   c = f*c + i*c~ ;  h = o * tanh(c)
 // Objective: sum over time of sum(h_t^2) (an MSE-style scalar objective;
-// substitution for ADBench's sequence NLL documented in DESIGN.md).
+// substitution for ADBench's sequence NLL documented in docs/ARCHITECTURE.md
+// § Substitutions and deviations from the paper).
 //
 // Implementations: npad IR (time loop + batched maps), eager autograd
 // (matmul-based BPTT, the PyTorch baseline), and a fused manual

@@ -18,7 +18,8 @@
 //   hist     — reduce_by_index specials for +, *, min/max (§5.1.2);
 //   scatter  — gather the overwritten adjoints, zero them out (§5.3).
 //
-// Deviation from the paper noted in DESIGN.md: the runtime is copy-on-write,
+// Deviation from the paper noted in docs/ARCHITECTURE.md § Substitutions and
+// deviations from the paper: the runtime is copy-on-write,
 // so the explicit save/restore of overwritten elements (xs_saved in §5.3)
 // is implicit — the primal array bound by the re-executed forward sweep is
 // still live when the return sweep reads it.

@@ -32,7 +32,8 @@ struct Coo {
 Coo to_coo(const Csr& a);
 
 // Random CSR matrix with ~nnz_per_row nonzeros per row (synthetic stand-in
-// for the MovieLens / NYTimes / scRNA workloads; see DESIGN.md).
+// for the MovieLens / NYTimes / scRNA workloads; see docs/ARCHITECTURE.md
+// § Substitutions and deviations from the paper).
 Csr random_csr(support::Rng& rng, int64_t rows, int64_t cols, int64_t nnz_per_row);
 
 // Dense C[m,n] = A[m,k] (COO) * B[k,n]; gradient flows to B only.

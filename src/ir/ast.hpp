@@ -26,7 +26,8 @@ namespace npad::ir {
 enum class ScalarType : uint8_t { F64, I64, Bool };
 
 // Ranks, not symbolic shapes: the type system tracks element type, rank and
-// accumulator-ness; concrete extents live on runtime values (DESIGN.md §3.2).
+// accumulator-ness; concrete extents live on runtime values (docs/ARCHITECTURE.md
+// § Substitutions and deviations from the paper).
 struct Type {
   ScalarType elem = ScalarType::F64;
   int rank = 0;

@@ -16,7 +16,8 @@
 // of a withacc. The paper additionally splits and interchanges deeper
 // map-nests to expose invariance (the matrix-multiplication case); that
 // reorganization is only partially covered here and is recorded as a
-// limitation in DESIGN.md/EXPERIMENTS.md.
+// limitation in docs/ARCHITECTURE.md § Substitutions and deviations from the
+// paper (ROADMAP item 3).
 
 #include "ir/ast.hpp"
 

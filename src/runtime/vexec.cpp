@@ -153,16 +153,22 @@ struct Lowered {
   int superinstrs = 0;
 };
 
-// True when `reg` is written by any instruction of the body, or is the loop
-// variable (rewritten by the loop mechanics each trip).
+// True when `reg` is written by any instruction of the body — a nested
+// loop's variable and carries included, since its mechanics rewrite them —
+// or is the loop variable (rewritten by the loop mechanics each trip).
 bool body_writes(const Kernel& k, const Kernel::InlineLoop& il, int32_t reg) {
   if (reg == il.ivar_reg) return true;
   for (uint32_t i = il.body_begin; i < il.body_end; ++i) {
     const KInstr& in = k.instrs[i];
-    if (in.op == KOp::StoreOut || in.op == KOp::UpdAcc || in.op == KOp::StoreIdx ||
-        in.op == KOp::InlineLoop) {
+    if (in.op == KOp::InlineLoop) {
+      const Kernel::InlineLoop& inner = k.loops[static_cast<size_t>(in.slot)];
+      if (reg == inner.ivar_reg || reg == inner.acc_reg) return true;
+      for (int32_t a : inner.more_accs) {
+        if (reg == a) return true;
+      }
       continue;
     }
+    if (in.op == KOp::StoreOut || in.op == KOp::UpdAcc || in.op == KOp::StoreIdx) continue;
     if (in.dst == reg) return true;
   }
   return false;
@@ -183,9 +189,11 @@ bool stream_access(const Kernel& k, const Kernel::InlineLoop& il, const KInstr& 
   return true;
 }
 
-// Recognizes the dominant InlineLoop shapes and fills the fused VLoop
-// fields (register space). Returns the marker op to emit: DotLoop (dot
-// product or one-stream fold) / Axpy2Loop when fused, Loop otherwise.
+// Recognizes the dominant InlineLoop shapes (register space). Returns the
+// marker op to emit: DotLoop (dot product or one-stream fold) / Axpy2Loop
+// when fused, Loop otherwise. Every access of a fused body is a stream of
+// its loop, so the fused handler reads the row pointers the loop binds
+// (VLoop::streams, in body order).
 VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u, VLoop& vl) {
   // Multi-accumulator folds never match the single-acc fused forms, and a
   // counted loop's trip bounds none of its streams.
@@ -198,11 +206,13 @@ VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u,
     if (in.op == KOp::ConstF || in.op == KOp::LoadLen) continue;
     sig.push_back(&in);
   }
+  int32_t lead[3], nlead = 0;
+  auto is_stream = [&](const KInstr* in) { return stream_access(k, il, *in, lead, nlead); };
 
   // Dot-product fold: Gather, Gather, Mul, Add(with acc), Mov(-> acc).
-  if (sig.size() == 5 && il.acc_reg >= 0 && il.neutral_reg >= 0 &&
-      sig[0]->op == KOp::Gather && sig[1]->op == KOp::Gather && sig[2]->op == KOp::Mul &&
-      sig[3]->op == KOp::Add && sig[4]->op == KOp::Mov) {
+  const bool fold = il.acc_reg >= 0 && il.neutral_reg >= 0;
+  if (fold && sig.size() == 5 && sig[0]->op == KOp::Gather && sig[1]->op == KOp::Gather &&
+      sig[2]->op == KOp::Mul && sig[3]->op == KOp::Add && sig[4]->op == KOp::Mov) {
     const int32_t t1 = sig[0]->dst, t2 = sig[1]->dst, t3 = sig[2]->dst, t4 = sig[3]->dst;
     const bool temps = u.ok_temp(t1) && u.ok_temp(t2) && u.ok_temp(t3) && u.ok_temp(t4);
     const bool mul_fw = sig[2]->a == t1 && sig[2]->b == t2;
@@ -210,25 +220,21 @@ VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u,
     const bool add_pa = sig[3]->a == t3 && sig[3]->b == il.acc_reg;
     const bool add_ap = sig[3]->a == il.acc_reg && sig[3]->b == t3;
     const bool wb = sig[4]->dst == il.acc_reg && sig[4]->a == t4;
-    if (temps && (mul_fw || mul_bw) && (add_pa || add_ap) && wb &&
-        stream_access(k, il, *sig[0], vl.a_idx, vl.a_nidx) &&
-        stream_access(k, il, *sig[1], vl.b_idx, vl.b_nidx)) {
-      vl.a_slot = sig[0]->slot;
-      vl.b_slot = sig[1]->slot;
+    if (temps && (mul_fw || mul_bw) && (add_pa || add_ap) && wb && is_stream(sig[0]) &&
+        is_stream(sig[1])) {
       vl.dot_flags = static_cast<uint8_t>((mul_bw ? 1 : 0) | (add_pa ? 2 : 0));
       return VOp::DotLoop;
     }
   }
 
   // One-stream fold: Gather, Add(with acc), Mov(-> acc) — map-of-sum.
-  if (sig.size() == 3 && il.acc_reg >= 0 && il.neutral_reg >= 0 &&
-      sig[0]->op == KOp::Gather && sig[1]->op == KOp::Add && sig[2]->op == KOp::Mov) {
+  if (fold && sig.size() == 3 && sig[0]->op == KOp::Gather && sig[1]->op == KOp::Add &&
+      sig[2]->op == KOp::Mov) {
     const int32_t t1 = sig[0]->dst, t2 = sig[1]->dst;
     const bool add_ea = sig[1]->a == t1 && sig[1]->b == il.acc_reg;
     const bool add_ae = sig[1]->a == il.acc_reg && sig[1]->b == t1;
     if (u.ok_temp(t1) && u.ok_temp(t2) && (add_ea || add_ae) && sig[2]->dst == il.acc_reg &&
-        sig[2]->a == t2 && stream_access(k, il, *sig[0], vl.a_idx, vl.a_nidx)) {
-      vl.a_slot = sig[0]->slot;
+        sig[2]->a == t2 && is_stream(sig[0])) {
       vl.dot_flags = static_cast<uint8_t>(add_ea ? 2 : 0);
       return VOp::DotLoop;
     }
@@ -259,16 +265,9 @@ VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u,
     if (temps && mul_form(*sig[2], m1_t1, m1_sf, s1) && mul_form(*sig[3], m2_t1, m2_sf, s2) &&
         m1_t1 != m2_t1 && ((sig[4]->a == p1 && sig[5]->a == p2) ||
                            (sig[4]->a == p2 && sig[5]->a == p1)) &&
-        stream_access(k, il, *sig[0], vl.a_idx, vl.a_nidx) &&
-        stream_access(k, il, *sig[1], vl.b_idx, vl.b_nidx) &&
-        stream_access(k, il, *sig[4], vl.u1_idx, vl.u1_nidx) &&
-        stream_access(k, il, *sig[5], vl.u2_idx, vl.u2_nidx)) {
-      vl.a_slot = sig[0]->slot;
-      vl.b_slot = sig[1]->slot;
+        is_stream(sig[0]) && is_stream(sig[1]) && is_stream(sig[4]) && is_stream(sig[5])) {
       vl.s1 = s1;
       vl.s2 = s2;
-      vl.u1_slot = sig[4]->slot;
-      vl.u2_slot = sig[5]->slot;
       vl.ax_flags = static_cast<uint8_t>((m1_t1 ? 1 : 0) | (m1_sf ? 2 : 0) |
                                          (m2_t1 ? 4 : 0) | (m2_sf ? 8 : 0) |
                                          (sig[4]->a == p1 ? 16 : 0));
@@ -277,6 +276,79 @@ VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u,
   }
 
   return VOp::Loop;
+}
+
+// ---- lane-uniform registers -----------------------------------------------
+
+// Registers that hold one value in every lane whenever they are read: free
+// scalars, prologue constants and lengths, loop variables (every lane runs
+// lane 0's trip), and single-writer results of ops whose operands — or
+// gather indexes — are all uniform. Registers the launch mechanics write
+// (fold accumulators and loop carries, reduction slots) never are, nor are
+// the per-lane LoadElem/LoadIdx results. Iterates to a fixpoint; a forward-
+// ordered program settles in two scans.
+std::vector<uint8_t> uniform_regs(const Kernel& k, const Usage& u) {
+  const auto n = static_cast<size_t>(k.num_regs);
+  std::vector<uint8_t> uni(n, 0), mech(n, 0);
+  for (const auto& rs : k.reds) {
+    mech[static_cast<size_t>(rs.acc_reg)] = 1;
+    mech[static_cast<size_t>(rs.elem_reg)] = 1;
+  }
+  for (const auto& il : k.loops) {
+    if (il.acc_reg >= 0) mech[static_cast<size_t>(il.acc_reg)] = 1;
+    for (int32_t a : il.more_accs) mech[static_cast<size_t>(a)] = 1;
+  }
+  for (int32_t r : k.free_scalar_regs) uni[static_cast<size_t>(r)] = 1;
+  for (const auto& il : k.loops) uni[static_cast<size_t>(il.ivar_reg)] = 1;
+  auto is_uni = [&](int32_t r) { return r < 0 || uni[static_cast<size_t>(r)] != 0; };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const KInstr& in : k.instrs) {
+      switch (in.op) {
+        case KOp::InlineLoop: case KOp::StoreOut: case KOp::UpdAcc: case KOp::StoreIdx:
+        case KOp::CheckIdx: case KOp::LoadElem: case KOp::LoadIdx:
+          continue;
+        default: break;
+      }
+      const auto d = static_cast<size_t>(in.dst);
+      if (uni[d] || mech[d] || u.writes[d] != 1) continue;
+      bool ok = true;
+      if (in.op == KOp::Gather) {
+        for (int32_t j = 0; j < in.nidx; ++j) ok = ok && is_uni(in.idx[j]);
+      } else if (in.op != KOp::ConstF && in.op != KOp::LoadLen) {
+        ok = is_uni(in.a) && is_uni(in.b) && is_uni(in.c);
+      }
+      if (ok) {
+        uni[d] = 1;
+        changed = true;
+      }
+    }
+  }
+  return uni;
+}
+
+// Ops worth computing once for a lane-uniform operand set (one libm call or
+// a divide, against a W-wide broadcast).
+bool expensive(VOp op) {
+  switch (op) {
+    case VOp::Exp: case VOp::NegExp: case VOp::Log: case VOp::Tanh: case VOp::Sqrt:
+    case VOp::Pow: case VOp::Div: case VOp::Sin: case VOp::Cos: case VOp::LGamma:
+    case VOp::Digamma:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Sets kUniform on the expensive ops of the fused program whose operands
+// are uniform. Fusion keeps each surviving register's value (copy
+// propagation reads the copied register, retargeting moves a write), so the
+// register-space table still describes the fused program's operands.
+void mark_uniform(const std::vector<uint8_t>& uni, std::vector<VInstr>& code) {
+  auto is_uni = [&](int32_t r) { return r < 0 || uni[static_cast<size_t>(r)] != 0; };
+  for (VInstr& in : code) {
+    if (expensive(in.op) && is_uni(in.a) && is_uni(in.b)) in.flags |= kUniform;
+  }
 }
 
 // ---- lowering pass 1: prologue extraction + 1:1 translation ---------------
@@ -299,8 +371,27 @@ bool lower_pass1(const Kernel& k, const Usage& u, Lowered& out) {
     vl.neutrals2 = k.loops[s].more_neutrals;
     loop_ops[s] = classify_loop(k, k.loops[s], u, vl);
   }
-
+  // Innermost enclosing loop per instruction (loops are in marker order, so
+  // an inner loop's body range overwrites its enclosing loop's), and per
+  // loop the loop enclosing its marker.
   const size_t n = k.instrs.size();
+  std::vector<int32_t> owner(n, -1), parent(k.loops.size(), -1);
+  for (size_t s = 0; s < k.loops.size(); ++s) {
+    const Kernel::InlineLoop& il = k.loops[s];
+    if (il.body_begin > 0) parent[s] = owner[il.body_begin - 1];
+    for (uint32_t i = il.body_begin; i < il.body_end; ++i) owner[i] = static_cast<int32_t>(s);
+  }
+  // An access's own loop is the enclosing loop whose variable is its
+  // trailing index; it streams when that loop never writes its leads.
+  auto own_loop = [&](size_t i) {
+    const KInstr& in = k.instrs[i];
+    int32_t s = owner[i];
+    while (s >= 0 && k.loops[static_cast<size_t>(s)].ivar_reg != in.idx[in.nidx - 1]) {
+      s = parent[static_cast<size_t>(s)];
+    }
+    return s;
+  };
+
   std::vector<uint32_t> posmap(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
     posmap[i] = static_cast<uint32_t>(out.code.size());
@@ -326,6 +417,17 @@ bool lower_pass1(const Kernel& k, const Usage& u, Lowered& out) {
     v.c = in.c;
     v.nidx = in.nidx;
     for (int32_t d = 0; d < in.nidx; ++d) v.idx[d] = in.idx[d];
+    const bool access = (in.op == KOp::Gather || in.op == KOp::UpdAcc ||
+                         in.op == KOp::StoreIdx) && in.nidx > 0;
+    const int32_t own = access ? own_loop(i) : -1;
+    VStream st;
+    if (own >= 0 && stream_access(k, k.loops[static_cast<size_t>(own)], in, st.lead, st.nlead)) {
+      st.reg = out.num_regs++;
+      st.slot = in.slot;
+      st.acc = in.op != KOp::Gather;
+      out.loops[static_cast<size_t>(own)].streams.push_back(st);
+      v.s = st.reg;
+    }
     out.code.push_back(v);
   }
   posmap[n] = static_cast<uint32_t>(out.code.size());
@@ -416,6 +518,7 @@ bool try_pair(const VInstr& prev, const VInstr& cur, int32_t t, VInstr& fused) {
       (cur.a == t) != (cur.b == t)) {
     fused.op = cur.op == VOp::Mul ? VOp::GatherMul : VOp::GatherAdd;
     fused.slot = prev.slot;
+    fused.s = prev.s;
     fused.nidx = prev.nidx;
     for (int32_t d = 0; d < prev.nidx; ++d) fused.idx[d] = prev.idx[d];
     fused.b = cur.a == t ? cur.b : cur.a;
@@ -429,18 +532,15 @@ void lower_pass2(const Kernel& k, Usage& u, Lowered& low) {
   const size_t n = low.code.size();
   // Fusion barriers: positions the launch mechanics re-enter or re-seed at
   // (fold subprogram bounds, loop body bounds) — no pair may straddle one.
-  // Bodies of fused loop forms are fully barred: their VLoop stream/scalar
-  // fields reference the registers the *original* body reads, so rewriting
-  // the fallback body must not change them.
+  // A fused loop form reads only its loop's mechanics registers and stream
+  // leads, which fusion never rewrites (leads are not written in the body),
+  // so its fallback body fuses like any other.
   std::vector<uint8_t> barrier(n + 1, 0);
   barrier[low.fold_begin] = 1;
   barrier[low.fold_end] = 1;
-  for (size_t s = 0; s < low.loops.size(); ++s) {
-    const VLoop& vl = low.loops[s];
-    const bool fused_form = vl.a_slot >= 0;
-    for (uint32_t i = vl.body_begin; i <= vl.body_end; ++i) {
-      if (fused_form || i == vl.body_begin || i == vl.body_end) barrier[i] = 1;
-    }
+  for (const VLoop& vl : low.loops) {
+    barrier[vl.body_begin] = 1;
+    barrier[vl.body_end] = 1;
   }
 
   std::vector<VInstr> out;
@@ -525,6 +625,7 @@ VProgram bake(const Lowered& low, int W) {
     in.b = scale(in.b, W);
     in.c = scale(in.c, W);
     for (int32_t d = 0; d < in.nidx; ++d) in.idx[d] = scale(in.idx[d], W);
+    in.s = scale(in.s, W);
   }
   p.loops = low.loops;
   for (auto& vl : p.loops) {
@@ -536,11 +637,9 @@ VProgram bake(const Lowered& low, int W) {
     for (auto& n2 : vl.neutrals2) n2 = scale(n2, W);
     vl.s1 = scale(vl.s1, W);
     vl.s2 = scale(vl.s2, W);
-    for (int d = 0; d < 3; ++d) {
-      vl.a_idx[d] = scale(vl.a_idx[d], W);
-      vl.b_idx[d] = scale(vl.b_idx[d], W);
-      vl.u1_idx[d] = scale(vl.u1_idx[d], W);
-      vl.u2_idx[d] = scale(vl.u2_idx[d], W);
+    for (VStream& st : vl.streams) {
+      st.reg = scale(st.reg, W);
+      for (int32_t d = 0; d < st.nlead; ++d) st.lead[d] = scale(st.lead[d], W);
     }
   }
   p.prologue = low.prologue;
@@ -588,7 +687,9 @@ const Entry* lookup(const Kernel& k, int lanes) {
   Usage u = analyze(k);
   Lowered low;
   if (lower_pass1(k, u, low)) {
+    const std::vector<uint8_t> uni = uniform_regs(k, u);
     lower_pass2(k, u, low);
+    mark_uniform(uni, low.code);
     e = std::make_unique<Entry>();
     e->narrow = bake(low, 1);
     if (lanes > 1) e->wide = bake(low, lanes);

@@ -6,7 +6,7 @@
 // KernelCache entry it came from — into a dense pre-decoded schedule of
 // VInstrs whose handlers are compiled per ISA (a portable auto-vectorized
 // build, plus an AVX2 build selected by runtime CPU detection). The
-// lowering does three things the per-KInstr switch cannot:
+// lowering does four things the per-KInstr switch cannot:
 //
 //  1. Prologue extraction: ConstF/LoadLen/free-scalar broadcasts leave the
 //     instruction stream entirely (a compact init list applied once per
@@ -19,13 +19,29 @@
 //     coalesced away. Every fused handler keeps each intermediate's own
 //     IEEE rounding — fusion amortizes dispatch, it NEVER contracts to a
 //     hardware FMA (the engine TUs build with -ffp-contract=off).
-//  3. Whole-loop micro-kernels: the dominant InlineLoop shapes — the
-//     dot-product fold (gather·gather → mul → fold-add), its one-stream
-//     variant (gather → fold-add) and the backward dual-scatter (two
-//     gathers, two scaled products, two UpdAcc streams) — run as single
-//     handlers over precomputed per-lane streams, instead
-//     of per-trip dispatch through a recursive span. Any other loop body
-//     runs through a generic in-place trip loop.
+//  3. Whole-loop micro-kernels: the dot-product fold (gather·gather → mul
+//     → fold-add), its one-stream variant (gather → fold-add) and the
+//     backward dual scatter (two gathers, two scaled products, two UpdAccs;
+//     LSTM's reverse sweep) run as single handlers over the loop's bound
+//     streams, instead of per-trip dispatch through a recursive span. Any
+//     other loop body runs through the generic in-place trip loop.
+//  4. Lane-shaped operands in loop bodies. A Gather (or GatherMul /
+//     GatherAdd), UpdAcc or StoreIdx whose trailing index is an enclosing
+//     loop's variable and whose leading indexes that loop's body never
+//     writes (a nested loop's variable and carries count as written) is a
+//     stride-1 *stream* of that loop: it owns one extra W-wide register
+//     (VInstr::s), and on every entry the loop binds each lane's row
+//     pointer into it once — after checking the array is f64 and full rank,
+//     the trip fits the trailing extent and every lead is in range. Each trip then reads
+//     or writes q[l][t] directly. A stream that does not fit stays unbound
+//     (null lane 0) and its instruction takes the checked per-lane address
+//     path, so errors are raised where and as the register machine raises
+//     them. Separately, a static analysis marks registers *lane-uniform*
+//     (free scalars, prologue values, loop variables, and single-writer
+//     results of ops whose operands or gather indexes are all uniform);
+//     an expensive op (exp, log, tanh, sqrt, pow, div, sin, cos, lgamma,
+//     digamma) with uniform operands carries kUniform and computes lane 0
+//     once, broadcasting it — the same bits, since every lane's input is.
 //
 // Bit-exactness contract: for any launch, the vexec tier produces the same
 // bits as the W-lane register machine at the same lane width. Lane/batch
@@ -63,9 +79,13 @@ enum class VOp : uint8_t {
   AddStore,   // output[slot] element = a + b
   // inline SOAC blocks (slot = VProgram::loops index)
   Loop,       // generic: run [body_begin, body_end) trip times
-  DotLoop,    // fused dot-product or one-stream fold (falls back to the body on non-f64)
+  DotLoop,    // fused dot-product or one-stream fold (falls back to the body)
   Axpy2Loop,  // fused dual-scatter map loop (same fallback)
 };
+
+// VInstr::flags bit 1: every operand is lane-uniform, so the op computes
+// lane 0 once and broadcasts it (expensive elementwise ops only).
+inline constexpr uint8_t kUniform = 2;
 
 struct VInstr {
   VOp op = VOp::Mov;
@@ -74,6 +94,19 @@ struct VInstr {
   int32_t d = -1, a = -1, b = -1, c = -1;  // register-file element offsets
   int32_t idx[4] = {-1, -1, -1, -1};       // gather/UpdAcc index offsets
   int32_t nidx = 0;
+  int32_t s = -1;  // stream register offset (VStream::reg), -1 = always checked
+};
+
+// A stride-1 stream of one loop-body access: free_array[slot] (Gather forms)
+// or acc_array[slot] (UpdAcc, StoreIdx) at [lead..., ivar]. The loop binds
+// it on entry: register `reg` then holds one row pointer per lane (stored as
+// raw pointer bits), or null in lane 0 when the stream did not fit.
+struct VStream {
+  int32_t reg = -1;
+  int32_t slot = -1;
+  bool acc = false;
+  int32_t lead[3] = {-1, -1, -1};
+  int32_t nlead = 0;
 };
 
 // Lowered InlineLoop block. All register references are element offsets.
@@ -82,24 +115,18 @@ struct VLoop {
   int32_t trip = -1, ivar = -1, acc = -1, neutral = -1;
   // Multi-result folds: accumulators 1..k-1, seeded on entry like acc.
   std::vector<int32_t> accs2, neutrals2;
-  // DotLoop: acc folds A[baseA(l)+t] * B[baseB(l)+t] over t in [0, trip),
-  // or A[baseA(l)+t] alone for a one-stream fold (b_slot < 0).
-  // a_/b_idx hold the leading (loop-invariant) gather index offsets; the
-  // trailing index is the loop variable, stride 1 by full-indexing.
-  int32_t a_slot = -1, b_slot = -1;
-  int32_t a_idx[3] = {-1, -1, -1}, b_idx[3] = {-1, -1, -1};
-  int32_t a_nidx = 0, b_nidx = 0;
+  // Streams trailing with this loop's variable (nested loops' bodies
+  // included), in body order. A DotLoop folds streams[0] (times
+  // streams[1]) into acc.
+  std::vector<VStream> streams;
   uint8_t dot_flags = 0;  // bit0: product computed as B*A; bit1: fold is elem+acc
-  // Axpy2Loop: p1 = mul1, p2 = mul2 (each an invariant scalar times one of
-  // the gathered streams), then acc[u1_slot][u1_idx...,t] += {p1|p2} and
-  // acc[u2_slot][...] += the other, in instruction-major lane order.
+  // Axpy2Loop over streams g1, g2, u1, u2 (streams[0..3]): p1 = mul1,
+  // p2 = mul2 (each an invariant scalar times one gathered stream), then
+  // u1[t] += {p1|p2} and u2[t] += the other, in instruction-major lane order.
   int32_t s1 = -1, s2 = -1;  // invariant multiplier offsets
   // ax_flags: bit0 m1 reads g1 (else g2); bit1 m1 computes s*g (else g*s);
   //           bit2/bit3 same for m2; bit4 u1 adds m1's product (else m2's).
   uint8_t ax_flags = 0;
-  int32_t u1_slot = -1, u2_slot = -1;
-  int32_t u1_idx[3] = {-1, -1, -1}, u2_idx[3] = {-1, -1, -1};
-  int32_t u1_nidx = 0, u2_nidx = 0;
 };
 
 // Prologue init: one launch-invariant register broadcast.

@@ -9,11 +9,20 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 
+#include "apps/gmm.hpp"
+#include "apps/kmeans.hpp"
+#include "apps/lstm.hpp"
+#include "core/ad.hpp"
 #include "ir/builder.hpp"
 #include "ir/typecheck.hpp"
+#include "ir/visit.hpp"
 #include "opt/fuse.hpp"
+#include "opt/pipeline.hpp"
 #include "runtime/interp.hpp"
+#include "runtime/kernel_cache.hpp"
+#include "runtime/vexec.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -2063,6 +2072,449 @@ TEST(VirtualArrayConformance, HeavyMapFansOutByWork) {
   EXPECT_EQ(fast.stats().privatized_launches.load(), 1u);
   // Every update is counted: k rows of d per point into the shared accumulator.
   EXPECT_EQ(fast.stats().privatized_updates.load(), 256u * 16u * 25u);
+}
+
+// ---------------------------------------------- lane-shaped loop operands --
+//
+// vexec binds every stride-1 access of an inline loop body — a gather, an
+// UpdAcc or a row result's StoreIdx whose trailing index is its loop's
+// variable and whose leads the loop never writes — once per loop entry,
+// and computes expensive ops on lane-uniform operands once. Grid: access
+// kind × W ∈ {1, 8} × (outer extent, inner trip) × {AVX2, portable, vexec
+// off} × {privatized, atomic} accumulators, parallelism off. The register
+// machine (vexec off) must match the general interpreter bit for bit, and
+// each vexec build must match the register machine bit for bit. Leads are
+// per-row (varying across lanes) or a free scalar / an enclosing loop's
+// variable (lane-uniform).
+
+enum class StreamKind {
+  GatherRow,      // Σ_j f(A[i+off][j]): a varying-row gather stream
+  GatherUniform,  // Σ_j A[i][j]·exp(Q[s][j]) + Q[s][j]/c: uniform stream, uniform exp and div
+  GatherNested,   // Σ_kk Σ_j (A[i][j] − Q[kk][j])²·exp(Q[kk][j]): lead = outer loop var (GMM)
+  UpdAcc,         // G[s][j] += A[i][j]·c (uniform row), H[i+off][j] += … (varying row)
+  Axpy2,          // G[s][j] += c·A[i][j], H[i][j] += Q[s][j]·c: the dual-scatter form
+  StoreRow,       // row result map(λj. tanh(A[i+off][j])·c, iota mt): StoreIdx stream
+  MatMul,         // C[i][j] = Σ_kk A[i][kk]·Q[kk][j]: B's lead is the inner loop's variable
+};
+
+constexpr int64_t kStreamCols = 13;  // columns of A, Q, G, H
+constexpr int64_t kStreamRows = 5;   // rows of Q and G
+
+// Threads `accs` through map(λj acc…. body(j, acc…), iota mt): `body`
+// returns the updated accumulators.
+std::vector<Var> thread_accs(Builder& b, Atom mt, const std::vector<Var>& accs,
+                             const std::function<std::vector<Atom>(
+                                 Builder&, Var, const std::vector<Var>&)>& body) {
+  std::vector<Type> ts{i64()};
+  for (Var a : accs) ts.push_back(b.types().at(a));
+  std::vector<Var> args{b.iota(mt)};
+  args.insert(args.end(), accs.begin(), accs.end());
+  return b.map(b.lam(ts,
+                     [&](Builder& c, const std::vector<Var>& q) {
+                       return body(c, q[0], std::vector<Var>(q.begin() + 1, q.end()));
+                     }),
+               args);
+}
+
+// Params: A [n][13], Q [5][13], G [5][13], H [n][13] (accumulator inits),
+// s (row of Q and G), mt (inner trip), off (row offset into A and H), c.
+Prog stream_prog(StreamKind kind) {
+  ProgBuilder pb("stream");
+  Var A = pb.param("A", arr_f64(2));
+  Var Q = pb.param("Q", arr_f64(2));
+  Var G = pb.param("G", arr_f64(2));
+  Var H = pb.param("H", arr_f64(2));
+  Var s = pb.param("s", i64());
+  Var mt = pb.param("mt", i64());
+  Var off = pb.param("off", i64());
+  Var cv = pb.param("c", f64());
+  Builder& b = pb.body();
+  auto sum_over = [&](Builder& c, Atom extent, const Builder::LamFn& term) {
+    Var terms = c.map1(c.lam({i64()}, term), {c.iota(extent)});
+    return c.reduce1(c.add_op(), cf64(0.0), {terms});
+  };
+  auto per_row = [&](const Builder::LamFn& f) {
+    return b.map(b.lam({i64()}, f), {b.iota(Atom(b.length(A)))});
+  };
+  std::vector<Var> outs;
+  switch (kind) {
+    case StreamKind::GatherRow:
+      outs = per_row([&](Builder& c, const std::vector<Var>& i) {
+        Var io = c.add(i[0], off);
+        return std::vector<Atom>{Atom(sum_over(c, mt, [&](Builder& cc, const std::vector<Var>& j) {
+          Var x = cc.index(A, {Atom(io), Atom(j[0])});
+          return std::vector<Atom>{Atom(cc.add(Atom(cc.mul(Atom(cc.tanh(x)), cf64(0.5))), x))};
+        }))};
+      });
+      break;
+    case StreamKind::GatherUniform:
+      outs = per_row([&](Builder& c, const std::vector<Var>& i) {
+        return std::vector<Atom>{Atom(sum_over(c, mt, [&](Builder& cc, const std::vector<Var>& j) {
+          Var q = cc.index(Q, {Atom(s), Atom(j[0])});
+          Var a = cc.index(A, {Atom(i[0]), Atom(j[0])});
+          Var t = cc.mul(a, Atom(cc.exp(q)));
+          return std::vector<Atom>{Atom(cc.add(t, Atom(cc.div(q, cv))))};
+        }))};
+      });
+      break;
+    case StreamKind::GatherNested:
+      outs = per_row([&](Builder& c, const std::vector<Var>& i) {
+        return std::vector<Atom>{Atom(sum_over(
+            c, Atom(c.length(Q)), [&](Builder& cc, const std::vector<Var>& kk) {
+              return std::vector<Atom>{Atom(sum_over(
+                  cc, mt, [&](Builder& c3, const std::vector<Var>& j) {
+                    Var q = c3.index(Q, {Atom(kk[0]), Atom(j[0])});
+                    Var d = c3.sub(Atom(c3.index(A, {Atom(i[0]), Atom(j[0])})), q);
+                    return std::vector<Atom>{Atom(c3.mul(Atom(c3.mul(d, d)), Atom(c3.exp(q))))};
+                  }))};
+            }))};
+      });
+      break;
+    case StreamKind::UpdAcc:
+    case StreamKind::Axpy2:
+      outs = b.withacc({G, H}, [&](Builder& wc, const std::vector<Var>& accs) {
+        std::vector<Type> ts{i64(), wc.types().at(accs[0]), wc.types().at(accs[1])};
+        auto r = wc.map(
+            wc.lam(ts,
+                   [&](Builder& c, const std::vector<Var>& q) {
+                     Var io = c.add(q[0], off);
+                     auto res = thread_accs(
+                         c, Atom(mt), {q[1], q[2]},
+                         [&](Builder& cc, Var j, const std::vector<Var>& acc) {
+                           Var a = cc.index(A, {Atom(q[0]), Atom(j)});
+                           if (kind == StreamKind::UpdAcc) {
+                             Var p = cc.mul(a, cv);
+                             Var g = cc.upd_acc(acc[0], {Atom(s), Atom(j)}, Atom(p));
+                             Var h = cc.upd_acc(acc[1], {Atom(io), Atom(j)},
+                                                Atom(cc.add(p, cf64(1.0))));
+                             return std::vector<Atom>{Atom(g), Atom(h)};
+                           }
+                           Var qv = cc.index(Q, {Atom(s), Atom(j)});
+                           Var p1 = cc.mul(cv, a);
+                           Var p2 = cc.mul(qv, cv);
+                           Var g = cc.upd_acc(acc[0], {Atom(s), Atom(j)}, Atom(p1));
+                           Var h = cc.upd_acc(acc[1], {Atom(q[0]), Atom(j)}, Atom(p2));
+                           return std::vector<Atom>{Atom(g), Atom(h)};
+                         });
+                     return std::vector<Atom>{Atom(res[0]), Atom(res[1])};
+                   }),
+            {wc.iota(Atom(wc.length(A))), accs[0], accs[1]});
+        return std::vector<Atom>{Atom(r[0]), Atom(r[1])};
+      });
+      break;
+    case StreamKind::StoreRow:
+      outs = per_row([&](Builder& c, const std::vector<Var>& i) {
+        Var io = c.add(i[0], off);
+        Var row = c.map1(c.lam({i64()},
+                               [&](Builder& cc, const std::vector<Var>& j) {
+                                 Var x = cc.index(A, {Atom(io), Atom(j[0])});
+                                 return std::vector<Atom>{Atom(cc.mul(Atom(cc.tanh(x)), cv))};
+                               }),
+                         {c.iota(Atom(mt))});
+        return std::vector<Atom>{Atom(row)};
+      });
+      break;
+    case StreamKind::MatMul:
+      outs = per_row([&](Builder& c, const std::vector<Var>& i) {
+        Var row = c.map1(
+            c.lam({i64()},
+                  [&](Builder& cc, const std::vector<Var>& j) {
+                    return std::vector<Atom>{Atom(sum_over(
+                        cc, Atom(cc.length(Q)), [&](Builder& c3, const std::vector<Var>& kk) {
+                          Var a = c3.index(A, {Atom(i[0]), Atom(kk[0])});
+                          Var q = c3.index(Q, {Atom(kk[0]), Atom(j[0])});
+                          return std::vector<Atom>{Atom(c3.mul(a, q))};
+                        }))};
+                  }),
+            {c.iota(Atom(mt))});
+        return std::vector<Atom>{Atom(row)};
+      });
+      break;
+  }
+  Prog p = pb.finish(std::vector<Atom>(outs.begin(), outs.end()));
+  typecheck(p);
+  opt::FuseStats fs;
+  p = opt::fuse_maps(p, &fs);
+  typecheck(p);
+  return p;
+}
+
+struct StreamShape {
+  int64_t n, mt;
+};
+
+std::vector<Value> stream_args(int64_t n, int64_t mt, int64_t s, int64_t off, uint64_t seed) {
+  support::Rng rng(seed);
+  auto mat = [&](int64_t rows) {
+    return rt::make_f64_array(
+        rng.uniform_vec(static_cast<size_t>(rows * kStreamCols), -1.0, 1.0), {rows, kStreamCols});
+  };
+  return {mat(n), mat(kStreamRows), mat(kStreamRows), mat(n), Value(s), Value(mt),
+          Value(off), 1.7};
+}
+
+rt::InterpOptions stream_opts(VexecMode m, int lanes, bool privatize) {
+  rt::InterpOptions o{.parallel = false, .use_kernels = true, .kernel_lanes = lanes};
+  o.privatize_accs = privatize;
+  o.use_vexec = m != VexecMode::Off;
+  o.vexec_portable = m == VexecMode::Portable;
+  return o;
+}
+
+std::vector<std::vector<uint64_t>> all_bits(const std::vector<Value>& vs) {
+  std::vector<std::vector<uint64_t>> out;
+  for (const Value& v : vs) out.push_back(output_bits(v));
+  return out;
+}
+
+using StreamCase = std::tuple<StreamKind, int, StreamShape, VexecMode, bool>;
+
+class StreamConformance : public ::testing::TestWithParam<StreamCase> {};
+
+TEST_P(StreamConformance, BitExactAgainstRegisterMachine) {
+  const auto [kind, lanes, shape, mode, privatize] = GetParam();
+  const Prog p = stream_prog(kind);
+  const auto args = stream_args(shape.n, shape.mt, /*s=*/3, /*off=*/0,
+                                static_cast<uint64_t>(shape.n * 17 + shape.mt + lanes));
+  const auto general = rt::Interp({.parallel = false, .use_kernels = false}).run(p, args);
+  rt::Interp regs(stream_opts(VexecMode::Off, lanes, privatize));
+  const auto ref = regs.run(p, args);
+  EXPECT_EQ(all_bits(ref), all_bits(general));
+  rt::Interp fast(stream_opts(mode, lanes, privatize));
+  const auto got = fast.run(p, args);
+  ASSERT_EQ(got.size(), ref.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(rt::as_array(got[r]).shape, rt::as_array(ref[r]).shape) << "output " << r;
+    EXPECT_EQ(output_bits(got[r]), output_bits(ref[r])) << "output " << r;
+  }
+  EXPECT_EQ(fast.stats().general_maps.load(), 0u);
+  EXPECT_EQ(fast.stats().kernel_maps.load(), 1u);
+}
+
+std::string stream_name(const ::testing::TestParamInfo<StreamCase>& info) {
+  static const char* kinds[] = {"GatherRow", "GatherUniform", "GatherNested", "UpdAcc",
+                                "Axpy2",     "StoreRow",      "MatMul"};
+  static const char* modes[] = {"Avx2", "Portable", "Off"};
+  const StreamShape sh = std::get<2>(info.param);
+  return std::string(kinds[static_cast<int>(std::get<0>(info.param))]) + "W" +
+         std::to_string(std::get<1>(info.param)) + "_n" + std::to_string(sh.n) + "t" +
+         std::to_string(sh.mt) + modes[static_cast<int>(std::get<3>(info.param))] +
+         (std::get<4>(info.param) ? "Priv" : "Atomic");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, StreamConformance,
+    ::testing::Combine(::testing::Values(StreamKind::GatherRow, StreamKind::GatherUniform,
+                                         StreamKind::GatherNested, StreamKind::UpdAcc,
+                                         StreamKind::Axpy2, StreamKind::StoreRow,
+                                         StreamKind::MatMul),
+                       ::testing::Values(1, 8),
+                       // zero and one trip; tail-only (n < W); full batches
+                       // (+ tail) with a trip short of, and equal to, the columns
+                       ::testing::Values(StreamShape{37, 0}, StreamShape{37, 1},
+                                         StreamShape{3, 7}, StreamShape{37, 9},
+                                         StreamShape{16, kStreamCols}),
+                       ::testing::Values(VexecMode::Avx2, VexecMode::Portable, VexecMode::Off),
+                       ::testing::Bool()),
+    stream_name);
+
+// Runs `p` on the register machine and both vexec builds: all three raise
+// ShapeError with the register machine's message. The general path raises
+// too, except for an out-of-range upd_acc, which it ignores while the kernel
+// tiers raise (`general_raises` false).
+void expect_register_machine_error(const Prog& p, const std::vector<Value>& args,
+                                   const std::string& what, bool general_raises = true) {
+  if (general_raises) {
+    EXPECT_THROW(rt::Interp({.parallel = false, .use_kernels = false}).run(p, args), ShapeError)
+        << what;
+  }
+  auto message = [&](VexecMode m, bool privatize) -> std::string {
+    try {
+      rt::Interp(stream_opts(m, 8, privatize)).run(p, args);
+    } catch (const ShapeError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  for (bool privatize : {true, false}) {
+    const std::string want = message(VexecMode::Off, privatize);
+    EXPECT_NE(want, "no error") << what;
+    EXPECT_EQ(message(VexecMode::Avx2, privatize), want) << what;
+    EXPECT_EQ(message(VexecMode::Portable, privatize), want) << what;
+  }
+}
+
+TEST(StreamConformance, ShortStreamRaisesRegisterMachineError) {
+  // A trip one past the columns: the stream does not fit its array, stays
+  // unbound, and its checked access raises at the register machine's point.
+  for (StreamKind kind : {StreamKind::GatherRow, StreamKind::GatherUniform,
+                          StreamKind::GatherNested, StreamKind::UpdAcc, StreamKind::Axpy2,
+                          StreamKind::StoreRow}) {
+    const auto args = stream_args(21, kStreamCols + 1, 3, 0, 91);
+    expect_register_machine_error(stream_prog(kind), args,
+                                  "kind " + std::to_string(static_cast<int>(kind)));
+  }
+}
+
+TEST(StreamConformance, OutOfRangeLeadRaisesRegisterMachineError) {
+  // A uniform lead past Q's and G's rows (s = 5), and a varying lead past
+  // A's and H's rows in the last lane only (off = 1).
+  for (StreamKind kind : {StreamKind::GatherUniform, StreamKind::UpdAcc, StreamKind::Axpy2}) {
+    expect_register_machine_error(stream_prog(kind), stream_args(21, 9, kStreamRows, 0, 92),
+                                  "uniform lead, kind " + std::to_string(static_cast<int>(kind)),
+                                  kind != StreamKind::UpdAcc);
+  }
+  for (StreamKind kind : {StreamKind::GatherRow, StreamKind::UpdAcc, StreamKind::StoreRow}) {
+    expect_register_machine_error(stream_prog(kind), stream_args(21, 9, 3, 1, 93),
+                                  "varying lead, kind " + std::to_string(static_cast<int>(kind)),
+                                  kind != StreamKind::UpdAcc);
+  }
+}
+
+// Lowered programs (W = 8) of every map kernel in `p`: the artifacts the
+// stream and uniform analyses write into.
+struct Lowered {
+  const rt::Kernel* k;
+  const rt::vexec::Entry* e;
+};
+
+void collect_maps(const Body& b, std::vector<LambdaPtr>& out) {
+  for (const Stm& st : b.stms) {
+    if (const auto* m = std::get_if<OpMap>(&st.e)) out.push_back(m->f);
+    for_each_nested(st.e, [&](const NestedScope& sc) { collect_maps(*sc.body, out); });
+  }
+}
+
+std::vector<Lowered> lowered_maps(const Prog& p) {
+  std::vector<LambdaPtr> lams;
+  collect_maps(p.fn.body, lams);
+  std::vector<Lowered> out;
+  for (const LambdaPtr& f : lams) {
+    const rt::Kernel* k = rt::KernelCache::global().get(f);
+    if (k == nullptr) continue;
+    if (const rt::vexec::Entry* e = rt::vexec::lookup(*k, 8)) out.push_back({k, e});
+  }
+  return out;
+}
+
+using rt::vexec::VOp;
+
+bool gather_form(VOp op) {
+  return op == VOp::Gather || op == VOp::GatherMul || op == VOp::GatherAdd;
+}
+
+// Loop-form ops of `lw` whose loop binds at least one stream.
+int streamed_loops(const Lowered& lw, VOp form) {
+  int n = 0;
+  for (const auto& in : lw.e->wide.code) {
+    if (in.op == form && !lw.e->wide.loops[static_cast<size_t>(in.slot)].streams.empty()) ++n;
+  }
+  return n;
+}
+
+// Uniform exp/neg-exp ops whose operand a stream gather from a free array
+// named `array…` produced.
+int uniform_exps_of(const Lowered& lw, const Prog& p, const std::string& array) {
+  const auto& code = lw.e->wide.code;
+  int n = 0;
+  for (const auto& in : code) {
+    if ((in.op != VOp::Exp && in.op != VOp::NegExp) || !(in.flags & rt::vexec::kUniform)) continue;
+    for (const auto& g : code) {
+      if (g.op == VOp::Gather && g.d == in.a && g.s >= 0 &&
+          p.mod->name(lw.k->free_arrays[static_cast<size_t>(g.slot)]).rfind(array, 0) == 0) {
+        ++n;
+      }
+    }
+  }
+  return n;
+}
+
+template <class F>
+int count_over(const std::vector<Lowered>& ls, F f) {
+  int n = 0;
+  for (const Lowered& lw : ls) n += f(lw);
+  return n;
+}
+
+int count_ops(const std::vector<Lowered>& ls, VOp op, bool uniform) {
+  return count_over(ls, [&](const Lowered& lw) {
+    int n = 0;
+    for (const auto& in : lw.e->wide.code) {
+      n += in.op == op && ((in.flags & rt::vexec::kUniform) != 0) == uniform;
+    }
+    return n;
+  });
+}
+
+TEST(StreamLowering, GridProgramsBindTheirStreams) {
+  // Each grid program's outer map kernel (its first map; the later ones are
+  // the nested lambdas compiled standalone) lowers as the grid's comments say.
+  auto outer = [](StreamKind kind) { return lowered_maps(stream_prog(kind)).front(); };
+  auto streams = [](const Lowered& lw, VOp op) {
+    int n = 0;
+    for (const auto& in : lw.e->wide.code) {
+      n += (op == VOp::Gather ? gather_form(in.op) : in.op == op) && in.s >= 0;
+    }
+    return n;
+  };
+  auto ops = [](const Lowered& lw, VOp op, bool uniform) { return count_ops({lw}, op, uniform); };
+
+  const Lowered row = outer(StreamKind::GatherRow);
+  EXPECT_EQ(streamed_loops(row, VOp::Loop), 1);
+  EXPECT_EQ(streams(row, VOp::Gather), 1);
+  EXPECT_EQ(ops(row, VOp::Tanh, false), 1);
+
+  const Lowered uni = outer(StreamKind::GatherUniform);
+  EXPECT_EQ(streams(uni, VOp::Gather), 2);
+  EXPECT_EQ(ops(uni, VOp::Exp, true), 1);
+  EXPECT_EQ(ops(uni, VOp::Div, true), 1);
+
+  const Lowered nested = outer(StreamKind::GatherNested);
+  EXPECT_EQ(streams(nested, VOp::Gather), 2);
+  EXPECT_EQ(ops(nested, VOp::Exp, true), 1);
+
+  const Lowered upd = outer(StreamKind::UpdAcc);
+  EXPECT_EQ(streams(upd, VOp::UpdAcc), 2);
+  EXPECT_EQ(streams(upd, VOp::Gather), 1);
+
+  EXPECT_EQ(streamed_loops(outer(StreamKind::Axpy2), VOp::Axpy2Loop), 1);
+  EXPECT_EQ(streams(outer(StreamKind::StoreRow), VOp::StoreIdx), 1);
+
+  // MatMul: A[i][kk] streams in the inner loop; Q[kk][j] trails with the
+  // outer loop's variable but leads with the inner one's, which the outer
+  // body's nested loop rewrites every trip, so it stays on the checked path.
+  const Lowered mm = outer(StreamKind::MatMul);
+  EXPECT_EQ(streams(mm, VOp::Gather), 1);
+  EXPECT_EQ(streams(mm, VOp::StoreIdx), 1);
+  EXPECT_EQ(ops(mm, VOp::GatherMul, false), 1);
+}
+
+// The serving artifact: vjp of the pre-fusion primal, then opt::optimize.
+Prog optimized_gradient(Prog primal) {
+  typecheck(primal);
+  Prog g = opt::optimize(ad::vjp(primal));
+  typecheck(g);
+  return g;
+}
+
+TEST(StreamLowering, GmmAndKmeansGradientsBindStreamsAndUniformExp) {
+  const Prog gmm = optimized_gradient(apps::gmm_ir_objective());
+  const auto gl = lowered_maps(gmm);
+  EXPECT_GE(count_over(gl, [](const Lowered& lw) { return streamed_loops(lw, VOp::Loop); }), 1);
+  // exp qs[p][t]: the cluster row p is an enclosing loop's variable, the
+  // same in every lane, so the exp is computed once per trip.
+  EXPECT_GE(count_over(gl, [&](const Lowered& lw) { return uniform_exps_of(lw, gmm, "qs"); }),
+            1);
+  const auto kl = lowered_maps(optimized_gradient(apps::kmeans_ir_cost()));
+  EXPECT_GE(count_over(kl, [](const Lowered& lw) { return streamed_loops(lw, VOp::Loop); }), 1);
+  // Neither uses the dual-scatter form; LSTM's reverse sweep is its one user.
+  EXPECT_EQ(count_over(gl, [](const Lowered& lw) { return streamed_loops(lw, VOp::Axpy2Loop); }),
+            0);
+  EXPECT_EQ(count_over(kl, [](const Lowered& lw) { return streamed_loops(lw, VOp::Axpy2Loop); }),
+            0);
+  const auto ll = lowered_maps(optimized_gradient(apps::lstm_ir_objective()));
+  EXPECT_GE(count_over(ll, [](const Lowered& lw) { return streamed_loops(lw, VOp::Axpy2Loop); }),
+            1);
 }
 
 } // namespace

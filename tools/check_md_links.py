@@ -6,9 +6,14 @@ reference definitions `[label]: target`, skips absolute URLs (http/https/
 mailto) and pure in-page anchors (#...), strips #fragments from file targets,
 and verifies the referenced path exists relative to the linking file.
 
+Also scans the comments of every tracked source file under src/, tests/,
+bench/ and tools/ (C++ `//` and `/* */`, `#` elsewhere) for names of
+markdown files, and verifies each one exists: relative to the repo root,
+to the commenting file's directory or to any directory between the two.
+
 Run from anywhere inside the repo: `python3 tools/check_md_links.py`.
-Exits non-zero listing every dangling link (the CI docs job runs this to
-catch stale cross-references when files move).
+Exits non-zero listing every dangling link or comment reference (the CI
+docs job runs this to catch stale cross-references when files move).
 """
 
 import os
@@ -19,6 +24,11 @@ import sys
 INLINE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 REFDEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
+MD_NAME = re.compile(r"\b\w[\w./-]*?\.md\b")
+CODE_DIRS = ("src/", "tests/", "bench/", "tools/")
+CPP_EXTS = (".cpp", ".hpp", ".h", ".inc", ".cc")
+LINE_COMMENT = re.compile(r"//(.*)$|/\*(.*?)\*/", re.MULTILINE | re.DOTALL)
+HASH_COMMENT = re.compile(r"#(.*)$", re.MULTILINE)
 
 
 def repo_root() -> str:
@@ -30,12 +40,12 @@ def repo_root() -> str:
         return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def md_files(root: str):
+def repo_files(root: str):
     try:
         out = subprocess.run(
             ["git", "ls-files", "--cached", "--others", "--exclude-standard"],
             cwd=root, capture_output=True, text=True, check=True)
-        files = [f for f in out.stdout.splitlines() if f.endswith(".md")]
+        files = out.stdout.splitlines()
         if files:
             return files
     except Exception:
@@ -44,9 +54,37 @@ def md_files(root: str):
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames if d not in {".git", "build"}]
         for f in filenames:
-            if f.endswith(".md"):
-                found.append(os.path.relpath(os.path.join(dirpath, f), root))
+            found.append(os.path.relpath(os.path.join(dirpath, f), root))
     return found
+
+
+def md_files(root: str):
+    return [f for f in repo_files(root) if f.endswith(".md")]
+
+
+def comment_refs(root: str):
+    """Yields (file, name, resolved-or-None) for every markdown file a source
+    comment under CODE_DIRS names."""
+    for rel in repo_files(root):
+        if not rel.startswith(CODE_DIRS) or rel.endswith(".md"):
+            continue
+        try:
+            with open(os.path.join(root, rel), encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError):
+            continue
+        pattern = LINE_COMMENT if rel.endswith(CPP_EXTS) else HASH_COMMENT
+        comments = " ".join(g for m in pattern.finditer(text) for g in m.groups() if g)
+        for name in MD_NAME.findall(comments):
+            # The commenting file's directory, then each one above it.
+            bases, d = [], os.path.dirname(rel)
+            while d:
+                bases.append(d)
+                d = os.path.dirname(d)
+            bases.append("")
+            hit = next((os.path.join(b, name) for b in bases
+                        if os.path.exists(os.path.join(root, b, name))), None)
+            yield rel, name, hit
 
 
 def main() -> int:
@@ -75,12 +113,18 @@ def main() -> int:
             checked += 1
             if not os.path.exists(resolved):
                 broken.append((rel, target, os.path.relpath(resolved, root)))
+    refs = 0
+    for rel, name, hit in comment_refs(root):
+        refs += 1
+        if hit is None:
+            broken.append((rel, name, f"{name} (named in a comment)"))
     if broken:
-        print(f"{len(broken)} dangling markdown link(s):")
+        print(f"{len(broken)} dangling markdown link(s) or comment reference(s):")
         for rel, target, resolved in broken:
             print(f"  {rel}: ({target}) -> missing {resolved}")
         return 1
-    print(f"ok: {checked} relative links resolve across {len(md_files(root))} markdown files")
+    print(f"ok: {checked} relative links resolve across {len(md_files(root))} markdown files, "
+          f"and {refs} markdown names in source comments exist")
     return 0
 
 
