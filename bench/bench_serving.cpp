@@ -7,10 +7,11 @@
 // BENCH_serving.json with the latency rows plus the serve + interpreter
 // counters (batch sizes, stacked launches, per-request launch counts).
 //
-// The interesting number is the 64-vs-1-client throughput ratio: a lone
-// closed-loop client pays the full batching window on every request, while
-// 64 clients fill max_batch-sized groups that execute as ONE stacked launch
-// each — the latency-for-throughput trade the batcher exists to make.
+// Batching is work-conserving: a lone closed-loop client finds every worker
+// idle and its request launches at once, so c1 measures the bare request
+// path (HTTP, JSON, one launch). Under 8 and 64 clients, requests that
+// arrive while a launch is in flight ride max_batch-sized groups that
+// execute as ONE stacked launch each.
 //
 // Aux modes for the CI smoke:
 //   bench_serving --ping host:port      exit 0 iff GET /healthz answers ok
@@ -229,14 +230,14 @@ int main(int argc, char** argv) {
 
   // In-process mode: ephemeral server, load levels, BENCH_serving.json.
   npad::serve::register_builtin_programs();
-  npad::serve::BatcherOptions bo;  // defaults: max_batch=16, window_us=1000
+  npad::serve::BatcherOptions bo;  // defaults: max_batch=16, window_us=1000, workers=2
   npad::serve::Batcher batcher(bo);
   npad::serve::HttpOptions ho;
   ho.port = 0;
   npad::serve::HttpServer server(batcher, ho);
   server.start();
-  std::printf("in-process server on 127.0.0.1:%d (max_batch=%d window_us=%lld)\n",
-              server.port(), bo.max_batch, static_cast<long long>(bo.window_us));
+  std::printf("in-process server on 127.0.0.1:%d (max_batch=%d window_us=%lld workers=%d)\n",
+              server.port(), bo.max_batch, static_cast<long long>(bo.window_us), bo.workers);
 
   // Warm the program/kernel/batched-prog caches before measuring.
   {

@@ -1268,7 +1268,7 @@ private:
   std::unordered_map<int64_t, int32_t> len_reg_;  // (slot * 8 + dim) -> register
 };
 
-// Data-dependent gather/UpdAcc indices must raise the same typed error the
+// Data-dependent gather/StoreIdx indices must raise the same typed error the
 // general interpreter raises, not read out of bounds (streams let arbitrary
 // scalar indices reach kernels). Cold path, kept out of the address loops.
 [[noreturn]] static void throw_kernel_oob(int64_t i, int32_t axis, int64_t extent) {
@@ -1276,22 +1276,11 @@ private:
                    std::to_string(axis) + " of extent " + std::to_string(extent));
 }
 
-inline int64_t flat_index(const ArrayVal& a, const double* regs, const int32_t* idx,
-                          int32_t nidx) {
-  int64_t off = 0;
-  int64_t stride = 1;
-  // idx covers the leading `nidx` dims of a rank-nidx array (full indexing).
-  for (int32_t d = nidx - 1; d >= 0; --d) {
-    const auto i = static_cast<int64_t>(regs[idx[d]]);
-    const auto ext = a.shape[static_cast<size_t>(d)];
-    if (i < 0 || i >= ext) throw_kernel_oob(i, d, ext);
-    off += i * stride;
-    stride *= ext;
-  }
-  return off;
-}
-
-// Per-lane variant over the SoA register file (regs[reg*W + lane]).
+// Flat offset of lane l's full index (the leading `nidx` dims of a rank-nidx
+// array) over the SoA register file (regs[reg*W + lane]). An out-of-range
+// index raises, or with kIgnoreOob returns -1: an upd_acc out of range is
+// ignored, as in the general evaluator's eval_updacc and the paper's scatter.
+template <bool kIgnoreOob = false>
 inline int64_t flat_index_lane(const ArrayVal& a, const double* regs, int W, int l,
                                const int32_t* idx, int32_t nidx) {
   int64_t off = 0;
@@ -1299,7 +1288,10 @@ inline int64_t flat_index_lane(const ArrayVal& a, const double* regs, int W, int
   for (int32_t d = nidx - 1; d >= 0; --d) {
     const auto i = static_cast<int64_t>(regs[idx[d] * W + l]);
     const auto ext = a.shape[static_cast<size_t>(d)];
-    if (i < 0 || i >= ext) throw_kernel_oob(i, d, ext);
+    if (i < 0 || i >= ext) {
+      if constexpr (kIgnoreOob) return -1;
+      throw_kernel_oob(i, d, ext);
+    }
     off += i * stride;
     stride *= ext;
   }
@@ -1439,7 +1431,8 @@ void exec_span(const KernelLaunch& L, double* r, int64_t lo, int64_t hi, size_t 
           const bool atomic =
               L.acc_atomic.empty() || L.acc_atomic[static_cast<size_t>(in.slot)] != 0;
           for (int l = 0; l < W; ++l) {
-            const int64_t at = flat_index_lane(arr, r, W, l, in.idx, in.nidx);
+            const int64_t at = flat_index_lane<true>(arr, r, W, l, in.idx, in.nidx);
+            if (at < 0) continue;
             if (atomic) {
               atomic_add_f64(arr, at, a[l]);
             } else {

@@ -187,22 +187,27 @@ void Batcher::worker_loop() {
     const std::string key = queue_.front().key;
     const Clock::time_point first_enq = queue_.front().t_enq;
     take_matching_locked(batch, key);
-    if (opts_.stack && opts_.window_us > 0 && !stop_) {
-      // Hold the group open until it fills or the window (measured from its
-      // FIRST request's enqueue) expires. Waits key on submit_seq_, so other
-      // workers freely drain non-matching groups in the meantime.
+    if (opts_.stack && opts_.window_us > 0) {
+      // Work-conserving hold: wait for batchmates only while another launch
+      // is in flight. The hold ends when the group fills, the window (from
+      // its FIRST request's enqueue) expires, every in-flight launch
+      // finishes, or stop() is called. Waits also wake on each submit, so
+      // other workers freely drain non-matching groups in the meantime.
       const auto deadline = first_enq + std::chrono::microseconds(opts_.window_us);
-      while (static_cast<int>(batch.size()) < opts_.max_batch && !stop_) {
+      while (static_cast<int>(batch.size()) < opts_.max_batch && busy_ > 0 && !stop_) {
         const uint64_t seq = submit_seq_;
-        if (!cv_.wait_until(lk, deadline, [&] { return stop_ || submit_seq_ != seq; })) {
+        if (!cv_.wait_until(lk, deadline,
+                            [&] { return stop_ || busy_ == 0 || submit_seq_ != seq; })) {
           break;  // window expired
         }
         take_matching_locked(batch, key);
       }
     }
+    ++busy_;
     lk.unlock();
     exec_batch(std::move(batch));
     lk.lock();
+    if (--busy_ == 0) cv_.notify_all();  // release every holder
   }
 }
 

@@ -3,19 +3,23 @@
 // Cross-request batching executor. Clients submit objective/jacobian
 // requests for registered programs and get a future<Response>; worker
 // threads group compatible requests (same program, mode and argument
-// shapes), wait up to a configurable window from the group's FIRST enqueue
-// for the batch to fill, and execute the group as ONE stacked outer-map
-// launch through rt::Interp::run_batched (runtime/batch.hpp). Results are
-// de-stacked per request, and errors are isolated per request: a failing
-// stacked launch falls back to per-request execution so the typed
+// shapes), hold a group open for batchmates only while another launch is
+// in flight (see Window semantics), and execute the group as ONE stacked
+// outer-map launch through rt::Interp::run_batched (runtime/batch.hpp).
+// Results are de-stacked per request, and errors are isolated per request: a
+// failing stacked launch falls back to per-request execution so the typed
 // npad::Error lands on the request that caused it and its batchmates still
 // succeed.
 //
-// Window semantics: a batch launches when it reaches max_batch OR when
-// window_us has elapsed since its first request was enqueued, whichever
-// comes first. A lone closed-loop client therefore pays the full window per
-// request — that is the explicit latency-for-throughput trade; window_us=0
-// disables waiting (pass-through for single requests).
+// Window semantics (work-conserving): a worker that takes a group while no
+// other launch is in flight launches it at once, with every request of that
+// key already queued — batching never delays work an idle executor could
+// start. While at least one other worker is executing, the group is held
+// open up to window_us from its FIRST enqueue and launches early when it
+// reaches max_batch, when every in-flight launch finishes, or on stop().
+// A one-worker batcher therefore never holds a group, and a lone
+// closed-loop client pays no window; window_us=0 disables holding
+// altogether.
 
 #include <atomic>
 #include <chrono>
@@ -88,7 +92,7 @@ struct ServeStats {
 
 struct BatcherOptions {
   int max_batch = 16;      // N: largest stacked group
-  int64_t window_us = 1000;  // collection window from a group's first enqueue
+  int64_t window_us = 1000;  // longest hold from a group's first enqueue
   int workers = 2;         // batch-executing worker threads
   bool stack = true;       // false: execute every request individually
   bool start = true;       // false: construct paused; call start() explicitly
@@ -143,6 +147,7 @@ private:
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   uint64_t submit_seq_ = 0;  // bumped per enqueue; wakes window waiters
+  int busy_ = 0;             // workers inside exec_batch; holds last while > 0
   std::vector<std::thread> threads_;
   bool started_ = false;
   bool stop_ = false;

@@ -173,16 +173,22 @@ struct HttpMessage {
   }
 };
 
-bool read_message(int fd, std::string& buf, HttpMessage* out, size_t max_body) {
+enum class ReadResult {
+  Ok,
+  Closed,    // EOF, timeout or a malformed header block
+  TooLarge,  // Content-Length above max_body; the body is left unread
+};
+
+ReadResult read_message(int fd, std::string& buf, HttpMessage* out, size_t max_body) {
   // Accumulate until the blank line.
   size_t header_end = std::string::npos;
   for (;;) {
     header_end = buf.find("\r\n\r\n");
     if (header_end != std::string::npos) break;
-    if (buf.size() > (64u << 10)) return false;  // oversized header block
+    if (buf.size() > (64u << 10)) return ReadResult::Closed;  // oversized header block
     char chunk[4096];
     const ssize_t r = ::recv(fd, chunk, sizeof chunk, 0);
-    if (r <= 0) return false;
+    if (r <= 0) return ReadResult::Closed;
     buf.append(chunk, static_cast<size_t>(r));
   }
   const std::string head = buf.substr(0, header_end);
@@ -214,18 +220,18 @@ bool read_message(int fd, std::string& buf, HttpMessage* out, size_t max_body) {
   size_t content_length = 0;
   const std::string cl = out->header("content-length");
   if (!cl.empty()) content_length = static_cast<size_t>(std::strtoull(cl.c_str(), nullptr, 10));
-  if (content_length > max_body) return false;
+  if (content_length > max_body) return ReadResult::TooLarge;
 
   const size_t body_start = header_end + 4;
   while (buf.size() - body_start < content_length) {
     char chunk[8192];
     const ssize_t r = ::recv(fd, chunk, sizeof chunk, 0);
-    if (r <= 0) return false;
+    if (r <= 0) return ReadResult::Closed;
     buf.append(chunk, static_cast<size_t>(r));
   }
   out->body = buf.substr(body_start, content_length);
   buf.erase(0, body_start + content_length);  // keep any pipelined tail
-  return true;
+  return ReadResult::Ok;
 }
 
 const char* status_text(int status) {
@@ -234,9 +240,29 @@ const char* status_text(int status) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 413: return "Payload Too Large";
     case 500: return "Internal Server Error";
-    default: return "OK";
+    case 503: return "Service Unavailable";
+    default: return "Unknown";
   }
+}
+
+// HTTP status of a typed npad error: the client's fault (400), a resource
+// the server lacks right now — a stopped batcher, a failed allocation —
+// (503), or a server fault (500).
+int status_of(const std::string& kind) {
+  if (kind == "TypeError" || kind == "ShapeError") return 400;
+  if (kind == "ResourceError") return 503;
+  return 500;
+}
+
+bool send_response(int fd, int status, const std::string& body, bool close_conn) {
+  const std::string resp =
+      "HTTP/1.1 " + std::to_string(status) + " " + status_text(status) +
+      "\r\nContent-Type: application/json\r\nContent-Length: " + std::to_string(body.size()) +
+      (close_conn ? "\r\nConnection: close" : "\r\nConnection: keep-alive") + "\r\n\r\n" +
+      body;
+  return send_all(fd, resp.data(), resp.size());
 }
 
 } // namespace
@@ -341,7 +367,23 @@ void HttpServer::serve_connection(int fd) {
   std::string buf;
   for (;;) {
     HttpMessage msg;
-    if (!read_message(fd, buf, &msg, opts_.max_body)) break;
+    const ReadResult rr = read_message(fd, buf, &msg, opts_.max_body);
+    if (rr == ReadResult::TooLarge) {
+      // Answer before closing, then drain what the client already sent:
+      // closing on unread data would reset the connection and could drop
+      // the 413 before the client reads it.
+      send_response(fd, 413, R"({"ok":false,"error":"request body too large"})", true);
+      ::shutdown(fd, SHUT_WR);
+      char chunk[8192];
+      size_t drained = 0;
+      while (drained < opts_.max_body) {
+        const ssize_t r = ::recv(fd, chunk, sizeof chunk, 0);
+        if (r <= 0) break;
+        drained += static_cast<size_t>(r);
+      }
+      break;
+    }
+    if (rr != ReadResult::Ok) break;
     // "METHOD /path HTTP/1.1"
     std::string method, path;
     {
@@ -355,12 +397,7 @@ void HttpServer::serve_connection(int fd) {
     }
     const bool close_conn = msg.header("connection") == "close";
     auto [status, body] = handle(method, path, msg.body);
-    std::string resp = "HTTP/1.1 " + std::to_string(status) + " " + status_text(status) +
-                       "\r\nContent-Type: application/json\r\nContent-Length: " +
-                       std::to_string(body.size()) +
-                       (close_conn ? "\r\nConnection: close" : "\r\nConnection: keep-alive") +
-                       "\r\n\r\n" + body;
-    if (!send_all(fd, resp.data(), resp.size())) break;
+    if (!send_response(fd, status, body, close_conn)) break;
     if (close_conn) break;
   }
   ::close(fd);
@@ -421,9 +458,7 @@ std::pair<int, std::string> HttpServer::handle(const std::string& method,
     j.set("ok", Json::boolean(false));
     j.set("error_kind", Json::string(e.kind()));
     j.set("error", Json::string(e.what()));
-    const bool client_fault =
-        std::string(e.kind()) == "TypeError" || std::string(e.kind()) == "ShapeError";
-    return {client_fault ? 400 : 500, j.dump()};
+    return {status_of(e.kind()), j.dump()};
   } catch (const std::exception& e) {
     Json j = Json::object();
     j.set("ok", Json::boolean(false));
@@ -487,8 +522,7 @@ std::pair<int, std::string> HttpServer::handle_run(const std::string& body) {
   }
   j.set("error_kind", Json::string(resp.error_kind));
   j.set("error", Json::string(resp.error));
-  const bool client_fault = resp.error_kind == "TypeError" || resp.error_kind == "ShapeError";
-  return {client_fault ? 400 : 500, j.dump()};
+  return {status_of(resp.error_kind), j.dump()};
 }
 
 // ---------------------------------------------------------------- client ---
@@ -537,10 +571,11 @@ int HttpClient::request_once(const std::string& method, const std::string& path,
   }
   HttpMessage resp;
   std::string buf;
-  if (!read_message(fd_, buf, &resp, 64u << 20)) {
+  if (read_message(fd_, buf, &resp, 64u << 20) != ReadResult::Ok) {
     close_fd();
     throw ResourceError("http client: read failed (connection closed?)");
   }
+  if (resp.header("connection") == "close") close_fd();
   if (resp_body) *resp_body = std::move(resp.body);
   // "HTTP/1.1 200 OK"
   const size_t sp = resp.start_line.find(' ');

@@ -12,6 +12,11 @@
 //   POST /v1/run       -> {"program", "mode"?, "seed"?, "size"?, "args"?,
 //                          "return": "summary"|"full"}
 //
+// Typed errors map to statuses: TypeError/ShapeError 400 (the client's
+// request), ResourceError 503 (a stopped batcher, a failed allocation), any
+// other 500. A body whose Content-Length exceeds max_body gets 413 and the
+// connection closes.
+//
 // Request arguments are either synthesized server-side from (seed, size) via
 // the registry's deterministic generators, or supplied inline in "args":
 // numbers are f64 scalars, {"elem": "i64", "value": n} typed scalars, and

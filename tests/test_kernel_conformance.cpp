@@ -2318,16 +2318,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()),
     stream_name);
 
-// Runs `p` on the register machine and both vexec builds: all three raise
-// ShapeError with the register machine's message. The general path raises
-// too, except for an out-of-range upd_acc, which it ignores while the kernel
-// tiers raise (`general_raises` false).
+// Runs `p` on the general path, the register machine and both vexec builds:
+// all four raise ShapeError, the kernel tiers with the register machine's
+// message.
 void expect_register_machine_error(const Prog& p, const std::vector<Value>& args,
-                                   const std::string& what, bool general_raises = true) {
-  if (general_raises) {
-    EXPECT_THROW(rt::Interp({.parallel = false, .use_kernels = false}).run(p, args), ShapeError)
-        << what;
-  }
+                                   const std::string& what) {
+  EXPECT_THROW(rt::Interp({.parallel = false, .use_kernels = false}).run(p, args), ShapeError)
+      << what;
   auto message = [&](VexecMode m, bool privatize) -> std::string {
     try {
       rt::Interp(stream_opts(m, 8, privatize)).run(p, args);
@@ -2356,18 +2353,37 @@ TEST(StreamConformance, ShortStreamRaisesRegisterMachineError) {
   }
 }
 
+// Runs `p` on the register machine and both vexec builds, privatized and
+// atomic: every result is bit-exact against the general path.
+void expect_general_result(const Prog& p, const std::vector<Value>& args,
+                           const std::string& what) {
+  const auto general = all_bits(rt::Interp({.parallel = false, .use_kernels = false}).run(p, args));
+  for (bool privatize : {true, false}) {
+    for (VexecMode m : {VexecMode::Off, VexecMode::Avx2, VexecMode::Portable}) {
+      EXPECT_EQ(all_bits(rt::Interp(stream_opts(m, 8, privatize)).run(p, args)), general)
+          << what << ", vexec mode " << static_cast<int>(m) << ", privatize " << privatize;
+    }
+  }
+}
+
 TEST(StreamConformance, OutOfRangeLeadRaisesRegisterMachineError) {
   // A uniform lead past Q's and G's rows (s = 5), and a varying lead past
-  // A's and H's rows in the last lane only (off = 1).
+  // A's and H's rows in the last lane only (off = 1). An out-of-range
+  // upd_acc is ignored on every tier, as the paper's scatter ignores such
+  // writes: the UpdAcc kind must match the general path instead.
+  auto check = [](StreamKind kind, const std::vector<Value>& args, const std::string& what) {
+    const std::string w = what + ", kind " + std::to_string(static_cast<int>(kind));
+    if (kind == StreamKind::UpdAcc) {
+      expect_general_result(stream_prog(kind), args, w);
+    } else {
+      expect_register_machine_error(stream_prog(kind), args, w);
+    }
+  };
   for (StreamKind kind : {StreamKind::GatherUniform, StreamKind::UpdAcc, StreamKind::Axpy2}) {
-    expect_register_machine_error(stream_prog(kind), stream_args(21, 9, kStreamRows, 0, 92),
-                                  "uniform lead, kind " + std::to_string(static_cast<int>(kind)),
-                                  kind != StreamKind::UpdAcc);
+    check(kind, stream_args(21, 9, kStreamRows, 0, 92), "uniform lead");
   }
   for (StreamKind kind : {StreamKind::GatherRow, StreamKind::UpdAcc, StreamKind::StoreRow}) {
-    expect_register_machine_error(stream_prog(kind), stream_args(21, 9, 3, 1, 93),
-                                  "varying lead, kind " + std::to_string(static_cast<int>(kind)),
-                                  kind != StreamKind::UpdAcc);
+    check(kind, stream_args(21, 9, 3, 1, 93), "varying lead");
   }
 }
 

@@ -428,4 +428,31 @@ TEST_F(ServeDifferential, HttpRoundTripMatchesSequentialRun) {
   b.stop();
 }
 
+// Typed statuses: a body over max_body is answered 413 before the server
+// closes the connection, and a stopped batcher's ResourceError is 503.
+TEST_F(ServeDifferential, HttpOversizedBodyIs413AndStoppedBatcherIs503) {
+  BatcherOptions bo = test_opts(4, 0);
+  bo.start = true;
+  Batcher b(bo);
+  HttpOptions ho;
+  ho.port = 0;
+  ho.max_body = 1024;
+  HttpServer server(b, ho);
+  server.start();
+  HttpClient client("127.0.0.1", server.port());
+  const std::string run = R"({"program":"gmm","seed":3,"size":{"n":16,"d":2,"k":3}})";
+  std::string body;
+
+  EXPECT_EQ(client.post("/v1/run", run + std::string(4 * ho.max_body, ' '), &body), 413);
+  EXPECT_NE(body.find("too large"), std::string::npos) << body;
+  // The same client reconnects and is served normally.
+  EXPECT_EQ(client.post("/v1/run", run, &body), 200) << body;
+
+  b.stop();
+  EXPECT_EQ(client.post("/v1/run", run, &body), 503) << body;
+  EXPECT_NE(body.find("ResourceError"), std::string::npos) << body;
+  EXPECT_EQ(client.get("/healthz", &body), 200);
+  server.stop();
+}
+
 } // namespace

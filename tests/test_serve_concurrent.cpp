@@ -5,7 +5,12 @@
 // batching across racing clients is an execution strategy, not a semantic
 // change.
 //
-// Part 2: the test_fault.cpp sweep pattern extended to the serving layer's
+// Part 2: work-conserving dispatch. A group is held open for batchmates only
+// while another launch is in flight: an idle batcher launches at once, a
+// held group launches when the in-flight launch ends (or on stop()), long
+// before its window expires.
+//
+// Part 3: the test_fault.cpp sweep pattern extended to the serving layer's
 // own fault sites (serve.enqueue at submission, serve.batch_exec in the
 // per-request de-stacking loop). The serving robustness contract is stronger
 // than the runtime one: an armed fault must surface as a typed error on the
@@ -20,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <future>
@@ -28,6 +34,8 @@
 #include <thread>
 #include <vector>
 
+#include "ir/builder.hpp"
+#include "ir/typecheck.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/interp.hpp"
 #include "serve/batcher.hpp"
@@ -150,6 +158,149 @@ TEST_F(ServeConcurrent, RacingClientsGetTheirOwnBitExactResults) {
           << "thread " << t << " seed " << oc.seed << " mode " << mode_name(oc.mode);
     }
   }
+}
+
+// ------------------------------------------------ work-conserving dispatch --
+
+using std::chrono::milliseconds;
+using std::chrono::steady_clock;
+
+constexpr int64_t kLongWindowUs = 10'000'000;  // 10 s: a hold that ran out would show
+
+// "serve_spin": a sequential scalar loop of `trips` steps, the long launch
+// that keeps one worker busy while the other holds a group.
+void register_spin_once() {
+  static const bool done = [] {
+    ir::ProgBuilder pb("serve_spin");
+    ir::Var trips = pb.param("trips", ir::i64());
+    ir::Builder& bb = pb.body();
+    std::vector<ir::Var> r = bb.loop_for(
+        {ir::cf64(0.0)}, ir::Atom(trips),
+        [](ir::Builder& c, ir::Var, const std::vector<ir::Var>& x) {
+          return std::vector<ir::Atom>{
+              ir::Atom(c.add(ir::Atom(c.mul(ir::Atom(x[0]), ir::cf64(0.5))), ir::cf64(1.0)))};
+        });
+    ir::Prog p = pb.finish({ir::Atom(r[0])});
+    ir::typecheck(p);
+    ProgramEntry e;
+    e.name = "serve_spin";
+    e.objective = p;
+    e.jacobian = p;
+    e.make_args = [](Mode, uint64_t seed, const SizeMap&) {
+      return std::vector<Value>{static_cast<int64_t>(seed)};
+    };
+    Registry::global().add(std::move(e));
+    return true;
+  }();
+  (void)done;
+}
+
+double ms_since(steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(steady_clock::now() - t0).count();
+}
+
+// Trip count for which serve_spin runs at least `ms` on this build.
+int64_t spin_trips_for(double ms, const rt::InterpOptions& io) {
+  register_spin_once();
+  auto entry = Registry::global().find("serve_spin");
+  rt::Interp interp(io);
+  int64_t trips = 1 << 14;
+  for (;;) {
+    const auto t0 = steady_clock::now();
+    interp.run(entry->objective, {Value(trips)});
+    const double took = ms_since(t0);
+    if (took >= ms / 8) {
+      return static_cast<int64_t>(static_cast<double>(trips) * ms / took) + 1;
+    }
+    trips *= 4;
+  }
+}
+
+BatcherOptions dispatch_opts(int max_batch) {
+  BatcherOptions o;
+  o.max_batch = max_batch;
+  o.window_us = kLongWindowUs;
+  o.workers = 2;
+  o.interp.parallel = false;
+  return o;
+}
+
+// Submits a serve_spin launch of about `ms` and returns once a worker runs
+// it (the first executed group).
+std::future<Response> start_long_launch(Batcher& b, double ms) {
+  const int64_t trips = spin_trips_for(ms, b.options().interp);
+  auto fut = b.submit({"serve_spin", Mode::Objective, {Value(trips)}});
+  const auto t0 = steady_clock::now();
+  while (b.stats().batches.load() == 0 && ms_since(t0) < 10'000) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  EXPECT_EQ(b.stats().batches.load(), 1u) << "the long launch did not start";
+  return fut;
+}
+
+TEST_F(ServeConcurrent, LoneRequestLaunchesWithoutWaitingForTheWindow) {
+  auto entry = Registry::global().find("gmm");
+  ASSERT_NE(entry, nullptr);
+  Batcher b(dispatch_opts(8));
+  const auto t0 = steady_clock::now();
+  Response resp =
+      b.execute({"gmm", Mode::Objective, entry->make_args(Mode::Objective, 5, kGmmSize)});
+  const double took_ms = ms_since(t0);
+  ASSERT_TRUE(resp.ok()) << resp.error;
+  EXPECT_EQ(resp.batch_size, 1);
+  EXPECT_LT(took_ms, 1000.0) << "an idle batcher held a lone request";
+  EXPECT_LT(resp.queue_wait_ms, 1000.0);
+}
+
+TEST_F(ServeConcurrent, RequestsArrivingDuringALaunchRideOneGroupWhenItEnds) {
+  auto entry = Registry::global().find("gmm");
+  ASSERT_NE(entry, nullptr);
+  constexpr int K = 4;
+  const BatcherOptions o = dispatch_opts(2 * K);
+  Batcher b(o);
+  auto spin = start_long_launch(b, 1000.0);
+
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < K; ++i) {
+    futs.push_back(b.submit({"gmm", Mode::Objective,
+                             entry->make_args(Mode::Objective, 40u + i, kGmmSize)}));
+  }
+  // All K were queued while the long launch was still executing.
+  ASSERT_EQ(b.stats().responses_ok.load(), 0u) << "the long launch ended too soon";
+
+  rt::Interp ref(o.interp);
+  for (int i = 0; i < K; ++i) {
+    Response resp = futs[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(resp.ok()) << "req " << i << ": " << resp.error;
+    EXPECT_EQ(resp.batch_size, K) << "req " << i;
+    EXPECT_LT(resp.queue_wait_ms, kLongWindowUs / 2e3) << "req " << i << " waited out the window";
+    const auto args = entry->make_args(Mode::Objective, 40u + i, kGmmSize);
+    EXPECT_EQ(fingerprint(resp.results), fingerprint(ref.run(entry->prog(Mode::Objective), args)))
+        << "req " << i;
+  }
+  // The group launched only once the long launch had finished.
+  EXPECT_EQ(spin.wait_for(milliseconds(0)), std::future_status::ready);
+  ASSERT_TRUE(spin.get().ok());
+  EXPECT_EQ(b.stats().batches.load(), 2u);
+  EXPECT_EQ(b.stats().stacked_batches.load(), 1u);
+  EXPECT_EQ(b.stats().stacked_requests.load(), static_cast<uint64_t>(K));
+}
+
+TEST_F(ServeConcurrent, StopLaunchesAHeldGroupAtOnce) {
+  auto entry = Registry::global().find("gmm");
+  ASSERT_NE(entry, nullptr);
+  Batcher b(dispatch_opts(8));
+  auto spin = start_long_launch(b, 2000.0);
+  auto held = b.submit({"gmm", Mode::Objective, entry->make_args(Mode::Objective, 9, kGmmSize)});
+
+  std::thread stopper([&] { b.stop(); });
+  Response resp = held.get();
+  // The held group ran while the long launch was still executing.
+  EXPECT_EQ(spin.wait_for(milliseconds(0)), std::future_status::timeout);
+  stopper.join();
+  ASSERT_TRUE(resp.ok()) << resp.error;
+  EXPECT_EQ(resp.batch_size, 1);
+  EXPECT_TRUE(spin.get().ok());  // stop() drains the in-flight launch
 }
 
 // --------------------------------------------------------- the fault sweep --

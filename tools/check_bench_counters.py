@@ -97,7 +97,8 @@ CEILINGS = [
 # serving/serve_batches: executed groups per request. Cross-request batching
 # is the whole point of the serving tier — a lone closed-loop client runs at
 # 1.0 (every request its own group), the 8- and 64-client levels fill
-# max_batch-sized groups, and the measured blend sits near 0.23. A ratio
+# max_batch-sized groups, and the measured blend sits near 0.28 (dispatch
+# is work-conserving, so c1's many fast requests weigh more). A ratio
 # drifting toward 1.0 means stacking silently stopped grouping (key
 # mismatch, window regression), so 0.7 fails CI well before that.
 #
@@ -112,7 +113,7 @@ RATIO_CEILINGS = [
         ["serve_batches"],
         "serve_requests",
         0.7,
-        0.23,
+        0.28,
     ),
     (
         "BENCH_serving.json",

@@ -5,7 +5,10 @@
 //   ./npad_serve [--host A] [--port P] [--max-batch N] [--window-us U]
 //                [--workers W] [--no-stack]
 //
-// See src/serve/README.md for the API and batching semantics.
+// --window-us is the longest a group is held open for batchmates, and a
+// group is held only while another worker is executing: an idle server
+// launches every request at once. See src/serve/README.md for the API and
+// batching semantics.
 
 #include <atomic>
 #include <chrono>
@@ -29,7 +32,9 @@ void on_signal(int) { g_stop.store(true); }
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host A] [--port P] [--max-batch N] [--window-us U]\n"
-               "          [--workers W] [--no-stack]\n",
+               "          [--workers W] [--no-stack]\n"
+               "  --window-us U  hold a group for batchmates up to U us, only while\n"
+               "                 another worker is executing (default 1000)\n",
                argv0);
   std::exit(2);
 }
