@@ -18,38 +18,58 @@ namespace npad::ir {
 
 namespace detail {
 
-inline void fv_body(const Body& b, std::unordered_set<uint32_t>& bound,
-                    std::vector<Var>& out, std::unordered_set<uint32_t>& seen);
+// One walk over a body with a single bound set. Entering a scope records the
+// ids it newly binds in an undo log; leaving it erases exactly those, so an id
+// that was already bound outside (a shadowing re-binding) stays bound.
+class FreeVarWalk {
+public:
+  explicit FreeVarWalk(std::vector<Var>& out) : out_(out) {}
 
-inline void fv_use(Var v, const std::unordered_set<uint32_t>& bound, std::vector<Var>& out,
-                   std::unordered_set<uint32_t>& seen) {
-  if (!v.valid() || bound.count(v.id)) return;
-  if (seen.insert(v.id).second) out.push_back(v);
-}
-
-inline void fv_exp(const Exp& e, std::unordered_set<uint32_t>& bound, std::vector<Var>& out,
-                   std::unordered_set<uint32_t>& seen) {
-  for_each_atom(e, [&](const Atom& a) {
-    if (a.is_var()) fv_use(a.var(), bound, out, seen);
-  });
-  for_each_nested(e, [&](const NestedScope& s) {
-    std::unordered_set<uint32_t> inner = bound;
-    for (Var v : s.bound) inner.insert(v.id);
-    fv_body(*s.body, inner, out, seen);
-  });
-}
-
-inline void fv_body(const Body& b, std::unordered_set<uint32_t>& bound, std::vector<Var>& out,
-                    std::unordered_set<uint32_t>& seen) {
-  std::unordered_set<uint32_t> local = bound;
-  for (const auto& st : b.stms) {
-    fv_exp(st.e, local, out, seen);
-    for (Var v : st.vars) local.insert(v.id);
+  void bind(Var v) {
+    if (bound_.insert(v.id).second) undo_.push_back(v.id);
   }
-  for (const auto& a : b.result) {
-    if (a.is_var()) fv_use(a.var(), local, out, seen);
+
+  void body(const Body& b) {
+    const size_t mark = undo_.size();
+    for (const auto& st : b.stms) {
+      exp(st.e);
+      for (Var v : st.vars) bind(v);
+    }
+    for (const auto& a : b.result) {
+      if (a.is_var()) use(a.var());
+    }
+    unwind(mark);
   }
-}
+
+private:
+  void use(Var v) {
+    if (!v.valid() || bound_.count(v.id) > 0) return;
+    if (seen_.insert(v.id).second) out_.push_back(v);
+  }
+
+  void exp(const Exp& e) {
+    for_each_atom(e, [&](const Atom& a) {
+      if (a.is_var()) use(a.var());
+    });
+    for_each_nested(e, [&](const NestedScope& s) {
+      const size_t mark = undo_.size();
+      for (Var v : s.bound) bind(v);
+      body(*s.body);
+      unwind(mark);
+    });
+  }
+
+  void unwind(size_t mark) {
+    while (undo_.size() > mark) {
+      bound_.erase(undo_.back());
+      undo_.pop_back();
+    }
+  }
+
+  std::vector<Var>& out_;
+  std::unordered_set<uint32_t> bound_, seen_;
+  std::vector<uint32_t> undo_;
+};
 
 } // namespace detail
 
@@ -57,9 +77,9 @@ inline void fv_body(const Body& b, std::unordered_set<uint32_t>& bound, std::vec
 inline std::vector<Var> free_vars(const Body& b,
                                   const std::vector<Var>& extra_bound = {}) {
   std::vector<Var> out;
-  std::unordered_set<uint32_t> bound, seen;
-  for (Var v : extra_bound) bound.insert(v.id);
-  detail::fv_body(b, bound, out, seen);
+  detail::FreeVarWalk w(out);
+  for (Var v : extra_bound) w.bind(v);
+  w.body(b);
   return out;
 }
 

@@ -1,21 +1,25 @@
 #pragma once
 
 // Generic traversal and cloning utilities over the IR:
-//   for_each_atom    — visit the atoms an Exp uses directly (no nested bodies)
+//   visit_atoms      — the atom and var positions an Exp uses directly (no
+//                      nested bodies); rewrites them in place on a mutable Exp
+//   for_each_atom    — read-only visit_atoms, every use as an Atom
 //   visit_scopes     — THE enumeration of the nested scopes each op carries
 //                      (if arms, loop body + while condition, SOAC lambdas);
 //                      hands out the BodyPtr/LambdaPtr slots themselves
 //   for_each_nested  — read-only walk of those scopes (built on visit_scopes)
-//   map_nested       — copy an op, rebuilding each nested body through a
-//                      callback (built on visit_scopes); every non-scope
-//                      field, annotations included, rides along unchanged
-//   Cloner           — deep-copy with variable substitution and optional
+//   map_nested       — copy an op, rebuilding the nested bodies a callback
+//                      changes (built on visit_scopes) and sharing the rest;
+//                      every non-scope field, annotations included, rides
+//                      along unchanged
+//   Cloner           — deep-copy with variable substitution and
 //                      alpha-renaming of bindings (used to inline lambdas)
 // Only visit_scopes knows which scopes an op has; the rewrite passes in
 // src/opt descend through map_nested, so adding a scope (or an annotation)
 // to an op touches this file, not every pass (see src/opt/README.md).
 
 #include <functional>
+#include <optional>
 #include <type_traits>
 #include <unordered_map>
 
@@ -25,41 +29,74 @@ namespace npad::ir {
 
 // ------------------------------------------------------------- traversal ---
 
-template <class FnAtom>
-void for_each_atom(const Exp& e, FnAtom&& fn) {
-  auto at = [&](const Atom& a) { fn(a); };
-  auto av = [&](Var v) { fn(Atom(v)); };
+// Enumerates the atoms and variables `e` (an Exp or const Exp) uses directly,
+// nested bodies excluded, in field order: atom positions go to on_atom(Atom&),
+// var-only positions (arrays, accumulators, SOAC arguments) to on_var(Var&).
+// With a mutable Exp the callbacks may rewrite the positions in place.
+template <class E, class OnAtom, class OnVar>
+void visit_atoms(E& e, OnAtom&& at, OnVar&& av) {
+  static_assert(std::is_same_v<std::remove_const_t<E>, Exp>);
+  auto ats = [&](auto& as) {
+    for (auto& a : as) at(a);
+  };
+  auto avs = [&](auto& vs) {
+    for (auto& v : vs) av(v);
+  };
   std::visit(
-      Overload{
-          [&](const OpAtom& o) { at(o.a); },
-          [&](const OpBin& o) { at(o.a); at(o.b); },
-          [&](const OpUn& o) { at(o.a); },
-          [&](const OpSelect& o) { at(o.c); at(o.t); at(o.f); },
-          [&](const OpIndex& o) { av(o.arr); for (auto& i : o.idx) at(i); },
-          [&](const OpUpdate& o) { av(o.arr); for (auto& i : o.idx) at(i); at(o.v); },
-          [&](const OpUpdAcc& o) { av(o.acc); for (auto& i : o.idx) at(i); at(o.v); },
-          [&](const OpIota& o) { at(o.n); },
-          [&](const OpReplicate& o) { at(o.n); at(o.v); },
-          [&](const OpZerosLike& o) { av(o.v); },
-          [&](const OpScratch& o) { at(o.n); av(o.like); },
-          [&](const OpLength& o) { av(o.arr); },
-          [&](const OpReverse& o) { av(o.arr); },
-          [&](const OpTranspose& o) { av(o.arr); },
-          [&](const OpCopy& o) { av(o.v); },
-          [&](const OpIf& o) { at(o.c); },
-          [&](const OpLoop& o) {
-            for (auto& i : o.init) at(i);
-            if (!o.while_cond) at(o.count);
-            if (o.while_bound) at(*o.while_bound);
-          },
-          [&](const OpMap& o) { for (auto v : o.args) av(v); },
-          [&](const OpReduce& o) { for (auto& n : o.neutral) at(n); for (auto v : o.args) av(v); },
-          [&](const OpScan& o) { for (auto& n : o.neutral) at(n); for (auto v : o.args) av(v); },
-          [&](const OpHist& o) { at(o.neutral); av(o.dest); av(o.inds); av(o.vals); },
-          [&](const OpScatter& o) { av(o.dest); av(o.inds); av(o.vals); },
-          [&](const OpWithAcc& o) { for (auto v : o.arrs) av(v); },
+      [&](auto& o) {
+        using T = std::remove_cvref_t<decltype(o)>;
+        if constexpr (std::is_same_v<T, OpAtom>) {
+          at(o.a);
+        } else if constexpr (std::is_same_v<T, OpBin>) {
+          at(o.a); at(o.b);
+        } else if constexpr (std::is_same_v<T, OpUn>) {
+          at(o.a);
+        } else if constexpr (std::is_same_v<T, OpSelect>) {
+          at(o.c); at(o.t); at(o.f);
+        } else if constexpr (std::is_same_v<T, OpIndex>) {
+          av(o.arr); ats(o.idx);
+        } else if constexpr (std::is_same_v<T, OpUpdate>) {
+          av(o.arr); ats(o.idx); at(o.v);
+        } else if constexpr (std::is_same_v<T, OpUpdAcc>) {
+          av(o.acc); ats(o.idx); at(o.v);
+        } else if constexpr (std::is_same_v<T, OpIota>) {
+          at(o.n);
+        } else if constexpr (std::is_same_v<T, OpReplicate>) {
+          at(o.n); at(o.v);
+        } else if constexpr (std::is_same_v<T, OpZerosLike> || std::is_same_v<T, OpCopy>) {
+          av(o.v);
+        } else if constexpr (std::is_same_v<T, OpScratch>) {
+          at(o.n); av(o.like);
+        } else if constexpr (std::is_same_v<T, OpLength> || std::is_same_v<T, OpReverse> ||
+                             std::is_same_v<T, OpTranspose>) {
+          av(o.arr);
+        } else if constexpr (std::is_same_v<T, OpIf>) {
+          at(o.c);
+        } else if constexpr (std::is_same_v<T, OpLoop>) {
+          ats(o.init);
+          if (!o.while_cond) at(o.count);
+          if (o.while_bound) at(*o.while_bound);
+        } else if constexpr (std::is_same_v<T, OpMap>) {
+          avs(o.args);
+        } else if constexpr (std::is_same_v<T, OpReduce> || std::is_same_v<T, OpScan>) {
+          ats(o.neutral); avs(o.args);
+        } else if constexpr (std::is_same_v<T, OpHist>) {
+          at(o.neutral); av(o.dest); av(o.inds); av(o.vals);
+        } else if constexpr (std::is_same_v<T, OpScatter>) {
+          av(o.dest); av(o.inds); av(o.vals);
+        } else if constexpr (std::is_same_v<T, OpWithAcc>) {
+          avs(o.arrs);
+        } else {
+          static_assert(sizeof(T) == 0, "visit_atoms: unhandled op");
+        }
       },
       e);
+}
+
+// Read-only visit_atoms: every use as an Atom, var positions included.
+template <class FnAtom>
+void for_each_atom(const Exp& e, FnAtom&& fn) {
+  visit_atoms(e, [&](const Atom& a) { fn(a); }, [&](Var v) { fn(Atom(v)); });
 }
 
 // Enumerates the nested scopes of `e` (an Exp or const Exp) in field order:
@@ -128,18 +165,31 @@ void for_each_nested(const Exp& e, Fn&& fn) {
       [&](const LambdaPtr& l) { fn(lambda_scope(*l)); });
 }
 
-// Copies `e`, replacing each nested body by `fn(scope)` (a Body), in
-// visit_scopes order; lambdas keep their params and rets. The copy carries
-// every other field (OpMap::fused/flat, OpLoop::stripmine, ...) as is.
+// Returns `e` with each nested body replaced by `fn(scope)`, in visit_scopes
+// order. `fn` returns std::optional<Body>: nullopt keeps the scope as it is
+// (shared, not copied). Returns nullopt when every scope was kept, so an op
+// a pass does not change is not copied at all. Lambdas keep their params and
+// rets; every other field (OpMap::fused, OpLoop::stripmine, ...) rides along
+// as is.
 template <class Fn>
-Exp map_nested(const Exp& e, Fn&& fn) {
+std::optional<Exp> map_nested(const Exp& e, Fn&& fn) {
+  std::vector<std::optional<Body>> bodies;
+  bool changed = false;
+  for_each_nested(e, [&](const NestedScope& s) {
+    bodies.push_back(fn(s));
+    changed = changed || bodies.back().has_value();
+  });
+  if (!changed) return std::nullopt;
   Exp out = e;
+  size_t k = 0;
   visit_scopes(
       out,
-      [&](BodyPtr& b, std::vector<Var> bound) {
-        b = make_body(fn(NestedScope{b.get(), std::move(bound), nullptr}));
+      [&](BodyPtr& b, const std::vector<Var>&) {
+        if (auto& nb = bodies[k++]) b = make_body(std::move(*nb));
       },
-      [&](LambdaPtr& l) { l = make_lambda(Lambda{l->params, fn(lambda_scope(*l)), l->rets}); });
+      [&](LambdaPtr& l) {
+        if (auto& nb = bodies[k++]) l = make_lambda(Lambda{l->params, std::move(*nb), l->rets});
+      });
   return out;
 }
 
@@ -151,10 +201,10 @@ using Subst = std::unordered_map<uint32_t, Atom>;
 
 class Cloner {
 public:
-  // If `refresh` is true every binding introduced inside the cloned tree gets
-  // a fresh variable (alpha-renaming); required when inlining a lambda body
-  // into a scope where its bindings may collide.
-  Cloner(Module& m, bool refresh) : mod_(m), refresh_(refresh) {}
+  // Every binding introduced inside the cloned tree gets a fresh variable
+  // (alpha-renaming), so the clone can be spliced into a scope where its
+  // bindings would otherwise collide.
+  explicit Cloner(Module& m) : mod_(m) {}
 
   Atom atom(const Atom& a, const Subst& s) const {
     if (a.is_var()) {
@@ -167,37 +217,13 @@ public:
   Var var(Var v, const Subst& s) const {
     auto it = s.find(v.id);
     if (it == s.end()) return v;
-    if (!it->second.is_var()) {
-      // Copy-propagation (refresh_ == false) may alias a *scalar* var to a
-      // constant; a var-only position (OpScratch::like, OpZerosLike, …) can
-      // legally use such a var, so decline the substitution — the original
-      // binding still exists and stays live through the remaining use.
-      // While inlining (refresh_ == true) the substituted binding no longer
-      // exists in the output, so a constant here is a caller bug.
-      assert(!refresh_ && "array/binding position substituted by constant while inlining");
-      return v;
-    }
+    // The substituted binding does not exist in the output, so a constant
+    // for an array/binding position is a caller bug.
+    assert(it->second.is_var() && "array/binding position substituted by constant");
     return it->second.var();
   }
 
   Var bind(Var v, Subst& s) {
-    if (!refresh_) {
-      // Shadowing kills any pending substitution of this id AND any
-      // substitution *targeting* it: an alias X -> Y recorded outside this
-      // scope must not capture a re-binding of Y (AD passes re-install
-      // forward sweeps re-using ids, so same-id re-binding is routine).
-      // With refresh on, re-bindings get fresh names, so captures are
-      // impossible and targets need no scan.
-      s.erase(v.id);
-      for (auto it = s.begin(); it != s.end();) {
-        if (it->second.is_var() && it->second.var() == v) {
-          it = s.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      return v;
-    }
     Var nv = mod_.fresh(mod_.name(v));
     s[v.id] = Atom(nv);
     return nv;
@@ -275,12 +301,10 @@ public:
               n.checkpoint_entry = o.checkpoint_entry;
               if (o.while_bound) n.while_bound = A(*o.while_bound);
               Subst inner = s;
-              Cloner c2(mod_, refresh_);
               n.params.reserve(o.params.size());
-              for (const auto& p : o.params)
-                n.params.push_back(Param{c2.bind_in(p.var, inner), p.type});
-              if (o.idx.valid()) n.idx = c2.bind_in(o.idx, inner);
-              n.body = make_body(c2.body(*o.body, inner));
+              for (const auto& p : o.params) n.params.push_back(Param{bind(p.var, inner), p.type});
+              if (o.idx.valid()) n.idx = bind(o.idx, inner);
+              n.body = make_body(body(*o.body, std::move(inner)));
               return n;
             },
             [&](const OpMap& o) -> Exp { return OpMap{L(o.f), VS(o.args), o.fused}; },
@@ -300,11 +324,8 @@ public:
         e);
   }
 
-  Var bind_in(Var v, Subst& s) { return bind(v, s); }
-
 private:
   Module& mod_;
-  bool refresh_;
 };
 
 // Inlines a lambda application: alpha-renames the body's bindings and
@@ -315,8 +336,7 @@ inline std::pair<std::vector<Stm>, std::vector<Atom>> inline_lambda(
   assert(l.params.size() == args.size());
   Subst s;
   for (size_t i = 0; i < args.size(); ++i) s[l.params[i].var.id] = args[i];
-  Cloner c(m, /*refresh=*/true);
-  Body b = c.body(l.body, std::move(s));
+  Body b = Cloner(m).body(l.body, std::move(s));
   return {std::move(b.stms), std::move(b.result)};
 }
 

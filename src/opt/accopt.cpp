@@ -1,5 +1,6 @@
 #include "opt/accopt.hpp"
 
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -25,13 +26,31 @@ class AccOpt {
 public:
   AccOpt(Module& mod, TypeMap& tm, AccOptStats& stats) : mod_(mod), tm_(tm), stats_(stats) {}
 
-  Body body(const Body& in) {
+  // Rewrites `in`; nullopt when nothing in it (nested scopes included)
+  // changed.
+  std::optional<Body> body(const Body& in) {
     Builder b(mod_, tm_);
-    for (const auto& st : in.stms) {
-      Stm ns = st;
-      ns.e = map_nested(st.e, [&](const NestedScope& s) { return body(*s.body); });
-      if (!try_withacc(b, ns)) b.push(std::move(ns));
+    bool changed = false;
+    size_t done = 0;  // in.stms[0, done) are in b
+    auto catch_up = [&](size_t i) {
+      for (; done < i; ++done) b.push(in.stms[done]);
+    };
+    for (size_t i = 0; i < in.stms.size(); ++i) {
+      const Stm& st = in.stms[i];
+      auto ne = map_nested(st.e, [&](const NestedScope& s) { return body(*s.body); });
+      if (!ne && !std::holds_alternative<OpWithAcc>(st.e)) continue;
+      catch_up(i);
+      Stm ns = ne ? Stm{st.vars, st.types, std::move(*ne)} : st;
+      if (try_withacc(b, ns)) {
+        changed = true;
+      } else {
+        changed = changed || ne.has_value();
+        b.push(std::move(ns));
+      }
+      done = i + 1;
     }
+    if (!changed) return std::nullopt;
+    catch_up(in.stms.size());
     return Body{b.take_stms(), in.result};
   }
 
@@ -308,7 +327,7 @@ Prog optimize_accumulators(const Prog& p, AccOptStats* stats) {
   AccOptStats local;
   AccOpt pass(*p.mod, tm, stats ? *stats : local);
   Prog out = p;
-  out.fn.body = pass.body(p.fn.body);
+  if (auto b = pass.body(p.fn.body)) out.fn.body = std::move(*b);
   return out;
 }
 

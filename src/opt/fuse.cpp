@@ -1,5 +1,7 @@
 #include "opt/fuse.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,20 +19,34 @@ class Fuser {
 public:
   Fuser(Module& mod, FuseStats& stats) : mod_(mod), stats_(stats) {}
 
-  Body body(const Body& in) {
+  // Fuses `in`; nullopt when nothing in it (nested scopes included) changed.
+  std::optional<Body> body(const Body& in) {
+    // Fuse inside nested scopes first, then at this level to a fixpoint so
+    // chains collapse transitively.
+    std::vector<std::optional<Exp>> nested(in.stms.size());
+    bool changed = false;
+    for (size_t k = 0; k < in.stms.size(); ++k) {
+      nested[k] = map_nested(in.stms[k].e, [&](const NestedScope& s) { return body(*s.body); });
+      changed = changed || nested[k].has_value();
+    }
+    // Only a single-result map can be a producer (or feed a length
+    // redirect): a body without one has nothing to fuse at this level.
+    const bool fusable = std::any_of(in.stms.begin(), in.stms.end(), [](const Stm& st) {
+      return st.vars.size() == 1 && std::holds_alternative<OpMap>(st.e);
+    });
+    if (!changed && !fusable) return std::nullopt;
     Body cur;
     cur.result = in.result;
     cur.stms.reserve(in.stms.size());
-    // Fuse inside nested scopes first, then at this level to a fixpoint so
-    // chains collapse transitively.
-    for (const auto& st : in.stms) {
-      Stm ns = st;
-      ns.e = map_nested(st.e, [&](const NestedScope& s) { return body(*s.body); });
-      cur.stms.push_back(std::move(ns));
+    for (size_t k = 0; k < in.stms.size(); ++k) {
+      const Stm& st = in.stms[k];
+      cur.stms.push_back(nested[k] ? Stm{st.vars, st.types, std::move(*nested[k])} : st);
     }
-    redirect_lengths(cur);
-    while (fuse_once(cur)) {
+    if (fusable) {
+      changed = redirect_lengths(cur) || changed;
+      changed = fuse_all(cur) || changed;
     }
+    if (!changed) return std::nullopt;
     return cur;
   }
 
@@ -40,7 +56,8 @@ public:
   // emits exactly this shape — the adjoint replicate needs the reduce
   // argument's extent — and without the redirect every vjp adjoint chain
   // ending in a reduce would keep its intermediate alive just to measure it.
-  void redirect_lengths(Body& b) {
+  // Returns whether it redirected any.
+  bool redirect_lengths(Body& b) {
     std::unordered_map<uint32_t, int> bind_count;
     for (const auto& st : b.stms) {
       for (Var v : st.vars) ++bind_count[v.id];
@@ -57,7 +74,7 @@ public:
         break;
       }
     }
-    if (len_src.empty()) return;
+    bool redirected = false;
     for (auto& st : b.stms) {
       auto* ln = std::get_if<OpLength>(&st.e);
       if (ln == nullptr) continue;
@@ -67,9 +84,11 @@ public:
       auto it = len_src.find(ln->arr.id);
       while (it != len_src.end()) {
         ln->arr = it->second;
+        redirected = true;
         it = len_src.find(ln->arr.id);
       }
     }
+    return redirected;
   }
 
 private:
@@ -107,114 +126,202 @@ private:
     return bad;
   }
 
-  // One fusion step over `b`; returns true when a producer was folded in.
-  // The bind/use tables are recomputed per step — quadratic in the length of
-  // a fusable chain, accepted because real chains (vjp adjoint plumbing) are
-  // a handful of maps while table reuse across mutations is easy to get
-  // subtly wrong.
-  bool fuse_once(Body& b) {
-    // Binding multiplicity (shadowed ids are never fused) and use counts.
-    // free_vars() deduplicates per nested scope, but any nonzero extra use
-    // already disqualifies exclusivity, so dedup does not matter here.
-    std::unordered_map<uint32_t, int> bind_count;
-    for (const auto& st : b.stms) {
-      for (Var v : st.vars) ++bind_count[v.id];
-    }
+  // Per-body fusion state, kept up to date as producers fold into
+  // consumers, so a step costs only the two statements it touches.
+  struct Tables {
+    // Per statement: the free variables of each nested scope, in
+    // for_each_nested order.
+    std::vector<std::vector<std::vector<Var>>> scope_fv;
+    std::unordered_map<uint32_t, int> bind_count;  // shadowed ids are never fused
+    // Uses per id: each atom occurrence, plus one per nested scope it is
+    // free in. Any nonzero use outside the consumer's argument positions
+    // disqualifies a producer, so per-scope dedup does not matter.
     std::unordered_map<uint32_t, int> uses;
-    for (const auto& st : b.stms) {
-      for_each_atom(st.e, [&](const Atom& a) {
-        if (a.is_var()) ++uses[a.var().id];
+    std::unordered_map<uint32_t, size_t> def_at;   // single-binding statement of each id
+    std::vector<char> dead;                        // producers folded away
+  };
+
+  static void count_uses(Tables& t, const Stm& st, const std::vector<std::vector<Var>>& fv,
+                         int sign) {
+    for_each_atom(st.e, [&](const Atom& a) {
+      if (a.is_var()) t.uses[a.var().id] += sign;
+    });
+    for (const auto& scope : fv) {
+      for (Var v : scope) t.uses[v.id] += sign;
+    }
+  }
+
+  static std::vector<Var> union_of(const std::vector<Var>& a, const std::vector<Var>& b) {
+    std::vector<Var> out = a;
+    std::unordered_set<uint32_t> seen;
+    for (Var v : a) seen.insert(v.id);
+    for (Var v : b) {
+      if (seen.insert(v.id).second) out.push_back(v);
+    }
+    return out;
+  }
+
+  // True when a statement nested in `e` consumes an array in place
+  // (update/scatter/hist/withacc): such a statement can block a fusion
+  // across it (consumes_needed).
+  static bool may_block(const Exp& e) {
+    bool found = false;
+    for_each_nested(e, [&](const NestedScope& s) {
+      for (const auto& st : s.body->stms) {
+        found = found || std::holds_alternative<OpUpdate>(st.e) ||
+                std::holds_alternative<OpScatter>(st.e) || std::holds_alternative<OpHist>(st.e) ||
+                std::holds_alternative<OpWithAcc>(st.e) || may_block(st.e);
+      }
+    });
+    return found;
+  }
+
+  // Fuses `b` to a fixpoint. Consumers are scanned in order and each fusion
+  // re-examines the fused consumer in place. That is the order of a scan
+  // restarted from the top after every fusion: removing a producer changes
+  // no earlier statement's bindings and only merges uses, so no earlier
+  // candidate can become fusable — unless the producer could have blocked
+  // one (may_block), in which case the scan does restart from the top.
+  // Returns whether anything fused.
+  bool fuse_all(Body& b) {
+    const size_t n = b.stms.size();
+    Tables t;
+    t.scope_fv.resize(n);
+    t.dead.assign(n, 0);
+    for (size_t k = 0; k < n; ++k) {
+      for_each_nested(b.stms[k].e, [&](const NestedScope& s) {
+        t.scope_fv[k].push_back(free_vars(*s.body, s.bound));
       });
-      for_each_nested(st.e, [&](const NestedScope& s) {
-        for (Var v : free_vars(*s.body, s.bound)) ++uses[v.id];
-      });
+      for (Var v : b.stms[k].vars) ++t.bind_count[v.id];
+      if (b.stms[k].vars.size() == 1) t.def_at[b.stms[k].vars[0].id] = k;
+      count_uses(t, b.stms[k], t.scope_fv[k], +1);
     }
     for (const auto& a : b.result) {
-      if (a.is_var()) ++uses[a.var().id];
+      if (a.is_var()) ++t.uses[a.var().id];
     }
-
-    for (size_t j = 0; j < b.stms.size(); ++j) {
-      // Consumers: maps (classic fusion), reduce/scan (redomap form) and
-      // hist (histomap form) — the producer folds into the consumer's
-      // element-wise pre-lambda. For hist only the `vals` stream is
-      // element-wise (dest is consumed whole, inds select bins), so it is
-      // the single fusion candidate.
-      const auto* cmap = std::get_if<OpMap>(&b.stms[j].e);
-      const auto* cred = std::get_if<OpReduce>(&b.stms[j].e);
-      const auto* cscan = std::get_if<OpScan>(&b.stms[j].e);
-      const auto* chist = std::get_if<OpHist>(&b.stms[j].e);
-      std::vector<Var> hist_cand;
-      if (chist != nullptr) hist_cand.push_back(chist->vals);
-      const std::vector<Var>* cargs = cmap   ? &cmap->args
-                                     : cred  ? &cred->args
-                                     : cscan ? &cscan->args
-                                     : chist ? &hist_cand
-                                             : nullptr;
-      if (cargs == nullptr) continue;
-      for (Var v : *cargs) {
-        if (bind_count[v.id] != 1) continue;
-        // The producer's result must be used only as argument positions of
-        // this consumer (no gathers from it inside the lambda, no other
-        // statement, no body result).
-        int occurrences = 0;
-        for (Var a : *cargs) occurrences += a == v ? 1 : 0;
-        if (uses[v.id] != occurrences) continue;
-        // Locate the producing statement.
-        size_t i = b.stms.size();
-        for (size_t s = 0; s < j; ++s) {
-          if (b.stms[s].vars.size() == 1 && b.stms[s].vars[0] == v) {
-            i = s;
-            break;
-          }
-        }
-        if (i == b.stms.size()) continue;
-        const auto* prod = std::get_if<OpMap>(&b.stms[i].e);
-        if (prod == nullptr || prod->args.empty()) continue;
-        if (!pure_elementwise(*prod->f)) continue;
-        // Reduce/scan/hist consumers only take *scalar* producers into their
-        // element-wise pre-lambda: a row-level producer (rank>=1 params or
-        // results) would make the pre non-scalar, which cannot
-        // kernel-compile (runtime/kernel.cpp) — strictly worse than leaving
-        // the nest alone.
-        if (cmap == nullptr && !lambda_scalar(*prod->f)) continue;
-        // OpHist has a single vals slot, so only single-input producers can
-        // fold into its pre-lambda.
-        if (chist != nullptr && prod->args.size() != 1) continue;
-        // Everything the producer references must still mean the same thing
-        // at the consumer: no statement in between may re-bind its arguments
-        // or its lambda's free variables, and none may consume one of them —
-        // update/scatter/hist/withacc mutate their array's buffer in place
-        // when it is uniquely owned, so deferring the producer's reads past
-        // such a statement would observe post-mutation data. (Pure renames
-        // that alias a needed array are collapsed by simplify's copy
-        // propagation before fusion runs in the pipeline.)
-        std::unordered_set<uint32_t> needed;
-        for (Var a : prod->args) needed.insert(a.id);
-        for (Var fv : free_vars(*prod->f)) needed.insert(fv.id);
-        bool blocked = false;
-        // The scan includes the consumer statement itself (s == j): a hist
-        // consumer mutates its dest in place, so a producer that reads that
-        // same array must not be deferred into it — fused, the pre-lambda
-        // would observe bins earlier iterations already updated.
-        for (size_t s = i + 1; s <= j && !blocked; ++s) {
-          if (s < j) {
-            for (Var bound : b.stms[s].vars) blocked = blocked || needed.count(bound.id) > 0;
-          }
-          blocked = blocked || consumes_needed(b.stms[s].e, needed);
-        }
-        if (blocked) continue;
-
-        if (cmap) {
-          fuse_pair(b, i, j, v);
-        } else if (chist) {
-          fuse_hist_pair(b, i, j, v);
-        } else {
-          fuse_red_pair(b, i, j, v);
-        }
-        return true;
+    bool fused = false;
+    for (size_t j = 0; j < n;) {
+      if (t.dead[j] != 0) {
+        ++j;
+        continue;
       }
+      const std::optional<size_t> i = fuse_at(b, t, j);
+      if (!i) {
+        ++j;
+        continue;
+      }
+      fused = true;
+      if (may_block(b.stms[*i].e)) j = 0;
     }
-    return false;
+    if (!fused) return false;
+    std::vector<Stm> kept;
+    kept.reserve(n);
+    for (size_t k = 0; k < n; ++k) {
+      if (t.dead[k] == 0) kept.push_back(std::move(b.stms[k]));
+    }
+    b.stms = std::move(kept);
+    return true;
+  }
+
+  // Tries to fold one producer into consumer statement `j`; returns the
+  // producer's index (now dead) when it did.
+  std::optional<size_t> fuse_at(Body& b, Tables& t, size_t j) {
+    // Consumers: maps (classic fusion), reduce/scan (redomap form) and
+    // hist (histomap form) — the producer folds into the consumer's
+    // element-wise pre-lambda. For hist only the `vals` stream is
+    // element-wise (dest is consumed whole, inds select bins), so it is
+    // the single fusion candidate.
+    const auto* cmap = std::get_if<OpMap>(&b.stms[j].e);
+    const auto* cred = std::get_if<OpReduce>(&b.stms[j].e);
+    const auto* cscan = std::get_if<OpScan>(&b.stms[j].e);
+    const auto* chist = std::get_if<OpHist>(&b.stms[j].e);
+    std::vector<Var> hist_cand;
+    if (chist != nullptr) hist_cand.push_back(chist->vals);
+    const std::vector<Var>* cargs = cmap   ? &cmap->args
+                                   : cred  ? &cred->args
+                                   : cscan ? &cscan->args
+                                   : chist ? &hist_cand
+                                           : nullptr;
+    if (cargs == nullptr) return std::nullopt;
+    for (Var v : *cargs) {
+      if (t.bind_count[v.id] != 1) continue;
+      // The producer's result must be used only as argument positions of
+      // this consumer (no gathers from it inside the lambda, no other
+      // statement, no body result).
+      int occurrences = 0;
+      for (Var a : *cargs) occurrences += a == v ? 1 : 0;
+      if (t.uses[v.id] != occurrences) continue;
+      // Locate the producing statement.
+      auto def = t.def_at.find(v.id);
+      if (def == t.def_at.end() || def->second >= j) continue;
+      const size_t i = def->second;
+      const auto* prod = std::get_if<OpMap>(&b.stms[i].e);
+      if (prod == nullptr || prod->args.empty()) continue;
+      if (!pure_elementwise(*prod->f)) continue;
+      // Reduce/scan/hist consumers only take *scalar* producers into their
+      // element-wise pre-lambda: a row-level producer (rank>=1 params or
+      // results) would make the pre non-scalar, which cannot
+      // kernel-compile (runtime/kernel.cpp) — strictly worse than leaving
+      // the nest alone.
+      if (cmap == nullptr && !lambda_scalar(*prod->f)) continue;
+      // OpHist has a single vals slot, so only single-input producers can
+      // fold into its pre-lambda.
+      if (chist != nullptr && prod->args.size() != 1) continue;
+      // Everything the producer references must still mean the same thing
+      // at the consumer: no statement in between may re-bind its arguments
+      // or its lambda's free variables, and none may consume one of them —
+      // update/scatter/hist/withacc mutate their array's buffer in place
+      // when it is uniquely owned, so deferring the producer's reads past
+      // such a statement would observe post-mutation data. (Pure renames
+      // that alias a needed array are collapsed by simplify's copy
+      // propagation before fusion runs in the pipeline.)
+      const std::vector<Var>& prod_fv = t.scope_fv[i][0];
+      std::unordered_set<uint32_t> needed;
+      for (Var a : prod->args) needed.insert(a.id);
+      for (Var fv : prod_fv) needed.insert(fv.id);
+      bool blocked = false;
+      // The scan includes the consumer statement itself (s == j): a hist
+      // consumer mutates its dest in place, so a producer that reads that
+      // same array must not be deferred into it — fused, the pre-lambda
+      // would observe bins earlier iterations already updated.
+      for (size_t s = i + 1; s <= j && !blocked; ++s) {
+        if (t.dead[s] != 0) continue;
+        if (s < j) {
+          for (Var bound : b.stms[s].vars) blocked = blocked || needed.count(bound.id) > 0;
+        }
+        blocked = blocked || consumes_needed(b.stms[s].e, needed);
+      }
+      if (blocked) continue;
+
+      // The fused consumer's scopes: the consumer's own, with the
+      // producer's free variables joining the scope it folds into (the
+      // map's lambda, or the pre-lambda after a reduce/scan/hist op).
+      // Inlining gives every binding a fresh name, so nothing is captured
+      // and the union is exact.
+      std::vector<std::vector<Var>> fused_fv = t.scope_fv[j];
+      if (cmap != nullptr) {
+        fused_fv[0] = union_of(prod_fv, fused_fv[0]);
+      } else if (fused_fv.size() == 2) {
+        fused_fv[1] = union_of(prod_fv, fused_fv[1]);
+      } else {
+        fused_fv.push_back(prod_fv);
+      }
+      count_uses(t, b.stms[i], t.scope_fv[i], -1);
+      count_uses(t, b.stms[j], t.scope_fv[j], -1);
+      if (cmap) {
+        fuse_pair(b, i, j, v);
+      } else if (chist) {
+        fuse_hist_pair(b, i, j, v);
+      } else {
+        fuse_red_pair(b, i, j, v);
+      }
+      t.scope_fv[j] = std::move(fused_fv);
+      count_uses(t, b.stms[j], t.scope_fv[j], +1);
+      --t.bind_count[v.id];
+      t.dead[i] = 1;
+      return i;
+    }
+    return std::nullopt;
   }
 
   // Folds producer map `prod` into the element-wise consumer lambda `f`
@@ -269,7 +376,6 @@ private:
     const OpMap cons = std::get<OpMap>(b.stms[j].e);
     auto [fused, fargs] = fuse_into(prod, *cons.f, cons.args, v);
     b.stms[j].e = OpMap{std::move(fused), std::move(fargs), prod.fused + cons.fused + 1};
-    b.stms.erase(b.stms.begin() + static_cast<long>(i));
     ++stats_.fused_maps;
   }
 
@@ -302,7 +408,6 @@ private:
     auto [npre, nargs] = fuse_into(prod, pre, {v}, v);
     b.stms[j].e = OpHist{h.op,     h.neutral,       h.dest, h.inds, nargs[0],
                          std::move(npre), prod.fused + h.fused + 1};
-    b.stms.erase(b.stms.begin() + static_cast<long>(i));
     ++stats_.fused_hists;
   }
 
@@ -324,7 +429,6 @@ private:
       b.stms[j].e = OpScan{sc.op, sc.neutral, std::move(nargs), std::move(npre),
                            prod.fused + sc.fused + 1};
     }
-    b.stms.erase(b.stms.begin() + static_cast<long>(i));
     ++stats_.fused_redomaps;
   }
 
@@ -339,7 +443,7 @@ Prog fuse_maps(const Prog& p, FuseStats* stats) {
   FuseStats& st = stats != nullptr ? *stats : local;
   Prog out = p;
   Fuser f(*out.mod, st);
-  out.fn.body = f.body(p.fn.body);
+  if (auto b = f.body(p.fn.body)) out.fn.body = std::move(*b);
   return out;
 }
 

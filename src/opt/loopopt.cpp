@@ -22,7 +22,11 @@ public:
     Builder b(mod_, tm_);
     for (const auto& st : in.stms) {
       Stm ns = st;
-      ns.e = map_nested(st.e, [&](const NestedScope& s) { return body(*s.body); });
+      if (auto ne = map_nested(st.e, [&](const NestedScope& s) {
+            return std::optional<Body>(body(*s.body));
+          })) {
+        ns.e = std::move(*ne);
+      }
       if (!fn_(b, ns)) b.push(std::move(ns));
     }
     return Body{b.take_stms(), in.result};
@@ -58,9 +62,9 @@ bool rewrite_while(Builder& b, const Stm& st, Module& mod, TypeMap& tm) {
     insp.params.push_back(Param{cparam, i64()});
     insp.init.push_back(ci64(0));
     Subst s;
-    Cloner cl(mod, /*refresh=*/true);
+    Cloner cl(mod);
     for (size_t j = 0; j < np; ++j) {
-      Var pv = cl.bind_in(o.params[j].var, s);
+      Var pv = cl.bind(o.params[j].var, s);
       tm.bind(pv, o.params[j].type);
       insp.params.push_back(Param{pv, o.params[j].type});
       insp.init.push_back(o.init[j]);
@@ -179,9 +183,9 @@ bool rewrite_stripmine(Builder& b, const Stm& st, Module& mod, TypeMap& tm) {
   // Inner params mirror the outer ones (same types) with fresh ids.
   std::vector<Atom> inner_res_id;
   Subst s;
-  Cloner cl(mod, /*refresh=*/true);
+  Cloner cl(mod);
   for (size_t j = 0; j < o.params.size(); ++j) {
-    Var pv = cl.bind_in(o.params[j].var, s);
+    Var pv = cl.bind(o.params[j].var, s);
     tm.bind(pv, o.params[j].type);
     inner.params.push_back(Param{pv, o.params[j].type});
     inner.init.emplace_back(o.params[j].var);
@@ -194,7 +198,7 @@ bool rewrite_stripmine(Builder& b, const Stm& st, Module& mod, TypeMap& tm) {
   Builder ib(mod, tm);
   Var i_full = ib.add(ib.mul(Atom(outer.idx), ci64(f)), Atom(inner.idx));
   // Rebind the original index var so the cloned body sees it.
-  Var orig_idx_clone = cl.bind_in(o.idx, s);
+  Var orig_idx_clone = cl.bind(o.idx, s);
   tm.bind(orig_idx_clone, i64());
   ib.push(stm1(orig_idx_clone, i64(), OpAtom{Atom(i_full)}));
   Var guard = ib.lt(Atom(i_full), Atom(n));

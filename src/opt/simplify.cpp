@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -18,33 +20,123 @@ using namespace ir;
 
 // ------------------------------------------------------------------ DCE ----
 
+// A set of variable ids on a dense table: insert, erase and lookup cost
+// O(1) and allocate nothing once the table has grown; clear() costs the
+// number of distinct ids inserted since the last clear.
+class IdSet {
+public:
+  bool contains(uint32_t id) const { return id < state_.size() && state_[id] == kIn; }
+
+  void insert(uint32_t id) {
+    if (id >= state_.size()) state_.resize(id + 1, kNever);
+    if (state_[id] == kNever) ids_.push_back(id);
+    state_[id] = kIn;
+  }
+
+  void erase(uint32_t id) {
+    if (contains(id)) state_[id] = kOut;
+  }
+
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (uint32_t id : ids_) {
+      if (state_[id] == kIn) fn(id);
+    }
+  }
+
+  void clear() {
+    for (uint32_t id : ids_) state_[id] = kNever;
+    ids_.clear();
+  }
+
+private:
+  // kNever: not in ids_; kOut: listed in ids_ but erased.
+  enum : uint8_t { kNever, kIn, kOut };
+  std::vector<uint8_t> state_;
+  std::vector<uint32_t> ids_;
+};
+
 class Dce {
 public:
-  Body body(const Body& in, std::unordered_set<uint32_t> live) {
+  // Prunes `in` given `live`, the ids read after it; nullopt when nothing
+  // in it (nested scopes included) was pruned. On return `live` holds the
+  // body's live-in set: the ids the pruned body reads before binding them,
+  // i.e. its free variables.
+  std::optional<Body> body(const Body& in, IdSet& live) {
     for (const auto& a : in.result) {
       if (a.is_var()) live.insert(a.var().id);
     }
+    // Kept statements in reverse, filled from the first change on; until
+    // then every statement after the current one was kept as it is.
     std::vector<Stm> kept;
+    bool changed = false;
+    auto change = [&](size_t i) {
+      if (changed) return;
+      changed = true;
+      for (size_t k = in.stms.size(); k-- > i + 1;) kept.push_back(in.stms[k]);
+    };
+    std::vector<uint32_t> nested_reads;
     for (size_t i = in.stms.size(); i-- > 0;) {
       const Stm& st = in.stms[i];
-      if (!needed(st, live)) continue;
-      Stm ns = st;
+      if (!needed(st, live)) {
+        change(i);
+        continue;
+      }
+      std::optional<Stm> ns;
       if (const auto* lp = std::get_if<OpLoop>(&st.e)) ns = drop_dead_carries(st, *lp, live);
-      // Nested scopes are pruned against their own result liveness.
-      ns.e = map_nested(ns.e, [&](const NestedScope& s) { return body(*s.body, {}); });
-      use(ns, live);
-      kept.push_back(std::move(ns));
+      // Nested scopes are pruned against their own result liveness; what
+      // each one reads from outside is its live-in set minus the variables
+      // the scope binds on entry.
+      nested_reads.clear();
+      auto ne = map_nested(ns ? ns->e : st.e, [&](const NestedScope& s) {
+        if (inner_.size() == depth_) inner_.emplace_back();
+        IdSet& inner = inner_[depth_++];
+        std::optional<Body> pruned = body(*s.body, inner);
+        --depth_;
+        for (Var v : s.bound) inner.erase(v.id);
+        inner.for_each([&](uint32_t id) { nested_reads.push_back(id); });
+        inner.clear();
+        return pruned;
+      });
+      if (ne) {
+        if (!ns) ns = st;
+        ns->e = std::move(*ne);
+      }
+      const Stm& cur = ns ? *ns : st;
+      // Liveness before the statement: bindings kill, uses generate.
+      for (Var v : cur.vars) live.erase(v.id);
+      for_each_atom(cur.e, [&](const Atom& a) {
+        if (a.is_var()) live.insert(a.var().id);
+      });
+      for (uint32_t id : nested_reads) live.insert(id);
+      if (ns) {
+        change(i);
+        kept.push_back(std::move(*ns));
+      } else if (changed) {
+        kept.push_back(st);
+      }
     }
+    if (!changed) return std::nullopt;
     Body out;
     out.result = in.result;
-    out.stms.assign(kept.rbegin(), kept.rend());
+    out.stms.assign(std::make_move_iterator(kept.rbegin()), std::make_move_iterator(kept.rend()));
     return out;
   }
 
 private:
-  static bool needed(const Stm& st, const std::unordered_set<uint32_t>& live) {
+  // The live sets of the nested scopes being pruned, one per depth below
+  // the caller's body: scopes at one depth are pruned one after another, so
+  // each depth needs one set, emptied after every use. A deque keeps the
+  // references valid as it grows.
+  std::deque<IdSet> inner_;
+  size_t depth_ = 0;
+  // drop_dead_carries' scratch set, shared by every loop so that each one
+  // costs its body's reads, not a table the size of the module's ids.
+  IdSet carry_reads_;
+
+  static bool needed(const Stm& st, const IdSet& live) {
     for (Var v : st.vars) {
-      if (live.count(v.id) > 0) return true;
+      if (live.contains(v.id)) return true;
     }
     // Accumulator updates mutate shared buffers in place: a statement
     // whose nested bodies upd_acc a free accumulator is observable even
@@ -53,24 +145,13 @@ private:
     return has_acc_effects(st.e);
   }
 
-  // Liveness before a needed statement: bindings kill, uses (incl. free
-  // vars of nests) generate.
-  static void use(const Stm& st, std::unordered_set<uint32_t>& live) {
-    for (Var v : st.vars) live.erase(v.id);
-    for_each_atom(st.e, [&](const Atom& a) {
-      if (a.is_var()) live.insert(a.var().id);
-    });
-    for_each_nested(st.e, [&](const NestedScope& s) {
-      for (Var v : free_vars(*s.body, s.bound)) live.insert(v.id);
-    });
-  }
-
-  // Adds every variable `e` reads, nested scopes included. A re-binding in
-  // a nested scope does not hide later uses of its id: an over-approximation
-  // that can only keep more, and much cheaper than free_vars.
-  static void reads_of(const Exp& e, std::unordered_set<uint32_t>& out) {
+  // Appends every variable `e` reads, nested scopes included. A re-binding
+  // in a nested scope does not hide later uses of its id: an
+  // over-approximation that can only keep more, and much cheaper than
+  // free_vars.
+  static void reads_of(const Exp& e, std::vector<uint32_t>& out) {
     auto read = [&](const Atom& a) {
-      if (a.is_var()) out.insert(a.var().id);
+      if (a.is_var()) out.push_back(a.var().id);
     };
     for_each_atom(e, read);
     for_each_nested(e, [&](const NestedScope& s) {
@@ -85,9 +166,9 @@ private:
   // kept results and its accumulator effects (nested scopes count whole).
   // Everything else — checkpoint arrays the reverse sweep never reads,
   // pass-through params, chains of dead carries — goes with its init and
-  // result slot. A loop that would keep no param at all is left whole.
-  static Stm drop_dead_carries(const Stm& st, const OpLoop& o,
-                               const std::unordered_set<uint32_t>& live) {
+  // result slot. A loop that would keep no param at all is left whole
+  // (nullopt, as when every param stays).
+  std::optional<Stm> drop_dead_carries(const Stm& st, const OpLoop& o, const IdSet& live) {
     const size_t n = o.params.size();
     std::unordered_set<uint32_t> cond_reads;
     if (o.while_cond) {
@@ -95,31 +176,43 @@ private:
     }
     std::vector<bool> keep(n);
     for (size_t j = 0; j < n; ++j) {
-      keep[j] = live.count(st.vars[j].id) > 0 || o.params[j].type.is_acc ||
+      keep[j] = live.contains(st.vars[j].id) || o.params[j].type.is_acc ||
                 (o.while_cond && cond_reads.count(o.while_cond->params[j].var.id) > 0);
     }
-    for (bool grew = std::find(keep.begin(), keep.end(), false) != keep.end(); grew;) {
+    if (std::find(keep.begin(), keep.end(), false) == keep.end()) return std::nullopt;
+    // What each body statement reads and whether it has accumulator
+    // effects, taken once: the fixpoint rounds below only replay them.
+    const std::vector<Stm>& stms = o.body->stms;
+    std::vector<std::vector<uint32_t>> stm_reads(stms.size());
+    std::vector<bool> stm_acc(stms.size());
+    for (size_t i = 0; i < stms.size(); ++i) {
+      reads_of(stms[i].e, stm_reads[i]);
+      stm_acc[i] = has_acc_effects(stms[i].e);
+    }
+    IdSet& reads = carry_reads_;
+    for (bool grew = true; grew;) {
       grew = false;
-      std::unordered_set<uint32_t> reads;
+      reads.clear();
       for (size_t j = 0; j < n; ++j) {
         const Atom& r = o.body->result[j];
         if (keep[j] && r.is_var()) reads.insert(r.var().id);
       }
-      for (size_t i = o.body->stms.size(); i-- > 0;) {
-        const Stm& bs = o.body->stms[i];
-        if (!needed(bs, reads)) continue;
-        for (Var v : bs.vars) reads.erase(v.id);
-        reads_of(bs.e, reads);
+      for (size_t i = stms.size(); i-- > 0;) {
+        bool need = stm_acc[i];
+        for (Var v : stms[i].vars) need = need || reads.contains(v.id);
+        if (!need) continue;
+        for (Var v : stms[i].vars) reads.erase(v.id);
+        for (uint32_t id : stm_reads[i]) reads.insert(id);
       }
       for (size_t j = 0; j < n; ++j) {
-        if (!keep[j] && reads.count(o.params[j].var.id) > 0) {
+        if (!keep[j] && reads.contains(o.params[j].var.id)) {
           keep[j] = true;
           grew = true;
         }
       }
     }
     const auto kept = static_cast<size_t>(std::count(keep.begin(), keep.end(), true));
-    if (kept == n || kept == 0) return st;
+    if (kept == n || kept == 0) return std::nullopt;
     OpLoop nl = o;
     nl.params.clear();
     nl.init.clear();
@@ -148,84 +241,134 @@ private:
 
 // ------------------------------------------------- copy-prop + cfold -------
 
+// One alias table for the whole walk. Entering a scope marks the undo log;
+// every kill and every new alias is logged, and leaving the scope replays the
+// log backwards, so each scope sees exactly the aliases of its enclosing
+// scopes without copying them. A target -> sources index makes killing the
+// aliases *to* a re-bound variable cost only those aliases.
 class Folder {
 public:
-  struct Env {
-    std::unordered_map<uint32_t, Atom> alias;  // var -> var or const
-  };
+  // Folds `in`; nullopt when nothing in it (nested scopes included) changed.
+  std::optional<Body> body(const Body& in) {
+    const size_t mark = undo_.size();
+    std::optional<Body> out;  // built from the first change on
+    for (size_t i = 0; i < in.stms.size(); ++i) {
+      const Stm& st = in.stms[i];
+      std::optional<Exp> ne = rewrite(st.e);
+      const Exp& e = ne ? *ne : st.e;
+      // Shadowing: a re-binding invalidates aliases of and to that id.
+      for (Var v : st.vars) kill(v);
+      // Record folding opportunities for single-binding statements.
+      if (st.vars.size() == 1) {
+        if (auto folded = fold(e)) {
+          ne = OpAtom{*folded};
+          set(st.vars[0], *folded);
+        } else if (const auto* oa = std::get_if<OpAtom>(&e)) {
+          set(st.vars[0], oa->a);
+        }
+      }
+      if (ne && !out) {
+        out.emplace();
+        out->stms.reserve(in.stms.size());
+        out->stms.assign(in.stms.begin(), in.stms.begin() + static_cast<long>(i));
+      }
+      if (out) out->stms.push_back(ne ? Stm{st.vars, st.types, std::move(*ne)} : st);
+    }
+    std::vector<Atom> result;
+    result.reserve(in.result.size());
+    for (const auto& a : in.result) result.push_back(subst(a));
+    unwind(mark);
+    if (!out && result == in.result) return std::nullopt;
+    if (!out) out.emplace(Body{in.stms, {}});
+    out->result = std::move(result);
+    return out;
+  }
+
+private:
+  Atom subst(const Atom& a) const {
+    if (!a.is_var()) return a;
+    auto it = alias_.find(a.var().id);
+    return it == alias_.end() ? a : it->second;
+  }
+
+  // Var-only positions (OpScratch::like, OpZerosLike, ...) take only var
+  // aliases; a var aliased to a constant stays, and so does its binding.
+  Var subst_var(Var v) const {
+    auto it = alias_.find(v.id);
+    return it != alias_.end() && it->second.is_var() ? it->second.var() : v;
+  }
+
+  // Folds each nested scope with the scope's own bindings killed, then
+  // substitutes the statement's own atom and var positions; nullopt when
+  // nothing changed.
+  std::optional<Exp> rewrite(const Exp& e) {
+    std::optional<Exp> out = map_nested(e, [&](const NestedScope& scope) {
+      const size_t mark = undo_.size();
+      for (Var v : scope.bound) kill(v);
+      std::optional<Body> b = body(*scope.body);
+      unwind(mark);
+      return b;
+    });
+    bool own = false;
+    visit_atoms(
+        e, [&](const Atom& a) { own = own || !(subst(a) == a); },
+        [&](Var v) { own = own || !(subst_var(v) == v); });
+    if (!own) return out;
+    if (!out) out = e;
+    visit_atoms(*out, [&](Atom& a) { a = subst(a); }, [&](Var& v) { v = subst_var(v); });
+    return out;
+  }
 
   // A (re-)binding of `v` invalidates aliases *from* v and aliases *to* v:
   // keeping an X -> v entry across a shadowing re-binding of v would
   // capture uses of X (the AD passes re-install forward sweeps re-using
   // ids, so same-id re-binding is routine, including inside nested scopes).
-  // The target scan is linear in the live-alias count per binding —
-  // quadratic in pathological bodies, accepted like fuse_once's per-step
-  // table rebuild; a reverse index would restore O(1) at the cost of a
-  // second structure to keep consistent here and in Cloner::bind.
-  static void kill_alias(Env& env, Var v) {
-    env.alias.erase(v.id);
-    for (auto it = env.alias.begin(); it != env.alias.end();) {
-      if (it->second.is_var() && it->second.var() == v) {
-        it = env.alias.erase(it);
-      } else {
-        ++it;
+  void kill(Var v) {
+    if (auto it = alias_.find(v.id); it != alias_.end()) {
+      undo_.push_back({v.id, it->second});
+      alias_.erase(it);
+    }
+    auto src = sources_.find(v.id);
+    if (src == sources_.end()) return;
+    for (uint32_t x : src->second) {
+      auto it = alias_.find(x);
+      if (it != alias_.end() && it->second.is_var() && it->second.var() == v) {
+        undo_.push_back({x, it->second});
+        alias_.erase(it);
       }
+    }
+    sources_.erase(src);
+  }
+
+  // Records v -> a; v has just been killed, so it holds no alias.
+  void set(Var v, const Atom& a) {
+    undo_.push_back({v.id, std::nullopt});
+    alias_.emplace(v.id, a);
+    if (a.is_var()) sources_[a.var().id].push_back(v.id);
+  }
+
+  void unwind(size_t mark) {
+    while (undo_.size() > mark) {
+      const auto [id, prev] = undo_.back();
+      undo_.pop_back();
+      if (!prev) {
+        alias_.erase(id);
+        continue;
+      }
+      alias_[id] = *prev;
+      if (prev->is_var()) sources_[prev->var().id].push_back(id);
     }
   }
 
-  Body body(const Body& in, Env env) {
-    Body out;
-    for (const auto& st : in.stms) {
-      Stm ns = st;
-      ns.e = rewrite(st.e, env);
-      // Shadowing: a re-binding invalidates aliases of and to that id.
-      for (Var v : ns.vars) kill_alias(env, v);
-      // Record folding opportunities for single-binding statements.
-      if (ns.vars.size() == 1) {
-        if (auto folded = fold(ns.e)) {
-          ns.e = OpAtom{*folded};
-          env.alias[ns.vars[0].id] = *folded;
-        } else if (const auto* oa = std::get_if<OpAtom>(&ns.e)) {
-          env.alias[ns.vars[0].id] = oa->a;
-        }
-      }
-      out.stms.push_back(std::move(ns));
-    }
-    out.result.reserve(in.result.size());
-    for (const auto& a : in.result) out.result.push_back(subst(a, env));
-    return out;
-  }
+  struct Undo {
+    uint32_t id;
+    std::optional<Atom> prev;  // the alias to restore; nullopt: erase it
+  };
 
-private:
-  static Atom subst(const Atom& a, const Env& env) {
-    if (!a.is_var()) return a;
-    auto it = env.alias.find(a.var().id);
-    if (it == env.alias.end()) return a;
-    return it->second;
-  }
-
-  static Var subst_var(Var v, const Env& env) {
-    auto it = env.alias.find(v.id);
-    if (it != env.alias.end() && it->second.is_var()) return it->second.var();
-    return v;
-  }
-
-  Exp rewrite(const Exp& e, const Env& env) {
-    // Substitute aliases in atom positions; var positions only accept vars.
-    Module dummy;  // Cloner needs a module only when refreshing bindings
-    Subst s;
-    for (const auto& [id, a] : env.alias) s[id] = a;
-    Cloner c(dummy, /*refresh=*/false);
-    Subst s2 = s;
-    Exp ne = c.exp(e, s2);
-    // Recurse into nested scopes with a copy of the environment; the scope's
-    // own bindings shadow outer aliases.
-    return map_nested(ne, [&](const NestedScope& scope) {
-      Env inner = env;
-      for (Var v : scope.bound) kill_alias(inner, v);
-      return body(*scope.body, inner);
-    });
-  }
+  std::unordered_map<uint32_t, Atom> alias_;  // var -> var or const
+  // target -> ids that may alias it (stale entries are skipped by kill)
+  std::unordered_map<uint32_t, std::vector<uint32_t>> sources_;
+  std::vector<Undo> undo_;
 
   static bool is_c(const Atom& a, double v) {
     return a.is_const() && a.cval().t == ScalarType::F64 && a.cval().f == v;
@@ -317,15 +460,14 @@ private:
 
 Prog dead_code_elim(const Prog& p) {
   Prog out = p;
-  Dce d;
-  out.fn.body = d.body(p.fn.body, {});
+  IdSet live;
+  if (auto b = Dce().body(p.fn.body, live)) out.fn.body = std::move(*b);
   return out;
 }
 
 Prog fold_constants(const Prog& p) {
   Prog out = p;
-  Folder f;
-  out.fn.body = f.body(p.fn.body, {});
+  if (auto b = Folder().body(p.fn.body)) out.fn.body = std::move(*b);
   return out;
 }
 

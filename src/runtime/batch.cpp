@@ -40,15 +40,15 @@ ir::Prog make_batched_prog(const ir::Prog& p) {
   out.mod = std::make_shared<ir::Module>(*p.mod);
   ir::Module& m = *out.mod;
 
-  // The original body becomes the map lambda; refresh so its bindings cannot
-  // collide with the stacked-parameter vars introduced below.
-  ir::Cloner cloner(m, /*refresh=*/true);
+  // The original body becomes the map lambda, cloned with fresh bindings so
+  // they cannot collide with the stacked-parameter vars introduced below.
+  ir::Cloner cloner(m);
   ir::Subst subst;
   ir::Lambda lam;
   lam.rets = fn.rets;
   lam.params.reserve(fn.params.size());
   for (const auto& pr : fn.params) {
-    lam.params.push_back(ir::Param{cloner.bind_in(pr.var, subst), pr.type});
+    lam.params.push_back(ir::Param{cloner.bind(pr.var, subst), pr.type});
   }
   lam.body = cloner.body(fn.body, std::move(subst));
 

@@ -167,13 +167,13 @@ std::shared_ptr<const ResolvedProg> resolve_prog(const ir::Prog& p) {
   // Clone into a private module copy: Cloner::bind allocates fresh ids there,
   // and the original module stays untouched (it may be shared by callers).
   rp->mod = std::make_shared<ir::Module>(*p.mod);
-  ir::Cloner c(*rp->mod, /*refresh=*/true);
+  ir::Cloner c(*rp->mod);
   ir::Subst s;
   rp->fn.name = p.fn.name;
   rp->fn.rets = p.fn.rets;
   rp->fn.params.reserve(p.fn.params.size());
   for (const auto& pr : p.fn.params) {
-    rp->fn.params.push_back(ir::Param{c.bind_in(pr.var, s), pr.type});
+    rp->fn.params.push_back(ir::Param{c.bind(pr.var, s), pr.type});
   }
   rp->fn.body = c.body(p.fn.body, std::move(s));
   Resolver(*rp).run();

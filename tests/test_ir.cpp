@@ -113,6 +113,91 @@ TEST(Ir, FreeVarsSeeThroughNestedScopes) {
   EXPECT_NO_THROW(typecheck(p));
 }
 
+// Shadowing: the builder never re-binds an id, but the AD passes do (they
+// re-emit forward sweeps with the same ids), so these bodies are built by
+// hand. Types are irrelevant to free_vars and left at f64.
+Stm bind_bin(Var v, BinOp op, Atom a, Atom b) { return stm1(v, f64(), OpBin{op, a, b}); }
+
+LambdaPtr lambda_of(std::vector<Var> params, Body body) {
+  Lambda l;
+  for (Var p : params) l.params.push_back(Param{p, f64()});
+  l.rets.assign(body.result.size(), f64());
+  l.body = std::move(body);
+  return make_lambda(std::move(l));
+}
+
+TEST(Ir, FreeVarsNestedRebindingKeepsOuterBinding) {
+  Module m;
+  Var a = m.fresh("a"), xs = m.fresh("xs"), x = m.fresh("x"), p = m.fresh("p");
+  Var ys = m.fresh("ys"), z = m.fresh("z"), t = m.fresh("t");
+  // The lambda re-binds x; the outer x must stay bound after the map.
+  LambdaPtr f = lambda_of({p}, Body{{bind_bin(x, BinOp::Mul, p, cf64(2.0))}, {Atom(x)}});
+  Body b{{bind_bin(x, BinOp::Add, a, cf64(1.0)), stm1(ys, arr_f64(1), OpMap{f, {xs}}),
+          bind_bin(z, BinOp::Add, x, cf64(1.0))},
+         {Atom(z), Atom(ys)}};
+  EXPECT_EQ(free_vars(b), (std::vector<Var>{a, xs}));
+  EXPECT_TRUE(free_vars(*f).empty());
+  // Read before the re-binding, x is free in the lambda but bound here.
+  LambdaPtr g = lambda_of(
+      {p}, Body{{bind_bin(t, BinOp::Add, x, p), bind_bin(x, BinOp::Mul, t, cf64(2.0))}, {Atom(x)}});
+  EXPECT_EQ(free_vars(*g), (std::vector<Var>{x}));
+  Body c{{bind_bin(x, BinOp::Add, a, cf64(1.0)), stm1(ys, arr_f64(1), OpMap{g, {xs}})},
+         {Atom(ys), Atom(x)}};
+  EXPECT_EQ(free_vars(c), (std::vector<Var>{a, xs}));
+}
+
+TEST(Ir, FreeVarsLoopParamsAndIndexShadowOuter) {
+  Module m;
+  Var x0 = m.fresh("x0"), n = m.fresh("n"), acc = m.fresh("acc"), i = m.fresh("i");
+  Var t = m.fresh("t"), r = m.fresh("r"), s = m.fresh("s");
+  OpLoop lp;
+  lp.params = {Param{acc, f64()}};
+  lp.init = {Atom(x0)};
+  lp.idx = i;
+  lp.count = Atom(n);
+  lp.body = make_body(Body{{bind_bin(t, BinOp::Add, acc, i)}, {Atom(t)}});
+  Body b{{stm1(r, f64(), lp), bind_bin(s, BinOp::Add, acc, i)}, {Atom(r), Atom(s)}};
+  // acc and i are bound only inside the loop: free again after it.
+  EXPECT_EQ(free_vars(b), (std::vector<Var>{x0, n, acc, i}));
+  // i bound outside as well: the loop index shadows it and must not unbind
+  // it on exit.
+  EXPECT_EQ(free_vars(b, {i}), (std::vector<Var>{x0, n, acc}));
+  EXPECT_EQ(free_vars(b, {acc, i}), (std::vector<Var>{x0, n}));
+}
+
+TEST(Ir, FreeVarsWhileConditionReads) {
+  Module m;
+  Var k0 = m.fresh("k0"), lim = m.fresh("lim"), step = m.fresh("step"), k = m.fresh("k");
+  Var k2 = m.fresh("k2"), c = m.fresh("c"), r = m.fresh("r");
+  OpLoop lp;
+  lp.params = {Param{k, f64()}};
+  lp.init = {Atom(k0)};
+  lp.body = make_body(Body{{bind_bin(k2, BinOp::Add, k, step)}, {Atom(k2)}});
+  // The condition's param re-uses the body param's id; lim is read only here.
+  Lambda cond;
+  cond.params = {Param{k, f64()}};
+  cond.body = Body{{stm1(c, boolean(), OpBin{BinOp::Lt, k, lim})}, {Atom(c)}};
+  cond.rets = {boolean()};
+  lp.while_cond = make_lambda(std::move(cond));
+  Body b{{stm1(r, f64(), lp)}, {Atom(r), Atom(k)}};
+  // Body scope before the condition (visit_scopes order); k is free after.
+  EXPECT_EQ(free_vars(b), (std::vector<Var>{k0, step, lim, k}));
+}
+
+TEST(Ir, FreeVarsInFirstUseOrder) {
+  Module m;
+  Var a = m.fresh("a"), bb = m.fresh("b"), c = m.fresh("c"), d = m.fresh("d");
+  Var xs = m.fresh("xs"), p = m.fresh("p"), u = m.fresh("u"), w = m.fresh("w");
+  Var t = m.fresh("t"), ys = m.fresh("ys"), r = m.fresh("r");
+  LambdaPtr f = lambda_of({p}, Body{{bind_bin(u, BinOp::Mul, p, bb), bind_bin(w, BinOp::Add, u, c)},
+                                    {Atom(w)}});
+  Body b{{bind_bin(t, BinOp::Mul, c, cf64(2.0)), stm1(ys, arr_f64(1), OpMap{f, {xs}}),
+          bind_bin(r, BinOp::Add, t, a)},
+         {Atom(r), Atom(d), Atom(ys), Atom(c)}};
+  // An op's own operands come before its scopes; each id is listed once.
+  EXPECT_EQ(free_vars(b), (std::vector<Var>{c, xs, bb, a, d}));
+}
+
 TEST(Ir, InlineLambdaSubstitutesAndRefreshes) {
   ProgBuilder pb("inl");
   Var a = pb.param("a", f64());
@@ -309,10 +394,11 @@ TEST(Ir, ForEachNestedAndMapNestedAgreeOnScopes) {
   for (const ScopeCase& c : scope_cases(pb.body())) {
     std::vector<NestedScope> walked, mapped;
     for_each_nested(c.e, [&](const NestedScope& s) { walked.push_back(s); });
-    Exp same = map_nested(c.e, [&](const NestedScope& s) {
+    std::optional<Exp> same = map_nested(c.e, [&](const NestedScope& s) -> std::optional<Body> {
       mapped.push_back(s);
       return *s.body;
     });
+    ASSERT_TRUE(same) << c.name;
     ASSERT_EQ(walked.size(), c.expect.size()) << c.name;
     ASSERT_EQ(mapped.size(), c.expect.size()) << c.name;
     for (size_t i = 0; i < c.expect.size(); ++i) {
@@ -321,19 +407,52 @@ TEST(Ir, ForEachNestedAndMapNestedAgreeOnScopes) {
     }
     // The identity rewrite rebuilds every scope yet preserves the structure;
     // an emptying rewrite shows the hash does see the rebuilt bodies.
-    EXPECT_EQ(exp_hash(same), exp_hash(c.e)) << c.name;
-    Exp emptied = map_nested(c.e, [](const NestedScope& s) { return Body{{}, s.body->result}; });
-    EXPECT_NE(exp_hash(emptied), exp_hash(c.e)) << c.name;
-    for_each_nested(same, [&](const NestedScope& s) {
+    EXPECT_EQ(exp_hash(*same), exp_hash(c.e)) << c.name;
+    std::optional<Exp> emptied = map_nested(c.e, [](const NestedScope& s) -> std::optional<Body> {
+      return Body{{}, s.body->result};
+    });
+    ASSERT_TRUE(emptied) << c.name;
+    EXPECT_NE(exp_hash(*emptied), exp_hash(c.e)) << c.name;
+    for_each_nested(*same, [&](const NestedScope& s) {
       for (const NestedScope& old : c.expect) EXPECT_NE(s.body, old.body) << c.name;
     });
+  }
+}
+
+TEST(Ir, MapNestedSharesKeptScopes) {
+  ProgBuilder pb("shared");
+  for (const ScopeCase& c : scope_cases(pb.body())) {
+    // Keeping every scope copies nothing.
+    EXPECT_FALSE(map_nested(c.e, [](const NestedScope&) -> std::optional<Body> {
+      return std::nullopt;
+    })) << c.name;
+    // Rebuilding the first scope only: the others stay shared.
+    size_t k = 0;
+    std::optional<Exp> first = map_nested(c.e, [&](const NestedScope& s) -> std::optional<Body> {
+      if (k++ > 0) return std::nullopt;
+      return *s.body;
+    });
+    ASSERT_TRUE(first) << c.name;
+    size_t i = 0;
+    for_each_nested(*first, [&](const NestedScope& s) {
+      if (i == 0) {
+        EXPECT_NE(s.body, c.expect[i].body) << c.name;
+      } else {
+        EXPECT_EQ(s.body, c.expect[i].body) << c.name;
+      }
+      ++i;
+    });
+    EXPECT_EQ(i, c.expect.size()) << c.name;
   }
 }
 
 TEST(Ir, MapNestedKeepsNonScopeFields) {
   ProgBuilder pb("fields");
   for (const ScopeCase& c : scope_cases(pb.body())) {
-    Exp out = map_nested(c.e, [](const NestedScope& s) { return *s.body; });
+    std::optional<Exp> rebuilt =
+        map_nested(c.e, [](const NestedScope& s) -> std::optional<Body> { return *s.body; });
+    ASSERT_TRUE(rebuilt) << c.name;
+    const Exp& out = *rebuilt;
     ASSERT_EQ(out.index(), c.e.index()) << c.name;
     if (const auto* o = std::get_if<OpMap>(&c.e)) {
       const auto& n = std::get<OpMap>(out);

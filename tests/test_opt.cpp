@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <unordered_set>
 
+#include "apps/ba.hpp"
+#include "apps/gmm.hpp"
+#include "apps/hand.hpp"
 #include "apps/kmeans.hpp"
 #include "apps/lstm.hpp"
 #include "apps/mc_transport.hpp"
@@ -85,6 +91,143 @@ TEST(Simplify, ConstantFoldingAndIdentities) {
   EXPECT_DOUBLE_EQ(rt::as_f64(rt::run_prog(q, {5.0})[0]), 11.0);
   // After folding, only the final add of x and 6 should survive.
   EXPECT_LE(count_stms(q.fn.body), 2u);
+}
+
+// Shadowing: the AD passes re-bind ids inside nested scopes (re-emitted
+// forward sweeps), which the builder never does, so these programs are built
+// by hand. Liveness must follow the innermost binding of each id.
+Stm bind_bin(Var v, BinOp op, Atom a, Atom b) { return stm1(v, f64(), OpBin{op, a, b}); }
+
+LambdaPtr lambda_of(std::vector<Var> params, Body body) {
+  Lambda l;
+  for (Var p : params) l.params.push_back(Param{p, f64()});
+  l.rets.assign(body.result.size(), f64());
+  l.body = std::move(body);
+  return make_lambda(std::move(l));
+}
+
+Prog prog_of(std::shared_ptr<Module> m, std::vector<Param> params, Body body,
+             std::vector<Type> rets) {
+  Prog p;
+  p.mod = std::move(m);
+  p.fn.name = "shadow";
+  p.fn.params = std::move(params);
+  p.fn.rets = std::move(rets);
+  p.fn.body = std::move(body);
+  return p;
+}
+
+TEST(Simplify, DceFollowsRebindingInNestedScope) {
+  auto m = std::make_shared<Module>();
+  Var a = m->fresh("a"), xs = m->fresh("xs"), x = m->fresh("x"), p = m->fresh("p");
+  Var y = m->fresh("y"), t = m->fresh("t"), ys = m->fresh("ys");
+  // The lambda re-binds x before reading it: the outer x is dead.
+  LambdaPtr f = lambda_of({p}, Body{{bind_bin(x, BinOp::Mul, p, cf64(2.0)),
+                                     bind_bin(y, BinOp::Add, x, cf64(1.0))},
+                                    {Atom(y)}});
+  Prog dead = prog_of(m, {Param{a, f64()}, Param{xs, arr_f64(1)}},
+                      Body{{bind_bin(x, BinOp::Mul, a, cf64(3.0)), stm1(ys, arr_f64(1), OpMap{f, {xs}})},
+                           {Atom(ys)}},
+                      {arr_f64(1)});
+  Prog q = opt::dead_code_elim(dead);
+  ASSERT_EQ(q.fn.body.stms.size(), 1u);
+  EXPECT_TRUE(std::holds_alternative<OpMap>(q.fn.body.stms[0].e));
+  std::vector<Value> args = {2.0, make_f64_array({1, 2}, {2})};
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(rt::run_prog(q, args)[0])), (std::vector<double>{3, 5}));
+  // Read before the re-binding, the outer x is live.
+  LambdaPtr g = lambda_of({p}, Body{{bind_bin(t, BinOp::Add, x, p),
+                                     bind_bin(x, BinOp::Mul, t, cf64(2.0))},
+                                    {Atom(x)}});
+  Prog live = prog_of(m, {Param{a, f64()}, Param{xs, arr_f64(1)}},
+                      Body{{bind_bin(x, BinOp::Mul, a, cf64(3.0)), stm1(ys, arr_f64(1), OpMap{g, {xs}})},
+                           {Atom(ys)}},
+                      {arr_f64(1)});
+  q = opt::dead_code_elim(live);
+  ASSERT_EQ(q.fn.body.stms.size(), 2u);
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(rt::run_prog(q, args)[0])), (std::vector<double>{14, 16}));
+}
+
+TEST(Simplify, DceLoopParamsAndIndexShadowOuter) {
+  auto m = std::make_shared<Module>();
+  Var a = m->fresh("a"), n = m->fresh("n"), i = m->fresh("i"), acc = m->fresh("acc");
+  Var fi = m->fresh("fi"), t = m->fresh("t"), r = m->fresh("r"), s = m->fresh("s");
+  // r = loop (acc = a) for i < n: acc + f64(i). The outer acc is shadowed by
+  // the loop param and dead; the outer i is shadowed by the loop index but
+  // read again after the loop, so it stays.
+  OpLoop lp;
+  lp.params = {Param{acc, f64()}};
+  lp.init = {Atom(a)};
+  lp.idx = i;
+  lp.count = Atom(n);
+  lp.body = make_body(Body{{stm1(fi, f64(), OpUn{UnOp::ToF64, i}), bind_bin(t, BinOp::Add, acc, fi)},
+                           {Atom(t)}});
+  Body b{{stm1(i, i64(), OpBin{BinOp::Mul, n, ci64(10)}), bind_bin(acc, BinOp::Mul, a, cf64(3.0)),
+          stm1(r, f64(), lp), stm1(s, i64(), OpBin{BinOp::Add, i, ci64(1)})},
+         {Atom(r), Atom(s)}};
+  Prog p = prog_of(m, {Param{a, f64()}, Param{n, i64()}}, b, {f64(), i64()});
+  typecheck(p);
+  Prog q = opt::dead_code_elim(p);
+  ASSERT_EQ(q.fn.body.stms.size(), 3u);
+  EXPECT_EQ(q.fn.body.stms[0].vars[0], i);
+  EXPECT_TRUE(std::holds_alternative<OpLoop>(q.fn.body.stms[1].e));
+  auto out = rt::run_prog(q, {1.0, int64_t{3}});
+  EXPECT_DOUBLE_EQ(rt::as_f64(out[0]), 4.0);  // 1 + 0 + 1 + 2
+  EXPECT_EQ(std::get<int64_t>(out[1]), 31);
+}
+
+TEST(Simplify, DceKeepsWhatTheWhileConditionReads) {
+  auto m = std::make_shared<Module>();
+  Var a = m->fresh("a"), lim = m->fresh("lim"), j0 = m->fresh("j0"), k = m->fresh("k");
+  Var j = m->fresh("j"), k2 = m->fresh("k2"), j2 = m->fresh("j2"), c = m->fresh("c");
+  Var rk = m->fresh("rk"), rj = m->fresh("rj");
+  // Only j's result is live; the condition reads k and lim, so both stay.
+  OpLoop lp;
+  lp.params = {Param{k, f64()}, Param{j, f64()}};
+  lp.init = {cf64(0.0), Atom(j0)};
+  lp.body = make_body(Body{{bind_bin(k2, BinOp::Add, k, cf64(1.0)), bind_bin(j2, BinOp::Mul, j, cf64(2.0))},
+                           {Atom(k2), Atom(j2)}});
+  Lambda cond;
+  cond.params = {Param{k, f64()}, Param{j, f64()}};
+  cond.body = Body{{stm1(c, boolean(), OpBin{BinOp::Lt, k, lim})}, {Atom(c)}};
+  cond.rets = {boolean()};
+  lp.while_cond = make_lambda(std::move(cond));
+  Body b{{bind_bin(lim, BinOp::Mul, a, cf64(3.0)), bind_bin(j0, BinOp::Add, a, cf64(1.0)),
+          Stm{{rk, rj}, {f64(), f64()}, lp}},
+         {Atom(rj)}};
+  Prog p = prog_of(m, {Param{a, f64()}}, b, {f64()});
+  typecheck(p);
+  Prog q = opt::dead_code_elim(p);
+  ASSERT_EQ(q.fn.body.stms.size(), 3u);
+  EXPECT_EQ(std::get<OpLoop>(q.fn.body.stms[2].e).params.size(), 2u);
+  EXPECT_DOUBLE_EQ(rt::as_f64(rt::run_prog(q, {1.0})[0]), 16.0);  // 2 * 2^3
+}
+
+TEST(Simplify, AliasesDoNotCaptureARebindingAndComeBackAfterTheScope) {
+  auto m = std::make_shared<Module>();
+  Var a = m->fresh("a"), xs = m->fresh("xs"), y = m->fresh("y"), x = m->fresh("x");
+  Var p = m->fresh("p"), r = m->fresh("r"), ys = m->fresh("ys"), zs = m->fresh("zs");
+  // x aliases y. The first lambda re-binds y, so its read of x must not
+  // become y; the second lambda sees the alias again.
+  LambdaPtr f = lambda_of({p}, Body{{bind_bin(y, BinOp::Add, p, cf64(1.0)),
+                                     bind_bin(r, BinOp::Mul, x, y)},
+                                    {Atom(r)}});
+  LambdaPtr g = lambda_of({p}, Body{{bind_bin(r, BinOp::Mul, x, p)}, {Atom(r)}});
+  Prog prog = prog_of(m, {Param{a, f64()}, Param{xs, arr_f64(1)}},
+                      Body{{bind_bin(y, BinOp::Mul, a, cf64(2.0)), stm1(x, f64(), OpAtom{y}),
+                            stm1(ys, arr_f64(1), OpMap{f, {xs}}), stm1(zs, arr_f64(1), OpMap{g, {xs}})},
+                           {Atom(ys), Atom(zs)}},
+                      {arr_f64(1), arr_f64(1)});
+  Prog q = opt::fold_constants(prog);
+  const auto& f2 = *std::get<OpMap>(q.fn.body.stms[2].e).f;
+  const auto& g2 = *std::get<OpMap>(q.fn.body.stms[3].e).f;
+  EXPECT_EQ(std::get<OpBin>(f2.body.stms[1].e).a, Atom(x));
+  EXPECT_EQ(std::get<OpBin>(g2.body.stms[0].e).a, Atom(y));
+  std::vector<Value> args = {2.0, make_f64_array({1, 2}, {2})};
+  auto want = rt::run_prog(prog, args);
+  auto got = rt::run_prog(opt::simplify(prog), args);
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(got[0])), (std::vector<double>{8, 12}));
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(got[1])), (std::vector<double>{4, 8}));
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(want[0])), rt::to_f64_vec(rt::as_array(got[0])));
 }
 
 TEST(Redundancy, PerfectNestHasNoReexecutionAfterDce) {
@@ -400,6 +543,46 @@ TEST(Fusion, ProducerArgConsumedInGapBlocksFusion) {
   auto r2 = rt::run_prog(q, args);
   EXPECT_EQ(rt::to_f64_vec(rt::as_array(r1[0])), rt::to_f64_vec(rt::as_array(r2[0])));
   EXPECT_EQ(rt::to_f64_vec(rt::as_array(r1[0])), (std::vector<double>{6, 12, 18}));
+}
+
+TEST(Fusion, FusingABlockerAwayUnblocksAnEarlierPair) {
+  // ys -> zs is blocked by the map between them, whose lambda updates X (the
+  // array ys's producer gathers from). That map fuses into its own consumer
+  // further down, and then ys -> zs fuses too: the scan goes back to the top
+  // after a producer that could block a pair folds away.
+  ProgBuilder pb("unblock");
+  Var bigx = pb.param("X", arr_f64(1));
+  Var xs = pb.param("xs", arr_f64(1));
+  Builder& b = pb.body();
+  Var ys = b.map1(b.lam({f64()},
+                        [&](Builder& c, const std::vector<Var>& p) {
+                          Var x0 = c.index(bigx, {ci64(0)});
+                          return std::vector<Atom>{Atom(c.mul(p[0], Atom(x0)))};
+                        }),
+                  {xs});
+  Var ws = b.map1(b.lam({f64()},
+                        [&](Builder& c, const std::vector<Var>& p) {
+                          Var x2 = c.update(bigx, {ci64(0)}, Atom(p[0]));
+                          Var v = c.index(x2, {ci64(0)});
+                          return std::vector<Atom>{Atom(c.add(Atom(v), cf64(1.0)))};
+                        }),
+                  {xs});
+  Var zs = b.map1(scalar_map(b, 3.0, 0.0), {ys});
+  Var vs = b.map1(scalar_map(b, 2.0, 0.0), {ws});
+  Prog p = pb.finish({Atom(zs), Atom(vs)});
+  typecheck(p);
+  opt::FuseStats stats;
+  Prog q = opt::fuse_maps(p, &stats);
+  typecheck(q);
+  EXPECT_EQ(stats.fused_maps, 2);
+  EXPECT_EQ(q.fn.body.stms.size(), 2u);
+  std::vector<Value> args = {make_f64_array({5.0}, {1}), make_f64_array({1, 2, 3}, {3})};
+  auto r1 = rt::run_prog(p, args);
+  auto r2 = rt::run_prog(q, args);
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(r1[0])), (std::vector<double>{15, 30, 45}));
+  for (size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(rt::to_f64_vec(rt::as_array(r1[k])), rt::to_f64_vec(rt::as_array(r2[k]))) << k;
+  }
 }
 
 TEST(Fusion, AccumulatorThreadingPreserved) {
@@ -1165,6 +1348,136 @@ TEST(AccOpt, MixedWithaccPeelsNothingCleanly) {
   for (size_t k = 0; k < r0.size(); ++k) {
     EXPECT_EQ(rt::to_f64_vec(rt::as_array(r0[k])), rt::to_f64_vec(rt::as_array(r1[k]))) << k;
   }
+}
+
+// ------------------------------------------------------- scaling guard ---
+//
+// A generated worst case for scope handling: a chain of copies inside 8
+// nested maps (each copy an alias the next statement reads), then a chain
+// of fusable maps. Every pass costs one walk of the program per round, so
+// this optimizes in under 0.1 s in a Release build and about 1.5 s under
+// ThreadSanitizer; an optimizer that copies the alias table per statement or
+// rebuilds its fusion tables per fusion is quadratic here and takes over a
+// minute in a Release build (see CHANGES.md for the measured times). The
+// bound leaves room for sanitizer builds sharing the machine with other tests.
+
+constexpr int kScalingDepth = 8;
+constexpr int kScalingCopies = 20000;
+constexpr int kScalingMaps = 200;
+constexpr double kScalingBoundSeconds = 9.0;
+
+LambdaPtr copy_chain_nest(Builder& b, int rank) {
+  if (rank == 0) {
+    return b.lam({f64()}, [](Builder& c, const std::vector<Var>& p) {
+      Var v = p[0];
+      for (int k = 0; k < kScalingCopies; ++k) v = c.mul(c.rebind(v, "cp"), cf64(1.0001));
+      return std::vector<Atom>{Atom(v)};
+    });
+  }
+  return b.lam({arr_f64(rank)}, [rank](Builder& c, const std::vector<Var>& p) {
+    return std::vector<Atom>{Atom(c.map1(copy_chain_nest(c, rank - 1), {p[0]}))};
+  });
+}
+
+TEST(Scaling, OptimizerIsLinearInDeepNestsAndLongChains) {
+  ProgBuilder pb("scaling");
+  Var xs = pb.param("xs", arr_f64(kScalingDepth));
+  Var zs = pb.param("zs", arr_f64(1));
+  Builder& b = pb.body();
+  Var ys = b.map1(copy_chain_nest(b, kScalingDepth - 1), {xs});
+  Var z = zs;
+  for (int k = 0; k < kScalingMaps; ++k) z = b.map1(scalar_map(b, 1.0, 1.0), {z});
+  Prog p = pb.finish({Atom(ys), Atom(z)});
+  typecheck(p);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  opt::PipelineStats stats;
+  Prog q = opt::optimize(p, {}, &stats);
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_LT(secs, kScalingBoundSeconds) << "opt::optimize took " << secs << " s";
+
+  typecheck(q);
+  EXPECT_EQ(stats.fuse.fused_maps, kScalingMaps - 1);
+  // Copies gone, multiplications and the nest kept, the chain one map.
+  EXPECT_EQ(count_stms(q.fn.body),
+            static_cast<size_t>(2 + (kScalingDepth - 1) + kScalingCopies + kScalingMaps));
+  std::vector<int64_t> shape(kScalingDepth, 1);
+  shape.back() = 2;
+  std::vector<Value> args = {make_f64_array({1.0, 2.0}, shape), make_f64_array({0.5}, {1})};
+  auto want = rt::run_prog(p, args);
+  auto got = rt::run_prog(q, args);
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(want[0])), rt::to_f64_vec(rt::as_array(got[0])));
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(got[1])), (std::vector<double>{0.5 + kScalingMaps}));
+}
+
+// ------------------------------------------------------------ golden IR ---
+//
+// The optimizer's output for the 20 benchmark programs (primal and derivative
+// of each), printed and compared byte for byte against a checked-in file. A
+// pass rewrite that changes no behaviour must leave this text unchanged;
+// fresh-variable numbering included, since it records the order in which
+// fusion and inlining allocate names. On a mismatch the actual text is
+// written next to the test binary (optimized_ir.actual.txt) for diffing.
+
+enum class GoldenDeriv { Vjp, Jvp, Hvp };  // Hvp: jvp(vjp(p))
+
+std::string optimized_ir_text() {
+  struct Entry {
+    const char* name;
+    Prog (*primal)();
+    GoldenDeriv deriv;
+  };
+  const Entry entries[] = {
+      {"gmm", apps::gmm_ir_objective, GoldenDeriv::Vjp},
+      {"lstm", apps::lstm_ir_objective, GoldenDeriv::Vjp},
+      {"kmeans", apps::kmeans_ir_cost, GoldenDeriv::Vjp},
+      {"kmeans_hvp", apps::kmeans_ir_cost, GoldenDeriv::Hvp},
+      {"kmeans_sparse", apps::kmeans_sparse_ir_cost, GoldenDeriv::Vjp},
+      {"xsbench", apps::xs_ir_objective, GoldenDeriv::Vjp},
+      {"rsbench", apps::rs_ir_objective, GoldenDeriv::Vjp},
+      {"ba", apps::ba_ir_residuals, GoldenDeriv::Jvp},
+      {"hand", [] { return apps::hand_ir_residuals(false); }, GoldenDeriv::Jvp},
+      {"hand_complicated", [] { return apps::hand_ir_residuals(true); }, GoldenDeriv::Jvp},
+  };
+  std::ostringstream os;
+  for (const Entry& e : entries) {
+    // The benchmark recipe: differentiate the typechecked pre-fusion primal,
+    // then optimize both programs.
+    Prog primal = e.primal();
+    typecheck(primal);
+    Prog deriv = e.deriv == GoldenDeriv::Jvp ? ad::jvp(primal) : ad::vjp(primal);
+    if (e.deriv == GoldenDeriv::Hvp) deriv = ad::jvp(deriv);
+    os << "=== " << e.name << " primal ===\n";
+    print_prog(os, opt::optimize(primal));
+    os << "=== " << e.name << " derivative ===\n";
+    print_prog(os, opt::optimize(deriv));
+  }
+  return os.str();
+}
+
+TEST(Golden, OptimizedIrOfBenchmarkProgramsIsUnchanged) {
+  const std::string actual = optimized_ir_text();
+  std::ifstream in(NPAD_TESTS_DIR "/golden/optimized_ir.txt", std::ios::binary);
+  std::stringstream expected;
+  if (in.good()) expected << in.rdbuf();  // a missing file reads as empty
+  if (actual == expected.str()) return;
+  const std::string out_path = NPAD_TEST_BINARY_DIR "/optimized_ir.actual.txt";
+  std::ofstream(out_path, std::ios::binary) << actual;
+  // Name the first differing line so the failure reads without the diff.
+  std::istringstream a(actual), x(expected.str());
+  std::string la, lx;
+  size_t line = 0;
+  while (true) {
+    ++line;
+    const bool more_a = static_cast<bool>(std::getline(a, la));
+    const bool more_x = static_cast<bool>(std::getline(x, lx));
+    if (!more_a && !more_x) break;
+    if (more_a != more_x || la != lx) break;
+  }
+  ADD_FAILURE() << "optimized IR differs from tests/golden/optimized_ir.txt at line " << line
+                << "\n  expected: " << lx << "\n  actual:   " << la
+                << "\nactual text written to " << out_path;
 }
 
 } // namespace
