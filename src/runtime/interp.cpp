@@ -38,14 +38,6 @@ bool default_use_vexec() {
   return on;
 }
 
-bool default_vexec_portable() {
-  static const bool portable = [] {
-    const char* env = std::getenv("NPAD_VEXEC");
-    return env != nullptr && std::strcmp(env, "portable") == 0;
-  }();
-  return portable;
-}
-
 namespace {
 using namespace ir;
 using support::FaultKind;
@@ -309,7 +301,7 @@ public:
       const vexec::Entry* ve = opts_.use_vexec ? vexec::lookup(k, 1) : nullptr;
       if (ve != nullptr) {
         stats_->vexec_launches.fetch_add(1, std::memory_order_relaxed);
-        vexec::select_ops(opts_.vexec_portable)->run_scalar(*ve, k, frees.data(), outs.data());
+        vexec::run_scalar(*ve, k, frees.data(), outs.data());
       } else {
         regs.assign(static_cast<size_t>(k.num_regs), 0.0);
         run_scalar_kernel(k, frees.data(), regs.data(), outs.data());
@@ -1049,7 +1041,6 @@ public:
     const vexec::Entry* e = vexec::lookup(*L.k, L.lanes);
     if (e == nullptr) return;
     L.vx = e;
-    L.vops = vexec::select_ops(opts_.vexec_portable);
     L.vexec_spans = &stats_->vexec_launches;
   }
 

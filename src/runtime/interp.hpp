@@ -7,8 +7,9 @@
 // nest — a map whose lambda folds, maps or loops over rows — runs as one
 // whole-lambda kernel launch instead of one inner launch per row; variable
 // environments are slot-resolved flat frames (runtime/resolve.hpp), and runs
-// of scalar glue execute as single kernel calls; and accumulator updates are privatized into per-worker buffers when profitable,
-// falling back to atomic adds. See src/runtime/README.md.
+// of scalar glue execute as single kernel calls. Accumulator updates are
+// privatized into per-worker buffers when profitable, falling back to atomic
+// adds. See src/runtime/README.md.
 
 #include <atomic>
 #include <cstdint>
@@ -27,12 +28,10 @@ namespace npad::rt {
 // stack overflows.
 int default_max_eval_depth();
 
-// Vectorized-tier defaults from the environment: NPAD_VEXEC=0 disables the
-// tier (register machine everywhere), NPAD_VEXEC=portable keeps it on but
-// pins the portable (non-AVX2) handler build. Unset/any other value: on,
-// with runtime CPU detection choosing the ISA.
+// Vectorized-tier default from the environment: NPAD_VEXEC=0 disables the
+// tier (register machine everywhere, the bit-exactness reference). Unset or
+// any other value: on.
 bool default_use_vexec();
-bool default_vexec_portable();
 
 struct InterpOptions {
   bool parallel = true;         // use the thread pool for SOACs
@@ -64,9 +63,6 @@ struct InterpOptions {
   // fallback for kernels that do not lower. Applies to every kernel launch
   // and scalar-glue block.
   bool use_vexec = default_use_vexec();
-  // Pin the portable (auto-vectorized, no AVX2) vexec handler build even
-  // when the CPU supports AVX2 — conformance coverage for non-SIMD hosts.
-  bool vexec_portable = default_vexec_portable();
 };
 
 struct InterpStats {

@@ -1558,7 +1558,7 @@ void combine_on(const KernelLaunch& L, double* r1, double* acc, const double* ot
 // all four drivers — site names must be unique per location). True when the
 // launch carries a vexec attachment and the dispatch should proceed.
 bool vexec_gate(const KernelLaunch& L) {
-  if (L.vx == nullptr || L.vops == nullptr) return false;
+  if (L.vx == nullptr) return false;
   NPAD_FAULT_SITE("vexec.dispatch", FaultKind::Chunk);
   if (L.vexec_spans != nullptr) L.vexec_spans->fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -1568,7 +1568,7 @@ bool vexec_gate(const KernelLaunch& L) {
 
 void KernelLaunch::run(int64_t lo, int64_t hi) const {
   if (vexec_gate(*this)) {
-    vops->run(*vx, *this, lo, hi);
+    vexec::run(*vx, *this, lo, hi);
     return;
   }
   const int W = lanes;
@@ -1592,7 +1592,7 @@ void KernelLaunch::run(int64_t lo, int64_t hi) const {
 
 void KernelLaunch::run_reduce(int64_t lo, int64_t hi, double* partials) const {
   if (vexec_gate(*this)) {
-    vops->run_reduce(*vx, *this, lo, hi, partials);
+    vexec::run_reduce(*vx, *this, lo, hi, partials);
     return;
   }
   const Kernel& kk = *k;
@@ -1640,7 +1640,7 @@ void KernelLaunch::run_reduce(int64_t lo, int64_t hi, double* partials) const {
 
 void KernelLaunch::run_scan_chunk(int64_t lo, int64_t hi, double* carry) const {
   if (vexec_gate(*this)) {
-    vops->run_scan_chunk(*vx, *this, lo, hi, carry);
+    vexec::run_scan_chunk(*vx, *this, lo, hi, carry);
     return;
   }
   const Kernel& kk = *k;
@@ -1687,7 +1687,7 @@ void KernelLaunch::combine_partials(double* acc, const double* other) const {
 int64_t KernelLaunch::run_hist_chunk(int64_t lo, int64_t hi, double* bins, int64_t m,
                                      const int64_t* inds) const {
   if (vexec_gate(*this)) {
-    return vops->run_hist_chunk(*vx, *this, lo, hi, bins, m, inds);
+    return vexec::run_hist_chunk(*vx, *this, lo, hi, bins, m, inds);
   }
   const Kernel& kk = *k;
   assert(kk.reds.size() == 1 && "hist kernels are single-result folds");

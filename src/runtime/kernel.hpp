@@ -101,7 +101,6 @@ namespace npad::rt {
 
 namespace vexec {
 struct Entry;
-struct Ops;
 } // namespace vexec
 
 enum class KOp : uint8_t {
@@ -295,15 +294,14 @@ struct KernelLaunch {
   // buffers, no iteration space, one lane.
   double* scalar_out = nullptr;
 
-  // Vectorized execution tier (runtime/vexec.hpp): when `vx` and `vops` are
-  // both set, run/run_reduce/run_scan_chunk/run_hist_chunk
-  // dispatch to the pre-decoded SIMD schedule instead of the register
-  // machine — bit-exact by contract, so binding it is purely a speed choice.
-  // Vexec entries are keyed by kernel address, which is sound because `k` is
-  // immortal. `vexec_spans` feeds InterpStats::vexec_launches, one tick per
-  // dispatched span.
+  // Vectorized execution tier (runtime/vexec.hpp): when `vx` is set,
+  // run/run_reduce/run_scan_chunk/run_hist_chunk dispatch to the
+  // pre-decoded SIMD schedule instead of the register machine — bit-exact
+  // by contract, so binding it is purely a speed choice. Vexec entries are
+  // keyed by kernel address, which is sound because `k` is immortal.
+  // `vexec_spans` feeds InterpStats::vexec_launches, one tick per dispatched
+  // span.
   const vexec::Entry* vx = nullptr;
-  const vexec::Ops* vops = nullptr;
   std::atomic<uint64_t>* vexec_spans = nullptr;
 
   // Executes iterations [lo, hi) (map kernels).

@@ -1,9 +1,9 @@
 // vexec lowering: KInstr program -> pre-decoded VInstr schedule (prologue
 // extraction, superinstruction fusion, fused loop forms), plus the immortal
-// (kernel, lanes) entry cache and runtime ISA dispatch. All transforms here
-// are value-preserving per lane: fused handlers execute the same IEEE
-// operation sequence with the same operand order (see vexec_engine.inc), so
-// the lowered program is bit-exact against the register machine.
+// (kernel, lanes) entry cache. All transforms here are value-preserving per
+// lane: fused handlers execute the same IEEE operation sequence with the
+// same operand order (see vexec_engine.cpp), so the lowered program is
+// bit-exact against the register machine.
 
 #include "runtime/vexec.hpp"
 
@@ -698,18 +698,6 @@ const Entry* lookup(const Kernel& k, int lanes) {
   std::unique_lock lk(cache_mu);
   auto [it, inserted] = cache().emplace(key, std::move(e));
   return it->second.get();
-}
-
-const Ops* select_ops(bool force_portable) {
-#ifdef NPAD_VEXEC_HAVE_AVX2
-  if (!force_portable) {
-    static const bool have_avx2 = __builtin_cpu_supports("avx2");
-    if (have_avx2) return avx2::ops();
-  }
-#else
-  (void)force_portable;
-#endif
-  return portable::ops();
 }
 
 } // namespace npad::rt::vexec

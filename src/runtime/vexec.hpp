@@ -4,9 +4,9 @@
 // "JIT tier"): at first launch, a compiled kernel's KInstr program is
 // lowered — once per (kernel, lane width), cached alongside the immortal
 // KernelCache entry it came from — into a dense pre-decoded schedule of
-// VInstrs whose handlers are compiled per ISA (a portable auto-vectorized
-// build, plus an AVX2 build selected by runtime CPU detection). The
-// lowering does four things the per-KInstr switch cannot:
+// VInstrs, executed by the engine in runtime/vexec_engine.cpp (plain C++
+// with constexpr lane loops the compiler auto-vectorizes for the build's
+// target ISA). The lowering does four things the per-KInstr switch cannot:
 //
 //  1. Prologue extraction: ConstF/LoadLen/free-scalar broadcasts leave the
 //     instruction stream entirely (a compact init list applied once per
@@ -18,7 +18,7 @@
 //     arith+store), and copy chains (Mov glue, fold write-backs) are
 //     coalesced away. Every fused handler keeps each intermediate's own
 //     IEEE rounding — fusion amortizes dispatch, it NEVER contracts to a
-//     hardware FMA (the engine TUs build with -ffp-contract=off).
+//     hardware FMA (the project builds with -ffp-contract=off).
 //  3. Whole-loop micro-kernels: the dot-product fold (gather·gather → mul
 //     → fold-add), its one-stream variant (gather → fold-add) and the
 //     backward dual scatter (two gathers, two scaled products, two UpdAccs;
@@ -49,7 +49,8 @@
 // order, and scalar tails all mirror runtime/kernel.cpp exactly; per-lane
 // elementwise SIMD is bit-identical by IEEE; fused pairs preserve operand
 // order and intermediate roundings. The scalar register machine remains
-// the always-available fallback (InterpOptions::use_vexec, NPAD_VEXEC).
+// the always-available fallback (InterpOptions::use_vexec = false, or
+// NPAD_VEXEC=0 in the environment).
 
 #include <atomic>
 #include <cstdint>
@@ -160,20 +161,6 @@ struct Entry {
   int superinstrs = 0;  // fused superinstructions in one program's code
 };
 
-// Per-ISA driver table. Each function mirrors the corresponding
-// KernelLaunch method on runtime/kernel.cpp bit-exactly.
-struct Ops {
-  void (*run)(const Entry&, const KernelLaunch&, int64_t lo, int64_t hi);
-  void (*run_reduce)(const Entry&, const KernelLaunch&, int64_t lo, int64_t hi,
-                     double* partials);
-  void (*run_scan_chunk)(const Entry&, const KernelLaunch&, int64_t lo, int64_t hi,
-                         double* carry);
-  int64_t (*run_hist_chunk)(const Entry&, const KernelLaunch&, int64_t lo, int64_t hi,
-                            double* bins, int64_t m, const int64_t* inds);
-  void (*run_scalar)(const Entry&, const Kernel&, const double* frees, double* out);
-  const char* name;
-};
-
 // Lazily lowers (and caches process-wide, immortal) the vexec entry for `k`
 // at lane width `lanes`. `k` must itself be immortal — owned by the kernel
 // cache or a resolved program's scalar-glue block, never by the launch. Returns nullptr when the
@@ -181,19 +168,16 @@ struct Ops {
 // the program does not lower; the caller then stays on the register machine.
 const Entry* lookup(const Kernel& k, int lanes);
 
-// ISA dispatch: the AVX2 table when compiled in and the CPU reports
-// avx2+fma support, else the portable table. `force_portable` pins the
-// portable handlers (NPAD_VEXEC=portable, conformance fallback row).
-const Ops* select_ops(bool force_portable);
-
-// Engine entry tables defined by the per-ISA TUs (vexec_engine.inc).
-namespace portable {
-const Ops* ops();
-}
-#ifdef NPAD_VEXEC_HAVE_AVX2
-namespace avx2 {
-const Ops* ops();
-}
-#endif
+// Engine drivers (runtime/vexec_engine.cpp). Each mirrors the KernelLaunch
+// method of the same name in runtime/kernel.cpp bit-exactly; run_scalar
+// executes a scalar-glue block (extent 1, results into `out`).
+void run(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi);
+void run_reduce(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
+                double* partials);
+void run_scan_chunk(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
+                    double* carry);
+int64_t run_hist_chunk(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
+                       double* bins, int64_t m, const int64_t* inds);
+void run_scalar(const Entry& e, const Kernel& k, const double* frees, double* out);
 
 } // namespace npad::rt::vexec

@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <variant>
@@ -158,8 +159,8 @@ bool send_all(int fd, const char* data, size_t n) {
   return true;
 }
 
-// Reads one HTTP message (request or response) off `fd`: start line, headers
-// and a Content-Length body. Returns false on EOF/timeout/garbage.
+// One HTTP message (request or response): start line, headers and a
+// Content-Length body.
 struct HttpMessage {
   std::string start_line;
   std::vector<std::pair<std::string, std::string>> headers;  // lower-case keys
@@ -175,10 +176,35 @@ struct HttpMessage {
 
 enum class ReadResult {
   Ok,
-  Closed,    // EOF, timeout or a malformed header block
-  TooLarge,  // Content-Length above max_body; the body is left unread
+  Closed,      // EOF, timeout or an oversized header block
+  TooLarge,    // Content-Length above max_body; the body is left unread
+  BadFraming,  // the body's extent is unknown (see body_length); left unread
 };
 
+// The body length a header block declares: 0 without Content-Length. False
+// when the framing is malformed — a Content-Length that is empty or not all
+// digits, two differing Content-Lengths, or any Transfer-Encoding — since
+// reading on would take part of the body as the next request. An
+// out-of-range length saturates (and then exceeds any body cap).
+bool body_length(const HttpMessage& m, size_t& n) {
+  const std::string* cl = nullptr;
+  for (const auto& [k, v] : m.headers) {
+    if (k == "transfer-encoding") return false;
+    if (k != "content-length") continue;
+    if (cl != nullptr && *cl != v) return false;
+    cl = &v;
+  }
+  n = 0;
+  if (cl == nullptr) return true;
+  if (cl->empty()) return false;
+  for (const char c : *cl) {
+    if (c < '0' || c > '9') return false;
+    n = n > (SIZE_MAX - 9) / 10 ? SIZE_MAX : n * 10 + static_cast<size_t>(c - '0');
+  }
+  return true;
+}
+
+// Reads one HTTP message off `fd`, keeping any pipelined tail in `buf`.
 ReadResult read_message(int fd, std::string& buf, HttpMessage* out, size_t max_body) {
   // Accumulate until the blank line.
   size_t header_end = std::string::npos;
@@ -208,9 +234,10 @@ ReadResult read_message(int fd, std::string& buf, HttpMessage* out, size_t max_b
         std::string k = line.substr(0, colon);
         std::transform(k.begin(), k.end(), k.begin(),
                        [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-        size_t vs = colon + 1;
-        while (vs < line.size() && line[vs] == ' ') ++vs;
-        out->headers.emplace_back(std::move(k), line.substr(vs));
+        size_t vs = colon + 1, ve = line.size();
+        while (vs < ve && (line[vs] == ' ' || line[vs] == '\t')) ++vs;
+        while (ve > vs && (line[ve - 1] == ' ' || line[ve - 1] == '\t')) --ve;
+        out->headers.emplace_back(std::move(k), line.substr(vs, ve - vs));
       }
     }
     if (line_end == head.size()) break;
@@ -218,8 +245,7 @@ ReadResult read_message(int fd, std::string& buf, HttpMessage* out, size_t max_b
   }
 
   size_t content_length = 0;
-  const std::string cl = out->header("content-length");
-  if (!cl.empty()) content_length = static_cast<size_t>(std::strtoull(cl.c_str(), nullptr, 10));
+  if (!body_length(*out, content_length)) return ReadResult::BadFraming;
   if (content_length > max_body) return ReadResult::TooLarge;
 
   const size_t body_start = header_end + 4;
@@ -368,11 +394,15 @@ void HttpServer::serve_connection(int fd) {
   for (;;) {
     HttpMessage msg;
     const ReadResult rr = read_message(fd, buf, &msg, opts_.max_body);
-    if (rr == ReadResult::TooLarge) {
+    if (rr == ReadResult::TooLarge || rr == ReadResult::BadFraming) {
       // Answer before closing, then drain what the client already sent:
       // closing on unread data would reset the connection and could drop
-      // the 413 before the client reads it.
-      send_response(fd, 413, R"({"ok":false,"error":"request body too large"})", true);
+      // the answer before the client reads it.
+      if (rr == ReadResult::TooLarge) {
+        send_response(fd, 413, R"({"ok":false,"error":"request body too large"})", true);
+      } else {
+        send_response(fd, 400, R"({"ok":false,"error":"malformed request framing"})", true);
+      }
       ::shutdown(fd, SHUT_WR);
       char chunk[8192];
       size_t drained = 0;

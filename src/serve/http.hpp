@@ -15,7 +15,9 @@
 // Typed errors map to statuses: TypeError/ShapeError 400 (the client's
 // request), ResourceError 503 (a stopped batcher, a failed allocation), any
 // other 500. A body whose Content-Length exceeds max_body gets 413 and the
-// connection closes.
+// connection closes. So does malformed framing, with 400: a Content-Length
+// that is empty or not all digits, two differing Content-Lengths, or any
+// Transfer-Encoding (chunked bodies are not supported).
 //
 // Request arguments are either synthesized server-side from (seed, size) via
 // the registry's deterministic generators, or supplied inline in "args":

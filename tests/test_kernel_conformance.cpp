@@ -869,8 +869,8 @@ TEST(RedomapConformance, GeneralFallbackHandlesRedomap) {
 // streams (vexec's fused dot and one-stream loops), and row results — a
 // rank-1 virtual result stored row by row into an [n][len] launch output.
 // With parallelism off every output is bit-identical (compared as bits, so
-// signed zeros count) to the general interpreter with kernels off, on the
-// AVX2, portable and register-machine tiers, at W = 1 and 8, over empty
+// signed zeros count) to the general interpreter with kernels off, with
+// vexec on and off (the register machine), at W = 1 and 8, over empty
 // outer, empty inner row, odd and larger shapes.
 
 // map(λrow. map(g, row)) — rank-2 in, rank-2 out, affine+tanh scalar body.
@@ -995,7 +995,7 @@ Prog row_results_prog(bool two) {
 }
 
 enum class Nest { MapOfMap, MapOfSum, MapOfLse, MapOfDot, Row1, Row2 };
-enum class VexecMode { Avx2, Portable, Off };
+enum class VexecMode { On, Off };
 
 Prog nest_prog(Nest k) {
   switch (k) {
@@ -1052,7 +1052,6 @@ TEST_P(NestConformance, OneKernelBitExact) {
   const auto ref = slow.run(p, args);
   rt::InterpOptions o{.parallel = false, .use_kernels = true, .kernel_lanes = lanes};
   o.use_vexec = mode != VexecMode::Off;
-  o.vexec_portable = mode == VexecMode::Portable;
   rt::Interp fast(o);
   const auto got = fast.run(p, args);
   ASSERT_EQ(got.size(), ref.size());
@@ -1066,7 +1065,7 @@ TEST_P(NestConformance, OneKernelBitExact) {
 
 std::string nest_name(const ::testing::TestParamInfo<NestCase>& info) {
   static const char* kinds[] = {"MapOfMap", "MapOfSum", "MapOfLse", "MapOfDot", "Row1", "Row2"};
-  static const char* modes[] = {"Avx2", "Portable", "Off"};
+  static const char* modes[] = {"On", "Off"};
   const NestShape sh = std::get<2>(info.param);
   return std::string(kinds[static_cast<int>(std::get<0>(info.param))]) + "W" +
          std::to_string(std::get<1>(info.param)) + "_" + std::to_string(sh.n) + "x" +
@@ -1081,7 +1080,7 @@ INSTANTIATE_TEST_SUITE_P(
                        // empty outer, empty inner row, odd, larger
                        ::testing::Values(NestShape{0, 5}, NestShape{4, 0}, NestShape{7, 13},
                                          NestShape{300, 37}),
-                       ::testing::Values(VexecMode::Avx2, VexecMode::Portable, VexecMode::Off)),
+                       ::testing::Values(VexecMode::On, VexecMode::Off)),
     nest_name);
 
 TEST(NestConformance, ParallelRowResultsBitExact) {
@@ -1093,10 +1092,9 @@ TEST(NestConformance, ParallelRowResultsBitExact) {
       const Prog p = nest_prog(kind);
       const auto args = nest_args(kind, shape.n, shape.m, static_cast<uint64_t>(shape.n + 5));
       const auto ref = rt::Interp({.parallel = false, .use_kernels = false}).run(p, args);
-      for (VexecMode mode : {VexecMode::Avx2, VexecMode::Portable, VexecMode::Off}) {
+      for (VexecMode mode : {VexecMode::On, VexecMode::Off}) {
         rt::InterpOptions o{.parallel = true, .use_kernels = true, .kernel_lanes = 8, .grain = 4};
         o.use_vexec = mode != VexecMode::Off;
-        o.vexec_portable = mode == VexecMode::Portable;
         rt::Interp fast(o);
         const auto got = fast.run(p, args);
         ASSERT_EQ(got.size(), ref.size());
@@ -1243,8 +1241,7 @@ TEST(NestConformance, RankMismatchedInputFallsBack) {
 // The vectorized execution tier (runtime/vexec.hpp) must be bit-exact
 // against the scalar register machine on every launch shape it can take
 // over: {vexec on, off} x {map, fused redomap, row nest, hist, scalar block,
-// inline loop} x {empty, tail-only, large}, plus a forced-portable row
-// (AVX2 hosts exercising the auto-vectorized handler build).
+// inline loop} x {empty, tail-only, large}.
 
 enum class VexKind { Map, Redomap, Nest, Hist, ScalarBlock, InlineLoop };
 
@@ -1390,22 +1387,19 @@ TEST_P(VexecConformance, BitExactAgainstRegisterMachine) {
   const auto ref = flatten_outputs(off.run(p, args));
   EXPECT_EQ(off.stats().vexec_launches.load(), 0u);
 
-  for (bool portable : {false, true}) {
-    rt::InterpOptions vo = base;
-    vo.use_vexec = true;
-    vo.vexec_portable = portable;
-    rt::Interp on{vo};
-    const auto got = flatten_outputs(on.run(p, args));
-    ASSERT_EQ(got.size(), ref.size()) << "portable=" << portable;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i], ref[i]) << "portable=" << portable << " at " << i;  // bit-identical
-    }
-    // Counter movement: the large rows (and the scalar block, which always
-    // dispatches) must actually route through the tier; empty and tail-only
-    // rows may legitimately skip it (no launch at all).
-    if (n >= 4096 || kind == VexKind::ScalarBlock) {
-      EXPECT_GT(on.stats().vexec_launches.load(), 0u) << "portable=" << portable;
-    }
+  rt::InterpOptions vo = base;
+  vo.use_vexec = true;
+  rt::Interp on{vo};
+  const auto got = flatten_outputs(on.run(p, args));
+  ASSERT_EQ(got.size(), ref.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], ref[i]) << "at " << i;  // bit-identical
+  }
+  // Counter movement: the large rows (and the scalar block, which always
+  // dispatches) must actually route through the tier; empty and tail-only
+  // rows may legitimately skip it (no launch at all).
+  if (n >= 4096 || kind == VexKind::ScalarBlock) {
+    EXPECT_GT(on.stats().vexec_launches.load(), 0u);
   }
 }
 
@@ -1720,10 +1714,9 @@ TEST(CountedLoopConformance, FusedFoldOverShortStreamRaisesShapeError) {
     const auto ok = args(9, 9, 9);
     const auto short_x = args(8, 9, 9);
     const auto short_y = args(9, 8, 9);
-    for (VexecMode m : {VexecMode::Avx2, VexecMode::Portable, VexecMode::Off}) {
+    for (VexecMode m : {VexecMode::On, VexecMode::Off}) {
       rt::InterpOptions o{.parallel = false, .use_kernels = true, .kernel_lanes = 8};
       o.use_vexec = m != VexecMode::Off;
-      o.vexec_portable = m == VexecMode::Portable;
       rt::Interp fast(o);
       EXPECT_EQ(output_bits(fast.run(p, ok)[0]), output_bits(slow.run(p, ok)[0]));
       EXPECT_THROW(slow.run(p, short_x), ShapeError);
@@ -1949,7 +1942,6 @@ std::vector<Value> virt_args(int64_t n, int64_t k, int64_t d, uint64_t seed) {
 rt::InterpOptions virt_opts(VexecMode m, bool parallel) {
   rt::InterpOptions o{.parallel = parallel, .use_kernels = true, .kernel_lanes = 8};
   o.use_vexec = m != VexecMode::Off;
-  o.vexec_portable = m == VexecMode::Portable;
   return o;
 }
 
@@ -1978,7 +1970,7 @@ TEST_P(VirtualArrayConformance, OneKernelBitExact) {
 std::string virt_name(const ::testing::TestParamInfo<VirtCase>& info) {
   static const char* forms[] = {"OneHotZeros", "OneHotVmap", "ScalarRead", "Thread1",
                                 "Thread2",     "Row1",       "Row2"};
-  static const char* modes[] = {"Avx2", "Portable", "Off"};
+  static const char* modes[] = {"On", "Off"};
   return std::string(forms[static_cast<int>(std::get<0>(info.param))]) +
          modes[static_cast<int>(std::get<1>(info.param))];
 }
@@ -1988,7 +1980,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(VirtForm::OneHotZeros, VirtForm::OneHotVmap,
                                          VirtForm::ScalarRead, VirtForm::Thread1,
                                          VirtForm::Thread2, VirtForm::Row1, VirtForm::Row2),
-                       ::testing::Values(VexecMode::Avx2, VexecMode::Portable, VexecMode::Off)),
+                       ::testing::Values(VexecMode::On, VexecMode::Off)),
     virt_name);
 
 TEST(VirtualArrayConformance, EmptyCentroidsRaiseShapeError) {
@@ -1998,7 +1990,7 @@ TEST(VirtualArrayConformance, EmptyCentroidsRaiseShapeError) {
     const auto args = virt_args(9, 0, 3, 60);
     rt::Interp slow({.parallel = false, .use_kernels = false});
     EXPECT_THROW(slow.run(p, args), ShapeError);
-    for (VexecMode m : {VexecMode::Avx2, VexecMode::Portable, VexecMode::Off}) {
+    for (VexecMode m : {VexecMode::On, VexecMode::Off}) {
       rt::Interp fast(virt_opts(m, /*parallel=*/false));
       EXPECT_THROW(fast.run(p, args), ShapeError);
       EXPECT_EQ(fast.stats().kernel_maps.load(), 1u);
@@ -2034,7 +2026,7 @@ TEST(VirtualArrayConformance, OutOfRangeIndexRaisesShapeError) {
     const std::vector<Value> bad = {rt::make_i64_array({0, 3, 4, 2}, {4}), int64_t{4}};
     const std::vector<Value> neg = {rt::make_i64_array({0, -1, 1, 2}, {4}), int64_t{4}};
     rt::Interp slow({.parallel = false, .use_kernels = false});
-    for (VexecMode m : {VexecMode::Avx2, VexecMode::Portable, VexecMode::Off}) {
+    for (VexecMode m : {VexecMode::On, VexecMode::Off}) {
       rt::Interp fast(virt_opts(m, /*parallel=*/false));
       EXPECT_EQ(rt::to_f64_vec(rt::as_array(fast.run(p, ok)[0])),
                 rt::to_f64_vec(rt::as_array(slow.run(p, ok)[0])));
@@ -2057,7 +2049,7 @@ TEST(VirtualArrayConformance, HeavyMapFansOutByWork) {
   const auto args = virt_args(256, 16, 25, 70);
   rt::Interp slow({.parallel = false, .use_kernels = false});
   const auto ref = slow.run(p, args);
-  rt::Interp fast(virt_opts(VexecMode::Avx2, /*parallel=*/true));
+  rt::Interp fast(virt_opts(VexecMode::On, /*parallel=*/true));
   const auto got = fast.run(p, args);
   ASSERT_EQ(got.size(), ref.size());
   for (size_t r = 0; r < got.size(); ++r) {
@@ -2080,10 +2072,10 @@ TEST(VirtualArrayConformance, HeavyMapFansOutByWork) {
 // UpdAcc or a row result's StoreIdx whose trailing index is its loop's
 // variable and whose leads the loop never writes — once per loop entry,
 // and computes expensive ops on lane-uniform operands once. Grid: access
-// kind × W ∈ {1, 8} × (outer extent, inner trip) × {AVX2, portable, vexec
-// off} × {privatized, atomic} accumulators, parallelism off. The register
-// machine (vexec off) must match the general interpreter bit for bit, and
-// each vexec build must match the register machine bit for bit. Leads are
+// kind × W ∈ {1, 8} × (outer extent, inner trip) × {vexec on, off} ×
+// {privatized, atomic} accumulators, parallelism off. The register machine
+// (vexec off) must match the general interpreter bit for bit, and vexec
+// must match the register machine bit for bit. Leads are
 // per-row (varying across lanes) or a free scalar / an enclosing loop's
 // variable (lane-uniform).
 
@@ -2257,7 +2249,6 @@ rt::InterpOptions stream_opts(VexecMode m, int lanes, bool privatize) {
   rt::InterpOptions o{.parallel = false, .use_kernels = true, .kernel_lanes = lanes};
   o.privatize_accs = privatize;
   o.use_vexec = m != VexecMode::Off;
-  o.vexec_portable = m == VexecMode::Portable;
   return o;
 }
 
@@ -2294,7 +2285,7 @@ TEST_P(StreamConformance, BitExactAgainstRegisterMachine) {
 std::string stream_name(const ::testing::TestParamInfo<StreamCase>& info) {
   static const char* kinds[] = {"GatherRow", "GatherUniform", "GatherNested", "UpdAcc",
                                 "Axpy2",     "StoreRow",      "MatMul"};
-  static const char* modes[] = {"Avx2", "Portable", "Off"};
+  static const char* modes[] = {"On", "Off"};
   const StreamShape sh = std::get<2>(info.param);
   return std::string(kinds[static_cast<int>(std::get<0>(info.param))]) + "W" +
          std::to_string(std::get<1>(info.param)) + "_n" + std::to_string(sh.n) + "t" +
@@ -2314,13 +2305,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(StreamShape{37, 0}, StreamShape{37, 1},
                                          StreamShape{3, 7}, StreamShape{37, 9},
                                          StreamShape{16, kStreamCols}),
-                       ::testing::Values(VexecMode::Avx2, VexecMode::Portable, VexecMode::Off),
+                       ::testing::Values(VexecMode::On, VexecMode::Off),
                        ::testing::Bool()),
     stream_name);
 
-// Runs `p` on the general path, the register machine and both vexec builds:
-// all four raise ShapeError, the kernel tiers with the register machine's
-// message.
+// Runs `p` on the general path, the register machine and vexec: all three
+// raise ShapeError, the kernel tiers with the register machine's message.
 void expect_register_machine_error(const Prog& p, const std::vector<Value>& args,
                                    const std::string& what) {
   EXPECT_THROW(rt::Interp({.parallel = false, .use_kernels = false}).run(p, args), ShapeError)
@@ -2336,8 +2326,7 @@ void expect_register_machine_error(const Prog& p, const std::vector<Value>& args
   for (bool privatize : {true, false}) {
     const std::string want = message(VexecMode::Off, privatize);
     EXPECT_NE(want, "no error") << what;
-    EXPECT_EQ(message(VexecMode::Avx2, privatize), want) << what;
-    EXPECT_EQ(message(VexecMode::Portable, privatize), want) << what;
+    EXPECT_EQ(message(VexecMode::On, privatize), want) << what;
   }
 }
 
@@ -2353,13 +2342,13 @@ TEST(StreamConformance, ShortStreamRaisesRegisterMachineError) {
   }
 }
 
-// Runs `p` on the register machine and both vexec builds, privatized and
-// atomic: every result is bit-exact against the general path.
+// Runs `p` on the register machine and vexec, privatized and atomic: every
+// result is bit-exact against the general path.
 void expect_general_result(const Prog& p, const std::vector<Value>& args,
                            const std::string& what) {
   const auto general = all_bits(rt::Interp({.parallel = false, .use_kernels = false}).run(p, args));
   for (bool privatize : {true, false}) {
-    for (VexecMode m : {VexecMode::Off, VexecMode::Avx2, VexecMode::Portable}) {
+    for (VexecMode m : {VexecMode::Off, VexecMode::On}) {
       EXPECT_EQ(all_bits(rt::Interp(stream_opts(m, 8, privatize)).run(p, args)), general)
           << what << ", vexec mode " << static_cast<int>(m) << ", privatize " << privatize;
     }

@@ -14,6 +14,12 @@
 // groups of up to max_batch, so the grouping is deterministic and the
 // counters can be asserted exactly.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -453,6 +459,76 @@ TEST_F(ServeDifferential, HttpOversizedBodyIs413AndStoppedBatcherIs503) {
   EXPECT_NE(body.find("ResourceError"), std::string::npos) << body;
   EXPECT_EQ(client.get("/healthz", &body), 200);
   server.stop();
+}
+
+// Sends `raw` on a fresh connection to 127.0.0.1:`port` and returns every
+// byte the server answers until it closes (or a 5 s read timeout expires).
+std::string raw_exchange(int port, const std::string& raw) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  std::string got;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0 &&
+      ::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL) == static_cast<ssize_t>(raw.size())) {
+    char chunk[4096];
+    for (ssize_t r; (r = ::recv(fd, chunk, sizeof chunk, 0)) > 0;) {
+      got.append(chunk, static_cast<size_t>(r));
+    }
+  }
+  ::close(fd);
+  return got;
+}
+
+// Malformed request framing — a Content-Length that is empty, not all
+// digits or given twice with different values, or any Transfer-Encoding —
+// is answered 400 and the connection closes: the body's extent is unknown,
+// so no request, and in particular no request smuggled inside the body,
+// reaches the batcher.
+TEST_F(ServeDifferential, HttpMalformedFramingIs400AndNothingIsDispatched) {
+  BatcherOptions bo = test_opts(4, 0);
+  bo.start = true;
+  Batcher b(bo);
+  HttpOptions ho;
+  ho.port = 0;
+  HttpServer server(b, ho);
+  server.start();
+  const std::string run = R"({"program":"gmm","seed":3,"size":{"n":16,"d":2,"k":3}})";
+  const std::string len = std::to_string(run.size());
+  const std::string post = "POST /v1/run HTTP/1.1\r\nHost: t\r\n";
+  // A complete, valid request: read as the next message if the framing
+  // were taken as a zero-length body.
+  const std::string smuggled = post + "Content-Length: " + len + "\r\n\r\n" + run;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"non-digit", post + "Content-Length: abc\r\n\r\n" + smuggled},
+      {"empty", post + "Content-Length:\r\n\r\n" + smuggled},
+      {"digit prefix", post + "Content-Length: " + len + "x\r\n\r\n" + run},
+      {"conflicting duplicates",
+       post + "Content-Length: " + len + "\r\nContent-Length: 0\r\n\r\n" + run},
+      {"transfer-encoding",
+       post + "Transfer-Encoding: chunked\r\nContent-Length: " + len + "\r\n\r\n" + run},
+  };
+  for (const auto& [what, raw] : cases) {
+    const std::string got = raw_exchange(server.port(), raw);
+    EXPECT_EQ(got.rfind("HTTP/1.1 400", 0), 0u) << what << ": " << got;
+    EXPECT_NE(got.find("malformed request framing"), std::string::npos) << what << ": " << got;
+    EXPECT_EQ(got.find("HTTP/1.1", 1), std::string::npos) << what << ": one answer only";
+  }
+  EXPECT_EQ(b.stats().requests.load(), 0u);
+
+  // Identical duplicates and surrounding whitespace are well-formed.
+  const std::string ok = raw_exchange(
+      server.port(), post + "Connection: close\r\nContent-Length: " + len +
+                         " \r\ncontent-length:\t" + len + "\r\n\r\n" + run);
+  EXPECT_EQ(ok.rfind("HTTP/1.1 200", 0), 0u) << ok;
+  EXPECT_EQ(b.stats().requests.load(), 1u);
+  server.stop();
+  b.stop();
 }
 
 } // namespace
