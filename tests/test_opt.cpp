@@ -24,7 +24,6 @@
 #include "ir/print.hpp"
 #include "ir/typecheck.hpp"
 #include "ir/visit.hpp"
-#include "opt/accopt.hpp"
 #include "opt/fuse.hpp"
 #include "opt/loopopt.hpp"
 #include "opt/pipeline.hpp"
@@ -340,63 +339,6 @@ TEST(Stripmine, NonDivisibleCount) {
                 rt::as_f64(rt::run_prog(mined, {2.0, n})[0]), 1e-13)
         << n;
   }
-}
-
-// -------------------------------------------------------------- accopt -----
-
-TEST(AccOpt, HistogramRuleFiresAndPreservesGradient) {
-  // f(xs, inds) = sum(hist-like accumulation): the vjp of a gather produces
-  // the withacc+upd_acc pattern Rule H rewrites to reduce_by_index.
-  ProgBuilder pb("f");
-  Var xs = pb.param("xs", arr_f64(1));
-  Var is = pb.param("is", arr(ScalarType::I64, 1));
-  Builder& b = pb.body();
-  Var e = b.map1(b.lam({i64()},
-                       [&](Builder& c, const std::vector<Var>& p) {
-                         Var v = c.index(xs, {Atom(p[0])});
-                         return std::vector<Atom>{Atom(c.mul(v, v))};
-                       }),
-                 {is});
-  Var s = b.reduce1(b.add_op(), cf64(0.0), {e});
-  Prog p = pb.finish({Atom(s)});
-  Prog g = ad::vjp(p);
-  typecheck(g);
-  opt::AccOptStats stats;
-  Prog go = opt::optimize_accumulators(g, &stats);
-  typecheck(go);
-  EXPECT_GE(stats.to_histogram, 1);
-  std::vector<Value> args = {make_f64_array({1, 2, 3}, {3}),
-                             make_i64_array({0, 2, 0, 1, 0}, {5}), 1.0};
-  auto r1 = rt::run_prog(g, args);
-  auto r2 = rt::run_prog(go, args);
-  EXPECT_EQ(rt::to_f64_vec(rt::as_array(r1.back())), rt::to_f64_vec(rt::as_array(r2.back())));
-}
-
-TEST(AccOpt, InvariantRuleFiresAndPreservesGradient) {
-  // All iterations accumulate into the same cell -> Rule R (map-reduce).
-  ProgBuilder pb("f");
-  Var xs = pb.param("xs", arr_f64(1));
-  Var w = pb.param("w", arr_f64(1));
-  Builder& b = pb.body();
-  Var e = b.map1(b.lam({f64()},
-                       [&](Builder& c, const std::vector<Var>& p) {
-                         Var v = c.index(w, {ci64(0)});
-                         return std::vector<Atom>{Atom(c.mul(v, p[0]))};
-                       }),
-                 {xs});
-  Var s = b.reduce1(b.add_op(), cf64(0.0), {e});
-  Prog p = pb.finish({Atom(s)});
-  Prog g = ad::vjp(p);
-  opt::AccOptStats stats;
-  Prog go = opt::optimize_accumulators(g, &stats);
-  typecheck(go);
-  EXPECT_GE(stats.to_reduction, 1);
-  std::vector<Value> args = {make_f64_array({1, 2, 3}, {3}), make_f64_array({0.5, 9}, {2}), 1.0};
-  auto r1 = rt::run_prog(g, args);
-  auto r2 = rt::run_prog(go, args);
-  // w adjoint: dw0 = sum(xs) = 6, dw1 = 0.
-  EXPECT_EQ(rt::to_f64_vec(rt::as_array(r1.back())), (std::vector<double>{6, 0}));
-  EXPECT_EQ(rt::to_f64_vec(rt::as_array(r2.back())), (std::vector<double>{6, 0}));
 }
 
 // ---------------------------------------------------------------- fusion ---
@@ -1046,18 +988,6 @@ TEST(HistFusion, InPlaceDestConsumptionInGapBlocksFusion) {
   }
 }
 
-TEST(AccOpt, LeavesNonMatchingProgramsUntouched) {
-  ProgBuilder pb("f");
-  Var xs = pb.param("xs", arr_f64(1));
-  Builder& b = pb.body();
-  Var s = b.reduce1(b.add_op(), cf64(0.0), {xs});
-  Prog p = pb.finish({Atom(s)});
-  opt::AccOptStats stats;
-  Prog q = opt::optimize_accumulators(p, &stats);
-  EXPECT_EQ(stats.to_histogram + stats.to_reduction, 0);
-  EXPECT_DOUBLE_EQ(rt::as_f64(rt::run_prog(q, {make_f64_array({1, 2}, {2})})[0]), 3.0);
-}
-
 TEST(Simplify, CopyPropDoesNotCaptureShadowedAliasTarget) {
   // AD passes re-install forward sweeps re-using variable ids, so the same
   // id can be re-bound (shadowed). An alias x -> a recorded before a
@@ -1313,11 +1243,11 @@ TEST(DeadCarries, LstmVjpKeepsOnlyTheCheckpointsItReads) {
   expect_optimized_vjp_gradients(lstm, apps::lstm_ir_args(L), g);
 }
 
-TEST(AccOpt, MixedWithaccPeelsNothingCleanly) {
-  // A withacc mixing a rule-R accumulator with one that does NOT match any
-  // rule (two updates) must be left entirely alone — the pass used to emit
-  // the half-built peel map before noticing, leaving uses of the withacc's
-  // acc params out of scope.
+TEST(Pipeline, MixedWithaccProgramKeepsResults) {
+  // One withacc threading two accumulators through a map: an update at a
+  // map-invariant index, and two updates at the iteration's own index. The
+  // pipeline must leave a program that typechecks and computes the same
+  // accumulator contents.
   ProgBuilder pb("f");
   Var d0 = pb.param("d0", arr_f64(1));
   Var d1 = pb.param("d1", arr_f64(1));
@@ -1328,9 +1258,9 @@ TEST(AccOpt, MixedWithaccPeelsNothingCleanly) {
     auto mres = c.map(
         c.lam({i64(), accT, accT},
               [&](Builder& cc, const std::vector<Var>& p) {
-                Var a0 = cc.upd_acc(p[1], {ci64(0)}, cf64(1.0));   // rule R
+                Var a0 = cc.upd_acc(p[1], {ci64(0)}, cf64(1.0));
                 Var a1 = cc.upd_acc(p[2], {Atom(p[0])}, cf64(1.0));
-                Var a1b = cc.upd_acc(a1, {Atom(p[0])}, cf64(2.0)); // 2nd update
+                Var a1b = cc.upd_acc(a1, {Atom(p[0])}, cf64(2.0));
                 return std::vector<Atom>{Atom(a0), Atom(a1b)};
               }),
         {is, accs[0], accs[1]});
@@ -1338,16 +1268,17 @@ TEST(AccOpt, MixedWithaccPeelsNothingCleanly) {
   });
   Prog p = pb.finish({Atom(outs[0]), Atom(outs[1])});
   typecheck(p);
-  opt::AccOptStats stats;
-  Prog q = opt::optimize_accumulators(p, &stats);
-  typecheck(q);  // used to fail: out-of-scope acc params in the peel map
-  EXPECT_EQ(stats.to_histogram + stats.to_reduction, 0);
+  Prog q = opt::optimize(p);
+  typecheck(q);
   std::vector<Value> args = {make_f64_array({0, 0}, {2}), make_f64_array({0, 0, 0, 0}, {4})};
   auto r0 = rt::run_prog(p, args);
   auto r1 = rt::run_prog(q, args);
+  ASSERT_EQ(r0.size(), r1.size());
   for (size_t k = 0; k < r0.size(); ++k) {
     EXPECT_EQ(rt::to_f64_vec(rt::as_array(r0[k])), rt::to_f64_vec(rt::as_array(r1[k]))) << k;
   }
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(r1[0])), (std::vector<double>{4, 0}));
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(r1[1])), (std::vector<double>{3, 3, 3, 3}));
 }
 
 // ------------------------------------------------------- scaling guard ---

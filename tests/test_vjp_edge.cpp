@@ -249,15 +249,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReduceRuleAgree, ::testing::Range(0, 8));
 
 // ------------------------------------------------- fused-pipeline grads ----
 // Differentiated programs pushed through the full optimization pipeline
-// (simplify → accopt → map fusion) must keep their gradients: the fused vjp
-// program is checked against central finite differences of the primal.
+// (simplify → map fusion → simplify) must keep their gradients: the fused
+// vjp program is checked against central finite differences of the primal.
 
 void expect_fused_gradcheck(const Prog& p, const std::vector<Value>& args,
                             double tol = 2e-4) {
   typecheck(p);
   Prog g = ad::vjp(p);
-  opt::PipelineStats stats;
-  Prog gf = opt::optimize(g, {.fuse_maps = true}, &stats);
+  Prog gf = opt::optimize(g);
   typecheck(gf);
   // Run the fused reverse program: args + seed 1.0 for the scalar result.
   std::vector<Value> gargs = args;
@@ -347,7 +346,7 @@ TEST(FusedPipeline, FusedVjpMatchesUnfusedExactly) {
   Prog p = pb.finish({Atom(s)});
   Prog g = ad::vjp(p);
   opt::PipelineStats stats;
-  Prog gf = opt::optimize(g, {.fuse_maps = true}, &stats);
+  Prog gf = opt::optimize(g, {}, &stats);
   Prog gu = opt::optimize(g, {.fuse_maps = false});
   support::Rng rng(23);
   std::vector<Value> gargs = {make_f64_array(rng.uniform_vec(33, -2.0, 2.0), {33}), 1.0};
@@ -356,6 +355,48 @@ TEST(FusedPipeline, FusedVjpMatchesUnfusedExactly) {
   EXPECT_GE(stats.fuse.fused_maps, 1);
   ASSERT_EQ(rf.size(), ru.size());
   for (size_t i = 0; i < rf.size(); ++i) EXPECT_NEAR(rf[i], ru[i], 1e-13) << i;
+}
+
+TEST(FusedPipeline, GatherGradientAccumulatesRepeatedIndices) {
+  // f(xs, is) = sum_j xs[is_j]^2: the vjp of the gather accumulates into
+  // xs's adjoint at data-dependent, repeated bins (0 three times here).
+  ProgBuilder pb("f");
+  Var xs = pb.param("xs", arr_f64(1));
+  Var is = pb.param("is", arr(ScalarType::I64, 1));
+  Builder& b = pb.body();
+  Var e = b.map1(b.lam({i64()},
+                       [&](Builder& c, const std::vector<Var>& p) {
+                         Var v = c.index(xs, {Atom(p[0])});
+                         return std::vector<Atom>{Atom(c.mul(v, v))};
+                       }),
+                 {is});
+  Var s = b.reduce1(b.add_op(), cf64(0.0), {e});
+  Prog p = pb.finish({Atom(s)});
+  expect_fused_gradcheck(p,
+                         {make_f64_array({1, 2, 3}, {3}), make_i64_array({0, 2, 0, 1, 0}, {5})});
+}
+
+TEST(FusedPipeline, InvariantIndexGradientAccumulatesIntoOneCell) {
+  // Every iteration reads w[0], so every iteration accumulates into the
+  // same cell of w's adjoint: dw = {sum(xs), 0} = {6, 0}.
+  ProgBuilder pb("f");
+  Var xs = pb.param("xs", arr_f64(1));
+  Var w = pb.param("w", arr_f64(1));
+  Builder& b = pb.body();
+  Var e = b.map1(b.lam({f64()},
+                       [&](Builder& c, const std::vector<Var>& p) {
+                         Var v = c.index(w, {ci64(0)});
+                         return std::vector<Atom>{Atom(c.mul(v, p[0]))};
+                       }),
+                 {xs});
+  Var s = b.reduce1(b.add_op(), cf64(0.0), {e});
+  Prog p = pb.finish({Atom(s)});
+  const std::vector<Value> args = {make_f64_array({1, 2, 3}, {3}), make_f64_array({0.5, 9}, {2})};
+  expect_fused_gradcheck(p, args);
+  std::vector<Value> gargs = args;
+  gargs.emplace_back(1.0);
+  auto res = rt::run_prog(opt::optimize(ad::vjp(p)), gargs);
+  EXPECT_EQ(rt::to_f64_vec(rt::as_array(res.back())), (std::vector<double>{6, 0}));
 }
 
 // ---------------------------------------------- fused redomap adjoints ----
