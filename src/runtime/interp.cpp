@@ -195,6 +195,15 @@ public:
     return e->slots_[r.slot];
   }
 
+  // Drops this frame's array and accumulator bindings, so that values the
+  // caller still holds (a loop's carried arrays) are no longer shared with a
+  // slot and can be updated in place.
+  void release_arrays() {
+    for (Value& v : slots_) {
+      if (is_array(v) || is_acc(v)) v = Value{};
+    }
+  }
+
   // Binding names for error context frames ("%ys_12").
   std::string name_of(ir::Var v) const {
     return "%" + rp_->mod->name(v) + "_" + std::to_string(v.id);
@@ -677,7 +686,9 @@ public:
     state.reserve(o.init.size());
     for (const auto& a : o.init) state.push_back(eval_atom(a, env));
     // One frame per loop, reused across iterations: params are rebound each
-    // round and body bindings simply overwrite last round's slots.
+    // round and body bindings overwrite last round's slots. Last round's
+    // arrays are released first, so a carried array's only reference is the
+    // state and `update` writes it in place instead of copying it.
     const std::vector<ScalarBlock>& blocks = env.scalar_blocks(o.activation_id);
     if (o.while_cond) {
       for (int64_t i = 0;; ++i) {
@@ -700,6 +711,7 @@ public:
     if (n <= 0) return state;
     Env it_env(env, o.activation_id);
     for (int64_t i = 0; i < n; ++i) {
+      if (i > 0) it_env.release_arrays();
       if (o.idx.valid()) it_env.bind(o.idx, i);
       for (size_t k = 0; k < o.params.size(); ++k)
         it_env.bind(o.params[k].var, std::move(state[k]));
@@ -1042,6 +1054,7 @@ public:
     if (e == nullptr) return;
     L.vx = e;
     L.vexec_spans = &stats_->vexec_launches;
+    L.vexec_dispatches = &stats_->vexec_body_dispatches;
   }
 
   // Work-sized chunking: `grain` is calibrated in elements of light kernels

@@ -89,6 +89,7 @@ struct InterpStats {
   std::atomic<uint64_t> atomic_hist_updates{0};      // atomic RMW hist bin updates
   std::atomic<uint64_t> scalar_blocks{0};        // scalar-glue block executions
   std::atomic<uint64_t> vexec_launches{0};       // spans dispatched through the vexec tier
+  std::atomic<uint64_t> vexec_body_dispatches{0};// vexec inline-loop body dispatches (trips + tiles)
   std::atomic<uint64_t> batched_prog_runs{0};    // stacked multi-request runs (run_batched, B>1)
   std::atomic<uint64_t> batched_prog_requests{0};// requests entering run_batched (any B)
 
@@ -119,6 +120,7 @@ struct InterpStats {
         {"atomic_hist_updates", atomic_hist_updates.load()},
         {"scalar_blocks", scalar_blocks.load()},
         {"vexec_launches", vexec_launches.load()},
+        {"vexec_body_dispatches", vexec_body_dispatches.load()},
         {"batched_prog_runs", batched_prog_runs.load()},
         {"batched_prog_requests", batched_prog_requests.load()},
         {"flattened_maps", 0},      // always 0; npadbench still reads it

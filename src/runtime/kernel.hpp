@@ -73,8 +73,9 @@
 // lanes, with no per-row launch, no environment frame and no materialized
 // iota/replicate array. This is what turns a dot-product row lambda (8
 // fused redomaps + glue) into ONE kernel launch per row. The vexec tier runs
-// the two commonest fold bodies as fused loops: a dot product over two
-// streams and a one-stream fold (`Gather, Add, Mov` — map-of-sum).
+// an innermost loop's body a tile of trips at a time, and the two commonest
+// fold bodies as fused loops: a dot product over two streams and a
+// one-stream fold (`Gather, Add, Mov` — map-of-sum).
 //
 // Stream arguments: inline SOACs also accept *real* rank-1 arrays as
 // arguments — a row view `index(A, leads…)` of a free array, or a whole
@@ -300,9 +301,12 @@ struct KernelLaunch {
   // by contract, so binding it is purely a speed choice. Vexec entries are
   // keyed by kernel address, which is sound because `k` is immortal.
   // `vexec_spans` feeds InterpStats::vexec_launches, one tick per dispatched
-  // span.
+  // span; `vexec_dispatches` feeds InterpStats::vexec_body_dispatches, the
+  // inline-loop body dispatches (per trip, or per pass over a tile of trips)
+  // of each driver call, added once per call.
   const vexec::Entry* vx = nullptr;
   std::atomic<uint64_t>* vexec_spans = nullptr;
+  std::atomic<uint64_t>* vexec_dispatches = nullptr;
 
   // Executes iterations [lo, hi) (map kernels).
   void run(int64_t lo, int64_t hi) const;

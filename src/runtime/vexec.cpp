@@ -1,5 +1,5 @@
 // vexec lowering: KInstr program -> pre-decoded VInstr schedule (prologue
-// extraction, superinstruction fusion, fused loop forms), plus the immortal
+// extraction, superinstruction fusion, streams, trip tiles), plus the immortal
 // (kernel, lanes) entry cache. All transforms here are value-preserving per
 // lane: fused handlers execute the same IEEE operation sequence with the
 // same operand order (see vexec_engine.cpp), so the lowered program is
@@ -7,6 +7,7 @@
 
 #include "runtime/vexec.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -140,7 +141,7 @@ VOp map_op(KOp op) {
   }
 }
 
-// ---- fused loop-form analysis ---------------------------------------------
+// ---- stream analysis -------------------------------------------------------
 
 // Register-space lowering result (offsets baked per width afterwards).
 struct Lowered {
@@ -149,6 +150,9 @@ struct Lowered {
   std::vector<VLoop> loops;
   uint32_t fold_begin = 0, fold_end = 0;
   std::vector<int32_t> red_acc, red_elem;
+  std::vector<VInstr> tile_code;  // tile registers are num_regs + tile slot
+  int32_t tile_slots = 0;         // tile blocks of the largest tiled body
+  int32_t tile_carries = 0;       // carry registers of the largest save block
   int num_regs = 0;
   int superinstrs = 0;
 };
@@ -156,10 +160,12 @@ struct Lowered {
 // True when `reg` is written by any instruction of the body — a nested
 // loop's variable and carries included, since its mechanics rewrite them —
 // or is the loop variable (rewritten by the loop mechanics each trip).
+// ConstF/LoadLen destinations are launch-invariant prologue values.
 bool body_writes(const Kernel& k, const Kernel::InlineLoop& il, int32_t reg) {
   if (reg == il.ivar_reg) return true;
   for (uint32_t i = il.body_begin; i < il.body_end; ++i) {
     const KInstr& in = k.instrs[i];
+    if (in.op == KOp::ConstF || in.op == KOp::LoadLen) continue;
     if (in.op == KOp::InlineLoop) {
       const Kernel::InlineLoop& inner = k.loops[static_cast<size_t>(in.slot)];
       if (reg == inner.ivar_reg || reg == inner.acc_reg) return true;
@@ -189,15 +195,15 @@ bool stream_access(const Kernel& k, const Kernel::InlineLoop& il, const KInstr& 
   return true;
 }
 
-// Recognizes the dominant InlineLoop shapes (register space). Returns the
-// marker op to emit: DotLoop (dot product or one-stream fold) / Axpy2Loop
-// when fused, Loop otherwise. Every access of a fused body is a stream of
-// its loop, so the fused handler reads the row pointers the loop binds
-// (VLoop::streams, in body order).
-VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u, VLoop& vl) {
+// Recognizes the two bodies that run faster as one fused handler than by
+// tiles (register space): a dot-product or one-stream fold (kDot) and the
+// dual scatter of LSTM's reverse sweep (kAxpy2). Every access of a fused
+// body is a stream of its loop; lower_pass1 records their registers
+// (VLoop::fused) once the streams are placed.
+uint8_t fused_form(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u, VLoop& vl) {
   // Multi-accumulator folds never match the single-acc fused forms, and a
   // counted loop's trip bounds none of its streams.
-  if (!il.more_accs.empty() || il.counted) return VOp::Loop;
+  if (!il.more_accs.empty() || il.counted) return VLoop::kGeneric;
   // Collect the significant body instructions (ConstF/LoadLen leave the
   // stream via the prologue and are transparent to the patterns).
   std::vector<const KInstr*> sig;
@@ -223,7 +229,7 @@ VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u,
     if (temps && (mul_fw || mul_bw) && (add_pa || add_ap) && wb && is_stream(sig[0]) &&
         is_stream(sig[1])) {
       vl.dot_flags = static_cast<uint8_t>((mul_bw ? 1 : 0) | (add_pa ? 2 : 0));
-      return VOp::DotLoop;
+      return VLoop::kDot;
     }
   }
 
@@ -236,7 +242,7 @@ VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u,
     if (u.ok_temp(t1) && u.ok_temp(t2) && (add_ea || add_ae) && sig[2]->dst == il.acc_reg &&
         sig[2]->a == t2 && is_stream(sig[0])) {
       vl.dot_flags = static_cast<uint8_t>(add_ea ? 2 : 0);
-      return VOp::DotLoop;
+      return VLoop::kDot;
     }
   }
 
@@ -271,11 +277,11 @@ VOp classify_loop(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u,
       vl.ax_flags = static_cast<uint8_t>((m1_t1 ? 1 : 0) | (m1_sf ? 2 : 0) |
                                          (m2_t1 ? 4 : 0) | (m2_sf ? 8 : 0) |
                                          (sig[4]->a == p1 ? 16 : 0));
-      return VOp::Axpy2Loop;
+      return VLoop::kAxpy2;
     }
   }
 
-  return VOp::Loop;
+  return VLoop::kGeneric;
 }
 
 // ---- lane-uniform registers -----------------------------------------------
@@ -351,6 +357,48 @@ void mark_uniform(const std::vector<uint8_t>& uni, std::vector<VInstr>& code) {
   }
 }
 
+// Moves each stream to the outermost enclosing loop whose body writes
+// neither its leads nor its trip, so it binds once per entry to that loop;
+// a hoisted stream identical to one already bound there shares its register.
+// Loops are in marker order, so an enclosing loop comes before its nested
+// ones and every stream moves once.
+void hoist_streams(const Kernel& k, const std::vector<int32_t>& parent, Lowered& out) {
+  std::vector<int32_t> remap(static_cast<size_t>(out.num_regs), -1);
+  auto same = [](const VStream& x, const VStream& y) {
+    bool eq = x.slot == y.slot && x.acc == y.acc && x.nlead == y.nlead && x.trip == y.trip;
+    for (int32_t d = 0; eq && d < x.nlead; ++d) eq = x.lead[d] == y.lead[d];
+    return eq;
+  };
+  for (size_t s = 0; s < k.loops.size(); ++s) {
+    std::vector<VStream> own;
+    for (const VStream& st : out.loops[s].streams) {
+      auto to = static_cast<int32_t>(s);
+      for (int32_t p = parent[s]; p >= 0; p = parent[static_cast<size_t>(p)]) {
+        const Kernel::InlineLoop& pl = k.loops[static_cast<size_t>(p)];
+        bool inv = !body_writes(k, pl, st.trip);
+        for (int32_t d = 0; inv && d < st.nlead; ++d) inv = !body_writes(k, pl, st.lead[d]);
+        if (!inv) break;
+        to = p;
+      }
+      if (to == static_cast<int32_t>(s)) {
+        own.push_back(st);
+        continue;
+      }
+      std::vector<VStream>& dst = out.loops[static_cast<size_t>(to)].streams;
+      auto it = std::find_if(dst.begin(), dst.end(), [&](const VStream& o) { return same(o, st); });
+      if (it != dst.end()) {
+        remap[static_cast<size_t>(st.reg)] = it->reg;
+      } else {
+        dst.push_back(st);
+      }
+    }
+    out.loops[s].streams = std::move(own);
+  }
+  for (VInstr& v : out.code) {
+    if (v.s >= 0 && remap[static_cast<size_t>(v.s)] >= 0) v.s = remap[static_cast<size_t>(v.s)];
+  }
+}
+
 // ---- lowering pass 1: prologue extraction + 1:1 translation ---------------
 
 bool lower_pass1(const Kernel& k, const Usage& u, Lowered& out) {
@@ -360,7 +408,6 @@ bool lower_pass1(const Kernel& k, const Usage& u, Lowered& out) {
                             static_cast<int32_t>(i), 0.0});
   }
   out.loops.resize(k.loops.size());
-  std::vector<VOp> loop_ops(k.loops.size(), VOp::Loop);
   for (size_t s = 0; s < k.loops.size(); ++s) {
     VLoop& vl = out.loops[s];
     vl.trip = k.loops[s].trip_reg;
@@ -369,7 +416,7 @@ bool lower_pass1(const Kernel& k, const Usage& u, Lowered& out) {
     vl.neutral = k.loops[s].neutral_reg;
     vl.accs2 = k.loops[s].more_accs;
     vl.neutrals2 = k.loops[s].more_neutrals;
-    loop_ops[s] = classify_loop(k, k.loops[s], u, vl);
+    vl.form = fused_form(k, k.loops[s], u, vl);
   }
   // Innermost enclosing loop per instruction (loops are in marker order, so
   // an inner loop's body range overwrites its enclosing loop's), and per
@@ -409,7 +456,7 @@ bool lower_pass1(const Kernel& k, const Usage& u, Lowered& out) {
       continue;
     }
     VInstr v;
-    v.op = in.op == KOp::InlineLoop ? loop_ops[static_cast<size_t>(in.slot)] : map_op(in.op);
+    v.op = in.op == KOp::InlineLoop ? VOp::Loop : map_op(in.op);
     v.slot = in.slot;
     v.d = in.dst;
     v.a = in.a;
@@ -425,18 +472,28 @@ bool lower_pass1(const Kernel& k, const Usage& u, Lowered& out) {
       st.reg = out.num_regs++;
       st.slot = in.slot;
       st.acc = in.op != KOp::Gather;
+      st.trip = k.loops[static_cast<size_t>(own)].trip_reg;
       out.loops[static_cast<size_t>(own)].streams.push_back(st);
       v.s = st.reg;
     }
     out.code.push_back(v);
   }
   posmap[n] = static_cast<uint32_t>(out.code.size());
+  hoist_streams(k, parent, out);
 
   out.fold_begin = posmap[k.fold_begin];
   out.fold_end = posmap[k.fold_end];
   for (size_t s = 0; s < k.loops.size(); ++s) {
-    out.loops[s].body_begin = posmap[k.loops[s].body_begin];
-    out.loops[s].body_end = posmap[k.loops[s].body_end];
+    VLoop& vl = out.loops[s];
+    vl.body_begin = posmap[k.loops[s].body_begin];
+    vl.body_end = posmap[k.loops[s].body_end];
+    // A fused form reads its accesses' stream registers, in body order.
+    for (uint32_t i = vl.body_begin, f = 0; vl.form != VLoop::kGeneric && i < vl.body_end; ++i) {
+      const VInstr& v = out.code[i];
+      if (v.s < 0) continue;
+      vl.fused[f] = v.s;
+      vl.fused_slot[f++] = v.slot;
+    }
   }
   for (const auto& rs : k.reds) {
     out.red_acc.push_back(rs.acc_reg);
@@ -447,13 +504,20 @@ bool lower_pass1(const Kernel& k, const Usage& u, Lowered& out) {
 
 // ---- lowering pass 2: peephole fusion -------------------------------------
 
+// Calls f(reg) for every register operand `in` reads.
+template <class F>
+void for_reads(const VInstr& in, F f) {
+  if (in.op == VOp::Loop) return;
+  if (in.a >= 0) f(in.a);
+  if (in.b >= 0) f(in.b);
+  if (in.c >= 0) f(in.c);
+  for (int32_t d = 0; d < in.nidx; ++d) f(in.idx[d]);
+}
+
 bool instr_reads(const VInstr& in, int32_t reg) {
-  if (in.op == VOp::Loop || in.op == VOp::DotLoop || in.op == VOp::Axpy2Loop) return false;
-  if (in.a == reg || in.b == reg || in.c == reg) return true;
-  for (int32_t d = 0; d < in.nidx; ++d) {
-    if (in.idx[d] == reg) return true;
-  }
-  return false;
+  bool hit = false;
+  for_reads(in, [&](int32_t x) { hit = hit || x == reg; });
+  return hit;
 }
 
 void subst_read(VInstr& in, int32_t from, int32_t to) {
@@ -468,8 +532,7 @@ void subst_read(VInstr& in, int32_t from, int32_t to) {
 bool produces_value(const VInstr& in) {
   switch (in.op) {
     case VOp::StoreOut: case VOp::UpdAcc: case VOp::StoreIdx: case VOp::MulStore:
-    case VOp::AddStore:
-    case VOp::Loop: case VOp::DotLoop: case VOp::Axpy2Loop:
+    case VOp::AddStore: case VOp::Loop:
       return false;
     default:
       return in.d >= 0;
@@ -532,9 +595,6 @@ void lower_pass2(const Kernel& k, Usage& u, Lowered& low) {
   const size_t n = low.code.size();
   // Fusion barriers: positions the launch mechanics re-enter or re-seed at
   // (fold subprogram bounds, loop body bounds) — no pair may straddle one.
-  // A fused loop form reads only its loop's mechanics registers and stream
-  // leads, which fusion never rewrites (leads are not written in the body),
-  // so its fallback body fuses like any other.
   std::vector<uint8_t> barrier(n + 1, 0);
   barrier[low.fold_begin] = 1;
   barrier[low.fold_end] = 1;
@@ -608,11 +668,196 @@ void lower_pass2(const Kernel& k, Usage& u, Lowered& low) {
   low.code = std::move(out);
 }
 
+// ---- trip tiling ----------------------------------------------------------
+
+// Emits loop `vl`'s tile code (vexec.hpp, point 3) when its body qualifies;
+// leaves it on the per-trip path otherwise. `reads` counts every read of
+// each register in the program, launch mechanics included.
+void tile_loop(Lowered& low, VLoop& vl, const std::vector<int>& reads) {
+  if (vl.form != VLoop::kGeneric) return;
+  const std::vector<VInstr>& code = low.code;
+  const auto R = static_cast<size_t>(low.num_regs);
+  const uint32_t b = vl.body_begin, e = vl.body_end;
+  std::vector<int32_t> writer(R, -1);
+  std::vector<uint8_t> carry(R, 0), dep(R, 0), defined(R, 0);
+  std::vector<int32_t> slot(R, -1);
+  std::vector<int> inside(R, 0);
+  std::vector<int32_t> carries;
+  if (vl.acc >= 0) {
+    carries.push_back(vl.acc);
+    carries.insert(carries.end(), vl.accs2.begin(), vl.accs2.end());
+  }
+  for (int32_t c : carries) carry[static_cast<size_t>(c)] = 1;
+  bool effects = false, may_throw = false;
+  for (uint32_t i = b; i < e; ++i) {
+    const VInstr& in = code[i];
+    switch (in.op) {
+      case VOp::Loop: case VOp::LoadElem: case VOp::LoadIdx: case VOp::StoreOut:
+      case VOp::MulStore: case VOp::AddStore:
+        return;
+      case VOp::UpdAcc: case VOp::StoreIdx:
+        if (in.s < 0 || in.idx[in.nidx - 1] != vl.ivar) return;  // own streams only
+        effects = true;
+        break;
+      case VOp::Gather: case VOp::GatherMul: case VOp::GatherAdd:
+        may_throw = may_throw || in.s < 0;
+        break;
+      case VOp::CheckIdx: may_throw = true; break;
+      default: break;
+    }
+    if (!produces_value(in)) continue;
+    if (writer[static_cast<size_t>(in.d)] >= 0) return;
+    writer[static_cast<size_t>(in.d)] = static_cast<int32_t>(i);
+  }
+  if (writer[static_cast<size_t>(vl.ivar)] >= 0 || (effects && may_throw)) return;
+
+  // Map part: reads nothing a carry feeds; its results get tile blocks. Fold
+  // part: the rest, on W-wide registers. Every non-carry register must be
+  // written before it is read within a trip.
+  std::vector<uint32_t> map_part, fold_part;
+  int32_t slots = 0;
+  for (uint32_t i = b; i < e; ++i) {
+    const VInstr& in = code[i];
+    bool early = false, on_carry = false;
+    for_reads(in, [&](int32_t x) {
+      const auto xs = static_cast<size_t>(x);
+      ++inside[xs];
+      early = early || (writer[xs] >= 0 && defined[xs] == 0 && carry[xs] == 0);
+      on_carry = on_carry || dep[xs] != 0 || carry[xs] != 0;
+    });
+    if (early || (on_carry && (in.op == VOp::UpdAcc || in.op == VOp::StoreIdx))) return;
+    const bool w = produces_value(in);
+    if (on_carry) {
+      fold_part.push_back(i);
+      if (w) dep[static_cast<size_t>(in.d)] = 1;
+    } else {
+      if (w && carry[static_cast<size_t>(in.d)] != 0) return;
+      map_part.push_back(i);
+      if (w) slot[static_cast<size_t>(in.d)] = slots++;
+    }
+    if (w) defined[static_cast<size_t>(in.d)] = 1;
+  }
+  if (map_part.empty()) return;
+  // Tile blocks hold values only inside the body.
+  for (size_t x = 0; x < R; ++x) {
+    if (slot[x] >= 0 && reads[x] != inside[x]) return;
+  }
+  const auto iv = static_cast<size_t>(vl.ivar);
+  if (inside[iv] > 0) {
+    if (reads[iv] != inside[iv]) return;
+    slot[iv] = slots++;
+  }
+
+  // Fold-major when each carry's write is a copy chain back to one
+  // instruction that reads the carry's old value and otherwise only map
+  // values or invariants: that instruction, retargeted at the carry, then
+  // folds a whole tile in trip order.
+  std::vector<VInstr> folds;
+  std::vector<uint8_t> used(e - b, 0);
+  bool major = true;
+  for (int32_t c : carries) {
+    int32_t w = writer[static_cast<size_t>(c)];
+    while (w >= 0 && code[static_cast<size_t>(w)].op == VOp::Mov) {
+      const int32_t t = code[static_cast<size_t>(w)].a;
+      const auto ts = static_cast<size_t>(t);
+      if (carry[ts] != 0 || writer[ts] < 0 || reads[ts] != 1) break;
+      ++used[static_cast<size_t>(w) - b];
+      w = writer[ts];
+    }
+    if (w < 0) {
+      major = false;
+      break;
+    }
+    VInstr h = code[static_cast<size_t>(w)];
+    ++used[static_cast<size_t>(w) - b];
+    bool self = false, other = false;
+    for_reads(h, [&](int32_t x) {
+      if (x == c) {
+        self = true;
+      } else {
+        other = other || dep[static_cast<size_t>(x)] != 0 || carry[static_cast<size_t>(x)] != 0;
+      }
+    });
+    if (!self || other || (h.d != c && reads[static_cast<size_t>(h.d)] != 1)) {
+      major = false;
+      break;
+    }
+    h.d = c;
+    folds.push_back(h);
+  }
+  for (uint32_t i : fold_part) major = major && used[i - b] == 1;
+
+  auto tiled = [&](VInstr v) {
+    v.tiled = 0;
+    auto map = [&](int32_t& x, uint8_t bit) {
+      if (x >= 0 && slot[static_cast<size_t>(x)] >= 0) {
+        x = low.num_regs + slot[static_cast<size_t>(x)];
+        v.tiled |= bit;
+      }
+    };
+    if (produces_value(v)) map(v.d, kTileD);
+    map(v.a, kTileA);
+    map(v.b, kTileB);
+    map(v.c, kTileC);
+    for (int32_t d = 0; d < v.nidx; ++d) map(v.idx[d], static_cast<uint8_t>(kTileIdx << d));
+    if (v.s >= 0 && std::find(vl.bound.begin(), vl.bound.end(), v.s) == vl.bound.end()) {
+      vl.bound.push_back(v.s);
+    }
+    return v;
+  };
+  int trails = 0;  // own-stream accesses, which index by trip without the block
+  vl.tile_begin = static_cast<uint32_t>(low.tile_code.size());
+  for (uint32_t i : map_part) {
+    const VInstr& in = code[i];
+    trails += in.s >= 0 && in.idx[in.nidx - 1] == vl.ivar;
+    low.tile_code.push_back(tiled(in));
+  }
+  vl.tile_mid = static_cast<uint32_t>(low.tile_code.size());
+  if (major) {
+    for (const VInstr& h : folds) low.tile_code.push_back(tiled(h));
+  } else {
+    for (uint32_t i : fold_part) low.tile_code.push_back(tiled(code[i]));
+  }
+  vl.tile_end = static_cast<uint32_t>(low.tile_code.size());
+  vl.fold_major = major;
+  vl.may_throw = may_throw;
+  if (inside[iv] > trails) vl.ivar_tile = low.num_regs + slot[iv];
+  low.tile_slots = std::max(low.tile_slots, slots);
+  if (may_throw) {
+    low.tile_carries = std::max(low.tile_carries, static_cast<int32_t>(carries.size()));
+  }
+}
+
+void tile_loops(Lowered& low) {
+  std::vector<int> reads(static_cast<size_t>(low.num_regs), 0);
+  auto rd = [&](int32_t x) {
+    if (x >= 0) ++reads[static_cast<size_t>(x)];
+  };
+  for (const VInstr& in : low.code) for_reads(in, rd);
+  for (const VLoop& vl : low.loops) {
+    rd(vl.trip);
+    rd(vl.neutral);
+    for (int32_t n2 : vl.neutrals2) rd(n2);
+    for (const VStream& st : vl.streams) {
+      rd(st.trip);
+      for (int32_t d = 0; d < st.nlead; ++d) rd(st.lead[d]);
+    }
+  }
+  for (int32_t r : low.red_acc) rd(r);
+  for (int32_t r : low.red_elem) rd(r);
+  for (VLoop& vl : low.loops) tile_loop(low, vl, reads);
+}
+
 // ---- width baking ---------------------------------------------------------
 
 int32_t scale(int32_t reg, int W) { return reg >= 0 ? reg * W : reg; }
 
 VProgram bake(const Lowered& low, int W) {
+  // Tile register num_regs + i is block i of T x W doubles after the file.
+  const int32_t T = tile_trips(W), tile_base = low.num_regs * W;
+  auto tscale = [&](int32_t reg) {
+    return reg >= low.num_regs ? tile_base + (reg - low.num_regs) * T * W : scale(reg, W);
+  };
   VProgram p;
   p.W = W;
   p.num_regs = low.num_regs;
@@ -637,11 +882,26 @@ VProgram bake(const Lowered& low, int W) {
     for (auto& n2 : vl.neutrals2) n2 = scale(n2, W);
     vl.s1 = scale(vl.s1, W);
     vl.s2 = scale(vl.s2, W);
+    for (int32_t& f : vl.fused) f = scale(f, W);
     for (VStream& st : vl.streams) {
       st.reg = scale(st.reg, W);
+      st.trip = scale(st.trip, W);
       for (int32_t d = 0; d < st.nlead; ++d) st.lead[d] = scale(st.lead[d], W);
     }
+    for (int32_t& s : vl.bound) s = scale(s, W);
+    vl.ivar_tile = tscale(vl.ivar_tile);
+    if (vl.may_throw) vl.save = tile_base + low.tile_slots * T * W;
   }
+  p.tile_code = low.tile_code;
+  for (auto& in : p.tile_code) {
+    in.d = tscale(in.d);
+    in.a = tscale(in.a);
+    in.b = tscale(in.b);
+    in.c = tscale(in.c);
+    for (int32_t d = 0; d < in.nidx; ++d) in.idx[d] = tscale(in.idx[d]);
+    in.s = scale(in.s, W);
+  }
+  p.tile_doubles = (low.tile_slots * T + low.tile_carries) * W;
   p.prologue = low.prologue;
   for (auto& in : p.prologue) in.off = scale(in.off, W);
   for (int32_t r : low.red_acc) p.red_acc_off.push_back(scale(r, W));
@@ -690,6 +950,7 @@ const Entry* lookup(const Kernel& k, int lanes) {
     const std::vector<uint8_t> uni = uniform_regs(k, u);
     lower_pass2(k, u, low);
     mark_uniform(uni, low.code);
+    tile_loops(low);
     e = std::make_unique<Entry>();
     e->narrow = bake(low, 1);
     if (lanes > 1) e->wide = bake(low, lanes);

@@ -19,21 +19,42 @@
 //     coalesced away. Every fused handler keeps each intermediate's own
 //     IEEE rounding — fusion amortizes dispatch, it NEVER contracts to a
 //     hardware FMA (the project builds with -ffp-contract=off).
-//  3. Whole-loop micro-kernels: the dot-product fold (gather·gather → mul
-//     → fold-add), its one-stream variant (gather → fold-add) and the
-//     backward dual scatter (two gathers, two scaled products, two UpdAccs;
-//     LSTM's reverse sweep) run as single handlers over the loop's bound
-//     streams, instead of per-trip dispatch through a recursive span. Any
-//     other loop body runs through the generic in-place trip loop.
-//  4. Lane-shaped operands in loop bodies. A Gather (or GatherMul /
-//     GatherAdd), UpdAcc or StoreIdx whose trailing index is an enclosing
-//     loop's variable and whose leading indexes that loop's body never
-//     writes (a nested loop's variable and carries count as written) is a
-//     stride-1 *stream* of that loop: it owns one extra W-wide register
-//     (VInstr::s), and on every entry the loop binds each lane's row
-//     pointer into it once — after checking the array is f64 and full rank,
-//     the trip fits the trailing extent and every lead is in range. Each trip then reads
-//     or writes q[l][t] directly. A stream that does not fit stays unbound
+//  3. Trip tiles. An innermost inline loop runs its body instruction-major
+//     over a tile of T = tile_trips(W) trips x W lanes (the vectorized
+//     interpreter of MonetDB/X100), so each instruction dispatches once per
+//     tile instead of once per trip. The lowering splits the body into a
+//     map part (instructions that do not depend on a carry) and a fold part
+//     (the rest). A register the map part writes becomes a [T][W] tile
+//     block; a stream Gather fills one from the bound row pointers. The
+//     fold part then runs over the tile's per-trip values in trip order:
+//     when every carry (acc, accs2) is one instruction folding its own old
+//     value with map values (the copy chain to the carry collapsed), each
+//     fold runs as one pass over the tile; otherwise the fold part runs
+//     once per trip. Either way every lane's chain keeps its order, so the
+//     bits do not change. A body keeps the per-trip path when it holds a
+//     nested loop (which tiles on its own), a carry the map part writes, a
+//     register read before it is written, a non-stream UpdAcc or
+//     StoreIdx, a carry-dependent memory effect, or a memory effect next to
+//     an access that may raise; at run time, when any of its streams did not
+//     bind. Stream accesses at distinct trips never hit one address, so the
+//     instruction-major order keeps every address's sequence of effects. A
+//     pure body whose checked access raises inside a tile is replayed per
+//     trip from the tile's start, which raises the register machine's error
+//     at the register machine's point. Two short bodies keep one fused
+//     handler each instead (VLoop::kDot, the dot product and one-stream
+//     fold; VLoop::kAxpy2, LSTM's dual scatter): there a tile's three to
+//     five passes through L1 lose to the fused loop's one.
+//  4. Streams. A Gather (or GatherMul / GatherAdd), UpdAcc or StoreIdx whose
+//     trailing index is an enclosing loop's variable and whose leading
+//     indexes that loop's body never writes (a nested loop's variable and
+//     carries count as written) is a stride-1 *stream* of that loop: it
+//     owns one extra W-wide register (VInstr::s) that holds one row pointer
+//     per lane, bound after checking the array is f64 and full rank, the
+//     trip fits the trailing extent and every lead is in range. A stream
+//     whose leads and trip an enclosing loop's body does not write either is
+//     bound once per entry to the outermost such loop, not once per entry to
+//     its own (LSTM's x row, read by every output j), and identical hoisted
+//     streams share one register. A stream that does not fit stays unbound
 //     (null lane 0) and its instruction takes the checked per-lane address
 //     path, so errors are raised where and as the register machine raises
 //     them. Separately, a static analysis marks registers *lane-uniform*
@@ -41,7 +62,8 @@
 //     results of ops whose operands or gather indexes are all uniform);
 //     an expensive op (exp, log, tanh, sqrt, pow, div, sin, cos, lgamma,
 //     digamma) with uniform operands carries kUniform and computes lane 0
-//     once, broadcasting it — the same bits, since every lane's input is.
+//     once per trip, broadcasting it — the same bits, since every lane's
+//     input is.
 //
 // Bit-exactness contract: for any launch, the vexec tier produces the same
 // bits as the W-lane register machine at the same lane width. Lane/batch
@@ -78,19 +100,27 @@ enum class VOp : uint8_t {
   GatherAdd,  // g = free[slot][idx...]; d = g + b   [flag: d = b + g]
   MulStore,   // output[slot] element = a * b
   AddStore,   // output[slot] element = a + b
-  // inline SOAC blocks (slot = VProgram::loops index)
-  Loop,       // generic: run [body_begin, body_end) trip times
-  DotLoop,    // fused dot-product or one-stream fold (falls back to the body)
-  Axpy2Loop,  // fused dual-scatter map loop (same fallback)
+  // inline SOAC block (slot = VProgram::loops index): run [body_begin,
+  // body_end) trip times, or its tile code once per tile of trips
+  Loop,
 };
 
 // VInstr::flags bit 1: every operand is lane-uniform, so the op computes
 // lane 0 once and broadcasts it (expensive elementwise ops only).
 inline constexpr uint8_t kUniform = 2;
 
+// VInstr::tiled bits (tile code only): the operand is a [T][W] tile block,
+// read or written at row j for trip t0 + j; a clear bit means a W-wide
+// register every trip of the tile reads. idx operand d uses kTileIdx << d.
+inline constexpr uint8_t kTileD = 1, kTileA = 2, kTileB = 4, kTileC = 8, kTileIdx = 16;
+
+// Trips per tile at lane width W: a tile block holds 128 doubles.
+constexpr int tile_trips(int W) { return 128 / W; }
+
 struct VInstr {
   VOp op = VOp::Mov;
   uint8_t flags = 0;
+  uint8_t tiled = 0;                 // kTile* operand bits (tile code)
   int32_t slot = -1;                 // array slot, or loops[] index
   int32_t d = -1, a = -1, b = -1, c = -1;  // register-file element offsets
   int32_t idx[4] = {-1, -1, -1, -1};       // gather/UpdAcc index offsets
@@ -99,34 +129,56 @@ struct VInstr {
 };
 
 // A stride-1 stream of one loop-body access: free_array[slot] (Gather forms)
-// or acc_array[slot] (UpdAcc, StoreIdx) at [lead..., ivar]. The loop binds
-// it on entry: register `reg` then holds one row pointer per lane (stored as
-// raw pointer bits), or null in lane 0 when the stream did not fit.
+// or acc_array[slot] (UpdAcc, StoreIdx) at [lead..., ivar] over `trip`
+// steps (the trip register of the loop whose variable trails it). The loop
+// that owns the VStream binds it on entry: register `reg` then holds one row
+// pointer per lane (stored as raw pointer bits), or null in lane 0 when the
+// stream did not fit.
 struct VStream {
   int32_t reg = -1;
   int32_t slot = -1;
   bool acc = false;
   int32_t lead[3] = {-1, -1, -1};
   int32_t nlead = 0;
+  int32_t trip = -1;
 };
 
 // Lowered InlineLoop block. All register references are element offsets.
 struct VLoop {
-  uint32_t body_begin = 0, body_end = 0;  // VInstr range (generic/fallback)
+  uint32_t body_begin = 0, body_end = 0;  // VInstr range (per-trip path)
   int32_t trip = -1, ivar = -1, acc = -1, neutral = -1;
   // Multi-result folds: accumulators 1..k-1, seeded on entry like acc.
   std::vector<int32_t> accs2, neutrals2;
-  // Streams trailing with this loop's variable (nested loops' bodies
-  // included), in body order. A DotLoop folds streams[0] (times
-  // streams[1]) into acc.
+  // Streams bound on entry: this loop's own, plus those hoisted from nested
+  // loops whose leads and trip this loop's body does not write.
   std::vector<VStream> streams;
-  uint8_t dot_flags = 0;  // bit0: product computed as B*A; bit1: fold is elem+acc
-  // Axpy2Loop over streams g1, g2, u1, u2 (streams[0..3]): p1 = mul1,
-  // p2 = mul2 (each an invariant scalar times one gathered stream), then
-  // u1[t] += {p1|p2} and u2[t] += the other, in instruction-major lane order.
-  int32_t s1 = -1, s2 = -1;  // invariant multiplier offsets
-  // ax_flags: bit0 m1 reads g1 (else g2); bit1 m1 computes s*g (else g*s);
-  //           bit2/bit3 same for m2; bit4 u1 adds m1's product (else m2's).
+  // Trip tiling, when tile_end > tile_begin: VProgram::tile_code
+  // [tile_begin, tile_mid) is the map part, [tile_mid, tile_end) the fold
+  // part — instruction-major over the tile when fold_major, else once per
+  // trip. `bound` lists the stream registers the tile code reads: the tile
+  // path runs only when every one of them bound.
+  uint32_t tile_begin = 0, tile_mid = 0, tile_end = 0;
+  bool fold_major = false;
+  bool may_throw = false;   // pure body with a checked access: replay on error
+  int32_t ivar_tile = -1;   // tile block to fill with the trip index, or -1
+  int32_t save = -1;        // may_throw: carry save block (1 + accs2 registers)
+  std::vector<int32_t> bound;
+  // Fused forms: a body that one handler runs faster than tiles do.
+  // kDot folds streams fused[0] (times fused[1]) into acc (dot_flags bit0:
+  // product computed as B*A; bit1: fold is elem+acc). kAxpy2 reads streams
+  // g1, g2 and scatters into u1, u2 (fused[0..3]; fused_slot gives the
+  // accumulator slots): p1 = mul1, p2 = mul2 (each an invariant scalar s1
+  // or s2 times one gathered stream), then u1[t] += {p1|p2} and u2[t] += the
+  // other, in instruction-major lane order. ax_flags: bit0 m1 reads g1 (else
+  // g2); bit1 m1 computes s*g (else g*s); bit2/bit3 the same for m2; bit4
+  // u1 adds m1's product (else m2's). A fused loop whose streams did not all
+  // bind runs its body per trip.
+  enum : uint8_t { kGeneric, kDot, kAxpy2 };
+  uint8_t form = kGeneric;
+  int32_t fused[4] = {-1, -1, -1, -1};
+  int32_t fused_slot[4] = {-1, -1, -1, -1};
+  uint8_t dot_flags = 0;
+  int32_t s1 = -1, s2 = -1;
   uint8_t ax_flags = 0;
 };
 
@@ -148,6 +200,11 @@ struct VProgram {
   std::vector<VInstr> code;
   std::vector<VInit> prologue;
   std::vector<VLoop> loops;              // parallel to Kernel::loops
+  std::vector<VInstr> tile_code;         // tiled loop bodies (VLoop::tile_*)
+  // Scratch doubles after the num_regs * W register file: the tile blocks
+  // (shared by every tiled loop — none nests in another) and carry save
+  // blocks. Not zeroed: tile code writes every block before reading it.
+  int32_t tile_doubles = 0;
   uint32_t fold_begin = 0, fold_end = 0; // remapped fold-subprogram bounds
   std::vector<int32_t> red_acc_off, red_elem_off;
 };

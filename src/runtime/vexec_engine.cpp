@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "runtime/vexec.hpp"
@@ -129,17 +130,19 @@ inline bool stream_fits(const ArrayVal& a, int32_t nlead, int64_t trip) {
          trip <= static_cast<int64_t>(a.shape[static_cast<size_t>(nlead)]);
 }
 
-// Binds every stream of `vl` for a loop entry of `trip` > 0 steps: per lane,
-// the row pointer of a[lead..., 0..trip), written into the stream's register
-// as raw pointer bits. A stream that does not fit, or a lane whose lead is
-// out of range, leaves null in lane 0: its instructions then take the
-// checked per-lane path, which raises the register machine's error at the
-// register machine's point (an UpdAcc skips the lane, as the register
-// machine does). Returns true when every stream bound.
+// Binds the streams `vl` owns for one entry: per lane, the row pointer of
+// a[lead..., 0..trip) for the stream's own trip, written into the stream's
+// register as raw pointer bits. A stream that does not fit, or a lane whose
+// lead is out of range, leaves null in lane 0: its instructions then take
+// the checked per-lane path, which raises the register machine's error at
+// the register machine's point (an UpdAcc skips the lane, as the register
+// machine does). A hoisted stream whose loop runs no trip is never read and
+// stays unbound.
 template <int W>
-bool bind_streams(const KernelLaunch& L, double* r, const VLoop& vl, int64_t trip) {
-  bool all = true;
+void bind_streams(const KernelLaunch& L, double* r, const VLoop& vl) {
   for (const VStream& st : vl.streams) {
+    const auto trip = static_cast<int64_t>(r[st.trip]);
+    if (trip <= 0) continue;
     const ArrayVal& a = st.acc ? L.acc_array_vals[static_cast<size_t>(st.slot)]
                                : L.free_array_vals[static_cast<size_t>(st.slot)];
     double* q[W] = {};
@@ -158,9 +161,20 @@ bool bind_streams(const KernelLaunch& L, double* r, const VLoop& vl, int64_t tri
     }
     if (!ok) q[0] = nullptr;
     std::memcpy(r + st.reg, q, sizeof q);
-    all = all && ok;
   }
-  return all;
+}
+
+// True when every stream register in `regs` holds a bound row (lane 0 not
+// null).
+template <class Regs>
+inline bool all_bound(const double* r, const Regs& regs) {
+  for (int32_t s : regs) {
+    if (s < 0) continue;
+    double* q0 = nullptr;
+    std::memcpy(&q0, r + s, sizeof q0);
+    if (q0 == nullptr) return false;
+  }
+  return true;
 }
 
 // The lane pointers a stream instruction's loop bound into register `s`;
@@ -172,63 +186,548 @@ inline bool stream_lanes(const double* r, int32_t s, double* (&q)[W]) {
   return q[0] != nullptr;
 }
 
-// The trip index of a stream instruction: its trailing index register is
-// its loop's variable, equal in every lane.
-inline int64_t stream_trip(const double* r, const VInstr& in) {
-  return static_cast<int64_t>(r[in.idx[in.nidx - 1]]);
+// Loop-body dispatches (one per trip on the per-trip path, one per pass over
+// a tile, one per fused-form entry) of the driver call running on this
+// thread, added to the launch's counter once when the call ends.
+thread_local uint64_t t_dispatches = 0;
+
+struct DispatchTally {
+  std::atomic<uint64_t>* sink;
+  explicit DispatchTally(const KernelLaunch& L) : sink(L.vexec_dispatches) { t_dispatches = 0; }
+  ~DispatchTally() {
+    if (sink != nullptr && t_dispatches != 0) {
+      sink->fetch_add(t_dispatches, std::memory_order_relaxed);
+    }
+  }
+};
+
+// The trips one instruction runs over: tile rows [j0, j1), row j being trip
+// t0 + j. Outside tile code an instruction runs one row, every stride 0.
+struct Rows {
+  int64_t t0 = 0;
+  int j0 = 0, j1 = 1;
+};
+
+// Row stride of an operand: W for a tile block (its kTile* bit is set in
+// tile code), else 0 — a register every trip reads.
+template <int W, bool kTile>
+inline int64_t stride(const VInstr& in, unsigned bit) {
+  return kTile && (in.tiled & bit) != 0 ? W : 0;
+}
+
+// d = f(a...) per row and lane. With kU, an op flagged kUniform computes
+// lane 0 once per row and broadcasts it (every lane's operands hold the same
+// bits).
+template <int W, bool kTile, bool kU = false, class F>
+inline void ew1(const VInstr& in, double* r, const Rows& rows, F f) {
+  const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
+  const int64_t sd = stride<W, kTile>(in, kTileD), sa = stride<W, kTile>(in, kTileA);
+  const bool uni = kU && (in.flags & kUniform) != 0;
+  for (int j = j0; j < j1; ++j) {
+    double* d = r + in.d + j * sd;
+    const double* a = r + in.a + j * sa;
+    if (uni) {
+      const double v = f(a[0]);
+      for (int l = 0; l < W; ++l) d[l] = v;
+    } else {
+      for (int l = 0; l < W; ++l) d[l] = f(a[l]);
+    }
+  }
+}
+
+// A fold pass of tile code: the destination is a carry (stride 0) that
+// each row folds into through operand kCarry, so the running value stays in
+// a local across the rows instead of a register-file round trip per row.
+// Row order, operand order and roundings are those of the row loop.
+template <int W, int kCarry, class F>
+inline void fold_rows(const VInstr& in, double* r, const Rows& rows, const int32_t (&off)[3],
+                      const int64_t (&st)[3], F f) {
+  double acc[W];
+  double* d = r + in.d;
+  for (int l = 0; l < W; ++l) acc[l] = d[l];
+  for (int j = rows.j0; j < rows.j1; ++j) {
+    const double* x = r + off[kCarry == 0 ? 1 : 0] + j * st[kCarry == 0 ? 1 : 0];
+    const double* y = r + off[kCarry == 2 ? 1 : 2] + j * st[kCarry == 2 ? 1 : 2];
+    for (int l = 0; l < W; ++l) acc[l] = f(acc[l], x[l], y[l]);
+  }
+  for (int l = 0; l < W; ++l) d[l] = acc[l];
+}
+
+// Runs `in` as a fold pass when it is one: more than one row, a W-wide
+// destination, and exactly one operand reading it. f takes (a, b, c).
+template <int W, bool kTile, int kOps, class F>
+inline bool try_fold(const VInstr& in, double* r, const Rows& rows, F f) {
+  if (!kTile || (in.tiled & kTileD) != 0 || rows.j1 - rows.j0 < 2) return false;
+  // A two-operand op passes its first operand again as the unused third.
+  const int64_t st[3] = {stride<W, kTile>(in, kTileA), stride<W, kTile>(in, kTileB),
+                         kOps == 3 ? stride<W, kTile>(in, kTileC) : 0};
+  const int32_t off[3] = {in.a, in.b, kOps == 3 ? in.c : in.a};
+  int carry = -1, n = 0;
+  for (int k = 0; k < kOps; ++k) {
+    if (off[k] == in.d && st[k] == 0) {
+      carry = k;
+      ++n;
+    }
+  }
+  if (n != 1) return false;
+  if (carry == 0) {
+    fold_rows<W, 0>(in, r, rows, off, st, [&](double c, double x, double y) {
+      return f(c, x, y);
+    });
+  } else if (carry == 1) {
+    fold_rows<W, 1>(in, r, rows, off, st, [&](double c, double x, double y) {
+      return f(x, c, y);
+    });
+  } else {
+    fold_rows<W, 2>(in, r, rows, off, st, [&](double c, double x, double y) {
+      return f(x, y, c);
+    });
+  }
+  return true;
+}
+
+template <int W, bool kTile, bool kU = false, class F>
+inline void ew2(const VInstr& in, double* r, const Rows& rows, F f) {
+  if (try_fold<W, kTile, 2>(in, r, rows, [&](double x, double y, double) { return f(x, y); })) {
+    return;
+  }
+  const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
+  const int64_t sd = stride<W, kTile>(in, kTileD), sa = stride<W, kTile>(in, kTileA),
+                sb = stride<W, kTile>(in, kTileB);
+  const bool uni = kU && (in.flags & kUniform) != 0;
+  for (int j = j0; j < j1; ++j) {
+    double* d = r + in.d + j * sd;
+    const double* a = r + in.a + j * sa;
+    const double* b = r + in.b + j * sb;
+    if (uni) {
+      const double v = f(a[0], b[0]);
+      for (int l = 0; l < W; ++l) d[l] = v;
+    } else {
+      for (int l = 0; l < W; ++l) d[l] = f(a[l], b[l]);
+    }
+  }
+}
+
+template <int W, bool kTile, class F>
+inline void ew3(const VInstr& in, double* r, const Rows& rows, F f) {
+  if (try_fold<W, kTile, 3>(in, r, rows, f)) return;
+  const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
+  const int64_t sd = stride<W, kTile>(in, kTileD), sa = stride<W, kTile>(in, kTileA),
+                sb = stride<W, kTile>(in, kTileB), sc = stride<W, kTile>(in, kTileC);
+  for (int j = j0; j < j1; ++j) {
+    double* d = r + in.d + j * sd;
+    const double* a = r + in.a + j * sa;
+    const double* b = r + in.b + j * sb;
+    const double* c = r + in.c + j * sc;
+    for (int l = 0; l < W; ++l) d[l] = f(a[l], b[l], c[l]);
+  }
+}
+
+// A fused pair: t = first(a, b), then d = second(t, c), or second(c, t)
+// when flag bit 0 is set — each step rounded on its own.
+template <int W, bool kTile, class F1, class F2>
+inline void pair(const VInstr& in, double* r, const Rows& rows, F1 first, F2 second) {
+  if (in.flags & 1) {
+    ew3<W, kTile>(in, r, rows, [&](double x, double y, double z) {
+      const double t = first(x, y);
+      return second(z, t);
+    });
+  } else {
+    ew3<W, kTile>(in, r, rows, [&](double x, double y, double z) {
+      const double t = first(x, y);
+      return second(t, z);
+    });
+  }
+}
+
+// The trip a stream access addresses at row j: its trailing index is its
+// loop's variable — trip t0 + j when that loop is the tile's, else the
+// register's value, the same in every row.
+template <bool kTile>
+inline int64_t trip_at(const double* r, const VInstr& in, const Rows& rows, int j) {
+  const int32_t last = in.nidx - 1;
+  if (kTile && (in.tiled & (kTileIdx << last)) != 0) return rows.t0 + j;
+  return static_cast<int64_t>(r[in.idx[last]]);
+}
+
+// The index operand offsets of a checked access at row j.
+template <int W, bool kTile>
+inline const int32_t* row_idx(const VInstr& in, int j, int32_t (&ix)[4]) {
+  if (!kTile) return in.idx;
+  for (int32_t d = 0; d < in.nidx; ++d) {
+    ix[d] = in.idx[d] + static_cast<int32_t>(j * stride<W, kTile>(in, kTileIdx << d));
+  }
+  return ix;
+}
+
+// Per row, the gathered lanes of a Gather-form instruction — through its
+// bound stream, else the checked address path — handed to emit(j, g).
+template <int W, bool kTile, class F>
+inline void gather_rows(const KernelLaunch& L, const double* r, const VInstr& in, const Rows& rows,
+                        F emit) {
+  const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
+  double* q[W];
+  double g[W];
+  if (stream_lanes<W>(r, in.s, q)) {
+    for (int j = j0; j < j1; ++j) {
+      const int64_t t = trip_at<kTile>(r, in, rows, j);
+      for (int l = 0; l < W; ++l) g[l] = q[l][t];
+      emit(j, g);
+    }
+    return;
+  }
+  const ArrayVal& arr = L.free_array_vals[static_cast<size_t>(in.slot)];
+  for (int j = j0; j < j1; ++j) {
+    int32_t ix[4];
+    const int32_t* idx = row_idx<W, kTile>(in, j, ix);
+    for (int l = 0; l < W; ++l) g[l] = arr.get_f64(vflat(arr, r, idx, in.nidx, l));
+    emit(j, g);
+  }
+}
+
+// UpdAcc (kStore = false) or StoreIdx over rows, in instruction-major lane
+// order within each row.
+template <int W, bool kTile, bool kStore>
+inline void scatter_rows(const KernelLaunch& L, double* r, const VInstr& in, const Rows& rows) {
+  const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
+  const int64_t sa = stride<W, kTile>(in, kTileA);
+  const bool atomic =
+      !kStore && (L.acc_atomic.empty() || L.acc_atomic[static_cast<size_t>(in.slot)] != 0);
+  double* q[W];
+  if (stream_lanes<W>(r, in.s, q)) {
+    for (int j = j0; j < j1; ++j) {
+      const int64_t t = trip_at<kTile>(r, in, rows, j);
+      const double* a = r + in.a + j * sa;
+      if (kStore) {
+        for (int l = 0; l < W; ++l) q[l][t] = a[l];
+      } else if (atomic) {
+        for (int l = 0; l < W; ++l) {
+          std::atomic_ref<double>(q[l][t]).fetch_add(a[l], std::memory_order_relaxed);
+        }
+      } else {
+        for (int l = 0; l < W; ++l) q[l][t] += a[l];
+      }
+    }
+    return;
+  }
+  auto& arr = const_cast<ArrayVal&>(L.acc_array_vals[static_cast<size_t>(in.slot)]);
+  for (int j = j0; j < j1; ++j) {
+    int32_t ix[4];
+    const int32_t* idx = row_idx<W, kTile>(in, j, ix);
+    const double* a = r + in.a + j * sa;
+    for (int l = 0; l < W; ++l) {
+      if (kStore) {
+        arr.set_f64(vflat(arr, r, idx, in.nidx, l), a[l]);
+        continue;
+      }
+      const int64_t at = vflat<true>(arr, r, idx, in.nidx, l);
+      if (at < 0) continue;
+      if (atomic) {
+        atomic_add_f64(arr, at, a[l]);
+      } else {
+        plain_add_f64(arr, at, a[l]);
+      }
+    }
+  }
 }
 
 template <int W>
-void vspan(const VProgram& p, const KernelLaunch& L, double* r, int64_t lo, int64_t hi,
-           uint32_t ib, uint32_t ie, int64_t lane_stride);
+void run_vloop(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl);
 
-// The trips of an InlineLoop whose streams are bound: identical to the
-// KOp::InlineLoop case of exec_span.
+// Executes instructions [ib, ie) of `code` once: over one batch of W lanes
+// at `base` (the span form, kTile = false; lane_stride as in vspan), or over
+// the rows of a tile (tile code, kTile = true). Constexpr lane loops,
+// pre-baked operand offsets.
+template <int W, bool kTile>
+inline void exec(const VProgram& p, const KernelLaunch& L, double* r, const VInstr* code,
+                 uint32_t ib, uint32_t ie, int64_t base, int64_t lane_stride, const Rows& rows) {
+  for (uint32_t ii = ib; ii < ie; ++ii) {
+    const VInstr& in = code[ii];
+    switch (in.op) {
+      case VOp::Mov: ew1<W, kTile>(in, r, rows, [](double x) { return x; }); break;
+      case VOp::Add: ew2<W, kTile>(in, r, rows, [](double x, double y) { return x + y; }); break;
+      case VOp::Sub: ew2<W, kTile>(in, r, rows, [](double x, double y) { return x - y; }); break;
+      case VOp::Mul: ew2<W, kTile>(in, r, rows, [](double x, double y) { return x * y; }); break;
+      case VOp::Div:
+        ew2<W, kTile, true>(in, r, rows, [](double x, double y) { return x / y; });
+        break;
+      case VOp::IDiv:
+        ew2<W, kTile>(in, r, rows, [](double x, double y) {
+          const auto xi = static_cast<int64_t>(x), yi = static_cast<int64_t>(y);
+          return static_cast<double>(yi == 0 ? 0 : xi / yi);
+        });
+        break;
+      case VOp::Pow:
+        ew2<W, kTile, true>(in, r, rows, [](double x, double y) { return std::pow(x, y); });
+        break;
+      case VOp::Min:
+        ew2<W, kTile>(in, r, rows, [](double x, double y) { return std::min(x, y); });
+        break;
+      case VOp::Max:
+        ew2<W, kTile>(in, r, rows, [](double x, double y) { return std::max(x, y); });
+        break;
+      case VOp::Mod:
+        ew2<W, kTile>(in, r, rows, [](double x, double y) {
+          const auto xi = static_cast<int64_t>(x), yi = static_cast<int64_t>(y);
+          return static_cast<double>(yi == 0 ? 0 : xi % yi);
+        });
+        break;
+      case VOp::Eq:
+        ew2<W, kTile>(in, r, rows, [](double x, double y) { return x == y ? 1.0 : 0.0; });
+        break;
+      case VOp::Ne:
+        ew2<W, kTile>(in, r, rows, [](double x, double y) { return x != y ? 1.0 : 0.0; });
+        break;
+      case VOp::Lt:
+        ew2<W, kTile>(in, r, rows, [](double x, double y) { return x < y ? 1.0 : 0.0; });
+        break;
+      case VOp::Le:
+        ew2<W, kTile>(in, r, rows, [](double x, double y) { return x <= y ? 1.0 : 0.0; });
+        break;
+      case VOp::Gt:
+        ew2<W, kTile>(in, r, rows, [](double x, double y) { return x > y ? 1.0 : 0.0; });
+        break;
+      case VOp::Ge:
+        ew2<W, kTile>(in, r, rows, [](double x, double y) { return x >= y ? 1.0 : 0.0; });
+        break;
+      case VOp::And:
+        ew2<W, kTile>(in, r, rows,
+                      [](double x, double y) { return (x != 0.0 && y != 0.0) ? 1.0 : 0.0; });
+        break;
+      case VOp::Or:
+        ew2<W, kTile>(in, r, rows,
+                      [](double x, double y) { return (x != 0.0 || y != 0.0) ? 1.0 : 0.0; });
+        break;
+      case VOp::Neg: ew1<W, kTile>(in, r, rows, [](double x) { return -x; }); break;
+      case VOp::Exp: ew1<W, kTile, true>(in, r, rows, [](double x) { return std::exp(x); }); break;
+      case VOp::Log: ew1<W, kTile, true>(in, r, rows, [](double x) { return std::log(x); }); break;
+      case VOp::Sqrt:
+        ew1<W, kTile, true>(in, r, rows, [](double x) { return std::sqrt(x); });
+        break;
+      case VOp::Sin: ew1<W, kTile, true>(in, r, rows, [](double x) { return std::sin(x); }); break;
+      case VOp::Cos: ew1<W, kTile, true>(in, r, rows, [](double x) { return std::cos(x); }); break;
+      case VOp::Tanh:
+        ew1<W, kTile, true>(in, r, rows, [](double x) { return std::tanh(x); });
+        break;
+      case VOp::Abs: ew1<W, kTile>(in, r, rows, [](double x) { return std::fabs(x); }); break;
+      case VOp::Sign:
+        ew1<W, kTile>(in, r, rows, [](double x) { return x > 0 ? 1.0 : (x < 0 ? -1.0 : 0.0); });
+        break;
+      case VOp::LGamma:
+        ew1<W, kTile, true>(in, r, rows, [](double x) { return std::lgamma(x); });
+        break;
+      case VOp::Digamma:
+        ew1<W, kTile, true>(in, r, rows, [](double x) { return digamma(x); });
+        break;
+      case VOp::Not:
+        ew1<W, kTile>(in, r, rows, [](double x) { return x == 0.0 ? 1.0 : 0.0; });
+        break;
+      case VOp::Trunc: ew1<W, kTile>(in, r, rows, [](double x) { return std::trunc(x); }); break;
+      case VOp::Select:
+        ew3<W, kTile>(in, r, rows, [](double x, double y, double z) { return x != 0.0 ? y : z; });
+        break;
+      case VOp::LoadElem: {
+        double* d = r + in.d;
+        const ArrayVal& arr = L.inputs[static_cast<size_t>(in.slot)];
+        if (lane_stride == 1 && arr.elem == ScalarType::F64) {
+          const double* src = arr.buf->f64() + arr.offset + base;
+          for (int l = 0; l < W; ++l) d[l] = src[l];
+        } else if (lane_stride == 1) {
+          for (int l = 0; l < W; ++l) d[l] = arr.get_f64(base + l);
+        } else if (arr.elem == ScalarType::F64) {
+          const double* src = arr.buf->f64() + arr.offset + base;
+          for (int l = 0; l < W; ++l) d[l] = src[static_cast<int64_t>(l) * lane_stride];
+        } else {
+          for (int l = 0; l < W; ++l) {
+            d[l] = arr.get_f64(base + static_cast<int64_t>(l) * lane_stride);
+          }
+        }
+        break;
+      }
+      case VOp::LoadIdx:
+        // Current iteration index per lane — same lane layout as LoadElem.
+        for (int l = 0; l < W; ++l) {
+          r[in.d + l] = static_cast<double>(base + static_cast<int64_t>(l) * lane_stride);
+        }
+        break;
+      case VOp::Gather: {
+        const int64_t sd = stride<W, kTile>(in, kTileD);
+        gather_rows<W, kTile>(L, r, in, rows, [&](int j, const double* g) {
+          std::memcpy(r + in.d + j * sd, g, sizeof(double) * W);
+        });
+        break;
+      }
+      case VOp::UpdAcc: scatter_rows<W, kTile, false>(L, r, in, rows); break;
+      case VOp::StoreIdx: scatter_rows<W, kTile, true>(L, r, in, rows); break;
+      case VOp::StoreOut: store_result<W>(L, in.slot, base, r + in.a); break;
+      case VOp::CheckIdx: {
+        const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
+        const int64_t sa = stride<W, kTile>(in, kTileA), sb = stride<W, kTile>(in, kTileB);
+        for (int j = j0; j < j1; ++j) {
+          const double* a = r + in.a + j * sa;
+          const double* b = r + in.b + j * sb;
+          for (int l = 0; l < W; ++l) {
+            const auto i = static_cast<int64_t>(a[l]), ext = static_cast<int64_t>(b[l]);
+            if (i < 0 || i >= ext) voob(i, 0, ext);
+          }
+        }
+        break;
+      }
+      // --- superinstructions: fused pairs, every intermediate keeps its
+      // own rounding (no contraction; see TU flags) ---------------------
+      case VOp::MulAdd: pair<W, kTile>(in, r, rows, std::multiplies<>{}, std::plus<>{}); break;
+      case VOp::MulSub: pair<W, kTile>(in, r, rows, std::multiplies<>{}, std::minus<>{}); break;
+      case VOp::AddAdd: pair<W, kTile>(in, r, rows, std::plus<>{}, std::plus<>{}); break;
+      case VOp::MulMul:
+        pair<W, kTile>(in, r, rows, std::multiplies<>{}, std::multiplies<>{});
+        break;
+      case VOp::NegExp:
+        ew1<W, kTile, true>(in, r, rows, [](double x) { return std::exp(-x); });
+        break;
+      case VOp::GatherMul:
+      case VOp::GatherAdd: {
+        const int64_t sd = stride<W, kTile>(in, kTileD), sb = stride<W, kTile>(in, kTileB);
+        const bool mul = in.op == VOp::GatherMul, swap = (in.flags & 1) != 0;
+        gather_rows<W, kTile>(L, r, in, rows, [&](int j, const double* g) {
+          double* d = r + in.d + j * sd;
+          const double* b = r + in.b + j * sb;
+          if (mul && swap) {
+            for (int l = 0; l < W; ++l) d[l] = b[l] * g[l];
+          } else if (mul) {
+            for (int l = 0; l < W; ++l) d[l] = g[l] * b[l];
+          } else if (swap) {
+            for (int l = 0; l < W; ++l) d[l] = b[l] + g[l];
+          } else {
+            for (int l = 0; l < W; ++l) d[l] = g[l] + b[l];
+          }
+        });
+        break;
+      }
+      case VOp::MulStore: {
+        double t[W];
+        for (int l = 0; l < W; ++l) t[l] = r[in.a + l] * r[in.b + l];
+        store_result<W>(L, in.slot, base, t);
+        break;
+      }
+      case VOp::AddStore: {
+        double t[W];
+        for (int l = 0; l < W; ++l) t[l] = r[in.a + l] + r[in.b + l];
+        store_result<W>(L, in.slot, base, t);
+        break;
+      }
+      // --- inline SOAC block (span form only: tile code has none) -------
+      case VOp::Loop:
+        if constexpr (!kTile) {
+          const VLoop& vl = p.loops[static_cast<size_t>(in.slot)];
+          run_vloop<W>(p, L, r, vl);
+          ii = vl.body_end - 1;  // ++ii lands on body_end
+        }
+        break;
+    }
+  }
+}
+
+// The batched span over a lowered program: one exec per batch. Lane layout
+// (lane_stride) is exactly exec_span's: 1 = maps/scans (batches advance by
+// W, contiguous LoadElem/StoreOut strips), blk = reductions (lane l folds
+// the contiguous block starting at lo + l*blk, batches advance by 1).
+template <int W>
+void vspan(const VProgram& p, const KernelLaunch& L, double* r, int64_t lo, int64_t hi,
+           uint32_t ib, uint32_t ie, int64_t lane_stride) {
+  const int64_t advance = lane_stride == 1 ? W : 1;
+  for (int64_t base = lo; base < hi; base += advance) {
+    exec<W, false>(p, L, r, p.code.data(), ib, ie, base, lane_stride, Rows{});
+  }
+}
+
+// Trips [t_begin, t_end) of an InlineLoop, one body dispatch each: identical
+// to the KOp::InlineLoop case of exec_span.
 template <int W>
 void run_trips(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl,
-               int64_t trip) {
-  if (vl.acc >= 0) {
-    for (int l = 0; l < W; ++l) r[vl.acc + l] = r[vl.neutral + l];
-  }
-  for (size_t j = 0; j < vl.accs2.size(); ++j) {
-    for (int l = 0; l < W; ++l) r[vl.accs2[j] + l] = r[vl.neutrals2[j] + l];
-  }
-  for (int64_t t = 0; t < trip; ++t) {
+               int64_t t_begin, int64_t t_end) {
+  for (int64_t t = t_begin; t < t_end; ++t) {
     const auto tv = static_cast<double>(t);
     for (int l = 0; l < W; ++l) r[vl.ivar + l] = tv;
     vspan<W>(p, L, r, 0, 1, vl.body_begin, vl.body_end, 1);
+    ++t_dispatches;
   }
 }
 
-// Generic InlineLoop execution: bind the body's streams once, then run the
-// trips.
+// One tile: the map part instruction-major, then the fold part — one pass
+// in trip order when fold_major, else once per trip.
 template <int W>
-void run_vloop(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl) {
-  const auto trip = static_cast<int64_t>(r[vl.trip]);
-  if (trip > 0) bind_streams<W>(L, r, vl, trip);
-  run_trips<W>(p, L, r, vl, trip);
+void run_tile(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl,
+              const Rows& rows) {
+  const VInstr* tc = p.tile_code.data();
+  if (vl.ivar_tile >= 0) {
+    for (int j = rows.j0; j < rows.j1; ++j) {
+      const auto tv = static_cast<double>(rows.t0 + j);
+      for (int l = 0; l < W; ++l) r[vl.ivar_tile + j * W + l] = tv;
+    }
+  }
+  exec<W, true>(p, L, r, tc, vl.tile_begin, vl.tile_mid, 0, 1, rows);
+  ++t_dispatches;
+  if (vl.tile_mid == vl.tile_end) return;
+  if (vl.fold_major) {
+    exec<W, true>(p, L, r, tc, vl.tile_mid, vl.tile_end, 0, 1, rows);
+    ++t_dispatches;
+    return;
+  }
+  for (int j = rows.j0; j < rows.j1; ++j) {
+    exec<W, true>(p, L, r, tc, vl.tile_mid, vl.tile_end, 0, 1, Rows{rows.t0, j, j + 1});
+    ++t_dispatches;
+  }
+}
+
+// Copies the carries (acc, then accs2) into the save block, or back.
+template <int W>
+void copy_carries(double* r, const VLoop& vl, bool save) {
+  auto copy = [&](int32_t reg, int32_t k) {
+    double* c = r + reg;
+    double* s = r + vl.save + k * W;
+    std::memcpy(save ? s : c, save ? c : s, sizeof(double) * W);
+  };
+  if (vl.acc >= 0) copy(vl.acc, 0);
+  for (size_t j = 0; j < vl.accs2.size(); ++j) copy(vl.accs2[j], static_cast<int32_t>(j) + 1);
+}
+
+// The trips of a tiled loop whose streams all bound, T at a time.
+template <int W>
+void run_tiles(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl,
+               int64_t trip) {
+  constexpr int T = tile_trips(W);
+  for (int64_t t0 = 0; t0 < trip; t0 += T) {
+    const Rows rows{t0, 0, static_cast<int>(std::min<int64_t>(T, trip - t0))};
+    if (!vl.may_throw) {
+      run_tile<W>(p, L, r, vl, rows);
+      continue;
+    }
+    copy_carries<W>(r, vl, true);
+    try {
+      run_tile<W>(p, L, r, vl, rows);
+    } catch (const ShapeError&) {
+      // The body has no memory effect: replaying the tile per trip from its
+      // start raises the register machine's error at its point.
+      copy_carries<W>(r, vl, false);
+      run_trips<W>(p, L, r, vl, t0, t0 + rows.j1);
+    }
+  }
 }
 
 // Fused dot-product fold: per lane, acc = fold(acc, A[t] * B[t]) over the
-// bound streams A = streams[0], B = streams[1] — one handler instead of
-// trip * 5 dispatches, with the same per-lane value chain (product then
-// fold-add, operand order preserved via dot_flags) as the generic body. A
-// one-stream fold adds A[t] itself. A stream that does not bind takes the
-// generic trips, whose checked Gather raises the register machine's error.
+// bound streams A = fused[0], B = fused[1] — one handler instead of
+// per-trip or per-tile dispatch, with the same per-lane value chain
+// (product then fold-add, operand order preserved via dot_flags) as the
+// generic body. A one-stream fold adds A[t] itself.
 template <int W>
-void run_dot_loop(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl) {
-  const auto trip = static_cast<int64_t>(r[vl.trip]);
-  if (trip <= 0 || !bind_streams<W>(L, r, vl, trip)) {
-    run_trips<W>(p, L, r, vl, trip);
-    return;
-  }
-  const bool one = vl.streams.size() == 1;
+void run_dot_loop(double* r, const VLoop& vl, int64_t trip) {
+  const bool one = vl.fused[1] < 0;
   double* pa[W];
   double* pb[W];
-  std::memcpy(pa, r + vl.streams[0].reg, sizeof pa);
-  std::memcpy(pb, r + vl.streams[one ? 0 : 1].reg, sizeof pb);
+  std::memcpy(pa, r + vl.fused[0], sizeof pa);
+  std::memcpy(pb, r + vl.fused[one ? 0 : 1], sizeof pb);
   double acc[W];
-  for (int l = 0; l < W; ++l) acc[l] = r[vl.neutral + l];
+  for (int l = 0; l < W; ++l) acc[l] = r[vl.acc + l];
   if (one) {
     if (vl.dot_flags & 2) {  // acc = a + acc
       for (int64_t t = 0; t < trip; ++t) {
@@ -283,24 +782,19 @@ void run_dot_loop(const VProgram& p, const KernelLaunch& L, double* r, const VLo
 // gathered streams, two invariant-scaled products, two UpdAcc streams —
 // memory effects in the generic body's instruction-major lane order.
 template <int W>
-void run_axpy2_loop(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl) {
-  const auto trip = static_cast<int64_t>(r[vl.trip]);
-  if (trip <= 0 || !bind_streams<W>(L, r, vl, trip)) {
-    run_trips<W>(p, L, r, vl, trip);
-    return;
-  }
+void run_axpy2_loop(const KernelLaunch& L, double* r, const VLoop& vl, int64_t trip) {
   double* p1[W];
   double* p2[W];
   double* q1[W];
   double* q2[W];
-  std::memcpy(p1, r + vl.streams[0].reg, sizeof p1);
-  std::memcpy(p2, r + vl.streams[1].reg, sizeof p2);
-  std::memcpy(q1, r + vl.streams[2].reg, sizeof q1);
-  std::memcpy(q2, r + vl.streams[3].reg, sizeof q2);
-  const auto at = [&](const VStream& st) {
-    return L.acc_atomic.empty() || L.acc_atomic[static_cast<size_t>(st.slot)] != 0;
+  std::memcpy(p1, r + vl.fused[0], sizeof p1);
+  std::memcpy(p2, r + vl.fused[1], sizeof p2);
+  std::memcpy(q1, r + vl.fused[2], sizeof q1);
+  std::memcpy(q2, r + vl.fused[3], sizeof q2);
+  const auto at = [&](int32_t slot) {
+    return L.acc_atomic.empty() || L.acc_atomic[static_cast<size_t>(slot)] != 0;
   };
-  const bool at1 = at(vl.streams[2]), at2 = at(vl.streams[3]);
+  const bool at1 = at(vl.fused_slot[2]), at2 = at(vl.fused_slot[3]);
   double s1[W], s2[W];
   for (int l = 0; l < W; ++l) {
     s1[l] = r[vl.s1 + l];
@@ -336,265 +830,31 @@ void run_axpy2_loop(const VProgram& p, const KernelLaunch& L, double* r, const V
   }
 }
 
-// d = f(a) per lane, or f(a[0]) once and broadcast when the op is
-// kUniform (every lane's operand holds the same bits).
-template <int W, class F>
-inline void lanes1(const VInstr& in, double* d, const double* a, F f) {
-  if (in.flags & kUniform) {
-    const double v = f(a[0]);
-    for (int l = 0; l < W; ++l) d[l] = v;
-  } else {
-    for (int l = 0; l < W; ++l) d[l] = f(a[l]);
-  }
-}
-
-template <int W, class F>
-inline void lanes2(const VInstr& in, double* d, const double* a, const double* b, F f) {
-  if (in.flags & kUniform) {
-    const double v = f(a[0], b[0]);
-    for (int l = 0; l < W; ++l) d[l] = v;
-  } else {
-    for (int l = 0; l < W; ++l) d[l] = f(a[l], b[l]);
-  }
-}
-
-// The gathered value per lane of a Gather-form instruction: through its
-// bound stream, else the checked address path.
+// InlineLoop execution: seed the carries, bind the loop's streams once, then
+// run the trips — by a fused handler or by tiles when the body has one and
+// every stream it reads bound, else one trip at a time.
 template <int W>
-inline void gather_lanes(const KernelLaunch& L, const double* r, const VInstr& in, double* g) {
-  double* q[W];
-  if (stream_lanes<W>(r, in.s, q)) {
-    const int64_t t = stream_trip(r, in);
-    for (int l = 0; l < W; ++l) g[l] = q[l][t];
-    return;
+void run_vloop(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl) {
+  const auto trip = static_cast<int64_t>(r[vl.trip]);
+  if (vl.acc >= 0) {
+    for (int l = 0; l < W; ++l) r[vl.acc + l] = r[vl.neutral + l];
   }
-  const ArrayVal& arr = L.free_array_vals[static_cast<size_t>(in.slot)];
-  for (int l = 0; l < W; ++l) g[l] = arr.get_f64(vflat(arr, r, in.idx, in.nidx, l));
-}
-
-// The batched span over a lowered program: one dispatch per VInstr per
-// batch, constexpr lane loops, pre-baked operand offsets. Lane layout
-// (lane_stride) is exactly exec_span's: 1 = maps/scans (batches advance by
-// W, contiguous LoadElem/StoreOut strips), blk = reductions (lane l folds
-// the contiguous block starting at lo + l*blk, batches advance by 1).
-template <int W>
-void vspan(const VProgram& p, const KernelLaunch& L, double* r, int64_t lo, int64_t hi,
-           uint32_t ib, uint32_t ie, int64_t lane_stride) {
-  const int64_t advance = lane_stride == 1 ? W : 1;
-  const VInstr* code = p.code.data();
-  for (int64_t base = lo; base < hi; base += advance) {
-    for (uint32_t ii = ib; ii < ie; ++ii) {
-      const VInstr& in = code[ii];
-      double* d = r + in.d;
-      const double* a = in.a >= 0 ? r + in.a : nullptr;
-      const double* b = in.b >= 0 ? r + in.b : nullptr;
-      const double* c = in.c >= 0 ? r + in.c : nullptr;
-      switch (in.op) {
-        case VOp::Mov: for (int l = 0; l < W; ++l) d[l] = a[l]; break;
-        case VOp::Add: for (int l = 0; l < W; ++l) d[l] = a[l] + b[l]; break;
-        case VOp::Sub: for (int l = 0; l < W; ++l) d[l] = a[l] - b[l]; break;
-        case VOp::Mul: for (int l = 0; l < W; ++l) d[l] = a[l] * b[l]; break;
-        case VOp::Div: lanes2<W>(in, d, a, b, [](double x, double y) { return x / y; }); break;
-        case VOp::IDiv:
-          for (int l = 0; l < W; ++l) {
-            const auto x = static_cast<int64_t>(a[l]), y = static_cast<int64_t>(b[l]);
-            d[l] = static_cast<double>(y == 0 ? 0 : x / y);
-          }
-          break;
-        case VOp::Pow:
-          lanes2<W>(in, d, a, b, [](double x, double y) { return std::pow(x, y); });
-          break;
-        case VOp::Min: for (int l = 0; l < W; ++l) d[l] = std::min(a[l], b[l]); break;
-        case VOp::Max: for (int l = 0; l < W; ++l) d[l] = std::max(a[l], b[l]); break;
-        case VOp::Mod:
-          for (int l = 0; l < W; ++l) {
-            const auto x = static_cast<int64_t>(a[l]), y = static_cast<int64_t>(b[l]);
-            d[l] = static_cast<double>(y == 0 ? 0 : x % y);
-          }
-          break;
-        case VOp::Eq: for (int l = 0; l < W; ++l) d[l] = a[l] == b[l] ? 1.0 : 0.0; break;
-        case VOp::Ne: for (int l = 0; l < W; ++l) d[l] = a[l] != b[l] ? 1.0 : 0.0; break;
-        case VOp::Lt: for (int l = 0; l < W; ++l) d[l] = a[l] < b[l] ? 1.0 : 0.0; break;
-        case VOp::Le: for (int l = 0; l < W; ++l) d[l] = a[l] <= b[l] ? 1.0 : 0.0; break;
-        case VOp::Gt: for (int l = 0; l < W; ++l) d[l] = a[l] > b[l] ? 1.0 : 0.0; break;
-        case VOp::Ge: for (int l = 0; l < W; ++l) d[l] = a[l] >= b[l] ? 1.0 : 0.0; break;
-        case VOp::And:
-          for (int l = 0; l < W; ++l) d[l] = (a[l] != 0.0 && b[l] != 0.0) ? 1.0 : 0.0;
-          break;
-        case VOp::Or:
-          for (int l = 0; l < W; ++l) d[l] = (a[l] != 0.0 || b[l] != 0.0) ? 1.0 : 0.0;
-          break;
-        case VOp::Neg: for (int l = 0; l < W; ++l) d[l] = -a[l]; break;
-        case VOp::Exp: lanes1<W>(in, d, a, [](double x) { return std::exp(x); }); break;
-        case VOp::Log: lanes1<W>(in, d, a, [](double x) { return std::log(x); }); break;
-        case VOp::Sqrt: lanes1<W>(in, d, a, [](double x) { return std::sqrt(x); }); break;
-        case VOp::Sin: lanes1<W>(in, d, a, [](double x) { return std::sin(x); }); break;
-        case VOp::Cos: lanes1<W>(in, d, a, [](double x) { return std::cos(x); }); break;
-        case VOp::Tanh: lanes1<W>(in, d, a, [](double x) { return std::tanh(x); }); break;
-        case VOp::Abs: for (int l = 0; l < W; ++l) d[l] = std::fabs(a[l]); break;
-        case VOp::Sign:
-          for (int l = 0; l < W; ++l) d[l] = a[l] > 0 ? 1.0 : (a[l] < 0 ? -1.0 : 0.0);
-          break;
-        case VOp::LGamma: lanes1<W>(in, d, a, [](double x) { return std::lgamma(x); }); break;
-        case VOp::Digamma: lanes1<W>(in, d, a, [](double x) { return digamma(x); }); break;
-        case VOp::Not: for (int l = 0; l < W; ++l) d[l] = a[l] == 0.0 ? 1.0 : 0.0; break;
-        case VOp::Trunc: for (int l = 0; l < W; ++l) d[l] = std::trunc(a[l]); break;
-        case VOp::Select:
-          for (int l = 0; l < W; ++l) d[l] = a[l] != 0.0 ? b[l] : c[l];
-          break;
-        case VOp::LoadElem: {
-          const ArrayVal& arr = L.inputs[static_cast<size_t>(in.slot)];
-          if (lane_stride == 1 && arr.elem == ScalarType::F64) {
-            const double* src = arr.buf->f64() + arr.offset + base;
-            for (int l = 0; l < W; ++l) d[l] = src[l];
-          } else if (lane_stride == 1) {
-            for (int l = 0; l < W; ++l) d[l] = arr.get_f64(base + l);
-          } else if (arr.elem == ScalarType::F64) {
-            const double* src = arr.buf->f64() + arr.offset + base;
-            for (int l = 0; l < W; ++l) d[l] = src[static_cast<int64_t>(l) * lane_stride];
-          } else {
-            for (int l = 0; l < W; ++l) {
-              d[l] = arr.get_f64(base + static_cast<int64_t>(l) * lane_stride);
-            }
-          }
-          break;
-        }
-        case VOp::LoadIdx:
-          // Current iteration index per lane — same lane layout as LoadElem.
-          for (int l = 0; l < W; ++l) {
-            d[l] = static_cast<double>(base + static_cast<int64_t>(l) * lane_stride);
-          }
-          break;
-        case VOp::Gather: gather_lanes<W>(L, r, in, d); break;
-        case VOp::UpdAcc: {
-          const bool atomic =
-              L.acc_atomic.empty() || L.acc_atomic[static_cast<size_t>(in.slot)] != 0;
-          double* q[W];
-          if (stream_lanes<W>(r, in.s, q)) {
-            const int64_t t = stream_trip(r, in);
-            if (atomic) {
-              for (int l = 0; l < W; ++l) {
-                std::atomic_ref<double>(q[l][t]).fetch_add(a[l], std::memory_order_relaxed);
-              }
-            } else {
-              for (int l = 0; l < W; ++l) q[l][t] += a[l];
-            }
-            break;
-          }
-          auto& arr = const_cast<ArrayVal&>(L.acc_array_vals[static_cast<size_t>(in.slot)]);
-          for (int l = 0; l < W; ++l) {
-            const int64_t at = vflat<true>(arr, r, in.idx, in.nidx, l);
-            if (at < 0) continue;
-            if (atomic) {
-              atomic_add_f64(arr, at, a[l]);
-            } else {
-              plain_add_f64(arr, at, a[l]);
-            }
-          }
-          break;
-        }
-        case VOp::StoreIdx: {
-          double* q[W];
-          if (stream_lanes<W>(r, in.s, q)) {
-            const int64_t t = stream_trip(r, in);
-            for (int l = 0; l < W; ++l) q[l][t] = a[l];
-            break;
-          }
-          auto& arr = const_cast<ArrayVal&>(L.acc_array_vals[static_cast<size_t>(in.slot)]);
-          for (int l = 0; l < W; ++l) arr.set_f64(vflat(arr, r, in.idx, in.nidx, l), a[l]);
-          break;
-        }
-        case VOp::StoreOut: store_result<W>(L, in.slot, base, a); break;
-        case VOp::CheckIdx:
-          for (int l = 0; l < W; ++l) {
-            const auto i = static_cast<int64_t>(a[l]), ext = static_cast<int64_t>(b[l]);
-            if (i < 0 || i >= ext) voob(i, 0, ext);
-          }
-          break;
-        // --- superinstructions: fused pairs, every intermediate keeps its
-        // own rounding (no contraction; see TU flags) -------------------
-        case VOp::MulAdd:
-          if (in.flags & 1) {
-            for (int l = 0; l < W; ++l) { const double t = a[l] * b[l]; d[l] = c[l] + t; }
-          } else {
-            for (int l = 0; l < W; ++l) { const double t = a[l] * b[l]; d[l] = t + c[l]; }
-          }
-          break;
-        case VOp::MulSub:
-          if (in.flags & 1) {
-            for (int l = 0; l < W; ++l) { const double t = a[l] * b[l]; d[l] = c[l] - t; }
-          } else {
-            for (int l = 0; l < W; ++l) { const double t = a[l] * b[l]; d[l] = t - c[l]; }
-          }
-          break;
-        case VOp::AddAdd:
-          if (in.flags & 1) {
-            for (int l = 0; l < W; ++l) { const double t = a[l] + b[l]; d[l] = c[l] + t; }
-          } else {
-            for (int l = 0; l < W; ++l) { const double t = a[l] + b[l]; d[l] = t + c[l]; }
-          }
-          break;
-        case VOp::MulMul:
-          if (in.flags & 1) {
-            for (int l = 0; l < W; ++l) { const double t = a[l] * b[l]; d[l] = c[l] * t; }
-          } else {
-            for (int l = 0; l < W; ++l) { const double t = a[l] * b[l]; d[l] = t * c[l]; }
-          }
-          break;
-        case VOp::NegExp: lanes1<W>(in, d, a, [](double x) { return std::exp(-x); }); break;
-        case VOp::GatherMul: {
-          double g[W];
-          gather_lanes<W>(L, r, in, g);
-          if (in.flags & 1) {
-            for (int l = 0; l < W; ++l) d[l] = b[l] * g[l];
-          } else {
-            for (int l = 0; l < W; ++l) d[l] = g[l] * b[l];
-          }
-          break;
-        }
-        case VOp::GatherAdd: {
-          double g[W];
-          gather_lanes<W>(L, r, in, g);
-          if (in.flags & 1) {
-            for (int l = 0; l < W; ++l) d[l] = b[l] + g[l];
-          } else {
-            for (int l = 0; l < W; ++l) d[l] = g[l] + b[l];
-          }
-          break;
-        }
-        case VOp::MulStore: {
-          double t[W];
-          for (int l = 0; l < W; ++l) t[l] = a[l] * b[l];
-          store_result<W>(L, in.slot, base, t);
-          break;
-        }
-        case VOp::AddStore: {
-          double t[W];
-          for (int l = 0; l < W; ++l) t[l] = a[l] + b[l];
-          store_result<W>(L, in.slot, base, t);
-          break;
-        }
-        // --- inline SOAC blocks ----------------------------------------
-        case VOp::Loop: {
-          const VLoop& vl = p.loops[static_cast<size_t>(in.slot)];
-          run_vloop<W>(p, L, r, vl);
-          ii = vl.body_end - 1;  // ++ii lands on body_end
-          break;
-        }
-        case VOp::DotLoop: {
-          const VLoop& vl = p.loops[static_cast<size_t>(in.slot)];
-          run_dot_loop<W>(p, L, r, vl);
-          ii = vl.body_end - 1;
-          break;
-        }
-        case VOp::Axpy2Loop: {
-          const VLoop& vl = p.loops[static_cast<size_t>(in.slot)];
-          run_axpy2_loop<W>(p, L, r, vl);
-          ii = vl.body_end - 1;
-          break;
-        }
-      }
+  for (size_t j = 0; j < vl.accs2.size(); ++j) {
+    for (int l = 0; l < W; ++l) r[vl.accs2[j] + l] = r[vl.neutrals2[j] + l];
+  }
+  if (trip <= 0) return;
+  bind_streams<W>(L, r, vl);
+  if (vl.form != VLoop::kGeneric && all_bound(r, vl.fused)) {
+    ++t_dispatches;
+    if (vl.form == VLoop::kDot) {
+      run_dot_loop<W>(r, vl, trip);
+    } else {
+      run_axpy2_loop<W>(L, r, vl, trip);
     }
+  } else if (vl.tile_end > vl.tile_begin && all_bound(r, vl.bound)) {
+    run_tiles<W>(p, L, r, vl, trip);
+  } else {
+    run_trips<W>(p, L, r, vl, 0, trip);
   }
 }
 
@@ -611,7 +871,14 @@ inline void wide_span(const VProgram& p, const KernelLaunch& L, double* r, int64
   }
 }
 
-// Zeroed register file + prologue for one program.
+// Doubles one program's register file takes: the registers, then its tile
+// scratch.
+inline size_t file_size(const VProgram& p) {
+  return static_cast<size_t>(p.num_regs) * static_cast<size_t>(p.W) +
+         static_cast<size_t>(p.tile_doubles);
+}
+
+// Zeroed registers + prologue for one program (tile scratch left as is).
 inline double* fresh_file(const VProgram& p, const KernelLaunch& L, double* r) {
   std::fill(r, r + static_cast<size_t>(p.num_regs) * static_cast<size_t>(p.W), 0.0);
   apply_prologue(p, L.free_scalar_vals.data(), L.free_array_vals.data(), r);
@@ -635,24 +902,24 @@ inline void vcombine(const Entry& e, const KernelLaunch& L, double* r1, double* 
 // ---- drivers ----------------------------------------------------------------
 
 void run(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi) {
+  const DispatchTally tally(L);
   const int W = L.lanes;
   if (e.wide.W == W && W > 1 && hi - lo >= W) {
     if (L.batched_spans != nullptr) L.batched_spans->fetch_add(1, std::memory_order_relaxed);
     const int64_t full = lo + ((hi - lo) / W) * W;
-    double* rw = arena(static_cast<size_t>(e.wide.num_regs) * static_cast<size_t>(W) +
-                       static_cast<size_t>(e.narrow.num_regs));
+    double* rw = arena(file_size(e.wide) + file_size(e.narrow));
     fresh_file(e.wide, L, rw);
     wide_span(e.wide, L, rw, lo, full, 1);
     lo = full;
     if (lo < hi) {
-      double* r1 = rw + static_cast<size_t>(e.wide.num_regs) * static_cast<size_t>(W);
+      double* r1 = rw + file_size(e.wide);
       fresh_file(e.narrow, L, r1);
       vspan<1>(e.narrow, L, r1, lo, hi, 0, static_cast<uint32_t>(e.narrow.code.size()), 1);
     }
     return;
   }
   if (lo < hi) {
-    double* r1 = fresh_file(e.narrow, L, arena(static_cast<size_t>(e.narrow.num_regs)));
+    double* r1 = fresh_file(e.narrow, L, arena(file_size(e.narrow)));
     vspan<1>(e.narrow, L, r1, lo, hi, 0, static_cast<uint32_t>(e.narrow.code.size()), 1);
   }
 }
@@ -661,12 +928,13 @@ void run(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi) {
 // order, scalar tail.
 void run_reduce(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
                 double* partials) {
+  const DispatchTally tally(L);
   const VProgram& n = e.narrow;
   const size_t nred = n.red_acc_off.size();
-  const size_t n1 = static_cast<size_t>(n.num_regs);
+  const size_t n1 = file_size(n);
   const int W = L.lanes;
   const bool wide = W > 1 && hi - lo >= W && e.wide.W == W;
-  const size_t nw = wide ? static_cast<size_t>(e.wide.num_regs) * static_cast<size_t>(W) : 0;
+  const size_t nw = wide ? file_size(e.wide) : 0;
   double* r1 = arena(n1 + nw + nred);
   double* rw = r1 + n1;
   double* lane = rw + nw;
@@ -695,8 +963,9 @@ void run_reduce(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
 
 void run_scan_chunk(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
                     double* carry) {
+  const DispatchTally tally(L);
   const VProgram& n = e.narrow;
-  double* r1 = fresh_file(n, L, arena(static_cast<size_t>(n.num_regs)));
+  double* r1 = fresh_file(n, L, arena(file_size(n)));
   for (size_t j = 0; j < n.red_acc_off.size(); ++j) r1[n.red_acc_off[j]] = carry[j];
   if (lo < hi) {
     vspan<1>(n, L, r1, lo, hi, 0, static_cast<uint32_t>(n.code.size()), 1);
@@ -706,9 +975,10 @@ void run_scan_chunk(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t h
 
 int64_t run_hist_chunk(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
                        double* bins, int64_t m, const int64_t* inds) {
+  const DispatchTally tally(L);
   const VProgram& n = e.narrow;
   const int32_t acc_off = n.red_acc_off[0];
-  double* r1 = fresh_file(n, L, arena(static_cast<size_t>(n.num_regs)));
+  double* r1 = fresh_file(n, L, arena(file_size(n)));
   int64_t performed = 0;
   for (int64_t i = lo; i < hi; ++i) {
     const int64_t b = inds[i];
@@ -727,7 +997,8 @@ void run_scalar(const Entry& e, const Kernel& k, const double* frees, double* ou
   KernelLaunch L;
   L.k = &k;
   L.scalar_out = out;
-  double* r1 = arena(static_cast<size_t>(n.num_regs));
+  const DispatchTally tally(L);
+  double* r1 = arena(file_size(n));
   std::fill(r1, r1 + static_cast<size_t>(n.num_regs), 0.0);
   apply_prologue(n, frees, nullptr, r1);
   vspan<1>(n, L, r1, 0, 1, 0, static_cast<uint32_t>(n.code.size()), 1);

@@ -7,6 +7,7 @@
 
 #include "ir/builder.hpp"
 #include "ir/typecheck.hpp"
+#include "runtime/buffer_pool.hpp"
 #include "runtime/interp.hpp"
 
 namespace {
@@ -257,6 +258,34 @@ TEST(Interp, UpdateInPlaceAndIndex) {
   auto r = run(p, {make_f64_array({1, 2, 3}, {3})});
   EXPECT_EQ(to_f64_vec(as_array(r[0])), (std::vector<double>{1, 42, 3}));
   EXPECT_DOUBLE_EQ(as_f64(r[1]), 42.0);
+}
+
+// A counted loop that carries an array and updates one element per
+// iteration: the carried buffer is written in place (last iteration's
+// bindings are released before the params are rebound), so a run makes the
+// same number of pool allocations at n and 2n iterations.
+TEST(Interp, LoopCarriedUpdateAllocatesIndependentlyOfTripCount) {
+  ProgBuilder pb("f");
+  Var xs = pb.param("xs", arr_f64(1));
+  Builder& b = pb.body();
+  Var n = b.length(xs);
+  auto outs = b.loop_for({Atom(xs)}, Atom(n), [](Builder& c, Var i, const std::vector<Var>& ps) {
+    Var v = c.add(c.mul(c.to_f64(i), cf64(0.5)), cf64(1.0));
+    return std::vector<Atom>{Atom(c.update(ps[0], {Atom(i)}, Atom(v)))};
+  });
+  Prog p = pb.finish({Atom(outs[0])});
+  typecheck(p);
+  auto allocs = [&](int64_t len) {
+    const Value arg = make_f64_array(std::vector<double>(static_cast<size_t>(len), 0.0), {len});
+    const BufferPool::Counters before = BufferPool::global().counters();
+    auto r = run(p, {arg});
+    const BufferPool::Counters after = BufferPool::global().counters();
+    std::vector<double> want;
+    for (int64_t i = 0; i < len; ++i) want.push_back(static_cast<double>(i) * 0.5 + 1.0);
+    EXPECT_EQ(to_f64_vec(as_array(r[0])), want);
+    return (after.hits + after.misses) - (before.hits + before.misses);
+  };
+  EXPECT_EQ(allocs(4000), allocs(8000));
 }
 
 TEST(Interp, WithAccAccumulatesAtomically) {

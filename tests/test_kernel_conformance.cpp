@@ -2417,6 +2417,20 @@ int streamed_loops(const Lowered& lw, VOp form) {
   return n;
 }
 
+// Loops of `lw` that run by trip tiles (tile code lowered).
+int tiled_loops(const Lowered& lw) {
+  int n = 0;
+  for (const auto& vl : lw.e->wide.loops) n += vl.tile_end > vl.tile_begin;
+  return n;
+}
+
+// Loops of `lw` that run as the fused form `form`.
+int fused_loops(const Lowered& lw, uint8_t form) {
+  int n = 0;
+  for (const auto& vl : lw.e->wide.loops) n += vl.form == form;
+  return n;
+}
+
 // Uniform exp/neg-exp ops whose operand a stream gather from a free array
 // named `array…` produced.
 int uniform_exps_of(const Lowered& lw, const Prog& p, const std::string& array) {
@@ -2482,7 +2496,7 @@ TEST(StreamLowering, GridProgramsBindTheirStreams) {
   EXPECT_EQ(streams(upd, VOp::UpdAcc), 2);
   EXPECT_EQ(streams(upd, VOp::Gather), 1);
 
-  EXPECT_EQ(streamed_loops(outer(StreamKind::Axpy2), VOp::Axpy2Loop), 1);
+  EXPECT_EQ(fused_loops(outer(StreamKind::Axpy2), rt::vexec::VLoop::kAxpy2), 1);
   EXPECT_EQ(streams(outer(StreamKind::StoreRow), VOp::StoreIdx), 1);
 
   // MatMul: A[i][kk] streams in the inner loop; Q[kk][j] trails with the
@@ -2512,14 +2526,319 @@ TEST(StreamLowering, GmmAndKmeansGradientsBindStreamsAndUniformExp) {
             1);
   const auto kl = lowered_maps(optimized_gradient(apps::kmeans_ir_cost()));
   EXPECT_GE(count_over(kl, [](const Lowered& lw) { return streamed_loops(lw, VOp::Loop); }), 1);
+  // Their innermost loops (the d-wide folds and scatters) run by tiles.
+  EXPECT_GE(count_over(gl, tiled_loops), 2);
+  EXPECT_GE(count_over(kl, tiled_loops), 2);
   // Neither uses the dual-scatter form; LSTM's reverse sweep is its one user.
-  EXPECT_EQ(count_over(gl, [](const Lowered& lw) { return streamed_loops(lw, VOp::Axpy2Loop); }),
-            0);
-  EXPECT_EQ(count_over(kl, [](const Lowered& lw) { return streamed_loops(lw, VOp::Axpy2Loop); }),
-            0);
+  auto axpy2 = [](const Lowered& lw) { return fused_loops(lw, rt::vexec::VLoop::kAxpy2); };
+  EXPECT_EQ(count_over(gl, axpy2), 0);
+  EXPECT_EQ(count_over(kl, axpy2), 0);
   const auto ll = lowered_maps(optimized_gradient(apps::lstm_ir_objective()));
-  EXPECT_GE(count_over(ll, [](const Lowered& lw) { return streamed_loops(lw, VOp::Axpy2Loop); }),
-            1);
+  EXPECT_GE(count_over(ll, axpy2), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Trip-tile conformance grid (runtime/vexec.hpp, point 3): kind × W ∈ {1, 8}
+// × inner trip around the tile size T = tile_trips(W) (0, 1, T−1, T, T+1,
+// 2T+3) × {vexec on, off} × {privatized, atomic} accumulators, parallelism
+// off. The register machine and vexec must both match the general
+// interpreter bit for bit.
+
+enum class TileKind {
+  Fold,      // Σ_j (A[i+off][j] − Q[s][j])²·exp(Q[s][j]) + Q[s][j]/c: uniform exp and div
+  Pair,      // (Σ_j A·Q, Σ_j (A + Q)): two folds, as hvp's (primal, tangent) pairs
+  Argmin,    // argmin_j of A[i][j]·Q[s][j], with its value and Q[s][j]: a 3-result fold
+  Scatter,   // G[s][j] += A[i][j]·c (uniform row), H[i][j] += exp(A[i][j]): UpdAcc streams
+  Store,     // row result map(λj. tanh(A[i][j])·c, iota mt): a StoreIdx stream
+  Aliased,   // H[i][I[j]] += A[i][j], H[i][J[j]] += c: two UpdAccs that may hit one cell
+  Indirect,  // Σ_j A[i][I[j]] + Q[s][J[j]]: two checked gathers in a pure body
+};
+
+constexpr int64_t kTileCols = 2 * rt::vexec::tile_trips(1) + 3;  // the widest trip
+constexpr int64_t kTileN = 19;  // two full W = 8 batches and a tail of 3
+
+// Params: A [n][cols], Q [5][cols], G [5][cols], H [n][cols], I [cols],
+// J [cols], s, mt (inner trip), off (row offset into A), c.
+Prog tile_prog(TileKind kind) {
+  ProgBuilder pb("tile");
+  Var A = pb.param("A", arr_f64(2));
+  Var Q = pb.param("Q", arr_f64(2));
+  Var G = pb.param("G", arr_f64(2));
+  Var H = pb.param("H", arr_f64(2));
+  Var I = pb.param("I", arr(ScalarType::I64, 1));
+  Var J = pb.param("J", arr(ScalarType::I64, 1));
+  Var s = pb.param("s", i64());
+  Var mt = pb.param("mt", i64());
+  Var off = pb.param("off", i64());
+  Var cv = pb.param("c", f64());
+  Builder& b = pb.body();
+  // A map over iota mt of `term`, folded by `op` from `ne`.
+  auto fold = [&](Builder& c, LambdaPtr op, const std::vector<Atom>& ne,
+                  const Builder::LamFn& term) {
+    auto terms = c.map(c.lam({i64()}, term), {c.iota(Atom(mt))});
+    return c.reduce(std::move(op), ne, terms);
+  };
+  auto per_row = [&](const Builder::LamFn& f) {
+    return b.map(b.lam({i64()}, f), {b.iota(Atom(b.length(A)))});
+  };
+  std::vector<Var> outs;
+  switch (kind) {
+    case TileKind::Fold:
+      outs = per_row([&](Builder& c, const std::vector<Var>& i) {
+        Var io = c.add(i[0], off);
+        return std::vector<Atom>{Atom(fold(c, c.add_op(), {cf64(0.0)},
+                                           [&](Builder& cc, const std::vector<Var>& j) {
+          Var q = cc.index(Q, {Atom(s), Atom(j[0])});
+          Var d = cc.sub(Atom(cc.index(A, {Atom(io), Atom(j[0])})), q);
+          Var t = cc.mul(Atom(cc.mul(d, d)), Atom(cc.exp(q)));
+          return std::vector<Atom>{Atom(cc.add(t, Atom(cc.div(q, cv))))};
+        })[0])};
+      });
+      break;
+    case TileKind::Pair:
+      outs = per_row([&](Builder& c, const std::vector<Var>& i) {
+        LambdaPtr op = c.lam({f64(), f64(), f64(), f64()},
+                             [](Builder& cc, const std::vector<Var>& q) {
+                               return std::vector<Atom>{Atom(cc.add(q[0], q[2])),
+                                                        Atom(cc.add(q[1], q[3]))};
+                             });
+        auto r = fold(c, std::move(op), {cf64(0.0), cf64(0.0)},
+                      [&](Builder& cc, const std::vector<Var>& j) {
+                        Var a = cc.index(A, {Atom(i[0]), Atom(j[0])});
+                        Var q = cc.index(Q, {Atom(s), Atom(j[0])});
+                        return std::vector<Atom>{Atom(cc.mul(a, q)), Atom(cc.add(a, q))};
+                      });
+        return std::vector<Atom>{Atom(r[0]), Atom(r[1])};
+      });
+      break;
+    case TileKind::Argmin:
+      outs = per_row([&](Builder& c, const std::vector<Var>& i) {
+        LambdaPtr op = c.lam({f64(), i64(), f64(), f64(), i64(), f64()},
+                             [](Builder& cc, const std::vector<Var>& q) {
+                               Var take = cc.logical_or(Atom(cc.eq(q[1], ci64(-1))),
+                                                        Atom(cc.lt(q[3], q[0])));
+                               return std::vector<Atom>{
+                                   Atom(cc.select(Atom(take), Atom(q[3]), Atom(q[0]))),
+                                   Atom(cc.select(Atom(take), Atom(q[4]), Atom(q[1]))),
+                                   Atom(cc.select(Atom(take), Atom(q[5]), Atom(q[2])))};
+                             });
+        auto r = fold(c, std::move(op), {cf64(1e300), ci64(-1), cf64(0.0)},
+                      [&](Builder& cc, const std::vector<Var>& j) {
+                        Var q = cc.index(Q, {Atom(s), Atom(j[0])});
+                        Var v = cc.mul(Atom(cc.index(A, {Atom(i[0]), Atom(j[0])})), q);
+                        return std::vector<Atom>{Atom(v), Atom(j[0]), Atom(q)};
+                      });
+        return std::vector<Atom>{Atom(r[0]), Atom(r[1]), Atom(r[2])};
+      });
+      break;
+    case TileKind::Scatter:
+    case TileKind::Aliased:
+      outs = b.withacc({G, H}, [&](Builder& wc, const std::vector<Var>& accs) {
+        std::vector<Type> ts{i64(), wc.types().at(accs[0]), wc.types().at(accs[1])};
+        auto r = wc.map(
+            wc.lam(ts,
+                   [&](Builder& c, const std::vector<Var>& q) {
+                     auto res = thread_accs(
+                         c, Atom(mt), {q[1], q[2]},
+                         [&](Builder& cc, Var j, const std::vector<Var>& acc) {
+                           Var a = cc.index(A, {Atom(q[0]), Atom(j)});
+                           if (kind == TileKind::Scatter) {
+                             Var g = cc.upd_acc(acc[0], {Atom(s), Atom(j)}, Atom(cc.mul(a, cv)));
+                             Var h = cc.upd_acc(acc[1], {Atom(q[0]), Atom(j)}, Atom(cc.exp(a)));
+                             return std::vector<Atom>{Atom(g), Atom(h)};
+                           }
+                           Var h = cc.upd_acc(acc[1], {Atom(q[0]), Atom(cc.index(I, {Atom(j)}))},
+                                              Atom(a));
+                           Var h2 = cc.upd_acc(h, {Atom(q[0]), Atom(cc.index(J, {Atom(j)}))},
+                                               Atom(cv));
+                           return std::vector<Atom>{Atom(acc[0]), Atom(h2)};
+                         });
+                     return std::vector<Atom>{Atom(res[0]), Atom(res[1])};
+                   }),
+            {wc.iota(Atom(wc.length(A))), accs[0], accs[1]});
+        return std::vector<Atom>{Atom(r[0]), Atom(r[1])};
+      });
+      break;
+    case TileKind::Store:
+      outs = per_row([&](Builder& c, const std::vector<Var>& i) {
+        Var row = c.map1(c.lam({i64()},
+                               [&](Builder& cc, const std::vector<Var>& j) {
+                                 Var x = cc.index(A, {Atom(i[0]), Atom(j[0])});
+                                 return std::vector<Atom>{Atom(cc.mul(Atom(cc.tanh(x)), cv))};
+                               }),
+                         {c.iota(Atom(mt))});
+        return std::vector<Atom>{Atom(row)};
+      });
+      break;
+    case TileKind::Indirect:
+      outs = per_row([&](Builder& c, const std::vector<Var>& i) {
+        return std::vector<Atom>{Atom(fold(c, c.add_op(), {cf64(0.0)},
+                                           [&](Builder& cc, const std::vector<Var>& j) {
+          Var a = cc.index(A, {Atom(i[0]), Atom(cc.index(I, {Atom(j[0])}))});
+          Var q = cc.index(Q, {Atom(s), Atom(cc.index(J, {Atom(j[0])}))});
+          return std::vector<Atom>{Atom(cc.add(a, q))};
+        })[0])};
+      });
+      break;
+  }
+  Prog p = pb.finish(std::vector<Atom>(outs.begin(), outs.end()));
+  typecheck(p);
+  opt::FuseStats fs;
+  p = opt::fuse_maps(p, &fs);
+  typecheck(p);
+  return p;
+}
+
+// I[j] = (7j + 3) mod cols and J[j] = (11j + 5) mod cols: in range, and the
+// two scatter targets of one row meet at some trips.
+std::vector<Value> tile_args(int64_t mt, int64_t s, int64_t off, uint64_t seed) {
+  support::Rng rng(seed);
+  auto mat = [&](int64_t rows) {
+    return rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(rows * kTileCols), -1.0, 1.0),
+                              {rows, kTileCols});
+  };
+  std::vector<int64_t> is, js;
+  for (int64_t j = 0; j < kTileCols; ++j) {
+    is.push_back((7 * j + 3) % kTileCols);
+    js.push_back((11 * j + 5) % kTileCols);
+  }
+  return {mat(kTileN),
+          mat(kStreamRows),
+          mat(kStreamRows),
+          mat(kTileN),
+          rt::make_i64_array(is, {kTileCols}),
+          rt::make_i64_array(js, {kTileCols}),
+          Value(s),
+          Value(mt),
+          Value(off),
+          1.7};
+}
+
+// Trip number `which` of the grid at lane width W.
+int64_t tile_trip(int lanes, int which) {
+  const int64_t T = rt::vexec::tile_trips(lanes);
+  const int64_t trips[] = {0, 1, T - 1, T, T + 1, 2 * T + 3};
+  return trips[which];
+}
+
+using TileCase = std::tuple<TileKind, int, int, VexecMode, bool>;
+
+class TileConformance : public ::testing::TestWithParam<TileCase> {};
+
+TEST_P(TileConformance, BitExactAgainstGeneralAndRegisterMachine) {
+  const auto [kind, lanes, which, mode, privatize] = GetParam();
+  const int64_t mt = tile_trip(lanes, which);
+  const Prog p = tile_prog(kind);
+  const auto args = tile_args(mt, /*s=*/3, /*off=*/0, static_cast<uint64_t>(mt * 31 + lanes));
+  const auto general = all_bits(rt::Interp({.parallel = false, .use_kernels = false}).run(p, args));
+  EXPECT_EQ(all_bits(rt::Interp(stream_opts(VexecMode::Off, lanes, privatize)).run(p, args)),
+            general);
+  rt::Interp fast(stream_opts(mode, lanes, privatize));
+  EXPECT_EQ(all_bits(fast.run(p, args)), general);
+  EXPECT_EQ(fast.stats().general_maps.load(), 0u);
+}
+
+std::string tile_name(const ::testing::TestParamInfo<TileCase>& info) {
+  static const char* kinds[] = {"Fold",  "Pair",    "Argmin",  "Scatter",
+                                "Store", "Aliased", "Indirect"};
+  static const char* trips[] = {"0", "1", "Tm1", "T", "Tp1", "2Tp3"};
+  static const char* modes[] = {"On", "Off"};
+  return std::string(kinds[static_cast<int>(std::get<0>(info.param))]) + "W" +
+         std::to_string(std::get<1>(info.param)) + "_trip" + trips[std::get<2>(info.param)] +
+         modes[static_cast<int>(std::get<3>(info.param))] +
+         (std::get<4>(info.param) ? "Priv" : "Atomic");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, TileConformance,
+    ::testing::Combine(::testing::Values(TileKind::Fold, TileKind::Pair, TileKind::Argmin,
+                                         TileKind::Scatter, TileKind::Store, TileKind::Aliased,
+                                         TileKind::Indirect),
+                       ::testing::Values(1, 8), ::testing::Range(0, 6),
+                       ::testing::Values(VexecMode::On, VexecMode::Off), ::testing::Bool()),
+    tile_name);
+
+TEST(TileLowering, GridBodiesTileExceptTheAliasedScatter) {
+  auto loop = [](TileKind kind) {
+    const Lowered lw = lowered_maps(tile_prog(kind)).front();
+    EXPECT_EQ(lw.e->wide.loops.size(), 1u);
+    return lw.e->wide.loops.front();
+  };
+  auto tiled = [](const rt::vexec::VLoop& vl) { return vl.tile_end > vl.tile_begin; };
+  // One fold pass per accumulator when each is a self-fold; the argmin's
+  // fold reads all three carries and runs once per trip.
+  for (TileKind k : {TileKind::Fold, TileKind::Pair, TileKind::Indirect}) {
+    const auto vl = loop(k);
+    EXPECT_TRUE(tiled(vl) && vl.fold_major) << static_cast<int>(k);
+  }
+  const auto am = loop(TileKind::Argmin);
+  EXPECT_TRUE(tiled(am) && !am.fold_major);
+  EXPECT_TRUE(tiled(loop(TileKind::Scatter)));
+  EXPECT_TRUE(tiled(loop(TileKind::Store)));
+  EXPECT_TRUE(loop(TileKind::Indirect).may_throw);
+  // Non-stream UpdAccs whose cells may coincide keep the per-trip path.
+  EXPECT_FALSE(tiled(loop(TileKind::Aliased)));
+}
+
+TEST(TileLowering, FoldDispatchesOncePerTilePass) {
+  // W = 8 over 19 rows: two wide batches, then 3 one-lane tail rows. Each
+  // entry of the fold runs ceil(mt / T) tiles of a map pass and a fold pass.
+  const Prog p = tile_prog(TileKind::Fold);
+  const int64_t mt = 2 * rt::vexec::tile_trips(8) + 3;
+  rt::Interp fast(stream_opts(VexecMode::On, 8, true));
+  fast.run(p, tile_args(mt, 3, 0, 7));
+  auto tiles = [&](int w) {
+    const int64_t T = rt::vexec::tile_trips(w);
+    return (mt + T - 1) / T;
+  };
+  const int64_t want = 2 * ((kTileN / 8) * tiles(8) + (kTileN % 8) * tiles(1));
+  EXPECT_EQ(fast.stats().vexec_body_dispatches.load(), static_cast<uint64_t>(want));
+  // The register machine has no vexec dispatches.
+  rt::Interp regs(stream_opts(VexecMode::Off, 8, true));
+  regs.run(p, tile_args(mt, 3, 0, 7));
+  EXPECT_EQ(regs.stats().vexec_body_dispatches.load(), 0u);
+}
+
+TEST(TileConformance, UnboundStreamRaisesRegisterMachineError) {
+  // A trip one past the columns (the streams do not fit), a uniform lead
+  // past Q's rows (s = 5), and a varying lead past A's rows in the last lane
+  // (off = 1): each stream stays unbound, its loop runs per trip, and the
+  // checked access raises at the register machine's point.
+  const Prog fold = tile_prog(TileKind::Fold);
+  expect_register_machine_error(fold, tile_args(kTileCols + 1, 3, 0, 94), "short stream");
+  expect_register_machine_error(fold, tile_args(40, kStreamRows, 0, 95), "uniform lead");
+  expect_register_machine_error(fold, tile_args(40, 3, 1, 96), "varying lead");
+  expect_register_machine_error(tile_prog(TileKind::Store), tile_args(kTileCols + 1, 3, 0, 97),
+                                "short row result");
+}
+
+TEST(TileConformance, CheckedGatherInTileRaisesRegisterMachineError) {
+  // Two checked gathers in one tile: I goes out of range at trip T+2, J at
+  // trip T+1. Per trip, J's gather raises first (at trip T+1); the tile
+  // replays per trip to raise that same error, not I's.
+  for (int lanes : {1, 8}) {
+    const int64_t T = rt::vexec::tile_trips(lanes);
+    auto args = tile_args(2 * T + 3, 3, 0, 98);
+    std::vector<int64_t> is(static_cast<size_t>(kTileCols), 0);
+    std::vector<int64_t> js(static_cast<size_t>(kTileCols), 1);
+    is[static_cast<size_t>(T + 2)] = kTileCols + 5;
+    js[static_cast<size_t>(T + 1)] = kTileCols + 9;
+    args[4] = rt::make_i64_array(is, {kTileCols});
+    args[5] = rt::make_i64_array(js, {kTileCols});
+    const Prog p = tile_prog(TileKind::Indirect);
+    EXPECT_THROW(rt::Interp({.parallel = false, .use_kernels = false}).run(p, args), ShapeError);
+    auto message = [&](VexecMode m) -> std::string {
+      try {
+        rt::Interp(stream_opts(m, lanes, true)).run(p, args);
+      } catch (const ShapeError& e) {
+        return e.what();
+      }
+      return "no error";
+    };
+    const std::string want = message(VexecMode::Off);
+    EXPECT_NE(want.find(std::to_string(kTileCols + 9)), std::string::npos) << want;
+    EXPECT_EQ(message(VexecMode::On), want) << "W = " << lanes;
+  }
 }
 
 } // namespace

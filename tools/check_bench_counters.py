@@ -73,6 +73,14 @@ import sys
 # measured 0/iter. Ceiling 0.5 (as for table3 kmeans) fails CI as soon as
 # one of them falls back to a general map per evaluation.
 #
+# table5_gmm / table3_kmeans vexec_body_dispatches: the vexec tier runs an
+# innermost inline loop's body once per tile of trips (runtime/vexec.hpp,
+# trip tiles) instead of once per trip. Measured at --benchmark_min_time=0.01
+# (three runs): 11.8k-13.1k/iter on table5 (npad rows) and 32.6k-40.5k/iter
+# on table3 (ad rows); the same binaries with every body on the per-trip
+# path read 64k and 204k/iter. Ceilings 30000 and 100000 sit between, so a
+# body that silently falls back to per-trip dispatch fails CI.
+#
 # mc_transport: XSBench's binary-search loop kept the optimized gradient's
 # per-lookup lambda off the kernel tier, so a general map applied its body
 # lookup by lookup: ~1,500 applications per iteration. With the loop inside
@@ -85,6 +93,8 @@ CEILINGS = [
     ("BENCH_table3_kmeans.json", "general_maps", ["ad_"], 0.5, 0),
     ("BENCH_table5_gmm.json", "batched_launches", ["npad_"], 5000, 430),
     ("BENCH_table5_gmm.json", "general_maps", ["npad_"], 0.5, 0),
+    ("BENCH_table5_gmm.json", "vexec_body_dispatches", ["npad_"], 30000, 12500),
+    ("BENCH_table3_kmeans.json", "vexec_body_dispatches", ["ad_"], 100000, 36000),
     ("BENCH_table4_kmeans_sparse.json", "general_reduces", ["/ad"], 100, 0),
     ("BENCH_mc_transport.json", "general_maps", ["npad_"], 0.5, 0),
 ]
