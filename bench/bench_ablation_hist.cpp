@@ -22,7 +22,9 @@
 // The acceptance signal in BENCH_ablation_hist.json: privatized W=8 at
 // n = 1M / 1k bins vs the sequential general path at the same shape, plus
 // the privatized_hist_updates / atomic_hist_updates / kernel_hists /
-// general_hists / fused_hists counters.
+// general_hists counters. The lse8_kernel_hists counter is the only bench
+// reading of the compiled-kernel hist tier; tools/check_bench_counters.py
+// requires it to be at least 1.
 
 #include <cstdlib>
 

@@ -124,10 +124,7 @@ public:
                      if (o.pre) throw ADError("jvp: differentiate before redomap fusion");
                      red_scan(b, st, o.op, o.neutral, o.args, false);
                    },
-                   [&](const OpScan& o) {
-                     if (o.pre) throw ADError("jvp: differentiate before redomap fusion");
-                     red_scan(b, st, o.op, o.neutral, o.args, true);
-                   },
+                   [&](const OpScan& o) { red_scan(b, st, o.op, o.neutral, o.args, true); },
                    [&](const OpHist& o) { hist(b, st, o); },
                    [&](const OpScatter& o) {
                      emit_primal(b, st);
@@ -364,13 +361,12 @@ private:
     for (size_t i : dargs) rres.push_back(tan_atom(cb, res[i]));
     lop.body = Body{cb.take_stms(), std::move(rres)};
     for (const auto& a : lop.body.result) lop.rets.push_back(tm_.at(a));
-    Exp e = is_scan ? Exp(OpScan{make_lambda(std::move(lop)), nne, nargs, nullptr, 0})
+    Exp e = is_scan ? Exp(OpScan{make_lambda(std::move(lop)), nne, nargs})
                     : Exp(OpReduce{make_lambda(std::move(lop)), nne, nargs, nullptr, 0});
     bind_combined(b, st, Stm{{}, {}, std::move(e)});
   }
 
   void hist(Builder& b, const Stm& st, const OpHist& o) {
-    if (o.pre) throw ADError("jvp: differentiate before histomap fusion");
     emit_primal(b, st);
     if (!diff(st, 0)) return;
     auto bop = recognize_binop(*o.op);
@@ -379,7 +375,7 @@ private:
     }
     Var td = tan_var(b, Atom(o.dest));
     Var tv = tan_var(b, Atom(o.vals));
-    bind_tan(b, st, 0, OpHist{o.op, cf64(0.0), td, o.inds, tv, nullptr, 0});
+    bind_tan(b, st, 0, OpHist{o.op, cf64(0.0), td, o.inds, tv});
   }
 
   void withacc(Builder& b, const Stm& st, const OpWithAcc& o) {

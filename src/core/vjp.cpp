@@ -828,7 +828,6 @@ public:
   // ---------------------------------------------------------------- scan --
 
   void rev_scan(Builder& b, AdjMap& adj, const Stm& st, const OpScan& o) {
-    if (o.pre) throw ADError("vjp: redomap must be fused after differentiation, not before");
     auto yo = out_adj(adj, st, 0);
     if (o.args.size() != 1) {
       if (!out_adj_any(adj, st)) return;
@@ -902,7 +901,6 @@ public:
   // ---------------------------------------------------------------- hist --
 
   void rev_hist(Builder& b, AdjMap& adj, const Stm& st, const OpHist& o) {
-    if (o.pre) throw ADError("vjp: histomap must be fused after differentiation, not before");
     auto yo = out_adj(adj, st, 0);
     if (!yo) return;
     Var hbar = *yo;

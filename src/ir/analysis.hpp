@@ -346,19 +346,12 @@ private:
             },
             [&](const OpScan& o) {
               lambda(*o.op);
-              t(0x17u, o.pre != nullptr);
-              if (o.pre) lambda(*o.pre);
               for (const auto& n : o.neutral) atom(n);
               t(0x16u, o.args.size());
               for (Var v : o.args) use(v);
             },
             [&](const OpHist& o) {
               lambda(*o.op);
-              // As with OpReduce: the histomap pre-lambda is semantic and
-              // must distinguish signatures; `fused` is stats-only and
-              // stays out.
-              t(0x17u, o.pre != nullptr);
-              if (o.pre) lambda(*o.pre);
               atom(o.neutral);
               use(o.dest);
               use(o.inds);

@@ -177,18 +177,19 @@ struct OpMap {
   // scope to an op" in src/opt/README.md).
   uint32_t fused = 0;
 };
-// reduce/scan op ne xs1..xsk, optionally in *redomap* form: when `pre` is
-// set the element-wise pre-lambda maps the elements of `args` (its params
-// match args positionally) and its results feed the fold operator — the
-// paper's map-fused reduction, produced by opt::fuse_maps folding producer
-// maps into reduce/scan consumers so the intermediate array never exists.
+// reduce op ne xs1..xsk, optionally in *redomap* form: when `pre` is set
+// the element-wise pre-lambda maps the elements of `args` (its params match
+// args positionally) and its results feed the fold operator — the paper's
+// map-fused reduction, produced by opt::fuse_maps folding producer maps into
+// reduce consumers so the intermediate array never exists. Redomap is the
+// only fused form: scan and hist consumers are left unfused.
 // Invariants (ir/typecheck.cpp): op has 2k params for k fold results; with
 // pre, args.size() == pre->params.size() and pre->rets.size() == k;
 // without pre, args.size() == k.
 // `fused` mirrors OpMap::fused: number of producer maps folded in, not part
 // of the structural signature; the runtime adds it to
-// InterpStats::fused_reduces / fused_scans per launch. Both fields are
-// carried like OpMap::fused.
+// InterpStats::fused_reduces per launch. Both fields are carried like
+// OpMap::fused.
 struct OpReduce {
   LambdaPtr op;
   std::vector<Atom> neutral;
@@ -196,30 +197,19 @@ struct OpReduce {
   LambdaPtr pre;      // optional redomap pre-lambda
   uint32_t fused = 0;
 };
+// scan op ne xs1..xsk: inclusive scan; op has 2k params and args.size() == k.
 struct OpScan {
   LambdaPtr op;
   std::vector<Atom> neutral;
   std::vector<Var> args;
-  LambdaPtr pre;      // optional redomap pre-lambda
-  uint32_t fused = 0;
 };
 // reduce_by_index dest op ne inds vals (§5.1.2); out-of-range bins ignored.
-// Optionally in *histomap* form, mirroring the redomap form of OpReduce:
-// when `pre` is set the element-wise pre-lambda maps each element of `vals`
-// (one param, elem_of(vals)) and its single result (elem_of(dest)) feeds the
-// combine operator — produced by opt::fuse_maps folding a producer map into
-// a hist consumer so the mapped intermediate never exists. `fused` mirrors
-// OpMap::fused: number of producer maps folded in, not part of the
-// structural signature; the runtime adds it to InterpStats::fused_hists per
-// launch. Both fields are carried like OpMap::fused.
 struct OpHist {
   LambdaPtr op;
   Atom neutral;
   Var dest;
   Var inds;
   Var vals;
-  LambdaPtr pre;      // optional histomap pre-lambda
-  uint32_t fused = 0;
 };
 // scatter dest inds vals (§5.3); duplicate indices unsupported (as paper).
 struct OpScatter { Var dest; Var inds; Var vals; };

@@ -280,7 +280,7 @@ public:
                         std::string_view nm = "scan") {
     std::vector<Type> rets;
     for (const auto& t : op->rets) rets.push_back(lift(t));
-    return emit_multi(OpScan{std::move(op), ne, args, nullptr, 0}, rets, nm);
+    return emit_multi(OpScan{std::move(op), ne, args}, rets, nm);
   }
 
   Var scan1(LambdaPtr op, Atom ne, const std::vector<Var>& args, std::string_view nm = "scan") {
@@ -288,7 +288,7 @@ public:
   }
 
   Var hist(LambdaPtr op, Atom ne, Var dest, Var inds, Var vals) {
-    return emit(OpHist{std::move(op), ne, dest, inds, vals, nullptr, 0}, tm_->at(dest), "hist");
+    return emit(OpHist{std::move(op), ne, dest, inds, vals}, tm_->at(dest), "hist");
   }
 
   Var scatter(Var dest, Var inds, Var vals) {

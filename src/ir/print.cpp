@@ -212,34 +212,24 @@ public:
               if (o.fused > 0) os_ << " @fused(" << o.fused << ")";
             },
             [&](const OpScan& o) {
-              os_ << (o.pre ? "scanomap " : "scan ");
+              os_ << "scan ";
               lambda(*o.op, d);
-              if (o.pre) {
-                os_ << " ";
-                lambda(*o.pre, d);
-              }
               os_ << " ";
               atoms(o.neutral);
               os_ << " ";
               vars(o.args);
-              if (o.fused > 0) os_ << " @fused(" << o.fused << ")";
             },
             [&](const OpHist& o) {
-              os_ << (o.pre ? "histomap " : "reduce_by_index ");
+              os_ << "reduce_by_index ";
               atom(Atom(o.dest));
               os_ << " ";
               lambda(*o.op, d);
-              if (o.pre) {
-                os_ << " ";
-                lambda(*o.pre, d);
-              }
               os_ << " ";
               atom(o.neutral);
               os_ << " ";
               atom(Atom(o.inds));
               os_ << " ";
               atom(Atom(o.vals));
-              if (o.fused > 0) os_ << " @fused(" << o.fused << ")";
             },
             [&](const OpScatter& o) {
               os_ << "scatter ";

@@ -205,7 +205,7 @@ public:
               return red_scan(sc, o.op, o.pre, o.neutral, o.args, false);
             },
             [&](const OpScan& o) -> std::vector<Type> {
-              return red_scan(sc, o.op, o.pre, o.neutral, o.args, true);
+              return red_scan(sc, o.op, nullptr, o.neutral, o.args, true);
             },
             [&](const OpHist& o) -> std::vector<Type> {
               Type td = at(sc, o.dest), ti = at(sc, o.inds), tv = at(sc, o.vals);
@@ -213,21 +213,7 @@ public:
               expect(ti.rank == 1 && ti.elem == ScalarType::I64, "hist inds must be []i64");
               expect(o.op && o.op->params.size() == 2, "hist op must be binary");
               Type et = elem_of(td);
-              if (o.pre) {
-                // Histomap form: pre maps each element of vals to the
-                // combine operator's element side, so vals need not match
-                // the destination's type.
-                expect(tv.rank >= 1 && !tv.is_acc, "hist vals must be array");
-                expect(o.pre->params.size() == 1, "histomap pre must be unary");
-                expect(o.pre->params[0].type == elem_of(tv),
-                       "histomap pre param type mismatch");
-                Scope psc = sc;
-                psc[o.pre->params[0].var.id] = o.pre->params[0].type;
-                auto pt = body_types(psc, o.pre->body);
-                expect(pt.size() == 1 && pt[0] == et, "histomap pre result type mismatch");
-              } else {
-                expect(tv.rank == td.rank && tv.elem == td.elem, "hist vals type mismatch");
-              }
+              expect(tv.rank == td.rank && tv.elem == td.elem, "hist vals type mismatch");
               expect(o.op->params[0].type == et && o.op->params[1].type == et,
                      "hist op param type mismatch");
               Scope inner = sc;
@@ -271,9 +257,9 @@ public:
   }
 
   // Plain form: k args feed a 2k-ary fold directly. Redomap form (`pre`
-  // set): args match pre's params element-wise and pre's k' results feed a
-  // 2k'-ary fold — the fold element types come from pre's return types, not
-  // from the args.
+  // set, reduce only): args match pre's params element-wise and pre's k'
+  // results feed a 2k'-ary fold — the fold element types come from pre's
+  // return types, not from the args.
   std::vector<Type> red_scan(const Scope& sc, const LambdaPtr& op, const LambdaPtr& pre,
                              const std::vector<Atom>& neutral, const std::vector<Var>& args,
                              bool is_scan) {

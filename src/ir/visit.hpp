@@ -103,7 +103,8 @@ void for_each_atom(const Exp& e, FnAtom&& fn) {
 //   OpIf                  on_body(tb, {}), on_body(fb, {})
 //   OpLoop                on_body(body, params ++ [idx]), then on_lambda(while_cond)
 //   OpMap / OpWithAcc     on_lambda(f)
-//   OpReduce/Scan/Hist    on_lambda(op), then on_lambda(pre)
+//   OpReduce              on_lambda(op), then on_lambda(pre)
+//   OpScan / OpHist       on_lambda(op)
 // on_body receives the BodyPtr slot plus the variables the op binds in that
 // body; on_lambda receives the LambdaPtr slot (its params are its bindings).
 // Absent lambdas (no while_cond, no pre) are skipped. The slots are
@@ -128,10 +129,11 @@ void visit_scopes(E& e, OnBody&& on_body, OnLambda&& on_lambda) {
           lam(o.while_cond);
         } else if constexpr (std::is_same_v<T, OpMap> || std::is_same_v<T, OpWithAcc>) {
           lam(o.f);
-        } else if constexpr (std::is_same_v<T, OpReduce> || std::is_same_v<T, OpScan> ||
-                             std::is_same_v<T, OpHist>) {
+        } else if constexpr (std::is_same_v<T, OpReduce>) {
           lam(o.op);
           lam(o.pre);
+        } else if constexpr (std::is_same_v<T, OpScan> || std::is_same_v<T, OpHist>) {
+          lam(o.op);
         }
       },
       e);
@@ -312,11 +314,10 @@ public:
               return OpReduce{L(o.op), AS(o.neutral), VS(o.args), L(o.pre), o.fused};
             },
             [&](const OpScan& o) -> Exp {
-              return OpScan{L(o.op), AS(o.neutral), VS(o.args), L(o.pre), o.fused};
+              return OpScan{L(o.op), AS(o.neutral), VS(o.args)};
             },
             [&](const OpHist& o) -> Exp {
-              return OpHist{L(o.op), A(o.neutral), V(o.dest), V(o.inds), V(o.vals),
-                            L(o.pre), o.fused};
+              return OpHist{L(o.op), A(o.neutral), V(o.dest), V(o.inds), V(o.vals)};
             },
             [&](const OpScatter& o) -> Exp { return OpScatter{V(o.dest), V(o.inds), V(o.vals)}; },
             [&](const OpWithAcc& o) -> Exp { return OpWithAcc{VS(o.arrs), L(o.f)}; },

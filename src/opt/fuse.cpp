@@ -226,22 +226,11 @@ private:
   // Tries to fold one producer into consumer statement `j`; returns the
   // producer's index (now dead) when it did.
   std::optional<size_t> fuse_at(Body& b, Tables& t, size_t j) {
-    // Consumers: maps (classic fusion), reduce/scan (redomap form) and
-    // hist (histomap form) — the producer folds into the consumer's
-    // element-wise pre-lambda. For hist only the `vals` stream is
-    // element-wise (dest is consumed whole, inds select bins), so it is
-    // the single fusion candidate.
+    // Consumers: maps (classic fusion) and reduces (redomap form, the
+    // producer folds into the reduce's element-wise pre-lambda).
     const auto* cmap = std::get_if<OpMap>(&b.stms[j].e);
     const auto* cred = std::get_if<OpReduce>(&b.stms[j].e);
-    const auto* cscan = std::get_if<OpScan>(&b.stms[j].e);
-    const auto* chist = std::get_if<OpHist>(&b.stms[j].e);
-    std::vector<Var> hist_cand;
-    if (chist != nullptr) hist_cand.push_back(chist->vals);
-    const std::vector<Var>* cargs = cmap   ? &cmap->args
-                                   : cred  ? &cred->args
-                                   : cscan ? &cscan->args
-                                   : chist ? &hist_cand
-                                           : nullptr;
+    const std::vector<Var>* cargs = cmap ? &cmap->args : cred ? &cred->args : nullptr;
     if (cargs == nullptr) return std::nullopt;
     for (Var v : *cargs) {
       if (t.bind_count[v.id] != 1) continue;
@@ -258,15 +247,12 @@ private:
       const auto* prod = std::get_if<OpMap>(&b.stms[i].e);
       if (prod == nullptr || prod->args.empty()) continue;
       if (!pure_elementwise(*prod->f)) continue;
-      // Reduce/scan/hist consumers only take *scalar* producers into their
+      // Reduce consumers only take *scalar* producers into their
       // element-wise pre-lambda: a row-level producer (rank>=1 params or
       // results) would make the pre non-scalar, which cannot
       // kernel-compile (runtime/kernel.cpp) — strictly worse than leaving
       // the nest alone.
       if (cmap == nullptr && !lambda_scalar(*prod->f)) continue;
-      // OpHist has a single vals slot, so only single-input producers can
-      // fold into its pre-lambda.
-      if (chist != nullptr && prod->args.size() != 1) continue;
       // Everything the producer references must still mean the same thing
       // at the consumer: no statement in between may re-bind its arguments
       // or its lambda's free variables, and none may consume one of them —
@@ -280,10 +266,8 @@ private:
       for (Var a : prod->args) needed.insert(a.id);
       for (Var fv : prod_fv) needed.insert(fv.id);
       bool blocked = false;
-      // The scan includes the consumer statement itself (s == j): a hist
-      // consumer mutates its dest in place, so a producer that reads that
-      // same array must not be deferred into it — fused, the pre-lambda
-      // would observe bins earlier iterations already updated.
+      // The consumer itself (s == j) is checked too: its nested scopes must
+      // not consume a needed array in place either.
       for (size_t s = i + 1; s <= j && !blocked; ++s) {
         if (t.dead[s] != 0) continue;
         if (s < j) {
@@ -295,7 +279,7 @@ private:
 
       // The fused consumer's scopes: the consumer's own, with the
       // producer's free variables joining the scope it folds into (the
-      // map's lambda, or the pre-lambda after a reduce/scan/hist op).
+      // map's lambda, or the pre-lambda after a reduce's op).
       // Inlining gives every binding a fresh name, so nothing is captured
       // and the union is exact.
       std::vector<std::vector<Var>> fused_fv = t.scope_fv[j];
@@ -310,8 +294,6 @@ private:
       count_uses(t, b.stms[j], t.scope_fv[j], -1);
       if (cmap) {
         fuse_pair(b, i, j, v);
-      } else if (chist) {
-        fuse_hist_pair(b, i, j, v);
       } else {
         fuse_red_pair(b, i, j, v);
       }
@@ -327,7 +309,7 @@ private:
   // Folds producer map `prod` into the element-wise consumer lambda `f`
   // applied over `cargs`, substituting every occurrence of `v` (the
   // producer's result) by the producer's computed element. Shared by map
-  // consumers (f = the consumer map's lambda) and reduce/scan consumers
+  // consumers (f = the consumer map's lambda) and reduce consumers
   // (f = the redomap pre-lambda). Returns the fused lambda and its new
   // argument list (producer inputs spliced in place of v).
   std::pair<LambdaPtr, std::vector<Var>> fuse_into(const OpMap& prod, const Lambda& f,
@@ -379,7 +361,7 @@ private:
     ++stats_.fused_maps;
   }
 
-  // The trivial pre-lambda a plain reduce/scan starts from before producers
+  // The trivial pre-lambda a plain reduce starts from before producers
   // fold in: \e1..ek -> (e1..ek) with the fold operator's element param
   // types (op params k..2k-1, which typecheck pins to the arg element
   // types).
@@ -395,40 +377,17 @@ private:
     return id;
   }
 
-  // Folds producer statement `i` (binding `v`) into hist consumer `j`: the
-  // producer disappears into the hist's pre-lambda (created from the
-  // identity on first fusion — identity_pre on the binary combine op yields
-  // exactly the unary \e -> e over elem_of(dest)), turning the consumer
-  // into histomap form — hist(op, dest, is, map(f, vs)) scatters f(v) per
-  // element with no intermediate array.
-  void fuse_hist_pair(Body& b, size_t i, size_t j, Var v) {
-    const OpMap prod = std::get<OpMap>(b.stms[i].e);
-    const auto& h = std::get<OpHist>(b.stms[j].e);
-    const Lambda pre = h.pre ? *h.pre : identity_pre(*h.op);
-    auto [npre, nargs] = fuse_into(prod, pre, {v}, v);
-    b.stms[j].e = OpHist{h.op,     h.neutral,       h.dest, h.inds, nargs[0],
-                         std::move(npre), prod.fused + h.fused + 1};
-    ++stats_.fused_hists;
-  }
-
-  // Folds producer statement `i` (binding `v`) into reduce/scan consumer
-  // `j`: the producer disappears into the consumer's pre-lambda (created
-  // from the identity on first fusion), turning the consumer into redomap
-  // form — the intermediate array is never materialized.
+  // Folds producer statement `i` (binding `v`) into reduce consumer `j`:
+  // the producer disappears into the consumer's pre-lambda (created from
+  // the identity on first fusion), turning the consumer into redomap form —
+  // the intermediate array is never materialized.
   void fuse_red_pair(Body& b, size_t i, size_t j, Var v) {
     const OpMap prod = std::get<OpMap>(b.stms[i].e);
-    if (const auto* red = std::get_if<OpReduce>(&b.stms[j].e)) {
-      const Lambda pre = red->pre ? *red->pre : identity_pre(*red->op);
-      auto [npre, nargs] = fuse_into(prod, pre, red->args, v);
-      b.stms[j].e = OpReduce{red->op, red->neutral, std::move(nargs), std::move(npre),
-                             prod.fused + red->fused + 1};
-    } else {
-      const auto& sc = std::get<OpScan>(b.stms[j].e);
-      const Lambda pre = sc.pre ? *sc.pre : identity_pre(*sc.op);
-      auto [npre, nargs] = fuse_into(prod, pre, sc.args, v);
-      b.stms[j].e = OpScan{sc.op, sc.neutral, std::move(nargs), std::move(npre),
-                           prod.fused + sc.fused + 1};
-    }
+    const auto& red = std::get<OpReduce>(b.stms[j].e);
+    const Lambda pre = red.pre ? *red.pre : identity_pre(*red.op);
+    auto [npre, nargs] = fuse_into(prod, pre, red.args, v);
+    b.stms[j].e = OpReduce{red.op, red.neutral, std::move(nargs), std::move(npre),
+                           prod.fused + red.fused + 1};
     ++stats_.fused_redomaps;
   }
 

@@ -1040,7 +1040,7 @@ public:
   // Lane width of a launch: the configured width, or one lane for a kernel
   // whose sequential loops run per-lane trip counts (Kernel::uniform_trips).
   int launch_lanes(const Kernel& k) const {
-    return k.uniform_trips ? std::max(1, opts_.kernel_lanes) : 1;
+    return k.uniform_trips ? opts_.kernel_lanes : 1;
   }
 
   // Attaches the vectorized-tier schedule to a bound launch (after lanes are
@@ -1426,8 +1426,7 @@ public:
   // rescales every non-first chunk by its prefix. The kernel tier runs
   // phases 1 and 3 through the compiled program (phase 1 is the full
   // program on the strictly sequential scalar engine; phase 3 re-enters the
-  // fold subprogram per element), so fused scan-of-map never materializes
-  // the mapped intermediate either.
+  // fold subprogram per element).
   std::vector<Value> eval_scan(const OpScan& o, Env& env) const {
     const Lambda& op = *o.op;
     std::vector<ArrayVal> arrs;
@@ -1444,7 +1443,6 @@ public:
     std::vector<Value> neutral;
     for (const auto& a : o.neutral) neutral.push_back(eval_atom(a, env));
     const size_t kres = neutral.size();  // fold results (= outputs)
-    if (o.fused > 0) stats_->fused_scans.fetch_add(o.fused, std::memory_order_relaxed);
 
     const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
     const bool blocked = opts_.parallel && threads > 1 && n >= 4 * opts_.grain &&
@@ -1456,8 +1454,7 @@ public:
     // Tier 1: hand-rolled blocked scan for a single rank-1 f64 array with a
     // combinable operator. Every element of the output is written, so the
     // launch buffer takes the uninitialized pooled-allocation path.
-    const std::optional<BinOp> plain_bop =
-        o.pre ? std::optional<BinOp>{} : recognize_binop(op);
+    const std::optional<BinOp> plain_bop = recognize_binop(op);
     if (plain_bop && combinable_f64(*plain_bop) && o.args.size() == 1 &&
         arrs[0].rank() == 1 && arrs[0].elem == ScalarType::F64) {
       ArrayVal outv = alloc_launch_buf(ScalarType::F64, {n}, /*uninit=*/true);
@@ -1514,7 +1511,7 @@ public:
     bool rank1 = true;
     for (const auto& a : arrs) rank1 = rank1 && a.rank() == 1;
     if (opts_.use_kernels && rank1) {
-      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/true);
+      const Kernel* k = reduce_kernel_for(o.op, nullptr, /*scan=*/true);
       if (auto L = bind_reduce_launch(k, arrs, neutral, env)) {
         stats_->kernel_scans.fetch_add(1, std::memory_order_relaxed);
         for (ScalarType t : k->out_elems) {
@@ -1555,47 +1552,23 @@ public:
       }
     }
 
-    // Tier 3: general sequential scan (redomap fallback applies the
-    // pre-lambda per element). Output buffers are allocated from the first
-    // computed accumulator — with a pre-lambda the result types need not
-    // match the argument types — and are fully overwritten, so they take
-    // the uninitialized pooled path.
+    // Tier 3: general sequential scan. Output buffers are allocated from
+    // the first computed accumulator and are fully overwritten, so they take
+    // the uninitialized pooled path; an empty scan's output mirrors the
+    // argument's shape (inner extents included).
     stats_->general_scans.fetch_add(1, std::memory_order_relaxed);
     NPAD_FAULT_SITE("scan.general", FaultKind::Chunk);
     std::vector<ArrayVal> outs(kres);
     if (n == 0) {
-      for (size_t j = 0; j < kres; ++j) {
-        if (!o.pre) {
-          // Plain form: the output mirrors the argument's shape (inner
-          // extents included) even when empty.
-          outs[j] = ArrayVal::alloc(arrs[j].elem, arrs[j].shape);
-          continue;
-        }
-        // Redomap form: the fold-result inner extents are unobservable with
-        // no elements; zero them.
-        std::vector<int64_t> shp{0};
-        for (int d = 0; d < op.rets[j].rank; ++d) shp.push_back(0);
-        outs[j] = ArrayVal::alloc(op.rets[j].elem, std::move(shp));
-      }
+      for (size_t j = 0; j < kres; ++j) outs[j] = ArrayVal::alloc(arrs[j].elem, arrs[j].shape);
     }
     std::vector<Value> acc = std::move(neutral);
     for (int64_t i = 0; i < n; ++i) {
       std::vector<Value> args = std::move(acc);
       args.reserve(op.params.size());
-      if (o.pre) {
-        std::vector<Value> pargs;
-        pargs.reserve(arrs.size());
-        for (size_t j = 0; j < arrs.size(); ++j) {
-          const ArrayVal& a = arrs[j];
-          pargs.push_back(a.rank() == 1 ? scalar_value(a.elem, a, i) : Value(row_view(a, i)));
-        }
-        std::vector<Value> es = apply(*o.pre, std::move(pargs), env);
-        for (auto& e : es) args.push_back(std::move(e));
-      } else {
-        for (size_t j = 0; j < arrs.size(); ++j) {
-          const ArrayVal& a = arrs[j];
-          args.push_back(a.rank() == 1 ? scalar_value(a.elem, a, i) : Value(row_view(a, i)));
-        }
+      for (size_t j = 0; j < arrs.size(); ++j) {
+        const ArrayVal& a = arrs[j];
+        args.push_back(a.rank() == 1 ? scalar_value(a.elem, a, i) : Value(row_view(a, i)));
       }
       acc = apply(op, std::move(args), env);
       for (size_t j = 0; j < kres; ++j) {
@@ -1633,15 +1606,14 @@ public:
   //     footprint fits privatize_budget; atomic-CAS updates straight into
   //     the shared destination otherwise (combinable binops are
   //     commutative, so arbitrary interleaving is sound).
-  //  2. compiled kernel for arbitrary kernelizable combine lambdas and the
-  //     fused histomap pre-lambda — the same compiled artifact (and cache
-  //     entry) as the reduce form of the fold. Privatized subhistograms
-  //     merge bin-wise through the fold subprogram. There is no atomic
-  //     fallback here: an arbitrary fold is not known to be commutative, so
-  //     an over-budget destination runs the strictly sequential kernel loop.
+  //  2. compiled kernel for arbitrary kernelizable combine lambdas — the
+  //     same compiled artifact (and cache entry) as the reduce form of the
+  //     fold. Privatized subhistograms merge bin-wise through the fold
+  //     subprogram. There is no atomic fallback here: an arbitrary fold is
+  //     not known to be commutative, so an over-budget destination runs the
+  //     strictly sequential kernel loop.
   //  3. the strictly sequential general interpreter for everything else
-  //     (vector bins, non-f64 destinations, non-kernelizable operators),
-  //     applying the pre-lambda per element when present.
+  //     (vector bins, non-f64 destinations, non-kernelizable operators).
   Value eval_hist(const OpHist& o, Env& env) const {
     const Lambda& op = *o.op;
     ArrayVal dest0 = as_array(env.lookup(o.dest));
@@ -1653,7 +1625,6 @@ public:
     const int64_t n = inds.outer();
     const int64_t m = dest.outer();
     const int64_t row = dest.rank() > 1 ? dest.row_elems() : 1;
-    if (o.fused > 0) stats_->fused_hists.fetch_add(o.fused, std::memory_order_relaxed);
 
     const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
     const bool fanout = opts_.parallel && threads > 1 && n > opts_.grain &&
@@ -1679,7 +1650,7 @@ public:
     };
 
     // Tier 1: hand-rolled combinable binop over scalar f64 bins.
-    const std::optional<BinOp> bop = o.pre ? std::optional<BinOp>{} : recognize_binop(op);
+    const std::optional<BinOp> bop = recognize_binop(op);
     if (bop && combinable_f64(*bop) && dest.rank() == 1 && dest.elem == ScalarType::F64 &&
         vals.elem == ScalarType::F64) {
       stats_->general_hists.fetch_add(1, std::memory_order_relaxed);
@@ -1746,7 +1717,7 @@ public:
     // Tier 2: compiled combine kernel (scalar f64 bins, []i64 inds).
     if (opts_.use_kernels && dest.rank() == 1 && dest.elem == ScalarType::F64 &&
         vals.rank() == 1 && inds.elem == ScalarType::I64) {
-      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false);
+      const Kernel* k = reduce_kernel_for(o.op, nullptr, /*scan=*/false);
       std::vector<Value> neutral{eval_atom(o.neutral, env)};
       if (auto L = bind_reduce_launch(k, {vals}, neutral, env)) {
         stats_->kernel_hists.fetch_add(1, std::memory_order_relaxed);
@@ -1783,8 +1754,7 @@ public:
       }
     }
 
-    // Tier 3: strictly sequential general path (applies the histomap
-    // pre-lambda per element when present).
+    // Tier 3: strictly sequential general path.
     stats_->general_hists.fetch_add(1, std::memory_order_relaxed);
     NPAD_FAULT_SITE("hist.general", FaultKind::Chunk);
     int64_t performed = 0;
@@ -1793,7 +1763,6 @@ public:
       if (b < 0 || b >= m) continue;
       Value cur = dest.rank() == 1 ? scalar_value(dest.elem, dest, b) : Value(row_view(dest, b));
       Value v = vals.rank() == 1 ? scalar_value(vals.elem, vals, i) : Value(row_view(vals, i));
-      if (o.pre) v = apply(*o.pre, {std::move(v)}, env)[0];
       std::vector<Value> r = apply(op, {cur, v}, env);
       if (is_array(r[0])) {
         copy_into(dest, b * row, as_array(r[0]));
@@ -1867,6 +1836,13 @@ private:
 };
 
 } // namespace
+
+Interp::Interp(InterpOptions opts) : opts_(opts) {
+  if (opts_.kernel_lanes != 1 && opts_.kernel_lanes != 8) {
+    throw std::invalid_argument("InterpOptions::kernel_lanes must be 1 or 8, got " +
+                                std::to_string(opts_.kernel_lanes));
+  }
+}
 
 std::vector<Value> Interp::run(const ir::Prog& p, const std::vector<Value>& args) const {
   if (args.size() != p.fn.params.size()) {

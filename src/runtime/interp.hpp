@@ -39,7 +39,8 @@ struct InterpOptions {
   bool privatize_accs = true;   // per-worker accumulator buffers + merge
   // Kernel lane width W: compiled maps execute in batches of W iterations
   // over an SoA register file (amortized dispatch, contiguous element
-  // loads/stores), with a scalar tail loop. 1 = scalar execution.
+  // loads/stores), with a scalar tail loop. 1 = scalar execution. Only 1 and
+  // 8 are accepted (Interp's constructor throws std::invalid_argument).
   int kernel_lanes = 8;
   // Minimum elements per parallel chunk, for light elements: kernel launches
   // scale it down by their measured per-element work (runtime/README.md,
@@ -81,10 +82,8 @@ struct InterpStats {
   std::atomic<uint64_t> fused_reduces{0};        // producer maps folded into reduce launches
   std::atomic<uint64_t> kernel_scans{0};         // scans run through compiled kernels
   std::atomic<uint64_t> general_scans{0};        // scans run through the interpreter
-  std::atomic<uint64_t> fused_scans{0};          // producer maps folded into scan launches
   std::atomic<uint64_t> kernel_hists{0};         // hists run through compiled kernels
   std::atomic<uint64_t> general_hists{0};        // hists run through the interpreter
-  std::atomic<uint64_t> fused_hists{0};          // producer maps folded into hist launches
   std::atomic<uint64_t> privatized_hist_updates{0};  // non-atomic hist bin updates
   std::atomic<uint64_t> atomic_hist_updates{0};      // atomic RMW hist bin updates
   std::atomic<uint64_t> scalar_blocks{0};        // scalar-glue block executions
@@ -112,10 +111,8 @@ struct InterpStats {
         {"fused_reduces", fused_reduces.load()},
         {"kernel_scans", kernel_scans.load()},
         {"general_scans", general_scans.load()},
-        {"fused_scans", fused_scans.load()},
         {"kernel_hists", kernel_hists.load()},
         {"general_hists", general_hists.load()},
-        {"fused_hists", fused_hists.load()},
         {"privatized_hist_updates", privatized_hist_updates.load()},
         {"atomic_hist_updates", atomic_hist_updates.load()},
         {"scalar_blocks", scalar_blocks.load()},
@@ -135,7 +132,7 @@ struct InterpStats {
 
 class Interp {
 public:
-  explicit Interp(InterpOptions opts = {}) : opts_(opts) {}
+  explicit Interp(InterpOptions opts = {});
 
   std::vector<Value> run(const ir::Prog& p, const std::vector<Value>& args) const;
 

@@ -1322,11 +1322,10 @@ void init_invariant(const KernelLaunch& L, double* r, int W) {
 // over a structure-of-arrays register file `r` prepared by init_invariant:
 // register x's lane l lives at r[x*W + l]. The per-instruction dispatch runs
 // once per batch; each case loops over the W lanes, so the switch cost is
-// amortized W-fold and the lane loops are trivially vectorizable. `WT` is
-// either std::integral_constant<int, W> (compile-time trip counts for the
-// common widths) or plain int (any width). Register state persists across
-// calls — reduction drivers seed accumulator/element registers between
-// spans and re-enter the fold subprogram standalone.
+// amortized W-fold and the lane loops are trivially vectorizable. W is a
+// compile-time lane count (1 or 8, InterpOptions::kernel_lanes). Register
+// state persists across calls — reduction drivers seed accumulator/element
+// registers between spans and re-enter the fold subprogram standalone.
 //
 // Lane layout (`lane_stride`):
 //  - 1 (maps, scans): lane l of a batch handles element base + l; batches
@@ -1337,10 +1336,9 @@ void init_invariant(const KernelLaunch& L, double* r, int W) {
 //    [lo + l*blk, lo + (l+1)*blk). Combining lane partials in lane order
 //    then preserves element order — the fold operator only needs to be
 //    associative (the reduce contract), never commutative.
-template <class WT>
+template <int W>
 void exec_span(const KernelLaunch& L, double* r, int64_t lo, int64_t hi, size_t ib, size_t ie,
-               WT width, int64_t lane_stride = 1) {
-  const int W = width;
+               int64_t lane_stride = 1) {
   const Kernel& k = *L.k;
   const int64_t advance = lane_stride == 1 ? W : 1;
   for (int64_t base = lo; base < hi; base += advance) {
@@ -1509,7 +1507,7 @@ void exec_span(const KernelLaunch& L, double* r, int64_t lo, int64_t hi, size_t 
           for (int64_t t = 0; t < trip; ++t) {
             const auto tv = static_cast<double>(t);
             for (int l = 0; l < W; ++l) iv[l] = tv;
-            exec_span(L, r, 0, 1, il.body_begin, il.body_end, width, 1);
+            exec_span<W>(L, r, 0, 1, il.body_begin, il.body_end, 1);
           }
           ii = static_cast<size_t>(il.body_end) - 1;  // ++ii lands on body_end
           break;
@@ -1534,12 +1532,11 @@ namespace {
 
 // Allocates + prepares a register file and runs the whole program over
 // [lo, hi) in W-wide batches (the map-kernel driver body).
-template <class WT>
-void run_batched(const KernelLaunch& L, int64_t lo, int64_t hi, WT width) {
-  const int W = width;
+template <int W>
+void run_batched(const KernelLaunch& L, int64_t lo, int64_t hi) {
   std::vector<double> regs(static_cast<size_t>(L.k->num_regs) * static_cast<size_t>(W), 0.0);
   init_invariant(L, regs.data(), W);
-  exec_span(L, regs.data(), lo, hi, 0, L.k->instrs.size(), width);
+  exec_span<W>(L, regs.data(), lo, hi, 0, L.k->instrs.size());
 }
 
 // acc = op(acc, other) on a prepared scalar register file: seed the
@@ -1550,7 +1547,7 @@ void combine_on(const KernelLaunch& L, double* r1, double* acc, const double* ot
     r1[k.reds[j].acc_reg] = acc[j];
     r1[k.reds[j].elem_reg] = other[j];
   }
-  exec_span(L, r1, 0, 1, k.fold_begin, k.fold_end, std::integral_constant<int, 1>{});
+  exec_span<1>(L, r1, 0, 1, k.fold_begin, k.fold_end);
   for (size_t j = 0; j < k.reds.size(); ++j) acc[j] = r1[k.reds[j].acc_reg];
 }
 
@@ -1571,23 +1568,19 @@ void KernelLaunch::run(int64_t lo, int64_t hi) const {
     vexec::run(*vx, *this, lo, hi);
     return;
   }
-  const int W = lanes;
-  if (W > 1 && hi - lo >= W) {
+  // The one wide lane count (Interp admits kernel_lanes 1 and 8 only).
+  constexpr int W = 8;
+  if (lanes == W && hi - lo >= W) {
     if (batched_spans != nullptr) batched_spans->fetch_add(1, std::memory_order_relaxed);
     // Full W-wide batches, then a scalar tail loop for the remainder.
     const int64_t full = lo + ((hi - lo) / W) * W;
-    switch (W) {
-      case 4: run_batched(*this, lo, full, std::integral_constant<int, 4>{}); break;
-      case 8: run_batched(*this, lo, full, std::integral_constant<int, 8>{}); break;
-      case 16: run_batched(*this, lo, full, std::integral_constant<int, 16>{}); break;
-      default: run_batched(*this, lo, full, W); break;
-    }
+    run_batched<W>(*this, lo, full);
     lo = full;
   }
   // Scalar machine (W = 1) and the tail loop: the batched engine with a
   // compile-time lane count of one — a single opcode switch serves both, so
   // the two paths cannot diverge.
-  if (lo < hi) run_batched(*this, lo, hi, std::integral_constant<int, 1>{});
+  if (lo < hi) run_batched<1>(*this, lo, hi);
 }
 
 void KernelLaunch::run_reduce(int64_t lo, int64_t hi, double* partials) const {
@@ -1601,8 +1594,8 @@ void KernelLaunch::run_reduce(int64_t lo, int64_t hi, double* partials) const {
   // Scalar register file reused for the lane combines and the tail loop.
   std::vector<double> r1(static_cast<size_t>(kk.num_regs), 0.0);
   init_invariant(*this, r1.data(), 1);
-  const int W = lanes;
-  if (W > 1 && hi - lo >= W) {
+  constexpr int W = 8;  // as in run()
+  if (lanes == W && hi - lo >= W) {
     if (batched_spans != nullptr) batched_spans->fetch_add(1, std::memory_order_relaxed);
     std::vector<double> rw(static_cast<size_t>(kk.num_regs) * static_cast<size_t>(W), 0.0);
     init_invariant(*this, rw.data(), W);
@@ -1617,12 +1610,7 @@ void KernelLaunch::run_reduce(int64_t lo, int64_t hi, double* partials) const {
       for (int l = 0; l < W; ++l) rw[kk.reds[j].acc_reg * W + l] = red_neutral[j];
     }
     const int64_t blk = (hi - lo) / W;
-    switch (W) {
-      case 4: exec_span(*this, rw.data(), lo, lo + blk, 0, iend, std::integral_constant<int, 4>{}, blk); break;
-      case 8: exec_span(*this, rw.data(), lo, lo + blk, 0, iend, std::integral_constant<int, 8>{}, blk); break;
-      case 16: exec_span(*this, rw.data(), lo, lo + blk, 0, iend, std::integral_constant<int, 16>{}, blk); break;
-      default: exec_span(*this, rw.data(), lo, lo + blk, 0, iend, W, blk); break;
-    }
+    exec_span<W>(*this, rw.data(), lo, lo + blk, 0, iend, blk);
     lo += blk * W;
     std::vector<double> lane(nred);
     for (int l = 0; l < W; ++l) {
@@ -1633,7 +1621,7 @@ void KernelLaunch::run_reduce(int64_t lo, int64_t hi, double* partials) const {
   if (lo < hi) {
     // Scalar tail: continue the running partial through the full program.
     for (size_t j = 0; j < nred; ++j) r1[kk.reds[j].acc_reg] = partials[j];
-    exec_span(*this, r1.data(), lo, hi, 0, iend, std::integral_constant<int, 1>{});
+    exec_span<1>(*this, r1.data(), lo, hi, 0, iend);
     for (size_t j = 0; j < nred; ++j) partials[j] = r1[kk.reds[j].acc_reg];
   }
 }
@@ -1649,7 +1637,7 @@ void KernelLaunch::run_scan_chunk(int64_t lo, int64_t hi, double* carry) const {
   // Scans are order-dependent: always the scalar engine, elements in order.
   for (size_t j = 0; j < kk.reds.size(); ++j) r1[kk.reds[j].acc_reg] = carry[j];
   if (lo < hi) {
-    exec_span(*this, r1.data(), lo, hi, 0, kk.instrs.size(), std::integral_constant<int, 1>{});
+    exec_span<1>(*this, r1.data(), lo, hi, 0, kk.instrs.size());
   }
   for (size_t j = 0; j < kk.reds.size(); ++j) carry[j] = r1[kk.reds[j].acc_reg];
 }
@@ -1664,8 +1652,7 @@ void KernelLaunch::scan_rescale(int64_t lo, int64_t hi, const double* prefix) co
       r1[kk.reds[j].acc_reg] = prefix[j];
       r1[kk.reds[j].elem_reg] = outputs[j].get_f64(i);
     }
-    exec_span(*this, r1.data(), 0, 1, kk.fold_begin, kk.fold_end,
-              std::integral_constant<int, 1>{});
+    exec_span<1>(*this, r1.data(), 0, 1, kk.fold_begin, kk.fold_end);
     for (size_t j = 0; j < nred; ++j) {
       auto& o = const_cast<ArrayVal&>(outputs[j]);
       const double v = r1[kk.reds[j].acc_reg];
@@ -1697,14 +1684,11 @@ int64_t KernelLaunch::run_hist_chunk(int64_t lo, int64_t hi, double* bins, int64
   int64_t performed = 0;
   for (int64_t i = lo; i < hi; ++i) {
     const int64_t b = inds[i];
-    if (b < 0 || b >= m) continue;  // out-of-range bins ignored (pre is pure)
-    // [0, fold_begin): LoadElem (+ the histomap pre-lambda) fills the
-    // element register for iteration i.
-    exec_span(*this, r1.data(), i, i + 1, 0, kk.fold_begin,
-              std::integral_constant<int, 1>{});
+    if (b < 0 || b >= m) continue;  // out-of-range bins ignored
+    // [0, fold_begin): LoadElem fills the element register for iteration i.
+    exec_span<1>(*this, r1.data(), i, i + 1, 0, kk.fold_begin);
     r1[acc_reg] = bins[b];
-    exec_span(*this, r1.data(), 0, 1, kk.fold_begin, kk.fold_end,
-              std::integral_constant<int, 1>{});
+    exec_span<1>(*this, r1.data(), 0, 1, kk.fold_begin, kk.fold_end);
     bins[b] = r1[acc_reg];
     ++performed;
   }
@@ -1721,8 +1705,7 @@ void KernelLaunch::fold_bins(double* acc, const double* other, int64_t count) co
   for (int64_t j = 0; j < count; ++j) {
     r1[acc_reg] = acc[j];
     r1[elem_reg] = other[j];
-    exec_span(*this, r1.data(), 0, 1, kk.fold_begin, kk.fold_end,
-              std::integral_constant<int, 1>{});
+    exec_span<1>(*this, r1.data(), 0, 1, kk.fold_begin, kk.fold_end);
     acc[j] = r1[acc_reg];
   }
 }
@@ -1765,7 +1748,7 @@ void run_scalar_kernel(const Kernel& k, const double* frees, double* regs, doubl
   for (const auto& in : k.instrs) {
     if (in.op == KOp::ConstF) regs[in.dst] = in.imm;
   }
-  exec_span(L, regs, 0, 1, 0, k.instrs.size(), std::integral_constant<int, 1>{});
+  exec_span<1>(L, regs, 0, 1, 0, k.instrs.size());
 }
 
 } // namespace npad::rt

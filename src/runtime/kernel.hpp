@@ -335,8 +335,8 @@ struct KernelLaunch {
   // the same compiled artifact as the reduce form of the combine operator,
   // so hist shares cache entries with reduce): for each element i in
   // [lo, hi) with an in-range index, bins[inds[i]] =
-  // op(bins[inds[i]], pre(vals[i])) — the pre subprogram [0, fold_begin)
-  // computes the element register, the fold subprogram is re-entered with
+  // op(bins[inds[i]], vals[i]) — the subprogram [0, fold_begin) loads the
+  // element register, the fold subprogram is re-entered with
   // the bin's current value seeded into the accumulator register. Strictly
   // sequential in element order (the generalized-histogram contract needs
   // associativity only across the privatized-merge boundaries). Returns the

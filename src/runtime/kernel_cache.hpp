@@ -37,11 +37,11 @@ public:
   const Kernel* get(const ir::LambdaPtr& f, bool* was_hit = nullptr);
 
   // Reduction kernels: the cached kernel for fold operator `op` plus the
-  // optional redomap pre-lambda `pre` (may be null), in reduce or scan
-  // (`scan`) form. Keys combine both lambdas and the form — the same fold
-  // op compiles separately as reduce and as scan — with the same two-level
-  // pointer/structural lookup and the same immortal-entry policy as map
-  // kernels.
+  // optional redomap pre-lambda `pre` (null for scans and hists), in
+  // reduce or scan (`scan`) form. Keys combine both lambdas and the form —
+  // the same fold op compiles separately as reduce and as scan — with the
+  // same two-level pointer/structural lookup and the same immortal-entry
+  // policy as map kernels.
   const Kernel* get_reduce(const ir::LambdaPtr& op, const ir::LambdaPtr& pre, bool scan,
                            bool* was_hit = nullptr);
 

@@ -142,14 +142,8 @@ private:
                      lambda(*o.op);
                      if (o.pre) lambda(*o.pre);
                    },
-                   [&](const OpScan& o) {
-                     lambda(*o.op);
-                     if (o.pre) lambda(*o.pre);
-                   },
-                   [&](const OpHist& o) {
-                     lambda(*o.op);
-                     if (o.pre) lambda(*o.pre);
-                   },
+                   [&](const OpScan& o) { lambda(*o.op); },
+                   [&](const OpHist& o) { lambda(*o.op); },
                    [&](const OpWithAcc& o) { lambda(*o.f); },
                    [&](const auto&) {},
                },

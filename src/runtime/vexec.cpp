@@ -154,7 +154,6 @@ struct Lowered {
   int32_t tile_slots = 0;         // tile blocks of the largest tiled body
   int32_t tile_carries = 0;       // carry registers of the largest save block
   int num_regs = 0;
-  int superinstrs = 0;
 };
 
 // True when `reg` is written by any instruction of the body — a nested
@@ -636,7 +635,6 @@ void lower_pass2(const Kernel& k, Usage& u, Lowered& low) {
           try_pair(prev, cur, prev.d, fused)) {
         kill(prev.d);
         out.back() = fused;
-        ++low.superinstrs;
         emitted = true;
         break;
       }
@@ -933,10 +931,6 @@ std::unordered_map<Key, std::unique_ptr<Entry>, KeyHash>& cache() {
 } // namespace
 
 const Entry* lookup(const Kernel& k, int lanes) {
-  // Wide programs exist for the compile-time lane counts only; other widths
-  // stay on the register machine (they share its `default:` runtime-W path,
-  // which vexec does not replicate).
-  if (lanes != 1 && lanes != 4 && lanes != 8 && lanes != 16) return nullptr;
   const Key key{&k, lanes};
   {
     std::shared_lock lk(cache_mu);
@@ -954,7 +948,6 @@ const Entry* lookup(const Kernel& k, int lanes) {
     e = std::make_unique<Entry>();
     e->narrow = bake(low, 1);
     if (lanes > 1) e->wide = bake(low, lanes);
-    e->superinstrs = low.superinstrs;
   }
   std::unique_lock lk(cache_mu);
   auto [it, inserted] = cache().emplace(key, std::move(e));

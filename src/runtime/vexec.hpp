@@ -215,14 +215,13 @@ struct VProgram {
 struct Entry {
   VProgram wide;
   VProgram narrow;
-  int superinstrs = 0;  // fused superinstructions in one program's code
 };
 
 // Lazily lowers (and caches process-wide, immortal) the vexec entry for `k`
 // at lane width `lanes`. `k` must itself be immortal — owned by the kernel
-// cache or a resolved program's scalar-glue block, never by the launch. Returns nullptr when the
-// width is unsupported (wide programs exist for W in {4, 8, 16} only) or
-// the program does not lower; the caller then stays on the register machine.
+// cache or a resolved program's scalar-glue block, never by the launch.
+// `lanes` is 1 or 8 (Interp rejects other widths). Returns nullptr when the
+// program does not lower; the caller then stays on the register machine.
 const Entry* lookup(const Kernel& k, int lanes);
 
 // Engine drivers (runtime/vexec_engine.cpp). Each mirrors the KernelLaunch

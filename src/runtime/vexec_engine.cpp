@@ -858,17 +858,14 @@ void run_vloop(const VProgram& p, const KernelLaunch& L, double* r, const VLoop&
   }
 }
 
-// Runs the whole wide program over [lo, hi) with compile-time lane counts
-// for the supported widths (lookup only produces wide programs for these).
+// The one wide lane count: Interp admits kernel_lanes 1 and 8 only, and
+// the drivers take the wide program only at this width.
+constexpr int kWide = 8;
+
+// Runs the whole wide program over [lo, hi).
 inline void wide_span(const VProgram& p, const KernelLaunch& L, double* r, int64_t lo,
                       int64_t hi, int64_t lane_stride) {
-  const auto ie = static_cast<uint32_t>(p.code.size());
-  switch (p.W) {
-    case 4: vspan<4>(p, L, r, lo, hi, 0, ie, lane_stride); break;
-    case 8: vspan<8>(p, L, r, lo, hi, 0, ie, lane_stride); break;
-    case 16: vspan<16>(p, L, r, lo, hi, 0, ie, lane_stride); break;
-    default: break;  // unreachable: lookup rejects other widths
-  }
+  vspan<kWide>(p, L, r, lo, hi, 0, static_cast<uint32_t>(p.code.size()), lane_stride);
 }
 
 // Doubles one program's register file takes: the registers, then its tile
@@ -904,7 +901,7 @@ inline void vcombine(const Entry& e, const KernelLaunch& L, double* r1, double* 
 void run(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi) {
   const DispatchTally tally(L);
   const int W = L.lanes;
-  if (e.wide.W == W && W > 1 && hi - lo >= W) {
+  if (W == kWide && e.wide.W == W && hi - lo >= W) {
     if (L.batched_spans != nullptr) L.batched_spans->fetch_add(1, std::memory_order_relaxed);
     const int64_t full = lo + ((hi - lo) / W) * W;
     double* rw = arena(file_size(e.wide) + file_size(e.narrow));
@@ -933,7 +930,7 @@ void run_reduce(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
   const size_t nred = n.red_acc_off.size();
   const size_t n1 = file_size(n);
   const int W = L.lanes;
-  const bool wide = W > 1 && hi - lo >= W && e.wide.W == W;
+  const bool wide = W == kWide && hi - lo >= W && e.wide.W == W;
   const size_t nw = wide ? file_size(e.wide) : 0;
   double* r1 = arena(n1 + nw + nred);
   double* rw = r1 + n1;

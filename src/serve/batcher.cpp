@@ -187,7 +187,7 @@ void Batcher::worker_loop() {
     const std::string key = queue_.front().key;
     const Clock::time_point first_enq = queue_.front().t_enq;
     take_matching_locked(batch, key);
-    if (opts_.stack && opts_.window_us > 0) {
+    if (opts_.window_us > 0) {
       // Work-conserving hold: wait for batchmates only while another launch
       // is in flight. The hold ends when the group fills, the window (from
       // its FIRST request's enqueue) expires, every in-flight launch
@@ -243,7 +243,7 @@ void Batcher::exec_batch(std::vector<Pending> batch) {
     resps[i].error = err.what();
   };
 
-  if (b == 1 || !opts_.stack) {
+  if (b == 1) {
     stats_.single_requests.fetch_add(static_cast<uint64_t>(b), std::memory_order_relaxed);
     for (int i = 0; i < b; ++i) {
       try {

@@ -94,7 +94,6 @@ struct BatcherOptions {
   int max_batch = 16;      // N: largest stacked group
   int64_t window_us = 1000;  // longest hold from a group's first enqueue
   int workers = 2;         // batch-executing worker threads
-  bool stack = true;       // false: execute every request individually
   bool start = true;       // false: construct paused; call start() explicitly
   rt::InterpOptions interp;
 };

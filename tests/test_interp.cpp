@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "ir/builder.hpp"
 #include "ir/typecheck.hpp"
@@ -340,6 +341,16 @@ TEST(Interp, KernelStatsCountFastPath) {
   (void)r;
   EXPECT_EQ(in.stats().kernel_maps.load(), 1u);
   EXPECT_EQ(in.stats().general_maps.load(), 0u);
+}
+
+TEST(Interp, KernelLanesMustBeOneOrEight) {
+  for (int lanes : {1, 8}) {
+    EXPECT_NO_THROW(Interp({.kernel_lanes = lanes})) << lanes;
+  }
+  for (int lanes : {-1, 0, 2, 4, 16}) {
+    EXPECT_THROW(Interp({.kernel_lanes = lanes}), std::invalid_argument) << lanes;
+    EXPECT_THROW(run_prog(Prog{}, {}, {.kernel_lanes = lanes}), std::invalid_argument) << lanes;
+  }
 }
 
 } // namespace

@@ -314,7 +314,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ParallelAgree,
 // ------------------------------------------- reduce/scan kernel conformance
 //
 // The compiled reduction path must agree with the general interpreter across
-// {fused, unfused} x {lanes 1, 8} x {empty, tail-sized, large} extents. The
+// {fused, unfused} x {lanes 1, 8} x {empty, tail-sized, large} extents
+// (only the reduce fuses: a scan keeps its producer map). The
 // fold bodies are deliberately not single recognized binops, so the old
 // hand-rolled fast path cannot mask the kernel — but they must still be
 // associative (the reduce/scan contract): lane partials and chunk partials
@@ -373,7 +374,7 @@ TEST_P(RedomapConformance, KernelMatchesGeneral) {
     opt::FuseStats fs;
     run = opt::fuse_maps(p, &fs);
     typecheck(run);
-    ASSERT_EQ(fs.fused_redomaps, 2);  // the producer folds into reduce AND scan
+    ASSERT_EQ(fs.fused_redomaps, 1);  // the producer folds into the reduce only
   }
   std::vector<Value> args = {
       rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(n), -1.0, 1.0), {n})};
@@ -387,10 +388,9 @@ TEST_P(RedomapConformance, KernelMatchesGeneral) {
   EXPECT_EQ(fast.stats().general_scans.load(), 0u);
   if (fused) {
     EXPECT_EQ(fast.stats().fused_reduces.load(), 1u);
-    EXPECT_EQ(fast.stats().fused_scans.load(), 1u);
-    // The mapped intermediate is gone: no launch requests a pooled buffer
-    // for it. Only the scan's own output buffer remains.
-    EXPECT_LE(fast.stats().pool_hits.load() + fast.stats().pool_misses.load(), 1u);
+    // The reduce's mapped intermediate is gone: no launch requests a pooled
+    // buffer for it. The scan's producer map and the scan's output remain.
+    EXPECT_LE(fast.stats().pool_hits.load() + fast.stats().pool_misses.load(), 2u);
   }
   const double tol = 1e-12 * std::max<double>(1, static_cast<double>(n));
   EXPECT_NEAR(rt::as_f64(got[0]), rt::as_f64(ref[0]), tol);
@@ -588,9 +588,9 @@ TEST(RedomapConformance, EmptyRank2ScanKeepsInnerExtent) {
 // ------------------------------------------------------ hist conformance
 //
 // The parallel privatized/atomic/kernel hist strategies must agree with the
-// strictly sequential general path across {fused, unfused} x {sequential,
-// privatized, atomic} x input shapes {empty inds, out-of-range inds,
-// all-same-bin contention, uniform}. Combinable binops (+, min) exercise
+// strictly sequential general path across {sequential, privatized, atomic}
+// x input shapes {empty inds, out-of-range inds, all-same-bin contention,
+// uniform}. Combinable binops (+, min) exercise
 // the hand-rolled tier; a two-statement add and an LSE fold exercise the
 // compiled-kernel tier (where the "atomic" strategy legitimately runs the
 // sequential kernel loop — arbitrary folds have no atomic fallback). Merged
@@ -601,7 +601,6 @@ enum class HistStrategy { Sequential, Privatized, Atomic };
 enum class HistOp { Add, Min, SlowAdd, Lse };
 
 struct HistCase {
-  bool fused;
   HistStrategy strategy;
   HistOp op;
 };
@@ -654,16 +653,9 @@ Prog hist_prog(HistOp op, bool with_map) {
 class HistConformance : public ::testing::TestWithParam<HistCase> {};
 
 TEST_P(HistConformance, StrategiesMatchGeneralPath) {
-  const auto [fused, strategy, op] = GetParam();
+  const auto [strategy, op] = GetParam();
   const bool kernel_op = op == HistOp::SlowAdd || op == HistOp::Lse;
   Prog p = hist_prog(op, /*with_map=*/true);
-  Prog run = p;
-  if (fused) {
-    opt::FuseStats fs;
-    run = opt::fuse_maps(p, &fs);
-    typecheck(run);
-    ASSERT_EQ(fs.fused_hists, 1);
-  }
   rt::InterpOptions opts{.parallel = strategy != HistStrategy::Sequential,
                          .use_kernels = true,
                          .grain = 16,
@@ -683,8 +675,7 @@ TEST_P(HistConformance, StrategiesMatchGeneralPath) {
       {"same-bin", 500, 3, 4},
   };
   for (const auto& sh : shapes) {
-    support::Rng rng(static_cast<uint64_t>(sh.n) + static_cast<uint64_t>(op) * 13 +
-                     (fused ? 7 : 0));
+    support::Rng rng(static_cast<uint64_t>(sh.n) + static_cast<uint64_t>(op) * 13);
     std::vector<int64_t> iv(static_cast<size_t>(sh.n));
     for (auto& x : iv) x = sh.lo + rng.uniform_int(sh.hi - sh.lo);
     std::vector<Value> args = {
@@ -694,19 +685,16 @@ TEST_P(HistConformance, StrategiesMatchGeneralPath) {
     rt::Interp slow({.parallel = false, .use_kernels = false});
     auto ref = rt::to_f64_vec(rt::as_array(slow.run(p, args)[0]));
     rt::Interp fast(opts);
-    auto got = rt::to_f64_vec(rt::as_array(fast.run(run, args)[0]));
+    auto got = rt::to_f64_vec(rt::as_array(fast.run(p, args)[0]));
     ASSERT_EQ(got.size(), ref.size()) << sh.name;
     const double tol = op == HistOp::Min ? 0.0 : 1e-10;
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_NEAR(got[i], ref[i], tol) << sh.name << " bin " << i;
     }
-    if (kernel_op || fused) {
+    if (kernel_op) {
       EXPECT_GE(fast.stats().kernel_hists.load(), 1u) << sh.name;
     } else {
       EXPECT_GE(fast.stats().general_hists.load(), 1u) << sh.name;
-    }
-    if (fused) {
-      EXPECT_GE(fast.stats().fused_hists.load(), 1u) << sh.name;
     }
   }
 }
@@ -714,24 +702,18 @@ TEST_P(HistConformance, StrategiesMatchGeneralPath) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, HistConformance,
     ::testing::Values(
-        HistCase{false, HistStrategy::Sequential, HistOp::Add},
-        HistCase{false, HistStrategy::Privatized, HistOp::Add},
-        HistCase{false, HistStrategy::Atomic, HistOp::Add},
-        HistCase{false, HistStrategy::Sequential, HistOp::Min},
-        HistCase{false, HistStrategy::Privatized, HistOp::Min},
-        HistCase{false, HistStrategy::Atomic, HistOp::Min},
-        HistCase{false, HistStrategy::Sequential, HistOp::SlowAdd},
-        HistCase{false, HistStrategy::Privatized, HistOp::SlowAdd},
-        HistCase{false, HistStrategy::Atomic, HistOp::SlowAdd},
-        HistCase{false, HistStrategy::Sequential, HistOp::Lse},
-        HistCase{false, HistStrategy::Privatized, HistOp::Lse},
-        HistCase{false, HistStrategy::Atomic, HistOp::Lse},
-        HistCase{true, HistStrategy::Sequential, HistOp::Add},
-        HistCase{true, HistStrategy::Privatized, HistOp::Add},
-        HistCase{true, HistStrategy::Atomic, HistOp::Add},
-        HistCase{true, HistStrategy::Sequential, HistOp::Lse},
-        HistCase{true, HistStrategy::Privatized, HistOp::Lse},
-        HistCase{true, HistStrategy::Atomic, HistOp::Lse}));
+        HistCase{HistStrategy::Sequential, HistOp::Add},
+        HistCase{HistStrategy::Privatized, HistOp::Add},
+        HistCase{HistStrategy::Atomic, HistOp::Add},
+        HistCase{HistStrategy::Sequential, HistOp::Min},
+        HistCase{HistStrategy::Privatized, HistOp::Min},
+        HistCase{HistStrategy::Atomic, HistOp::Min},
+        HistCase{HistStrategy::Sequential, HistOp::SlowAdd},
+        HistCase{HistStrategy::Privatized, HistOp::SlowAdd},
+        HistCase{HistStrategy::Atomic, HistOp::SlowAdd},
+        HistCase{HistStrategy::Sequential, HistOp::Lse},
+        HistCase{HistStrategy::Privatized, HistOp::Lse},
+        HistCase{HistStrategy::Atomic, HistOp::Lse}));
 
 TEST(HistConformance, StrategyCountersReportTheTakenPath) {
   // The privatized strategy must report non-atomic updates, the atomic
@@ -1340,13 +1322,7 @@ TEST_P(VexecConformance, BitExactAgainstRegisterMachine) {
         return r;
       }
       case VexKind::Nest: return nested_lse_prog();  // an inline LSE fold per row
-      case VexKind::Hist: {
-        Prog r = hist_prog(HistOp::SlowAdd, /*with_map=*/true);
-        opt::FuseStats fs;
-        r = opt::fuse_maps(r, &fs);
-        typecheck(r);
-        return r;
-      }
+      case VexKind::Hist: return hist_prog(HistOp::SlowAdd, /*with_map=*/true);
       case VexKind::ScalarBlock: return scalar_block_prog();
       case VexKind::InlineLoop: return inline_loop_prog();
     }

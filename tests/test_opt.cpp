@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <fstream>
 #include <functional>
@@ -617,7 +618,6 @@ size_t count_redomaps(const Body& b);
 size_t count_redomaps_exp(const Exp& e) {
   size_t n = 0;
   if (const auto* r = std::get_if<OpReduce>(&e); r && r->pre) ++n;
-  if (const auto* sc = std::get_if<OpScan>(&e); sc && sc->pre) ++n;
   for_each_nested(e, [&](const NestedScope& s) { n += count_redomaps(*s.body); });
   return n;
 }
@@ -675,30 +675,6 @@ TEST(RedomapFusion, ChainIntoReduceFusesTransitively) {
   std::vector<Value> args = {make_f64_array({0.5, -1.5, 2.0}, {3})};
   EXPECT_NEAR(rt::as_f64(rt::run_prog(p, args)[0]), rt::as_f64(rt::run_prog(q, args)[0]),
               1e-12);
-}
-
-TEST(RedomapFusion, MapIntoScanFuses) {
-  ProgBuilder pb("ms");
-  Var xs = pb.param("xs", arr_f64(1));
-  Builder& b = pb.body();
-  Var ys = b.map1(scalar_map(b, -1.0, 0.25), {xs});
-  Var sc = b.scan1(b.add_op(), cf64(0.0), {ys});
-  Prog p = pb.finish({Atom(sc)});
-  typecheck(p);
-  opt::FuseStats stats;
-  Prog q = opt::fuse_maps(p, &stats);
-  typecheck(q);
-  EXPECT_EQ(stats.fused_redomaps, 1);
-  EXPECT_EQ(count_maps(q.fn.body), 0u);
-  const auto* scn = std::get_if<OpScan>(&q.fn.body.stms.back().e);
-  ASSERT_NE(scn, nullptr);
-  ASSERT_TRUE(scn->pre);
-  EXPECT_EQ(scn->fused, 1u);
-  std::vector<Value> args = {make_f64_array({1, 2, 3, 4}, {4})};
-  rt::Interp in({.parallel = false});
-  EXPECT_EQ(rt::to_f64_vec(rt::as_array(rt::run_prog(p, args)[0])),
-            rt::to_f64_vec(rt::as_array(in.run(q, args)[0])));
-  EXPECT_EQ(in.stats().fused_scans.load(), 1u);
 }
 
 TEST(RedomapFusion, MeasuredChainIntoReduceFullyFuses) {
@@ -808,183 +784,67 @@ TEST(RedomapFusion, PipelineFusesVjpAdjointChainIntoReduce) {
   }
 }
 
-TEST(HistFusion, MapIntoHistFuses) {
-  // hist(op, dest, is, map(f, vs)) — the producer folds into the hist's
-  // pre-lambda (histomap form) and the mapped intermediate disappears.
-  ProgBuilder pb("mh");
-  Var dest = pb.param("dest", arr_f64(1));
-  Var is = pb.param("is", arr(ScalarType::I64, 1));
-  Var vs = pb.param("vs", arr_f64(1));
-  Builder& b = pb.body();
-  Var ys = b.map1(scalar_map(b, 2.0, 1.0), {vs});
-  Var h = b.hist(b.add_op(), cf64(0.0), dest, is, ys);
-  Prog p = pb.finish({Atom(h)});
-  typecheck(p);
-  opt::FuseStats stats;
-  Prog q = opt::fuse_maps(p, &stats);
-  typecheck(q);
-  EXPECT_EQ(stats.fused_hists, 1);
-  EXPECT_EQ(count_maps(q.fn.body), 0u);
-  const auto* hist = std::get_if<OpHist>(&q.fn.body.stms.back().e);
-  ASSERT_NE(hist, nullptr);
-  ASSERT_TRUE(hist->pre);
-  EXPECT_EQ(hist->fused, 1u);
-  EXPECT_EQ(hist->vals, vs);  // scatters straight from the producer's input
-  std::vector<Value> args = {make_f64_array({0, 0, 0}, {3}),
-                             make_i64_array({0, 2, 1, 2, -1, 9}, {6}),
-                             make_f64_array({1, 2, 3, 4, 5, 6}, {6})};
-  rt::Interp in({.parallel = false});
-  EXPECT_EQ(rt::to_f64_vec(rt::as_array(rt::run_prog(p, args)[0])),
-            rt::to_f64_vec(rt::as_array(in.run(q, args)[0])));
-  EXPECT_EQ(in.stats().fused_hists.load(), 1u);
-  EXPECT_EQ(in.stats().kernel_hists.load(), 1u);
-}
+// Reduce is the only fused consumer. A map (one, or a chain of two) feeding
+// a scan or a reduce_by_index stays a map after fuse_maps and after
+// opt::optimize, the consumer reads the map's result, and the optimized
+// program computes the same bits as the input program.
+TEST(UnfusedConsumers, ScanAndHistKeepTheirProducerMap) {
+  enum class Consumer { Scan, Hist };
+  for (Consumer kind : {Consumer::Scan, Consumer::Hist}) {
+    for (int chain : {1, 2}) {
+      SCOPED_TRACE(std::string(kind == Consumer::Scan ? "scan" : "hist") + " chain " +
+                   std::to_string(chain));
+      ProgBuilder pb("unfused");
+      Var dest = pb.param("dest", arr_f64(1));
+      Var is = pb.param("is", arr(ScalarType::I64, 1));
+      Var vs = pb.param("vs", arr_f64(1));
+      Builder& b = pb.body();
+      Var ys = b.map1(scalar_map(b, 2.0, 1.0), {vs});
+      if (chain == 2) ys = b.map1(scalar_map(b, 3.0, -0.5), {ys});
+      Var out = kind == Consumer::Scan ? b.scan1(b.add_op(), cf64(0.0), {ys})
+                                       : b.hist(b.add_op(), cf64(0.0), dest, is, ys);
+      Prog p = pb.finish({Atom(out)});
+      typecheck(p);
 
-TEST(HistFusion, ChainIntoHistFusesTransitively) {
-  // map→map→hist collapses into one histomap carrying both producers.
-  ProgBuilder pb("chain-h");
-  Var dest = pb.param("dest", arr_f64(1));
-  Var is = pb.param("is", arr(ScalarType::I64, 1));
-  Var vs = pb.param("vs", arr_f64(1));
-  Builder& b = pb.body();
-  Var a = b.map1(scalar_map(b, 2.0, 1.0), {vs});
-  Var c = b.map1(scalar_map(b, 3.0, -0.5), {a});
-  Var h = b.hist(b.add_op(), cf64(0.0), dest, is, c);
-  Prog p = pb.finish({Atom(h)});
-  typecheck(p);
-  opt::FuseStats stats;
-  Prog q = opt::fuse_maps(p, &stats);
-  typecheck(q);
-  EXPECT_EQ(stats.fused_maps + stats.fused_hists, 2);
-  EXPECT_EQ(count_maps(q.fn.body), 0u);
-  const auto* hist = std::get_if<OpHist>(&q.fn.body.stms.back().e);
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->fused, 2u);
-  std::vector<Value> args = {make_f64_array({0.5, -1.0}, {2}), make_i64_array({1, 0, 1}, {3}),
-                             make_f64_array({1, 2, 3}, {3})};
-  auto r1 = rt::to_f64_vec(rt::as_array(rt::run_prog(p, args)[0]));
-  auto r2 = rt::to_f64_vec(rt::as_array(rt::run_prog(q, args)[0]));
-  ASSERT_EQ(r1.size(), r2.size());
-  for (size_t i = 0; i < r1.size(); ++i) EXPECT_NEAR(r1[i], r2[i], 1e-12) << i;
-}
+      opt::FuseStats stats;
+      Prog q = opt::fuse_maps(p, &stats);
+      typecheck(q);
+      EXPECT_EQ(stats.fused_maps, chain - 1);  // a chain still fuses map into map
+      EXPECT_EQ(stats.fused_redomaps, 0);
+      Prog o = opt::optimize(p);
+      typecheck(o);
+      for (const Prog* r : {&q, &o}) {
+        ASSERT_EQ(count_maps(r->fn.body), 1u);
+        const auto& stms = r->fn.body.stms;
+        ASSERT_GE(stms.size(), 2u);
+        const Stm& prod = stms[stms.size() - 2];
+        ASSERT_TRUE(std::holds_alternative<OpMap>(prod.e));
+        const Exp& cons = stms.back().e;
+        if (kind == Consumer::Scan) {
+          ASSERT_TRUE(std::holds_alternative<OpScan>(cons));
+          EXPECT_EQ(std::get<OpScan>(cons).args, std::vector<Var>{prod.vars[0]});
+        } else {
+          ASSERT_TRUE(std::holds_alternative<OpHist>(cons));
+          EXPECT_EQ(std::get<OpHist>(cons).vals, prod.vars[0]);
+        }
+      }
 
-TEST(HistFusion, ValsUsedBesidesHistNotFused) {
-  // ys feeds the hist AND the body result: the intermediate must stay.
-  ProgBuilder pb("keep-h");
-  Var dest = pb.param("dest", arr_f64(1));
-  Var is = pb.param("is", arr(ScalarType::I64, 1));
-  Var vs = pb.param("vs", arr_f64(1));
-  Builder& b = pb.body();
-  Var ys = b.map1(scalar_map(b, 2.0, 0.0), {vs});
-  Var h = b.hist(b.add_op(), cf64(0.0), dest, is, ys);
-  Prog p = pb.finish({Atom(ys), Atom(h)});
-  typecheck(p);
-  opt::FuseStats stats;
-  Prog q = opt::fuse_maps(p, &stats);
-  EXPECT_EQ(stats.fused_hists, 0);
-  EXPECT_EQ(count_maps(q.fn.body), 1u);
-}
-
-TEST(HistFusion, IndsProducerNotFused) {
-  // A map feeding the *index* stream is not element-wise value consumption;
-  // it must stay a separate map.
-  ProgBuilder pb("inds-h");
-  Var dest = pb.param("dest", arr_f64(1));
-  Var vs = pb.param("vs", arr_f64(1));
-  Builder& b = pb.body();
-  Var n = b.length(vs);
-  Var iot = b.iota(Atom(n));
-  Var is = b.map1(b.lam({i64()},
-                        [](Builder& c, const std::vector<Var>& p) {
-                          return std::vector<Atom>{Atom(c.mod(p[0], ci64(3)))};
-                        }),
-                  {iot});
-  Var h = b.hist(b.add_op(), cf64(0.0), dest, is, vs);
-  Prog p = pb.finish({Atom(h)});
-  typecheck(p);
-  opt::FuseStats stats;
-  Prog q = opt::fuse_maps(p, &stats);
-  typecheck(q);
-  EXPECT_EQ(stats.fused_hists, 0);
-  std::vector<Value> args = {make_f64_array({0, 0, 0, 0}, {4}),
-                             make_f64_array({1, 2, 3, 4, 5}, {5})};
-  EXPECT_EQ(rt::to_f64_vec(rt::as_array(rt::run_prog(p, args)[0])),
-            rt::to_f64_vec(rt::as_array(rt::run_prog(q, args)[0])));
-}
-
-TEST(HistFusion, MultiInputProducerNotFused) {
-  // OpHist has a single vals slot: a two-input producer cannot fold in.
-  ProgBuilder pb("mi-h");
-  Var dest = pb.param("dest", arr_f64(1));
-  Var is = pb.param("is", arr(ScalarType::I64, 1));
-  Var xs = pb.param("xs", arr_f64(1));
-  Var ws = pb.param("ws", arr_f64(1));
-  Builder& b = pb.body();
-  Var prods = b.map(b.lam({f64(), f64()},
-                          [](Builder& c, const std::vector<Var>& p) {
-                            return std::vector<Atom>{Atom(c.mul(p[0], p[1]))};
-                          }),
-                    {xs, ws})[0];
-  Var h = b.hist(b.add_op(), cf64(0.0), dest, is, prods);
-  Prog p = pb.finish({Atom(h)});
-  typecheck(p);
-  opt::FuseStats stats;
-  Prog q = opt::fuse_maps(p, &stats);
-  typecheck(q);
-  EXPECT_EQ(stats.fused_hists, 0);
-  EXPECT_EQ(count_maps(q.fn.body), 1u);
-}
-
-TEST(HistFusion, ProducerReadingDestNotFused) {
-  // ys = map f dest; h = hist(op, dest, is, ys): the hist mutates dest in
-  // place, so deferring the producer's reads of dest into the hist would
-  // observe bins earlier iterations already updated. Fusion must not fire,
-  // and fused/unfused programs must agree.
-  ProgBuilder pb("alias-h");
-  Var dest = pb.param("dest", arr_f64(1));
-  Var is = pb.param("is", arr(ScalarType::I64, 1));
-  Builder& b = pb.body();
-  Var ys = b.map1(scalar_map(b, 2.0, 1.0), {dest});
-  Var h = b.hist(b.add_op(), cf64(0.0), dest, is, ys);
-  Prog p = pb.finish({Atom(h)});
-  typecheck(p);
-  opt::FuseStats stats;
-  Prog q = opt::fuse_maps(p, &stats);
-  typecheck(q);
-  EXPECT_EQ(stats.fused_hists, 0);
-  EXPECT_EQ(count_maps(q.fn.body), 1u);
-  std::vector<Value> args = {make_f64_array({1, 2, 3}, {3}), make_i64_array({0, 1, 0}, {3})};
-  EXPECT_EQ(rt::to_f64_vec(rt::as_array(rt::run_prog(p, args)[0])),
-            rt::to_f64_vec(rt::as_array(rt::run_prog(q, args)[0])));
-}
-
-TEST(HistFusion, InPlaceDestConsumptionInGapBlocksFusion) {
-  // A hist between producer and consumer that mutates one of the producer's
-  // inputs in place must block deferring the producer past it.
-  ProgBuilder pb("gap-h");
-  Var dest = pb.param("dest", arr_f64(1));
-  Var is = pb.param("is", arr(ScalarType::I64, 1));
-  Var vs = pb.param("vs", arr_f64(1));
-  Builder& b = pb.body();
-  Var ys = b.map1(scalar_map(b, 2.0, 0.0), {vs});
-  // Mutates vs (the producer's argument) before the consumer hist runs.
-  Var clobber = b.hist(b.add_op(), cf64(0.0), vs, is, ys);
-  Var h = b.hist(b.add_op(), cf64(0.0), dest, is, ys);
-  (void)clobber;
-  Prog p = pb.finish({Atom(clobber), Atom(h)});
-  typecheck(p);
-  opt::FuseStats stats;
-  Prog q = opt::fuse_maps(p, &stats);
-  typecheck(q);
-  // ys has two consumers anyway; the point is the pass neither crashes nor
-  // reorders reads across the in-place hist.
-  EXPECT_EQ(stats.fused_hists, 0);
-  std::vector<Value> args = {make_f64_array({0, 0}, {2}), make_i64_array({0, 1, 1}, {3}),
-                             make_f64_array({1, 2, 3}, {3})};
-  auto r1 = rt::run_prog(p, args);
-  auto r2 = rt::run_prog(q, args);
-  for (size_t k = 0; k < r1.size(); ++k) {
-    EXPECT_EQ(rt::to_f64_vec(rt::as_array(r1[k])), rt::to_f64_vec(rt::as_array(r2[k]))) << k;
+      std::vector<Value> args = {make_f64_array({0.5, -1.0, 0.25}, {3}),
+                                 make_i64_array({0, 2, 1, 2, -1, 9, 0}, {7}),
+                                 make_f64_array({1, -2, 3.5, 4, 0.1, 6, -7.25}, {7})};
+      for (bool vexec : {false, true}) {
+        rt::InterpOptions opts{.parallel = false};
+        opts.use_vexec = vexec;
+        rt::Interp ref(opts), got(opts);
+        auto r1 = rt::to_f64_vec(rt::as_array(ref.run(p, args)[0]));
+        auto r2 = rt::to_f64_vec(rt::as_array(got.run(o, args)[0]));
+        ASSERT_EQ(r1.size(), r2.size());
+        for (size_t i = 0; i < r1.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(r1[i]), std::bit_cast<uint64_t>(r2[i]))
+              << "vexec " << vexec << " element " << i;
+        }
+      }
+    }
   }
 }
 

@@ -94,7 +94,6 @@ BatcherOptions test_opts(int max_batch, int64_t window_us) {
   o.max_batch = max_batch;
   o.window_us = window_us;
   o.workers = 1;
-  o.stack = true;
   o.start = false;
   o.interp.parallel = false;  // bit-exactness is asserted with parallelism off
   return o;

@@ -18,6 +18,10 @@ Setup work (program optimization, warm-up runs) folds into the numerator, so
 ceilings carry generous headroom over the measured steady-state rate — they
 are meant to catch order-of-magnitude regressions, not noise.
 
+A few counters instead carry a floor (FLOORS): a tier that only one bench
+row exercises must keep being exercised, or a change that reroutes that row
+to another tier would go unnoticed.
+
 Usage: check_bench_counters.py [dir-with-BENCH-json-files]   (default: .)
 """
 
@@ -134,6 +138,18 @@ RATIO_CEILINGS = [
     ),
 ]
 
+# Floors on raw counter totals: (json file, counter, floor, measured value
+# when the floor was checked in).
+#
+# ablation_hist/lse8_kernel_hists: the log-sum-exp histogram row is the only
+# bench that runs reduce_by_index on the compiled-kernel hist tier (its
+# combine is not one of the four recognized binops). Measured 31 and 56 in two
+# runs at --benchmark_min_time=0.01 (the total scales with iteration counts);
+# 0 means LSE hists fell back to the general path.
+FLOORS = [
+    ("BENCH_ablation_hist.json", "lse8_kernel_hists", 1, 31),
+]
+
 
 def main() -> int:
     bench_dir = sys.argv[1] if len(sys.argv) > 1 else "."
@@ -196,6 +212,26 @@ def main() -> int:
             failures.append(
                 f"{fname}: {'+'.join(num_counters)} at {rate:.2f} per {den_counter} "
                 f"exceeds ceiling {ceiling} — the serving batcher stopped amortizing"
+            )
+    for fname, counter, floor, measured in FLOORS:
+        path = os.path.join(bench_dir, fname)
+        if not os.path.exists(path):
+            failures.append(f"{fname}: missing (bench smoke did not produce it)")
+            continue
+        with open(path) as f:
+            value = json.load(f).get("counters", {}).get(counter)
+        if value is None:
+            failures.append(f"{fname}: counter {counter!r} absent from JSON")
+            continue
+        status = "OK" if value >= floor else "FAIL"
+        print(
+            f"{status:4} {fname}: {counter}={value} "
+            f"(floor {floor}, was {measured} when checked in)"
+        )
+        if value < floor:
+            failures.append(
+                f"{fname}: {counter}={value} is below floor {floor} "
+                f"— the only bench row of that tier no longer reaches it"
             )
     if failures:
         print("\nlaunch-count regression guard failed:", file=sys.stderr)

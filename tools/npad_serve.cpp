@@ -3,7 +3,7 @@
 // blocking-socket HTTP server, and runs until SIGINT/SIGTERM.
 //
 //   ./npad_serve [--host A] [--port P] [--max-batch N] [--window-us U]
-//                [--workers W] [--no-stack]
+//                [--workers W]
 //
 // --window-us is the longest a group is held open for batchmates, and a
 // group is held only while another worker is executing: an idle server
@@ -32,7 +32,7 @@ void on_signal(int) { g_stop.store(true); }
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host A] [--port P] [--max-batch N] [--window-us U]\n"
-               "          [--workers W] [--no-stack]\n"
+               "          [--workers W]\n"
                "  --window-us U  hold a group for batchmates up to U us, only while\n"
                "                 another worker is executing (default 1000)\n",
                argv0);
@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
     else if (a == "--max-batch") bopts.max_batch = std::atoi(next());
     else if (a == "--window-us") bopts.window_us = std::atoll(next());
     else if (a == "--workers") bopts.workers = std::atoi(next());
-    else if (a == "--no-stack") bopts.stack = false;
     else usage(argv[0]);
   }
 
