@@ -133,12 +133,6 @@ std::shared_ptr<const ir::Prog> BatchedProgCache::get(const ir::Prog& p) {
 
 namespace {
 
-ScalarType value_scalar_type(const Value& v) {
-  if (std::holds_alternative<double>(v)) return ScalarType::F64;
-  if (std::holds_alternative<int64_t>(v)) return ScalarType::I64;
-  return ScalarType::Bool;
-}
-
 std::string shape_str(const std::vector<int64_t>& s) {
   std::string out = "[";
   for (size_t i = 0; i < s.size(); ++i) {
@@ -258,6 +252,7 @@ std::vector<std::vector<Value>> Interp::run_batched(
   stats_.batched_prog_requests.fetch_add(batch.size(), std::memory_order_relaxed);
   if (batch.empty()) return {};
   if (batch.size() == 1) return {run(p, batch[0])};
+  for (const auto& args : batch) check_args(p, args);
 
   std::shared_ptr<const ir::Prog> bp = BatchedProgCache::global().get(p);
   std::vector<Value> stacked = stack_args(batch);

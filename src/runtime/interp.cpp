@@ -1844,11 +1844,42 @@ Interp::Interp(InterpOptions opts) : opts_(opts) {
   }
 }
 
-std::vector<Value> Interp::run(const ir::Prog& p, const std::vector<Value>& args) const {
-  if (args.size() != p.fn.params.size()) {
-    throw TypeError("program expects " + std::to_string(p.fn.params.size()) +
-                    " arguments, got " + std::to_string(args.size()));
+void check_args(const ir::Prog& p, const std::vector<Value>& args) {
+  const auto& params = p.fn.params;
+  if (args.size() != params.size()) {
+    throw TypeError("program '" + p.fn.name + "' expects " + std::to_string(params.size()) +
+                    " argument(s), got " + std::to_string(args.size()));
   }
+  for (size_t i = 0; i < params.size(); ++i) {
+    const ir::Type& t = params[i].type;
+    const Value& v = args[i];
+    auto arg = [&] {
+      return "program '" + p.fn.name + "': argument " + std::to_string(i) + " (" +
+             (p.mod ? p.mod->name(params[i].var) : std::string("?")) + ")";
+    };
+    if (is_acc(v) || t.is_acc) throw TypeError(arg() + " is an accumulator");
+    if (t.rank == 0) {
+      if (is_array(v)) {
+        throw TypeError(arg() + " expects a scalar, got a rank-" +
+                        std::to_string(as_array(v).rank()) + " array");
+      }
+      if (value_scalar_type(v) != t.elem) throw TypeError(arg() + " scalar type mismatch");
+      continue;
+    }
+    if (!is_array(v)) {
+      throw TypeError(arg() + " expects a rank-" + std::to_string(t.rank) + " array, got a scalar");
+    }
+    const ArrayVal& a = as_array(v);
+    if (a.elem != t.elem) throw TypeError(arg() + " element type mismatch");
+    if (a.rank() != t.rank) {
+      throw ShapeError(arg() + " expects rank " + std::to_string(t.rank) + ", got rank " +
+                       std::to_string(a.rank()));
+    }
+  }
+}
+
+std::vector<Value> Interp::run(const ir::Prog& p, const std::vector<Value>& args) const {
+  check_args(p, args);
   // Slot-resolve (cached process-wide): the interpreter evaluates the
   // alpha-renamed clone, whose variables index flat frames.
   std::shared_ptr<const ResolvedProg> rp = ProgCache::global().get(p);

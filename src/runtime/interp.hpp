@@ -154,6 +154,12 @@ private:
   mutable InterpStats stats_;
 };
 
+// The argument contract of Interp::run (and so of run_batched): `args`
+// match `p.fn.params` in number and, one by one, in scalar or array, rank
+// and element type, and none is an accumulator. A mismatch throws a
+// TypeError naming the param (a ShapeError when only the rank differs).
+void check_args(const ir::Prog& p, const std::vector<Value>& args);
+
 // One-shot convenience entry point.
 std::vector<Value> run_prog(const ir::Prog& p, const std::vector<Value>& args,
                             InterpOptions opts = {});

@@ -73,9 +73,8 @@
 // lanes, with no per-row launch, no environment frame and no materialized
 // iota/replicate array. This is what turns a dot-product row lambda (8
 // fused redomaps + glue) into ONE kernel launch per row. The vexec tier runs
-// an innermost loop's body a tile of trips at a time, and the two commonest
-// fold bodies as fused loops: a dot product over two streams and a
-// one-stream fold (`Gather, Add, Mov` — map-of-sum).
+// an innermost loop's body a tile of trips at a time, reading the loop's
+// streams in place: a dot product over two streams is one fold pass.
 //
 // Stream arguments: inline SOACs also accept *real* rank-1 arrays as
 // arguments — a row view `index(A, leads…)` of a free array, or a whole

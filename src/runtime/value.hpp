@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ir/ast.hpp"
+#include "support/error.hpp"
 
 namespace npad::rt {
 
@@ -131,13 +132,20 @@ using Value = std::variant<double, int64_t, bool, ArrayVal, AccVal>;
 inline bool is_array(const Value& v) { return std::holds_alternative<ArrayVal>(v); }
 inline bool is_acc(const Value& v) { return std::holds_alternative<AccVal>(v); }
 
+// The element type of a scalar value; callers rule out arrays and
+// accumulators first (both read as Bool here).
+inline ScalarType value_scalar_type(const Value& v) {
+  if (std::holds_alternative<double>(v)) return ScalarType::F64;
+  if (std::holds_alternative<int64_t>(v)) return ScalarType::I64;
+  return ScalarType::Bool;
+}
+
 inline double as_f64(const Value& v) {
   return std::visit(ir::Overload{[](double x) { return x; },
                                  [](int64_t x) { return static_cast<double>(x); },
                                  [](bool x) { return x ? 1.0 : 0.0; },
                                  [](const auto&) -> double {
-                                   assert(false && "scalar expected");
-                                   return 0.0;
+                                   throw TypeError("scalar expected, got an array or accumulator");
                                  }},
                     v);
 }
@@ -147,8 +155,7 @@ inline int64_t as_i64(const Value& v) {
                                  [](int64_t x) { return x; },
                                  [](bool x) { return static_cast<int64_t>(x); },
                                  [](const auto&) -> int64_t {
-                                   assert(false && "scalar expected");
-                                   return 0;
+                                   throw TypeError("scalar expected, got an array or accumulator");
                                  }},
                     v);
 }
@@ -157,8 +164,7 @@ inline bool as_bool(const Value& v) {
   return std::visit(ir::Overload{[](double x) { return x != 0.0; }, [](int64_t x) { return x != 0; },
                                  [](bool x) { return x; },
                                  [](const auto&) -> bool {
-                                   assert(false && "scalar expected");
-                                   return false;
+                                   throw TypeError("scalar expected, got an array or accumulator");
                                  }},
                     v);
 }

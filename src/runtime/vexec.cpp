@@ -194,95 +194,6 @@ bool stream_access(const Kernel& k, const Kernel::InlineLoop& il, const KInstr& 
   return true;
 }
 
-// Recognizes the two bodies that run faster as one fused handler than by
-// tiles (register space): a dot-product or one-stream fold (kDot) and the
-// dual scatter of LSTM's reverse sweep (kAxpy2). Every access of a fused
-// body is a stream of its loop; lower_pass1 records their registers
-// (VLoop::fused) once the streams are placed.
-uint8_t fused_form(const Kernel& k, const Kernel::InlineLoop& il, const Usage& u, VLoop& vl) {
-  // Multi-accumulator folds never match the single-acc fused forms, and a
-  // counted loop's trip bounds none of its streams.
-  if (!il.more_accs.empty() || il.counted) return VLoop::kGeneric;
-  // Collect the significant body instructions (ConstF/LoadLen leave the
-  // stream via the prologue and are transparent to the patterns).
-  std::vector<const KInstr*> sig;
-  for (uint32_t i = il.body_begin; i < il.body_end; ++i) {
-    const KInstr& in = k.instrs[i];
-    if (in.op == KOp::ConstF || in.op == KOp::LoadLen) continue;
-    sig.push_back(&in);
-  }
-  int32_t lead[3], nlead = 0;
-  auto is_stream = [&](const KInstr* in) { return stream_access(k, il, *in, lead, nlead); };
-
-  // Dot-product fold: Gather, Gather, Mul, Add(with acc), Mov(-> acc).
-  const bool fold = il.acc_reg >= 0 && il.neutral_reg >= 0;
-  if (fold && sig.size() == 5 && sig[0]->op == KOp::Gather && sig[1]->op == KOp::Gather &&
-      sig[2]->op == KOp::Mul && sig[3]->op == KOp::Add && sig[4]->op == KOp::Mov) {
-    const int32_t t1 = sig[0]->dst, t2 = sig[1]->dst, t3 = sig[2]->dst, t4 = sig[3]->dst;
-    const bool temps = u.ok_temp(t1) && u.ok_temp(t2) && u.ok_temp(t3) && u.ok_temp(t4);
-    const bool mul_fw = sig[2]->a == t1 && sig[2]->b == t2;
-    const bool mul_bw = sig[2]->a == t2 && sig[2]->b == t1;
-    const bool add_pa = sig[3]->a == t3 && sig[3]->b == il.acc_reg;
-    const bool add_ap = sig[3]->a == il.acc_reg && sig[3]->b == t3;
-    const bool wb = sig[4]->dst == il.acc_reg && sig[4]->a == t4;
-    if (temps && (mul_fw || mul_bw) && (add_pa || add_ap) && wb && is_stream(sig[0]) &&
-        is_stream(sig[1])) {
-      vl.dot_flags = static_cast<uint8_t>((mul_bw ? 1 : 0) | (add_pa ? 2 : 0));
-      return VLoop::kDot;
-    }
-  }
-
-  // One-stream fold: Gather, Add(with acc), Mov(-> acc) — map-of-sum.
-  if (fold && sig.size() == 3 && sig[0]->op == KOp::Gather && sig[1]->op == KOp::Add &&
-      sig[2]->op == KOp::Mov) {
-    const int32_t t1 = sig[0]->dst, t2 = sig[1]->dst;
-    const bool add_ea = sig[1]->a == t1 && sig[1]->b == il.acc_reg;
-    const bool add_ae = sig[1]->a == il.acc_reg && sig[1]->b == t1;
-    if (u.ok_temp(t1) && u.ok_temp(t2) && (add_ea || add_ae) && sig[2]->dst == il.acc_reg &&
-        sig[2]->a == t2 && is_stream(sig[0])) {
-      vl.dot_flags = static_cast<uint8_t>(add_ea ? 2 : 0);
-      return VLoop::kDot;
-    }
-  }
-
-  // Dual-scatter map: Gather, Gather, Mul, Mul, UpdAcc, UpdAcc.
-  if (sig.size() == 6 && il.acc_reg < 0 && sig[0]->op == KOp::Gather &&
-      sig[1]->op == KOp::Gather && sig[2]->op == KOp::Mul && sig[3]->op == KOp::Mul &&
-      sig[4]->op == KOp::UpdAcc && sig[5]->op == KOp::UpdAcc) {
-    const int32_t t1 = sig[0]->dst, t2 = sig[1]->dst;
-    const int32_t p1 = sig[2]->dst, p2 = sig[3]->dst;
-    const bool temps = u.ok_temp(t1) && u.ok_temp(t2) && u.ok_temp(p1) && u.ok_temp(p2);
-    // Each Mul reads exactly one gathered stream; the other operand is a
-    // body-invariant scalar.
-    auto mul_form = [&](const KInstr& m, bool& reads_t1, bool& s_first, int32_t& s) {
-      const bool a_g = m.a == t1 || m.a == t2;
-      const bool b_g = m.b == t1 || m.b == t2;
-      if (a_g == b_g) return false;  // exactly one stream operand
-      const int32_t g = a_g ? m.a : m.b;
-      s = a_g ? m.b : m.a;
-      reads_t1 = g == t1;
-      s_first = !a_g;  // stream operand second => scalar first
-      if (body_writes(k, il, s)) return false;
-      return true;
-    };
-    bool m1_t1 = false, m1_sf = false, m2_t1 = false, m2_sf = false;
-    int32_t s1 = -1, s2 = -1;
-    if (temps && mul_form(*sig[2], m1_t1, m1_sf, s1) && mul_form(*sig[3], m2_t1, m2_sf, s2) &&
-        m1_t1 != m2_t1 && ((sig[4]->a == p1 && sig[5]->a == p2) ||
-                           (sig[4]->a == p2 && sig[5]->a == p1)) &&
-        is_stream(sig[0]) && is_stream(sig[1]) && is_stream(sig[4]) && is_stream(sig[5])) {
-      vl.s1 = s1;
-      vl.s2 = s2;
-      vl.ax_flags = static_cast<uint8_t>((m1_t1 ? 1 : 0) | (m1_sf ? 2 : 0) |
-                                         (m2_t1 ? 4 : 0) | (m2_sf ? 8 : 0) |
-                                         (sig[4]->a == p1 ? 16 : 0));
-      return VLoop::kAxpy2;
-    }
-  }
-
-  return VLoop::kGeneric;
-}
-
 // ---- lane-uniform registers -----------------------------------------------
 
 // Registers that hold one value in every lane whenever they are read: free
@@ -415,7 +326,6 @@ bool lower_pass1(const Kernel& k, const Usage& u, Lowered& out) {
     vl.neutral = k.loops[s].neutral_reg;
     vl.accs2 = k.loops[s].more_accs;
     vl.neutrals2 = k.loops[s].more_neutrals;
-    vl.form = fused_form(k, k.loops[s], u, vl);
   }
   // Innermost enclosing loop per instruction (loops are in marker order, so
   // an inner loop's body range overwrites its enclosing loop's), and per
@@ -486,13 +396,6 @@ bool lower_pass1(const Kernel& k, const Usage& u, Lowered& out) {
     VLoop& vl = out.loops[s];
     vl.body_begin = posmap[k.loops[s].body_begin];
     vl.body_end = posmap[k.loops[s].body_end];
-    // A fused form reads its accesses' stream registers, in body order.
-    for (uint32_t i = vl.body_begin, f = 0; vl.form != VLoop::kGeneric && i < vl.body_end; ++i) {
-      const VInstr& v = out.code[i];
-      if (v.s < 0) continue;
-      vl.fused[f] = v.s;
-      vl.fused_slot[f++] = v.slot;
-    }
   }
   for (const auto& rs : k.reds) {
     out.red_acc.push_back(rs.acc_reg);
@@ -531,7 +434,7 @@ void subst_read(VInstr& in, int32_t from, int32_t to) {
 bool produces_value(const VInstr& in) {
   switch (in.op) {
     case VOp::StoreOut: case VOp::UpdAcc: case VOp::StoreIdx: case VOp::MulStore:
-    case VOp::AddStore: case VOp::Loop:
+    case VOp::AddStore: case VOp::MulUpd: case VOp::Loop:
       return false;
     default:
       return in.d >= 0;
@@ -668,11 +571,105 @@ void lower_pass2(const Kernel& k, Usage& u, Lowered& low) {
 
 // ---- trip tiling ----------------------------------------------------------
 
+// Tile instructions whose value operands (a, b, c) may read a stream in
+// place.
+bool takes_streams(VOp op) {
+  switch (op) {
+    case VOp::LoadElem: case VOp::LoadIdx: case VOp::Gather: case VOp::GatherMul:
+    case VOp::GatherAdd: case VOp::StoreOut: case VOp::MulStore: case VOp::AddStore:
+    case VOp::CheckIdx: case VOp::Loop:
+      return false;
+    default:
+      return true;
+  }
+}
+
+// Rewrites one loop's tile code `tc` (map part [0, mid), then the fold part)
+// in register space. Streams as operands: an own-stream GatherMul or
+// GatherAdd becomes the Mul or Add of its stream register, and an
+// own-stream Gather whose every reader takes stream operands is dropped,
+// its readers reading the stream register in its place. Then pair fusion:
+// a Mul, Add or Neg of the map part whose result one later instruction
+// reads fuses into that reader (try_pair, or a Mul into an UpdAcc), when
+// the reader is in the map part or is a fold-major fold. Nothing rewrites a
+// map value or an invariant within a tile, so the fused reader sees the
+// operands the pair saw, and each lane's chain of operations is unchanged.
+void tile_peephole(std::vector<VInstr>& tc, size_t& mid, bool major, int32_t ivar,
+                   const std::vector<int>& reads) {
+  auto own = [&](const VInstr& v) { return v.s >= 0 && v.idx[v.nidx - 1] == ivar; };
+  for (VInstr& v : tc) {
+    if ((v.op != VOp::GatherMul && v.op != VOp::GatherAdd) || !own(v)) continue;
+    VInstr m;
+    m.op = v.op == VOp::GatherMul ? VOp::Mul : VOp::Add;
+    m.d = v.d;
+    m.a = (v.flags & 1) != 0 ? v.b : v.s;  // flag: the gathered value is second
+    m.b = (v.flags & 1) != 0 ? v.s : v.b;
+    v = m;
+  }
+  std::vector<uint8_t> dead(tc.size(), 0);
+  for (size_t i = 0; i < mid; ++i) {
+    const VInstr g = tc[i];
+    if (g.op != VOp::Gather || !own(g)) continue;
+    int n = 0;
+    bool ok = true;
+    for (const VInstr& u : tc) {
+      n += (u.a == g.d) + (u.b == g.d) + (u.c == g.d);
+      for (int32_t d = 0; d < u.nidx; ++d) ok = ok && u.idx[d] != g.d;
+      ok = ok && (!instr_reads(u, g.d) || takes_streams(u.op));
+    }
+    if (!ok || n != reads[static_cast<size_t>(g.d)]) continue;
+    for (VInstr& u : tc) {
+      for (int32_t* x : {&u.a, &u.b, &u.c}) {
+        if (*x == g.d) *x = g.s;
+      }
+    }
+    dead[i] = 1;
+  }
+  auto writer = [&](int32_t t, size_t before) -> int64_t {
+    for (size_t j = before; j-- > 0;) {
+      if (dead[j] == 0 && produces_value(tc[j]) && tc[j].d == t) return static_cast<int64_t>(j);
+    }
+    return -1;
+  };
+  for (size_t i = 0; i < (major ? tc.size() : mid); ++i) {
+    if (dead[i] != 0) continue;
+    VInstr& cur = tc[i];
+    for (int32_t t : {cur.a, cur.b, cur.c}) {
+      if (t < 0 || reads[static_cast<size_t>(t)] != 1) continue;
+      const int64_t w = writer(t, std::min(i, mid));
+      if (w < 0) continue;
+      const VInstr& prev = tc[static_cast<size_t>(w)];
+      if (prev.op != VOp::Mul && prev.op != VOp::Add && prev.op != VOp::Neg) continue;
+      VInstr f;
+      if (prev.op == VOp::Mul && cur.op == VOp::UpdAcc && cur.a == t) {
+        f = cur;
+        f.op = VOp::MulUpd;
+        f.a = prev.a;
+        f.b = prev.b;
+      } else if (!try_pair(prev, cur, t, f)) {
+        continue;
+      }
+      if (expensive(f.op)) f.flags |= cur.flags & kUniform;
+      cur = f;
+      dead[static_cast<size_t>(w)] = 1;
+      break;
+    }
+  }
+  std::vector<VInstr> live;
+  size_t live_mid = 0;
+  for (size_t i = 0; i < tc.size(); ++i) {
+    if (dead[i] != 0) continue;
+    live_mid += i < mid;
+    live.push_back(tc[i]);
+  }
+  tc = std::move(live);
+  mid = live_mid;
+}
+
 // Emits loop `vl`'s tile code (vexec.hpp, point 3) when its body qualifies;
 // leaves it on the per-trip path otherwise. `reads` counts every read of
 // each register in the program, launch mechanics included.
 void tile_loop(Lowered& low, VLoop& vl, const std::vector<int>& reads) {
-  if (vl.form != VLoop::kGeneric) return;
   const std::vector<VInstr>& code = low.code;
   const auto R = static_cast<size_t>(low.num_regs);
   const uint32_t b = vl.body_begin, e = vl.body_end;
@@ -735,7 +732,6 @@ void tile_loop(Lowered& low, VLoop& vl, const std::vector<int>& reads) {
     }
     if (w) defined[static_cast<size_t>(in.d)] = 1;
   }
-  if (map_part.empty()) return;
   // Tile blocks hold values only inside the body.
   for (size_t x = 0; x < R; ++x) {
     if (slot[x] >= 0 && reads[x] != inside[x]) return;
@@ -784,11 +780,36 @@ void tile_loop(Lowered& low, VLoop& vl, const std::vector<int>& reads) {
     folds.push_back(h);
   }
   for (uint32_t i : fold_part) major = major && used[i - b] == 1;
+  if (map_part.empty() && !major) return;  // no pass a tile would save
 
-  auto tiled = [&](VInstr v) {
+  std::vector<VInstr> tc;
+  for (uint32_t i : map_part) tc.push_back(code[i]);
+  size_t mid = tc.size();
+  if (major) {
+    tc.insert(tc.end(), folds.begin(), folds.end());
+  } else {
+    for (uint32_t i : fold_part) tc.push_back(code[i]);
+  }
+  int trails = 0;  // own-stream accesses, which index by trip without the block
+  for (const VInstr& v : tc) trails += v.s >= 0 && v.idx[v.nidx - 1] == vl.ivar;
+  tile_peephole(tc, mid, major, vl.ivar, reads);
+
+  std::vector<uint8_t> stream_reg(R, 0);
+  for (uint32_t i = b; i < e; ++i) {
+    if (code[i].s >= 0) stream_reg[static_cast<size_t>(code[i].s)] = 1;
+  }
+  auto bind = [&](int32_t s) {
+    if (std::find(vl.bound.begin(), vl.bound.end(), s) == vl.bound.end()) vl.bound.push_back(s);
+  };
+  bool blocks = false;
+  auto emit = [&](VInstr v) {
     v.tiled = 0;
     auto map = [&](int32_t& x, uint8_t bit) {
-      if (x >= 0 && slot[static_cast<size_t>(x)] >= 0) {
+      if (x < 0) return;
+      if (stream_reg[static_cast<size_t>(x)] != 0) {  // a value operand only
+        v.streamed |= bit;
+        bind(x);
+      } else if (slot[static_cast<size_t>(x)] >= 0) {
         x = low.num_regs + slot[static_cast<size_t>(x)];
         v.tiled |= bit;
       }
@@ -798,28 +819,22 @@ void tile_loop(Lowered& low, VLoop& vl, const std::vector<int>& reads) {
     map(v.b, kTileB);
     map(v.c, kTileC);
     for (int32_t d = 0; d < v.nidx; ++d) map(v.idx[d], static_cast<uint8_t>(kTileIdx << d));
-    if (v.s >= 0 && std::find(vl.bound.begin(), vl.bound.end(), v.s) == vl.bound.end()) {
-      vl.bound.push_back(v.s);
-    }
-    return v;
+    const bool own = v.s >= 0 && (v.tiled & (kTileIdx << (v.nidx - 1))) != 0;
+    if (v.s >= 0) bind(v.s);
+    blocks = blocks || (v.tiled & ~(own ? kTileIdx << (v.nidx - 1) : 0)) != 0;
+    low.tile_code.push_back(v);
   };
-  int trails = 0;  // own-stream accesses, which index by trip without the block
   vl.tile_begin = static_cast<uint32_t>(low.tile_code.size());
-  for (uint32_t i : map_part) {
-    const VInstr& in = code[i];
-    trails += in.s >= 0 && in.idx[in.nidx - 1] == vl.ivar;
-    low.tile_code.push_back(tiled(in));
+  for (size_t i = 0; i < tc.size(); ++i) {
+    if (i == mid) vl.tile_mid = static_cast<uint32_t>(low.tile_code.size());
+    emit(tc[i]);
   }
-  vl.tile_mid = static_cast<uint32_t>(low.tile_code.size());
-  if (major) {
-    for (const VInstr& h : folds) low.tile_code.push_back(tiled(h));
-  } else {
-    for (uint32_t i : fold_part) low.tile_code.push_back(tiled(code[i]));
-  }
+  if (mid == tc.size()) vl.tile_mid = static_cast<uint32_t>(low.tile_code.size());
   vl.tile_end = static_cast<uint32_t>(low.tile_code.size());
   vl.fold_major = major;
   vl.may_throw = may_throw;
   if (inside[iv] > trails) vl.ivar_tile = low.num_regs + slot[iv];
+  vl.whole_trip = !blocks && vl.ivar_tile < 0;
   low.tile_slots = std::max(low.tile_slots, slots);
   if (may_throw) {
     low.tile_carries = std::max(low.tile_carries, static_cast<int32_t>(carries.size()));
@@ -878,9 +893,6 @@ VProgram bake(const Lowered& low, int W) {
     vl.neutral = scale(vl.neutral, W);
     for (auto& a : vl.accs2) a = scale(a, W);
     for (auto& n2 : vl.neutrals2) n2 = scale(n2, W);
-    vl.s1 = scale(vl.s1, W);
-    vl.s2 = scale(vl.s2, W);
-    for (int32_t& f : vl.fused) f = scale(f, W);
     for (VStream& st : vl.streams) {
       st.reg = scale(st.reg, W);
       st.trip = scale(st.trip, W);

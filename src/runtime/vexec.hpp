@@ -1,7 +1,6 @@
 #pragma once
 
-// Vectorized execution tier for the kernel machine (ROADMAP item 1, the
-// "JIT tier"): at first launch, a compiled kernel's KInstr program is
+// Vectorized execution tier for the kernel machine: at first launch, a compiled kernel's KInstr program is
 // lowered — once per (kernel, lane width), cached alongside the immortal
 // KernelCache entry it came from — into a dense pre-decoded schedule of
 // VInstrs, executed by the engine in runtime/vexec_engine.cpp (plain C++
@@ -25,8 +24,13 @@
 //     tile instead of once per trip. The lowering splits the body into a
 //     map part (instructions that do not depend on a carry) and a fold part
 //     (the rest). A register the map part writes becomes a [T][W] tile
-//     block; a stream Gather fills one from the bound row pointers. The
-//     fold part then runs over the tile's per-trip values in trip order:
+//     block. A bound stream of the loop is an ordinary operand there: lane
+//     l, row j reads q[l][t0 + j] in place, so a stream Gather whose value
+//     only feeds tile instructions takes no block and no pass. A peephole
+//     over the tile code then fuses a pure pair across the tile (a product
+//     into the fold that sums it, or into the UpdAcc that scatters it), and
+//     tile code that uses no block at all runs the whole trip as one tile.
+//     The fold part then runs over the tile's per-trip values in trip order:
 //     when every carry (acc, accs2) is one instruction folding its own old
 //     value with map values (the copy chain to the carry collapsed), each
 //     fold runs as one pass over the tile; otherwise the fold part runs
@@ -40,10 +44,9 @@
 //     instruction-major order keeps every address's sequence of effects. A
 //     pure body whose checked access raises inside a tile is replayed per
 //     trip from the tile's start, which raises the register machine's error
-//     at the register machine's point. Two short bodies keep one fused
-//     handler each instead (VLoop::kDot, the dot product and one-stream
-//     fold; VLoop::kAxpy2, LSTM's dual scatter): there a tile's three to
-//     five passes through L1 lose to the fused loop's one.
+//     at the register machine's point. LSTM's dot product thus runs as one
+//     fold pass (a MulAdd over two stream operands into the accumulator)
+//     and its dual scatter as two MulUpd passes.
 //  4. Streams. A Gather (or GatherMul / GatherAdd), UpdAcc or StoreIdx whose
 //     trailing index is an enclosing loop's variable and whose leading
 //     indexes that loop's body never writes (a nested loop's variable and
@@ -100,6 +103,7 @@ enum class VOp : uint8_t {
   GatherAdd,  // g = free[slot][idx...]; d = g + b   [flag: d = b + g]
   MulStore,   // output[slot] element = a * b
   AddStore,   // output[slot] element = a + b
+  MulUpd,     // UpdAcc of a * b (tile code only)
   // inline SOAC block (slot = VProgram::loops index): run [body_begin,
   // body_end) trip times, or its tile code once per tile of trips
   Loop,
@@ -112,6 +116,8 @@ inline constexpr uint8_t kUniform = 2;
 // VInstr::tiled bits (tile code only): the operand is a [T][W] tile block,
 // read or written at row j for trip t0 + j; a clear bit means a W-wide
 // register every trip of the tile reads. idx operand d uses kTileIdx << d.
+// VInstr::streamed uses kTileA/B/C: the operand is the register of a bound
+// stream of the tile's loop, read in place — lane l, row j is q[l][t0 + j].
 inline constexpr uint8_t kTileD = 1, kTileA = 2, kTileB = 4, kTileC = 8, kTileIdx = 16;
 
 // Trips per tile at lane width W: a tile block holds 128 doubles.
@@ -121,6 +127,7 @@ struct VInstr {
   VOp op = VOp::Mov;
   uint8_t flags = 0;
   uint8_t tiled = 0;                 // kTile* operand bits (tile code)
+  uint8_t streamed = 0;              // stream operand bits (tile code)
   int32_t slot = -1;                 // array slot, or loops[] index
   int32_t d = -1, a = -1, b = -1, c = -1;  // register-file element offsets
   int32_t idx[4] = {-1, -1, -1, -1};       // gather/UpdAcc index offsets
@@ -156,30 +163,15 @@ struct VLoop {
   // [tile_begin, tile_mid) is the map part, [tile_mid, tile_end) the fold
   // part — instruction-major over the tile when fold_major, else once per
   // trip. `bound` lists the stream registers the tile code reads: the tile
-  // path runs only when every one of them bound.
+  // path runs only when every one of them bound. A `whole_trip` loop's tile
+  // code uses no tile block, so one tile spans the whole trip.
   uint32_t tile_begin = 0, tile_mid = 0, tile_end = 0;
   bool fold_major = false;
+  bool whole_trip = false;
   bool may_throw = false;   // pure body with a checked access: replay on error
   int32_t ivar_tile = -1;   // tile block to fill with the trip index, or -1
   int32_t save = -1;        // may_throw: carry save block (1 + accs2 registers)
   std::vector<int32_t> bound;
-  // Fused forms: a body that one handler runs faster than tiles do.
-  // kDot folds streams fused[0] (times fused[1]) into acc (dot_flags bit0:
-  // product computed as B*A; bit1: fold is elem+acc). kAxpy2 reads streams
-  // g1, g2 and scatters into u1, u2 (fused[0..3]; fused_slot gives the
-  // accumulator slots): p1 = mul1, p2 = mul2 (each an invariant scalar s1
-  // or s2 times one gathered stream), then u1[t] += {p1|p2} and u2[t] += the
-  // other, in instruction-major lane order. ax_flags: bit0 m1 reads g1 (else
-  // g2); bit1 m1 computes s*g (else g*s); bit2/bit3 the same for m2; bit4
-  // u1 adds m1's product (else m2's). A fused loop whose streams did not all
-  // bind runs its body per trip.
-  enum : uint8_t { kGeneric, kDot, kAxpy2 };
-  uint8_t form = kGeneric;
-  int32_t fused[4] = {-1, -1, -1, -1};
-  int32_t fused_slot[4] = {-1, -1, -1, -1};
-  uint8_t dot_flags = 0;
-  int32_t s1 = -1, s2 = -1;
-  uint8_t ax_flags = 0;
 };
 
 // Prologue init: one launch-invariant register broadcast.

@@ -187,8 +187,8 @@ inline bool stream_lanes(const double* r, int32_t s, double* (&q)[W]) {
 }
 
 // Loop-body dispatches (one per trip on the per-trip path, one per pass over
-// a tile, one per fused-form entry) of the driver call running on this
-// thread, added to the launch's counter once when the call ends.
+// a tile) of the driver call running on this thread, added to the launch's
+// counter once when the call ends.
 thread_local uint64_t t_dispatches = 0;
 
 struct DispatchTally {
@@ -215,112 +215,142 @@ inline int64_t stride(const VInstr& in, unsigned bit) {
   return kTile && (in.tiled & bit) != 0 ? W : 0;
 }
 
-// d = f(a...) per row and lane. With kU, an op flagged kUniform computes
-// lane 0 once per row and broadcasts it (every lane's operands hold the same
-// bits).
-template <int W, bool kTile, bool kU = false, class F>
-inline void ew1(const VInstr& in, double* r, const Rows& rows, F f) {
-  const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
-  const int64_t sd = stride<W, kTile>(in, kTileD), sa = stride<W, kTile>(in, kTileA);
-  const bool uni = kU && (in.flags & kUniform) != 0;
-  for (int j = j0; j < j1; ++j) {
-    double* d = r + in.d + j * sd;
-    const double* a = r + in.a + j * sa;
-    if (uni) {
-      const double v = f(a[0]);
-      for (int l = 0; l < W; ++l) d[l] = v;
-    } else {
-      for (int l = 0; l < W; ++l) d[l] = f(a[l]);
+// Operand views: element (j, l) of an instruction's operand is its value at
+// row j, lane l. A W-wide register is a RegView of row stride 0, a [T][W]
+// tile block one of stride W.
+struct RegView {
+  const double* p;
+  int64_t st;
+  double at(int j, int l) const { return p[j * st + l]; }
+};
+
+// A stream operand (VInstr::streamed), read in place: `q` is the stream's
+// register of lane row pointers, and element (j, l) is q[l][t0 + j].
+struct StreamView {
+  const double* q;
+  int64_t t0;
+  double at(int j, int l) const {
+    const double* row = nullptr;
+    std::memcpy(&row, q + l, sizeof row);
+    return row[t0 + j];
+  }
+};
+
+// Calls f with the view of operand `off` (kTile* bit `bit`): a StreamView
+// when kS and the operand is a stream operand, else a RegView. The choice is
+// made once per instruction; f's loops see a compile-time view type.
+template <int W, bool kTile, bool kS, class F>
+inline void view(const VInstr& in, const double* r, int32_t off, unsigned bit, int64_t t0, F&& f) {
+  if constexpr (kS) {
+    if ((in.streamed & bit) != 0) {
+      f(StreamView{r + off, t0});
+      return;
     }
   }
+  f(RegView{r + off, stride<W, kTile>(in, bit)});
 }
 
 // A fold pass of tile code: the destination is a carry (stride 0) that
-// each row folds into through operand kCarry, so the running value stays in
-// a local across the rows instead of a register-file round trip per row.
-// Row order, operand order and roundings are those of the row loop.
-template <int W, int kCarry, class F>
-inline void fold_rows(const VInstr& in, double* r, const Rows& rows, const int32_t (&off)[3],
-                      const int64_t (&st)[3], F f) {
+// each row folds into, so the running value stays in a local across the
+// rows instead of a register-file round trip per row. f(acc, x, y) takes
+// the row's other operands in operand order; row order and roundings are
+// those of the row loop.
+template <int W, class X, class Y, class F>
+inline void fold_rows(const VInstr& in, double* r, const Rows& rows, const X& x, const Y& y, F f) {
   double acc[W];
   double* d = r + in.d;
   for (int l = 0; l < W; ++l) acc[l] = d[l];
   for (int j = rows.j0; j < rows.j1; ++j) {
-    const double* x = r + off[kCarry == 0 ? 1 : 0] + j * st[kCarry == 0 ? 1 : 0];
-    const double* y = r + off[kCarry == 2 ? 1 : 2] + j * st[kCarry == 2 ? 1 : 2];
-    for (int l = 0; l < W; ++l) acc[l] = f(acc[l], x[l], y[l]);
+    for (int l = 0; l < W; ++l) acc[l] = f(acc[l], x.at(j, l), y.at(j, l));
   }
   for (int l = 0; l < W; ++l) d[l] = acc[l];
 }
 
-// Runs `in` as a fold pass when it is one: more than one row, a W-wide
-// destination, and exactly one operand reading it. f takes (a, b, c).
-template <int W, bool kTile, int kOps, class F>
-inline bool try_fold(const VInstr& in, double* r, const Rows& rows, F f) {
-  if (!kTile || (in.tiled & kTileD) != 0 || rows.j1 - rows.j0 < 2) return false;
-  // A two-operand op passes its first operand again as the unused third.
-  const int64_t st[3] = {stride<W, kTile>(in, kTileA), stride<W, kTile>(in, kTileB),
-                         kOps == 3 ? stride<W, kTile>(in, kTileC) : 0};
-  const int32_t off[3] = {in.a, in.b, kOps == 3 ? in.c : in.a};
-  int carry = -1, n = 0;
-  for (int k = 0; k < kOps; ++k) {
-    if (off[k] == in.d && st[k] == 0) {
-      carry = k;
-      ++n;
+// d = f(a, b, c) per row and lane over the first kOps operands (the unused
+// ones alias a). Runs as a fold pass when the instruction is one: tile
+// code, more than one row, a W-wide destination and exactly one operand
+// reading it. With kU, an op flagged kUniform computes lane 0 once per row
+// and broadcasts it (every lane's operands hold the same bits).
+template <int W, bool kTile, bool kS, bool kU, int kOps, class F>
+inline void ew_rows(const VInstr& in, double* r, const Rows& rows, F f) {
+  const int32_t off[3] = {in.a, kOps > 1 ? in.b : in.a, kOps > 2 ? in.c : in.a};
+  constexpr unsigned kBits[3] = {kTileA, kTileB, kTileC};
+  auto with = [&](int k, auto&& g) { view<W, kTile, kS>(in, r, off[k], kBits[k], rows.t0, g); };
+  if (kTile && kOps > 1 && (in.tiled & kTileD) == 0 && rows.j1 - rows.j0 >= 2) {
+    int carry = -1, n = 0;
+    for (int k = 0; k < kOps; ++k) {
+      if (off[k] == in.d && ((in.tiled | in.streamed) & kBits[k]) == 0) {
+        carry = k;
+        ++n;
+      }
+    }
+    if (n == 1) {
+      const int x = carry == 0 ? 1 : 0, y = carry == 2 ? 1 : 2;
+      auto fold = [&](const auto& vx, const auto& vy) {
+        if (carry == 0) {
+          fold_rows<W>(in, r, rows, vx, vy, [&](double v, double p, double q) { return f(v, p, q); });
+        } else if (carry == 1) {
+          fold_rows<W>(in, r, rows, vx, vy, [&](double v, double p, double q) { return f(p, v, q); });
+        } else {
+          fold_rows<W>(in, r, rows, vx, vy, [&](double v, double p, double q) { return f(p, q, v); });
+        }
+      };
+      if constexpr (kOps == 2) {
+        with(x, [&](const auto& vx) { fold(vx, vx); });
+      } else {
+        with(x, [&](const auto& vx) { with(y, [&](const auto& vy) { fold(vx, vy); }); });
+      }
+      return;
     }
   }
-  if (n != 1) return false;
-  if (carry == 0) {
-    fold_rows<W, 0>(in, r, rows, off, st, [&](double c, double x, double y) {
-      return f(c, x, y);
-    });
-  } else if (carry == 1) {
-    fold_rows<W, 1>(in, r, rows, off, st, [&](double c, double x, double y) {
-      return f(x, c, y);
-    });
+  const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
+  const int64_t sd = stride<W, kTile>(in, kTileD);
+  const bool uni = kU && (in.flags & kUniform) != 0;
+  auto body = [&](const auto& va, const auto& vb, const auto& vc) {
+    for (int j = j0; j < j1; ++j) {
+      double* d = r + in.d + j * sd;
+      if (uni) {
+        const double v = f(va.at(j, 0), vb.at(j, 0), vc.at(j, 0));
+        for (int l = 0; l < W; ++l) d[l] = v;
+      } else {
+        for (int l = 0; l < W; ++l) d[l] = f(va.at(j, l), vb.at(j, l), vc.at(j, l));
+      }
+    }
+  };
+  if constexpr (kOps == 1) {
+    with(0, [&](const auto& va) { body(va, va, va); });
+  } else if constexpr (kOps == 2) {
+    with(0, [&](const auto& va) { with(1, [&](const auto& vb) { body(va, vb, va); }); });
   } else {
-    fold_rows<W, 2>(in, r, rows, off, st, [&](double c, double x, double y) {
-      return f(x, y, c);
+    with(0, [&](const auto& va) {
+      with(1, [&](const auto& vb) { with(2, [&](const auto& vc) { body(va, vb, vc); }); });
     });
   }
-  return true;
+}
+
+// Elementwise ops; tile code with stream operands takes the kS rows.
+template <int W, bool kTile, bool kU, int kOps, class F>
+inline void ew(const VInstr& in, double* r, const Rows& rows, F f) {
+  if (kTile && in.streamed != 0) {
+    ew_rows<W, kTile, kTile, kU, kOps>(in, r, rows, f);
+  } else {
+    ew_rows<W, kTile, false, kU, kOps>(in, r, rows, f);
+  }
+}
+
+template <int W, bool kTile, bool kU = false, class F>
+inline void ew1(const VInstr& in, double* r, const Rows& rows, F f) {
+  ew<W, kTile, kU, 1>(in, r, rows, [&](double x, double, double) { return f(x); });
 }
 
 template <int W, bool kTile, bool kU = false, class F>
 inline void ew2(const VInstr& in, double* r, const Rows& rows, F f) {
-  if (try_fold<W, kTile, 2>(in, r, rows, [&](double x, double y, double) { return f(x, y); })) {
-    return;
-  }
-  const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
-  const int64_t sd = stride<W, kTile>(in, kTileD), sa = stride<W, kTile>(in, kTileA),
-                sb = stride<W, kTile>(in, kTileB);
-  const bool uni = kU && (in.flags & kUniform) != 0;
-  for (int j = j0; j < j1; ++j) {
-    double* d = r + in.d + j * sd;
-    const double* a = r + in.a + j * sa;
-    const double* b = r + in.b + j * sb;
-    if (uni) {
-      const double v = f(a[0], b[0]);
-      for (int l = 0; l < W; ++l) d[l] = v;
-    } else {
-      for (int l = 0; l < W; ++l) d[l] = f(a[l], b[l]);
-    }
-  }
+  ew<W, kTile, kU, 2>(in, r, rows, [&](double x, double y, double) { return f(x, y); });
 }
 
 template <int W, bool kTile, class F>
 inline void ew3(const VInstr& in, double* r, const Rows& rows, F f) {
-  if (try_fold<W, kTile, 3>(in, r, rows, f)) return;
-  const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
-  const int64_t sd = stride<W, kTile>(in, kTileD), sa = stride<W, kTile>(in, kTileA),
-                sb = stride<W, kTile>(in, kTileB), sc = stride<W, kTile>(in, kTileC);
-  for (int j = j0; j < j1; ++j) {
-    double* d = r + in.d + j * sd;
-    const double* a = r + in.a + j * sa;
-    const double* b = r + in.b + j * sb;
-    const double* c = r + in.c + j * sc;
-    for (int l = 0; l < W; ++l) d[l] = f(a[l], b[l], c[l]);
-  }
+  ew<W, kTile, false, 3>(in, r, rows, f);
 }
 
 // A fused pair: t = first(a, b), then d = second(t, c), or second(c, t)
@@ -386,49 +416,62 @@ inline void gather_rows(const KernelLaunch& L, const double* r, const VInstr& in
 }
 
 // UpdAcc (kStore = false) or StoreIdx over rows, in instruction-major lane
-// order within each row.
-template <int W, bool kTile, bool kStore>
+// order within each row; with kMul (MulUpd) the value is a * b.
+template <int W, bool kTile, bool kStore, bool kMul = false>
 inline void scatter_rows(const KernelLaunch& L, double* r, const VInstr& in, const Rows& rows) {
   const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
-  const int64_t sa = stride<W, kTile>(in, kTileA);
   const bool atomic =
       !kStore && (L.acc_atomic.empty() || L.acc_atomic[static_cast<size_t>(in.slot)] != 0);
-  double* q[W];
-  if (stream_lanes<W>(r, in.s, q)) {
-    for (int j = j0; j < j1; ++j) {
-      const int64_t t = trip_at<kTile>(r, in, rows, j);
-      const double* a = r + in.a + j * sa;
-      if (kStore) {
-        for (int l = 0; l < W; ++l) q[l][t] = a[l];
-      } else if (atomic) {
-        for (int l = 0; l < W; ++l) {
-          std::atomic_ref<double>(q[l][t]).fetch_add(a[l], std::memory_order_relaxed);
+  auto go = [&](const auto& va, const auto& vb) {
+    double v[W];
+    auto value = [&](int j) {
+      for (int l = 0; l < W; ++l) v[l] = kMul ? va.at(j, l) * vb.at(j, l) : va.at(j, l);
+      return static_cast<const double*>(v);
+    };
+    double* q[W];
+    if (stream_lanes<W>(r, in.s, q)) {
+      for (int j = j0; j < j1; ++j) {
+        const int64_t t = trip_at<kTile>(r, in, rows, j);
+        const double* a = value(j);
+        if (kStore) {
+          for (int l = 0; l < W; ++l) q[l][t] = a[l];
+        } else if (atomic) {
+          for (int l = 0; l < W; ++l) {
+            std::atomic_ref<double>(q[l][t]).fetch_add(a[l], std::memory_order_relaxed);
+          }
+        } else {
+          for (int l = 0; l < W; ++l) q[l][t] += a[l];
         }
-      } else {
-        for (int l = 0; l < W; ++l) q[l][t] += a[l];
+      }
+      return;
+    }
+    auto& arr = const_cast<ArrayVal&>(L.acc_array_vals[static_cast<size_t>(in.slot)]);
+    for (int j = j0; j < j1; ++j) {
+      int32_t ix[4];
+      const int32_t* idx = row_idx<W, kTile>(in, j, ix);
+      const double* a = value(j);
+      for (int l = 0; l < W; ++l) {
+        if (kStore) {
+          arr.set_f64(vflat(arr, r, idx, in.nidx, l), a[l]);
+          continue;
+        }
+        const int64_t at = vflat<true>(arr, r, idx, in.nidx, l);
+        if (at < 0) continue;
+        if (atomic) {
+          atomic_add_f64(arr, at, a[l]);
+        } else {
+          plain_add_f64(arr, at, a[l]);
+        }
       }
     }
-    return;
-  }
-  auto& arr = const_cast<ArrayVal&>(L.acc_array_vals[static_cast<size_t>(in.slot)]);
-  for (int j = j0; j < j1; ++j) {
-    int32_t ix[4];
-    const int32_t* idx = row_idx<W, kTile>(in, j, ix);
-    const double* a = r + in.a + j * sa;
-    for (int l = 0; l < W; ++l) {
-      if (kStore) {
-        arr.set_f64(vflat(arr, r, idx, in.nidx, l), a[l]);
-        continue;
-      }
-      const int64_t at = vflat<true>(arr, r, idx, in.nidx, l);
-      if (at < 0) continue;
-      if (atomic) {
-        atomic_add_f64(arr, at, a[l]);
-      } else {
-        plain_add_f64(arr, at, a[l]);
-      }
+  };
+  view<W, kTile, kTile>(in, r, in.a, kTileA, rows.t0, [&](const auto& va) {
+    if constexpr (kMul) {
+      view<W, kTile, kTile>(in, r, in.b, kTileB, rows.t0, [&](const auto& vb) { go(va, vb); });
+    } else {
+      go(va, va);
     }
-  }
+  });
 }
 
 template <int W>
@@ -559,6 +602,7 @@ inline void exec(const VProgram& p, const KernelLaunch& L, double* r, const VIns
       }
       case VOp::UpdAcc: scatter_rows<W, kTile, false>(L, r, in, rows); break;
       case VOp::StoreIdx: scatter_rows<W, kTile, true>(L, r, in, rows); break;
+      case VOp::MulUpd: scatter_rows<W, kTile, false, true>(L, r, in, rows); break;
       case VOp::StoreOut: store_result<W>(L, in.slot, base, r + in.a); break;
       case VOp::CheckIdx: {
         const int j0 = kTile ? rows.j0 : 0, j1 = kTile ? rows.j1 : 1;
@@ -665,8 +709,10 @@ void run_tile(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& 
       for (int l = 0; l < W; ++l) r[vl.ivar_tile + j * W + l] = tv;
     }
   }
-  exec<W, true>(p, L, r, tc, vl.tile_begin, vl.tile_mid, 0, 1, rows);
-  ++t_dispatches;
+  if (vl.tile_mid > vl.tile_begin) {
+    exec<W, true>(p, L, r, tc, vl.tile_begin, vl.tile_mid, 0, 1, rows);
+    ++t_dispatches;
+  }
   if (vl.tile_mid == vl.tile_end) return;
   if (vl.fold_major) {
     exec<W, true>(p, L, r, tc, vl.tile_mid, vl.tile_end, 0, 1, rows);
@@ -691,11 +737,12 @@ void copy_carries(double* r, const VLoop& vl, bool save) {
   for (size_t j = 0; j < vl.accs2.size(); ++j) copy(vl.accs2[j], static_cast<int32_t>(j) + 1);
 }
 
-// The trips of a tiled loop whose streams all bound, T at a time.
+// The trips of a tiled loop whose streams all bound, T at a time (a
+// whole_trip loop's one tile is capped only to keep rows an int).
 template <int W>
 void run_tiles(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl,
                int64_t trip) {
-  constexpr int T = tile_trips(W);
+  const int64_t T = vl.whole_trip ? int64_t{1} << 30 : tile_trips(W);
   for (int64_t t0 = 0; t0 < trip; t0 += T) {
     const Rows rows{t0, 0, static_cast<int>(std::min<int64_t>(T, trip - t0))};
     if (!vl.may_throw) {
@@ -714,125 +761,9 @@ void run_tiles(const VProgram& p, const KernelLaunch& L, double* r, const VLoop&
   }
 }
 
-// Fused dot-product fold: per lane, acc = fold(acc, A[t] * B[t]) over the
-// bound streams A = fused[0], B = fused[1] — one handler instead of
-// per-trip or per-tile dispatch, with the same per-lane value chain
-// (product then fold-add, operand order preserved via dot_flags) as the
-// generic body. A one-stream fold adds A[t] itself.
-template <int W>
-void run_dot_loop(double* r, const VLoop& vl, int64_t trip) {
-  const bool one = vl.fused[1] < 0;
-  double* pa[W];
-  double* pb[W];
-  std::memcpy(pa, r + vl.fused[0], sizeof pa);
-  std::memcpy(pb, r + vl.fused[one ? 0 : 1], sizeof pb);
-  double acc[W];
-  for (int l = 0; l < W; ++l) acc[l] = r[vl.acc + l];
-  if (one) {
-    if (vl.dot_flags & 2) {  // acc = a + acc
-      for (int64_t t = 0; t < trip; ++t) {
-        for (int l = 0; l < W; ++l) acc[l] = pa[l][t] + acc[l];
-      }
-    } else {  // acc = acc + a
-      for (int64_t t = 0; t < trip; ++t) {
-        for (int l = 0; l < W; ++l) acc[l] = acc[l] + pa[l][t];
-      }
-    }
-    for (int l = 0; l < W; ++l) r[vl.acc + l] = acc[l];
-    return;
-  }
-  switch (vl.dot_flags & 3) {
-    case 0:  // prod = a*b; acc = acc + prod
-      for (int64_t t = 0; t < trip; ++t) {
-        for (int l = 0; l < W; ++l) {
-          const double pr = pa[l][t] * pb[l][t];
-          acc[l] = acc[l] + pr;
-        }
-      }
-      break;
-    case 1:  // prod = b*a; acc = acc + prod
-      for (int64_t t = 0; t < trip; ++t) {
-        for (int l = 0; l < W; ++l) {
-          const double pr = pb[l][t] * pa[l][t];
-          acc[l] = acc[l] + pr;
-        }
-      }
-      break;
-    case 2:  // prod = a*b; acc = prod + acc
-      for (int64_t t = 0; t < trip; ++t) {
-        for (int l = 0; l < W; ++l) {
-          const double pr = pa[l][t] * pb[l][t];
-          acc[l] = pr + acc[l];
-        }
-      }
-      break;
-    default:  // prod = b*a; acc = prod + acc
-      for (int64_t t = 0; t < trip; ++t) {
-        for (int l = 0; l < W; ++l) {
-          const double pr = pb[l][t] * pa[l][t];
-          acc[l] = pr + acc[l];
-        }
-      }
-      break;
-  }
-  for (int l = 0; l < W; ++l) r[vl.acc + l] = acc[l];
-}
-
-// Fused dual-scatter map loop (the transpose-of-dot shape): per trip, two
-// gathered streams, two invariant-scaled products, two UpdAcc streams —
-// memory effects in the generic body's instruction-major lane order.
-template <int W>
-void run_axpy2_loop(const KernelLaunch& L, double* r, const VLoop& vl, int64_t trip) {
-  double* p1[W];
-  double* p2[W];
-  double* q1[W];
-  double* q2[W];
-  std::memcpy(p1, r + vl.fused[0], sizeof p1);
-  std::memcpy(p2, r + vl.fused[1], sizeof p2);
-  std::memcpy(q1, r + vl.fused[2], sizeof q1);
-  std::memcpy(q2, r + vl.fused[3], sizeof q2);
-  const auto at = [&](int32_t slot) {
-    return L.acc_atomic.empty() || L.acc_atomic[static_cast<size_t>(slot)] != 0;
-  };
-  const bool at1 = at(vl.fused_slot[2]), at2 = at(vl.fused_slot[3]);
-  double s1[W], s2[W];
-  for (int l = 0; l < W; ++l) {
-    s1[l] = r[vl.s1 + l];
-    s2[l] = r[vl.s2 + l];
-  }
-  const uint8_t fl = vl.ax_flags;
-  for (int64_t t = 0; t < trip; ++t) {
-    double g1[W], g2[W], m1[W], m2[W];
-    for (int l = 0; l < W; ++l) g1[l] = p1[l][t];
-    for (int l = 0; l < W; ++l) g2[l] = p2[l][t];
-    const double* x1 = (fl & 1) ? g1 : g2;
-    const double* x2 = (fl & 4) ? g1 : g2;
-    if (fl & 2) { for (int l = 0; l < W; ++l) m1[l] = s1[l] * x1[l]; }
-    else        { for (int l = 0; l < W; ++l) m1[l] = x1[l] * s1[l]; }
-    if (fl & 8) { for (int l = 0; l < W; ++l) m2[l] = s2[l] * x2[l]; }
-    else        { for (int l = 0; l < W; ++l) m2[l] = x2[l] * s2[l]; }
-    const double* v1 = (fl & 16) ? m1 : m2;
-    const double* v2 = (fl & 16) ? m2 : m1;
-    if (at1) {
-      for (int l = 0; l < W; ++l) {
-        std::atomic_ref<double>(q1[l][t]).fetch_add(v1[l], std::memory_order_relaxed);
-      }
-    } else {
-      for (int l = 0; l < W; ++l) q1[l][t] += v1[l];
-    }
-    if (at2) {
-      for (int l = 0; l < W; ++l) {
-        std::atomic_ref<double>(q2[l][t]).fetch_add(v2[l], std::memory_order_relaxed);
-      }
-    } else {
-      for (int l = 0; l < W; ++l) q2[l][t] += v2[l];
-    }
-  }
-}
-
 // InlineLoop execution: seed the carries, bind the loop's streams once, then
-// run the trips — by a fused handler or by tiles when the body has one and
-// every stream it reads bound, else one trip at a time.
+// run the trips — by tiles when the body has tile code and every stream it
+// reads bound, else one trip at a time.
 template <int W>
 void run_vloop(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl) {
   const auto trip = static_cast<int64_t>(r[vl.trip]);
@@ -844,14 +775,7 @@ void run_vloop(const VProgram& p, const KernelLaunch& L, double* r, const VLoop&
   }
   if (trip <= 0) return;
   bind_streams<W>(L, r, vl);
-  if (vl.form != VLoop::kGeneric && all_bound(r, vl.fused)) {
-    ++t_dispatches;
-    if (vl.form == VLoop::kDot) {
-      run_dot_loop<W>(r, vl, trip);
-    } else {
-      run_axpy2_loop<W>(L, r, vl, trip);
-    }
-  } else if (vl.tile_end > vl.tile_begin && all_bound(r, vl.bound)) {
+  if (vl.tile_end > vl.tile_begin && all_bound(r, vl.bound)) {
     run_tiles<W>(p, L, r, vl, trip);
   } else {
     run_trips<W>(p, L, r, vl, 0, trip);

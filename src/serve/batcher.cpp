@@ -21,67 +21,23 @@ char scalar_char(ir::ScalarType t) {
   return '?';
 }
 
-ir::ScalarType value_scalar_type(const Value& v) {
-  if (std::holds_alternative<double>(v)) return ir::ScalarType::F64;
-  if (std::holds_alternative<int64_t>(v)) return ir::ScalarType::I64;
-  return ir::ScalarType::Bool;
-}
-
-// Validates `args` against the program's parameter list (arity, scalar vs
-// array, element type, rank) and builds the grouping key: requests stack
-// only when program, mode and every argument signature (including concrete
-// shapes) agree, so a shape mismatch forms its own group instead of
-// poisoning a batch.
+// Validates `args` against the program's parameter list (rt::check_args)
+// and builds the grouping key: requests stack only when program, mode and
+// every argument signature (including concrete shapes) agree, so a shape
+// mismatch forms its own group instead of poisoning a batch.
 std::string validate_and_key(const ProgramEntry& entry, const Request& r) {
   const ir::Prog& prog = entry.prog(r.mode);
-  const auto& params = prog.fn.params;
-  if (r.args.size() != params.size()) {
-    throw TypeError("program '" + entry.name + "' (" + mode_name(r.mode) + ") takes " +
-                    std::to_string(params.size()) + " argument(s), got " +
-                    std::to_string(r.args.size()));
-  }
+  rt::check_args(prog, r.args);
   std::string key = entry.name;
   key += r.mode == Mode::Objective ? "|o" : "|j";
-  for (size_t i = 0; i < params.size(); ++i) {
-    const ir::Type& t = params[i].type;
-    const Value& v = r.args[i];
-    if (rt::is_acc(v) || t.is_acc) {
-      throw TypeError("program '" + entry.name + "': accumulator argument " +
-                      std::to_string(i) + " cannot be served");
-    }
-    if (t.rank == 0) {
-      if (rt::is_array(v)) {
-        throw TypeError("program '" + entry.name + "': argument " + std::to_string(i) +
-                        " expects a scalar, got a rank-" +
-                        std::to_string(rt::as_array(v).rank()) + " array");
-      }
-      if (value_scalar_type(v) != t.elem) {
-        throw TypeError("program '" + entry.name + "': argument " + std::to_string(i) +
-                        " scalar type mismatch");
-      }
-      key += '|';
-      key += scalar_char(t.elem);
-    } else {
-      if (!rt::is_array(v)) {
-        throw TypeError("program '" + entry.name + "': argument " + std::to_string(i) +
-                        " expects a rank-" + std::to_string(t.rank) + " array, got a scalar");
-      }
-      const rt::ArrayVal& a = rt::as_array(v);
-      if (a.elem != t.elem) {
-        throw TypeError("program '" + entry.name + "': argument " + std::to_string(i) +
-                        " element type mismatch");
-      }
-      if (a.rank() != t.rank) {
-        throw ShapeError("program '" + entry.name + "': argument " + std::to_string(i) +
-                         " expects rank " + std::to_string(t.rank) + ", got rank " +
-                         std::to_string(a.rank()));
-      }
-      key += '|';
-      key += scalar_char(t.elem);
-      for (int64_t d : a.shape) {
-        key += 'x';
-        key += std::to_string(d);
-      }
+  for (size_t i = 0; i < r.args.size(); ++i) {
+    const ir::Type& t = prog.fn.params[i].type;
+    key += '|';
+    key += scalar_char(t.elem);
+    if (t.rank == 0) continue;
+    for (int64_t d : rt::as_array(r.args[i]).shape) {
+      key += 'x';
+      key += std::to_string(d);
     }
   }
   return key;

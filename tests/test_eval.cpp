@@ -182,11 +182,10 @@ TEST(ScalarBlocks, FireInTopLevelAndLoopBodies) {
   EXPECT_EQ(off.stats().scalar_blocks.load(), 0u);
 }
 
-// A run whose free variable holds an array at run time (a shape-polymorphic
-// reuse the static types do not describe) cannot bind the block's scalar
-// registers: it evaluates statement by statement, exactly like the
-// reference, and the block does not count.
-TEST(ScalarBlocks, FreeArrayFallsBackPerStatement) {
+// An array where the param is a scalar (a shape-polymorphic reuse the
+// static types do not describe) is refused by the argument contract on both
+// paths, before any scalar block binds, and the block does not count.
+TEST(ScalarBlocks, ArrayForScalarParamIsRefused) {
   ProgBuilder pb("glue_rebind");
   Var x = pb.param("x", f64());
   Builder& b = pb.body();
@@ -196,9 +195,8 @@ TEST(ScalarBlocks, FreeArrayFallsBackPerStatement) {
   typecheck(p);
   std::vector<Value> args = {make_f64_array({1.5, -2.0, 0.25}, {3})};
   Interp on{kernels(true)};
-  auto r = on.run(p, args);
-  ASSERT_TRUE(is_array(r[0]));
-  EXPECT_EQ(fingerprint(r), fingerprint(run_prog(p, args, kernels(false))));
+  EXPECT_THROW(on.run(p, args), npad::TypeError);
+  EXPECT_THROW(run_prog(p, args, kernels(false)), npad::TypeError);
   EXPECT_EQ(on.stats().scalar_blocks.load(), 0u);
   // The same program with a scalar argument folds.
   Interp scalar{kernels(true)};

@@ -91,6 +91,41 @@ TEST(Interp, MapWithFreeScalarAndGather) {
   ArrayVal iv = make_i64_array({2, 0, 1, 2}, {4});
   auto r = run(p, {xv, iv, 2.0});
   EXPECT_EQ(to_f64_vec(as_array(r[0])), (std::vector<double>{60, 20, 40, 60}));
+
+  // The argument contract, on both paths and through run_batched: each
+  // mismatch is a typed error naming the param.
+  const ArrayVal rank2 = make_f64_array({10, 20, 30}, {3, 1});
+  const ArrayVal ints = make_i64_array({10, 20, 30}, {3});
+  struct Bad {
+    std::vector<Value> args;
+    const char* names;  // the param the error must name, or "" for arity
+    bool shape;         // ShapeError (rank) rather than TypeError
+  };
+  const Bad bad[] = {
+      {{xv, iv}, "", false},                            // arity
+      {{rank2, iv, 2.0}, "(xs) expects rank 1", true},  // rank
+      {{ints, iv, 2.0}, "(xs) element type", false},    // element type
+      {{xv, iv, int64_t{2}}, "(k) scalar type", false}, // scalar element type
+      {{AccVal{xv}, iv, 2.0}, "(xs) is an accumulator", false},
+      {{xv, iv, xv}, "(k) expects a scalar", false},
+      {{2.0, iv, 2.0}, "(xs) expects a rank-1 array", false},
+  };
+  for (const Bad& c : bad) {
+    auto check = [&](auto&& call) {
+      try {
+        call();
+        ADD_FAILURE() << "accepted: " << c.names;
+      } catch (const npad::ShapeError& e) {
+        EXPECT_TRUE(c.shape) << e.what();
+        EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos) << e.what();
+      } catch (const npad::TypeError& e) {
+        EXPECT_FALSE(c.shape) << e.what();
+        EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos) << e.what();
+      }
+    };
+    for (bool kernels : {true, false}) check([&] { run(p, c.args, kernels); });
+    check([&] { Interp().run_batched(p, {{xv, iv, 2.0}, c.args}); });
+  }
 }
 
 TEST(Interp, MultiOutputMap) {

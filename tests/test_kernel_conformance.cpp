@@ -1195,8 +1195,8 @@ TEST(NestConformance, TiedExtentsGuardAtBind) {
 }
 
 TEST(NestConformance, RankMismatchedInputFallsBack) {
-  // A rank-3 argument where the lambda takes rank-1 rows: the kernel's
-  // rank-2 binding refuses it, and the general path handles it.
+  // A rank-3 argument for the rank-2 param: the argument contract refuses it
+  // on both paths with a ShapeError naming the param, before any launch.
   const Prog p = nested_map_prog();
   support::Rng rng(82);
   rt::Interp fast({.parallel = false, .use_kernels = true});
@@ -1204,7 +1204,10 @@ TEST(NestConformance, RankMismatchedInputFallsBack) {
   expect_general_outcome(p, cube);
   try {
     fast.run(p, cube);
-  } catch (const npad::Error&) {
+    ADD_FAILURE() << "rank-3 argument accepted";
+  } catch (const ShapeError& e) {
+    EXPECT_NE(std::string(e.what()).find("(xss) expects rank 2, got rank 3"), std::string::npos)
+        << e.what();
   }
   EXPECT_EQ(fast.stats().kernel_maps.load(), 0u);
   // A rank-2 row view of a rank-3 array (nonzero buffer offset) binds and
@@ -2400,10 +2403,17 @@ int tiled_loops(const Lowered& lw) {
   return n;
 }
 
-// Loops of `lw` that run as the fused form `form`.
-int fused_loops(const Lowered& lw, uint8_t form) {
+// Loops of `lw` that run their whole trip as one tile whose code is `ops`,
+// in order, with no map pass when `fold` (a fold-major fold part only).
+int whole_trip_loops(const Lowered& lw, const std::vector<VOp>& ops, bool fold) {
+  const auto& w = lw.e->wide;
   int n = 0;
-  for (const auto& vl : lw.e->wide.loops) n += vl.form == form;
+  for (const auto& vl : w.loops) {
+    bool same = vl.whole_trip && vl.tile_end - vl.tile_begin == ops.size() &&
+                (vl.tile_mid == vl.tile_begin) == fold && (!fold || vl.fold_major);
+    for (size_t i = 0; same && i < ops.size(); ++i) same = w.tile_code[vl.tile_begin + i].op == ops[i];
+    n += same;
+  }
   return n;
 }
 
@@ -2472,7 +2482,10 @@ TEST(StreamLowering, GridProgramsBindTheirStreams) {
   EXPECT_EQ(streams(upd, VOp::UpdAcc), 2);
   EXPECT_EQ(streams(upd, VOp::Gather), 1);
 
-  EXPECT_EQ(fused_loops(outer(StreamKind::Axpy2), rt::vexec::VLoop::kAxpy2), 1);
+  // The dual scatter tiles as two MulUpd passes over its stream operands.
+  const Lowered axpy2 = outer(StreamKind::Axpy2);
+  EXPECT_EQ(tiled_loops(axpy2), 1);
+  EXPECT_EQ(whole_trip_loops(axpy2, {VOp::MulUpd, VOp::MulUpd}, false), 1);
   EXPECT_EQ(streams(outer(StreamKind::StoreRow), VOp::StoreIdx), 1);
 
   // MatMul: A[i][kk] streams in the inner loop; Q[kk][j] trails with the
@@ -2505,12 +2518,20 @@ TEST(StreamLowering, GmmAndKmeansGradientsBindStreamsAndUniformExp) {
   // Their innermost loops (the d-wide folds and scatters) run by tiles.
   EXPECT_GE(count_over(gl, tiled_loops), 2);
   EXPECT_GE(count_over(kl, tiled_loops), 2);
-  // Neither uses the dual-scatter form; LSTM's reverse sweep is its one user.
-  auto axpy2 = [](const Lowered& lw) { return fused_loops(lw, rt::vexec::VLoop::kAxpy2); };
+  // Neither has the dual scatter; LSTM's reverse sweep does, and its dot
+  // products run as one MulAdd fold pass over two stream operands.
+  auto axpy2 = [](const Lowered& lw) {
+    return whole_trip_loops(lw, {VOp::MulUpd, VOp::MulUpd}, false);
+  };
   EXPECT_EQ(count_over(gl, axpy2), 0);
   EXPECT_EQ(count_over(kl, axpy2), 0);
   const auto ll = lowered_maps(optimized_gradient(apps::lstm_ir_objective()));
+  EXPECT_GE(count_over(ll, tiled_loops), 1);
   EXPECT_GE(count_over(ll, axpy2), 1);
+  EXPECT_GE(count_over(ll, [](const Lowered& lw) {
+              return whole_trip_loops(lw, {VOp::MulAdd}, true);
+            }),
+            1);
 }
 
 // ---------------------------------------------------------------------------
@@ -2528,6 +2549,8 @@ enum class TileKind {
   Store,     // row result map(λj. tanh(A[i][j])·c, iota mt): a StoreIdx stream
   Aliased,   // H[i][I[j]] += A[i][j], H[i][J[j]] += c: two UpdAccs that may hit one cell
   Indirect,  // Σ_j A[i][I[j]] + Q[s][J[j]]: two checked gathers in a pure body
+  Dot,       // Σ_j A[i][j]·Q[s][j] in all four operand orders, Σ_j A[i][j] in both
+  Axpy2,     // G[s][j] += c·Q[s][j], H[i][j] += A[i][j]·c: LSTM's dual scatter
 };
 
 constexpr int64_t kTileCols = 2 * rt::vexec::tile_trips(1) + 3;  // the widest trip
@@ -2607,8 +2630,34 @@ Prog tile_prog(TileKind kind) {
         return std::vector<Atom>{Atom(r[0]), Atom(r[1]), Atom(r[2])};
       });
       break;
+    case TileKind::Dot:
+      outs = per_row([&](Builder& c, const std::vector<Var>& i) {
+        // The fold adds elem + acc when `flip`, else acc + elem.
+        auto sum = [&](bool flip, const Builder::LamFn& term) {
+          LambdaPtr op = c.lam({f64(), f64()}, [flip](Builder& cc, const std::vector<Var>& q) {
+            return std::vector<Atom>{Atom(flip ? cc.add(q[1], q[0]) : cc.add(q[0], q[1]))};
+          });
+          return Atom(fold(c, std::move(op), {cf64(0.0)}, term)[0]);
+        };
+        std::vector<Atom> res;
+        for (bool flip : {false, true}) {
+          for (bool qa : {false, true}) {
+            res.push_back(sum(flip, [&](Builder& cc, const std::vector<Var>& j) {
+              Var a = cc.index(A, {Atom(i[0]), Atom(j[0])});
+              Var q = cc.index(Q, {Atom(s), Atom(j[0])});
+              return std::vector<Atom>{Atom(qa ? cc.mul(q, a) : cc.mul(a, q))};
+            }));
+          }
+          res.push_back(sum(flip, [&](Builder& cc, const std::vector<Var>& j) {
+            return std::vector<Atom>{Atom(cc.index(A, {Atom(i[0]), Atom(j[0])}))};
+          }));
+        }
+        return res;
+      });
+      break;
     case TileKind::Scatter:
     case TileKind::Aliased:
+    case TileKind::Axpy2:
       outs = b.withacc({G, H}, [&](Builder& wc, const std::vector<Var>& accs) {
         std::vector<Type> ts{i64(), wc.types().at(accs[0]), wc.types().at(accs[1])};
         auto r = wc.map(
@@ -2618,6 +2667,14 @@ Prog tile_prog(TileKind kind) {
                          c, Atom(mt), {q[1], q[2]},
                          [&](Builder& cc, Var j, const std::vector<Var>& acc) {
                            Var a = cc.index(A, {Atom(q[0]), Atom(j)});
+                           if (kind == TileKind::Axpy2) {
+                             Var qv = cc.index(Q, {Atom(s), Atom(j)});
+                             Var p1 = cc.mul(a, cv);
+                             Var p2 = cc.mul(cv, qv);
+                             Var g = cc.upd_acc(acc[0], {Atom(s), Atom(j)}, Atom(p2));
+                             Var h = cc.upd_acc(acc[1], {Atom(q[0]), Atom(j)}, Atom(p1));
+                             return std::vector<Atom>{Atom(g), Atom(h)};
+                           }
                            if (kind == TileKind::Scatter) {
                              Var g = cc.upd_acc(acc[0], {Atom(s), Atom(j)}, Atom(cc.mul(a, cv)));
                              Var h = cc.upd_acc(acc[1], {Atom(q[0]), Atom(j)}, Atom(cc.exp(a)));
@@ -2690,10 +2747,11 @@ std::vector<Value> tile_args(int64_t mt, int64_t s, int64_t off, uint64_t seed) 
           1.7};
 }
 
-// Trip number `which` of the grid at lane width W.
+// Trip number `which` of the grid at lane width W: around the tile size,
+// then LSTM's 16 and 24.
 int64_t tile_trip(int lanes, int which) {
   const int64_t T = rt::vexec::tile_trips(lanes);
-  const int64_t trips[] = {0, 1, T - 1, T, T + 1, 2 * T + 3};
+  const int64_t trips[] = {0, 1, T - 1, T, T + 1, 2 * T + 3, 16, 24};
   return trips[which];
 }
 
@@ -2715,9 +2773,9 @@ TEST_P(TileConformance, BitExactAgainstGeneralAndRegisterMachine) {
 }
 
 std::string tile_name(const ::testing::TestParamInfo<TileCase>& info) {
-  static const char* kinds[] = {"Fold",  "Pair",    "Argmin",  "Scatter",
-                                "Store", "Aliased", "Indirect"};
-  static const char* trips[] = {"0", "1", "Tm1", "T", "Tp1", "2Tp3"};
+  static const char* kinds[] = {"Fold",    "Pair",     "Argmin", "Scatter", "Store",
+                                "Aliased", "Indirect", "Dot",    "Axpy2"};
+  static const char* trips[] = {"0", "1", "Tm1", "T", "Tp1", "2Tp3", "16", "24"};
   static const char* modes[] = {"On", "Off"};
   return std::string(kinds[static_cast<int>(std::get<0>(info.param))]) + "W" +
          std::to_string(std::get<1>(info.param)) + "_trip" + trips[std::get<2>(info.param)] +
@@ -2729,8 +2787,8 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, TileConformance,
     ::testing::Combine(::testing::Values(TileKind::Fold, TileKind::Pair, TileKind::Argmin,
                                          TileKind::Scatter, TileKind::Store, TileKind::Aliased,
-                                         TileKind::Indirect),
-                       ::testing::Values(1, 8), ::testing::Range(0, 6),
+                                         TileKind::Indirect, TileKind::Dot, TileKind::Axpy2),
+                       ::testing::Values(1, 8), ::testing::Range(0, 8),
                        ::testing::Values(VexecMode::On, VexecMode::Off), ::testing::Bool()),
     tile_name);
 
@@ -2754,6 +2812,15 @@ TEST(TileLowering, GridBodiesTileExceptTheAliasedScatter) {
   EXPECT_TRUE(loop(TileKind::Indirect).may_throw);
   // Non-stream UpdAccs whose cells may coincide keep the per-trip path.
   EXPECT_FALSE(tiled(loop(TileKind::Aliased)));
+  // The dot products and one-stream sums read their streams in place: each
+  // is one fold pass over the whole trip, a MulAdd or an Add; the dual
+  // scatter is two MulUpd passes.
+  const Lowered dot = lowered_maps(tile_prog(TileKind::Dot)).front();
+  EXPECT_EQ(whole_trip_loops(dot, {VOp::MulAdd}, true), 4);
+  EXPECT_EQ(whole_trip_loops(dot, {VOp::Add}, true), 2);
+  EXPECT_EQ(whole_trip_loops(lowered_maps(tile_prog(TileKind::Axpy2)).front(),
+                             {VOp::MulUpd, VOp::MulUpd}, false),
+            1);
 }
 
 TEST(TileLowering, FoldDispatchesOncePerTilePass) {

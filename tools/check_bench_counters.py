@@ -85,6 +85,15 @@ import sys
 # path read 64k and 204k/iter. Ceilings 30000 and 100000 sit between, so a
 # body that silently falls back to per-trip dispatch fails CI.
 #
+# table6_lstm vexec_body_dispatches: LSTM's inner loops are short (16 to 24
+# trips). Its dot products run as one fold pass and its dual scatter as two
+# passes, each over the whole trip, because the tile code reads the loop's
+# streams in place (runtime/vexec.hpp, trip tiles). Measured at
+# --benchmark_min_time=0.01 (three runs): 12.4k-17.6k/iter on the npad rows;
+# the same bodies on multi-pass tiles (a Gather pass per stream, a [T][W]
+# block per value) read 40.0k/iter. Ceiling 28000 sits between, so a fall
+# back to multi-pass tiles fails CI.
+#
 # mc_transport: XSBench's binary-search loop kept the optimized gradient's
 # per-lookup lambda off the kernel tier, so a general map applied its body
 # lookup by lookup: ~1,500 applications per iteration. With the loop inside
@@ -99,6 +108,7 @@ CEILINGS = [
     ("BENCH_table5_gmm.json", "general_maps", ["npad_"], 0.5, 0),
     ("BENCH_table5_gmm.json", "vexec_body_dispatches", ["npad_"], 30000, 12500),
     ("BENCH_table3_kmeans.json", "vexec_body_dispatches", ["ad_"], 100000, 36000),
+    ("BENCH_table6_lstm.json", "vexec_body_dispatches", ["npad_"], 28000, 17600),
     ("BENCH_table4_kmeans_sparse.json", "general_reduces", ["/ad"], 100, 0),
     ("BENCH_mc_transport.json", "general_maps", ["npad_"], 0.5, 0),
 ]
