@@ -21,10 +21,10 @@
 //
 // The acceptance signal in BENCH_ablation_hist.json: privatized W=8 at
 // n = 1M / 1k bins vs the sequential general path at the same shape, plus
-// the privatized_hist_updates / atomic_hist_updates / kernel_hists /
-// general_hists counters. The lse8_kernel_hists counter is the only bench
-// reading of the compiled-kernel hist tier; tools/check_bench_counters.py
-// requires it to be at least 1.
+// the privatized_hist_updates / atomic_hist_updates / hand_hists /
+// kernel_hists / general_hists counters. The lse8_kernel_hists counter is the
+// only bench reading of the compiled-kernel hist tier;
+// tools/check_bench_counters.py requires it to be at least 1.
 
 #include <cstdlib>
 

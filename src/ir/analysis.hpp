@@ -164,8 +164,8 @@ inline void collect_types_into(const Body& b, TypeMap& tm) { detail::collect_bod
 // numbered positionally (alpha-invariant), free variables keep their raw ids,
 // constants contribute their bit patterns. Two nodes with equal signatures
 // evaluate identically in any environment that agrees on the free variables,
-// which is what the runtime kernel cache (runtime/kernel_cache.hpp) and the
-// resolved-program cache (runtime/resolve.hpp) need for safe sharing.
+// which is what the runtime's resolved-program cache (ProgCache,
+// runtime/resolve.hpp) needs for safe sharing.
 // Equality of cached entries is decided by comparing signatures, so hash
 // collisions are harmless.
 

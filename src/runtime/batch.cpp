@@ -1,14 +1,11 @@
 #include "runtime/batch.hpp"
 
-#include <mutex>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 
-#include "ir/analysis.hpp"
 #include "ir/typecheck.hpp"
 #include "ir/visit.hpp"
 #include "runtime/interp.hpp"
+#include "runtime/resolve.hpp"
 #include "support/error.hpp"
 
 namespace npad::rt {
@@ -84,49 +81,6 @@ ir::Prog make_batched_prog(const ir::Prog& p) {
   out.fn = std::move(bf);
   ir::typecheck(out);
   return out;
-}
-
-// ------------------------------------------------------------------ cache --
-
-struct BatchedProgCache::Impl {
-  struct Entry {
-    std::vector<uint64_t> sig;
-    std::shared_ptr<const ir::Prog> batched;
-  };
-  mutable std::shared_mutex mu;
-  std::unordered_multimap<uint64_t, Entry> by_sig;
-};
-
-BatchedProgCache::BatchedProgCache() : impl_(new Impl) {}
-
-BatchedProgCache& BatchedProgCache::global() {
-  static BatchedProgCache* cache = new BatchedProgCache();  // immortal
-  return *cache;
-}
-
-size_t BatchedProgCache::size() const {
-  std::shared_lock lk(impl_->mu);
-  return impl_->by_sig.size();
-}
-
-std::shared_ptr<const ir::Prog> BatchedProgCache::get(const ir::Prog& p) {
-  std::vector<uint64_t> sig = ir::structural_sig(p.fn);
-  const uint64_t h = ir::structural_hash(sig);
-  {
-    std::shared_lock lk(impl_->mu);
-    auto [lo, hi] = impl_->by_sig.equal_range(h);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second.sig == sig) return it->second.batched;
-    }
-  }
-  auto bp = std::make_shared<const ir::Prog>(make_batched_prog(p));
-  std::unique_lock lk(impl_->mu);
-  auto [lo, hi] = impl_->by_sig.equal_range(h);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second.sig == sig) return it->second.batched;  // lost the race
-  }
-  impl_->by_sig.emplace(h, Impl::Entry{std::move(sig), bp});
-  return bp;
 }
 
 // -------------------------------------------------------- stack / unstack --
@@ -254,9 +208,9 @@ std::vector<std::vector<Value>> Interp::run_batched(
   if (batch.size() == 1) return {run(p, batch[0])};
   for (const auto& args : batch) check_args(p, args);
 
-  std::shared_ptr<const ir::Prog> bp = BatchedProgCache::global().get(p);
+  std::shared_ptr<const ResolvedProg> rp = ProgCache::global().get(p);
   std::vector<Value> stacked = stack_args(batch);
-  std::vector<Value> outs = run(*bp, stacked);
+  std::vector<Value> outs = exec(rp->batched(p), stacked);
   stats_.batched_prog_runs.fetch_add(1, std::memory_order_relaxed);
   return unstack_results(outs, static_cast<int64_t>(batch.size()), p.fn.rets);
 }

@@ -6,14 +6,14 @@
 // same-program requests execute as ONE launch instead of N interpreter
 // entries. This is the regular-nest shape the whole-lambda kernel runs as
 // one launch when the body kernelizes; the serving batcher (src/serve) stacks
-// request arguments with `stack_args`, runs the cached batched program, and
-// splits results back per request with `unstack_results`.
+// request arguments with `stack_args`, runs the batched program, and splits
+// results back per request with `unstack_results`.
 //
-// Batched programs are cached process-wide by structural signature of the
-// original function (mirroring ProgCache/KernelCache: immortal entries,
-// shared across all serving tenants).
+// Interp::run_batched builds and resolves a program's batched form once, in
+// the request program's resolved form (runtime/resolve.hpp), so it is shared
+// like that one: by every structurally equal program, across all serving
+// tenants.
 
-#include <memory>
 #include <vector>
 
 #include "ir/ast.hpp"
@@ -25,23 +25,6 @@ namespace npad::rt {
 // stacked params, rets lift(r_j). Throws npad::TypeError for programs that
 // cannot batch (no parameters, or accumulator-typed parameters/results).
 ir::Prog make_batched_prog(const ir::Prog& p);
-
-// Process-wide cache of batched forms, keyed by the structural signature of
-// the *original* function. Entries are immortal (like ProgCache).
-class BatchedProgCache {
-public:
-  static BatchedProgCache& global();
-
-  // Returns the cached batched form of `p`, building it on first use.
-  std::shared_ptr<const ir::Prog> get(const ir::Prog& p);
-
-  size_t size() const;
-
-private:
-  struct Impl;
-  Impl* impl_;
-  BatchedProgCache();
-};
 
 // Stacks B per-request argument lists (same arity, same per-position scalar
 // type / element type / shape) into batched values: scalars become rank-1

@@ -8,7 +8,6 @@
 #include "ir/patterns.hpp"
 #include "ir/visit.hpp"
 #include "runtime/kernel.hpp"
-#include "runtime/kernel_cache.hpp"
 #include "runtime/resolve.hpp"
 #include "runtime/vexec.hpp"
 #include "support/error.hpp"
@@ -209,10 +208,8 @@ public:
     return "%" + rp_->mod->name(v) + "_" + std::to_string(v.id);
   }
 
-  // Scalar-glue blocks of an activation's own body (runtime/resolve.hpp).
-  const std::vector<ScalarBlock>& scalar_blocks(uint32_t act) const {
-    return rp_->scalar_blocks[act];
-  }
+  // The program this frame runs: scalar-glue blocks and kernel slots.
+  const ResolvedProg& prog() const { return *rp_; }
 
 private:
   const Env* parent_;
@@ -250,7 +247,7 @@ public:
       auto next = blocks->begin();
       for (size_t i = 0; i < b.stms.size();) {
         if (next != blocks->end() && next->first == i) {
-          run_scalar_block(b, *next, env);
+          run_scalar_block(*next, env);
           i += next->count;
           ++next;
         } else {
@@ -290,27 +287,19 @@ public:
 
   // One extent-1 kernel call replaces the folded run of scalar bindings: no
   // eval_exp dispatch, no per-statement Value traffic for the operands. The
-  // values are the scalar evaluator's, bit for bit. Falls back to
-  // per-statement evaluation if a free variable turns out not to be scalar.
-  void run_scalar_block(const Body& b, const ScalarBlock& blk, Env& env) const {
+  // values are the scalar evaluator's, bit for bit. A free variable that
+  // holds no scalar (an ill-typed program) raises as_f64's TypeError.
+  void run_scalar_block(const ScalarBlock& blk, Env& env) const {
     const Kernel& k = blk.kernel;
     thread_local std::vector<double> frees, regs, outs;
-    frees.clear();
-    for (ir::Var v : k.free_scalars) {
-      const Value& val = env.lookup(v);
-      if (is_array(val) || is_acc(val)) {
-        for (uint32_t i = 0; i < blk.count; ++i) exec_stm(b.stms[blk.first + i], env);
-        return;
-      }
-      frees.push_back(as_f64(val));
-    }
     try {
+      frees.clear();
+      for (ir::Var v : k.free_scalars) frees.push_back(as_f64(env.lookup(v)));
       NPAD_FAULT_SITE("scalar.block", FaultKind::Chunk);
       outs.assign(blk.out_vars.size(), 0.0);
-      const vexec::Entry* ve = opts_.use_vexec ? vexec::lookup(k, 1) : nullptr;
-      if (ve != nullptr) {
+      if (opts_.use_vexec && blk.vx) {
         stats_->vexec_launches.fetch_add(1, std::memory_order_relaxed);
-        vexec::run_scalar(*ve, k, frees.data(), outs.data());
+        vexec::run_scalar(*blk.vx, k, frees.data(), outs.data());
       } else {
         regs.assign(static_cast<size_t>(k.num_regs), 0.0);
         run_scalar_kernel(k, frees.data(), regs.data(), outs.data());
@@ -689,7 +678,7 @@ public:
     // round and body bindings overwrite last round's slots. Last round's
     // arrays are released first, so a carried array's only reference is the
     // state and `update` writes it in place instead of copying it.
-    const std::vector<ScalarBlock>& blocks = env.scalar_blocks(o.activation_id);
+    const std::vector<ScalarBlock>& blocks = env.prog().scalar_blocks[o.activation_id];
     if (o.while_cond) {
       for (int64_t i = 0;; ++i) {
         std::vector<Value> c = apply(*o.while_cond, state, env);
@@ -974,17 +963,15 @@ public:
     return true;
   }
 
-  // Looks up the map's kernel and binds its inputs, free variables and
-  // accumulators against the environment; nullopt when the lambda does not
-  // compile or any binding has the wrong shape. The kernel is owned by the
-  // process-wide cache (immortal entries), so it outlives every use,
-  // including launches from nested maps.
+  // Binds the map's kernel, its inputs, free variables and accumulators
+  // against the environment; nullopt when the lambda does not compile or any
+  // binding has the wrong shape. The kernel lives in the resolved program's
+  // slot for the lambda, which outlives every launch of the run.
   std::optional<KernelLaunch> try_kernel(const OpMap& o, const std::vector<ArrayVal>& inputs,
                                          const Env& env) const {
-    bool hit = false;
-    const Kernel* k = KernelCache::global().get(o.f, &hit);
-    if (hit) stats_->kernel_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    if (!k) return std::nullopt;
+    const LambdaKernel& lk = env.prog().map_kernel(*o.f);
+    if (!lk.kernel) return std::nullopt;
+    const Kernel* k = &*lk.kernel;
     KernelLaunch L;
     L.k = k;
     // Partition the non-acc arguments: rank-1 element inputs take LoadElem
@@ -1034,6 +1021,7 @@ public:
       if (as_acc(val).arr.elem != ScalarType::F64) return std::nullopt;
       L.acc_array_vals.push_back(as_acc(val).arr);
     }
+    attach_vexec(L, lk);
     return L;
   }
 
@@ -1043,16 +1031,11 @@ public:
     return k.uniform_trips ? opts_.kernel_lanes : 1;
   }
 
-  // Attaches the vectorized-tier schedule to a bound launch (after lanes are
-  // set — entries are keyed per (kernel, lane width)). Every launched kernel
-  // is immortal (owned by the kernel cache or a resolved program), which the
-  // vexec cache relies on: it keys by kernel address. A null lookup (unsupported width, failed
-  // lowering) is a no-op.
-  void attach_vexec(KernelLaunch& L) const {
-    if (!opts_.use_vexec) return;
-    const vexec::Entry* e = vexec::lookup(*L.k, L.lanes);
-    if (e == nullptr) return;
-    L.vx = e;
+  // Attaches the vectorized-tier schedule lowered next to the launch's
+  // kernel; a kernel that did not lower stays on the register machine.
+  void attach_vexec(KernelLaunch& L, const LambdaKernel& lk) const {
+    if (!opts_.use_vexec || !lk.vx) return;
+    L.vx = &*lk.vx;
     L.vexec_spans = &stats_->vexec_launches;
     L.vexec_dispatches = &stats_->vexec_body_dispatches;
   }
@@ -1099,7 +1082,6 @@ public:
     }
     L.lanes = launch_lanes(k);
     L.batched_spans = &stats_->batched_launches;
-    attach_vexec(L);
 
     const KernelWork work = kernel_work(k, need_pre ? pre.data() : nullptr);
     const int64_t grain = work_grain(work.instrs);
@@ -1221,10 +1203,11 @@ public:
   // nullopt when a free variable has the wrong shape. Only a reduce's
   // pre-lambda may update (free) accumulators (runtime/kernel.cpp); their
   // updates are atomic unless the caller clears acc_atomic.
-  std::optional<KernelLaunch> bind_reduce_launch(const Kernel* k,
+  std::optional<KernelLaunch> bind_reduce_launch(const LambdaKernel& lk,
                                                  const std::vector<ArrayVal>& inputs,
                                                  const std::vector<Value>& neutral,
                                                  const Env& env) const {
+    const Kernel* k = lk.kernel ? &*lk.kernel : nullptr;
     if (k == nullptr || inputs.size() != k->num_inputs) return std::nullopt;
     KernelLaunch L;
     L.k = k;
@@ -1252,17 +1235,8 @@ public:
     }
     L.lanes = launch_lanes(*k);
     L.batched_spans = &stats_->batched_launches;
-    attach_vexec(L);
+    attach_vexec(L, lk);
     return L;
-  }
-
-  // Looks up / compiles the reduction kernel for (op, pre, scan) through the
-  // process-wide cache.
-  const Kernel* reduce_kernel_for(const LambdaPtr& op, const LambdaPtr& pre, bool scan) const {
-    bool hit = false;
-    const Kernel* k = KernelCache::global().get_reduce(op, pre, scan, &hit);
-    if (hit) stats_->kernel_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    return k;
   }
 
   // Converts a kernel partial back to a typed scalar Value.
@@ -1312,8 +1286,9 @@ public:
     bool rank1 = true;
     for (const auto& a : arrs) rank1 = rank1 && a.rank() == 1;
     if (opts_.use_kernels && !hand_fast && rank1) {
-      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false);
-      if (auto L = bind_reduce_launch(k, arrs, neutral, env)) {
+      const LambdaKernel& lk = env.prog().fold_kernel(op, o.pre.get(), /*scan=*/false);
+      if (auto L = bind_reduce_launch(lk, arrs, neutral, env)) {
+        const Kernel* k = L->k;
         stats_->kernel_reduces.fetch_add(1, std::memory_order_relaxed);
         thread_local std::vector<double> pre;
         if (!k->loops.empty()) preamble_regs(*L, pre);
@@ -1366,7 +1341,8 @@ public:
     }
 
     // Tier 3: general interpreter fold (and tier 1's hand loop per chunk).
-    if (!hand_fast) stats_->general_reduces.fetch_add(1, std::memory_order_relaxed);
+    (hand_fast ? stats_->hand_reduces : stats_->general_reduces)
+        .fetch_add(1, std::memory_order_relaxed);
     auto elem = [&](size_t j, int64_t i) -> Value {
       const ArrayVal& a = arrs[j];
       if (a.rank() == 1) return scalar_value(a.elem, a, i);
@@ -1457,6 +1433,7 @@ public:
     const std::optional<BinOp> plain_bop = recognize_binop(op);
     if (plain_bop && combinable_f64(*plain_bop) && o.args.size() == 1 &&
         arrs[0].rank() == 1 && arrs[0].elem == ScalarType::F64) {
+      stats_->hand_scans.fetch_add(1, std::memory_order_relaxed);
       ArrayVal outv = alloc_launch_buf(ScalarType::F64, {n}, /*uninit=*/true);
       const double* in = arrs[0].buf->f64() + arrs[0].offset;
       double* out = outv.buf->f64();
@@ -1511,10 +1488,10 @@ public:
     bool rank1 = true;
     for (const auto& a : arrs) rank1 = rank1 && a.rank() == 1;
     if (opts_.use_kernels && rank1) {
-      const Kernel* k = reduce_kernel_for(o.op, nullptr, /*scan=*/true);
-      if (auto L = bind_reduce_launch(k, arrs, neutral, env)) {
+      const LambdaKernel& lk = env.prog().fold_kernel(op, nullptr, /*scan=*/true);
+      if (auto L = bind_reduce_launch(lk, arrs, neutral, env)) {
         stats_->kernel_scans.fetch_add(1, std::memory_order_relaxed);
-        for (ScalarType t : k->out_elems) {
+        for (ScalarType t : L->k->out_elems) {
           L->outputs.push_back(alloc_launch_buf(t, {n}, /*uninit=*/true));
         }
         if (chunks <= 1) {
@@ -1653,7 +1630,7 @@ public:
     const std::optional<BinOp> bop = recognize_binop(op);
     if (bop && combinable_f64(*bop) && dest.rank() == 1 && dest.elem == ScalarType::F64 &&
         vals.elem == ScalarType::F64) {
-      stats_->general_hists.fetch_add(1, std::memory_order_relaxed);
+      stats_->hand_hists.fetch_add(1, std::memory_order_relaxed);
       const BinOp cb = *bop;
       double* d = dest.buf->f64() + dest.offset;
       auto fold_range = [&](double* bins, int64_t lo, int64_t hi) {
@@ -1717,9 +1694,9 @@ public:
     // Tier 2: compiled combine kernel (scalar f64 bins, []i64 inds).
     if (opts_.use_kernels && dest.rank() == 1 && dest.elem == ScalarType::F64 &&
         vals.rank() == 1 && inds.elem == ScalarType::I64) {
-      const Kernel* k = reduce_kernel_for(o.op, nullptr, /*scan=*/false);
+      const LambdaKernel& lk = env.prog().fold_kernel(op, nullptr, /*scan=*/false);
       std::vector<Value> neutral{eval_atom(o.neutral, env)};
-      if (auto L = bind_reduce_launch(k, {vals}, neutral, env)) {
+      if (auto L = bind_reduce_launch(lk, {vals}, neutral, env)) {
         stats_->kernel_hists.fetch_add(1, std::memory_order_relaxed);
         double* d = dest.buf->f64() + dest.offset;
         const int64_t* ip = inds.buf->i64() + inds.offset;
@@ -1883,10 +1860,14 @@ std::vector<Value> Interp::run(const ir::Prog& p, const std::vector<Value>& args
   // Slot-resolve (cached process-wide): the interpreter evaluates the
   // alpha-renamed clone, whose variables index flat frames.
   std::shared_ptr<const ResolvedProg> rp = ProgCache::global().get(p);
+  return exec(*rp, args);
+}
+
+std::vector<Value> Interp::exec(const ResolvedProg& rp, const std::vector<Value>& args) const {
   EvalCtx ctx(*this);
-  Env env(*rp, rp->root_activation);
-  for (size_t i = 0; i < args.size(); ++i) env.bind(rp->fn.params[i].var, args[i]);
-  return ctx.eval_body(rp->fn.body, env, &rp->scalar_blocks[rp->root_activation]);
+  Env env(rp, rp.root_activation);
+  for (size_t i = 0; i < args.size(); ++i) env.bind(rp.fn.params[i].var, args[i]);
+  return ctx.eval_body(rp.fn.body, env, &rp.scalar_blocks[rp.root_activation]);
 }
 
 std::vector<Value> run_prog(const ir::Prog& p, const std::vector<Value>& args,

@@ -2,8 +2,8 @@
 
 // Parallel interpreter for npad IR: the execution substrate standing in for
 // the paper's GPU backend. SOACs execute on the global thread pool; scalar
-// map lambdas take the kernel-compiled fast path (runtime/kernel.hpp), with
-// compiled kernels cached process-wide (runtime/kernel_cache.hpp); a regular
+// map lambdas take the kernel-compiled fast path (runtime/kernel.hpp), each
+// kernel compiled once into the resolved program (runtime/resolve.hpp); a regular
 // nest — a map whose lambda folds, maps or loops over rows — runs as one
 // whole-lambda kernel launch instead of one inner launch per row; variable
 // environments are slot-resolved flat frames (runtime/resolve.hpp), and runs
@@ -21,6 +21,8 @@
 #include "runtime/value.hpp"
 
 namespace npad::rt {
+
+struct ResolvedProg;
 
 // Default eval recursion-depth limit: NPAD_MAX_EVAL_DEPTH if set, else 512 —
 // deep enough for any real program the front end emits, shallow enough that a
@@ -69,7 +71,6 @@ struct InterpOptions {
 struct InterpStats {
   std::atomic<uint64_t> kernel_maps{0};          // maps run through compiled kernels
   std::atomic<uint64_t> general_maps{0};         // maps run through the interpreter
-  std::atomic<uint64_t> kernel_cache_hits{0};    // launches that skipped compilation
   std::atomic<uint64_t> privatized_updates{0};   // non-atomic accumulator updates
   std::atomic<uint64_t> atomic_updates{0};       // atomic RMW accumulator updates
   std::atomic<uint64_t> privatized_launches{0};  // launches that privatized >=1 acc
@@ -77,11 +78,14 @@ struct InterpStats {
   std::atomic<uint64_t> pool_misses{0};          // launch buffers freshly heap-allocated
   std::atomic<uint64_t> fused_maps{0};           // producer maps eliminated by fusion (per launch)
   std::atomic<uint64_t> batched_launches{0};     // kernel spans that ran >=1 full lane batch
+  std::atomic<uint64_t> hand_reduces{0};         // reduces run by the recognized-binop loop
   std::atomic<uint64_t> kernel_reduces{0};       // reduces run through compiled kernels
   std::atomic<uint64_t> general_reduces{0};      // reduces run through the interpreter
   std::atomic<uint64_t> fused_reduces{0};        // producer maps folded into reduce launches
+  std::atomic<uint64_t> hand_scans{0};           // scans run by the recognized-binop loop
   std::atomic<uint64_t> kernel_scans{0};         // scans run through compiled kernels
   std::atomic<uint64_t> general_scans{0};        // scans run through the interpreter
+  std::atomic<uint64_t> hand_hists{0};           // hists run by the recognized-binop loop
   std::atomic<uint64_t> kernel_hists{0};         // hists run through compiled kernels
   std::atomic<uint64_t> general_hists{0};        // hists run through the interpreter
   std::atomic<uint64_t> privatized_hist_updates{0};  // non-atomic hist bin updates
@@ -98,7 +102,6 @@ struct InterpStats {
     return {
         {"kernel_maps", kernel_maps.load()},
         {"general_maps", general_maps.load()},
-        {"kernel_cache_hits", kernel_cache_hits.load()},
         {"privatized_updates", privatized_updates.load()},
         {"atomic_updates", atomic_updates.load()},
         {"privatized_launches", privatized_launches.load()},
@@ -106,11 +109,14 @@ struct InterpStats {
         {"pool_misses", pool_misses.load()},
         {"fused_maps", fused_maps.load()},
         {"batched_launches", batched_launches.load()},
+        {"hand_reduces", hand_reduces.load()},
         {"kernel_reduces", kernel_reduces.load()},
         {"general_reduces", general_reduces.load()},
         {"fused_reduces", fused_reduces.load()},
+        {"hand_scans", hand_scans.load()},
         {"kernel_scans", kernel_scans.load()},
         {"general_scans", general_scans.load()},
+        {"hand_hists", hand_hists.load()},
         {"kernel_hists", kernel_hists.load()},
         {"general_hists", general_hists.load()},
         {"privatized_hist_updates", privatized_hist_updates.load()},
@@ -150,6 +156,9 @@ public:
 
 private:
   friend class EvalCtx;
+  // Runs a resolved program on arguments that satisfy check_args.
+  std::vector<Value> exec(const ResolvedProg& rp, const std::vector<Value>& args) const;
+
   InterpOptions opts_;
   mutable InterpStats stats_;
 };

@@ -258,9 +258,8 @@ std::optional<Kernel> compile_reduce_kernel(const ir::Lambda& op, const ir::Lamb
                                             bool scan);
 
 // Bound kernel ready to run: free variables resolved against an environment.
-// `k` points into the process-wide kernel cache (runtime/kernel_cache.hpp)
-// or into a resolved program's scalar-glue block (runtime/resolve.hpp); both
-// keep their kernels alive for the process, so the kernel always outlives
+// `k` points into the resolved program that runs the launch (a lambda's
+// kernel slot or a scalar-glue block, runtime/resolve.hpp), which outlives
 // the launch.
 struct KernelLaunch {
   const Kernel* k = nullptr;
@@ -297,8 +296,8 @@ struct KernelLaunch {
   // Vectorized execution tier (runtime/vexec.hpp): when `vx` is set,
   // run/run_reduce/run_scan_chunk/run_hist_chunk dispatch to the
   // pre-decoded SIMD schedule instead of the register machine — bit-exact
-  // by contract, so binding it is purely a speed choice. Vexec entries are
-  // keyed by kernel address, which is sound because `k` is immortal.
+  // by contract, so binding it is purely a speed choice. The entry is
+  // lowered from `k` and owned next to it.
   // `vexec_spans` feeds InterpStats::vexec_launches, one tick per dispatched
   // span; `vexec_dispatches` feeds InterpStats::vexec_body_dispatches, the
   // inline-loop body dispatches (per trip, or per pass over a tile of trips)

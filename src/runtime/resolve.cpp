@@ -7,6 +7,7 @@
 
 #include "ir/analysis.hpp"
 #include "ir/visit.hpp"
+#include "runtime/batch.hpp"
 
 namespace npad::rt {
 
@@ -47,6 +48,7 @@ std::optional<ScalarBlock> fold_scalar_run(const Body& b, size_t begin, size_t e
   blk.first = static_cast<uint32_t>(begin);
   blk.count = static_cast<uint32_t>(end - begin);
   blk.kernel = std::move(*k);
+  blk.vx = vexec::lower(blk.kernel);
   return blk;
 }
 
@@ -171,13 +173,46 @@ std::shared_ptr<const ResolvedProg> resolve_prog(const ir::Prog& p) {
   }
   rp->fn.body = c.body(p.fn.body, std::move(s));
   Resolver(*rp).run();
+  rp->kernels_ = std::vector<ResolvedProg::KernelSlot>(rp->activations.size());
   return rp;
 }
 
+namespace {
+
+// Fills `slot` on its first call with `compile()` and its lowering.
+template <class Compile>
+const LambdaKernel& fill(std::once_flag& once, std::unique_ptr<const LambdaKernel>& slot,
+                         Compile compile) {
+  std::call_once(once, [&] {
+    auto lk = std::make_unique<LambdaKernel>();
+    lk->kernel = compile();
+    if (lk->kernel) lk->vx = vexec::lower(*lk->kernel);
+    slot = std::move(lk);
+  });
+  return *slot;
+}
+
+} // namespace
+
+const LambdaKernel& ResolvedProg::map_kernel(const ir::Lambda& f) const {
+  KernelSlot& s = kernels_[f.activation_id];
+  return fill(s.once, s.k, [&] { return compile_kernel(f); });
+}
+
+const LambdaKernel& ResolvedProg::fold_kernel(const ir::Lambda& op, const ir::Lambda* pre,
+                                              bool scan) const {
+  KernelSlot& s = kernels_[op.activation_id];
+  return fill(s.once, s.k, [&] { return compile_reduce_kernel(op, pre, scan); });
+}
+
+const ResolvedProg& ResolvedProg::batched(const ir::Prog& p) const {
+  std::call_once(batched_once_, [&] { batched_ = resolve_prog(make_batched_prog(p)); });
+  return *batched_;
+}
+
 ProgCache& ProgCache::global() {
-  // Leaked singleton, same lifetime policy as KernelCache: the scalar-block
-  // kernels of resolved programs key the vexec cache by address and must
-  // stay valid on every thread until exit.
+  // Leaked singleton: a resolved program, and so every kernel compiled from
+  // it, stays valid on every thread until exit.
   static ProgCache* cache = new ProgCache();
   return *cache;
 }
@@ -187,17 +222,14 @@ size_t ProgCache::size() const {
   return by_sig_.size();
 }
 
-std::shared_ptr<const ResolvedProg> ProgCache::get(const ir::Prog& p, bool* was_hit) {
+std::shared_ptr<const ResolvedProg> ProgCache::get(const ir::Prog& p) {
   std::vector<uint64_t> sig = ir::structural_sig(p.fn);
   const uint64_t h = ir::structural_hash(sig);
   {
     std::shared_lock lk(mu_);
     auto [lo, hi] = by_sig_.equal_range(h);
     for (auto it = lo; it != hi; ++it) {
-      if (it->second.sig == sig) {
-        if (was_hit) *was_hit = true;
-        return it->second.rp;
-      }
+      if (it->second.sig == sig) return it->second.rp;
     }
   }
   // Resolve outside the lock; a racing thread may do the same work, but the
@@ -206,13 +238,9 @@ std::shared_ptr<const ResolvedProg> ProgCache::get(const ir::Prog& p, bool* was_
   std::unique_lock lk(mu_);
   auto [lo, hi] = by_sig_.equal_range(h);
   for (auto it = lo; it != hi; ++it) {
-    if (it->second.sig == sig) {
-      if (was_hit) *was_hit = true;
-      return it->second.rp;
-    }
+    if (it->second.sig == sig) return it->second.rp;
   }
   by_sig_.emplace(h, Entry{std::move(sig), rp});
-  if (was_hit) *was_hit = false;
   return rp;
 }
 

@@ -1,6 +1,6 @@
 // vexec lowering: KInstr program -> pre-decoded VInstr schedule (prologue
-// extraction, superinstruction fusion, streams, trip tiles), plus the immortal
-// (kernel, lanes) entry cache. All transforms here are value-preserving per
+// extraction, superinstruction fusion, streams, trip tiles). All transforms
+// here are value-preserving per
 // lane: fused handlers execute the same IEEE operation sequence with the
 // same operand order (see vexec_engine.cpp), so the lowered program is
 // bit-exact against the register machine.
@@ -9,10 +9,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
 #include <utility>
 
 namespace npad::rt::vexec {
@@ -919,51 +915,17 @@ VProgram bake(const Lowered& low, int W) {
   return p;
 }
 
-// ---- entry cache ----------------------------------------------------------
-
-struct Key {
-  const Kernel* k;
-  int lanes;
-  bool operator==(const Key& o) const { return k == o.k && lanes == o.lanes; }
-};
-struct KeyHash {
-  size_t operator()(const Key& x) const {
-    return std::hash<const void*>()(x.k) * 31u ^ static_cast<size_t>(x.lanes);
-  }
-};
-
-std::shared_mutex cache_mu;
-// Process-wide and immortal, like the kernel cache the keys point into. A
-// null value records a kernel that failed to lower (never re-attempted).
-std::unordered_map<Key, std::unique_ptr<Entry>, KeyHash>& cache() {
-  static auto* c = new std::unordered_map<Key, std::unique_ptr<Entry>, KeyHash>();
-  return *c;
-}
-
 } // namespace
 
-const Entry* lookup(const Kernel& k, int lanes) {
-  const Key key{&k, lanes};
-  {
-    std::shared_lock lk(cache_mu);
-    auto it = cache().find(key);
-    if (it != cache().end()) return it->second.get();
-  }
-  std::unique_ptr<Entry> e;
+std::optional<Entry> lower(const Kernel& k) {
   Usage u = analyze(k);
   Lowered low;
-  if (lower_pass1(k, u, low)) {
-    const std::vector<uint8_t> uni = uniform_regs(k, u);
-    lower_pass2(k, u, low);
-    mark_uniform(uni, low.code);
-    tile_loops(low);
-    e = std::make_unique<Entry>();
-    e->narrow = bake(low, 1);
-    if (lanes > 1) e->wide = bake(low, lanes);
-  }
-  std::unique_lock lk(cache_mu);
-  auto [it, inserted] = cache().emplace(key, std::move(e));
-  return it->second.get();
+  if (!lower_pass1(k, u, low)) return std::nullopt;
+  const std::vector<uint8_t> uni = uniform_regs(k, u);
+  lower_pass2(k, u, low);
+  mark_uniform(uni, low.code);
+  tile_loops(low);
+  return Entry{bake(low, kWide), bake(low, 1)};
 }
 
 } // namespace npad::rt::vexec

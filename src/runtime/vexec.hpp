@@ -1,8 +1,8 @@
 #pragma once
 
-// Vectorized execution tier for the kernel machine: at first launch, a compiled kernel's KInstr program is
-// lowered — once per (kernel, lane width), cached alongside the immortal
-// KernelCache entry it came from — into a dense pre-decoded schedule of
+// Vectorized execution tier for the kernel machine: a compiled kernel's
+// KInstr program is lowered once, next to the kernel in the resolved program
+// that owns it (runtime/resolve.hpp), into a dense pre-decoded schedule of
 // VInstrs, executed by the engine in runtime/vexec_engine.cpp (plain C++
 // with constexpr lane loops the compiler auto-vectorizes for the build's
 // target ISA). The lowering does four things the per-KInstr switch cannot:
@@ -79,6 +79,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "runtime/kernel.hpp"
@@ -119,6 +120,10 @@ inline constexpr uint8_t kUniform = 2;
 // VInstr::streamed uses kTileA/B/C: the operand is the register of a bound
 // stream of the tile's loop, read in place — lane l, row j is q[l][t0 + j].
 inline constexpr uint8_t kTileD = 1, kTileA = 2, kTileB = 4, kTileC = 8, kTileIdx = 16;
+
+// The one wide lane count: Interp admits kernel_lanes 1 and 8 only, and the
+// drivers take the wide program only at this width.
+inline constexpr int kWide = 8;
 
 // Trips per tile at lane width W: a tile block holds 128 doubles.
 constexpr int tile_trips(int W) { return 128 / W; }
@@ -187,7 +192,7 @@ struct VInit {
 // One lowered program at a fixed lane width W (operand offsets are baked
 // for that width, so wide and narrow variants are separate programs).
 struct VProgram {
-  int W = 0;  // 0 = absent
+  int W = 0;  // lane width
   int num_regs = 0;
   std::vector<VInstr> code;
   std::vector<VInit> prologue;
@@ -201,20 +206,17 @@ struct VProgram {
   std::vector<int32_t> red_acc_off, red_elem_off;
 };
 
-// Cached vexec artifact for one (kernel, lane width): the wide program (W =
-// lanes; absent when lanes == 1) plus the W=1 program driving scalar tails,
-// scans, hist chunks, scalar blocks and fold combines.
+// Lowered form of one kernel: the wide program (W = kWide) plus the W=1
+// program driving scalar tails, scans, hist chunks, scalar blocks and fold
+// combines.
 struct Entry {
   VProgram wide;
   VProgram narrow;
 };
 
-// Lazily lowers (and caches process-wide, immortal) the vexec entry for `k`
-// at lane width `lanes`. `k` must itself be immortal — owned by the kernel
-// cache or a resolved program's scalar-glue block, never by the launch.
-// `lanes` is 1 or 8 (Interp rejects other widths). Returns nullptr when the
-// program does not lower; the caller then stays on the register machine.
-const Entry* lookup(const Kernel& k, int lanes);
+// Lowers `k` into its wide and narrow programs; nullopt when the program
+// does not lower, and the caller then stays on the register machine.
+std::optional<Entry> lower(const Kernel& k);
 
 // Engine drivers (runtime/vexec_engine.cpp). Each mirrors the KernelLaunch
 // method of the same name in runtime/kernel.cpp bit-exactly; run_scalar

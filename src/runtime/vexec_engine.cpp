@@ -782,10 +782,6 @@ void run_vloop(const VProgram& p, const KernelLaunch& L, double* r, const VLoop&
   }
 }
 
-// The one wide lane count: Interp admits kernel_lanes 1 and 8 only, and
-// the drivers take the wide program only at this width.
-constexpr int kWide = 8;
-
 // Runs the whole wide program over [lo, hi).
 inline void wide_span(const VProgram& p, const KernelLaunch& L, double* r, int64_t lo,
                       int64_t hi, int64_t lane_stride) {
@@ -825,7 +821,7 @@ inline void vcombine(const Entry& e, const KernelLaunch& L, double* r1, double* 
 void run(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi) {
   const DispatchTally tally(L);
   const int W = L.lanes;
-  if (W == kWide && e.wide.W == W && hi - lo >= W) {
+  if (W == kWide && hi - lo >= W) {
     if (L.batched_spans != nullptr) L.batched_spans->fetch_add(1, std::memory_order_relaxed);
     const int64_t full = lo + ((hi - lo) / W) * W;
     double* rw = arena(file_size(e.wide) + file_size(e.narrow));
@@ -854,7 +850,7 @@ void run_reduce(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
   const size_t nred = n.red_acc_off.size();
   const size_t n1 = file_size(n);
   const int W = L.lanes;
-  const bool wide = W == kWide && hi - lo >= W && e.wide.W == W;
+  const bool wide = W == kWide && hi - lo >= W;
   const size_t nw = wide ? file_size(e.wide) : 0;
   double* r1 = arena(n1 + nw + nred);
   double* rw = r1 + n1;

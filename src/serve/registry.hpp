@@ -5,8 +5,9 @@
 // (reverse-mode vjp for the scalar objectives, forward-mode jvp for the
 // residual Jacobians, mirroring how the paper-table benches evaluate each
 // workload). Programs are built once per process — the registry shares the
-// immortal ProgCache/KernelCache entries across every serving
-// tenant, so a request never pays compilation after first touch.
+// immortal ProgCache entries, which own every kernel compiled from them,
+// across every serving tenant, so a request never pays compilation after
+// first touch.
 
 #include <cstdint>
 #include <functional>
@@ -49,7 +50,7 @@ struct ProgramEntry {
 
 class Registry {
 public:
-  // Process-wide registry (immortal, like the runtime caches).
+  // Process-wide registry (immortal, like the runtime's program cache).
   static Registry& global();
 
   // Throws npad::TypeError on a duplicate name.

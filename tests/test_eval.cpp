@@ -29,6 +29,7 @@
 #include "ir/typecheck.hpp"
 #include "opt/pipeline.hpp"
 #include "runtime/interp.hpp"
+#include "runtime/resolve.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -202,6 +203,28 @@ TEST(ScalarBlocks, ArrayForScalarParamIsRefused) {
   Interp scalar{kernels(true)};
   EXPECT_EQ(std::get<double>(scalar.run(p, {Value(1.5)})[0]), 1.5);
   EXPECT_EQ(scalar.stats().scalar_blocks.load(), 1u);
+}
+
+// A block whose free variable holds an array at run time: reachable only by
+// an ill-typed program, here one whose `a : f64` is bound by an iota. The
+// block reads `a` through as_f64, so kernels on and off raise the same
+// TypeError.
+TEST(ScalarBlocks, IllTypedFreeArrayRaisesTypeError) {
+  ProgBuilder pb("glue_ill_typed");
+  Var x = pb.param("x", f64());
+  Builder& b = pb.body();
+  Var a = b.rebind(Atom(x));
+  Var c = b.mul(a, cf64(2.0));
+  Var d = b.add(c, cf64(1.0));
+  Prog p = pb.finish({Atom(d)});
+  typecheck(p);
+  p.fn.body.stms[0].e = OpIota{Atom(ci64(3))};  // not typechecked again
+  auto rp = ProgCache::global().get(p);
+  ASSERT_EQ(rp->scalar_blocks[rp->root_activation].size(), 1u);
+  Interp on{kernels(true)};
+  EXPECT_THROW(on.run(p, {Value(1.5)}), npad::TypeError);
+  EXPECT_EQ(on.stats().scalar_blocks.load(), 0u);
+  EXPECT_THROW(run_prog(p, {Value(1.5)}, kernels(false)), npad::TypeError);
 }
 
 // ----------------------------------------------------- loops and branches --

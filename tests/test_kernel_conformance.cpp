@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <optional>
 
 #include "apps/gmm.hpp"
 #include "apps/kmeans.hpp"
@@ -21,7 +23,6 @@
 #include "opt/fuse.hpp"
 #include "opt/pipeline.hpp"
 #include "runtime/interp.hpp"
-#include "runtime/kernel_cache.hpp"
 #include "runtime/vexec.hpp"
 #include "support/rng.hpp"
 
@@ -694,7 +695,7 @@ TEST_P(HistConformance, StrategiesMatchGeneralPath) {
     if (kernel_op) {
       EXPECT_GE(fast.stats().kernel_hists.load(), 1u) << sh.name;
     } else {
-      EXPECT_GE(fast.stats().general_hists.load(), 1u) << sh.name;
+      EXPECT_GE(fast.stats().hand_hists.load(), 1u) << sh.name;
     }
   }
 }
@@ -734,7 +735,8 @@ TEST(HistConformance, StrategyCountersReportTheTakenPath) {
   EXPECT_EQ(priv.stats().privatized_hist_updates.load(), static_cast<uint64_t>(n));
   EXPECT_EQ(priv.stats().atomic_hist_updates.load(), 0u);
   EXPECT_EQ(priv.stats().kernel_hists.load(), 0u);
-  EXPECT_EQ(priv.stats().general_hists.load(), 1u);
+  EXPECT_EQ(priv.stats().hand_hists.load(), 1u);
+  EXPECT_EQ(priv.stats().general_hists.load(), 0u);
 
   rt::Interp atom({.parallel = true, .grain = 64, .privatize_budget = 0});
   atom.run(p, args);
@@ -818,6 +820,24 @@ TEST(HistConformance, Rank2RowBinsStaySequentialGeneral) {
   for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], ref[i]) << i;
   EXPECT_EQ(par.stats().general_hists.load(), 1u);
   EXPECT_EQ(par.stats().atomic_hist_updates.load(), 0u);
+}
+
+// A plain (+) reduce and scan over one f64 array run on the hand-rolled
+// tier, which counts itself and no other tier.
+TEST(RedomapConformance, HandTierCountsItsOwnLaunches) {
+  ProgBuilder pb("hand_tier");
+  Var xs = pb.param("xs", arr_f64(1));
+  Builder& b = pb.body();
+  Var r = b.reduce1(b.add_op(), cf64(0.0), {xs});
+  Var sc = b.scan1(b.add_op(), cf64(0.0), {xs});
+  Prog p = pb.finish({Atom(r), Atom(sc)});
+  typecheck(p);
+  rt::Interp in({.parallel = false});
+  in.run(p, {rt::make_f64_array({1.0, 2.0, 3.0}, {3})});
+  EXPECT_EQ(in.stats().hand_reduces.load(), 1u);
+  EXPECT_EQ(in.stats().hand_scans.load(), 1u);
+  EXPECT_EQ(in.stats().kernel_reduces.load() + in.stats().general_reduces.load(), 0u);
+  EXPECT_EQ(in.stats().kernel_scans.load() + in.stats().general_scans.load(), 0u);
 }
 
 TEST(RedomapConformance, GeneralFallbackHandlesRedomap) {
@@ -2358,8 +2378,8 @@ TEST(StreamConformance, OutOfRangeLeadRaisesRegisterMachineError) {
 // Lowered programs (W = 8) of every map kernel in `p`: the artifacts the
 // stream and uniform analyses write into.
 struct Lowered {
-  const rt::Kernel* k;
-  const rt::vexec::Entry* e;
+  std::shared_ptr<const rt::Kernel> k;
+  std::shared_ptr<const rt::vexec::Entry> e;
 };
 
 void collect_maps(const Body& b, std::vector<LambdaPtr>& out) {
@@ -2374,9 +2394,12 @@ std::vector<Lowered> lowered_maps(const Prog& p) {
   collect_maps(p.fn.body, lams);
   std::vector<Lowered> out;
   for (const LambdaPtr& f : lams) {
-    const rt::Kernel* k = rt::KernelCache::global().get(f);
-    if (k == nullptr) continue;
-    if (const rt::vexec::Entry* e = rt::vexec::lookup(*k, 8)) out.push_back({k, e});
+    std::optional<rt::Kernel> k = rt::compile_kernel(*f);
+    if (!k) continue;
+    if (std::optional<rt::vexec::Entry> e = rt::vexec::lower(*k)) {
+      out.push_back({std::make_shared<const rt::Kernel>(std::move(*k)),
+                     std::make_shared<const rt::vexec::Entry>(std::move(*e))});
+    }
   }
   return out;
 }

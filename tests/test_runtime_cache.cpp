@@ -1,17 +1,20 @@
-// Tests for the runtime hot-path machinery: the process-wide kernel cache
-// (structural-hash keying, free-scalar rebinding, nested-map lifetime), the
-// privatized-accumulator launches, and the slot-resolved environments
-// (shadowing, nested scopes, loop frame reuse).
+// Tests for the runtime hot-path machinery: the kernels a resolved program
+// owns (one slot per lambda, shared by structurally equal programs, filled
+// once under concurrent first runs; free-scalar rebinding, nested-map
+// lifetime), the privatized-accumulator launches, and the slot-resolved
+// environments (shadowing, nested scopes, loop frame reuse).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <string>
+#include <thread>
 
 #include "core/ad.hpp"
 #include "ir/builder.hpp"
 #include "ir/typecheck.hpp"
 #include "runtime/interp.hpp"
-#include "runtime/kernel_cache.hpp"
 #include "runtime/resolve.hpp"
 #include "support/rng.hpp"
 
@@ -37,7 +40,15 @@ Prog scaled_map_prog() {
   return pb.finish({Atom(ys)});
 }
 
-TEST(KernelCache, HitServesDifferentFreeScalarBindings) {
+// The lambda of the first top-level map in `rp`'s body.
+const Lambda& first_map(const ResolvedProg& rp) {
+  for (const Stm& st : rp.fn.body.stms) {
+    if (const auto* m = std::get_if<OpMap>(&st.e)) return *m->f;
+  }
+  throw std::logic_error("no top-level map");
+}
+
+TEST(ProgKernels, OneKernelServesDifferentFreeScalarBindings) {
   Prog p = scaled_map_prog();
   typecheck(p);
   ArrayVal xs = make_f64_array({1.0, 2.0, 3.0, 4.0}, {4});
@@ -51,12 +62,17 @@ TEST(KernelCache, HitServesDifferentFreeScalarBindings) {
     EXPECT_DOUBLE_EQ(as_array(r1[0]).get_f64(i), x * 2.0 + std::sin(2.0) + 7.25);
     EXPECT_DOUBLE_EQ(as_array(r2[0]).get_f64(i), x * -3.5 + std::sin(-3.5) + 7.25);
   }
-  // Both launches took the kernel path; the second reused the cached kernel.
+  // Both launches took the kernel path, through the one kernel in the map
+  // lambda's slot, which reads c as a free scalar.
   EXPECT_EQ(in.stats().kernel_maps.load(), 2u);
-  EXPECT_GE(in.stats().kernel_cache_hits.load(), 1u);
+  auto rp = ProgCache::global().get(p);
+  const LambdaKernel& lk = rp->map_kernel(first_map(*rp));
+  ASSERT_TRUE(lk.kernel.has_value());
+  EXPECT_EQ(lk.kernel->free_scalars.size(), 1u);
+  EXPECT_EQ(&rp->map_kernel(first_map(*rp)), &lk);
 }
 
-TEST(KernelCache, StructurallyIdenticalProgsShareResolution) {
+TEST(ProgKernels, StructurallyIdenticalProgsShareResolution) {
   Prog p1 = scaled_map_prog();
   Prog p2 = scaled_map_prog();  // fresh module, same structure
   typecheck(p1);
@@ -66,19 +82,24 @@ TEST(KernelCache, StructurallyIdenticalProgsShareResolution) {
   Interp in;
   auto r1 = in.run(p1, {4.0, xs});
   const size_t progs_before = ProgCache::global().size();
-  const size_t kernels_before = KernelCache::global().size();
+  auto rp = ProgCache::global().get(p1);
+  const LambdaKernel& lk = rp->map_kernel(first_map(*rp));
   auto r2 = in.run(p2, {4.0, xs});
+  // p2 runs p1's resolved program, so its launch used the kernel p1's run
+  // compiled.
   EXPECT_EQ(ProgCache::global().size(), progs_before);
-  EXPECT_EQ(KernelCache::global().size(), kernels_before);
+  EXPECT_EQ(ProgCache::global().get(p2), rp);
+  EXPECT_EQ(&rp->map_kernel(first_map(*rp)), &lk);
+  EXPECT_EQ(in.stats().kernel_maps.load(), 2u);
   for (int64_t i = 0; i < 2; ++i) {
     EXPECT_DOUBLE_EQ(as_array(r1[0]).get_f64(i), as_array(r2[0]).get_f64(i));
   }
 }
 
-// Regression for the pre-cache lifetime hazard: a nested kernel launch used
-// to clear the thread-local vector keeping the outer launch's kernel alive.
+// Regression for an old lifetime hazard: a nested kernel launch used to
+// clear the thread-local vector keeping the outer launch's kernel alive.
 // Outer map is general-path (rank-1 rows), inner maps are kernel-compiled.
-TEST(KernelCache, NestedMapsKeepKernelsAlive) {
+TEST(ProgKernels, NestedMapsKeepKernelsAlive) {
   ProgBuilder pb("nested");
   Var c = pb.param("c", f64());
   Var m = pb.param("m", arr_f64(2));
@@ -104,6 +125,137 @@ TEST(KernelCache, NestedMapsKeepKernelsAlive) {
   const ArrayVal& out = as_array(r[0]);
   EXPECT_DOUBLE_EQ(out.get_f64(0), (1.0 + 4.0 + 9.0) * 2.0);
   EXPECT_DOUBLE_EQ(out.get_f64(1), (16.0 + 25.0 + 36.0) * 2.0);
+}
+
+// One lambda of each SOAC form: a map, a reduce, a scan and a hist whose
+// operator (b + a) the recognizer rejects, so each launches a kernel, plus a
+// top-level scalar-glue block. The constants keep the structure unlike any
+// other program of this binary, so the first run below resolves it.
+Prog every_form_prog() {
+  ProgBuilder pb("every_form");
+  Var c = pb.param("c", f64());
+  Var xs = pb.param("xs", arr_f64(1));
+  Var is = pb.param("is", arr(ScalarType::I64, 1));
+  Builder& b = pb.body();
+  auto swapped_add = [](Builder& k) {
+    return k.lam({f64(), f64()}, [](Builder& o, const std::vector<Var>& p) {
+      return std::vector<Atom>{Atom(o.add(p[1], p[0]))};
+    });
+  };
+  Var ys = b.map1(b.lam({f64()},
+                        [&](Builder& k, const std::vector<Var>& p) {
+                          return std::vector<Atom>{Atom(k.add(k.mul(p[0], c), k.sin(p[0])))};
+                        }),
+                  {xs});
+  Var s = b.reduce1(swapped_add(b), cf64(0.0), {ys});
+  Var sc = b.scan1(swapped_add(b), cf64(0.0), {ys});
+  Var dest = b.replicate(ci64(5), cf64(0.8125));
+  Var h = b.hist(swapped_add(b), cf64(0.0), dest, is, ys);
+  Var t = b.mul(s, c);
+  Var u = b.add(t, cf64(0.8125));
+  return pb.finish({Atom(u), Atom(sc), Atom(h)});
+}
+
+// Bit pattern of a result list, for exact comparison.
+std::vector<double> flat(const std::vector<Value>& vs) {
+  std::vector<double> out;
+  for (const Value& v : vs) {
+    if (is_array(v)) {
+      for (double x : to_f64_vec(as_array(v))) out.push_back(x);
+    } else {
+      out.push_back(as_f64(v));
+    }
+  }
+  return out;
+}
+
+// Four threads make the first runs of one program at once, through run and
+// run_batched: every slot of the shared resolved program (and its batched
+// form) is filled once, every thread sees the same kernels, and the results
+// match a later sequential run bit for bit.
+TEST(ProgKernels, ConcurrentFirstRunsFillEachSlotOnce) {
+  Prog p = every_form_prog();
+  typecheck(p);
+  const int64_t n = 300;
+  support::Rng rng(61);
+  auto args_for = [&](double c) {
+    const auto un = static_cast<size_t>(n);
+    return std::vector<Value>{c, make_f64_array(rng.uniform_vec(un, -1.0, 1.0), {n}),
+                              make_i64_array(rng.index_vec(un, 5), {n})};
+  };
+  const std::vector<std::vector<Value>> req = {args_for(0.5), args_for(-1.25)};
+  const InterpOptions opts{.parallel = false};
+
+  constexpr int kThreads = 4;
+  struct Seen {
+    std::vector<Value> single;
+    std::vector<std::vector<Value>> batched;
+    std::vector<const void*> slots;
+    std::string error;
+  };
+  std::vector<Seen> seen(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      Interp in(opts);
+      Seen& s = seen[static_cast<size_t>(t)];
+      try {
+        if (t % 2 == 0) {
+          s.single = in.run(p, req[0]);
+          s.batched = in.run_batched(p, req);
+        } else {
+          s.batched = in.run_batched(p, req);
+          s.single = in.run(p, req[0]);
+        }
+        auto rp = ProgCache::global().get(p);
+        s.slots.push_back(rp.get());
+        s.slots.push_back(&rp->batched(p));
+        for (const Stm& st : rp->fn.body.stms) {
+          const LambdaKernel* lk = nullptr;
+          if (const auto* m = std::get_if<OpMap>(&st.e)) lk = &rp->map_kernel(*m->f);
+          if (const auto* r = std::get_if<OpReduce>(&st.e)) {
+            lk = &rp->fold_kernel(*r->op, r->pre.get(), false);
+          }
+          if (const auto* r = std::get_if<OpScan>(&st.e)) {
+            lk = &rp->fold_kernel(*r->op, nullptr, true);
+          }
+          if (const auto* r = std::get_if<OpHist>(&st.e)) {
+            lk = &rp->fold_kernel(*r->op, nullptr, false);
+          }
+          if (lk == nullptr) continue;
+          s.slots.push_back(lk->kernel ? &*lk->kernel : nullptr);
+          s.slots.push_back(lk->vx ? &*lk->vx : nullptr);
+        }
+      } catch (const std::exception& e) {
+        s.error = e.what();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  Interp ref(opts);
+  const std::vector<double> want0 = flat(ref.run(p, req[0]));
+  const std::vector<double> want1 = flat(ref.run(p, req[1]));
+  EXPECT_EQ(ref.stats().kernel_maps.load(), 2u);
+  EXPECT_EQ(ref.stats().kernel_reduces.load(), 2u);
+  EXPECT_EQ(ref.stats().kernel_scans.load(), 2u);
+  EXPECT_EQ(ref.stats().kernel_hists.load(), 2u);
+  EXPECT_EQ(ref.stats().scalar_blocks.load(), 2u);
+  ASSERT_EQ(seen[0].slots.size(), 2u + 4u * 2u);
+  for (size_t i = 2; i < seen[0].slots.size(); i += 2) {
+    EXPECT_NE(seen[0].slots[i], nullptr) << "slot " << i / 2 - 1 << " did not compile";
+  }
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.error, "");
+    EXPECT_EQ(flat(s.single), want0);
+    ASSERT_EQ(s.batched.size(), 2u);
+    EXPECT_EQ(flat(s.batched[0]), want0);
+    EXPECT_EQ(flat(s.batched[1]), want1);
+    EXPECT_EQ(s.slots, seen[0].slots);
+  }
 }
 
 // f(xs, is) = sum_j xs[is_j]^2; its vjp accumulates 2*xs[i]*seed into the

@@ -575,7 +575,7 @@ TEST(OptimizedHist, OptimizedVjpKernelMatchesGeneralPath) {
   auto rf = fast.run(gf, gargs);
   auto rs = slow.run(gf, gargs);
   // The re-emitted primal (+) hist runs on the hand-rolled tier.
-  EXPECT_GE(fast.stats().general_hists.load(), 1u);
+  EXPECT_GE(fast.stats().hand_hists.load(), 1u);
   ASSERT_EQ(rf.size(), rs.size());
   // Gradients are the last two results (dest, vals).
   for (size_t k = rf.size() - 2; k < rf.size(); ++k) {
