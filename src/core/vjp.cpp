@@ -980,8 +980,7 @@ public:
                                    }),
                              {o.vals}, "mv");
     Var ones = b.map1(b.lam({f64()},
-                            [](Builder& c, const std::vector<Var>& p) {
-                              (void)p;
+                            [](Builder&, const std::vector<Var>&) {
                               return std::vector<Atom>{cf64(1.0)};
                             }),
                       {o.dest}, "ones");
@@ -1046,8 +1045,7 @@ public:
               }),
         {iot}, "cand");
     Var bigs = b.map1(b.lam({f64()},
-                            [](Builder& c, const std::vector<Var>& p) {
-                              (void)p;
+                            [](Builder&, const std::vector<Var>&) {
                               return std::vector<Atom>{cf64(kBig)};
                             }),
                       {o.dest}, "bigs");

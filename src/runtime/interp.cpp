@@ -9,7 +9,6 @@
 #include "ir/visit.hpp"
 #include "runtime/kernel.hpp"
 #include "runtime/resolve.hpp"
-#include "runtime/vexec.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/thread_pool.hpp"
@@ -80,18 +79,6 @@ const char* exp_kind(const Exp& e) {
           [](const OpWithAcc&) { return "with_acc"; },
       },
       e);
-}
-
-double digamma_approx(double x) {
-  double result = 0.0;
-  while (x < 6.0) {
-    result -= 1.0 / x;
-    x += 1.0;
-  }
-  const double inv = 1.0 / x, inv2 = inv * inv;
-  result += std::log(x) - 0.5 * inv -
-            inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 / 240)));
-  return result;
 }
 
 // The recognized-binop fast paths of reduce, scan and hist share one combine
@@ -291,19 +278,19 @@ public:
   // holds no scalar (an ill-typed program) raises as_f64's TypeError.
   void run_scalar_block(const ScalarBlock& blk, Env& env) const {
     const Kernel& k = blk.kernel;
-    thread_local std::vector<double> frees, regs, outs;
+    // Per thread, so the free-scalar and result buffers keep their capacity.
+    thread_local KernelLaunch L;
+    thread_local std::vector<double> outs;
     try {
-      frees.clear();
-      for (ir::Var v : k.free_scalars) frees.push_back(as_f64(env.lookup(v)));
+      L.free_scalar_vals.clear();
+      for (ir::Var v : k.free_scalars) L.free_scalar_vals.push_back(as_f64(env.lookup(v)));
       NPAD_FAULT_SITE("scalar.block", FaultKind::Chunk);
       outs.assign(blk.out_vars.size(), 0.0);
-      if (opts_.use_vexec && blk.vx) {
-        stats_->vexec_launches.fetch_add(1, std::memory_order_relaxed);
-        vexec::run_scalar(*blk.vx, k, frees.data(), outs.data());
-      } else {
-        regs.assign(static_cast<size_t>(k.num_regs), 0.0);
-        run_scalar_kernel(k, frees.data(), regs.data(), outs.data());
-      }
+      L.k = &k;
+      L.scalar_out = outs.data();
+      L.vx = opts_.use_vexec && blk.vx ? &*blk.vx : nullptr;
+      L.vexec_spans = &stats_->vexec_launches;
+      L.run(0, 1);
     } catch (npad::Error& err) {
       err.add_context("in scalar block binding " + env.name_of(blk.out_vars[0]));
       throw;
@@ -588,7 +575,7 @@ public:
       case UnOp::Cos: return std::cos(a);
       case UnOp::Tanh: return std::tanh(a);
       case UnOp::LGamma: return std::lgamma(a);
-      case UnOp::Digamma: return digamma_approx(a);
+      case UnOp::Digamma: return digamma(a);
       default: throw KernelError("unary operator not defined on this operand");
     }
   }
@@ -1401,8 +1388,8 @@ public:
   // and records its carry, phase 2 prefix-folds the carries, phase 3
   // rescales every non-first chunk by its prefix. The kernel tier runs
   // phases 1 and 3 through the compiled program (phase 1 is the full
-  // program on the strictly sequential scalar engine; phase 3 re-enters the
-  // fold subprogram per element).
+  // narrow program, strictly sequential; phase 3 re-enters the fold
+  // subprogram per element).
   std::vector<Value> eval_scan(const OpScan& o, Env& env) const {
     const Lambda& op = *o.op;
     std::vector<ArrayVal> arrs;
@@ -1483,8 +1470,8 @@ public:
       return {outv};
     }
 
-    // Tier 2: compiled scan kernel (phase 1 + phase 3 on the register
-    // machine; strictly sequential per chunk — scans are order-dependent).
+    // Tier 2: compiled scan kernel (phases 1 and 3 on the launch's
+    // executor; strictly sequential per chunk — scans are order-dependent).
     bool rank1 = true;
     for (const auto& a : arrs) rank1 = rank1 && a.rank() == 1;
     if (opts_.use_kernels && rank1) {

@@ -15,20 +15,6 @@ namespace {
 
 using namespace ir;
 
-// Digamma via the standard asymptotic series with recurrence shift;
-// accurate to ~1e-12 for x > 0 (sufficient for the GMM prior terms).
-double digamma(double x) {
-  double result = 0.0;
-  while (x < 6.0) {
-    result -= 1.0 / x;
-    x += 1.0;
-  }
-  const double inv = 1.0 / x, inv2 = inv * inv;
-  result += std::log(x) - 0.5 * inv -
-            inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 / 240)));
-  return result;
-}
-
 class KernelBuilder {
 public:
   explicit KernelBuilder(const Lambda& f) : f_(f) {}
@@ -1530,184 +1516,239 @@ std::optional<Kernel> compile_reduce_kernel(const ir::Lambda& op, const ir::Lamb
 
 namespace {
 
-// Allocates + prepares a register file and runs the whole program over
-// [lo, hi) in W-wide batches (the map-kernel driver body).
+// ---- span executors -----------------------------------------------------
+//
+// The launch drivers below are written once, over an executor X holding two
+// width-bound programs, X::narrow (W = 1) and X::wide (W = kWide). A program
+// supplies its register-file size and prepare step (file(), prepare(r): a
+// zeroed file with the launch-invariant registers set), span(r, lo, hi, ib,
+// ie, lane_stride) running instructions [ib, ie) over iterations [lo, hi) in
+// exec_span's lane layout, its instruction ranges (end() for the whole
+// program, [0, fold_begin()) and the fold subprogram [fold_begin(),
+// fold_end())) and its reduction-register offsets (acc(j), elem(j)). The
+// executor is a template parameter, so no span goes through an indirect
+// call.
+
+// The register machine: the Kernel's own instructions at every width.
 template <int W>
-void run_batched(const KernelLaunch& L, int64_t lo, int64_t hi) {
-  std::vector<double> regs(static_cast<size_t>(L.k->num_regs) * static_cast<size_t>(W), 0.0);
-  init_invariant(L, regs.data(), W);
-  exec_span<W>(L, regs.data(), lo, hi, 0, L.k->instrs.size());
-}
-
-// acc = op(acc, other) on a prepared scalar register file: seed the
-// accumulator and element registers, run the fold subprogram once.
-void combine_on(const KernelLaunch& L, double* r1, double* acc, const double* other) {
-  const Kernel& k = *L.k;
-  for (size_t j = 0; j < k.reds.size(); ++j) {
-    r1[k.reds[j].acc_reg] = acc[j];
-    r1[k.reds[j].elem_reg] = other[j];
+struct RegProg {
+  const KernelLaunch& L;
+  size_t file() const { return static_cast<size_t>(L.k->num_regs) * W; }
+  void prepare(double* r) const {
+    std::fill(r, r + file(), 0.0);
+    init_invariant(L, r, W);
   }
-  exec_span<1>(L, r1, 0, 1, k.fold_begin, k.fold_end);
-  for (size_t j = 0; j < k.reds.size(); ++j) acc[j] = r1[k.reds[j].acc_reg];
+  void span(double* r, int64_t lo, int64_t hi, uint32_t ib, uint32_t ie,
+            int64_t lane_stride) const {
+    exec_span<W>(L, r, lo, hi, ib, ie, lane_stride);
+  }
+  uint32_t end() const { return static_cast<uint32_t>(L.k->instrs.size()); }
+  uint32_t fold_begin() const { return static_cast<uint32_t>(L.k->fold_begin); }
+  uint32_t fold_end() const { return static_cast<uint32_t>(L.k->fold_end); }
+  int32_t acc(size_t j) const { return L.k->reds[j].acc_reg * W; }
+  int32_t elem(size_t j) const { return L.k->reds[j].elem_reg * W; }
+};
+
+// The vexec tier: the entry's lowered program of width W.
+template <int W>
+struct VexecProg {
+  const vexec::VProgram& p;
+  const KernelLaunch& L;
+  size_t file() const { return vexec::file_size(p); }
+  void prepare(double* r) const { vexec::prepare(p, L, r); }
+  void span(double* r, int64_t lo, int64_t hi, uint32_t ib, uint32_t ie,
+            int64_t lane_stride) const {
+    vexec::span<W>(p, L, r, lo, hi, ib, ie, lane_stride);
+  }
+  uint32_t end() const { return static_cast<uint32_t>(p.code.size()); }
+  uint32_t fold_begin() const { return p.fold_begin; }
+  uint32_t fold_end() const { return p.fold_end; }
+  int32_t acc(size_t j) const { return p.red_acc_off[j]; }
+  int32_t elem(size_t j) const { return p.red_elem_off[j]; }
+};
+
+template <template <int> class P>
+struct Executor {
+  P<1> narrow;
+  P<kWide> wide;
+};
+
+// Runs driver `f` over the launch's executor, picked here and nowhere else:
+// the vexec tier when a lowered entry is attached (`vx`), else the register
+// machine. A counted call (a span driver) crosses the vexec.dispatch fault
+// site and ticks InterpStats::vexec_launches; the fold re-entries run on the
+// same executor uncounted.
+template <class F>
+auto on_executor(const KernelLaunch& L, bool counted, F f) {
+  if (L.vx == nullptr) return f(Executor<RegProg>{{L}, {L}});
+  if (counted) {
+    NPAD_FAULT_SITE("vexec.dispatch", FaultKind::Chunk);
+    if (L.vexec_spans != nullptr) L.vexec_spans->fetch_add(1, std::memory_order_relaxed);
+  }
+  const vexec::DispatchTally tally(L.vexec_dispatches);
+  return f(Executor<VexecProg>{{L.vx->narrow, L}, {L.vx->wide, L}});
 }
 
-// Shared entry gate for every vexec dispatch (one textual fault site serves
-// all four drivers — site names must be unique per location). True when the
-// launch carries a vexec attachment and the dispatch should proceed.
-bool vexec_gate(const KernelLaunch& L) {
-  if (L.vx == nullptr) return false;
-  NPAD_FAULT_SITE("vexec.dispatch", FaultKind::Chunk);
-  if (L.vexec_spans != nullptr) L.vexec_spans->fetch_add(1, std::memory_order_relaxed);
+// Thread-local scratch for one driver call's register files: drivers never
+// nest on a thread (kernels never launch kernels), so one arena per thread
+// serves every call with no per-launch allocation.
+double* arena(size_t n) {
+  thread_local std::vector<double> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+// True when [lo, hi) runs wide batches: a kWide launch with at least one
+// full batch. Ticks batched_spans.
+bool goes_wide(const KernelLaunch& L, int64_t lo, int64_t hi) {
+  if (L.lanes != kWide || hi - lo < kWide) return false;
+  if (L.batched_spans != nullptr) L.batched_spans->fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+// acc = op(acc, other) for `nred` reduction slots on a prepared narrow file:
+// seed the accumulator and element registers, run the fold subprogram once.
+template <class P>
+void combine(const P& n, double* r1, double* acc, const double* other, size_t nred) {
+  for (size_t j = 0; j < nred; ++j) {
+    r1[n.acc(j)] = acc[j];
+    r1[n.elem(j)] = other[j];
+  }
+  n.span(r1, 0, 1, n.fold_begin(), n.fold_end(), 1);
+  for (size_t j = 0; j < nred; ++j) acc[j] = r1[n.acc(j)];
 }
 
 } // namespace
 
 void KernelLaunch::run(int64_t lo, int64_t hi) const {
-  if (vexec_gate(*this)) {
-    vexec::run(*vx, *this, lo, hi);
-    return;
-  }
-  // The one wide lane count (Interp admits kernel_lanes 1 and 8 only).
-  constexpr int W = 8;
-  if (lanes == W && hi - lo >= W) {
-    if (batched_spans != nullptr) batched_spans->fetch_add(1, std::memory_order_relaxed);
-    // Full W-wide batches, then a scalar tail loop for the remainder.
-    const int64_t full = lo + ((hi - lo) / W) * W;
-    run_batched<W>(*this, lo, full);
-    lo = full;
-  }
-  // Scalar machine (W = 1) and the tail loop: the batched engine with a
-  // compile-time lane count of one — a single opcode switch serves both, so
-  // the two paths cannot diverge.
-  if (lo < hi) run_batched<1>(*this, lo, hi);
+  on_executor(*this, true, [&](const auto& x) {
+    double* r1 = arena(x.narrow.file() + x.wide.file());
+    double* rw = r1 + x.narrow.file();
+    if (goes_wide(*this, lo, hi)) {
+      // Full W-wide batches, then a narrow tail for the remainder.
+      const int64_t full = lo + ((hi - lo) / kWide) * kWide;
+      x.wide.prepare(rw);
+      x.wide.span(rw, lo, full, 0, x.wide.end(), 1);
+      lo = full;
+    }
+    if (lo < hi) {
+      x.narrow.prepare(r1);
+      x.narrow.span(r1, lo, hi, 0, x.narrow.end(), 1);
+    }
+  });
 }
 
 void KernelLaunch::run_reduce(int64_t lo, int64_t hi, double* partials) const {
-  if (vexec_gate(*this)) {
-    vexec::run_reduce(*vx, *this, lo, hi, partials);
-    return;
-  }
-  const Kernel& kk = *k;
-  const size_t nred = kk.reds.size();
-  const size_t iend = kk.instrs.size();
-  // Scalar register file reused for the lane combines and the tail loop.
-  std::vector<double> r1(static_cast<size_t>(kk.num_regs), 0.0);
-  init_invariant(*this, r1.data(), 1);
-  constexpr int W = 8;  // as in run()
-  if (lanes == W && hi - lo >= W) {
-    if (batched_spans != nullptr) batched_spans->fetch_add(1, std::memory_order_relaxed);
-    std::vector<double> rw(static_cast<size_t>(kk.num_regs) * static_cast<size_t>(W), 0.0);
-    init_invariant(*this, rw.data(), W);
-    // Every lane starts at the neutral element and folds one contiguous
-    // block of blk elements (lane_stride mode of exec_span); the caller's
-    // carry-in plus the lane partials are then combined in block order
-    // through the fold subprogram, so element order is preserved and the
-    // fold only needs to be associative. Block boundaries still reorder
-    // float-add *grouping* relative to a single sequential fold
-    // (runtime/README.md caveat).
-    for (size_t j = 0; j < nred; ++j) {
-      for (int l = 0; l < W; ++l) rw[kk.reds[j].acc_reg * W + l] = red_neutral[j];
+  on_executor(*this, true, [&](const auto& x) {
+    const auto& n = x.narrow;
+    const auto& w = x.wide;
+    const size_t nred = k->reds.size();
+    // The narrow file serves the lane combines and the tail.
+    double* r1 = arena(n.file() + w.file() + nred);
+    double* rw = r1 + n.file();
+    double* lane = rw + w.file();
+    n.prepare(r1);
+    if (goes_wide(*this, lo, hi)) {
+      // Lane l folds the contiguous block of blk elements at lo + l*blk from
+      // the neutral element, and the caller's carry-in and the lane partials
+      // combine in block order, so the fold need only be associative
+      // (runtime/README.md § Multi-lane).
+      w.prepare(rw);
+      for (size_t j = 0; j < nred; ++j) {
+        for (int l = 0; l < kWide; ++l) rw[w.acc(j) + l] = red_neutral[j];
+      }
+      const int64_t blk = (hi - lo) / kWide;
+      w.span(rw, lo, lo + blk, 0, w.end(), blk);
+      lo += blk * kWide;
+      for (int l = 0; l < kWide; ++l) {
+        for (size_t j = 0; j < nred; ++j) lane[j] = rw[w.acc(j) + l];
+        combine(n, r1, partials, lane, nred);
+      }
     }
-    const int64_t blk = (hi - lo) / W;
-    exec_span<W>(*this, rw.data(), lo, lo + blk, 0, iend, blk);
-    lo += blk * W;
-    std::vector<double> lane(nred);
-    for (int l = 0; l < W; ++l) {
-      for (size_t j = 0; j < nred; ++j) lane[j] = rw[kk.reds[j].acc_reg * W + l];
-      combine_on(*this, r1.data(), partials, lane.data());
+    if (lo < hi) {
+      // Narrow tail: continue the running partial through the full program.
+      for (size_t j = 0; j < nred; ++j) r1[n.acc(j)] = partials[j];
+      n.span(r1, lo, hi, 0, n.end(), 1);
+      for (size_t j = 0; j < nred; ++j) partials[j] = r1[n.acc(j)];
     }
-  }
-  if (lo < hi) {
-    // Scalar tail: continue the running partial through the full program.
-    for (size_t j = 0; j < nred; ++j) r1[kk.reds[j].acc_reg] = partials[j];
-    exec_span<1>(*this, r1.data(), lo, hi, 0, iend);
-    for (size_t j = 0; j < nred; ++j) partials[j] = r1[kk.reds[j].acc_reg];
-  }
+  });
 }
 
 void KernelLaunch::run_scan_chunk(int64_t lo, int64_t hi, double* carry) const {
-  if (vexec_gate(*this)) {
-    vexec::run_scan_chunk(*vx, *this, lo, hi, carry);
-    return;
-  }
-  const Kernel& kk = *k;
-  std::vector<double> r1(static_cast<size_t>(kk.num_regs), 0.0);
-  init_invariant(*this, r1.data(), 1);
-  // Scans are order-dependent: always the scalar engine, elements in order.
-  for (size_t j = 0; j < kk.reds.size(); ++j) r1[kk.reds[j].acc_reg] = carry[j];
-  if (lo < hi) {
-    exec_span<1>(*this, r1.data(), lo, hi, 0, kk.instrs.size());
-  }
-  for (size_t j = 0; j < kk.reds.size(); ++j) carry[j] = r1[kk.reds[j].acc_reg];
+  on_executor(*this, true, [&](const auto& x) {
+    // Scans are order-dependent: always the narrow program, elements in order.
+    const auto& n = x.narrow;
+    double* r1 = arena(n.file());
+    n.prepare(r1);
+    for (size_t j = 0; j < k->reds.size(); ++j) r1[n.acc(j)] = carry[j];
+    if (lo < hi) n.span(r1, lo, hi, 0, n.end(), 1);
+    for (size_t j = 0; j < k->reds.size(); ++j) carry[j] = r1[n.acc(j)];
+  });
 }
 
 void KernelLaunch::scan_rescale(int64_t lo, int64_t hi, const double* prefix) const {
-  const Kernel& kk = *k;
-  const size_t nred = kk.reds.size();
-  std::vector<double> r1(static_cast<size_t>(kk.num_regs), 0.0);
-  init_invariant(*this, r1.data(), 1);
-  for (int64_t i = lo; i < hi; ++i) {
-    for (size_t j = 0; j < nred; ++j) {
-      r1[kk.reds[j].acc_reg] = prefix[j];
-      r1[kk.reds[j].elem_reg] = outputs[j].get_f64(i);
-    }
-    exec_span<1>(*this, r1.data(), 0, 1, kk.fold_begin, kk.fold_end);
-    for (size_t j = 0; j < nred; ++j) {
-      auto& o = const_cast<ArrayVal&>(outputs[j]);
-      const double v = r1[kk.reds[j].acc_reg];
-      switch (o.elem) {
-        case ScalarType::F64: o.set_f64(i, v); break;
-        case ScalarType::I64: o.set_i64(i, static_cast<int64_t>(v)); break;
-        case ScalarType::Bool: o.set_b8(i, v != 0.0); break;
+  on_executor(*this, false, [&](const auto& x) {
+    const auto& n = x.narrow;
+    const size_t nred = k->reds.size();
+    double* r1 = arena(n.file());
+    n.prepare(r1);
+    for (int64_t i = lo; i < hi; ++i) {
+      for (size_t j = 0; j < nred; ++j) {
+        r1[n.acc(j)] = prefix[j];
+        r1[n.elem(j)] = outputs[j].get_f64(i);
+      }
+      n.span(r1, 0, 1, n.fold_begin(), n.fold_end(), 1);
+      for (size_t j = 0; j < nred; ++j) {
+        auto& o = const_cast<ArrayVal&>(outputs[j]);
+        const double v = r1[n.acc(j)];
+        switch (o.elem) {
+          case ScalarType::F64: o.set_f64(i, v); break;
+          case ScalarType::I64: o.set_i64(i, static_cast<int64_t>(v)); break;
+          case ScalarType::Bool: o.set_b8(i, v != 0.0); break;
+        }
       }
     }
-  }
+  });
 }
 
 void KernelLaunch::combine_partials(double* acc, const double* other) const {
-  std::vector<double> r1(static_cast<size_t>(k->num_regs), 0.0);
-  init_invariant(*this, r1.data(), 1);
-  combine_on(*this, r1.data(), acc, other);
+  on_executor(*this, false, [&](const auto& x) {
+    double* r1 = arena(x.narrow.file());
+    x.narrow.prepare(r1);
+    combine(x.narrow, r1, acc, other, k->reds.size());
+  });
 }
 
 int64_t KernelLaunch::run_hist_chunk(int64_t lo, int64_t hi, double* bins, int64_t m,
                                      const int64_t* inds) const {
-  if (vexec_gate(*this)) {
-    return vexec::run_hist_chunk(*vx, *this, lo, hi, bins, m, inds);
-  }
-  const Kernel& kk = *k;
-  assert(kk.reds.size() == 1 && "hist kernels are single-result folds");
-  const int32_t acc_reg = kk.reds[0].acc_reg;
-  std::vector<double> r1(static_cast<size_t>(kk.num_regs), 0.0);
-  init_invariant(*this, r1.data(), 1);
-  int64_t performed = 0;
-  for (int64_t i = lo; i < hi; ++i) {
-    const int64_t b = inds[i];
-    if (b < 0 || b >= m) continue;  // out-of-range bins ignored
-    // [0, fold_begin): LoadElem fills the element register for iteration i.
-    exec_span<1>(*this, r1.data(), i, i + 1, 0, kk.fold_begin);
-    r1[acc_reg] = bins[b];
-    exec_span<1>(*this, r1.data(), 0, 1, kk.fold_begin, kk.fold_end);
-    bins[b] = r1[acc_reg];
-    ++performed;
-  }
-  return performed;
+  assert(k->reds.size() == 1 && "hist kernels are single-result folds");
+  return on_executor(*this, true, [&](const auto& x) {
+    const auto& n = x.narrow;
+    const int32_t acc = n.acc(0);
+    double* r1 = arena(n.file());
+    n.prepare(r1);
+    int64_t performed = 0;
+    for (int64_t i = lo; i < hi; ++i) {
+      const int64_t b = inds[i];
+      if (b < 0 || b >= m) continue;  // out-of-range bins ignored
+      // [0, fold_begin): LoadElem fills the element register for iteration i.
+      n.span(r1, i, i + 1, 0, n.fold_begin(), 1);
+      r1[acc] = bins[b];
+      n.span(r1, 0, 1, n.fold_begin(), n.fold_end(), 1);
+      bins[b] = r1[acc];
+      ++performed;
+    }
+    return performed;
+  });
 }
 
 void KernelLaunch::fold_bins(double* acc, const double* other, int64_t count) const {
-  const Kernel& kk = *k;
-  assert(kk.reds.size() == 1 && "hist kernels are single-result folds");
-  const int32_t acc_reg = kk.reds[0].acc_reg;
-  const int32_t elem_reg = kk.reds[0].elem_reg;
-  std::vector<double> r1(static_cast<size_t>(kk.num_regs), 0.0);
-  init_invariant(*this, r1.data(), 1);
-  for (int64_t j = 0; j < count; ++j) {
-    r1[acc_reg] = acc[j];
-    r1[elem_reg] = other[j];
-    exec_span<1>(*this, r1.data(), 0, 1, kk.fold_begin, kk.fold_end);
-    acc[j] = r1[acc_reg];
-  }
+  assert(k->reds.size() == 1 && "hist kernels are single-result folds");
+  on_executor(*this, false, [&](const auto& x) {
+    double* r1 = arena(x.narrow.file());
+    x.narrow.prepare(r1);
+    for (int64_t j = 0; j < count; ++j) combine(x.narrow, r1, acc + j, other + j, 1);
+  });
 }
 
 void preamble_regs(const KernelLaunch& L, std::vector<double>& pre) {
@@ -1735,20 +1776,6 @@ KernelWork kernel_work(const Kernel& k, const double* pre) {
   };
   walk(walk, 0, k.instrs.size(), 1.0);
   return w;
-}
-
-void run_scalar_kernel(const Kernel& k, const double* frees, double* regs, double* out) {
-  // Scalar blocks have no inputs, free arrays or accumulators (by
-  // construction in slot resolution, runtime/resolve.cpp), so a stack KernelLaunch with empty
-  // bindings is sound and the whole call is allocation-free.
-  KernelLaunch L;
-  L.k = &k;
-  L.scalar_out = out;
-  for (size_t i = 0; i < k.free_scalar_regs.size(); ++i) regs[k.free_scalar_regs[i]] = frees[i];
-  for (const auto& in : k.instrs) {
-    if (in.op == KOp::ConstF) regs[in.dst] = in.imm;
-  }
-  exec_span<1>(L, regs, 0, 1, 0, k.instrs.size());
 }
 
 } // namespace npad::rt

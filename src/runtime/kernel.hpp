@@ -91,6 +91,7 @@
 // Lengths no guard can tie (computed extents) reject the lambda.
 
 #include <atomic>
+#include <cmath>
 #include <optional>
 #include <vector>
 
@@ -102,6 +103,26 @@ namespace npad::rt {
 namespace vexec {
 struct Entry;
 } // namespace vexec
+
+// Digamma via the standard asymptotic series with recurrence shift; accurate
+// to ~1e-12 for x > 0 (sufficient for the GMM prior terms). The general
+// evaluator, the register machine and the vexec engine all call this one
+// definition, so the tiers agree bit for bit.
+inline double digamma(double x) {
+  double result = 0.0;
+  while (x < 6.0) {
+    result -= 1.0 / x;
+    x += 1.0;
+  }
+  const double inv = 1.0 / x, inv2 = inv * inv;
+  result += std::log(x) - 0.5 * inv -
+            inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 / 240)));
+  return result;
+}
+
+// The one wide lane count: Interp admits kernel_lanes 1 and kWide only, and
+// a launch runs wide batches only at this width.
+inline constexpr int kWide = 8;
 
 enum class KOp : uint8_t {
   ConstF, Mov,
@@ -274,10 +295,11 @@ struct KernelLaunch {
   std::vector<ArrayVal> inputs;   // rank-1, one per element input
   std::vector<ArrayVal> outputs;  // rank-1, one per scalar output
   // Lane width W: iterations execute in batches of W over a structure-of-
-  // arrays register file (regs[reg*W + lane]), amortizing the per-instruction
-  // dispatch across the batch and turning LoadElem/StoreOut into contiguous
-  // strip accesses. 1 = the scalar machine; a scalar tail loop covers the
-  // remainder of non-divisible extents (InterpOptions::kernel_lanes).
+  // arrays register file (lane l of register x at x*W + l), amortizing the
+  // per-instruction dispatch across the batch and turning LoadElem/StoreOut
+  // into contiguous strip accesses. 1 = the scalar machine; kWide adds a
+  // scalar tail for the remainder of non-divisible extents
+  // (InterpOptions::kernel_lanes).
   int32_t lanes = 1;
   // When set, incremented once per run() span that executes at least one
   // full W-wide batch — the accurate signal behind
@@ -290,16 +312,17 @@ struct KernelLaunch {
 
   // Extent-1 scalar-block mode (scalar-glue blocks): when set, StoreOut writes
   // result j to scalar_out[j] instead of an output array — no output
-  // buffers, no iteration space, one lane.
+  // buffers, no iteration space, one lane. run(0, 1) executes the block.
   double* scalar_out = nullptr;
 
-  // Vectorized execution tier (runtime/vexec.hpp): when `vx` is set,
-  // run/run_reduce/run_scan_chunk/run_hist_chunk dispatch to the
-  // pre-decoded SIMD schedule instead of the register machine — bit-exact
-  // by contract, so binding it is purely a speed choice. The entry is
-  // lowered from `k` and owned next to it.
-  // `vexec_spans` feeds InterpStats::vexec_launches, one tick per dispatched
-  // span; `vexec_dispatches` feeds InterpStats::vexec_body_dispatches, the
+  // Vectorized execution tier (runtime/vexec.hpp): when `vx` is set, every
+  // driver below runs over the entry's pre-decoded SIMD programs instead of
+  // the register machine — bit-exact by contract, so binding it is purely a
+  // speed choice. The entry is lowered from `k` and owned next to it.
+  // `vexec_spans` feeds InterpStats::vexec_launches, one tick per run,
+  // run_reduce, run_scan_chunk or run_hist_chunk call (the fold re-entries
+  // scan_rescale, combine_partials and fold_bins are not counted);
+  // `vexec_dispatches` feeds InterpStats::vexec_body_dispatches, the
   // inline-loop body dispatches (per trip, or per pass over a tile of trips)
   // of each driver call, added once per call.
   const vexec::Entry* vx = nullptr;
@@ -330,8 +353,7 @@ struct KernelLaunch {
   void combine_partials(double* acc, const double* other) const;
 
   // Hist drivers over a single-result reduction kernel (k->reds.size() == 1;
-  // the same compiled artifact as the reduce form of the combine operator,
-  // so hist shares cache entries with reduce): for each element i in
+  // the reduce form of the combine operator): for each element i in
   // [lo, hi) with an in-range index, bins[inds[i]] =
   // op(bins[inds[i]], vals[i]) — the subprogram [0, fold_begin) loads the
   // element register, the fold subprogram is re-entered with
@@ -364,13 +386,5 @@ struct KernelWork {
   std::vector<double> updates;
 };
 KernelWork kernel_work(const Kernel& k, const double* pre);
-
-// Runs a zero-input scalar-block kernel (compiled from a run of scalar
-// bindings at slot resolution: no LoadElem/Gather/UpdAcc, every result a
-// scalar) exactly once. `frees` holds the free-scalar values in
-// k.free_scalars order, `regs` is caller-provided scratch of k.num_regs
-// doubles, and result j lands in out[j] as a raw double (convert with the
-// result's scalar type, exactly like StoreOut would). Allocation-free.
-void run_scalar_kernel(const Kernel& k, const double* frees, double* regs, double* out);
 
 } // namespace npad::rt

@@ -69,13 +69,15 @@
 //     input is.
 //
 // Bit-exactness contract: for any launch, the vexec tier produces the same
-// bits as the W-lane register machine at the same lane width. Lane/batch
-// splits, fold lane-blocking, combine order, UpdAcc instruction-major lane
-// order, and scalar tails all mirror runtime/kernel.cpp exactly; per-lane
-// elementwise SIMD is bit-identical by IEEE; fused pairs preserve operand
-// order and intermediate roundings. The scalar register machine remains
-// the always-available fallback (InterpOptions::use_vexec = false, or
-// NPAD_VEXEC=0 in the environment).
+// bits as the W-lane register machine at the same lane width. The launch
+// drivers (lane and batch splits, fold lane-blocking and combine order,
+// scalar tails, scan and hist re-entries) exist once, in runtime/kernel.cpp,
+// and run over either executor; what differs is only the span executor
+// below. Within a span, UpdAcc keeps the register machine's instruction-
+// major lane order, per-lane elementwise SIMD is bit-identical by IEEE, and
+// fused pairs preserve operand order and intermediate roundings. The scalar
+// register machine remains the always-available fallback
+// (InterpOptions::use_vexec = false, or NPAD_VEXEC=0 in the environment).
 
 #include <atomic>
 #include <cstdint>
@@ -120,10 +122,6 @@ inline constexpr uint8_t kUniform = 2;
 // VInstr::streamed uses kTileA/B/C: the operand is the register of a bound
 // stream of the tile's loop, read in place — lane l, row j is q[l][t0 + j].
 inline constexpr uint8_t kTileD = 1, kTileA = 2, kTileB = 4, kTileC = 8, kTileIdx = 16;
-
-// The one wide lane count: Interp admits kernel_lanes 1 and 8 only, and the
-// drivers take the wide program only at this width.
-inline constexpr int kWide = 8;
 
 // Trips per tile at lane width W: a tile block holds 128 doubles.
 constexpr int tile_trips(int W) { return 128 / W; }
@@ -208,7 +206,7 @@ struct VProgram {
 
 // Lowered form of one kernel: the wide program (W = kWide) plus the W=1
 // program driving scalar tails, scans, hist chunks, scalar blocks and fold
-// combines.
+// re-entries.
 struct Entry {
   VProgram wide;
   VProgram narrow;
@@ -218,16 +216,36 @@ struct Entry {
 // does not lower, and the caller then stays on the register machine.
 std::optional<Entry> lower(const Kernel& k);
 
-// Engine drivers (runtime/vexec_engine.cpp). Each mirrors the KernelLaunch
-// method of the same name in runtime/kernel.cpp bit-exactly; run_scalar
-// executes a scalar-glue block (extent 1, results into `out`).
-void run(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi);
-void run_reduce(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
-                double* partials);
-void run_scan_chunk(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
-                    double* carry);
-int64_t run_hist_chunk(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
-                       double* bins, int64_t m, const int64_t* inds);
-void run_scalar(const Entry& e, const Kernel& k, const double* frees, double* out);
+// The span executor (runtime/vexec_engine.cpp) the launch drivers of
+// runtime/kernel.cpp run over when a launch carries an entry.
+
+// Doubles one program's register file takes: the registers, then its tile
+// scratch.
+inline size_t file_size(const VProgram& p) {
+  return static_cast<size_t>(p.num_regs) * static_cast<size_t>(p.W) +
+         static_cast<size_t>(p.tile_doubles);
+}
+
+// Zeroes p's registers (its tile scratch is left as is) and applies its
+// prologue from L's free scalars and arrays.
+void prepare(const VProgram& p, const KernelLaunch& L, double* r);
+
+// Instructions [ib, ie) of p (W == p.W) over iterations [lo, hi), in the
+// register machine's lane layout: lane_stride 1 advances batches by W, a
+// block length blk gives lane l the contiguous block at lo + l*blk.
+// Instantiated for W = 1 and kWide.
+template <int W>
+void span(const VProgram& p, const KernelLaunch& L, double* r, int64_t lo, int64_t hi,
+          uint32_t ib, uint32_t ie, int64_t lane_stride);
+
+// Collects the loop-body dispatches of one driver call on this thread and
+// adds them to `sink` (when set) once, on destruction.
+struct DispatchTally {
+  explicit DispatchTally(std::atomic<uint64_t>* sink);
+  ~DispatchTally();
+  DispatchTally(const DispatchTally&) = delete;
+  DispatchTally& operator=(const DispatchTally&) = delete;
+  std::atomic<uint64_t>* sink;
+};
 
 } // namespace npad::rt::vexec

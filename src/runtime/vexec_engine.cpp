@@ -1,13 +1,13 @@
-// The vexec engine: the handlers and drivers that execute a lowered
-// VProgram (runtime/vexec.hpp). Every driver here mirrors the corresponding
-// KernelLaunch method in runtime/kernel.cpp bit-exactly: same batch/tail
-// splits, same fold lane-blocking and combine order, same instruction-major
-// lane order for memory effects. The only differences are mechanical —
-// operands are pre-baked element offsets, launch-invariant registers are
-// broadcast from a compact prologue list instead of re-dispatched ConstF /
-// LoadLen cases, and fused handlers execute the same arithmetic with each
-// intermediate's own IEEE rounding (the project builds with
-// -ffp-contract=off, so no step ever contracts to a hardware FMA).
+// The vexec engine: the handlers and the span executor that execute a
+// lowered VProgram (runtime/vexec.hpp). The launch drivers live once, in
+// runtime/kernel.cpp; when a launch carries an entry, every one of them runs
+// its spans here. A span keeps the register machine's lane layout and
+// instruction-major lane order for memory effects. The only differences
+// are mechanical — operands are pre-baked element offsets, launch-invariant
+// registers are broadcast from a compact prologue list instead of
+// re-dispatched ConstF / LoadLen cases, and fused handlers execute the same
+// arithmetic with each intermediate's own IEEE rounding (the project builds
+// with -ffp-contract=off, so no step ever contracts to a hardware FMA).
 
 #include <algorithm>
 #include <cmath>
@@ -22,28 +22,6 @@
 namespace npad::rt::vexec {
 
 namespace {
-
-// Same asymptotic-series digamma as runtime/kernel.cpp (bit-identical).
-inline double digamma(double x) {
-  double result = 0.0;
-  while (x < 6.0) {
-    result -= 1.0 / x;
-    x += 1.0;
-  }
-  const double inv = 1.0 / x, inv2 = inv * inv;
-  result += std::log(x) - 0.5 * inv -
-            inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 / 240)));
-  return result;
-}
-
-// Thread-local scratch arena for register files — vexec launches are not
-// reentrant on a thread (kernels never launch kernels), so one arena per
-// thread serves every driver with zero per-launch allocation.
-inline double* arena(size_t n) {
-  thread_local std::vector<double> buf;
-  if (buf.size() < n) buf.resize(n);
-  return buf.data();
-}
 
 // Data-dependent indices raise the same typed error as the register machine
 // (throw_kernel_oob in runtime/kernel.cpp) instead of reading out of bounds;
@@ -72,28 +50,6 @@ inline int64_t vflat(const ArrayVal& a, const double* r, const int32_t* idx, int
     stride *= ext;
   }
   return off;
-}
-
-// Applies the prologue (launch-invariant broadcasts) to a fresh register
-// file. `frees`/`arrays` are passed raw so the scalar-block driver can feed
-// its flat free-scalar buffer.
-inline void apply_prologue(const VProgram& p, const double* frees, const ArrayVal* arrays,
-                           double* r) {
-  const int W = p.W;
-  for (const VInit& in : p.prologue) {
-    double v = in.imm;
-    switch (in.kind) {
-      case VInit::Kind::Imm: break;
-      case VInit::Kind::FreeScalar: v = frees[in.src]; break;
-      case VInit::Kind::ArrayLen: {
-        const ArrayVal& arr = arrays[in.src];
-        const auto dim = static_cast<size_t>(in.dim);
-        v = static_cast<double>(dim < arr.shape.size() ? arr.shape[dim] : 0);
-        break;
-      }
-    }
-    for (int l = 0; l < W; ++l) r[in.off + l] = v;
-  }
 }
 
 // StoreOut's element write, shared by the plain and fused store handlers.
@@ -187,19 +143,9 @@ inline bool stream_lanes(const double* r, int32_t s, double* (&q)[W]) {
 }
 
 // Loop-body dispatches (one per trip on the per-trip path, one per pass over
-// a tile) of the driver call running on this thread, added to the launch's
-// counter once when the call ends.
+// a tile) of the driver call running on this thread, reset and flushed by
+// its DispatchTally.
 thread_local uint64_t t_dispatches = 0;
-
-struct DispatchTally {
-  std::atomic<uint64_t>* sink;
-  explicit DispatchTally(const KernelLaunch& L) : sink(L.vexec_dispatches) { t_dispatches = 0; }
-  ~DispatchTally() {
-    if (sink != nullptr && t_dispatches != 0) {
-      sink->fetch_add(t_dispatches, std::memory_order_relaxed);
-    }
-  }
-};
 
 // The trips one instruction runs over: tile rows [j0, j1), row j being trip
 // t0 + j. Outside tile code an instruction runs one row, every stride 0.
@@ -478,7 +424,7 @@ template <int W>
 void run_vloop(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl);
 
 // Executes instructions [ib, ie) of `code` once: over one batch of W lanes
-// at `base` (the span form, kTile = false; lane_stride as in vspan), or over
+// at `base` (the span form, kTile = false; lane_stride as in span), or over
 // the rows of a tile (tile code, kTile = true). Constexpr lane loops,
 // pre-baked operand offsets.
 template <int W, bool kTile>
@@ -671,28 +617,15 @@ inline void exec(const VProgram& p, const KernelLaunch& L, double* r, const VIns
   }
 }
 
-// The batched span over a lowered program: one exec per batch. Lane layout
-// (lane_stride) is exactly exec_span's: 1 = maps/scans (batches advance by
-// W, contiguous LoadElem/StoreOut strips), blk = reductions (lane l folds
-// the contiguous block starting at lo + l*blk, batches advance by 1).
-template <int W>
-void vspan(const VProgram& p, const KernelLaunch& L, double* r, int64_t lo, int64_t hi,
-           uint32_t ib, uint32_t ie, int64_t lane_stride) {
-  const int64_t advance = lane_stride == 1 ? W : 1;
-  for (int64_t base = lo; base < hi; base += advance) {
-    exec<W, false>(p, L, r, p.code.data(), ib, ie, base, lane_stride, Rows{});
-  }
-}
-
-// Trips [t_begin, t_end) of an InlineLoop, one body dispatch each: identical
-// to the KOp::InlineLoop case of exec_span.
+// Trips [t_begin, t_end) of an InlineLoop in trip order, one body dispatch
+// each.
 template <int W>
 void run_trips(const VProgram& p, const KernelLaunch& L, double* r, const VLoop& vl,
                int64_t t_begin, int64_t t_end) {
   for (int64_t t = t_begin; t < t_end; ++t) {
     const auto tv = static_cast<double>(t);
     for (int l = 0; l < W; ++l) r[vl.ivar + l] = tv;
-    vspan<W>(p, L, r, 0, 1, vl.body_begin, vl.body_end, 1);
+    span<W>(p, L, r, 0, 1, vl.body_begin, vl.body_end, 1);
     ++t_dispatches;
   }
 }
@@ -782,143 +715,48 @@ void run_vloop(const VProgram& p, const KernelLaunch& L, double* r, const VLoop&
   }
 }
 
-// Runs the whole wide program over [lo, hi).
-inline void wide_span(const VProgram& p, const KernelLaunch& L, double* r, int64_t lo,
-                      int64_t hi, int64_t lane_stride) {
-  vspan<kWide>(p, L, r, lo, hi, 0, static_cast<uint32_t>(p.code.size()), lane_stride);
-}
-
-// Doubles one program's register file takes: the registers, then its tile
-// scratch.
-inline size_t file_size(const VProgram& p) {
-  return static_cast<size_t>(p.num_regs) * static_cast<size_t>(p.W) +
-         static_cast<size_t>(p.tile_doubles);
-}
-
-// Zeroed registers + prologue for one program (tile scratch left as is).
-inline double* fresh_file(const VProgram& p, const KernelLaunch& L, double* r) {
-  std::fill(r, r + static_cast<size_t>(p.num_regs) * static_cast<size_t>(p.W), 0.0);
-  apply_prologue(p, L.free_scalar_vals.data(), L.free_array_vals.data(), r);
-  return r;
-}
-
-// acc = op(acc, other) on a prepared scalar file (combine_on's mirror).
-inline void vcombine(const Entry& e, const KernelLaunch& L, double* r1, double* acc,
-                     const double* other) {
-  const VProgram& n = e.narrow;
-  for (size_t j = 0; j < n.red_acc_off.size(); ++j) {
-    r1[n.red_acc_off[j]] = acc[j];
-    r1[n.red_elem_off[j]] = other[j];
-  }
-  vspan<1>(n, L, r1, 0, 1, n.fold_begin, n.fold_end, 1);
-  for (size_t j = 0; j < n.red_acc_off.size(); ++j) acc[j] = r1[n.red_acc_off[j]];
-}
-
 } // namespace
 
-// ---- drivers ----------------------------------------------------------------
-
-void run(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi) {
-  const DispatchTally tally(L);
-  const int W = L.lanes;
-  if (W == kWide && hi - lo >= W) {
-    if (L.batched_spans != nullptr) L.batched_spans->fetch_add(1, std::memory_order_relaxed);
-    const int64_t full = lo + ((hi - lo) / W) * W;
-    double* rw = arena(file_size(e.wide) + file_size(e.narrow));
-    fresh_file(e.wide, L, rw);
-    wide_span(e.wide, L, rw, lo, full, 1);
-    lo = full;
-    if (lo < hi) {
-      double* r1 = rw + file_size(e.wide);
-      fresh_file(e.narrow, L, r1);
-      vspan<1>(e.narrow, L, r1, lo, hi, 0, static_cast<uint32_t>(e.narrow.code.size()), 1);
+void prepare(const VProgram& p, const KernelLaunch& L, double* r) {
+  const int W = p.W;
+  std::fill(r, r + static_cast<size_t>(p.num_regs) * static_cast<size_t>(W), 0.0);
+  for (const VInit& in : p.prologue) {
+    double v = in.imm;
+    switch (in.kind) {
+      case VInit::Kind::Imm: break;
+      case VInit::Kind::FreeScalar: v = L.free_scalar_vals[static_cast<size_t>(in.src)]; break;
+      case VInit::Kind::ArrayLen: {
+        const ArrayVal& arr = L.free_array_vals[static_cast<size_t>(in.src)];
+        const auto dim = static_cast<size_t>(in.dim);
+        v = static_cast<double>(dim < arr.shape.size() ? arr.shape[dim] : 0);
+        break;
+      }
     }
-    return;
-  }
-  if (lo < hi) {
-    double* r1 = fresh_file(e.narrow, L, arena(file_size(e.narrow)));
-    vspan<1>(e.narrow, L, r1, lo, hi, 0, static_cast<uint32_t>(e.narrow.code.size()), 1);
+    for (int l = 0; l < W; ++l) r[in.off + l] = v;
   }
 }
 
-// run_reduce's mirror: lane-blocked wide span, lane combines in block
-// order, scalar tail.
-void run_reduce(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
-                double* partials) {
-  const DispatchTally tally(L);
-  const VProgram& n = e.narrow;
-  const size_t nred = n.red_acc_off.size();
-  const size_t n1 = file_size(n);
-  const int W = L.lanes;
-  const bool wide = W == kWide && hi - lo >= W;
-  const size_t nw = wide ? file_size(e.wide) : 0;
-  double* r1 = arena(n1 + nw + nred);
-  double* rw = r1 + n1;
-  double* lane = rw + nw;
-  fresh_file(n, L, r1);
-  if (wide) {
-    if (L.batched_spans != nullptr) L.batched_spans->fetch_add(1, std::memory_order_relaxed);
-    const VProgram& w = e.wide;
-    fresh_file(w, L, rw);
-    for (size_t j = 0; j < nred; ++j) {
-      for (int l = 0; l < W; ++l) rw[w.red_acc_off[j] + l] = L.red_neutral[j];
-    }
-    const int64_t blk = (hi - lo) / W;
-    wide_span(w, L, rw, lo, lo + blk, blk);
-    lo += blk * W;
-    for (int l = 0; l < W; ++l) {
-      for (size_t j = 0; j < nred; ++j) lane[j] = rw[w.red_acc_off[j] + l];
-      vcombine(e, L, r1, partials, lane);
-    }
-  }
-  if (lo < hi) {
-    for (size_t j = 0; j < nred; ++j) r1[n.red_acc_off[j]] = partials[j];
-    vspan<1>(n, L, r1, lo, hi, 0, static_cast<uint32_t>(n.code.size()), 1);
-    for (size_t j = 0; j < nred; ++j) partials[j] = r1[n.red_acc_off[j]];
+// One exec per batch of W lanes.
+template <int W>
+void span(const VProgram& p, const KernelLaunch& L, double* r, int64_t lo, int64_t hi,
+          uint32_t ib, uint32_t ie, int64_t lane_stride) {
+  const int64_t advance = lane_stride == 1 ? W : 1;
+  for (int64_t base = lo; base < hi; base += advance) {
+    exec<W, false>(p, L, r, p.code.data(), ib, ie, base, lane_stride, Rows{});
   }
 }
 
-void run_scan_chunk(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
-                    double* carry) {
-  const DispatchTally tally(L);
-  const VProgram& n = e.narrow;
-  double* r1 = fresh_file(n, L, arena(file_size(n)));
-  for (size_t j = 0; j < n.red_acc_off.size(); ++j) r1[n.red_acc_off[j]] = carry[j];
-  if (lo < hi) {
-    vspan<1>(n, L, r1, lo, hi, 0, static_cast<uint32_t>(n.code.size()), 1);
-  }
-  for (size_t j = 0; j < n.red_acc_off.size(); ++j) carry[j] = r1[n.red_acc_off[j]];
-}
+template void span<1>(const VProgram&, const KernelLaunch&, double*, int64_t, int64_t, uint32_t,
+                      uint32_t, int64_t);
+template void span<kWide>(const VProgram&, const KernelLaunch&, double*, int64_t, int64_t,
+                          uint32_t, uint32_t, int64_t);
 
-int64_t run_hist_chunk(const Entry& e, const KernelLaunch& L, int64_t lo, int64_t hi,
-                       double* bins, int64_t m, const int64_t* inds) {
-  const DispatchTally tally(L);
-  const VProgram& n = e.narrow;
-  const int32_t acc_off = n.red_acc_off[0];
-  double* r1 = fresh_file(n, L, arena(file_size(n)));
-  int64_t performed = 0;
-  for (int64_t i = lo; i < hi; ++i) {
-    const int64_t b = inds[i];
-    if (b < 0 || b >= m) continue;
-    vspan<1>(n, L, r1, i, i + 1, 0, n.fold_begin, 1);
-    r1[acc_off] = bins[b];
-    vspan<1>(n, L, r1, 0, 1, n.fold_begin, n.fold_end, 1);
-    bins[b] = r1[acc_off];
-    ++performed;
-  }
-  return performed;
-}
+DispatchTally::DispatchTally(std::atomic<uint64_t>* s) : sink(s) { t_dispatches = 0; }
 
-void run_scalar(const Entry& e, const Kernel& k, const double* frees, double* out) {
-  const VProgram& n = e.narrow;
-  KernelLaunch L;
-  L.k = &k;
-  L.scalar_out = out;
-  const DispatchTally tally(L);
-  double* r1 = arena(file_size(n));
-  std::fill(r1, r1 + static_cast<size_t>(n.num_regs), 0.0);
-  apply_prologue(n, frees, nullptr, r1);
-  vspan<1>(n, L, r1, 0, 1, 0, static_cast<uint32_t>(n.code.size()), 1);
+DispatchTally::~DispatchTally() {
+  if (sink != nullptr && t_dispatches != 0) {
+    sink->fetch_add(t_dispatches, std::memory_order_relaxed);
+  }
 }
 
 } // namespace npad::rt::vexec

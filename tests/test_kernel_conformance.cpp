@@ -66,6 +66,10 @@ const OpCase kCases[] = {
     {"abs", [](Builder& c, Var a, Var) { return c.abs(a); }},
     {"neg", [](Builder& c, Var a, Var) { return c.neg(a); }},
     {"lgamma", [](Builder& c, Var a, Var) { return c.lgamma(Atom(c.add(c.abs(a), cf64(0.5)))); }},
+    {"digamma",
+     [](Builder& c, Var a, Var) {
+       return c.un(UnOp::Digamma, Atom(c.add(c.abs(a), cf64(0.5))));
+     }},
     {"select",
      [](Builder& c, Var a, Var b) { return c.select(Atom(c.lt(a, b)), Atom(c.mul(a, b)), a); }},
     {"cmp_chain",
@@ -1246,14 +1250,42 @@ TEST(NestConformance, RankMismatchedInputFallsBack) {
 // The vectorized execution tier (runtime/vexec.hpp) must be bit-exact
 // against the scalar register machine on every launch shape it can take
 // over: {vexec on, off} x {map, fused redomap, row nest, hist, scalar block,
-// inline loop} x {empty, tail-only, large}.
+// inline loop} x {empty, tail-only, large}, plus chunked rows — a kernel-tier
+// reduce, blocked scan and privatized hist run in parallel with a grain
+// small enough that every launch splits, so the fold re-entries (chunk-
+// partial merges, scan phase 3, subhistogram bin merges) run on the tier too.
 
-enum class VexKind { Map, Redomap, Nest, Hist, ScalarBlock, InlineLoop };
+enum class VexKind {
+  Map, Redomap, Nest, Hist, ScalarBlock, InlineLoop,
+  ChunkedReduce, ChunkedScan, ChunkedHist,
+};
 
 struct VexCase {
   VexKind kind;
   int64_t n;  // driving extent: 0 = empty, 3 = tail-only (< lane width), 4096 = large
 };
+
+bool chunked(VexKind k) {
+  return k == VexKind::ChunkedReduce || k == VexKind::ChunkedScan || k == VexKind::ChunkedHist;
+}
+
+// One SOAC over xs whose operator recognize_binop does not take, so it runs
+// on the kernel tier: a reduce with slow_add_op, or a scan with `+` written
+// with swapped operands.
+Prog kernel_fold_prog(bool scan) {
+  ProgBuilder pb("kf");
+  Var xs = pb.param("xs", arr_f64(1));
+  Builder& b = pb.body();
+  Var r = scan ? b.scan1(b.lam({f64(), f64()},
+                               [](Builder& c, const std::vector<Var>& p) {
+                                 return std::vector<Atom>{Atom(c.add(p[1], p[0]))};
+                               }),
+                         cf64(0.0), {xs})
+               : b.reduce1(slow_add_op(b), cf64(0.0), {xs});
+  Prog p = pb.finish({Atom(r)});
+  typecheck(p);
+  return p;
+}
 
 // map(λx. Σ_i ws[i]*x) over a virtual iota domain: after fusion the inner
 // redomap compiles to an InlineLoop inside the outer map's kernel — the
@@ -1348,6 +1380,9 @@ TEST_P(VexecConformance, BitExactAgainstRegisterMachine) {
       case VexKind::Hist: return hist_prog(HistOp::SlowAdd, /*with_map=*/true);
       case VexKind::ScalarBlock: return scalar_block_prog();
       case VexKind::InlineLoop: return inline_loop_prog();
+      case VexKind::ChunkedReduce: return kernel_fold_prog(/*scan=*/false);
+      case VexKind::ChunkedScan: return kernel_fold_prog(/*scan=*/true);
+      case VexKind::ChunkedHist: return hist_prog(HistOp::SlowAdd, /*with_map=*/true);
     }
     return scalar_block_prog();
   }();
@@ -1356,13 +1391,16 @@ TEST_P(VexecConformance, BitExactAgainstRegisterMachine) {
   switch (kind) {
     case VexKind::Map:
     case VexKind::Redomap:
+    case VexKind::ChunkedReduce:
+    case VexKind::ChunkedScan:
       args.push_back(rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(n), -1.0, 1.0), {n}));
       break;
     case VexKind::Nest:
       args.push_back(
           rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(n * 7), -1.0, 1.0), {n, 7}));
       break;
-    case VexKind::Hist: {
+    case VexKind::Hist:
+    case VexKind::ChunkedHist: {
       args.push_back(rt::make_f64_array(rng.uniform_vec(8, -1.0, 1.0), {8}));  // dest
       std::vector<int64_t> inds(static_cast<size_t>(n));
       for (size_t i = 0; i < inds.size(); ++i) inds[i] = static_cast<int64_t>(i) % 8;
@@ -1380,7 +1418,8 @@ TEST_P(VexecConformance, BitExactAgainstRegisterMachine) {
       break;
   }
 
-  rt::InterpOptions base{.parallel = false, .use_kernels = true, .kernel_lanes = 8};
+  rt::InterpOptions base{.parallel = chunked(kind), .use_kernels = true, .kernel_lanes = 8};
+  if (chunked(kind)) base.grain = 64;
   base.use_vexec = false;
   rt::Interp off{base};
   const auto ref = flatten_outputs(off.run(p, args));
@@ -1400,6 +1439,16 @@ TEST_P(VexecConformance, BitExactAgainstRegisterMachine) {
   if (n >= 4096 || kind == VexKind::ScalarBlock) {
     EXPECT_GT(on.stats().vexec_launches.load(), 0u);
   }
+  // The chunked rows take the kernel tier on both sides.
+  for (const rt::Interp* in : {&off, &on}) {
+    const rt::InterpStats& st = in->stats();
+    switch (kind) {
+      case VexKind::ChunkedReduce: EXPECT_GE(st.kernel_reduces.load(), 1u); break;
+      case VexKind::ChunkedScan: EXPECT_GE(st.kernel_scans.load(), 1u); break;
+      case VexKind::ChunkedHist: EXPECT_GE(st.kernel_hists.load(), 1u); break;
+      default: break;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1412,7 +1461,9 @@ INSTANTIATE_TEST_SUITE_P(
                       VexCase{VexKind::Hist, 3}, VexCase{VexKind::Hist, 4096},
                       VexCase{VexKind::ScalarBlock, 0}, VexCase{VexKind::ScalarBlock, 3},
                       VexCase{VexKind::ScalarBlock, 4096}, VexCase{VexKind::InlineLoop, 0},
-                      VexCase{VexKind::InlineLoop, 3}, VexCase{VexKind::InlineLoop, 4096}));
+                      VexCase{VexKind::InlineLoop, 3}, VexCase{VexKind::InlineLoop, 4096},
+                      VexCase{VexKind::ChunkedReduce, 5003}, VexCase{VexKind::ChunkedScan, 5003},
+                      VexCase{VexKind::ChunkedHist, 5003}));
 
 // ---------------------------------------- sequential loops inside kernels
 //
