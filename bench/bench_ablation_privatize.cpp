@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   rt::InterpOptions atomic_opts;
   atomic_opts.privatize_accs = false;
   rt::Interp atomic_interp(atomic_opts);
-  rt::Interp priv_interp;  // privatizes: n is above privatize_min_iters
+  rt::Interp priv_interp;  // privatizes: n is above the floor of 4096 updates
 
   // f(xs, is) = sum_j xs[is_j]^2 — the canonical read-becomes-accumulation.
   ProgBuilder pb("gather_sq");

@@ -116,29 +116,51 @@ inline void atomic_combine_f64(BinOp op, double* p, double v) {
   }
 }
 
-// Tree-merges per-chunk private accumulator buffers (pairwise, levels in
-// parallel when the pool allows), then adds the surviving buffer into the
-// destination element-parallel.
-void merge_private(std::vector<ArrayVal>& bufs, ArrayVal& dst, int64_t grain) {
-  NPAD_FAULT_SITE("acc.merge", FaultKind::Chunk);
-  const int64_t m = dst.elems();
-  for (size_t stride = 1; stride < bufs.size(); stride *= 2) {
-    const auto pairs = static_cast<int64_t>((bufs.size() + 2 * stride - 1) / (2 * stride));
-    support::parallel_for(pairs, 1, [&](int64_t lo, int64_t hi) {
+// A shared accumulator gets per-chunk private copies only when the launch
+// issues at least this many updates into it (the general map path, which
+// cannot count its lambda's updates, when it runs this many iterations).
+// Below it updates stay atomic: contention is bounded anyway.
+constexpr uint64_t kPrivatizeMinIters = 4096;
+
+// The launch schedule every SOAC tier runs under (runtime/README.md,
+// Scheduling): `n` elements run inline as one chunk, or fan out into
+// `chunks` contiguous blocks of `per` elements, one pool task each.
+struct Schedule {
+  int64_t n = 0;
+  int64_t chunks = 1;
+  int64_t per = 0;
+  bool nested = false;  // launched from inside a parallel region
+
+  bool fanout() const { return chunks > 1; }
+  Schedule one_chunk() const { return {n, 1, n, nested}; }
+  // Chunk c's elements; a trailing chunk may be empty, never inverted.
+  std::pair<int64_t, int64_t> range(int64_t c) const {
+    const int64_t lo = std::min(n, c * per);
+    return {lo, std::min(n, lo + per)};
+  }
+};
+
+// The one merge order of per-chunk state: a pairwise tree, level by level,
+// where part i absorbs part i + stride, so part 0 ends with every chunk
+// combined in chunk order. The pairs of a level are independent: `parallel`
+// runs them on the pool (whole private buffers), otherwise inline (partials
+// of a few scalars).
+template <class Merge>
+void merge_tree(size_t parts, bool parallel, Merge&& merge) {
+  for (size_t stride = 1; stride < parts; stride *= 2) {
+    const auto pairs = static_cast<int64_t>((parts + 2 * stride - 1) / (2 * stride));
+    const auto level = [&](int64_t lo, int64_t hi) {
       for (int64_t p = lo; p < hi; ++p) {
         const size_t i = static_cast<size_t>(p) * 2 * stride;
-        if (i + stride >= bufs.size()) continue;
-        double* d = bufs[i].buf->f64() + bufs[i].offset;
-        const double* s = bufs[i + stride].buf->f64() + bufs[i + stride].offset;
-        for (int64_t j = 0; j < m; ++j) d[j] += s[j];
+        if (i + stride < parts) merge(i, i + stride);
       }
-    });
+    };
+    if (parallel) {
+      support::parallel_for(pairs, 1, level);
+    } else {
+      level(0, pairs);
+    }
   }
-  double* d = dst.buf->f64() + dst.offset;
-  const double* s = bufs[0].buf->f64() + bufs[0].offset;
-  support::parallel_for(m, grain, [&](int64_t lo, int64_t hi) {
-    for (int64_t j = lo; j < hi; ++j) d[j] += s[j];
-  });
 }
 
 // Slot-resolved environment: one flat frame per activation (function entry,
@@ -601,9 +623,17 @@ public:
     return view;
   }
 
+  // The array an in-place operation (update, hist, scatter, with_acc) may
+  // write, given a copy of the environment's binding: that array itself when
+  // it is whole and its buffer has exactly two holders, the environment's
+  // binding and this copy; a compact copy when anyone else may read it.
+  static ArrayVal writable(ArrayVal a) {
+    if (a.whole() && a.buf.use_count() <= 2) return a;
+    return compact_copy(a);
+  }
+
   Value eval_update(const OpUpdate& o, const Env& env) const {
-    ArrayVal a = as_array(env.lookup(o.arr));  // +1 ref (env keeps one)
-    ArrayVal dst = (a.whole() && a.buf.use_count() <= 2) ? a : compact_copy(a);
+    ArrayVal dst = writable(as_array(env.lookup(o.arr)));
     int64_t off = 0;
     int64_t rows = dst.elems();
     for (size_t k = 0; k < o.idx.size(); ++k) {
@@ -713,6 +743,209 @@ public:
     return a;
   }
 
+  // ------------------------------------------------------------ schedule ---
+  //
+  // Every SOAC tier runs under one schedule and one set of chunk drivers
+  // (runtime/README.md, Scheduling). A tier supplies its per-element code as
+  // callbacks; the drivers own fan-out, chunking and the per-chunk merges.
+
+  // A launch of n elements, each weighing `grain` (work_grain for kernels),
+  // fans out when the runtime is parallel, the pool has more than one
+  // worker, the launch is not nested in another, and n reaches the SOAC's
+  // `floor`; then it splits into one chunk per worker, at most one per grain.
+  Schedule schedule(int64_t n, int64_t grain, int64_t floor) const {
+    Schedule s{n, 1, n, support::ThreadPool::in_parallel_region()};
+    const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
+    if (opts_.parallel && threads > 1 && n >= floor && !s.nested) {
+      s.chunks = std::min<int64_t>(threads, (n + grain - 1) / grain);
+      s.per = (n + s.chunks - 1) / s.chunks;
+    }
+    return s;
+  }
+
+  // A launch that runs on this thread alone, outside any parallel region,
+  // updates its accumulators with plain adds: no other worker can race on
+  // them.
+  bool direct(const Schedule& s) const {
+    return !s.fanout() && !s.nested && opts_.privatize_accs;
+  }
+
+  // Runs body(c, lo, hi) for every chunk of a fanned-out launch.
+  template <class Body>
+  static void for_chunks(const Schedule& s, Body&& body) {
+    support::parallel_for(s.chunks, 1, [&](int64_t clo, int64_t chi) {
+      for (int64_t c = clo; c < chi; ++c) {
+        const auto [lo, hi] = s.range(c);
+        body(c, lo, hi);
+      }
+    });
+  }
+
+  // Runs body(lo, hi) over the elements of a launch whose chunks share their
+  // state: split by the pool into grain-sized blocks when the launch fans
+  // out, inline otherwise. It splits on the schedule's decision, the one
+  // that chose the launch's accumulator atomicity: a launch flagged
+  // non-atomic must never reach the pool. An empty launch runs nothing.
+  template <class Body>
+  static void for_elems(const Schedule& s, int64_t grain, Body&& body) {
+    if (s.fanout()) {
+      support::parallel_for(s.n, grain, body);
+    } else if (s.n > 0) {
+      body(0, s.n);
+    }
+  }
+
+  // Folds every chunk from the neutral element (fold(part, lo, hi)), then
+  // merges the chunk partials by merge_tree (merge(into, from)). A tier's
+  // merge fault site, if any, runs once before the merge.
+  template <class P, class Fold, class Merge>
+  static P fold_chunks(const Schedule& s, P neutral, Fold&& fold, Merge&& merge,
+                       void (*merge_site)() = nullptr) {
+    if (!s.fanout()) {
+      fold(neutral, 0, s.n);
+      return neutral;
+    }
+    std::vector<P> parts(static_cast<size_t>(s.chunks), neutral);
+    for_chunks(s, [&](int64_t c, int64_t lo, int64_t hi) {
+      fold(parts[static_cast<size_t>(c)], lo, hi);
+    });
+    if (merge_site != nullptr) merge_site();
+    merge_tree(parts.size(), /*parallel=*/false,
+               [&](size_t i, size_t j) { merge(parts[i], parts[j]); });
+    return std::move(parts[0]);
+  }
+
+  // The blocked three-phase scan. Phase 1 scans every chunk from the
+  // neutral element (scan(lo, hi, carry) leaves the chunk's total in
+  // carry), phase 2 prefix-folds the carries in chunk order
+  // (combine(run, carry)), phase 3 rescales every chunk after the first by
+  // its prefix (rescale(lo, hi, prefix)). One chunk is the sequential scan.
+  template <class P, class Scan, class Combine, class Rescale>
+  static void blocked_scan(const Schedule& s, P neutral, Scan&& scan, Combine&& combine,
+                           Rescale&& rescale) {
+    if (!s.fanout()) {
+      scan(0, s.n, neutral);
+      return;
+    }
+    std::vector<P> carries(static_cast<size_t>(s.chunks), neutral);
+    for_chunks(s, [&](int64_t c, int64_t lo, int64_t hi) {
+      scan(lo, hi, carries[static_cast<size_t>(c)]);
+    });
+    // Each carry becomes its chunk's exclusive prefix.
+    P run = std::move(neutral);
+    for (P& carry : carries) {
+      P prefix = run;
+      combine(run, carry);
+      carry = std::move(prefix);
+    }
+    for_chunks(s, [&](int64_t c, int64_t lo, int64_t hi) {
+      if (c > 0) rescale(lo, hi, carries[static_cast<size_t>(c)]);
+    });
+  }
+
+  // Folds a hist launch into per-chunk private subhistograms seeded with the
+  // neutral element (fold(bins, lo, hi) returns the updates it performed),
+  // then merges them into the destination bin-parallel, per bin in chunk
+  // order (merge(dst, sub, count) over a block of bins). Each chunk is a
+  // contiguous block of elements, so every bin sees its updates in element
+  // order and associativity suffices. One chunk folds straight into the
+  // destination.
+  template <class Fold, class Merge>
+  void privatized_bins(const Schedule& s, const ArrayVal& dest, double neutral, Fold&& fold,
+                       Merge&& merge, void (*merge_site)()) const {
+    double* d = dest.buf->f64() + dest.offset;
+    if (!s.fanout()) {
+      stats_->privatized_hist_updates.fetch_add(static_cast<uint64_t>(fold(d, 0, s.n)),
+                                                std::memory_order_relaxed);
+      return;
+    }
+    const int64_t m = dest.outer();
+    std::vector<ArrayVal> subs;
+    subs.reserve(static_cast<size_t>(s.chunks));
+    for (int64_t c = 0; c < s.chunks; ++c) {
+      // Pool buffers are recycled, so the neutral fill is always explicit.
+      subs.push_back(alloc_launch_buf(ScalarType::F64, dest.shape, /*uninit=*/true));
+      std::fill_n(subs.back().buf->f64(), m, neutral);
+    }
+    std::atomic<int64_t> performed{0};
+    for_chunks(s, [&](int64_t c, int64_t lo, int64_t hi) {
+      performed.fetch_add(fold(subs[static_cast<size_t>(c)].buf->f64(), lo, hi),
+                          std::memory_order_relaxed);
+    });
+    stats_->privatized_hist_updates.fetch_add(static_cast<uint64_t>(performed.load()),
+                                              std::memory_order_relaxed);
+    merge_site();
+    support::parallel_for(m, opts_.grain, [&](int64_t lo, int64_t hi) {
+      for (const auto& sub : subs) merge(d + lo, sub.buf->f64() + lo, hi - lo);
+    });
+  }
+
+  // A shared accumulator a map launch may privatize: its destination and
+  // the updates the launch issues into it. A null destination never
+  // privatizes.
+  struct AccUse {
+    const ArrayVal* dest = nullptr;
+    uint64_t updates = 0;
+  };
+
+  // The accumulators of a fanned-out launch that get private per-chunk
+  // copies: use(j) for each of `count` slots; those with at least
+  // kPrivatizeMinIters updates, in slot order while the launch's private
+  // footprint (elements x chunks) fits privatize_budget.
+  template <class Use>
+  std::vector<size_t> private_slots(const Schedule& s, size_t count, Use&& use) const {
+    std::vector<size_t> priv;
+    if (!s.fanout() || !opts_.privatize_accs) return priv;
+    int64_t budget = opts_.privatize_budget;
+    for (size_t j = 0; j < count; ++j) {
+      const AccUse u = use(j);
+      if (u.dest == nullptr || u.updates < kPrivatizeMinIters) continue;
+      const int64_t cost = u.dest->elems() * s.chunks;
+      if (cost <= budget) {
+        budget -= cost;
+        priv.push_back(j);
+      }
+    }
+    return priv;
+  }
+
+  // Runs a fanned-out launch with the private accumulators `priv`: one
+  // zero-filled buffer per chunk and slot (bind(c, j, buf) points chunk c's
+  // updates of slot j at it), the chunks (run(c, lo, hi)), then per slot a
+  // tree merge of the buffers, whose survivor is added into the destination
+  // element-parallel.
+  template <class Use, class Bind, class Run>
+  void run_private(const Schedule& s, const std::vector<size_t>& priv, Use&& use, Bind&& bind,
+                   Run&& run) const {
+    stats_->privatized_launches.fetch_add(1, std::memory_order_relaxed);
+    std::vector<std::vector<ArrayVal>> bufs(priv.size());
+    for (size_t p = 0; p < priv.size(); ++p) {
+      bufs[p].reserve(static_cast<size_t>(s.chunks));
+      for (int64_t c = 0; c < s.chunks; ++c) {
+        bufs[p].push_back(
+            alloc_launch_buf(ScalarType::F64, use(priv[p]).dest->shape, /*uninit=*/false));
+        bind(c, priv[p], bufs[p].back());
+      }
+    }
+    for_chunks(s, run);
+    for (size_t p = 0; p < priv.size(); ++p) {
+      NPAD_FAULT_SITE("acc.merge", FaultKind::Chunk);
+      const std::vector<ArrayVal>& b = bufs[p];
+      const int64_t m = b[0].elems();
+      merge_tree(b.size(), /*parallel=*/true, [&](size_t i, size_t j) {
+        double* d = b[i].buf->f64();  // fresh whole buffers: offset 0
+        const double* from = b[j].buf->f64();
+        for (int64_t e = 0; e < m; ++e) d[e] += from[e];
+      });
+      const ArrayVal& dst = *use(priv[p]).dest;
+      double* d = dst.buf->f64() + dst.offset;
+      const double* merged = b[0].buf->f64();
+      support::parallel_for(m, opts_.grain, [&](int64_t lo, int64_t hi) {
+        for (int64_t e = lo; e < hi; ++e) d[e] += merged[e];
+      });
+    }
+  }
+
   // ----------------------------------------------------------------- map ---
   std::vector<Value> eval_map(const OpMap& o, Env& env) const {
     const Lambda& f = *o.f;
@@ -794,20 +1027,18 @@ public:
         out_arrays[r] = ArrayVal::alloc(f.rets[r].elem, std::move(shp));
       }
     } else {
-      const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
-      const bool nested = support::ThreadPool::in_parallel_region();
-      const bool fanout = opts_.parallel && threads > 1 && n > opts_.grain && !nested;
+      const Schedule s = schedule(n, opts_.grain, opts_.grain + 1);
       // Accumulator atomicity for this launch: a fanned-out launch must use
       // atomic updates on every shared accumulator (even one privatized by an
-      // enclosing sequential launch), while a launch that provably runs on
-      // this thread alone can use plain adds throughout.
+      // enclosing sequential launch), a direct launch uses plain adds, and a
+      // nested one keeps the flag of the launch that encloses it.
       std::vector<Value> base_accs = acc_args;
       for (auto& a : base_accs) {
         if (!is_acc(a)) continue;
         AccVal av = as_acc(a);
-        if (fanout) {
+        if (s.fanout()) {
           av.atomic = true;
-        } else if (!nested && opts_.privatize_accs) {
+        } else if (direct(s)) {
           av.atomic = false;
         }
         a = av;
@@ -843,71 +1074,36 @@ public:
       }
       store_result(0, first);
 
-      // Accumulator privatization: small accumulators get per-chunk private
-      // zero-initialized copies updated with plain adds, tree-merged into the
-      // destination after the launch; the rest stay atomic.
-      std::vector<size_t> priv;
-      const int64_t chunks =
-          fanout ? std::min<int64_t>(threads, (n + opts_.grain - 1) / opts_.grain) : 1;
-      if (fanout && opts_.privatize_accs && n >= opts_.privatize_min_iters) {
-        int64_t budget = opts_.privatize_budget;
-        for (size_t j = 0; j < base_accs.size(); ++j) {
-          if (!is_acc(base_accs[j])) continue;
-          const ArrayVal& a = as_acc(base_accs[j]).arr;
-          if (a.elem != ScalarType::F64) continue;
-          const int64_t cost = a.elems() * chunks;
-          if (cost <= budget) {
-            budget -= cost;
-            priv.push_back(j);
-          }
+      // The general path cannot count its lambda's updates: each iteration
+      // counts as one update into every f64 accumulator.
+      const auto use = [&](size_t j) {
+        const ArrayVal* a = is_acc(base_accs[j]) ? &as_acc(base_accs[j]).arr : nullptr;
+        return a && a->elem == ScalarType::F64 ? AccUse{a, static_cast<uint64_t>(n)} : AccUse{};
+      };
+      // Element 0 already ran.
+      const auto run_elems = [&](int64_t lo, int64_t hi, const std::vector<Value>& accs) {
+        for (int64_t i = std::max<int64_t>(lo, 1); i < hi; ++i) {
+          std::vector<Value> vals = apply(f, elem_args(i, accs), env);
+          store_result(i, vals);
         }
-      }
+      };
+      const std::vector<size_t> priv = private_slots(s, base_accs.size(), use);
       if (priv.empty()) {
-        const auto body = [&](int64_t lo, int64_t hi) {
+        for_elems(s, opts_.grain, [&](int64_t lo, int64_t hi) {
           NPAD_FAULT_SITE("map.general_chunk", FaultKind::Chunk);
-          for (int64_t i = std::max<int64_t>(lo, 1); i < hi; ++i) {
-            std::vector<Value> vals = apply(f, elem_args(i, base_accs), env);
-            store_result(i, vals);
-          }
-        };
-        // Dispatch on the same `fanout` decision that chose the accumulator
-        // atomicity above: a launch flagged non-atomic (no fan-out) must
-        // never reach the pool, and a launch parallel_for would split must
-        // always have been flagged atomic.
-        if (fanout) {
-          support::parallel_for(n, opts_.grain, body);
-        } else {
-          body(0, n);
-        }
-      } else {
-        stats_->privatized_launches.fetch_add(1, std::memory_order_relaxed);
-        std::vector<std::vector<Value>> chunk_accs(static_cast<size_t>(chunks), base_accs);
-        std::vector<std::vector<ArrayVal>> priv_bufs(priv.size());
-        for (size_t pj = 0; pj < priv.size(); ++pj) {
-          const ArrayVal& dst = as_acc(base_accs[priv[pj]]).arr;
-          priv_bufs[pj].reserve(static_cast<size_t>(chunks));
-          for (int64_t c = 0; c < chunks; ++c) {
-            ArrayVal buf = alloc_launch_buf(ScalarType::F64, dst.shape, /*uninit=*/false);
-            chunk_accs[static_cast<size_t>(c)][priv[pj]] = AccVal{buf, /*atomic=*/false};
-            priv_bufs[pj].push_back(std::move(buf));
-          }
-        }
-        const int64_t per = (n + chunks - 1) / chunks;
-        support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-          for (int64_t c = clo; c < chi; ++c) {
-            NPAD_FAULT_SITE("map.general_priv_chunk", FaultKind::Chunk);
-            const int64_t lo = std::max<int64_t>(c * per, 1);
-            const int64_t hi = std::min(n, (c + 1) * per);
-            for (int64_t i = lo; i < hi; ++i) {
-              std::vector<Value> vals = apply(f, elem_args(i, chunk_accs[static_cast<size_t>(c)]), env);
-              store_result(i, vals);
-            }
-          }
+          run_elems(lo, hi, base_accs);
         });
-        for (size_t pj = 0; pj < priv.size(); ++pj) {
-          ArrayVal dst = as_acc(base_accs[priv[pj]]).arr;
-          merge_private(priv_bufs[pj], dst, opts_.grain);
-        }
+      } else {
+        std::vector<std::vector<Value>> chunk_accs(static_cast<size_t>(s.chunks), base_accs);
+        run_private(
+            s, priv, use,
+            [&](int64_t c, size_t j, const ArrayVal& buf) {
+              chunk_accs[static_cast<size_t>(c)][j] = AccVal{buf, /*atomic=*/false};
+            },
+            [&](int64_t c, int64_t lo, int64_t hi) {
+              NPAD_FAULT_SITE("map.general_priv_chunk", FaultKind::Chunk);
+              run_elems(lo, hi, chunk_accs[static_cast<size_t>(c)]);
+            });
       }
     }
     for (size_t r = 0; r < f.rets.size(); ++r) {
@@ -1072,86 +1268,46 @@ public:
 
     const KernelWork work = kernel_work(k, need_pre ? pre.data() : nullptr);
     const int64_t grain = work_grain(work.instrs);
-    const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
-    const bool nested = support::ThreadPool::in_parallel_region();
-    const bool fanout = opts_.parallel && threads > 1 && n > grain && !nested;
+    const Schedule sched = schedule(n, grain, grain + 1);
     auto updates_of = [&](size_t s) {
       return static_cast<uint64_t>(std::llround(work.updates[s] * static_cast<double>(n)));
     };
-    // Per slot: atomic unless privatized, row-bound, or the whole launch runs
-    // on this thread outside any parallel region (plain adds straight into
-    // the destination — no other worker can race on it).
-    const bool direct = !fanout && !nested && opts_.privatize_accs;
-    std::vector<uint8_t> priv(naccs, 0);
-    bool any_priv = false;
-    const int64_t chunks = fanout ? std::min<int64_t>(threads, (n + grain - 1) / grain) : 1;
-    if (fanout && opts_.privatize_accs) {
-      // Shared accumulators privatize by update count: a launch issuing
-      // privatize_min_iters updates into one is worth per-chunk copies, however
-      // few its iterations.
-      int64_t budget = opts_.privatize_budget;
-      for (size_t s = 0; s < naccs; ++s) {
-        if (row[s] != 0 || updates_of(s) < static_cast<uint64_t>(opts_.privatize_min_iters)) {
-          continue;
-        }
-        const int64_t cost = L.acc_array_vals[s].elems() * chunks;
-        if (cost <= budget) {
-          budget -= cost;
-          priv[s] = 1;
-          any_priv = true;
-        }
-      }
-    }
+    // Shared accumulators privatize by update count: a launch issuing
+    // kPrivatizeMinIters updates into one is worth per-chunk copies, however
+    // few its iterations. Row-bound slots are the launch's own.
+    const auto use = [&](size_t s) {
+      return row[s] != 0 ? AccUse{} : AccUse{&L.acc_array_vals[s], updates_of(s)};
+    };
+    const std::vector<size_t> priv = private_slots(sched, naccs, use);
+    // Per slot: atomic unless privatized, row-bound, or the launch is direct.
+    const bool plain = direct(sched);
     L.acc_atomic.assign(naccs, 1);
     for (size_t s = 0; s < naccs; ++s) {
-      if (direct || row[s] != 0) L.acc_atomic[s] = 0;
+      if (plain || row[s] != 0) L.acc_atomic[s] = 0;
       if (work.updates[s] == 0) continue;
-      (direct || row[s] != 0 || priv[s] != 0 ? stats_->privatized_updates
-                                             : stats_->atomic_updates)
+      const bool privatized = std::find(priv.begin(), priv.end(), s) != priv.end();
+      (plain || row[s] != 0 || privatized ? stats_->privatized_updates : stats_->atomic_updates)
           .fetch_add(updates_of(s), std::memory_order_relaxed);
     }
 
-    if (!fanout) {
-      if (opts_.parallel) {
-        support::parallel_for(n, grain, [&](int64_t lo, int64_t hi) {
-          NPAD_FAULT_SITE("map.kernel_chunk", FaultKind::Chunk);
-          L.run(lo, hi);
-        });
-      } else {
-        NPAD_FAULT_SITE("map.kernel_chunk", FaultKind::Chunk);
-        L.run(0, n);
-      }
-    } else if (!any_priv) {
-      support::parallel_for(n, grain, [&](int64_t lo, int64_t hi) {
+    if (priv.empty()) {
+      for_elems(sched, grain, [&](int64_t lo, int64_t hi) {
         NPAD_FAULT_SITE("map.kernel_chunk", FaultKind::Chunk);
         L.run(lo, hi);
       });
     } else {
-      stats_->privatized_launches.fetch_add(1, std::memory_order_relaxed);
-      std::vector<KernelLaunch> launches(static_cast<size_t>(chunks), L);
-      std::vector<std::vector<ArrayVal>> priv_bufs(naccs);
-      for (size_t s = 0; s < naccs; ++s) {
-        if (!priv[s]) continue;
-        priv_bufs[s].reserve(static_cast<size_t>(chunks));
-        for (int64_t c = 0; c < chunks; ++c) {
-          ArrayVal buf = alloc_launch_buf(ScalarType::F64, L.acc_array_vals[s].shape,
-                                          /*uninit=*/false);
-          auto& Lc = launches[static_cast<size_t>(c)];
-          Lc.acc_array_vals[s] = buf;
-          Lc.acc_atomic[s] = 0;
-          priv_bufs[s].push_back(std::move(buf));
-        }
-      }
-      const int64_t per = (n + chunks - 1) / chunks;
-      support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-        for (int64_t c = clo; c < chi; ++c) {
-          NPAD_FAULT_SITE("map.kernel_priv_chunk", FaultKind::Chunk);
-          launches[static_cast<size_t>(c)].run(c * per, std::min(n, (c + 1) * per));
-        }
-      });
-      for (size_t s = 0; s < naccs; ++s) {
-        if (priv[s]) merge_private(priv_bufs[s], L.acc_array_vals[s], opts_.grain);
-      }
+      std::vector<KernelLaunch> launches(static_cast<size_t>(sched.chunks), L);
+      run_private(
+          sched, priv, use,
+          [&](int64_t c, size_t s, const ArrayVal& buf) {
+            auto& Lc = launches[static_cast<size_t>(c)];
+            Lc.acc_array_vals[s] = buf;
+            Lc.acc_atomic[s] = 0;
+          },
+          [&](int64_t c, int64_t lo, int64_t hi) {
+            NPAD_FAULT_SITE("map.kernel_priv_chunk", FaultKind::Chunk);
+            launches[static_cast<size_t>(c)].run(lo, hi);
+          });
     }
 
     std::vector<Value> outs;
@@ -1253,15 +1409,6 @@ public:
     for (const auto& a : o.neutral) neutral.push_back(eval_atom(a, env));
     if (o.fused > 0) stats_->fused_reduces.fetch_add(o.fused, std::memory_order_relaxed);
 
-    const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
-    // Chunk count for a launch whose elements weigh `grain` (work_grain).
-    auto chunks_for = [&](int64_t grain) -> int64_t {
-      const bool fanout = opts_.parallel && n >= 2 * grain && threads > 1 &&
-                          !support::ThreadPool::in_parallel_region();
-      return fanout ? std::min<int64_t>(threads, (n + grain - 1) / grain) : 1;
-    };
-    int64_t chunks = chunks_for(opts_.grain);
-
     // Tier 1: the hand-rolled combinable-binop loop already runs at memory
     // speed; do not route it through the register machine.
     const std::optional<BinOp> plain_bop =
@@ -1280,44 +1427,29 @@ public:
         thread_local std::vector<double> pre;
         if (!k->loops.empty()) preamble_regs(*L, pre);
         const KernelWork work = kernel_work(*k, k->loops.empty() ? nullptr : pre.data());
-        chunks = chunks_for(work_grain(work.instrs));
-        const int64_t per = (n + chunks - 1) / chunks;
-        // Accumulator updates from the pre-lambda: the map kernels' rule —
-        // plain adds when the whole launch runs on this thread outside any
-        // parallel region, atomic otherwise.
-        const bool direct = chunks <= 1 && opts_.privatize_accs &&
-                            !support::ThreadPool::in_parallel_region();
-        if (direct) L->acc_atomic.assign(k->accs.size(), 0);
+        const int64_t grain = work_grain(work.instrs);
+        const Schedule s = schedule(n, grain, 2 * grain);
+        // Accumulator updates from the pre-lambda follow the map kernels'
+        // rule: plain adds when the launch is direct, atomic otherwise.
+        const bool plain = direct(s);
+        if (plain) L->acc_atomic.assign(k->accs.size(), 0);
         for (double u : work.updates) {
-          (direct ? stats_->privatized_updates : stats_->atomic_updates)
+          (plain ? stats_->privatized_updates : stats_->atomic_updates)
               .fetch_add(static_cast<uint64_t>(std::llround(u * static_cast<double>(n))),
                          std::memory_order_relaxed);
         }
         const size_t nred = k->reds.size();
-        std::vector<double> partials = L->red_neutral;
-        if (chunks <= 1) {
-          NPAD_FAULT_SITE("reduce.kernel_chunk", FaultKind::Chunk);
-          L->run_reduce(0, n, partials.data());
-        } else {
-          std::vector<std::vector<double>> cp(static_cast<size_t>(chunks), partials);
-          support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-            for (int64_t c = clo; c < chi; ++c) {
+        // Chunk partials merge through the fold subprogram.
+        const std::vector<double> partials = fold_chunks(
+            s, L->red_neutral,
+            [&](std::vector<double>& part, int64_t lo, int64_t hi) {
               NPAD_FAULT_SITE("reduce.kernel_chunk", FaultKind::Chunk);
-              L->run_reduce(c * per, std::min(n, (c + 1) * per),
-                            cp[static_cast<size_t>(c)].data());
-            }
-          });
-          // Chunk partials tree-merge pairwise through the fold subprogram,
-          // the same shape as merge_private — but each partial is only k
-          // scalars, so the merge runs on the calling thread.
-          NPAD_FAULT_SITE("reduce.partial_merge", FaultKind::Chunk);
-          for (size_t stride = 1; stride < cp.size(); stride *= 2) {
-            for (size_t i = 0; i + stride < cp.size(); i += 2 * stride) {
-              L->combine_partials(cp[i].data(), cp[i + stride].data());
-            }
-          }
-          partials = std::move(cp[0]);
-        }
+              L->run_reduce(lo, hi, part.data());
+            },
+            [&](std::vector<double>& into, const std::vector<double>& from) {
+              L->combine_partials(into.data(), from.data());
+            },
+            [] { NPAD_FAULT_SITE("reduce.partial_merge", FaultKind::Chunk); });
         std::vector<Value> outs;
         outs.reserve(nred);
         for (size_t j = 0; j < nred; ++j) {
@@ -1327,23 +1459,31 @@ public:
       }
     }
 
-    // Tier 3: general interpreter fold (and tier 1's hand loop per chunk).
-    (hand_fast ? stats_->hand_reduces : stats_->general_reduces)
-        .fetch_add(1, std::memory_order_relaxed);
+    const Schedule s = schedule(n, opts_.grain, 2 * opts_.grain);
+    if (hand_fast) {
+      stats_->hand_reduces.fetch_add(1, std::memory_order_relaxed);
+      const BinOp bop = *plain_bop;
+      const double* p = arrs[0].buf->f64() + arrs[0].offset;
+      return {fold_chunks(
+          s, as_f64(neutral[0]),
+          [&](double& part, int64_t lo, int64_t hi) {
+            NPAD_FAULT_SITE("reduce.general_chunk", FaultKind::Chunk);
+            double acc = part;  // a register, not a store per element
+            for (int64_t i = lo; i < hi; ++i) acc = combine_f64(bop, acc, p[i]);
+            part = acc;
+          },
+          [&](double& into, double from) { into = combine_f64(bop, into, from); })};
+    }
+
+    // Tier 3: general interpreter fold.
+    stats_->general_reduces.fetch_add(1, std::memory_order_relaxed);
     auto elem = [&](size_t j, int64_t i) -> Value {
       const ArrayVal& a = arrs[j];
       if (a.rank() == 1) return scalar_value(a.elem, a, i);
       return row_view(a, i);
     };
-    auto fold_range = [&](int64_t lo, int64_t hi, std::vector<Value> acc) {
+    auto fold = [&](std::vector<Value>& acc, int64_t lo, int64_t hi) {
       NPAD_FAULT_SITE("reduce.general_chunk", FaultKind::Chunk);
-      if (hand_fast) {
-        double acc0 = as_f64(acc[0]);
-        const double* p = arrs[0].buf->f64() + arrs[0].offset;
-        for (int64_t i = lo; i < hi; ++i) acc0 = combine_f64(*plain_bop, acc0, p[i]);
-        acc[0] = acc0;
-        return acc;
-      }
       for (int64_t i = lo; i < hi; ++i) {
         // Move the accumulator through the argument list (no per-iteration
         // vector copy) and reserve the full fold arity once per iteration.
@@ -1360,36 +1500,21 @@ public:
         }
         acc = apply(op, std::move(args), env);
       }
-      return acc;
     };
-
-    if (chunks <= 1) return fold_range(0, n, std::move(neutral));
-    const int64_t per = (n + chunks - 1) / chunks;
-    std::vector<std::vector<Value>> partial(static_cast<size_t>(chunks));
-    support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-      for (int64_t c = clo; c < chi; ++c) {
-        const int64_t lo = c * per, hi = std::min(n, lo + per);
-        partial[static_cast<size_t>(c)] = fold_range(lo, hi, neutral);
-      }
-    });
-    std::vector<Value> acc = std::move(partial[0]);
-    for (size_t c = 1; c < partial.size(); ++c) {
-      std::vector<Value> args = std::move(acc);
-      for (auto& v : partial[c]) args.push_back(std::move(v));
-      acc = apply(op, std::move(args), env);
-    }
-    return acc;
+    return fold_chunks(s, std::move(neutral), fold,
+                       [&](std::vector<Value>& into, std::vector<Value>& from) {
+                         std::vector<Value> args = std::move(into);
+                         for (auto& v : from) args.push_back(std::move(v));
+                         into = apply(op, std::move(args), env);
+                       });
   }
 
   // ---------------------------------------------------------------- scan ---
   //
-  // Same tiering as eval_reduce. The blocked three-phase structure is shared:
-  // phase 1 scans each chunk sequentially (seeded with the neutral element)
-  // and records its carry, phase 2 prefix-folds the carries, phase 3
-  // rescales every non-first chunk by its prefix. The kernel tier runs
-  // phases 1 and 3 through the compiled program (phase 1 is the full
-  // narrow program, strictly sequential; phase 3 re-enters the fold
-  // subprogram per element).
+  // Same tiering as eval_reduce; the hand and kernel tiers run blocked_scan.
+  // The kernel tier runs phases 1 and 3 through the compiled program (phase
+  // 1 is the full narrow program, strictly sequential; phase 3 re-enters the
+  // fold subprogram per element).
   std::vector<Value> eval_scan(const OpScan& o, Env& env) const {
     const Lambda& op = *o.op;
     std::vector<ArrayVal> arrs;
@@ -1407,12 +1532,7 @@ public:
     for (const auto& a : o.neutral) neutral.push_back(eval_atom(a, env));
     const size_t kres = neutral.size();  // fold results (= outputs)
 
-    const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
-    const bool blocked = opts_.parallel && threads > 1 && n >= 4 * opts_.grain &&
-                         !support::ThreadPool::in_parallel_region();
-    const int64_t chunks =
-        blocked ? std::min<int64_t>(threads, (n + opts_.grain - 1) / opts_.grain) : 1;
-    const int64_t per = (n + chunks - 1) / chunks;
+    const Schedule s = schedule(n, opts_.grain, 4 * opts_.grain);
 
     // Tier 1: hand-rolled blocked scan for a single rank-1 f64 array with a
     // combinable operator. Every element of the output is written, so the
@@ -1425,48 +1545,22 @@ public:
       const double* in = arrs[0].buf->f64() + arrs[0].offset;
       double* out = outv.buf->f64();
       const BinOp bop = *plain_bop;
-      if (blocked) {
-        std::vector<double> sums(static_cast<size_t>(chunks));
-        support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-          for (int64_t c = clo; c < chi; ++c) {
+      blocked_scan(
+          s, as_f64(neutral[0]),
+          [&](int64_t lo, int64_t hi, double& carry) {
             NPAD_FAULT_SITE("scan.hand_chunk", FaultKind::Chunk);
-            const int64_t lo = c * per, hi = std::min(n, lo + per);
-            if (lo >= hi) {  // empty trailing chunk (tiny grain): contribute ne
-              sums[static_cast<size_t>(c)] = as_f64(neutral[0]);
-              continue;
-            }
-            double acc = in[lo];
-            out[lo] = acc;
-            for (int64_t i = lo + 1; i < hi; ++i) {
+            double acc = carry;
+            for (int64_t i = lo; i < hi; ++i) {
               acc = combine_f64(bop, acc, in[i]);
               out[i] = acc;
             }
-            sums[static_cast<size_t>(c)] = acc;
-          }
-        });
-        std::vector<double> pre(static_cast<size_t>(chunks));
-        double run = as_f64(neutral[0]);
-        for (int64_t c = 0; c < chunks; ++c) {
-          pre[static_cast<size_t>(c)] = run;
-          run = combine_f64(bop, run, sums[static_cast<size_t>(c)]);
-        }
-        support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-          for (int64_t c = clo; c < chi; ++c) {
-            if (c == 0) continue;
+            carry = acc;
+          },
+          [&](double& run, double carry) { run = combine_f64(bop, run, carry); },
+          [&](int64_t lo, int64_t hi, double prefix) {
             NPAD_FAULT_SITE("scan.hand_rescale", FaultKind::Chunk);
-            const int64_t lo = c * per, hi = std::min(n, lo + per);
-            const double p = pre[static_cast<size_t>(c)];
-            for (int64_t i = lo; i < hi; ++i) out[i] = combine_f64(bop, p, out[i]);
-          }
-        });
-      } else {
-        NPAD_FAULT_SITE("scan.hand_chunk", FaultKind::Chunk);
-        double acc = as_f64(neutral[0]);
-        for (int64_t i = 0; i < n; ++i) {
-          acc = combine_f64(bop, acc, in[i]);
-          out[i] = acc;
-        }
-      }
+            for (int64_t i = lo; i < hi; ++i) out[i] = combine_f64(bop, prefix, out[i]);
+          });
       return {outv};
     }
 
@@ -1481,35 +1575,19 @@ public:
         for (ScalarType t : L->k->out_elems) {
           L->outputs.push_back(alloc_launch_buf(t, {n}, /*uninit=*/true));
         }
-        if (chunks <= 1) {
-          NPAD_FAULT_SITE("scan.kernel_chunk", FaultKind::Chunk);
-          std::vector<double> carry = L->red_neutral;
-          L->run_scan_chunk(0, n, carry.data());
-        } else {
-          std::vector<std::vector<double>> carries(static_cast<size_t>(chunks),
-                                                   L->red_neutral);
-          support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-            for (int64_t c = clo; c < chi; ++c) {
+        blocked_scan(
+            s, L->red_neutral,
+            [&](int64_t lo, int64_t hi, std::vector<double>& carry) {
               NPAD_FAULT_SITE("scan.kernel_chunk", FaultKind::Chunk);
-              L->run_scan_chunk(c * per, std::min(n, (c + 1) * per),
-                                carries[static_cast<size_t>(c)].data());
-            }
-          });
-          std::vector<std::vector<double>> prefixes(static_cast<size_t>(chunks));
-          std::vector<double> run = L->red_neutral;
-          for (int64_t c = 0; c < chunks; ++c) {
-            prefixes[static_cast<size_t>(c)] = run;
-            L->combine_partials(run.data(), carries[static_cast<size_t>(c)].data());
-          }
-          support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-            for (int64_t c = clo; c < chi; ++c) {
-              if (c == 0) continue;  // chunk 0 already started from neutral
+              L->run_scan_chunk(lo, hi, carry.data());
+            },
+            [&](std::vector<double>& run, const std::vector<double>& carry) {
+              L->combine_partials(run.data(), carry.data());
+            },
+            [&](int64_t lo, int64_t hi, const std::vector<double>& prefix) {
               NPAD_FAULT_SITE("scan.kernel_rescale", FaultKind::Chunk);
-              L->scan_rescale(c * per, std::min(n, (c + 1) * per),
-                              prefixes[static_cast<size_t>(c)].data());
-            }
-          });
-        }
+              L->scan_rescale(lo, hi, prefix.data());
+            });
         std::vector<Value> res;
         for (auto& a : L->outputs) res.push_back(a);
         return res;
@@ -1561,57 +1639,33 @@ public:
   // ---------------------------------------------------------------- hist ---
   //
   // Generalized histograms (reduce_by_index), tiered like reduce:
-  //  1. hand-rolled combinable-binop loop over scalar f64 bins. Sequential
-  //     when the launch must not fan out (opts_.parallel off, one worker,
-  //     nested region, small n); per-chunk private subhistograms seeded with
-  //     the neutral element and merged into the destination in chunk order
-  //     (each chunk is a contiguous element block, so per-bin update order
-  //     is preserved — associativity suffices) when the m x chunks
-  //     footprint fits privatize_budget; atomic-CAS updates straight into
-  //     the shared destination otherwise (combinable binops are
-  //     commutative, so arbitrary interleaving is sound).
+  //  1. hand-rolled combinable-binop loop over scalar f64 bins, run by
+  //     privatized_bins: sequential when the launch does not fan out, private
+  //     subhistograms when the m x chunks footprint fits privatize_budget,
+  //     atomic-CAS updates straight into the shared destination otherwise
+  //     (combinable binops are commutative, so any interleaving is sound).
   //  2. compiled kernel for arbitrary kernelizable combine lambdas — the
-  //     same compiled artifact (and cache entry) as the reduce form of the
-  //     fold. Privatized subhistograms merge bin-wise through the fold
-  //     subprogram. There is no atomic fallback here: an arbitrary fold is
-  //     not known to be commutative, so an over-budget destination runs the
-  //     strictly sequential kernel loop.
+  //     same compiled artifact as the reduce form of the fold — run by
+  //     privatized_bins too. There is no atomic fallback here: an arbitrary
+  //     fold is not known to be commutative, so an over-budget destination
+  //     runs the strictly sequential kernel loop.
   //  3. the strictly sequential general interpreter for everything else
   //     (vector bins, non-f64 destinations, non-kernelizable operators).
   Value eval_hist(const OpHist& o, Env& env) const {
     const Lambda& op = *o.op;
-    ArrayVal dest0 = as_array(env.lookup(o.dest));
-    ArrayVal dest = (dest0.whole() && dest0.buf.use_count() <= 2)
-                        ? dest0
-                        : compact_copy(dest0);
+    ArrayVal dest = writable(as_array(env.lookup(o.dest)));
     const ArrayVal inds = as_array(env.lookup(o.inds));
     const ArrayVal vals = as_array(env.lookup(o.vals));
     const int64_t n = inds.outer();
     const int64_t m = dest.outer();
     const int64_t row = dest.rank() > 1 ? dest.row_elems() : 1;
 
-    const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
-    const bool fanout = opts_.parallel && threads > 1 && n > opts_.grain &&
-                        !support::ThreadPool::in_parallel_region();
-    const int64_t chunks =
-        fanout ? std::min<int64_t>(threads, (n + opts_.grain - 1) / opts_.grain) : 1;
-    const int64_t per = (n + chunks - 1) / chunks;
-    const bool privat = fanout && opts_.privatize_accs && n >= opts_.privatize_min_iters &&
-                        m * row * chunks <= opts_.privatize_budget;
-
-    // Allocates the per-chunk private subhistograms, every bin seeded with
-    // the fold's neutral element (pool buffers are recycled, so the fill is
-    // always explicit).
-    auto alloc_subhists = [&](double neutral) {
-      std::vector<ArrayVal> subs;
-      subs.reserve(static_cast<size_t>(chunks));
-      for (int64_t c = 0; c < chunks; ++c) {
-        ArrayVal s = alloc_launch_buf(ScalarType::F64, dest.shape, /*uninit=*/true);
-        std::fill_n(s.buf->f64(), m, neutral);
-        subs.push_back(std::move(s));
-      }
-      return subs;
-    };
+    const Schedule s = schedule(n, opts_.grain, opts_.grain + 1);
+    const bool privat = s.fanout() && opts_.privatize_accs &&
+                        static_cast<uint64_t>(n) >= kPrivatizeMinIters &&
+                        m * row * s.chunks <= opts_.privatize_budget;
+    // A launch that does not privatize folds as one chunk.
+    const Schedule bins = privat ? s : s.one_chunk();
 
     // Tier 1: hand-rolled combinable binop over scalar f64 bins.
     const std::optional<BinOp> bop = recognize_binop(op);
@@ -1619,62 +1673,43 @@ public:
         vals.elem == ScalarType::F64) {
       stats_->hand_hists.fetch_add(1, std::memory_order_relaxed);
       const BinOp cb = *bop;
-      double* d = dest.buf->f64() + dest.offset;
-      auto fold_range = [&](double* bins, int64_t lo, int64_t hi) {
-        NPAD_FAULT_SITE("hist.hand_chunk", FaultKind::Chunk);
-        int64_t performed = 0;
-        for (int64_t i = lo; i < hi; ++i) {
-          const int64_t b = inds.get_i64(i);
-          if (b < 0 || b >= m) continue;
-          bins[b] = combine_f64(cb, bins[b], vals.get_f64(i));
-          ++performed;
-        }
-        return performed;
-      };
-      if (!fanout) {
-        // Bit-exact sequential semantics: the W=1 / parallel-off contract.
-        stats_->privatized_hist_updates.fetch_add(static_cast<uint64_t>(fold_range(d, 0, n)),
-                                                  std::memory_order_relaxed);
-        return dest;
-      }
-      if (privat) {
-        std::vector<ArrayVal> subs = alloc_subhists(as_f64(eval_atom(o.neutral, env)));
+      if (s.fanout() && !privat) {
+        // Atomic-CAS fallback for a destination too large to privatize
+        // (combinable binops are commutative).
+        double* d = dest.buf->f64() + dest.offset;
         std::atomic<int64_t> performed{0};
-        support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-          for (int64_t c = clo; c < chi; ++c) {
-            performed.fetch_add(fold_range(subs[static_cast<size_t>(c)].buf->f64(), c * per,
-                                           std::min(n, (c + 1) * per)),
-                                std::memory_order_relaxed);
+        for_elems(s, opts_.grain, [&](int64_t lo, int64_t hi) {
+          NPAD_FAULT_SITE("hist.atomic_chunk", FaultKind::Chunk);
+          int64_t local = 0;
+          for (int64_t i = lo; i < hi; ++i) {
+            const int64_t b = inds.get_i64(i);
+            if (b < 0 || b >= m) continue;
+            atomic_combine_f64(cb, d + b, vals.get_f64(i));
+            ++local;
           }
+          performed.fetch_add(local, std::memory_order_relaxed);
         });
-        stats_->privatized_hist_updates.fetch_add(
-            static_cast<uint64_t>(performed.load()), std::memory_order_relaxed);
-        // Bin-parallel merge; per bin the chunks combine in element order.
-        NPAD_FAULT_SITE("hist.merge", FaultKind::Chunk);
-        support::parallel_for(m, opts_.grain, [&](int64_t lo, int64_t hi) {
-          for (int64_t b = lo; b < hi; ++b) {
-            double acc = d[b];
-            for (const auto& s : subs) acc = combine_f64(cb, acc, s.buf->f64()[b]);
-            d[b] = acc;
-          }
-        });
+        stats_->atomic_hist_updates.fetch_add(static_cast<uint64_t>(performed.load()),
+                                              std::memory_order_relaxed);
         return dest;
       }
-      // Atomic-CAS fallback for destinations too large to privatize.
-      std::atomic<int64_t> performed{0};
-      support::parallel_for(n, opts_.grain, [&](int64_t lo, int64_t hi) {
-        NPAD_FAULT_SITE("hist.atomic_chunk", FaultKind::Chunk);
-        int64_t local = 0;
-        for (int64_t i = lo; i < hi; ++i) {
-          const int64_t b = inds.get_i64(i);
-          if (b < 0 || b >= m) continue;
-          atomic_combine_f64(cb, d + b, vals.get_f64(i));
-          ++local;
-        }
-        performed.fetch_add(local, std::memory_order_relaxed);
-      });
-      stats_->atomic_hist_updates.fetch_add(static_cast<uint64_t>(performed.load()),
-                                            std::memory_order_relaxed);
+      privatized_bins(
+          bins, dest, as_f64(eval_atom(o.neutral, env)),
+          [&](double* d, int64_t lo, int64_t hi) {
+            NPAD_FAULT_SITE("hist.hand_chunk", FaultKind::Chunk);
+            int64_t performed = 0;
+            for (int64_t i = lo; i < hi; ++i) {
+              const int64_t b = inds.get_i64(i);
+              if (b < 0 || b >= m) continue;
+              d[b] = combine_f64(cb, d[b], vals.get_f64(i));
+              ++performed;
+            }
+            return performed;
+          },
+          [&](double* d, const double* sub, int64_t count) {
+            for (int64_t b = 0; b < count; ++b) d[b] = combine_f64(cb, d[b], sub[b]);
+          },
+          [] { NPAD_FAULT_SITE("hist.merge", FaultKind::Chunk); });
       return dest;
     }
 
@@ -1685,35 +1720,18 @@ public:
       std::vector<Value> neutral{eval_atom(o.neutral, env)};
       if (auto L = bind_reduce_launch(lk, {vals}, neutral, env)) {
         stats_->kernel_hists.fetch_add(1, std::memory_order_relaxed);
-        double* d = dest.buf->f64() + dest.offset;
         const int64_t* ip = inds.buf->i64() + inds.offset;
-        if (!privat) {
-          // Sequential kernel loop (also the over-budget path: arbitrary
-          // folds have no atomic fallback).
-          NPAD_FAULT_SITE("hist.kernel_chunk", FaultKind::Chunk);
-          stats_->privatized_hist_updates.fetch_add(
-              static_cast<uint64_t>(L->run_hist_chunk(0, n, d, m, ip)),
-              std::memory_order_relaxed);
-          return dest;
-        }
-        std::vector<ArrayVal> subs = alloc_subhists(L->red_neutral[0]);
-        std::atomic<int64_t> performed{0};
-        support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-          for (int64_t c = clo; c < chi; ++c) {
-            NPAD_FAULT_SITE("hist.kernel_chunk", FaultKind::Chunk);
-            performed.fetch_add(L->run_hist_chunk(c * per, std::min(n, (c + 1) * per),
-                                                  subs[static_cast<size_t>(c)].buf->f64(), m,
-                                                  ip),
-                                std::memory_order_relaxed);
-          }
-        });
-        stats_->privatized_hist_updates.fetch_add(
-            static_cast<uint64_t>(performed.load()), std::memory_order_relaxed);
-        // Bin-parallel merge through the fold subprogram, chunks in order.
-        NPAD_FAULT_SITE("hist.kernel_merge", FaultKind::Chunk);
-        support::parallel_for(m, opts_.grain, [&](int64_t lo, int64_t hi) {
-          for (const auto& s : subs) L->fold_bins(d + lo, s.buf->f64() + lo, hi - lo);
-        });
+        // Subhistograms merge through the fold subprogram. A launch that does
+        // not privatize runs the sequential kernel loop: arbitrary folds have
+        // no atomic fallback.
+        privatized_bins(
+            bins, dest, L->red_neutral[0],
+            [&](double* d, int64_t lo, int64_t hi) {
+              NPAD_FAULT_SITE("hist.kernel_chunk", FaultKind::Chunk);
+              return L->run_hist_chunk(lo, hi, d, m, ip);
+            },
+            [&](double* d, const double* sub, int64_t count) { L->fold_bins(d, sub, count); },
+            [] { NPAD_FAULT_SITE("hist.kernel_merge", FaultKind::Chunk); });
         return dest;
       }
     }
@@ -1742,10 +1760,7 @@ public:
 
   // ------------------------------------------------------------- scatter ---
   Value eval_scatter(const OpScatter& o, Env& env) const {
-    ArrayVal dest0 = as_array(env.lookup(o.dest));
-    ArrayVal dest = (dest0.whole() && dest0.buf.use_count() <= 2)
-                        ? dest0
-                        : compact_copy(dest0);
+    ArrayVal dest = writable(as_array(env.lookup(o.dest)));
     const ArrayVal inds = as_array(env.lookup(o.inds));
     const ArrayVal vals = as_array(env.lookup(o.vals));
     const int64_t n = inds.outer();
@@ -1763,11 +1778,7 @@ public:
         }
       }
     };
-    if (opts_.parallel) {
-      support::parallel_for(n, opts_.grain, body);
-    } else {
-      body(0, n);
-    }
+    for_elems(schedule(n, opts_.grain, opts_.grain + 1), opts_.grain, body);
     return dest;
   }
 
@@ -1777,10 +1788,7 @@ public:
     const Lambda& f = *o.f;
     std::vector<Value> args;
     for (Var a : o.arrs) {
-      ArrayVal arr = as_array(env.lookup(a));
-      ArrayVal owned =
-          (arr.whole() && arr.buf.use_count() <= 2) ? arr : compact_copy(arr);
-      args.push_back(AccVal{std::move(owned)});
+      args.push_back(AccVal{writable(as_array(env.lookup(a)))});
     }
     std::vector<Value> res = apply(f, std::move(args), env);
     std::vector<Value> out;

@@ -52,11 +52,6 @@ struct InterpOptions {
   // total private footprint of the launch (sum over privatized accumulators
   // of elems x chunks) stays within this many f64 elements.
   int64_t privatize_budget = int64_t{1} << 22;
-  // Privatization floor: a kernel launch privatizes a shared accumulator only
-  // when it issues at least this many updates into it; the general map path,
-  // which cannot count its lambda's updates, requires this many iterations.
-  // Below it updates stay atomic (contention is bounded anyway).
-  int64_t privatize_min_iters = 4096;
   // Resource governance: maximum nesting depth of lambda/loop-body frames
   // before evaluation aborts with npad::ResourceError (<= 0 disables).
   int max_eval_depth = default_max_eval_depth();

@@ -219,13 +219,6 @@ inline ArrayVal compact_copy(const ArrayVal& a) {
   return out;
 }
 
-// For in-place consumption: reuse the buffer when uniquely owned and whole,
-// otherwise copy. The caller must own `a` (moved-from value).
-inline ArrayVal ensure_unique(ArrayVal a) {
-  if (a.whole() && a.buf.use_count() == 1) return a;
-  return compact_copy(a);
-}
-
 // Copies the contents of `src` into `dst` starting at element offset `at`.
 inline void copy_into(ArrayVal& dst, int64_t at, const ArrayVal& src) {
   const int64_t n = src.elems();

@@ -453,7 +453,8 @@ std::vector<Value> withacc_args() {
 }
 
 TEST(FaultSweep, WithAccPrivatized) {
-  // n=8192 >= privatize_min_iters: per-chunk private accumulators + merge.
+  // n=8192 reaches the privatization floor of 4096 updates: per-chunk
+  // private accumulators + merge.
   sweep_case("withacc", prog_runner(withacc_prog(), withacc_args()));
 }
 

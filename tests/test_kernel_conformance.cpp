@@ -11,7 +11,11 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <map>
 #include <optional>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "apps/gmm.hpp"
 #include "apps/kmeans.hpp"
@@ -24,7 +28,9 @@
 #include "opt/pipeline.hpp"
 #include "runtime/interp.hpp"
 #include "runtime/vexec.hpp"
+#include "support/fault.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -595,12 +601,12 @@ TEST(RedomapConformance, EmptyRank2ScanKeepsInnerExtent) {
 // The parallel privatized/atomic/kernel hist strategies must agree with the
 // strictly sequential general path across {sequential, privatized, atomic}
 // x input shapes {empty inds, out-of-range inds, all-same-bin contention,
-// uniform}. Combinable binops (+, min) exercise
-// the hand-rolled tier; a two-statement add and an LSE fold exercise the
-// compiled-kernel tier (where the "atomic" strategy legitimately runs the
-// sequential kernel loop — arbitrary folds have no atomic fallback). Merged
-// subhistograms regroup float adds, so agreement is to tolerance; min is
-// exact.
+// uniform}, and each row must take the strategy it names. Combinable binops
+// (+, min) exercise the hand-rolled tier; a two-statement add and an LSE
+// fold exercise the compiled-kernel tier (where the "atomic" strategy
+// legitimately runs the sequential kernel loop — arbitrary folds have no
+// atomic fallback). Merged subhistograms regroup float adds, so agreement is
+// to tolerance; min is exact.
 
 enum class HistStrategy { Sequential, Privatized, Atomic };
 enum class HistOp { Add, Min, SlowAdd, Lse };
@@ -657,15 +663,25 @@ Prog hist_prog(HistOp op, bool with_map) {
 
 class HistConformance : public ::testing::TestWithParam<HistCase> {};
 
+// Crossings of the fault site `name` in the current counting session.
+uint64_t site_crossings(const std::string& name) {
+  const auto& fi = support::FaultInjector::global();
+  for (int s = 0; s < fi.num_sites(); ++s) {
+    if (fi.site_name(s) == name) return fi.crossings(s);
+  }
+  return 0;
+}
+
 TEST_P(HistConformance, StrategiesMatchGeneralPath) {
   const auto [strategy, op] = GetParam();
   const bool kernel_op = op == HistOp::SlowAdd || op == HistOp::Lse;
   Prog p = hist_prog(op, /*with_map=*/true);
-  rt::InterpOptions opts{.parallel = strategy != HistStrategy::Sequential,
-                         .use_kernels = true,
-                         .grain = 16,
-                         .privatize_min_iters = 1};
+  const int64_t grain = 16;
+  rt::InterpOptions opts{
+      .parallel = strategy != HistStrategy::Sequential, .use_kernels = true, .grain = grain};
   if (strategy == HistStrategy::Atomic) opts.privatize_budget = 0;
+  const auto workers = static_cast<int64_t>(support::ThreadPool::global().thread_count());
+  const std::string tier = kernel_op ? "hist.kernel_" : "hist.hand_";
 
   struct Shape {
     const char* name;
@@ -673,11 +689,12 @@ TEST_P(HistConformance, StrategiesMatchGeneralPath) {
     int64_t lo, hi;  // index range (may exceed [0, m))
   };
   const int64_t m = 32;
+  // n = 4096 reaches the privatization floor (4096 updates).
   const Shape shapes[] = {
       {"empty", 0, 0, 1},
-      {"uniform", 500, 0, m},
-      {"out-of-range", 500, -5, m + 5},
-      {"same-bin", 500, 3, 4},
+      {"uniform", 4096, 0, m},
+      {"out-of-range", 4096, -5, m + 5},
+      {"same-bin", 4096, 3, 4},
   };
   for (const auto& sh : shapes) {
     support::Rng rng(static_cast<uint64_t>(sh.n) + static_cast<uint64_t>(op) * 13);
@@ -690,7 +707,10 @@ TEST_P(HistConformance, StrategiesMatchGeneralPath) {
     rt::Interp slow({.parallel = false, .use_kernels = false});
     auto ref = rt::to_f64_vec(rt::as_array(slow.run(p, args)[0]));
     rt::Interp fast(opts);
+    auto& fi = support::FaultInjector::global();
+    fi.start_counting();
     auto got = rt::to_f64_vec(rt::as_array(fast.run(p, args)[0]));
+    fi.stop();
     ASSERT_EQ(got.size(), ref.size()) << sh.name;
     const double tol = op == HistOp::Min ? 0.0 : 1e-10;
     for (size_t i = 0; i < got.size(); ++i) {
@@ -700,6 +720,31 @@ TEST_P(HistConformance, StrategiesMatchGeneralPath) {
       EXPECT_GE(fast.stats().kernel_hists.load(), 1u) << sh.name;
     } else {
       EXPECT_GE(fast.stats().hand_hists.load(), 1u) << sh.name;
+    }
+
+    // The strategy the row names, as its counters and fault sites see it.
+    const auto updates = static_cast<uint64_t>(
+        std::count_if(iv.begin(), iv.end(), [&](int64_t b) { return b >= 0 && b < m; }));
+    const bool fans = strategy != HistStrategy::Sequential && workers > 1 && sh.n > grain;
+    const auto& st = fast.stats();
+    if (fans && strategy == HistStrategy::Privatized) {
+      const int64_t chunks = std::min(workers, (sh.n + grain - 1) / grain);
+      EXPECT_EQ(site_crossings(tier + "chunk"), static_cast<uint64_t>(chunks)) << sh.name;
+      EXPECT_EQ(site_crossings(kernel_op ? "hist.kernel_merge" : "hist.merge"), 1u) << sh.name;
+      EXPECT_EQ(st.privatized_hist_updates.load(), updates) << sh.name;
+      EXPECT_EQ(st.atomic_hist_updates.load(), 0u) << sh.name;
+    } else if (fans && strategy == HistStrategy::Atomic && !kernel_op) {
+      EXPECT_GE(site_crossings("hist.atomic_chunk"), 2u) << sh.name;
+      EXPECT_EQ(site_crossings("hist.hand_chunk"), 0u) << sh.name;
+      EXPECT_EQ(st.atomic_hist_updates.load(), updates) << sh.name;
+      EXPECT_EQ(st.privatized_hist_updates.load(), 0u) << sh.name;
+    } else {
+      // Sequential: one chunk straight into the destination, no merge.
+      EXPECT_EQ(site_crossings(tier + "chunk"), 1u) << sh.name;
+      EXPECT_EQ(site_crossings("hist.merge") + site_crossings("hist.kernel_merge"), 0u)
+          << sh.name;
+      EXPECT_EQ(st.privatized_hist_updates.load(), updates) << sh.name;
+      EXPECT_EQ(st.atomic_hist_updates.load(), 0u) << sh.name;
     }
   }
 }
@@ -734,7 +779,7 @@ TEST(HistConformance, StrategyCountersReportTheTakenPath) {
       rt::make_i64_array(iv, {n}),
       rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(n), -1.0, 1.0), {n})};
 
-  rt::Interp priv({.parallel = true, .grain = 64, .privatize_min_iters = 1});
+  rt::Interp priv({.parallel = true, .grain = 64});
   priv.run(p, args);
   EXPECT_EQ(priv.stats().privatized_hist_updates.load(), static_cast<uint64_t>(n));
   EXPECT_EQ(priv.stats().atomic_hist_updates.load(), 0u);
@@ -824,6 +869,208 @@ TEST(HistConformance, Rank2RowBinsStaySequentialGeneral) {
   for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], ref[i]) << i;
   EXPECT_EQ(par.stats().general_hists.load(), 1u);
   EXPECT_EQ(par.stats().atomic_hist_updates.load(), 0u);
+}
+
+// ------------------------------------------------------- launch schedule
+//
+// Pins the launch schedule of every SOAC tier at 4 workers and grain 64:
+// whether a launch fans out, into how many chunks, and how per-chunk state
+// merges back. Each row runs one launch at an extent on one side of a
+// fan-out floor (map and hist n > 64, reduce n >= 128, scan n >= 256) or of
+// the privatization floor (4096 updates), counts the crossings of every
+// per-chunk fault site and of the pool's tasks, and reads the strategy
+// counters. A row lists every site and counter it expects to be nonzero.
+
+enum class SchedSoac { Map, AccMap, Reduce, Scan, Hist };
+enum class SchedTier { Hand, Kernel, General };
+
+struct SchedRow {
+  SchedSoac soac;
+  SchedTier tier;
+  int64_t n;
+  const char* expect;  // "name=count ..." over sites and counters
+};
+
+Prog sched_prog(SchedSoac soac, SchedTier tier) {
+  if (soac == SchedSoac::Hist) {
+    return hist_prog(tier == SchedTier::Hand ? HistOp::Add : HistOp::SlowAdd, false);
+  }
+  ProgBuilder pb("sched");
+  Builder& b = pb.body();
+  if (soac == SchedSoac::AccMap) {
+    Var dest = pb.param("dest", arr_f64(1));
+    Var is = pb.param("is", arr(ScalarType::I64, 1));
+    Var vs = pb.param("vs", arr_f64(1));
+    auto outs = b.withacc({dest}, [&](Builder& c, const std::vector<Var>& accs) {
+      LambdaPtr f = c.lam({i64(), f64(), acc_of(arr_f64(1))},
+                          [](Builder& cc, const std::vector<Var>& p) {
+                            Var v2 = cc.mul(p[1], p[1]);
+                            return std::vector<Atom>{
+                                Atom(cc.upd_acc(p[2], {Atom(p[0])}, Atom(v2)))};
+                          });
+      return std::vector<Atom>{Atom(c.map(f, {is, vs, accs[0]})[0])};
+    });
+    Prog p = pb.finish({Atom(outs[0])});
+    typecheck(p);
+    return p;
+  }
+  Var xs = pb.param("xs", arr_f64(1));
+  Var r;
+  if (soac == SchedSoac::Map) {
+    r = b.map1(b.lam({f64()},
+                     [](Builder& c, const std::vector<Var>& p) {
+                       return std::vector<Atom>{Atom(c.mul(p[0], cf64(2.0)))};
+                     }),
+               {xs});
+  } else {
+    LambdaPtr op = tier == SchedTier::Hand ? b.add_op() : slow_add_op(b);
+    r = soac == SchedSoac::Reduce ? b.reduce1(std::move(op), cf64(0.0), {xs})
+                                  : b.scan1(std::move(op), cf64(0.0), {xs});
+  }
+  Prog p = pb.finish({Atom(r)});
+  typecheck(p);
+  return p;
+}
+
+std::vector<Value> sched_args(SchedSoac soac, int64_t n) {
+  support::Rng rng(static_cast<uint64_t>(n) + 3);
+  const int64_t m = 32;
+  if (soac == SchedSoac::Hist) {
+    return {rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(m), -1.0, 1.0), {m}),
+            rt::make_i64_array(rng.index_vec(static_cast<size_t>(n), m), {n}),
+            rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(n), -1.0, 1.0), {n})};
+  }
+  if (soac == SchedSoac::AccMap) {
+    return {rt::make_f64_array(std::vector<double>(static_cast<size_t>(m), 0.0), {m}),
+            rt::make_i64_array(rng.index_vec(static_cast<size_t>(n), m), {n}),
+            rt::make_f64_array(rng.normal_vec(static_cast<size_t>(n)), {n})};
+  }
+  return {rt::make_f64_array(rng.uniform_vec(static_cast<size_t>(n), -1.0, 1.0), {n})};
+}
+
+std::map<std::string, uint64_t> parse_expect(const char* s) {
+  std::map<std::string, uint64_t> out;
+  std::istringstream in(s);
+  std::string tok;
+  while (in >> tok) {
+    const size_t eq = tok.find('=');
+    out[tok.substr(0, eq)] = std::stoull(tok.substr(eq + 1));
+  }
+  return out;
+}
+
+TEST(Schedule, ChunkCountsPerTier) {
+  if (support::ThreadPool::global().thread_count() != 4) {
+    GTEST_SKIP() << "the pinned counts are for a 4-worker pool";
+  }
+  using S = SchedSoac;
+  using T = SchedTier;
+  const SchedRow rows[] = {
+      {S::Map, T::General, 64, "general_maps=1 map.general_chunk=1"},
+      {S::Map, T::General, 65, "general_maps=1 map.general_chunk=2 threadpool.chunk=2"},
+      {S::Map, T::General, 4096, "general_maps=1 map.general_chunk=16 threadpool.chunk=16"},
+      {S::Map, T::Kernel, 64, "kernel_maps=1 map.kernel_chunk=1"},
+      {S::Map, T::Kernel, 65, "kernel_maps=1 map.kernel_chunk=2 threadpool.chunk=2"},
+      {S::Map, T::Kernel, 4096, "kernel_maps=1 map.kernel_chunk=16 threadpool.chunk=16"},
+      {S::AccMap, T::General, 64,
+       "general_maps=1 privatized_updates=64 withacc.body=1 map.general_chunk=1"},
+      {S::AccMap, T::General, 65,
+       "general_maps=1 atomic_updates=65 withacc.body=1 map.general_chunk=2 "
+       "threadpool.chunk=2"},
+      {S::AccMap, T::General, 4095,
+       "general_maps=1 atomic_updates=4095 withacc.body=1 map.general_chunk=16 "
+       "threadpool.chunk=16"},
+      {S::AccMap, T::General, 4096,
+       "general_maps=1 atomic_updates=1 privatized_updates=4095 privatized_launches=1 "
+       "withacc.body=1 map.general_priv_chunk=4 acc.merge=1 threadpool.chunk=6"},
+      {S::AccMap, T::Kernel, 64,
+       "kernel_maps=1 privatized_updates=64 withacc.body=1 map.kernel_chunk=1"},
+      {S::AccMap, T::Kernel, 65,
+       "kernel_maps=1 atomic_updates=65 withacc.body=1 map.kernel_chunk=2 threadpool.chunk=2"},
+      {S::AccMap, T::Kernel, 4095,
+       "kernel_maps=1 atomic_updates=4095 withacc.body=1 map.kernel_chunk=16 "
+       "threadpool.chunk=16"},
+      {S::AccMap, T::Kernel, 4096,
+       "kernel_maps=1 privatized_updates=4096 privatized_launches=1 withacc.body=1 "
+       "map.kernel_priv_chunk=4 acc.merge=1 threadpool.chunk=6"},
+      {S::Reduce, T::Hand, 127, "hand_reduces=1 reduce.general_chunk=1"},
+      {S::Reduce, T::Hand, 128, "hand_reduces=1 reduce.general_chunk=2 threadpool.chunk=2"},
+      {S::Reduce, T::Hand, 4096, "hand_reduces=1 reduce.general_chunk=4 threadpool.chunk=4"},
+      {S::Reduce, T::Kernel, 127, "kernel_reduces=1 reduce.kernel_chunk=1"},
+      {S::Reduce, T::Kernel, 128,
+       "kernel_reduces=1 reduce.kernel_chunk=2 reduce.partial_merge=1 threadpool.chunk=2"},
+      {S::Reduce, T::Kernel, 4096,
+       "kernel_reduces=1 reduce.kernel_chunk=4 reduce.partial_merge=1 threadpool.chunk=4"},
+      {S::Reduce, T::General, 127, "general_reduces=1 reduce.general_chunk=1"},
+      {S::Reduce, T::General, 128,
+       "general_reduces=1 reduce.general_chunk=2 threadpool.chunk=2"},
+      {S::Reduce, T::General, 4096,
+       "general_reduces=1 reduce.general_chunk=4 threadpool.chunk=4"},
+      {S::Scan, T::Hand, 255, "hand_scans=1 scan.hand_chunk=1"},
+      {S::Scan, T::Hand, 256,
+       "hand_scans=1 scan.hand_chunk=4 scan.hand_rescale=3 threadpool.chunk=8"},
+      {S::Scan, T::Hand, 4096,
+       "hand_scans=1 scan.hand_chunk=4 scan.hand_rescale=3 threadpool.chunk=8"},
+      {S::Scan, T::Kernel, 255, "kernel_scans=1 scan.kernel_chunk=1"},
+      {S::Scan, T::Kernel, 256,
+       "kernel_scans=1 scan.kernel_chunk=4 scan.kernel_rescale=3 threadpool.chunk=8"},
+      {S::Scan, T::Kernel, 4096,
+       "kernel_scans=1 scan.kernel_chunk=4 scan.kernel_rescale=3 threadpool.chunk=8"},
+      {S::Scan, T::General, 255, "general_scans=1 scan.general=1"},
+      {S::Scan, T::General, 256, "general_scans=1 scan.general=1"},
+      {S::Scan, T::General, 4096, "general_scans=1 scan.general=1"},
+      {S::Hist, T::Hand, 64, "hand_hists=1 privatized_hist_updates=64 hist.hand_chunk=1"},
+      {S::Hist, T::Hand, 65,
+       "hand_hists=1 atomic_hist_updates=65 hist.atomic_chunk=2 threadpool.chunk=2"},
+      {S::Hist, T::Hand, 4095,
+       "hand_hists=1 atomic_hist_updates=4095 hist.atomic_chunk=16 threadpool.chunk=16"},
+      {S::Hist, T::Hand, 4096,
+       "hand_hists=1 privatized_hist_updates=4096 hist.hand_chunk=4 hist.merge=1 "
+       "threadpool.chunk=4"},
+      {S::Hist, T::Kernel, 64, "kernel_hists=1 privatized_hist_updates=64 hist.kernel_chunk=1"},
+      {S::Hist, T::Kernel, 65, "kernel_hists=1 privatized_hist_updates=65 hist.kernel_chunk=1"},
+      {S::Hist, T::Kernel, 4095,
+       "kernel_hists=1 privatized_hist_updates=4095 hist.kernel_chunk=1"},
+      {S::Hist, T::Kernel, 4096,
+       "kernel_hists=1 privatized_hist_updates=4096 hist.kernel_chunk=4 hist.kernel_merge=1 "
+       "threadpool.chunk=4"},
+      {S::Hist, T::General, 64, "general_hists=1 privatized_hist_updates=64 hist.general=1"},
+      {S::Hist, T::General, 65, "general_hists=1 privatized_hist_updates=65 hist.general=1"},
+      {S::Hist, T::General, 4096,
+       "general_hists=1 privatized_hist_updates=4096 hist.general=1"},
+  };
+  // Allocation and vexec-dispatch crossings depend on the buffer pool and the
+  // executor, not on the schedule.
+  const std::set<std::string> unpinned = {"pool.acquire", "vexec.dispatch"};
+  const char* const pinned_counters[] = {
+      "kernel_maps",         "general_maps",            "privatized_updates",
+      "atomic_updates",      "privatized_launches",     "hand_reduces",
+      "kernel_reduces",      "general_reduces",         "hand_scans",
+      "kernel_scans",        "general_scans",           "hand_hists",
+      "kernel_hists",        "general_hists",           "privatized_hist_updates",
+      "atomic_hist_updates"};
+  auto& fi = support::FaultInjector::global();
+  for (const SchedRow& row : rows) {
+    const Prog p = sched_prog(row.soac, row.tier);
+    const auto args = sched_args(row.soac, row.n);
+    rt::Interp in({.parallel = true, .use_kernels = row.tier != SchedTier::General, .grain = 64});
+    fi.start_counting();
+    in.run(p, args);
+    fi.stop();
+    std::map<std::string, uint64_t> got;
+    for (int s = 0; s < fi.num_sites(); ++s) {
+      if (fi.crossings(s) > 0 && unpinned.count(fi.site_name(s)) == 0) {
+        got[fi.site_name(s)] = fi.crossings(s);
+      }
+    }
+    const auto counters = in.stats().counters();
+    for (const char* c : pinned_counters) {
+      if (counters.at(c) > 0) got[c] = counters.at(c);
+    }
+    EXPECT_EQ(got, parse_expect(row.expect))
+        << "soac " << static_cast<int>(row.soac) << " tier " << static_cast<int>(row.tier)
+        << " n " << row.n;
+  }
 }
 
 // A plain (+) reduce and scan over one f64 array run on the hand-rolled

@@ -291,7 +291,6 @@ TEST(PrivatizedAccumulators, MatchAtomicGradientsOnVjpHistogram) {
   atomic_opts.grain = 512;  // force fan-out on multi-core machines
   InterpOptions priv_opts = atomic_opts;
   priv_opts.privatize_accs = true;
-  priv_opts.privatize_min_iters = 1024;
 
   Interp atomic_in(atomic_opts);
   Interp priv_in(priv_opts);
